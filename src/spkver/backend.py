@@ -50,17 +50,22 @@ class PhrasePldaBank:
     models: dict  # phrase_id -> PldaModel
 
 
-def cosine_score(e: np.ndarray, t: np.ndarray) -> float:
-    """Inner product over the product of norms, in [-1, 1]."""
+def cosine_score(e: np.ndarray, t: np.ndarray):
+    """Inner product over the product of norms, in [-1, 1].
+
+    A broadcasting pair scorer: `e` and `t` of shapes (..., D) broadcast to
+    scores of shape (...); two 1-D vectors give a float.
+    """
     e = np.asarray(e, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if e.shape != t.shape:
+    if e.shape[-1] != t.shape[-1]:
         raise ValueError(f"dimension mismatch: {e.shape} vs {t.shape}")
-    ne = float(np.linalg.norm(e))
-    nt = float(np.linalg.norm(t))
-    if ne == 0.0 or nt == 0.0:
+    ne = np.sqrt(np.einsum("...d,...d->...", e, e))
+    nt = np.sqrt(np.einsum("...d,...d->...", t, t))
+    if not (np.all(ne > 0.0) and np.all(nt > 0.0)):
         raise NumericalError("cosine of a zero vector is undefined")
-    return float(np.dot(e, t) / (ne * nt))
+    scores = np.einsum("...d,...d->...", e, t) / (ne * nt)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def _logdet_and_chol(mat: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -171,21 +176,23 @@ class PldaScorer:
 
     def __init__(self, model: PldaModel):
         self.model = model
-        d = model.dim
         t_cov = model.sigma_b + model.sigma_w
         joint = np.block([[t_cov, model.sigma_b], [model.sigma_b, t_cov]])
         self._ldet_t, self._chol_t = _logdet_and_chol(t_cov)
         self._ldet_j, self._chol_j = _logdet_and_chol(joint)
-        self._d = d
+        self._d = model.dim
 
-    def score(self, e: np.ndarray, t: np.ndarray) -> float:
-        return float(self.score_many(np.atleast_2d(e), np.atleast_2d(t))[0])
-
-    def score_many(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-        e = np.atleast_2d(np.asarray(e, dtype=np.float64)) - self.model.mu
-        t = np.atleast_2d(np.asarray(t, dtype=np.float64)) - self.model.mu
-        if e.shape[1] != self._d or t.shape[1] != self._d:
+    def score(self, e: np.ndarray, t: np.ndarray):
+        """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two
+        1-D vectors give a float."""
+        e = np.asarray(e, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        if e.shape[-1] != self._d or t.shape[-1] != self._d:
             raise ValueError("dimension mismatch with PLDA model")
+        e, t = np.broadcast_arrays(e, t)
+        shape = e.shape[:-1]
+        e = e.reshape(-1, self._d) - self.model.mu
+        t = t.reshape(-1, self._d) - self.model.mu
         stacked = np.concatenate([e, t], axis=1)
         log_same = -0.5 * (2 * self._d * LOG_2PI + self._ldet_j + _chol_quad(self._chol_j, stacked))
         log_diff = -0.5 * (
@@ -194,7 +201,8 @@ class PldaScorer:
             + _chol_quad(self._chol_t, e)
             + _chol_quad(self._chol_t, t)
         )
-        return log_same - log_diff
+        scores = (log_same - log_diff).reshape(shape)
+        return float(scores) if scores.ndim == 0 else scores
 
 
 def plda_llr_score(model: PldaModel, e: np.ndarray, t: np.ndarray) -> float:

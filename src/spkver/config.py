@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .extractor import Strategy
+from .metrics import grid_divisions
+
 
 class ConfigError(ValueError):
     """Bad configuration key, value, or combination."""
@@ -20,7 +23,6 @@ class ConfigError(ValueError):
 class PipelineConfig:
     workdir: str = "run"
     seed: int = 0
-    workers: int = 1
 
     # corpus generation
     dim: int = 16
@@ -83,7 +85,7 @@ class PipelineConfig:
             raise ConfigError(f"task must be TD or TI, got {self.task!r}")
         for backend in self.backends:
             if backend not in ("cosine", "plda", "nplda"):
-                raise ConfigError(f"unknown backend {self.backend_err(backend)}")
+                raise ConfigError(f"unknown backend {backend!r} (expected cosine, plda, or nplda)")
         if self.norm_backend not in self.backends:
             raise ConfigError(
                 f"norm_backend {self.norm_backend!r} is not among backends {self.backends}"
@@ -92,12 +94,13 @@ class PipelineConfig:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.dev_fraction >= 1.0:
             raise ConfigError("train_fraction + dev_fraction must leave room for eval")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-
-    @staticmethod
-    def backend_err(backend: str) -> str:
-        return f"{backend!r} (expected cosine, plda, or nplda)"
+        if self.n_top < 2:
+            raise ConfigError(f"n_top must be >= 2, got {self.n_top}")
+        try:
+            Strategy(self.strategy)
+            grid_divisions(self.grid_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -162,12 +165,11 @@ def load_config(path: Optional[str] = None, overrides=(), seed: Optional[int] = 
     return cfg
 
 
-def dump_config(cfg: PipelineConfig, exclude=("workers", "workdir")) -> list:
+def dump_config(cfg: PipelineConfig, exclude=("workdir",)) -> list:
     """Deterministic key=value lines for manifests.
 
-    Execution-only knobs (worker count, output location) are excluded so
-    that runs differing only in where/how they execute produce identical
-    manifests.
+    The output location is excluded so that runs differing only in where
+    they write produce identical manifests.
     """
     lines = []
     for name in sorted(_FIELDS):

@@ -1,7 +1,7 @@
 """Core domain types: utterances, embeddings, enrollment models, trials, keys.
 
-Everything here is immutable after construction and safe to share read-only
-across parallel workers; the operations are pure functions.
+Everything here is immutable after construction; the operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def _as_vector(vec) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
-
-
-def unit_norm(vec: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Scale `vec` to unit Euclidean norm; raise NumericalError if degenerate."""
-    norm = float(np.linalg.norm(vec))
-    if norm < eps:
-        raise NumericalError("zero-norm vector cannot be normalized")
-    return vec / norm
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     Embedding,
     Language,
+    NumericalError,
     PhraseEntry,
     PhraseInventory,
     Trial,
@@ -246,6 +247,8 @@ def write_scores(path, scores: Mapping[str, float]) -> None:
     lines = []
     for trial_id, score in scores.items():
         _check_token(trial_id, "trial_id")
+        if not np.isfinite(score):
+            raise NumericalError(f"non-finite score {score!r} for trial {trial_id}")
         lines.append(f"{trial_id} {_fmt(score)}")
     _write_text(path, lines)
 

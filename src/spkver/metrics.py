@@ -201,11 +201,17 @@ def fuse(score_sets: Sequence[ScoreSet], weights: FusionWeights) -> ScoreSet:
     }
 
 
+def grid_divisions(grid_step: float) -> int:
+    """The n with n * grid_step == 1; ValueError unless grid_step divides 1."""
+    n = round(1.0 / grid_step) if grid_step > 0 else 0
+    if n < 1 or abs(n * grid_step - 1.0) > 1e-9:
+        raise ValueError(f"grid_step must evenly divide 1, got {grid_step!r}")
+    return n
+
+
 def _simplex_grid(n_systems: int, grid_step: float):
     """All weight vectors on the simplex grid, lexicographically ascending."""
-    n = round(1.0 / grid_step)
-    if n < 1 or abs(n * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must evenly divide 1")
+    n = grid_divisions(grid_step)
     for parts in itertools.product(range(n + 1), repeat=n_systems):
         if sum(parts) == n:
             yield tuple(p / n for p in parts)

@@ -13,13 +13,14 @@ utterance's language; the test-side cohort is never language-filtered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .core import Embedding, Language, NumericalError, UttMeta
 
-Scorer = Callable[[np.ndarray, np.ndarray], float]
+# A broadcasting pair scorer: (..., D) with (..., D) -> (...) scores.
+Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +54,10 @@ class Cohort:
 
 @dataclass(frozen=True)
 class NormStats:
-    mu: float
-    sigma: float
+    """Top-N cohort statistics: floats for one anchor, arrays for a batch."""
+
+    mu: object
+    sigma: object
     n_top: int
 
 
@@ -83,13 +86,17 @@ def build_cohort(embeddings: Sequence[Embedding], metas: Sequence[UttMeta]) -> C
 
 
 def cohort_stats(
-    anchor: np.ndarray,
+    anchors: np.ndarray,
     cohort: Cohort,
     scorer: Scorer,
     n_top: int,
     language_filter: Optional[Language] = None,
 ) -> NormStats:
-    """Mean / population standard deviation of the anchor's top-N cohort scores."""
+    """Mean / population standard deviation of each anchor's top-N cohort scores.
+
+    `anchors` is one vector (D,) or a batch (..., D); the (anchors x cohort)
+    scores come from one broadcasting scorer call.
+    """
     if n_top < 2:
         raise ValueError("n_top must be >= 2")
     entries = cohort.filtered(language_filter)
@@ -97,17 +104,22 @@ def cohort_stats(
         raise ValueError(
             f"cohort has {len(entries)} usable entries after filtering, need {n_top}"
         )
-    scores = np.asarray([scorer(anchor, e.vec) for e in entries], dtype=np.float64)
-    top = np.sort(scores)[-n_top:]
-    mu = float(top.mean())
-    sigma = float(top.std())  # population divisor
-    if sigma == 0.0:
-        raise NumericalError(f"zero variance among top cohort scores (mu={mu})")
+    anchors = np.asarray(anchors, dtype=np.float64)
+    cohort_vecs = np.stack([e.vec for e in entries])
+    scores = np.asarray(scorer(anchors[..., None, :], cohort_vecs), dtype=np.float64)
+    top = np.sort(scores, axis=-1)[..., -n_top:]
+    mu = top.mean(axis=-1)
+    sigma = top.std(axis=-1)  # population divisor
+    if not np.all(sigma > 0.0):
+        raise NumericalError(f"zero variance among top cohort scores (mu={mu[~(sigma > 0.0)]})")
+    if anchors.ndim == 1:
+        return NormStats(mu=float(mu), sigma=float(sigma), n_top=n_top)
     return NormStats(mu=mu, sigma=sigma, n_top=n_top)
 
 
-def as_norm(raw_score: float, enroll_stats: NormStats, test_stats: NormStats) -> float:
-    if enroll_stats.sigma <= 0.0 or test_stats.sigma <= 0.0:
+def as_norm(raw_score, enroll_stats: NormStats, test_stats: NormStats):
+    """Elementwise over raw scores and stats of matching shapes."""
+    if not (np.all(enroll_stats.sigma > 0.0) and np.all(test_stats.sigma > 0.0)):
         raise NumericalError("normalization stats need positive sigma")
     return (raw_score - test_stats.mu) / test_stats.sigma + (
         raw_score - enroll_stats.mu
@@ -115,30 +127,44 @@ def as_norm(raw_score: float, enroll_stats: NormStats, test_stats: NormStats) ->
 
 
 def language_dependent_as_norm(
-    raw_score: float,
-    enroll_vec: np.ndarray,
-    test_vec: np.ndarray,
+    raw_scores,
+    enroll_vecs: np.ndarray,
+    test_vecs: np.ndarray,
     cohort: Cohort,
     scorer: Scorer,
     n_top: int,
-    test_language: Language,
-) -> float:
-    """AS-Norm with the enroll-side cohort restricted to the test language."""
-    enroll_stats = cohort_stats(enroll_vec, cohort, scorer, n_top,
-                                language_filter=test_language)
-    test_stats = cohort_stats(test_vec, cohort, scorer, n_top, language_filter=None)
-    return as_norm(raw_score, enroll_stats, test_stats)
+    test_languages,
+):
+    """AS-Norm of row-aligned trials, each with its enroll-side cohort
+    restricted to its test language.
+
+    `test_languages` is one Language (or None: no restriction) for every
+    trial, or one per trial; the enroll-side statistics take one
+    cohort_stats call per language present.
+    """
+    enroll_vecs = np.asarray(enroll_vecs, dtype=np.float64)
+    langs = np.broadcast_to(np.asarray(test_languages, dtype=object), enroll_vecs.shape[:-1])
+    mu, sigma = np.empty(langs.shape), np.empty(langs.shape)
+    for lang in dict.fromkeys(langs.flat):
+        rows = langs == lang
+        stats = cohort_stats(enroll_vecs[rows], cohort, scorer, n_top, language_filter=lang)
+        mu[rows], sigma[rows] = stats.mu, stats.sigma
+    test_stats = cohort_stats(test_vecs, cohort, scorer, n_top, language_filter=None)
+    normed = as_norm(raw_scores, NormStats(mu, sigma, n_top), test_stats)
+    return float(normed) if np.ndim(normed) == 0 else normed
 
 
 def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int:
-    """Clamp a configured cohort depth to what the cohort can support."""
+    """Cap a configured cohort depth at what the cohort can support."""
     limit = len(cohort)
     if language_dependent:
         for lang in Language:
             subset = len(cohort.filtered(lang))
             if subset:
                 limit = min(limit, subset)
-    return max(2, min(n_top, limit))
+    if limit < 2:
+        raise ValueError(f"cohort has {limit} usable entries in a language, need 2")
+    return min(n_top, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +221,18 @@ def train_language_id(
     return LangClassifier(weights=w, bias=b, languages=languages)
 
 
-def predict_language(classifier: LangClassifier, embedding: np.ndarray):
+def predict_language(classifier: LangClassifier, embeddings: np.ndarray):
     """Argmax language plus the softmax posterior; ties go to the
-    lower-indexed language."""
-    vec = np.asarray(embedding, dtype=np.float64)
-    if vec.shape[0] != classifier.dim:
+    lower-indexed language.
+
+    One embedding (D,) gives (Language, posterior); a batch (N, D) gives
+    (list of N Languages, (N, n_languages) posteriors).
+    """
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.shape[-1] != classifier.dim:
         raise ValueError("embedding dimension does not match the classifier")
-    posterior = _softmax(classifier.weights @ vec + classifier.bias)
-    return classifier.languages[int(np.argmax(posterior))], posterior
+    posterior = _softmax(x @ classifier.weights.T + classifier.bias)
+    picks = np.argmax(posterior, axis=-1)
+    if picks.ndim == 0:
+        return classifier.languages[int(picks)], posterior
+    return [classifier.languages[i] for i in picks], posterior

@@ -12,7 +12,7 @@ differentiable detection-cost surrogate over same-phrase pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,22 +91,20 @@ def init_from_plda(model: PldaModel) -> NpldaParams:
     return NpldaParams(lam=lam, gamma=gamma, c=c, k=k)
 
 
-def nplda_scores(params: NpldaParams, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate the quadratic score for row-aligned pair batches."""
-    e = np.atleast_2d(np.asarray(e, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    if e.shape != t.shape or e.shape[1] != params.dim:
+def nplda_score(params: NpldaParams, e: np.ndarray, t: np.ndarray):
+    """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two 1-D
+    vectors give a float."""
+    e = np.asarray(e, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if e.shape[-1] != params.dim or t.shape[-1] != params.dim:
         raise ValueError("pair batch shape mismatch with NPLDA parameters")
     lam_sym = 0.5 * (params.lam + params.lam.T)
-    cross = np.sum((e @ lam_sym) * t, axis=1)
-    self_e = np.sum((e @ params.gamma) * e, axis=1)
-    self_t = np.sum((t @ params.gamma) * t, axis=1)
+    cross = np.sum((e @ lam_sym) * t, axis=-1)
+    self_e = np.sum((e @ params.gamma) * e, axis=-1)
+    self_t = np.sum((t @ params.gamma) * t, axis=-1)
     lin = (e + t) @ params.c
-    return cross + self_e + self_t + lin + params.k
-
-
-def nplda_score(params: NpldaParams, e: np.ndarray, t: np.ndarray) -> float:
-    return float(nplda_scores(params, e, t)[0])
+    scores = cross + self_e + self_t + lin + params.k
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -189,7 +187,7 @@ def train_nplda(
     k = params.k
 
     def score_now() -> np.ndarray:
-        return nplda_scores(NpldaParams(lam, gamma, c, k), e, t)
+        return nplda_score(NpldaParams(lam, gamma, c, k), e, t)
 
     scores = score_now()
     if config.theta is not None:

@@ -13,21 +13,23 @@ outputs byte-for-byte. File layout (all under cfg.workdir):
     fusion_weights.txt, metrics.txt, manifest.txt
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus.
-Scoring loops are trial-at-a-time so results never depend on the worker
-count used to parallelize them.
+Scoring and normalization work on whole splits: each backend scores a
+split's row-aligned (enroll, test) arrays in one call (NPLDA in one call
+per claimed phrase), and AS-norm takes its cohort statistics in one call
+per side and language group.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig
-from .core import Language, TrialLabel, build_enroll_model, validate_protocol
+from .core import build_enroll_model, validate_protocol
 from .synthgen import RNG_ALGORITHM, GenConfig, Task
 
 SPLITS = ("train", "dev", "eval")
@@ -164,28 +166,8 @@ def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Pat
 # scoring
 
 
-def _score_pairs(scorer, enroll_vecs, test_vecs, workers: int) -> np.ndarray:
-    """Trial-at-a-time scoring, optionally split across threads.
-
-    Each trial's arithmetic is independent of every other trial, so the
-    result is identical for any worker count.
-    """
-    n = len(enroll_vecs)
-
-    def run(span):
-        lo, hi = span
-        return [scorer(enroll_vecs[i], test_vecs[i]) for i in range(lo, hi)]
-
-    if workers <= 1 or n < 2 * workers:
-        return np.asarray(run((0, n)))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(run, spans))
-    return np.asarray([s for chunk in chunks for s in chunk])
-
-
 def _trial_vectors(cfg: PipelineConfig, split: str):
+    """A split's trials with their row-aligned (N, D) enroll and test vectors."""
     embeddings, metas = _load_split(cfg, split, extracted=True)
     emb_by_utt = {e.utt_id: e for e in embeddings}
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
@@ -194,14 +176,15 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
         model_id: build_enroll_model(model_id, [emb_by_utt[u] for u in utt_ids])
         for model_id, utt_ids in enroll_map.items()
     }
-    enroll_vecs = [models[t.model_id].centroid for t in trials]
-    test_vecs = [emb_by_utt[t.test_utt_id].vec for t in trials]
-    return trials, metas, enroll_vecs, test_vecs, emb_by_utt
+    enroll = np.stack([models[t.model_id].centroid for t in trials])
+    test = np.stack([emb_by_utt[t.test_utt_id].vec for t in trials])
+    return trials, metas, enroll, test
 
 
-def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, object]:
-    """Build one (e, t) -> float scorer per configured backend."""
-    scorers: Dict[str, object] = {"cosine": backend.cosine_score}
+def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
+    """One trial scorer per configured backend: (trials, enroll, test) ->
+    scores, for row-aligned (N, D) enroll and test vectors."""
+    scorers: Dict[str, Callable] = {"cosine": lambda trials, e, t: backend.cosine_score(e, t)}
     if not ({"plda", "nplda"} & set(cfg.backends)):
         return scorers
     embeddings, metas = _load_split(cfg, "train", extracted=True)
@@ -209,13 +192,28 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, object]:
     spk = [m.speaker_id for m in metas]
     plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
     if "plda" in cfg.backends:
-        scorers["plda"] = backend.PldaScorer(plda_model).score
+        plda_scorer = backend.PldaScorer(plda_model)
+        scorers["plda"] = lambda trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
-        scorers["nplda"] = _train_nplda_scorer(cfg, embeddings, metas)
+        params_by_phrase = _train_nplda_bank(cfg, embeddings, metas)
+        scorers["nplda"] = functools.partial(_score_by_claimed_phrase, params_by_phrase)
     return scorers
 
 
-def _train_nplda_scorer(cfg: PipelineConfig, embeddings, metas):
+def _score_by_claimed_phrase(params_by_phrase, trials, e, t) -> np.ndarray:
+    """NPLDA scores, one nplda_score call per claimed phrase."""
+    phrases = np.asarray([trial.claimed_phrase_id for trial in trials], dtype=object)
+    scores = np.empty(len(trials))
+    for phrase in dict.fromkeys(phrases):
+        params = params_by_phrase.get(phrase)
+        if params is None:
+            raise ConfigError(f"no NPLDA model for claimed phrase {phrase!r}")
+        rows = phrases == phrase
+        scores[rows] = nplda.nplda_score(params, e[rows], t[rows])
+    return scores
+
+
+def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda.NpldaParams]:
     """Per-phrase NPLDA bank: generative init plus same-phrase cost training."""
     if cfg.task != "TD":
         raise ConfigError("the nplda backend needs phrase labels (task=TD)")
@@ -270,20 +268,7 @@ def _train_nplda_scorer(cfg: PipelineConfig, embeddings, metas):
         )
         params_by_phrase[phrase] = result.params
 
-    class PhraseNpldaScorer:
-        def __init__(self, params_by_phrase):
-            self.params_by_phrase = params_by_phrase
-            self.phrase_of_trial: Dict[int, str] = {}
-
-        def score_trial(self, trial, e, t):
-            params = self.params_by_phrase.get(trial.claimed_phrase_id)
-            if params is None:
-                raise ConfigError(
-                    f"no NPLDA model for claimed phrase {trial.claimed_phrase_id!r}"
-                )
-            return nplda.nplda_score(params, e, t)
-
-    return PhraseNpldaScorer(params_by_phrase)
+    return params_by_phrase
 
 
 def _as_synth_view(corpus: extractor.CorpusView):
@@ -298,10 +283,6 @@ def _as_synth_view(corpus: extractor.CorpusView):
         def meta_by_utt():
             return {m.utt_id: m for m in corpus.metas}
 
-        @staticmethod
-        def emb_by_utt():
-            return {e.utt_id: e for e in corpus.embeddings}
-
         speaker_ids = tuple(dict.fromkeys(m.speaker_id for m in corpus.metas))
 
     return _View()
@@ -312,16 +293,9 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
     scorers = _train_backend_scorers(cfg)
     written = []
     for split in splits:
-        trials, _, enroll_vecs, test_vecs, _ = _trial_vectors(cfg, split)
+        trials, _, enroll, test = _trial_vectors(cfg, split)
         for name in cfg.backends:
-            scorer = scorers[name]
-            if hasattr(scorer, "score_trial"):
-                values = [
-                    scorer.score_trial(t, e, v)
-                    for t, e, v in zip(trials, enroll_vecs, test_vecs)
-                ]
-            else:
-                values = _score_pairs(scorer, enroll_vecs, test_vecs, cfg.workers)
+            values = scorers[name](trials, enroll, test)
             scores = {t.trial_id: float(s) for t, s in zip(trials, values)}
             path = _workpath(cfg, f"scores_{name}_{split}.txt")
             fileio.write_scores(path, scores)
@@ -338,36 +312,30 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
     train_emb, train_meta = _load_split(cfg, "train", extracted=True)
     cohort = norm.build_cohort(train_emb, train_meta)
     n_top = norm.effective_n_top(cfg.n_top, cohort, cfg.language_dependent)
+    cohort_scorer = backend.cosine_score  # cosine cohort scores, whatever the norm_backend
 
     classifier = None
+    written = []
     if cfg.language_dependent and cfg.use_lid:
         x = np.stack([e.vec for e in train_emb])
         langs = [m.language for m in train_meta]
         classifier = norm.train_language_id(x, langs, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
         fileio.write_lang_classifier(_workpath(cfg, "lang_clf.txt"), classifier)
-
-    written = []
-    if classifier is not None:
         written.append(_workpath(cfg, "lang_clf.txt"))
     for split in splits:
         raw = fileio.read_scores(_workpath(cfg, f"scores_{cfg.norm_backend}_{split}.txt"))
-        trials, metas, enroll_vecs, test_vecs, _ = _trial_vectors(cfg, split)
-        meta_by_utt = {m.utt_id: m for m in metas}
-        out = {}
-        for trial, e_vec, t_vec in zip(trials, enroll_vecs, test_vecs):
-            score = raw[trial.trial_id]
-            if cfg.language_dependent:
-                if classifier is not None:
-                    lang, _ = norm.predict_language(classifier, t_vec)
-                else:
-                    lang = meta_by_utt[trial.test_utt_id].language
-                out[trial.trial_id] = norm.language_dependent_as_norm(
-                    score, e_vec, t_vec, cohort, backend.cosine_score, n_top, lang
-                )
-            else:
-                e_stats = norm.cohort_stats(e_vec, cohort, backend.cosine_score, n_top)
-                t_stats = norm.cohort_stats(t_vec, cohort, backend.cosine_score, n_top)
-                out[trial.trial_id] = norm.as_norm(score, e_stats, t_stats)
+        trials, metas, enroll, test = _trial_vectors(cfg, split)
+        test_langs = None
+        if classifier is not None:
+            test_langs, _ = norm.predict_language(classifier, test)
+        elif cfg.language_dependent:
+            lang_by_utt = {m.utt_id: m.language for m in metas}
+            test_langs = [lang_by_utt[t.test_utt_id] for t in trials]
+        normed = norm.language_dependent_as_norm(
+            np.asarray([raw[t.trial_id] for t in trials]),
+            enroll, test, cohort, cohort_scorer, n_top, test_langs,
+        )
+        out = {t.trial_id: float(s) for t, s in zip(trials, normed)}
         path = _workpath(cfg, f"scores_{cfg.norm_backend}_norm_{split}.txt")
         fileio.write_scores(path, out)
         written.append(path)

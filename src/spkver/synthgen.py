@@ -15,7 +15,7 @@ corpus bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -31,7 +31,6 @@ from .core import (
     TrialKey,
     TrialLabel,
     UttMeta,
-    build_enroll_model,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -79,9 +78,6 @@ class SynthCorpus:
 
     def meta_by_utt(self) -> dict:
         return {m.utt_id: m for m in self.metas}
-
-    def emb_by_utt(self) -> dict:
-        return {e.utt_id: e for e in self.embeddings}
 
     @property
     def speaker_ids(self) -> tuple:
@@ -256,7 +252,6 @@ def gen_trials(
         raise ValueError("n_trials must be positive")
     rng = np.random.default_rng(seed)
     meta_by_utt = corpus.meta_by_utt()
-    emb_by_utt = corpus.emb_by_utt()
     speakers = corpus.speaker_ids
     if len(speakers) < 2:
         raise ValueError("trial generation needs at least 2 speakers")
@@ -269,17 +264,17 @@ def gen_trials(
             raise ValueError("TD proportions must have 4 entries (TC, TW, IC, IW)")
         counts = dict(zip([TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW],
                           _allocate(n_trials, props)))
-        return _gen_td(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt)
+        return _gen_td(corpus, counts, n_enroll, rng, meta_by_utt)
 
     props = list(proportions) if proportions is not None else [0.5, 0.5]
     if len(props) != 2:
         raise ValueError("TI proportions must have 2 entries (TARGET, NONTARGET)")
     counts = dict(zip([TrialLabel.TARGET, TrialLabel.NONTARGET],
                       _allocate(n_trials, props)))
-    return _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt)
+    return _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt)
 
 
-def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt) -> TrialProtocol:
+def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
     phrases = corpus.inventory.phrase_ids
     # Enrollment cells: first n_enroll utterances of each (speaker, phrase)
     # cell enroll; the rest are that cell's test pool.
@@ -324,7 +319,7 @@ def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt) -> TrialProt
     return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
 
 
-def _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt) -> TrialProtocol:
+def _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
     # Enroll each speaker on its first n_enroll L1 utterances; every other
     # utterance (any language) is eligible as test material.
     by_spk: dict = {}
@@ -363,11 +358,3 @@ def _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt, emb_by_utt) -> TrialProt
             trials.append(Trial(trial_id, f"m_{spk}", test_utt, claimed_phrase_id=None))
             keys.append(TrialKey(trial_id, label))
     return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
-
-
-def build_enroll_models(protocol: TrialProtocol, emb_by_utt: dict) -> dict:
-    """Materialize EnrollModel objects for a protocol's enrollment map."""
-    return {
-        model_id: build_enroll_model(model_id, [emb_by_utt[u] for u in utt_ids])
-        for model_id, utt_ids in protocol.enroll_map.items()
-    }

@@ -105,3 +105,40 @@ def auc_by_sorting(pos, neg) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def cohort_stats_literal(anchor, cohort, scorer, n_top, language_filter=None):
+    """Per-anchor AS-norm statistics, one scalar scorer call per cohort entry.
+
+    The trial-at-a-time form that batched `norm.cohort_stats` replaced.
+    Returns (mu, sigma): mean and population standard deviation of the
+    anchor's top-N cohort scores.
+    """
+    if n_top < 2:
+        raise ValueError("n_top must be >= 2")
+    entries = [e for e in cohort.entries
+               if language_filter is None or e.language is language_filter]
+    if len(entries) < n_top:
+        raise ValueError(
+            f"cohort has {len(entries)} usable entries after filtering, need {n_top}"
+        )
+    scores = np.asarray([float(scorer(anchor, e.vec)) for e in entries], dtype=np.float64)
+    top = np.sort(scores)[-n_top:]
+    mu = float(top.mean())
+    sigma = float(top.std())
+    if sigma == 0.0:
+        raise ArithmeticError(f"zero variance among top cohort scores (mu={mu})")
+    return mu, sigma
+
+
+def as_norm_literal(raw_scores, enroll_vecs, test_vecs, cohort, scorer, n_top,
+                    test_languages=None):
+    """AS-norm one trial at a time; with test_languages, each trial's
+    enroll-side cohort is restricted to its test language."""
+    out = []
+    for i, (raw, e, t) in enumerate(zip(raw_scores, enroll_vecs, test_vecs)):
+        lang = None if test_languages is None else test_languages[i]
+        mu_e, sigma_e = cohort_stats_literal(e, cohort, scorer, n_top, lang)
+        mu_t, sigma_t = cohort_stats_literal(t, cohort, scorer, n_top, None)
+        out.append((raw - mu_t) / sigma_t + (raw - mu_e) / sigma_e)
+    return out

@@ -31,6 +31,28 @@ class TestCosine:
         with pytest.raises(NumericalError):
             cosine_score(np.zeros(3), np.ones(3))
 
+    def test_batch_equals_per_row_calls(self):
+        rng = np.random.default_rng(13)
+        e, t = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+        rows = [cosine_score(e[i], t[i]) for i in range(9)]
+        np.testing.assert_array_equal(cosine_score(e, t), rows)
+        outer = [[cosine_score(a, b) for b in t] for a in e]
+        np.testing.assert_array_equal(cosine_score(e[:, None, :], t), outer)
+        assert isinstance(cosine_score(e[0], t[0]), float)
+
+    def test_one_zero_vector_in_batch(self):
+        rng = np.random.default_rng(14)
+        e, t = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        t[4] = 0.0
+        with pytest.raises(NumericalError):
+            cosine_score(e, t)
+        with pytest.raises(NumericalError):
+            cosine_score(t[:, None, :], e)
+
+    def test_dimension_mismatch_in_batch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cosine_score(np.ones((4, 3)), np.ones((4, 2)))
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 50), st.floats(0.01, 50))
     @settings(max_examples=40)
     def test_symmetry_and_scale_invariance(self, seed, a, b):
@@ -160,9 +182,22 @@ class TestPldaScoring:
         rng = np.random.default_rng(11)
         e = rng.normal(size=(7, 3))
         t = rng.normal(size=(7, 3))
-        batch = scorer.score_many(e, t)
+        batch = scorer.score(e, t)
         for i in range(7):
             assert batch[i] == pytest.approx(scorer.score(e[i], t[i]), abs=1e-12)
+
+    def test_broadcast_scorer_matches_per_pair_calls(self):
+        model = self._model(15, dim=3)
+        scorer = PldaScorer(model)
+        rng = np.random.default_rng(16)
+        e, t = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        outer = scorer.score(e[:, None, :], t)
+        assert outer.shape == (4, 6)
+        expected = [[scorer.score(a, b) for b in t] for a in e]
+        np.testing.assert_allclose(outer, expected, rtol=1e-12, atol=1e-12)
+        assert isinstance(scorer.score(e[0], t[0]), float)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            scorer.score(e, np.ones((4, 2)))
 
     def test_plda_beats_cosine_on_anisotropic_data(self):
         # raw (unnormalized-factor) data with strongly anisotropic within-cov

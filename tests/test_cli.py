@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spkver import pipeline
+from oracles import as_norm_literal
+from spkver import fileio, norm, pipeline
+from spkver.backend import cosine_score
 from spkver.cli import main
+from spkver.config import load_config
 from spkver.core import NumericalError
 
 BASE = [
@@ -103,6 +106,23 @@ class TestConfigHandling:
     def test_task_validation(self, tmp_path):
         assert main(["gen", "--set", f"workdir={tmp_path}", "--set", "task=XX"]) == 2
 
+    @pytest.mark.parametrize("setting, message", [
+        ("n_top=1", "n_top must be >= 2"),
+        ("strategy=BOGUS", "'BOGUS' is not a valid Strategy"),
+        ("workers=2", "unknown config key"),
+    ])
+    def test_bad_setting_fails_before_gen(self, tmp_path, capsys, setting, message):
+        workdir = tmp_path / "w"
+        assert main(["gen", "--set", f"workdir={workdir}", "--set", setting]) == 2
+        assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
+    def test_grid_step_not_dividing_one_fails_before_any_stage(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, "grid_step=0.3")) == 2
+        assert "grid_step must evenly divide 1" in capsys.readouterr().err
+        assert not workdir.exists()
+
 
 class TestErrorExitCodes:
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
@@ -135,8 +155,26 @@ class TestErrorExitCodes:
         assert "zero variance" in capsys.readouterr().err
 
 
-class TestWorkerInvariance:
-    def test_outputs_identical_across_worker_counts(self, e2e_dir, tmp_path):
-        other = tmp_path / "w3"
-        assert main(["e2e"] + _args(other) + ["--set", "workers=3"]) == 0
+class TestWorkdirInvariance:
+    def test_outputs_identical_across_workdirs(self, e2e_dir, tmp_path):
+        other = tmp_path / "elsewhere"
+        assert main(["e2e"] + _args(other)) == 0
         assert _digests(other) == _digests(e2e_dir)
+
+
+class TestNormAgainstLiteral:
+    @pytest.mark.parametrize("split", ["dev", "eval"])
+    def test_norm_scores_match_trial_at_a_time_oracle(self, e2e_dir, split):
+        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}"])
+        train_emb, train_meta = pipeline._load_split(cfg, "train", extracted=True)
+        cohort = norm.build_cohort(train_emb, train_meta)
+        n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
+        classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.txt")
+        trials, _, enroll, test = pipeline._trial_vectors(cfg, split)
+        raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
+        langs = [norm.predict_language(classifier, v)[0] for v in test]
+        expected = as_norm_literal([raw[t.trial_id] for t in trials], enroll, test, cohort,
+                                   cosine_score, n_top, langs)
+        got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
+        np.testing.assert_allclose([got[t.trial_id] for t in trials], expected,
+                                   rtol=1e-12, atol=0)

@@ -6,6 +6,7 @@ from spkver.backend import PldaModel
 from spkver.core import (
     Embedding,
     Language,
+    NumericalError,
     PhraseEntry,
     PhraseInventory,
     Trial,
@@ -112,6 +113,13 @@ class TestProtocolFiles:
         path.write_text("t1 0.5\nt1 0.7\n")
         with pytest.raises(DataFormatError, match="duplicate"):
             fileio.read_scores(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_is_never_written(self, tmp_path, bad):
+        path = tmp_path / "s.txt"
+        with pytest.raises(NumericalError, match="non-finite"):
+            fileio.write_scores(path, {"t0": 0.5, "t1": bad})
+        assert not path.exists()
 
 
 class TestInventory:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import as_norm_literal, cohort_stats_literal
 from spkver.backend import cosine_score
 from spkver.core import Embedding, Language, NumericalError
 from spkver.norm import (
@@ -24,7 +25,7 @@ def _entry(utt_id, vec, lang=Language.L1):
 
 
 def _dot_scorer(a, b):
-    return float(np.dot(a, b))
+    return np.einsum("...d,...d->...", a, b)
 
 
 class TestCohortStats:
@@ -272,3 +273,100 @@ class TestBuildCohort:
                 and meta[e.utt_id].language.value == lang
             ]
             np.testing.assert_allclose(entry.vec, np.mean(members, axis=0), atol=1e-12)
+
+
+def _random_cohort(rng, n_l1, n_l2, dim):
+    entries = [_entry(f"a{i}", rng.normal(size=dim), Language.L1) for i in range(n_l1)]
+    entries += [_entry(f"b{i}", rng.normal(size=dim), Language.L2) for i in range(n_l2)]
+    return Cohort(tuple(entries[i] for i in rng.permutation(len(entries))))
+
+
+class TestBatchedNormMatchesLiteral:
+    """Batched cohort statistics and AS-norm against the trial-at-a-time
+    oracle they replaced; the per-element arithmetic is the same, so the
+    tolerance only covers summation order."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 8),
+           st.integers(2, 8), st.sampled_from([None, Language.L1, Language.L2]))
+    @settings(max_examples=40, deadline=None)
+    def test_cohort_stats_rows_match_literal(self, seed, n_anchors, n_l1, n_l2, lang):
+        rng = np.random.default_rng(seed)
+        cohort = _random_cohort(rng, n_l1, n_l2, dim=4)
+        limit = len(cohort.filtered(lang))
+        n_top = int(rng.integers(2, limit + 1))
+        anchors = rng.normal(size=(n_anchors, 4))
+        stats = cohort_stats(anchors, cohort, cosine_score, n_top, language_filter=lang)
+        expected = [cohort_stats_literal(a, cohort, cosine_score, n_top, lang) for a in anchors]
+        np.testing.assert_allclose(stats.mu, [m for m, _ in expected], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats.sigma, [s for _, s in expected], rtol=1e-12, atol=0)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["plain", "ld_metadata", "ld_lid", "ld_one_trial_group"]),
+           st.integers(1, 12), st.integers(2, 8), st.integers(2, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_as_norm_matches_literal(self, seed, mode, n_trials, n_l1, n_l2, full_depth):
+        rng = np.random.default_rng(seed)
+        dim = 4
+        cohort = _random_cohort(rng, n_l1, n_l2, dim)
+        # full_depth: n_top equals the smallest filtered cohort size
+        limit = effective_n_top(10**6, cohort, language_dependent=mode != "plain")
+        n_top = limit if full_depth else int(rng.integers(2, limit + 1))
+        enroll = rng.normal(size=(n_trials, dim))
+        test = rng.normal(size=(n_trials, dim))
+        raw = rng.normal(size=n_trials)
+        if mode == "plain":
+            langs = None
+            got = as_norm(raw, cohort_stats(enroll, cohort, cosine_score, n_top),
+                          cohort_stats(test, cohort, cosine_score, n_top))
+        else:
+            if mode == "ld_lid":
+                x = np.stack([e.vec for e in cohort.entries])
+                clf = train_language_id(x, [e.language for e in cohort.entries], epochs=20)
+                langs, _ = predict_language(clf, test)
+                assert langs == [predict_language(clf, v)[0] for v in test]
+            elif mode == "ld_metadata":
+                langs = [(Language.L1, Language.L2)[i] for i in rng.integers(0, 2, n_trials)]
+            else:
+                langs = [Language.L1] * n_trials
+                langs[int(rng.integers(n_trials))] = Language.L2
+            got = language_dependent_as_norm(raw, enroll, test, cohort, cosine_score,
+                                             n_top, langs)
+        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+class TestBatchFailures:
+    """A bad row in a batch fails the whole batch as the scalar code did."""
+
+    def test_one_zero_norm_anchor_in_batch(self):
+        rng = np.random.default_rng(20)
+        cohort = _random_cohort(rng, 4, 4, dim=3)
+        anchors = rng.normal(size=(6, 3))
+        anchors[3] = 0.0
+        with pytest.raises(NumericalError, match="zero vector"):
+            cohort_stats(anchors, cohort, cosine_score, 3)
+
+    def test_one_zero_variance_row_among_many(self):
+        cohort = Cohort((_entry("a", [1.0, 0.0]), _entry("b", [1.0, 1.0]),
+                         _entry("c", [1.0, -1.0])))
+        # the anchor [1, 0] scores 1, 1, 1 against the cohort
+        anchors = np.array([[0.0, 1.0], [0.3, 1.0], [1.0, 0.0], [0.5, -1.0]])
+        with pytest.raises(NumericalError, match="zero variance"):
+            cohort_stats(anchors, cohort, _dot_scorer, 3)
+        cohort_stats(np.delete(anchors, 2, axis=0), cohort, _dot_scorer, 3)
+
+    def test_too_small_filtered_cohort_for_one_language_group(self):
+        rng = np.random.default_rng(21)
+        cohort = _random_cohort(rng, 4, 1, dim=3)
+        e, t = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        langs = [Language.L1, Language.L2, Language.L1]
+        with pytest.raises(ValueError, match="usable entries"):
+            language_dependent_as_norm(np.zeros(3), e, t, cohort, cosine_score, 2, langs)
+        with pytest.raises(ValueError, match="usable entries in a language"):
+            effective_n_top(2, cohort, language_dependent=True)
+
+    def test_one_zero_sigma_in_batched_stats(self):
+        good = NormStats(mu=np.zeros(3), sigma=np.ones(3), n_top=2)
+        bad = NormStats(mu=np.zeros(3), sigma=np.array([1.0, 0.0, 1.0]), n_top=2)
+        with pytest.raises(NumericalError):
+            as_norm(np.ones(3), good, bad)

@@ -9,7 +9,6 @@ from spkver.nplda import (
     NpldaTrainConfig,
     init_from_plda,
     nplda_score,
-    nplda_scores,
     soft_detcost,
     train_nplda,
 )
@@ -61,7 +60,7 @@ class TestInitFromPlda:
             NpldaTrainConfig(epochs=0),
         )
         np.testing.assert_array_equal(
-            nplda_scores(result.params, e, t), nplda_scores(params, e, t)
+            nplda_score(result.params, e, t), nplda_score(params, e, t)
         )
 
 
@@ -81,6 +80,21 @@ class TestNpldaScore:
             assert nplda_score(params, e, t) == pytest.approx(
                 nplda_score(params, t, e), abs=1e-12
             )
+
+    def test_batch_equals_per_row_calls(self):
+        rng = np.random.default_rng(3)
+        params = NpldaParams(rng.normal(size=(3, 3)), _random_pd(rng, 3), rng.normal(size=3), 0.7)
+        e, t = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
+        rows = nplda_score(params, e[:5], t)
+        np.testing.assert_allclose(
+            rows, [nplda_score(params, e[i], t[i]) for i in range(5)], rtol=1e-12, atol=1e-12
+        )
+        outer = nplda_score(params, e[:, None, :], t)
+        assert outer.shape == (8, 5)
+        np.testing.assert_allclose(
+            outer, [[nplda_score(params, a, b) for b in t] for a in e], rtol=1e-12, atol=1e-12
+        )
+        assert isinstance(nplda_score(params, e[0], t[0]), float)
 
     def test_dimension_mismatch(self):
         params = NpldaParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
