@@ -81,30 +81,31 @@ def _chol_quad(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(z * z, axis=0)
 
 
-def _marginal_loglik(x: np.ndarray, labels: np.ndarray,
-                     sigma_b: np.ndarray, sigma_w: np.ndarray, mu: np.ndarray) -> float:
+def _marginal_loglik(xc: np.ndarray, sums: np.ndarray, counts: np.ndarray,
+                     sigma_b: np.ndarray, sigma_w: np.ndarray) -> float:
     """Observed-data log-likelihood of the two-covariance model.
 
-    Per speaker with n utterances the joint covariance is
-    I_n (x) Sigma_w + 1_n 1_n^T (x) Sigma_b, whose determinant and inverse
-    have closed forms; this evaluates the marginal exactly without building
-    the stacked matrix.
+    `xc` holds the (N, D) rows minus mu, `sums` the (S, D) per-speaker sums
+    of those rows and `counts` the (S,) utterance counts. Per speaker with
+    n utterances and first-order sum f the joint covariance is
+    I_n (x) Sigma_w + 1_n 1_n^T (x) Sigma_b. Its log-determinant is
+    (n - 1) log|Sigma_w| + log|Sigma_w + n Sigma_b|, and its quadratic form
+    is sum_i x_i^T Sigma_w^{-1} x_i minus the coupling term
+    f^T (Sigma_w + n Sigma_b)^{-1} Sigma_b Sigma_w^{-1} f. Only n and f
+    depend on the speaker, so the determinant and the coupling solve are
+    done once per distinct utterance count, without the stacked matrix.
     """
-    d = x.shape[1]
-    xc = x - mu
+    n, d = xc.shape
     ldet_w, chol_w = _logdet_and_chol(sigma_w)
-    w_inv = np.linalg.inv(sigma_w)
-    total = 0.0
-    for spk in np.unique(labels):
-        rows = xc[labels == spk]
-        n = rows.shape[0]
-        f = rows.sum(axis=0)
-        ldet_m, chol_m = _logdet_and_chol(sigma_w + n * sigma_b)
-        quad = float(np.sum(_chol_quad(chol_w, rows)))
-        # coupling term: f^T (Sigma_w + n Sigma_b)^{-1} Sigma_b Sigma_w^{-1} f
-        coup = float(f @ np.linalg.solve(sigma_w + n * sigma_b, sigma_b @ w_inv @ f))
-        total += -0.5 * (n * d * LOG_2PI + (n - 1) * ldet_w + ldet_m + quad - coup)
-    return total
+    total = n * d * LOG_2PI + (n - counts.size) * ldet_w + float(np.sum(_chol_quad(chol_w, xc)))
+    rhs = sigma_b @ np.linalg.inv(sigma_w) @ sums.T
+    for cnt in np.unique(counts):
+        members = counts == cnt
+        joint = sigma_w + cnt * sigma_b
+        ldet_m, _ = _logdet_and_chol(joint)
+        coup = float(np.sum(sums[members].T * np.linalg.solve(joint, rhs[:, members])))
+        total += np.count_nonzero(members) * ldet_m - coup
+    return -0.5 * total
 
 
 def plda_em_train(
@@ -118,13 +119,16 @@ def plda_em_train(
     The trace holds the observed-data log-likelihood of the initial model
     and of the model after each iteration; EM guarantees it never decreases
     (up to the small ridge added for conditioning; default 1e-6*trace/D).
+    A speaker's posterior depends on its data only through its utterance
+    count and first-order sum, so each iteration inverts one posterior
+    covariance per distinct count.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(speaker_labels)
     if x.ndim != 2 or x.shape[0] != labels.shape[0]:
         raise ValueError("embeddings must be (N, D) with one label per row")
-    uniq, counts = np.unique(labels, return_counts=True)
-    if uniq.size < 2:
+    _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if counts.size < 2:
         raise ValueError("PLDA training needs at least 2 speakers")
     if not np.any(counts >= 2):
         raise ValueError("PLDA training needs a speaker with >= 2 utterances")
@@ -132,6 +136,8 @@ def plda_em_train(
 
     mu = x.mean(axis=0)
     xc = x - mu
+    sums = np.zeros((counts.size, d))
+    np.add.at(sums, index, xc)
     total_cov = (xc.T @ xc) / n
     if float(np.trace(total_cov)) < 1e-12 * d:
         raise NumericalError("degenerate data: zero total scatter")
@@ -143,25 +149,28 @@ def plda_em_train(
 
     sigma_b = 0.5 * total_cov
     sigma_w = 0.5 * total_cov
-    trace = [_marginal_loglik(x, labels, sigma_b, sigma_w, mu)]
+    trace = [_marginal_loglik(xc, sums, counts, sigma_b, sigma_w)]
 
-    groups = [(xc[labels == spk], int(cnt)) for spk, cnt in zip(uniq, counts)]
     for _ in range(iters):
         b_inv = np.linalg.inv(sigma_b)
         w_inv = np.linalg.inv(sigma_w)
-        acc_b = np.zeros((d, d))
-        acc_w = np.zeros((d, d))
-        for rows, cnt in groups:
+        proj = sums @ w_inv.T  # row s: Sigma_w^{-1} f_s
+        means = np.empty_like(sums)
+        cov_b = np.zeros((d, d))  # sum over speakers of the posterior covariance
+        cov_w = np.zeros((d, d))  # the same, weighted by utterance count
+        for cnt in np.unique(counts):
+            members = counts == cnt
+            n_spk = np.count_nonzero(members)
             post_cov = np.linalg.inv(b_inv + cnt * w_inv)
-            post_mean = post_cov @ (w_inv @ rows.sum(axis=0))
-            acc_b += post_cov + np.outer(post_mean, post_mean)
-            resid = rows - post_mean
-            acc_w += resid.T @ resid + cnt * post_cov
-        sigma_b = acc_b / len(groups)
-        sigma_w = acc_w / n
+            means[members] = proj[members] @ post_cov.T
+            cov_b += n_spk * post_cov
+            cov_w += (n_spk * cnt) * post_cov
+        resid = xc - means[index]
+        sigma_b = (cov_b + means.T @ means) / counts.size
+        sigma_w = (cov_w + resid.T @ resid) / n
         sigma_b = 0.5 * (sigma_b + sigma_b.T) + _ridge_for(sigma_b) * np.eye(d)
         sigma_w = 0.5 * (sigma_w + sigma_w.T) + _ridge_for(sigma_w) * np.eye(d)
-        trace.append(_marginal_loglik(x, labels, sigma_b, sigma_w, mu))
+        trace.append(_marginal_loglik(xc, sums, counts, sigma_b, sigma_w))
 
     return PldaModel(mu=mu, sigma_b=sigma_b, sigma_w=sigma_w), trace
 

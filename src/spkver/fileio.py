@@ -35,7 +35,7 @@ def _fmt(value: float) -> str:
 
 
 def _check_token(token: str, what: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
+    if not token or token.split() != [token]:
         raise ValueError(f"{what} {token!r} must be non-empty and whitespace-free")
     return token
 
@@ -79,7 +79,7 @@ def write_embeddings(path, embeddings: Sequence[Embedding]) -> None:
         if emb.dim != dim:
             raise ValueError(f"embedding {emb.utt_id} has dim {emb.dim}, expected {dim}")
         _check_token(emb.utt_id, "utt_id")
-        lines.append(emb.utt_id + " " + " ".join(_fmt(v) for v in emb.vec))
+        lines.append(emb.utt_id + " " + " ".join(map(repr, emb.vec.tolist())))
     _write_text(path, lines)
 
 
@@ -97,7 +97,7 @@ def read_embeddings(path) -> list:
         if len(parts) != dim + 1:
             _fail(path, lineno, f"expected utt_id plus {dim} values, got {len(parts) - 1}")
         try:
-            vec = np.asarray([float(p) for p in parts[1:]])
+            vec = np.asarray(list(map(float, parts[1:])))
         except ValueError:
             _fail(path, lineno, "non-numeric embedding value")
         out.append(Embedding(utt_id=parts[0], vec=vec))
@@ -286,7 +286,7 @@ def write_container(
         arr = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         lines.append(f"MAT {_check_token(name, 'name')} {arr.shape[0]} {arr.shape[1]}")
         for row in arr:
-            lines.append(" ".join(_fmt(v) for v in row))
+            lines.append(" ".join(map(repr, row.tolist())))
     lines.append("SCALARS")
     for name, value in scalars.items():
         lines.append(f"{_check_token(name, 'name')} {_fmt(value)}")
@@ -322,7 +322,7 @@ def read_container(path, expected_kind: str = None):
             if len(block) != rows:
                 _fail(path, i + 1, f"matrix {parts[1]} truncated")
             try:
-                mat = np.asarray([[float(v) for v in row.split(" ")] for row in block])
+                mat = np.asarray([list(map(float, row.split(" "))) for row in block])
             except ValueError:
                 _fail(path, i + 2, f"non-numeric value in matrix {parts[1]}")
             if mat.shape != (rows, cols):

@@ -150,7 +150,7 @@ def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Pat
     net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.txt"))
     written = []
     for split in splits:
-        feats, _ = _load_split(cfg, split)
+        feats = fileio.read_embeddings(_workpath(cfg, f"feats_{split}.emb"))
         mat = np.stack([e.vec for e in feats])
         unit = extractor.extract_embeddings(net, mat)
         out = [
@@ -188,10 +188,10 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
     if not ({"plda", "nplda"} & set(cfg.backends)):
         return scorers
     embeddings, metas = _load_split(cfg, "train", extracted=True)
-    x = np.stack([e.vec for e in embeddings])
-    spk = [m.speaker_id for m in metas]
-    plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
     if "plda" in cfg.backends:
+        x = np.stack([e.vec for e in embeddings])
+        spk = [m.speaker_id for m in metas]
+        plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
         plda_scorer = backend.PldaScorer(plda_model)
         scorers["plda"] = lambda trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
@@ -354,7 +354,7 @@ def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> 
     written = []
     for split in splits:
         trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
-        _, metas = _load_split(cfg, split)
+        metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
         classified = {
             m.utt_id: metrics.classify_phrase(m.transcript or "", inventory)
             for m in metas

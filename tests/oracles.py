@@ -142,3 +142,84 @@ def as_norm_literal(raw_scores, enroll_vecs, test_vecs, cohort, scorer, n_top,
         mu_t, sigma_t = cohort_stats_literal(t, cohort, scorer, n_top, None)
         out.append((raw - mu_t) / sigma_t + (raw - mu_e) / sigma_e)
     return out
+
+
+def _plda_logdet_chol(mat):
+    chol = np.linalg.cholesky(mat)
+    return 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
+
+
+def _plda_chol_quad(chol, x):
+    z = np.linalg.solve(chol, x.T)
+    return np.sum(z * z, axis=0)
+
+
+def plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu):
+    """Two-covariance PLDA marginal log-likelihood, one speaker at a time.
+
+    The per-speaker form that the count-grouped `backend._marginal_loglik`
+    replaced: per speaker, a Cholesky factorisation of Sigma_w + n Sigma_b
+    and a solve for the coupling term.
+    """
+    d = x.shape[1]
+    xc = x - mu
+    ldet_w, chol_w = _plda_logdet_chol(sigma_w)
+    w_inv = np.linalg.inv(sigma_w)
+    total = 0.0
+    for spk in np.unique(labels):
+        rows = xc[labels == spk]
+        n = rows.shape[0]
+        f = rows.sum(axis=0)
+        ldet_m, chol_m = _plda_logdet_chol(sigma_w + n * sigma_b)
+        quad = float(np.sum(_plda_chol_quad(chol_w, rows)))
+        # coupling term: f^T (Sigma_w + n Sigma_b)^{-1} Sigma_b Sigma_w^{-1} f
+        coup = float(f @ np.linalg.solve(sigma_w + n * sigma_b, sigma_b @ w_inv @ f))
+        total += -0.5 * (n * d * math.log(2.0 * math.pi) + (n - 1) * ldet_w + ldet_m
+                         + quad - coup)
+    return total
+
+
+def plda_em_literal(embeddings, speaker_labels, iters=20, ridge=None):
+    """Two-covariance PLDA EM with one posterior inverse per speaker.
+
+    The per-speaker form that the count-grouped `backend.plda_em_train`
+    replaced, without its input checks. Returns ((mu, sigma_b, sigma_w),
+    log-likelihood trace).
+    """
+    x = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(speaker_labels)
+    uniq, counts = np.unique(labels, return_counts=True)
+    n, d = x.shape
+
+    mu = x.mean(axis=0)
+    xc = x - mu
+    total_cov = (xc.T @ xc) / n
+
+    def _ridge_for(cov):
+        if ridge is not None:
+            return float(ridge)
+        return 1e-6 * float(np.trace(cov)) / d
+
+    sigma_b = 0.5 * total_cov
+    sigma_w = 0.5 * total_cov
+    trace = [plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu)]
+
+    groups = [(xc[labels == spk], int(cnt)) for spk, cnt in zip(uniq, counts)]
+    for _ in range(iters):
+        b_inv = np.linalg.inv(sigma_b)
+        w_inv = np.linalg.inv(sigma_w)
+        acc_b = np.zeros((d, d))
+        acc_w = np.zeros((d, d))
+        for rows, cnt in groups:
+            post_cov = np.linalg.inv(b_inv + cnt * w_inv)
+            post_mean = post_cov @ (w_inv @ rows.sum(axis=0))
+            acc_b += post_cov + np.outer(post_mean, post_mean)
+            resid = rows - post_mean
+            acc_w += resid.T @ resid + cnt * post_cov
+        sigma_b = acc_b / len(groups)
+        sigma_w = acc_w / n
+        sigma_b = 0.5 * (sigma_b + sigma_b.T) + _ridge_for(sigma_b) * np.eye(d)
+        sigma_w = 0.5 * (sigma_w + sigma_w.T) + _ridge_for(sigma_w) * np.eye(d)
+        trace.append(plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu))
+
+    return (mu, sigma_b, sigma_w), trace

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from oracles import auc_by_sorting
+from oracles import auc_by_sorting, plda_em_literal, plda_marginal_loglik_literal
 from spkver.backend import (
     PldaModel,
     PldaScorer,
+    _marginal_loglik,
     cosine_score,
     plda_em_train,
     plda_llr_score,
@@ -121,6 +122,96 @@ class TestPldaEm:
             plda_em_train(rng.normal(size=(6, 2)), [0] * 6, iters=1)
         with pytest.raises(ValueError):
             plda_em_train(rng.normal(size=(3, 2)), [0, 1, 2], iters=1)
+
+
+def _mixed_count_corpus(seed, dim, extra_counts):
+    """Speakers with utterance counts 1, 2, 3 plus `extra_counts`, drawn from
+    a two-covariance model, with rows shuffled so speakers interleave."""
+    rng = np.random.default_rng(seed)
+    counts = [1, 2, 3] + list(extra_counts)
+    lb = np.linalg.cholesky(_random_pd(rng, dim, scale=2.0))
+    lw = np.linalg.cholesky(_random_pd(rng, dim))
+    mu = rng.normal(size=dim)
+    x, labels = [], []
+    for s, cnt in enumerate(counts):
+        y = lb @ rng.normal(size=dim)
+        for _ in range(cnt):
+            x.append(mu + y + lw @ rng.normal(size=dim))
+            labels.append(f"spk{s:02d}")
+    order = rng.permutation(len(x))
+    return np.asarray(x)[order], np.asarray(labels)[order]
+
+
+def _grouped_marginal(x, labels, sigma_b, sigma_w, mu):
+    _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    xc = x - mu
+    sums = np.zeros((counts.size, x.shape[1]))
+    np.add.at(sums, index, xc)
+    return _marginal_loglik(xc, sums, counts, sigma_b, sigma_w)
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(np.asarray(b))
+
+
+# At least 6 speakers for at most 4 dimensions: with fewer speakers than
+# dimensions Sigma_b collapses onto the ridge and the log-likelihood passes
+# near 0, where a relative comparison measures only cancellation.
+mixed_corpora = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.lists(st.integers(1, 6), min_size=3, max_size=12),
+)
+
+
+class TestGroupedPldaAgainstLiteral:
+    """The count-grouped EM and marginal against the per-speaker forms they
+    replaced, on speakers with at least three distinct utterance counts."""
+
+    @given(mixed_corpora, st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_em_matches_per_speaker_oracle(self, corpus, iters):
+        x, labels = _mixed_count_corpus(*corpus)
+        model, trace = plda_em_train(x, labels, iters=iters)
+        (mu, sigma_b, sigma_w), expected = plda_em_literal(x, labels, iters=iters)
+        np.testing.assert_array_equal(model.mu, mu)
+        assert _rel(model.sigma_b, sigma_b) <= 1e-10
+        assert _rel(model.sigma_w, sigma_w) <= 1e-10
+        np.testing.assert_allclose(trace, expected, rtol=1e-10, atol=0)
+        assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[1:]))
+
+    @given(mixed_corpora, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_marginal_matches_per_speaker_oracle(self, corpus, model_seed):
+        x, labels = _mixed_count_corpus(*corpus)
+        rng = np.random.default_rng(model_seed)
+        dim = x.shape[1]
+        sigma_b, sigma_w, mu = _random_pd(rng, dim), _random_pd(rng, dim), rng.normal(size=dim)
+        got = _grouped_marginal(x, labels, sigma_b, sigma_w, mu)
+        expected = plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_marginal_matches_stacked_gaussian(self, seed):
+        x, labels = _mixed_count_corpus(seed, 3, [4, 1, 5, 2])
+        rng = np.random.default_rng(100 + seed)
+        sigma_b, sigma_w, mu = _random_pd(rng, 3), _random_pd(rng, 3), rng.normal(size=3)
+        expected = 0.0
+        for spk in np.unique(labels):
+            rows = x[labels == spk]
+            n = rows.shape[0]
+            cov = np.kron(np.eye(n), sigma_w) + np.kron(np.ones((n, n)), sigma_b)
+            expected += stats.multivariate_normal(np.tile(mu, n), cov).logpdf(rows.ravel())
+        got = _grouped_marginal(x, labels, sigma_b, sigma_w, mu)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_every_count_distinct(self):
+        x, labels = _mixed_count_corpus(9, 2, [4, 5, 6, 7])
+        model, trace = plda_em_train(x, labels, iters=6)
+        (_, sigma_b, sigma_w), expected = plda_em_literal(x, labels, iters=6)
+        assert _rel(model.sigma_b, sigma_b) <= 1e-10
+        assert _rel(model.sigma_w, sigma_w) <= 1e-10
+        np.testing.assert_allclose(trace, expected, rtol=1e-10, atol=0)
 
 
 class TestPldaScoring:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import as_norm_literal
-from spkver import fileio, norm, pipeline
+from spkver import backend, fileio, norm, pipeline
 from spkver.backend import cosine_score
 from spkver.cli import main
 from spkver.config import load_config
@@ -178,3 +178,28 @@ class TestNormAgainstLiteral:
         got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
         np.testing.assert_allclose([got[t.trial_id] for t in trials], expected,
                                    rtol=1e-12, atol=0)
+
+
+class TestBackendTraining:
+    @pytest.mark.parametrize("backends, global_calls", [
+        ("cosine,nplda", 0),
+        ("cosine,plda,nplda", 1),
+    ])
+    def test_global_plda_trained_only_for_the_plda_backend(
+        self, e2e_dir, monkeypatch, backends, global_calls
+    ):
+        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", f"backends={backends}"])
+        n_train = len(fileio.read_embeddings(Path(e2e_dir) / "emb_train.emb"))
+        rows_per_call = []
+        train = backend.plda_em_train
+
+        def counting(x, *args, **kwargs):
+            rows_per_call.append(len(x))
+            return train(x, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "plda_em_train", counting)
+        scorers = pipeline._train_backend_scorers(cfg)
+        assert sorted(scorers) == sorted(backends.split(","))
+        # one call per phrase of the NPLDA bank, plus the global model on every row
+        assert rows_per_call.count(n_train) == global_calls
+        assert len(rows_per_call) == cfg.n_phrases + global_calls

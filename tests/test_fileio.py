@@ -62,6 +62,35 @@ class TestEmbeddingRoundTrip:
         with pytest.raises(ValueError):
             fileio.write_embeddings(tmp_path / "x.emb", [Embedding("a b", np.ones(2))])
 
+    @pytest.mark.parametrize("utt_id", ["", "a\tb", "a\nb", "a\u00a0b", "a\u2003b", " a"])
+    def test_any_whitespace_or_empty_id_rejected(self, tmp_path, utt_id):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            fileio.write_embeddings(tmp_path / "x.emb", [Embedding(utt_id, np.ones(2))])
+
+    def test_text_is_header_then_per_value_repr(self, tmp_path, rng):
+        vecs = [rng.normal(size=5) * 10.0 ** rng.integers(-300, 300) for _ in range(8)]
+        vecs.append(np.array([-0.0, 0.0, 5e-324, 1e16, 0.1]))
+        embs = [Embedding(f"u{i}", v) for i, v in enumerate(vecs)]
+        path = tmp_path / "x.emb"
+        fileio.write_embeddings(path, embs)
+        expected = "EMB 5\n" + "".join(
+            e.utt_id + "".join(" " + repr(float(v)) for v in e.vec) + "\n" for e in embs
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        path = tmp_path / "bad.emb"
+        path.write_text("EMB 2\nu1 1.0 2.0\nu2 1.0 x\n")
+        with pytest.raises(DataFormatError, match="bad.emb:3: non-numeric"):
+            fileio.read_embeddings(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vector_rejected_on_read(self, tmp_path, bad):
+        path = tmp_path / "bad.emb"
+        path.write_text(f"EMB 2\nu1 1.0 {bad}\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.read_embeddings(path)
+
 
 class TestMetaRoundTrip:
     def test_round_trip_with_optional_fields(self, tmp_path):
@@ -179,6 +208,23 @@ class TestModelContainers:
         fileio.write_checkpoint(path, net, strategy="AAM_ONLY", seed=0)
         with pytest.raises(DataFormatError, match="expected a PLDA file"):
             fileio.read_plda(path)
+
+    def test_container_text_is_per_value_repr(self, tmp_path, rng):
+        mat = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-20, 20, size=(3, 4))
+        path = tmp_path / "c.txt"
+        fileio.write_container(path, "KIND", mats={"m": mat}, scalars={"k": 0.1},
+                               strings={"s": "v"})
+        rows = ["".join(" " + repr(float(v)) for v in row)[1:] for row in mat]
+        expected = "\n".join(["KIND", "STR s v", "MAT m 3 4", *rows, "SCALARS", "k 0.1"])
+        assert path.read_text() == expected + "\n"
+        _, _, mats, _ = fileio.read_container(path, "KIND")
+        np.testing.assert_array_equal(mats["m"], mat)
+
+    def test_non_numeric_matrix_value_reports_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("PLDA\nMAT mu 1 2\n1.0 y\nSCALARS\n")
+        with pytest.raises(DataFormatError, match="bad.txt:3: non-numeric value in matrix mu"):
+            fileio.read_container(path, "PLDA")
 
     def test_truncated_matrix_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
