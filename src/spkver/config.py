@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .extractor import Strategy
+from .extractor import Strategy, TrainConfig
 from .metrics import grid_divisions
 
 
@@ -97,10 +97,25 @@ class PipelineConfig:
         if self.n_top < 2:
             raise ConfigError(f"n_top must be >= 2, got {self.n_top}")
         try:
-            Strategy(self.strategy)
+            self.train_config()
             grid_divisions(self.grid_step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def train_config(self, seed: int = 0) -> TrainConfig:
+        """The extractor-training settings; TrainConfig checks their values."""
+        return TrainConfig(
+            strategy=Strategy(self.strategy),
+            epochs=self.epochs,
+            lr_initial=self.lr_initial,
+            lr_final=self.lr_final,
+            multitask_weight=self.multitask_weight,
+            contrastive_weight=self.contrastive_weight,
+            pct_speakers_per_batch=self.pct_speakers_per_batch,
+            aam_scale=self.aam_scale,
+            aam_margin=self.aam_margin,
+            seed=seed,
+        )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}

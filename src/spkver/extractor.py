@@ -323,14 +323,6 @@ class Ge2eParams:
             raise ValueError("similarity scale w must be positive")
 
 
-def _cos_pair(a: np.ndarray, b: np.ndarray):
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericalError("zero-norm vector in GE2E similarity")
-    return float(a @ b) / (na * nb), na, nb
-
-
 def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
     """Contrastive loss over an (S speakers x U utterances x D) batch.
 
@@ -339,6 +331,11 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
     utterance is classified against its own speaker with softmax
     cross-entropy. Returns (loss, d_embeddings, d_w, d_b), exact gradients
     including the exclusion term.
+
+    Works on whole arrays: the own centroid of (s, u) is (sum_s - e_su) /
+    (U - 1) (Wan et al., "Generalized end-to-end loss for speaker
+    verification", ICASSP 2018), so one product gives the similarities to
+    the full centroids and one row-wise dot the own-centroid diagonal.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
@@ -348,53 +345,54 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
         raise ValueError("GE2E needs at least 2 speakers and 2 utterances each")
 
     sums = e.sum(axis=1)  # (S, D)
-    full_cent = sums / u_n
+    full = sums / u_n  # (S, D) centroid of every speaker
+    own = (sums[:, None] - e) / (u_n - 1)  # (S, U, D) centroid without utterance (s, u)
+    n_e = np.linalg.norm(e, axis=2)
+    n_full = np.linalg.norm(full, axis=1)
+    n_own = np.linalg.norm(own, axis=2)
+    if not (n_e.all() and n_full.all() and n_own.all()):
+        raise NumericalError("zero-norm vector in GE2E similarity")
 
-    # forward: similarity matrix over (utterance, candidate speaker)
-    cos = np.zeros((s_n, u_n, s_n))
-    cents = np.zeros((s_n, u_n, s_n, e.shape[2]))
-    for s in range(s_n):
-        for u in range(u_n):
-            for k in range(s_n):
-                cent = (sums[s] - e[s, u]) / (u_n - 1) if k == s else full_cent[k]
-                cents[s, u, k] = cent
-                cos[s, u, k], _, _ = _cos_pair(e[s, u], cent)
+    # forward: cos[s, u, k] against speaker k's full centroid, except the
+    # own centroid on the diagonal k == s
+    spk = np.arange(s_n)
+    cos = (e @ full.T) / (n_e[:, :, None] * n_full)
+    cos_own = np.einsum("sud,sud->su", e, own) / (n_e * n_own)
+    cos[spk, :, spk] = cos_own
     sims = params.w * cos + params.b
     flat = sims.reshape(s_n * u_n, s_n)
     logp = _log_softmax(flat)
-    own = np.repeat(np.arange(s_n), u_n)
-    loss = float(-logp[np.arange(s_n * u_n), own].mean())
+    rows = np.arange(s_n * u_n)
+    label = np.repeat(spk, u_n)
+    loss = float(-logp[rows, label].mean())
 
     d_sims = np.exp(logp)
-    d_sims[np.arange(s_n * u_n), own] -= 1.0
+    d_sims[rows, label] -= 1.0
     d_sims = (d_sims / (s_n * u_n)).reshape(s_n, u_n, s_n)
 
     d_w = float((d_sims * cos).sum())
     d_b = float(d_sims.sum())
     d_cos = params.w * d_sims
 
-    d_e = np.zeros_like(e)
-    for s in range(s_n):
-        for u in range(u_n):
-            a = e[s, u]
-            na = float(np.linalg.norm(a))
-            for k in range(s_n):
-                g = d_cos[s, u, k]
-                if g == 0.0:
-                    continue
-                cent = cents[s, u, k]
-                nc = float(np.linalg.norm(cent))
-                if na == 0.0 or nc == 0.0:
-                    raise NumericalError("zero-norm vector in GE2E similarity")
-                cos_v = cos[s, u, k]
-                d_e[s, u] += g * (cent / (na * nc) - cos_v * a / na**2)
-                d_cent = g * (a / (na * nc) - cos_v * cent / nc**2)
-                if k == s:
-                    for v in range(u_n):
-                        if v != u:
-                            d_e[s, v] += d_cent / (u_n - 1)
-                else:
-                    d_e[k] += d_cent / u_n
+    # backward, with d cos(a, c) / da = c / (|a| |c|) - cos a / |a|^2 and the
+    # same with a and c swapped for the centroid side
+    g_own = d_cos[spk, :, spk]  # (S, U)
+    g_full = d_cos.copy()
+    g_full[spk, :, spk] = 0.0
+    # utterance side, over every candidate centroid
+    d_e = (g_full / (n_e[:, :, None] * n_full)) @ full
+    d_e += (g_own / (n_e * n_own))[:, :, None] * own
+    d_e -= ((d_cos * cos).sum(axis=2) / n_e**2)[:, :, None] * e
+    # full-centroid side: speaker k's centroid is the mean of its U utterances
+    g_rows = g_full.reshape(s_n * u_n, s_n)
+    d_full = ((g_rows / n_e.reshape(-1, 1)).T @ e.reshape(s_n * u_n, -1)) / n_full[:, None]
+    d_full -= ((g_rows * cos.reshape(s_n * u_n, s_n)).sum(axis=0) / n_full**2)[:, None] * full
+    d_e += d_full[:, None] / u_n
+    # own-centroid side: the own centroid of (s, u) averages the other U - 1
+    d_own = g_own[:, :, None] * (
+        e / (n_e * n_own)[:, :, None] - (cos_own / n_own**2)[:, :, None] * own
+    )
+    d_e += (d_own.sum(axis=1, keepdims=True) - d_own) / (u_n - 1)
     return loss, d_e, d_w, d_b
 
 
@@ -429,11 +427,9 @@ def pct_loss(
     if contrastive_weight == 0.0:
         return loss_a, d_e, d_head, 0.0, 0.0
 
-    grouped = np.stack([e[positions[s]] for s in order])  # (S, 2, D)
-    loss_g, d_g, d_w, d_b = ge2e_loss(grouped, ge2e_params)
-    for si, s in enumerate(order):
-        for ui, pos in enumerate(positions[s]):
-            d_e[pos] += contrastive_weight * d_g[si, ui]
+    grouped = np.asarray([positions[s] for s in order])  # (S, 2) batch rows
+    loss_g, d_g, d_w, d_b = ge2e_loss(e[grouped], ge2e_params)
+    d_e[grouped] += contrastive_weight * d_g
     loss = loss_a + contrastive_weight * loss_g
     return loss, d_e, d_head, contrastive_weight * d_w, contrastive_weight * d_b
 

@@ -65,52 +65,76 @@ def _split_scores(scores: ScoreSet, keys: Mapping[str, TrialLabel]):
     return np.asarray(tgt, dtype=np.float64), np.asarray(non, dtype=np.float64)
 
 
-def _operating_points(tgt: np.ndarray, non: np.ndarray):
-    """Miss / false-alarm rates under an accept-if-score>=threshold sweep.
+def _operating_points(scores: np.ndarray, is_target: np.ndarray):
+    """Miss / false-alarm curves of each row of (G, N) scores under an
+    accept-if-score>=threshold sweep, from one stable sort per row.
 
-    Thresholds run from -inf through every observed score to +inf, so the
-    returned curves start at (miss=0, fa=1) and end at (miss=1, fa=0).
+    A row's thresholds run from -inf through each of its scores, in ascending
+    order, to +inf, so each (G, N + 2) curve starts at (miss=0, fa=1) and ends
+    at (miss=1, fa=0). Tied scores share the operating point of their run's
+    first position: the scores below the threshold are those before it.
     """
-    thr = np.unique(np.concatenate([tgt, non]))
-    tgt_sorted = np.sort(tgt)
-    non_sorted = np.sort(non)
-    miss = np.searchsorted(tgt_sorted, thr, side="left") / tgt.size
-    fa = (non.size - np.searchsorted(non_sorted, thr, side="left")) / non.size
-    miss = np.concatenate([[0.0], miss, [1.0]])
-    fa = np.concatenate([[1.0], fa, [0.0]])
-    thr = np.concatenate([[-np.inf], thr, [np.inf]])
+    n_rows, n = scores.shape
+    n_tgt = int(np.count_nonzero(is_target))
+    n_non = n - n_tgt
+    if n_tgt == 0 or n_non == 0:
+        raise ValueError("detection metrics need at least one target and one nontarget")
+    order = np.argsort(scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    labels = is_target[order]
+    tgt_before = np.cumsum(labels, axis=1) - labels
+    run_start = np.ones((n_rows, n), dtype=bool)
+    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    start = np.maximum.accumulate(np.where(run_start, np.arange(n), 0), axis=1)
+    tgt_below = np.take_along_axis(tgt_before, start, axis=1)
+    ends = ((0, 0), (1, 1))
+    thr = np.pad(ranked, ends, constant_values=(-np.inf, np.inf))
+    miss = np.pad(tgt_below / n_tgt, ends, constant_values=(0.0, 1.0))
+    fa = np.pad((n_non - (start - tgt_below)) / n_non, ends, constant_values=(1.0, 0.0))
     return thr, miss, fa
+
+
+def _one_row(tgt: np.ndarray, non: np.ndarray):
+    """Operating points of one system's target / nontarget scores."""
+    is_target = np.arange(tgt.size + non.size) < tgt.size
+    return _operating_points(np.concatenate([tgt, non])[None], is_target)
+
+
+def _eer_rows(miss: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """EER of each row's curve, interpolated linearly where miss - fa
+    turns non-negative."""
+    diff = miss - fa
+    rows = np.arange(diff.shape[0])
+    k = np.argmax(diff >= 0.0, axis=1)  # >= 1, since every curve starts at diff -1
+    x0, y0 = fa[rows, k - 1], miss[rows, k - 1]
+    x1, y1 = fa[rows, k], miss[rows, k]
+    # the ROC segment between points k-1 and k against miss == fa
+    t = (x0 - y0) / ((x0 - y0) - (x1 - y1))
+    return np.where(diff[rows, k] == 0.0, y1, y0 + t * (y1 - y0))
+
+
+def _min_dcf_rows(thr: np.ndarray, miss: np.ndarray, fa: np.ndarray, params: DcfParams):
+    """Each row's minimum normalized cost and the first threshold attaining it."""
+    w_miss = params.c_miss * params.p_target
+    w_fa = params.c_fa * (1.0 - params.p_target)
+    costs = (w_miss * miss + w_fa * fa) / min(w_miss, w_fa)
+    rows = np.arange(costs.shape[0])
+    k = np.argmin(costs, axis=1)
+    return costs[rows, k], thr[rows, k]
 
 
 def eer(scores: ScoreSet, keys: Mapping[str, TrialLabel]) -> float:
     """Equal error rate with linear interpolation between operating points."""
-    tgt, non = _split_scores(scores, keys)
-    if tgt.size == 0 or non.size == 0:
-        raise ValueError("eer needs at least one target and one nontarget")
-    _, miss, fa = _operating_points(tgt, non)
-    diff = miss - fa
-    k = int(np.argmax(diff >= 0.0))
-    if diff[k] == 0.0:
-        return float(miss[k])
-    # Interpolate the ROC segment between points k-1 and k against miss == fa.
-    x0, y0 = fa[k - 1], miss[k - 1]
-    x1, y1 = fa[k], miss[k]
-    t = (x0 - y0) / ((x0 - y0) - (x1 - y1))
-    return float(y0 + t * (y1 - y0))
+    _, miss, fa = _one_row(*_split_scores(scores, keys))
+    return float(_eer_rows(miss, fa)[0])
 
 
 def min_dcf_from_arrays(tgt: np.ndarray, non: np.ndarray, params: DcfParams = DcfParams()):
     """min_dcf over raw target / nontarget score arrays; returns (cost, threshold)."""
     tgt = np.asarray(tgt, dtype=np.float64)
     non = np.asarray(non, dtype=np.float64)
-    if tgt.size == 0 or non.size == 0:
-        raise ValueError("min_dcf needs at least one target and one nontarget")
-    thr, miss, fa = _operating_points(tgt, non)
-    w_miss = params.c_miss * params.p_target
-    w_fa = params.c_fa * (1.0 - params.p_target)
-    costs = (w_miss * miss + w_fa * fa) / min(w_miss, w_fa)
-    k = int(np.argmin(costs))
-    return float(costs[k]), float(thr[k])
+    cost, thr = _min_dcf_rows(*_one_row(tgt, non), params)
+    return float(cost[0]), float(thr[0])
 
 
 def min_dcf_details(
@@ -190,15 +214,28 @@ def fuse(score_sets: Sequence[ScoreSet], weights: FusionWeights) -> ScoreSet:
         raise ValueError("one weight per score set required")
     if not score_sets:
         raise ValueError("nothing to fuse")
+    ids, scores = _aligned(score_sets)
+    return dict(zip(ids, _weighted_sums(np.asarray([weights.weights]), scores)[0].tolist()))
+
+
+def _aligned(score_sets: Sequence[ScoreSet]):
+    """The first set's trial ids, and every set's scores in that order as a
+    (systems, N) matrix; ValueError unless all sets hold the same trials."""
     ids = list(score_sets[0])
     id_set = set(ids)
-    for s in score_sets[1:]:
-        if set(s) != id_set:
-            raise ValueError("trial-id mismatch between fused score sets")
-    return {
-        tid: float(sum(w * s[tid] for w, s in zip(weights.weights, score_sets)))
-        for tid in ids
-    }
+    if any(set(s) != id_set for s in score_sets[1:]):
+        raise ValueError("trial-id mismatch between fused score sets")
+    return ids, np.asarray([[s[t] for t in ids] for s in score_sets], dtype=np.float64)
+
+
+def _weighted_sums(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(G, N) fused scores for (G, systems) weights: one elementwise
+    multiply-add per system, in system order, so each row adds up exactly
+    as a left-to-right sum over the systems would."""
+    fused = np.zeros((weights.shape[0], scores.shape[1]))
+    for j, system in enumerate(scores):
+        fused += weights[:, j, None] * system
+    return fused
 
 
 def grid_divisions(grid_step: float) -> int:
@@ -209,12 +246,20 @@ def grid_divisions(grid_step: float) -> int:
     return n
 
 
-def _simplex_grid(n_systems: int, grid_step: float):
-    """All weight vectors on the simplex grid, lexicographically ascending."""
-    n = grid_divisions(grid_step)
-    for parts in itertools.product(range(n + 1), repeat=n_systems):
-        if sum(parts) == n:
-            yield tuple(p / n for p in parts)
+def _simplex_grid(n_systems: int, n: int) -> np.ndarray:
+    """(G, n_systems) weight vectors with entries i / n summing to one,
+    lexicographically ascending: the compositions of n into n_systems parts,
+    from the bar positions of a stars-and-bars arrangement in ascending order."""
+    slots = n + n_systems - 1
+    bars = np.asarray(list(itertools.combinations(range(slots), n_systems - 1)))
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return (np.diff(edges, axis=1) - 1) / n
+
+
+# Grid rows swept at once hold at most about this many fused scores, so the
+# sweep's temporaries stay near 10 MiB whatever the grid size and trial count
+# (at 3,000 dev trials and 231 grid points, one block would need about 55 MiB).
+_SWEEP_SCORES = 1 << 17
 
 
 def tune_weights(
@@ -228,17 +273,26 @@ def tune_weights(
     Ties break on (a) lower dev EER, then (b) the lexicographically smallest
     weight vector. The simplex corners are always in the grid, so the result
     never underperforms the best single system on the dev set.
+
+    Each grid point's fused dev scores are one row of a (G, N) matrix, added
+    up as `fuse` adds them; one sorted sweep per row gives its minDCF and EER.
     """
     if not dev_sets:
         raise ValueError("tune_weights needs at least one system")
     if len(dev_sets) == 1:
         return FusionWeights((1.0,))
-    best = None
-    for raw in _simplex_grid(len(dev_sets), grid_step):
-        w = FusionWeights(raw)
-        fused = fuse(dev_sets, w)
-        cost = min_dcf(fused, dev_keys, params)
-        err = eer(fused, dev_keys)
-        if best is None or (cost, err) < (best[0], best[1]):
-            best = (cost, err, w)
-    return best[2]
+    grid = _simplex_grid(len(dev_sets), grid_divisions(grid_step))
+    ids, scores = _aligned(dev_sets)
+    for s in dev_sets:
+        _split_scores(s, dev_keys)  # every trial keyed, every score finite
+    is_target = np.asarray([dev_keys[t].is_target for t in ids], dtype=bool)
+
+    costs = np.empty(len(grid))
+    errs = np.empty(len(grid))
+    step = max(1, _SWEEP_SCORES // max(len(ids), 1))
+    for lo in range(0, len(grid), step):
+        thr, miss, fa = _operating_points(_weighted_sums(grid[lo : lo + step], scores), is_target)
+        costs[lo : lo + step] = _min_dcf_rows(thr, miss, fa, params)[0]
+        errs[lo : lo + step] = _eer_rows(miss, fa)
+    tied = np.flatnonzero(costs == costs.min())
+    return FusionWeights(tuple(grid[tied[np.argmin(errs[tied])]]))

@@ -126,20 +126,8 @@ def cmd_train(cfg: PipelineConfig) -> List[Path]:
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 6)
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
-    train_cfg = extractor.TrainConfig(
-        strategy=extractor.Strategy(cfg.strategy),
-        epochs=cfg.epochs,
-        lr_initial=cfg.lr_initial,
-        lr_final=cfg.lr_final,
-        multitask_weight=cfg.multitask_weight,
-        contrastive_weight=cfg.contrastive_weight,
-        pct_speakers_per_batch=cfg.pct_speakers_per_batch,
-        aam_scale=cfg.aam_scale,
-        aam_margin=cfg.aam_margin,
-        seed=seeds[5],
-    )
     corpus = extractor.CorpusView(tuple(embeddings), tuple(metas), inventory)
-    result = extractor.train(net, corpus, train_cfg)
+    result = extractor.train(net, corpus, cfg.train_config(seed=seeds[5]))
     path = _workpath(cfg, "ckpt.txt")
     fileio.write_checkpoint(path, result.extractor, cfg.strategy, cfg.seed)
     return [path]
@@ -168,7 +156,7 @@ def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Pat
 
 def _trial_vectors(cfg: PipelineConfig, split: str):
     """A split's trials with their row-aligned (N, D) enroll and test vectors."""
-    embeddings, metas = _load_split(cfg, split, extracted=True)
+    embeddings = fileio.read_embeddings(_workpath(cfg, f"emb_{split}.emb"))
     emb_by_utt = {e.utt_id: e for e in embeddings}
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
     enroll_map = fileio.read_enroll_map(_workpath(cfg, f"enroll_{split}.txt"))
@@ -178,7 +166,7 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
     }
     enroll = np.stack([models[t.model_id].centroid for t in trials])
     test = np.stack([emb_by_utt[t.test_utt_id].vec for t in trials])
-    return trials, metas, enroll, test
+    return trials, enroll, test
 
 
 def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
@@ -293,7 +281,7 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
     scorers = _train_backend_scorers(cfg)
     written = []
     for split in splits:
-        trials, _, enroll, test = _trial_vectors(cfg, split)
+        trials, enroll, test = _trial_vectors(cfg, split)
         for name in cfg.backends:
             values = scorers[name](trials, enroll, test)
             scores = {t.trial_id: float(s) for t, s in zip(trials, values)}
@@ -324,11 +312,12 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
         written.append(_workpath(cfg, "lang_clf.txt"))
     for split in splits:
         raw = fileio.read_scores(_workpath(cfg, f"scores_{cfg.norm_backend}_{split}.txt"))
-        trials, metas, enroll, test = _trial_vectors(cfg, split)
+        trials, enroll, test = _trial_vectors(cfg, split)
         test_langs = None
         if classifier is not None:
             test_langs, _ = norm.predict_language(classifier, test)
         elif cfg.language_dependent:
+            metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
             lang_by_utt = {m.utt_id: m.language for m in metas}
             test_langs = [lang_by_utt[t.test_utt_id] for t in trials]
         normed = norm.language_dependent_as_norm(

@@ -7,10 +7,14 @@ code paths they are used to check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from spkver.core import NumericalError
+from spkver.metrics import DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf
 
 
 def sweep_points(tgt, non):
@@ -223,3 +227,120 @@ def plda_em_literal(embeddings, speaker_labels, iters=20, ridge=None):
         trace.append(plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu))
 
     return (mu, sigma_b, sigma_w), trace
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _cos_pair(a: np.ndarray, b: np.ndarray):
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise NumericalError("zero-norm vector in GE2E similarity")
+    return float(a @ b) / (na * nb), na, nb
+
+
+def ge2e_loss_literal(embeddings, params):
+    """Contrastive loss over an (S speakers x U utterances x D) batch.
+
+    The S x U x S loop form that whole-array `extractor.ge2e_loss` replaced;
+    `params` needs only the similarity scale `w` and bias `b`.
+
+    Similarity of utterance (s, u) to speaker k's centroid is w*cos + b,
+    where the own-speaker centroid excludes utterance (s, u) itself. Each
+    utterance is classified against its own speaker with softmax
+    cross-entropy. Returns (loss, d_embeddings, d_w, d_b), exact gradients
+    including the exclusion term.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 3:
+        raise ValueError("expected (S, U, D) embeddings")
+    s_n, u_n, _ = e.shape
+    if s_n < 2 or u_n < 2:
+        raise ValueError("GE2E needs at least 2 speakers and 2 utterances each")
+
+    sums = e.sum(axis=1)  # (S, D)
+    full_cent = sums / u_n
+
+    # forward: similarity matrix over (utterance, candidate speaker)
+    cos = np.zeros((s_n, u_n, s_n))
+    cents = np.zeros((s_n, u_n, s_n, e.shape[2]))
+    for s in range(s_n):
+        for u in range(u_n):
+            for k in range(s_n):
+                cent = (sums[s] - e[s, u]) / (u_n - 1) if k == s else full_cent[k]
+                cents[s, u, k] = cent
+                cos[s, u, k], _, _ = _cos_pair(e[s, u], cent)
+    sims = params.w * cos + params.b
+    flat = sims.reshape(s_n * u_n, s_n)
+    logp = _log_softmax(flat)
+    own = np.repeat(np.arange(s_n), u_n)
+    loss = float(-logp[np.arange(s_n * u_n), own].mean())
+
+    d_sims = np.exp(logp)
+    d_sims[np.arange(s_n * u_n), own] -= 1.0
+    d_sims = (d_sims / (s_n * u_n)).reshape(s_n, u_n, s_n)
+
+    d_w = float((d_sims * cos).sum())
+    d_b = float(d_sims.sum())
+    d_cos = params.w * d_sims
+
+    d_e = np.zeros_like(e)
+    for s in range(s_n):
+        for u in range(u_n):
+            a = e[s, u]
+            na = float(np.linalg.norm(a))
+            for k in range(s_n):
+                g = d_cos[s, u, k]
+                if g == 0.0:
+                    continue
+                cent = cents[s, u, k]
+                nc = float(np.linalg.norm(cent))
+                if na == 0.0 or nc == 0.0:
+                    raise NumericalError("zero-norm vector in GE2E similarity")
+                cos_v = cos[s, u, k]
+                d_e[s, u] += g * (cent / (na * nc) - cos_v * a / na**2)
+                d_cent = g * (a / (na * nc) - cos_v * cent / nc**2)
+                if k == s:
+                    for v in range(u_n):
+                        if v != u:
+                            d_e[s, v] += d_cent / (u_n - 1)
+                else:
+                    d_e[k] += d_cent / u_n
+    return loss, d_e, d_w, d_b
+
+
+def _simplex_grid(n_systems: int, grid_step: float):
+    """All weight vectors on the simplex grid, lexicographically ascending."""
+    n = grid_divisions(grid_step)
+    for parts in itertools.product(range(n + 1), repeat=n_systems):
+        if sum(parts) == n:
+            yield tuple(p / n for p in parts)
+
+
+def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
+    """Exhaustive simplex-grid search for the dev-minDCF-minimizing weights.
+
+    The one-weight-vector-at-a-time form that the one-sweep
+    `metrics.tune_weights` replaced: it fuses, scores minDCF and scores EER
+    once per grid point through the library's one-system functions.
+
+    Ties break on (a) lower dev EER, then (b) the lexicographically smallest
+    weight vector. The simplex corners are always in the grid, so the result
+    never underperforms the best single system on the dev set.
+    """
+    if not dev_sets:
+        raise ValueError("tune_weights needs at least one system")
+    if len(dev_sets) == 1:
+        return FusionWeights((1.0,))
+    best = None
+    for raw in _simplex_grid(len(dev_sets), grid_step):
+        w = FusionWeights(raw)
+        fused = fuse(dev_sets, w)
+        cost = min_dcf(fused, dev_keys, params)
+        err = eer(fused, dev_keys)
+        if best is None or (cost, err) < (best[0], best[1]):
+            best = (cost, err, w)
+    return best[2]

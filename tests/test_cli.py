@@ -123,6 +123,54 @@ class TestConfigHandling:
         assert "grid_step must evenly divide 1" in capsys.readouterr().err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("epochs=-1", "epochs must be >= 0"),
+        ("lr_initial=0", "learning rates must be positive"),
+        ("lr_final=-0.001", "learning rates must be positive"),
+        ("multitask_weight=-1", "loss weights must be >= 0"),
+        ("contrastive_weight=-0.5", "loss weights must be >= 0"),
+        ("pct_speakers_per_batch=1", "PCT batches need >= 2 speakers"),
+    ])
+    def test_bad_training_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
+                                                         message):
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, setting)) == 2
+        assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
+
+class TestStageInputs:
+    def _meta_reads(self, monkeypatch):
+        names = []
+        read = fileio.read_metas
+
+        def recording(path):
+            names.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(fileio, "read_metas", recording)
+        return names
+
+    def test_score_reads_no_metadata(self, e2e_dir, monkeypatch):
+        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}"])
+        names = self._meta_reads(monkeypatch)
+        pipeline._trial_vectors(cfg, "dev")
+        assert names == []
+
+    @pytest.mark.parametrize("use_lid, split_metas", [("true", []),
+                                                       ("false", ["meta_dev.meta",
+                                                                  "meta_eval.meta"])])
+    def test_norm_reads_split_metadata_only_without_lid(self, e2e_dir, tmp_path, monkeypatch,
+                                                         use_lid, split_metas):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        cfg = load_config(overrides=BASE + [f"workdir={workdir}", f"use_lid={use_lid}"])
+        names = self._meta_reads(monkeypatch)
+        pipeline.cmd_norm(cfg)
+        assert names == ["meta_train.meta"] + split_metas
+
 
 class TestErrorExitCodes:
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
@@ -170,7 +218,7 @@ class TestNormAgainstLiteral:
         cohort = norm.build_cohort(train_emb, train_meta)
         n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
         classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.txt")
-        trials, _, enroll, test = pipeline._trial_vectors(cfg, split)
+        trials, enroll, test = pipeline._trial_vectors(cfg, split)
         raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v)[0] for v in test]
         expected = as_norm_literal([raw[t.trial_id] for t in trials], enroll, test, cohort,

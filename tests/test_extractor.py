@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_gradients
+from oracles import check_gradients, ge2e_loss_literal
+from spkver.core import NumericalError
 from spkver.extractor import (
     AamHead,
     Extractor,
@@ -285,6 +286,56 @@ class TestGe2eLoss:
             )
 
 
+class TestGe2eAgainstLiteral:
+    """The whole-array GE2E against the S x U x S loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 8), st.integers(2, 5), st.integers(2, 7),
+        st.floats(0.1, 30.0), st.floats(-10.0, 10.0), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop(self, s_n, u_n, dim, w, b, seed):
+        batch = np.random.default_rng(seed).normal(size=(s_n, u_n, dim))
+        params = Ge2eParams(w=w, b=b)
+        loss, d_e, d_w, d_b = ge2e_loss(batch, params)
+        loss_ref, d_e_ref, d_w_ref, d_b_ref = ge2e_loss_literal(batch, params)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        largest = max(np.abs(d_e_ref).max(), abs(d_w_ref))
+        assert np.abs(d_e - d_e_ref).max() <= 1e-10 * largest
+        assert abs(d_w - d_w_ref) <= 1e-10 * largest
+        # the softmax rows sum to one, so the bias gradient is analytically 0
+        assert abs(d_b) <= 1e-12 and abs(d_b_ref) <= 1e-12
+
+    # values on a 1/8 grid, so that the centroid sums below cancel exactly
+    @staticmethod
+    def _zero_utterance(rng):
+        batch = np.round(rng.normal(size=(3, 2, 4)) * 8) / 8
+        batch[1, 0] = 0.0
+        return batch
+
+    @staticmethod
+    def _zero_own_centroid(rng):
+        # utterance (1, 0)'s own centroid averages (1, 1) and (1, 2)
+        batch = np.round(rng.normal(size=(3, 3, 4)) * 8) / 8
+        batch[1, 1] = -batch[1, 2]
+        return batch
+
+    @staticmethod
+    def _zero_full_centroid(rng):
+        # speaker 1's full centroid is zero; each own centroid is not
+        batch = np.round(rng.normal(size=(3, 2, 4)) * 8) / 8
+        batch[1, 1] = -batch[1, 0]
+        return batch
+
+    @pytest.mark.parametrize("loss_fn", [ge2e_loss, ge2e_loss_literal])
+    @pytest.mark.parametrize("make", ["_zero_utterance", "_zero_own_centroid",
+                                      "_zero_full_centroid"])
+    def test_zero_norm_raises(self, loss_fn, make):
+        batch = getattr(self, make)(np.random.default_rng(19))
+        with pytest.raises(NumericalError, match="zero-norm"):
+            loss_fn(batch, Ge2eParams())
+
+
 class TestPctLoss:
     def _batch(self, rng, n_spk=3, dim=4):
         e = _unit_rows(rng, 2 * n_spk, dim)
@@ -314,6 +365,18 @@ class TestPctLoss:
         spk = [0, 0, 1, 1, 1]
         with pytest.raises(ValueError, match="two utterances per speaker"):
             pct_loss(e, spk, ["p"] * 5, _head(rng, 2, 4), Ge2eParams())
+
+    def test_gradients_follow_interleaved_batch_rows(self):
+        # speakers in scattered rows get the gradients of a grouped batch
+        rng = np.random.default_rng(20)
+        e, spk = self._batch(rng, n_spk=4, dim=5)
+        head = _head(rng, 4, 5)
+        perm = rng.permutation(len(spk))
+        grouped = pct_loss(e, spk, ["p"] * 8, head, Ge2eParams(w=3.0, b=-1.0))
+        mixed = pct_loss(e[perm], spk[perm], ["p"] * 8, head, Ge2eParams(w=3.0, b=-1.0))
+        assert mixed[0] == pytest.approx(grouped[0], rel=1e-12)
+        np.testing.assert_allclose(mixed[1], grouped[1][perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed[2], grouped[2], rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(18)

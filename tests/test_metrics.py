@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import eer_bruteforce, levenshtein_recursive, min_dcf_bruteforce
+from oracles import (
+    eer_bruteforce,
+    levenshtein_recursive,
+    min_dcf_bruteforce,
+    tune_weights_literal,
+)
+from spkver import metrics
 from spkver.core import Language, PhraseEntry, PhraseInventory, Trial, TrialLabel
 from spkver.metrics import (
     DcfParams,
@@ -277,3 +283,63 @@ class TestTuneWeights:
             fused_cost = min_dcf(fuse(sets, tune_weights(sets, keys)), keys)
             singles = [min_dcf(s, keys) for s in sets]
             assert fused_cost <= min(singles) + 1e-12
+
+
+def _fusion_case(seed, n_systems, n_trials):
+    """Scores on a quarter grid (many ties) with a fifth floored at -1000."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random(n_trials) < 0.4
+    labels[:2] = (True, False)
+    keys = {f"t{i}": TrialLabel.TARGET if lab else TrialLabel.NONTARGET
+            for i, lab in enumerate(labels)}
+    sets = []
+    for _ in range(n_systems):
+        scores = np.round(rng.normal(labels * rng.uniform(0, 2), 1.0) * 4) / 4
+        scores[rng.random(n_trials) < 0.2] = -1000.0
+        sets.append({f"t{i}": float(s) for i, s in enumerate(scores)})
+    return sets, keys
+
+
+class TestTuneWeightsAgainstLiteral:
+    """The one-sweep grid search against the per-weight-vector loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(2, 50), st.sampled_from([0.5, 0.25, 0.2, 0.1]),
+        st.floats(0.01, 0.5), st.integers(0, 2**32 - 1),
+    )
+    def test_same_weights_as_loop(self, n_systems, n_trials, grid_step, p_target, seed):
+        if n_systems == 4 and grid_step < 0.2:
+            grid_step = 0.2  # keeps the loop oracle's 4-system grid at 56 points
+        sets, keys = _fusion_case(seed, n_systems, n_trials)
+        params = DcfParams(p_target=p_target)
+        got = tune_weights(sets, keys, params, grid_step)
+        assert got.weights == tune_weights_literal(sets, keys, params, grid_step).weights
+
+    def test_rows_swept_in_blocks(self, monkeypatch):
+        # 66 grid points of 40 trials in blocks of 3 rows, the last one short
+        monkeypatch.setattr(metrics, "_SWEEP_SCORES", 120)
+        for seed in range(5):
+            sets, keys = _fusion_case(seed, 3, 40)
+            got = tune_weights(sets, keys, grid_step=0.1)
+            assert got.weights == tune_weights_literal(sets, keys, grid_step=0.1).weights
+
+    def test_grid_order_matches_product_filter(self):
+        import itertools
+
+        for n_systems, n in ((2, 4), (3, 5), (4, 3), (3, 20)):
+            expected = [tuple(i / n for i in p)
+                        for p in itertools.product(range(n + 1), repeat=n_systems)
+                        if sum(p) == n]
+            assert [tuple(w) for w in metrics._simplex_grid(n_systems, n)] == expected
+
+    def test_bad_inputs_raise(self):
+        sets, keys = _fusion_case(0, 2, 10)
+        with pytest.raises(ValueError, match="trial-id mismatch"):
+            tune_weights([sets[0], {**sets[1], "extra": 0.0}], keys)
+        with pytest.raises(ValueError, match="has no key"):
+            tune_weights(sets, {k: v for k, v in keys.items() if k != "t3"})
+        with pytest.raises(ValueError, match="non-finite score for trial t4"):
+            tune_weights([sets[0], {**sets[1], "t4": float("inf")}], keys)
+        with pytest.raises(ValueError, match="at least one target and one nontarget"):
+            tune_weights(sets, {k: TrialLabel.TARGET for k in keys})
