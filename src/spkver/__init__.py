@@ -1,13 +1,13 @@
 """Desk-scale speaker-verification toolkit over synthetic latent-factor corpora.
 
-Subpackages by role: core (domain types), synthgen (corpus generator),
+Modules by role: core (domain types), synthgen (corpus generator),
 extractor (embedding network and training objectives), backend (cosine and
 two-covariance PLDA), nplda (discriminative pair scorer), norm (adaptive
 score normalization and language id), metrics (EER / minDCF / filtering /
 fusion), fileio (text formats), pipeline + cli (orchestration).
 """
 
-from .backend import PhrasePldaBank, PldaModel, PldaScorer, cosine_score, plda_em_train, plda_llr_score, train_phrase_plda_bank
+from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, train_phrase_plda_bank
 from .core import (
     Embedding,
     EnrollModel,

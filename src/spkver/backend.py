@@ -43,13 +43,6 @@ class PldaModel:
         return int(self.mu.shape[0])
 
 
-@dataclass(frozen=True)
-class PhrasePldaBank:
-    """One independently trained PLDA model per phrase."""
-
-    models: dict  # phrase_id -> PldaModel
-
-
 def cosine_score(e: np.ndarray, t: np.ndarray):
     """Inner product over the product of norms, in [-1, 1].
 
@@ -214,21 +207,16 @@ class PldaScorer:
         return float(scores) if scores.ndim == 0 else scores
 
 
-def plda_llr_score(model: PldaModel, e: np.ndarray, t: np.ndarray) -> float:
-    """log p(e,t | same speaker) - log p(e,t | different speakers)."""
-    return PldaScorer(model).score(e, t)
-
-
 def train_phrase_plda_bank(
     embeddings: np.ndarray,
     speaker_labels: Sequence,
     phrase_labels: Sequence,
     iters: int = 20,
-) -> Tuple[PhrasePldaBank, dict]:
+) -> Tuple[Dict[str, PldaModel], Dict[str, str]]:
     """Train one PLDA model per phrase on that phrase's subset.
 
-    Phrases with insufficient data are reported in the returned failure map
-    (phrase_id -> reason) instead of aborting the bank.
+    Returns (phrase_id -> model, phrase_id -> failure reason): phrases with
+    insufficient data are reported in the failure map instead of aborting.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     spk = np.asarray(speaker_labels)
@@ -242,4 +230,4 @@ def train_phrase_plda_bank(
             models[phrase] = model
         except (ValueError, NumericalError) as exc:
             failures[phrase] = str(exc)
-    return PhrasePldaBank(models=models), failures
+    return models, failures

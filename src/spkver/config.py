@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 from .extractor import Strategy, TrainConfig
 from .metrics import grid_divisions
+from .synthgen import Task, trial_proportions
 
 
 class ConfigError(ValueError):
@@ -90,6 +91,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"norm_backend {self.norm_backend!r} is not among backends {self.backends}"
             )
+        if "nplda" in self.backends and self.task != "TD":
+            raise ConfigError("the nplda backend needs phrase labels (task=TD)")
         if not 0.0 < self.train_fraction < 1.0 or not 0.0 < self.dev_fraction < 1.0:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.dev_fraction >= 1.0:
@@ -99,6 +102,7 @@ class PipelineConfig:
         try:
             self.train_config()
             grid_divisions(self.grid_step)
+            trial_proportions(Task(self.task), self.proportions or None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

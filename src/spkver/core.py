@@ -153,12 +153,6 @@ class PhraseInventory:
     def phrase_ids(self) -> tuple:
         return tuple(e.phrase_id for e in self.entries)
 
-    def reference(self, phrase_id: str) -> str:
-        for entry in self.entries:
-            if entry.phrase_id == phrase_id:
-                return entry.text
-        raise KeyError(phrase_id)
-
 
 def build_enroll_model(model_id: str, embeddings: Sequence[Embedding]) -> EnrollModel:
     """Average enrollment embeddings and scale the mean to unit norm.

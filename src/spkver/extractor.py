@@ -25,16 +25,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import NumericalError, PhraseInventory
-
-
-@dataclass(frozen=True)
-class CorpusView:
-    """The slice of a corpus that training needs; SynthCorpus also fits."""
-
-    embeddings: tuple
-    metas: tuple
-    inventory: PhraseInventory
+from .core import NumericalError, PhraseInventory, UttMeta
 
 
 class Strategy(Enum):
@@ -468,8 +459,6 @@ class TrainResult:
     heads: Dict[str, AamHead]
     ge2e: Optional[Ge2eParams]
     loss_trace: tuple
-    speaker_ids: tuple
-    phrase_ids: tuple
 
 
 def lr_schedule(config: TrainConfig, epoch: int) -> float:
@@ -480,18 +469,28 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
     return config.lr_initial * (config.lr_final / config.lr_initial) ** frac
 
 
-def train(extractor: Extractor, corpus, config: TrainConfig) -> TrainResult:
+def train(
+    extractor: Extractor,
+    features: np.ndarray,
+    metas: Sequence[UttMeta],
+    inventory: PhraseInventory,
+    config: TrainConfig,
+) -> TrainResult:
     """Fine-tune the network with the configured objective.
 
-    Plain gradient descent under the exponential learning-rate schedule;
+    `features` is an (N, F) array with one row per entry of `metas`; the
+    inventory fixes the phrase order of the phrase-aware objectives. Plain
+    gradient descent under the exponential learning-rate schedule;
     deterministic given the seed. Head rows are re-normalized to unit norm
     after every update. Returns fresh objects; the inputs are not mutated.
     """
     net = extractor.copy()
-    feats = np.stack([emb.vec for emb in corpus.embeddings])
+    feats = np.asarray(features, dtype=np.float64)
+    metas = list(metas)
+    if feats.ndim != 2 or feats.shape[0] != len(metas):
+        raise ValueError("features must be (N, F) with one row per meta")
     if feats.shape[1] != net.in_dim:
         raise ValueError("corpus feature dim does not match the network")
-    metas = list(corpus.metas)
 
     speaker_ids = tuple(sorted({m.speaker_id for m in metas}))
     spk_index = {s: i for i, s in enumerate(speaker_ids)}
@@ -500,7 +499,7 @@ def train(extractor: Extractor, corpus, config: TrainConfig) -> TrainResult:
     needs_phrases = config.strategy in PHRASE_STRATEGIES
     if needs_phrases and any(m.phrase_id is None for m in metas):
         raise ValueError(f"strategy {config.strategy.value} requires phrase labels")
-    phrase_ids = corpus.inventory.phrase_ids
+    phrase_ids = inventory.phrase_ids
     phr_index = {p: i for i, p in enumerate(phrase_ids)}
     phr_labels = (
         np.asarray([phr_index[m.phrase_id] for m in metas]) if needs_phrases else None
@@ -597,8 +596,6 @@ def train(extractor: Extractor, corpus, config: TrainConfig) -> TrainResult:
         heads=heads,
         ge2e=copy.copy(ge2e) if ge2e is not None else None,
         loss_trace=tuple(trace),
-        speaker_ids=speaker_ids,
-        phrase_ids=phrase_ids,
     )
 
 

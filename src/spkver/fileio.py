@@ -55,7 +55,8 @@ def _read_lines(path) -> list:
     return lines
 
 
-def _write_text(path, lines: Sequence[str]) -> None:
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write each line followed by LF, creating the parent directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -80,7 +81,7 @@ def write_embeddings(path, embeddings: Sequence[Embedding]) -> None:
             raise ValueError(f"embedding {emb.utt_id} has dim {emb.dim}, expected {dim}")
         _check_token(emb.utt_id, "utt_id")
         lines.append(emb.utt_id + " " + " ".join(map(repr, emb.vec.tolist())))
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_embeddings(path) -> list:
@@ -116,7 +117,7 @@ def write_metas(path, metas: Sequence[UttMeta]) -> None:
         phrase = m.phrase_id if m.phrase_id is not None else "-"
         transcript = m.transcript if m.transcript not in (None, "") else "-"
         lines.append(f"{m.utt_id} {m.speaker_id} {phrase} {m.language.value} {transcript}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_metas(path) -> list:
@@ -154,7 +155,7 @@ def write_inventory(path, inventory: PhraseInventory) -> None:
     for entry in inventory:
         _check_token(entry.phrase_id, "phrase_id")
         lines.append(f"{entry.phrase_id} {entry.language.value} {entry.text}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_inventory(path) -> PhraseInventory:
@@ -185,7 +186,7 @@ def write_enroll_map(path, enroll_map: Mapping[str, Sequence[str]]) -> None:
         if not utt_ids:
             raise ValueError(f"model {model_id} has no enrollment utterances")
         lines.append(model_id + " " + " ".join(_check_token(u, "utt_id") for u in utt_ids))
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_enroll_map(path) -> dict:
@@ -205,7 +206,7 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
     for t in trials:
         claimed = t.claimed_phrase_id if t.claimed_phrase_id is not None else "-"
         lines.append(f"{t.trial_id} {t.model_id} {t.test_utt_id} {claimed}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_trials(path) -> list:
@@ -226,7 +227,7 @@ def read_trials(path) -> list:
 
 
 def write_keys(path, keys: Sequence[TrialKey]) -> None:
-    _write_text(path, [f"{k.trial_id} {k.label.value}" for k in keys])
+    write_lines(path, [f"{k.trial_id} {k.label.value}" for k in keys])
 
 
 def read_keys(path) -> list:
@@ -250,7 +251,7 @@ def write_scores(path, scores: Mapping[str, float]) -> None:
         if not np.isfinite(score):
             raise NumericalError(f"non-finite score {score!r} for trial {trial_id}")
         lines.append(f"{trial_id} {_fmt(score)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_scores(path) -> dict:
@@ -290,7 +291,7 @@ def write_container(
     lines.append("SCALARS")
     for name, value in scalars.items():
         lines.append(f"{_check_token(name, 'name')} {_fmt(value)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_container(path, expected_kind: str = None):
@@ -345,47 +346,7 @@ def read_container(path, expected_kind: str = None):
 
 
 # ---------------------------------------------------------------------------
-# concrete model serializers
-
-
-def write_plda(path, model) -> None:
-    write_container(
-        path,
-        "PLDA",
-        mats={"mu": model.mu, "sigma_b": model.sigma_b, "sigma_w": model.sigma_w},
-        scalars={},
-    )
-
-
-def read_plda(path):
-    from .backend import PldaModel
-
-    _, _, mats, _ = read_container(path, "PLDA")
-    for name in ("mu", "sigma_b", "sigma_w"):
-        if name not in mats:
-            raise DataFormatError(f"{path}: missing matrix {name}")
-    return PldaModel(mu=mats["mu"][0], sigma_b=mats["sigma_b"], sigma_w=mats["sigma_w"])
-
-
-def write_nplda(path, params) -> None:
-    write_container(
-        path,
-        "NPLDA",
-        mats={"lam": params.lam, "gamma": params.gamma, "c": params.c},
-        scalars={"k": params.k},
-    )
-
-
-def read_nplda(path):
-    from .nplda import NpldaParams
-
-    _, _, mats, scalars = read_container(path, "NPLDA")
-    for name in ("lam", "gamma", "c"):
-        if name not in mats:
-            raise DataFormatError(f"{path}: missing matrix {name}")
-    if "k" not in scalars:
-        raise DataFormatError(f"{path}: missing scalar k")
-    return NpldaParams(lam=mats["lam"], gamma=mats["gamma"], c=mats["c"][0], k=scalars["k"])
+# checkpoint and language classifier
 
 
 def write_checkpoint(path, extractor, strategy: str, seed: int) -> None:

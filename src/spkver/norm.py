@@ -67,10 +67,10 @@ def build_cohort(embeddings: Sequence[Embedding], metas: Sequence[UttMeta]) -> C
     Averaging per language keeps each entry's language tag well defined,
     which the language-dependent filter needs.
     """
-    meta_by_utt = {m.utt_id: m for m in metas}
+    meta_of = {m.utt_id: m for m in metas}
     groups: Dict[tuple, list] = {}
     for emb in embeddings:
-        meta = meta_by_utt.get(emb.utt_id)
+        meta = meta_of.get(emb.utt_id)
         if meta is None:
             raise ValueError(f"no metadata for cohort utterance {emb.utt_id}")
         groups.setdefault((meta.speaker_id, meta.language), []).append(emb.vec)

@@ -9,6 +9,7 @@ outputs byte-for-byte. File layout (all under cfg.workdir):
     trials_{split}.txt, keys_{split}.txt, enroll_{split}.txt
     ckpt.txt                               trained extractor
     emb_{split}.emb                        extracted embeddings
+    lang_clf.txt                           language classifier (norm with LID)
     scores_{system}_{split}.txt            trial scores per system
     fusion_weights.txt, metrics.txt, manifest.txt
 
@@ -89,7 +90,8 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
         n_trials = cfg.n_dev_trials if split == "dev" else cfg.n_eval_trials
         trial_seed = seeds[2] if split == "dev" else seeds[3]
         protocol = synthgen.gen_trials(
-            sub, task, n_trials, trial_seed, proportions=proportions, n_enroll=cfg.n_enroll
+            sub.metas, corpus.inventory, task, n_trials, trial_seed,
+            proportions=proportions, n_enroll=cfg.n_enroll,
         )
         problems = validate_protocol(
             protocol.trials, protocol.keys, sub.metas, protocol.enroll_map
@@ -126,8 +128,8 @@ def cmd_train(cfg: PipelineConfig) -> List[Path]:
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 6)
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
-    corpus = extractor.CorpusView(tuple(embeddings), tuple(metas), inventory)
-    result = extractor.train(net, corpus, cfg.train_config(seed=seeds[5]))
+    feats = np.stack([e.vec for e in embeddings])
+    result = extractor.train(net, feats, metas, inventory, cfg.train_config(seed=seeds[5]))
     path = _workpath(cfg, "ckpt.txt")
     fileio.write_checkpoint(path, result.extractor, cfg.strategy, cfg.seed)
     return [path]
@@ -154,18 +156,24 @@ def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Pat
 # scoring
 
 
-def _trial_vectors(cfg: PipelineConfig, split: str):
-    """A split's trials with their row-aligned (N, D) enroll and test vectors."""
-    embeddings = fileio.read_embeddings(_workpath(cfg, f"emb_{split}.emb"))
+def _pair_vectors(embeddings, enroll_map, trials):
+    """Row-aligned (N, D) enroll centroids and test vectors of the trials."""
     emb_by_utt = {e.utt_id: e for e in embeddings}
-    trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
-    enroll_map = fileio.read_enroll_map(_workpath(cfg, f"enroll_{split}.txt"))
     models = {
         model_id: build_enroll_model(model_id, [emb_by_utt[u] for u in utt_ids])
         for model_id, utt_ids in enroll_map.items()
     }
     enroll = np.stack([models[t.model_id].centroid for t in trials])
     test = np.stack([emb_by_utt[t.test_utt_id].vec for t in trials])
+    return enroll, test
+
+
+def _trial_vectors(cfg: PipelineConfig, split: str):
+    """A split's trials with their row-aligned (N, D) enroll and test vectors."""
+    embeddings = fileio.read_embeddings(_workpath(cfg, f"emb_{split}.emb"))
+    trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
+    enroll_map = fileio.read_enroll_map(_workpath(cfg, f"enroll_{split}.txt"))
+    enroll, test = _pair_vectors(embeddings, enroll_map, trials)
     return trials, enroll, test
 
 
@@ -203,8 +211,6 @@ def _score_by_claimed_phrase(params_by_phrase, trials, e, t) -> np.ndarray:
 
 def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda.NpldaParams]:
     """Per-phrase NPLDA bank: generative init plus same-phrase cost training."""
-    if cfg.task != "TD":
-        raise ConfigError("the nplda backend needs phrase labels (task=TD)")
     x = np.stack([e.vec for e in embeddings])
     spk = [m.speaker_id for m in metas]
     phr = [m.phrase_id for m in metas]
@@ -212,20 +218,17 @@ def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda
     if failures:
         raise ConfigError(f"phrase PLDA training failed for: {sorted(failures)}")
 
-    corpus = extractor.CorpusView(tuple(embeddings), tuple(metas), fileio.read_inventory(
-        _workpath(cfg, "inventory.txt")))
+    inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 7)
     protocol = synthgen.gen_trials(
-        _as_synth_view(corpus), Task.TD, cfg.n_dev_trials, seeds[6],
+        metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
         proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
     )
-    emb_by_utt = {e.utt_id: e for e in embeddings}
-    meta_by_utt = {m.utt_id: m for m in metas}
-    models = {
-        mid: build_enroll_model(mid, [emb_by_utt[u] for u in utts])
-        for mid, utts in protocol.enroll_map.items()
-    }
-    key_by_trial = protocol.key_by_trial
+    enroll, test = _pair_vectors(embeddings, protocol.enroll_map, protocol.trials)
+    phrase_of_utt = {m.utt_id: m.phrase_id for m in metas}
+    claimed = np.asarray([t.claimed_phrase_id for t in protocol.trials], dtype=object)
+    spoken = np.asarray([phrase_of_utt[t.test_utt_id] for t in protocol.trials], dtype=object)
+    is_target = np.asarray([k.label.is_target for k in protocol.keys], dtype=bool)
 
     params_by_phrase = {}
     train_cfg = nplda.NpldaTrainConfig(
@@ -234,46 +237,19 @@ def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda
         alpha=cfg.nplda_alpha,
         dcf=metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa),
     )
-    for phrase, model in bank.models.items():
-        rows = [
-            t for t in protocol.trials
-            if t.claimed_phrase_id == phrase
-            and meta_by_utt[t.test_utt_id].phrase_id == phrase
-        ]
+    for phrase, model in bank.items():
+        rows = (claimed == phrase) & (spoken == phrase)
         init = nplda.init_from_plda(model)
-        labels = [key_by_trial[t.trial_id].is_target for t in rows]
-        if len(rows) < 4 or all(labels) or not any(labels):
+        labels = is_target[rows]
+        if labels.size < 4 or labels.all() or not labels.any():
             params_by_phrase[phrase] = init  # too little data; keep generative init
             continue
         result = nplda.train_nplda(
-            init,
-            np.stack([models[t.model_id].centroid for t in rows]),
-            np.stack([emb_by_utt[t.test_utt_id].vec for t in rows]),
-            labels,
-            [t.claimed_phrase_id for t in rows],
-            [meta_by_utt[t.test_utt_id].phrase_id for t in rows],
-            train_cfg,
+            init, enroll[rows], test[rows], labels, claimed[rows], spoken[rows], train_cfg
         )
         params_by_phrase[phrase] = result.params
 
     return params_by_phrase
-
-
-def _as_synth_view(corpus: extractor.CorpusView):
-    """Adapter giving CorpusView the helpers gen_trials needs."""
-
-    class _View:
-        embeddings = corpus.embeddings
-        metas = corpus.metas
-        inventory = corpus.inventory
-
-        @staticmethod
-        def meta_by_utt():
-            return {m.utt_id: m for m in corpus.metas}
-
-        speaker_ids = tuple(dict.fromkeys(m.speaker_id for m in corpus.metas))
-
-    return _View()
 
 
 def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
@@ -344,9 +320,11 @@ def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> 
     for split in splits:
         trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
         metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
+        transcripts = {m.utt_id: m.transcript or "" for m in metas}
+        tested = dict.fromkeys(t.test_utt_id for t in trials)
         classified = {
-            m.utt_id: metrics.classify_phrase(m.transcript or "", inventory)
-            for m in metas
+            u: metrics.classify_phrase(transcripts[u], inventory)
+            for u in tested if u in transcripts
         }
         for system in _fusion_inputs(cfg):
             src = _workpath(cfg, f"scores_{system}_{split}.txt")
@@ -392,11 +370,8 @@ def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
         fileio.read_scores(_workpath(cfg, f"scores_{s}_eval.txt")) for s in systems
     ]
     fused = metrics.fuse(eval_sets, weights)
-    weight_lines = [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)]
     wpath = _workpath(cfg, "fusion_weights.txt")
-    Path(wpath).parent.mkdir(parents=True, exist_ok=True)
-    with open(wpath, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(weight_lines) + "\n")
+    fileio.write_lines(wpath, [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)])
     spath = _workpath(cfg, "scores_fused_eval.txt")
     fileio.write_scores(spath, fused)
     return [wpath, spath]
@@ -417,9 +392,7 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
             f"min_dcf={repr(metrics.min_dcf(scores, keys, params))}"
         )
     out = _workpath(cfg, "metrics.txt")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio.write_lines(out, lines)
     print("\n".join(lines))
     return [out]
 
@@ -450,6 +423,5 @@ def cmd_e2e(cfg: PipelineConfig) -> List[Path]:
     )
     lines += [f"sha256 {name} {digest}" for name, digest in digests]
     manifest = _workpath(cfg, "manifest.txt")
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio.write_lines(manifest, lines)
     return written + [manifest]

@@ -71,13 +71,6 @@ class SynthCorpus:
     embeddings: tuple
     metas: tuple
     inventory: PhraseInventory
-    speaker_factors: np.ndarray  # (n_speakers, dim)
-    phrase_factors: np.ndarray  # (n_phrases, dim)
-    language_shift: np.ndarray  # (dim,) unit direction
-    config: GenConfig
-
-    def meta_by_utt(self) -> dict:
-        return {m.utt_id: m for m in self.metas}
 
     @property
     def speaker_ids(self) -> tuple:
@@ -85,7 +78,7 @@ class SynthCorpus:
         return tuple(seen)
 
     def subset_by_speakers(self, speaker_ids: Sequence[str]) -> "SynthCorpus":
-        """Restrict to the given speakers, keeping inventory and factors."""
+        """Restrict to the given speakers, keeping the inventory."""
         keep = set(speaker_ids)
         metas = tuple(m for m in self.metas if m.speaker_id in keep)
         utts = {m.utt_id for m in metas}
@@ -136,7 +129,7 @@ def gen_transcript(reference_text: str, error_rate: float, seed: int) -> str:
     return "".join(out)
 
 
-def gen_corpus(config: GenConfig, id_prefix: str = "") -> SynthCorpus:
+def gen_corpus(config: GenConfig) -> SynthCorpus:
     """Generate a corpus under the latent-factor model. Same seed, same bytes.
 
     Draw order is fixed: speaker factors, phrase factors, language direction,
@@ -163,7 +156,7 @@ def gen_corpus(config: GenConfig, id_prefix: str = "") -> SynthCorpus:
 
     embeddings, metas = [], []
     for s in range(config.n_speakers):
-        spk_id = f"{id_prefix}spk{s:03d}"
+        spk_id = f"spk{s:03d}"
         for p in range(config.n_phrases):
             for j in range(config.n_utts_per_cell):
                 utt_id = f"{spk_id}_ph{p:02d}_u{j:02d}"
@@ -190,15 +183,7 @@ def gen_corpus(config: GenConfig, id_prefix: str = "") -> SynthCorpus:
                         transcript=transcript,
                     )
                 )
-    return SynthCorpus(
-        embeddings=tuple(embeddings),
-        metas=tuple(metas),
-        inventory=inventory,
-        speaker_factors=spk_factors,
-        phrase_factors=phr_factors,
-        language_shift=d_lang,
-        config=config,
-    )
+    return SynthCorpus(embeddings=tuple(embeddings), metas=tuple(metas), inventory=inventory)
 
 
 @dataclass(frozen=True)
@@ -209,16 +194,29 @@ class TrialProtocol:
     keys: tuple
     enroll_map: dict  # model_id -> tuple of enrollment utt_ids
 
-    @property
-    def key_by_trial(self) -> dict:
-        return {k.trial_id: k.label for k in self.keys}
+
+_LABELS = {
+    Task.TD: (TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW),
+    Task.TI: (TrialLabel.TARGET, TrialLabel.NONTARGET),
+}
 
 
-def _allocate(n_trials: int, proportions: Sequence[float]) -> list:
-    """Largest-remainder allocation of n_trials over the given proportions."""
+def trial_proportions(task: Task, proportions: Optional[Sequence[float]] = None) -> list:
+    """The checked per-label proportions of a task; None gives uniform ones."""
+    labels = _LABELS[task]
+    if proportions is None:
+        return [1.0 / len(labels)] * len(labels)
     props = [float(p) for p in proportions]
-    if any(p < 0 for p in props) or sum(props) <= 0:
-        raise ValueError("proportions must be non-negative and sum > 0")
+    if len(props) != len(labels):
+        names = ", ".join(label.name for label in labels)
+        raise ValueError(f"{task.value} proportions must have {len(labels)} entries ({names})")
+    if not all(0 <= p < np.inf for p in props) or sum(props) <= 0:
+        raise ValueError("proportions must be finite, non-negative and sum > 0")
+    return props
+
+
+def _allocate(n_trials: int, props: Sequence[float]) -> list:
+    """Largest-remainder allocation of n_trials over checked proportions."""
     props = [p / sum(props) for p in props]
     base = [int(np.floor(n_trials * p)) for p in props]
     remainders = [n_trials * p - b for p, b in zip(props, base)]
@@ -233,14 +231,15 @@ def _choice(rng: np.random.Generator, items: Sequence):
 
 
 def gen_trials(
-    corpus: SynthCorpus,
+    metas: Sequence[UttMeta],
+    inventory: PhraseInventory,
     task: Task,
     n_trials: int,
     seed: int,
     proportions: Optional[Sequence[float]] = None,
     n_enroll: int = 3,
 ) -> TrialProtocol:
-    """Sample a keyed trial list over the corpus.
+    """Sample a keyed trial list over the utterances in `metas`.
 
     TD mode enrolls per (speaker, phrase) cell and emits TC/TW/IC/IW labels
     with the requested proportions (default uniform). TI mode enrolls each
@@ -251,36 +250,22 @@ def gen_trials(
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     rng = np.random.default_rng(seed)
-    meta_by_utt = corpus.meta_by_utt()
-    speakers = corpus.speaker_ids
-    if len(speakers) < 2:
+    if len({m.speaker_id for m in metas}) < 2:
         raise ValueError("trial generation needs at least 2 speakers")
-
+    if task is Task.TD and any(m.phrase_id is None for m in metas):
+        raise ValueError("TD trials require phrase labels on every utterance")
+    counts = dict(zip(_LABELS[task], _allocate(n_trials, trial_proportions(task, proportions))))
     if task is Task.TD:
-        if any(m.phrase_id is None for m in corpus.metas):
-            raise ValueError("TD trials require phrase labels on every utterance")
-        props = list(proportions) if proportions is not None else [0.25] * 4
-        if len(props) != 4:
-            raise ValueError("TD proportions must have 4 entries (TC, TW, IC, IW)")
-        counts = dict(zip([TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW],
-                          _allocate(n_trials, props)))
-        return _gen_td(corpus, counts, n_enroll, rng, meta_by_utt)
-
-    props = list(proportions) if proportions is not None else [0.5, 0.5]
-    if len(props) != 2:
-        raise ValueError("TI proportions must have 2 entries (TARGET, NONTARGET)")
-    counts = dict(zip([TrialLabel.TARGET, TrialLabel.NONTARGET],
-                      _allocate(n_trials, props)))
-    return _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt)
+        return _gen_td(metas, inventory, counts, n_enroll, rng)
+    return _gen_ti(metas, counts, n_enroll, rng)
 
 
-def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
-    phrases = corpus.inventory.phrase_ids
+def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     # Enrollment cells: first n_enroll utterances of each (speaker, phrase)
     # cell enroll; the rest are that cell's test pool.
     cells: dict = {}
     test_pool: dict = {}
-    for m in corpus.metas:
+    for m in metas:
         cells.setdefault((m.speaker_id, m.phrase_id), []).append(m.utt_id)
     enroll_map = {}
     models = []
@@ -293,13 +278,13 @@ def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
         models.append((model_id, spk, phr))
     if not models:
         raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
-    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(phrases) < 2:
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
     trials, keys = [], []
     idx = 0
-    for label in [TrialLabel.TC, TrialLabel.TW, TrialLabel.IC, TrialLabel.IW]:
-        for _ in range(counts[label]):
+    for label, count in counts.items():
+        for _ in range(count):
             model_id, spk, phr = _choice(rng, models)
             if label is TrialLabel.TC:
                 pool = test_pool.get((spk, phr), [])
@@ -319,11 +304,11 @@ def _gen_td(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
     return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
 
 
-def _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
+def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
     # Enroll each speaker on its first n_enroll L1 utterances; every other
     # utterance (any language) is eligible as test material.
     by_spk: dict = {}
-    for m in corpus.metas:
+    for m in metas:
         by_spk.setdefault(m.speaker_id, []).append(m)
     enroll_map = {}
     test_pool: dict = {}
@@ -345,8 +330,8 @@ def _gen_ti(corpus, counts, n_enroll, rng, meta_by_utt) -> TrialProtocol:
 
     trials, keys = [], []
     idx = 0
-    for label in [TrialLabel.TARGET, TrialLabel.NONTARGET]:
-        for _ in range(counts[label]):
+    for label, count in counts.items():
+        for _ in range(count):
             spk = _choice(rng, eligible)
             if label is TrialLabel.TARGET:
                 test_utt = _choice(rng, test_pool[spk])

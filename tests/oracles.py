@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from spkver.core import NumericalError
+from spkver.core import NumericalError, build_enroll_model
 from spkver.metrics import DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf
 
 
@@ -344,3 +344,36 @@ def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
         if best is None or (cost, err) < (best[0], best[1]):
             best = (cost, err, w)
     return best[2]
+
+
+def nplda_training_pairs_literal(protocol, embeddings, metas, phrases):
+    """The pairs each phrase's NPLDA training sees, selected trial by trial.
+
+    Returns phrase -> (enroll, test, labels, claimed phrases, spoken phrases)
+    for every phrase with at least 4 same-phrase trials of both classes; the
+    other phrases keep their generative init and are absent.
+    """
+    emb_of = {e.utt_id: e for e in embeddings}
+    meta_of = {m.utt_id: m for m in metas}
+    label_of = {k.trial_id: k.label for k in protocol.keys}
+    models = {
+        mid: build_enroll_model(mid, [emb_of[u] for u in utts])
+        for mid, utts in protocol.enroll_map.items()
+    }
+    out = {}
+    for phrase in phrases:
+        rows = [
+            t for t in protocol.trials
+            if t.claimed_phrase_id == phrase and meta_of[t.test_utt_id].phrase_id == phrase
+        ]
+        labels = [label_of[t.trial_id].is_target for t in rows]
+        if len(rows) < 4 or all(labels) or not any(labels):
+            continue
+        out[phrase] = (
+            np.stack([models[t.model_id].centroid for t in rows]),
+            np.stack([emb_of[t.test_utt_id].vec for t in rows]),
+            labels,
+            [t.claimed_phrase_id for t in rows],
+            [meta_of[t.test_utt_id].phrase_id for t in rows],
+        )
+    return out

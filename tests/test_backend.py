@@ -10,7 +10,6 @@ from spkver.backend import (
     _marginal_loglik,
     cosine_score,
     plda_em_train,
-    plda_llr_score,
     train_phrase_plda_bank,
 )
 from spkver.core import NumericalError
@@ -228,22 +227,21 @@ class TestPldaScoring:
         rng = np.random.default_rng(2)
         for _ in range(10):
             e, t = rng.normal(size=2), rng.normal(size=2)
-            assert plda_llr_score(model, e, t) == pytest.approx(
-                plda_llr_score(model, t, e), abs=1e-10
+            assert PldaScorer(model).score(e, t) == pytest.approx(
+                PldaScorer(model).score(t, e), abs=1e-10
             )
 
     def test_no_speaker_information_scores_zero(self):
         model = PldaModel(mu=np.zeros(2), sigma_b=np.zeros((2, 2)), sigma_w=np.eye(2))
         rng = np.random.default_rng(3)
         for _ in range(5):
-            assert plda_llr_score(model, rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
+            assert PldaScorer(model).score(rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_same_point_at_mean_dominates(self):
         model = self._model(4)
         far = model.mu + 10.0
-        assert plda_llr_score(model, model.mu, model.mu) >= plda_llr_score(
-            model, model.mu, far
-        )
+        scorer = PldaScorer(model)
+        assert scorer.score(model.mu, model.mu) >= scorer.score(model.mu, far)
 
     def test_matches_numeric_integration(self):
         # quadrature oracle: integrate the latent speaker variable in 2-D
@@ -264,7 +262,7 @@ class TestPldaScoring:
             num, err = integrate.dblquad(integrand, -9, 9, -9, 9,
                                          epsabs=1e-12, epsrel=1e-9)
             expected = np.log(num) - marg.logpdf(e) - marg.logpdf(t)
-            assert plda_llr_score(model, e, t) == pytest.approx(expected, abs=1e-6)
+            assert PldaScorer(model).score(e, t) == pytest.approx(expected, abs=1e-6)
             assert err < 1e-10
 
     def test_batch_scorer_matches_single(self):
@@ -333,8 +331,8 @@ class TestPhraseBank:
         bank, failures = train_phrase_plda_bank(x, spk, phr, iters=5)
         assert failures == {}
         direct, _ = plda_em_train(x, spk, iters=5)
-        np.testing.assert_allclose(bank.models["ph0"].sigma_b, direct.sigma_b)
-        np.testing.assert_allclose(bank.models["ph0"].sigma_w, direct.sigma_w)
+        np.testing.assert_allclose(bank["ph0"].sigma_b, direct.sigma_b)
+        np.testing.assert_allclose(bank["ph0"].sigma_w, direct.sigma_w)
 
     def test_disjoint_subsets_train_independently(self):
         x, spk, phr = self._corpus(2)
@@ -342,7 +340,7 @@ class TestPhraseBank:
         assert failures == {}
         mask = [p == "ph1" for p in phr]
         direct, _ = plda_em_train(x[mask], [s for s, m in zip(spk, mask) if m], iters=5)
-        np.testing.assert_allclose(bank.models["ph1"].sigma_w, direct.sigma_w)
+        np.testing.assert_allclose(bank["ph1"].sigma_w, direct.sigma_w)
 
     def test_single_speaker_phrase_reports_failure(self):
         x, spk, phr = self._corpus(3)
@@ -351,4 +349,4 @@ class TestPhraseBank:
         phr = phr + ["ph_solo"] * 3
         bank, failures = train_phrase_plda_bank(x, spk, phr, iters=5)
         assert "ph_solo" in failures
-        assert "ph_solo" not in bank.models
+        assert "ph_solo" not in bank

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import as_norm_literal
-from spkver import backend, fileio, norm, pipeline
+from oracles import as_norm_literal, nplda_training_pairs_literal
+from spkver import backend, fileio, metrics, norm, nplda, pipeline, synthgen
 from spkver.backend import cosine_score
 from spkver.cli import main
 from spkver.config import load_config
@@ -138,6 +138,20 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("settings, message", [
+        (["proportions=0.5,0.5"], "TD proportions must have 4 entries"),
+        (["task=TI", "proportions=0.25,0.25,0.25,0.25"], "TI proportions must have 2 entries"),
+        (["proportions=0.5,-0.1,0.5,0.1"], "non-negative"),
+        (["proportions=0,0,0,0"], "sum > 0"),
+        (["task=TI", "backends=cosine,nplda"], "the nplda backend needs phrase labels"),
+    ])
+    def test_bad_trial_setting_fails_before_any_stage(self, tmp_path, capsys, settings,
+                                                      message):
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, *settings)) == 2
+        assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
 
 class TestStageInputs:
     def _meta_reads(self, monkeypatch):
@@ -170,6 +184,30 @@ class TestStageInputs:
         names = self._meta_reads(monkeypatch)
         pipeline.cmd_norm(cfg)
         assert names == ["meta_train.meta"] + split_metas
+
+    def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        cfg = load_config(overrides=BASE + [f"workdir={workdir}"])
+        calls = []
+        classify = metrics.classify_phrase
+
+        def counting(transcript, inventory):
+            calls.append(transcript)
+            return classify(transcript, inventory)
+
+        monkeypatch.setattr(metrics, "classify_phrase", counting)
+        before = _digests(workdir)
+        pipeline.cmd_filter(cfg)
+        tested = n_utts = 0
+        for split in ("dev", "eval"):
+            trials = fileio.read_trials(workdir / f"trials_{split}.txt")
+            tested += len({t.test_utt_id for t in trials})
+            n_utts += len(fileio.read_metas(workdir / f"meta_{split}.meta"))
+        assert len(calls) == tested < n_utts
+        assert _digests(workdir) == before
 
 
 class TestErrorExitCodes:
@@ -251,3 +289,27 @@ class TestBackendTraining:
         # one call per phrase of the NPLDA bank, plus the global model on every row
         assert rows_per_call.count(n_train) == global_calls
         assert len(rows_per_call) == cfg.n_phrases + global_calls
+
+    def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
+        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
+        embeddings, metas = pipeline._load_split(cfg, "train", extracted=True)
+        protocols, seen = [], {}
+        gen_trials, train_nplda = synthgen.gen_trials, nplda.train_nplda
+
+        def recording_gen(*args, **kwargs):
+            protocols.append(gen_trials(*args, **kwargs))
+            return protocols[-1]
+
+        def recording_train(init, enroll, test, labels, claimed, spoken, config):
+            seen[claimed[0]] = (enroll, test, list(labels), list(claimed), list(spoken))
+            return train_nplda(init, enroll, test, labels, claimed, spoken, config)
+
+        monkeypatch.setattr(synthgen, "gen_trials", recording_gen)
+        monkeypatch.setattr(nplda, "train_nplda", recording_train)
+        bank = pipeline._train_nplda_bank(cfg, embeddings, metas)
+        expected = nplda_training_pairs_literal(protocols[0], embeddings, metas, list(bank))
+        assert expected and list(seen) == list(expected)
+        for phrase, (enroll, test, labels, claimed, spoken) in expected.items():
+            np.testing.assert_array_equal(seen[phrase][0], enroll)
+            np.testing.assert_array_equal(seen[phrase][1], test)
+            assert seen[phrase][2:] == (labels, claimed, spoken)

@@ -405,11 +405,17 @@ def _train_corpus(**kw):
     return gen_corpus(GenConfig(**base))
 
 
+def _train_inputs(corpus):
+    """The (features, metas, inventory) arguments of `train` for a corpus."""
+    return np.stack([e.vec for e in corpus.embeddings]), corpus.metas, corpus.inventory
+
+
 class TestTrain:
     def test_zero_epochs_leaves_parameters_unchanged(self):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=0)
-        result = train(net, corpus, TrainConfig(strategy=Strategy.AAM_ONLY, epochs=0))
+        result = train(net, *_train_inputs(corpus),
+                       TrainConfig(strategy=Strategy.AAM_ONLY, epochs=0))
         np.testing.assert_array_equal(result.extractor.w1, net.w1)
         np.testing.assert_array_equal(result.extractor.w2, net.w2)
         assert result.loss_trace == ()
@@ -419,7 +425,7 @@ class TestTrain:
         net = Extractor.init(6, 8, 5, seed=1)
         cfg = TrainConfig(strategy=Strategy.AAM_ONLY, epochs=200,
                           lr_initial=0.05, lr_final=1e-3)
-        result = train(net, corpus, cfg)
+        result = train(net, *_train_inputs(corpus), cfg)
         assert result.loss_trace[-1] < result.loss_trace[0]
 
     def test_training_is_bit_reproducible(self):
@@ -427,8 +433,8 @@ class TestTrain:
         net = Extractor.init(6, 8, 5, seed=2)
         cfg = TrainConfig(strategy=Strategy.PCT, epochs=5, lr_initial=0.02,
                           lr_final=0.01, pct_speakers_per_batch=3, seed=33)
-        a = train(net, corpus, cfg)
-        b = train(net, corpus, cfg)
+        a = train(net, *_train_inputs(corpus), cfg)
+        b = train(net, *_train_inputs(corpus), cfg)
         np.testing.assert_array_equal(a.extractor.w1, b.extractor.w1)
         np.testing.assert_array_equal(a.extractor.w2, b.extractor.w2)
         assert a.loss_trace == b.loss_trace
@@ -438,8 +444,9 @@ class TestTrain:
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=3)
         w1_before = net.w1.copy()
-        train(net, corpus, TrainConfig(strategy=Strategy.SPK_PLUS_PHRASE, epochs=3,
-                                       lr_initial=0.05, lr_final=0.01))
+        train(net, *_train_inputs(corpus),
+              TrainConfig(strategy=Strategy.SPK_PLUS_PHRASE, epochs=3,
+                          lr_initial=0.05, lr_final=0.01))
         np.testing.assert_array_equal(net.w1, w1_before)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -448,11 +455,17 @@ class TestTrain:
         net = Extractor.init(6, 8, 5, seed=4)
         cfg = TrainConfig(strategy=strategy, epochs=4, lr_initial=0.05, lr_final=0.01,
                           pct_speakers_per_batch=3)
-        result = train(net, corpus, cfg)
+        result = train(net, *_train_inputs(corpus), cfg)
         assert len(result.loss_trace) == 4
         for head in result.heads.values():
             np.testing.assert_allclose(np.linalg.norm(head.weights, axis=1), 1.0,
                                        atol=1e-12)
+
+    def test_features_need_one_row_per_meta(self):
+        feats, metas, inventory = _train_inputs(_train_corpus())
+        net = Extractor.init(6, 8, 5, seed=5)
+        with pytest.raises(ValueError, match="one row per meta"):
+            train(net, feats[:-1], metas, inventory, TrainConfig(epochs=1))
 
     def test_phrase_strategy_requires_phrase_labels(self):
         corpus = _train_corpus()
@@ -460,9 +473,7 @@ class TestTrain:
             type(m)(m.utt_id, m.speaker_id, None, m.language, m.transcript)
             for m in corpus.metas
         ]
-        from spkver.extractor import CorpusView
-
-        view = CorpusView(corpus.embeddings, tuple(stripped), corpus.inventory)
+        feats, _, inventory = _train_inputs(corpus)
         net = Extractor.init(6, 8, 5, seed=5)
         with pytest.raises(ValueError, match="requires phrase labels"):
-            train(net, view, TrainConfig(strategy=Strategy.PMT, epochs=1))
+            train(net, feats, stripped, inventory, TrainConfig(strategy=Strategy.PMT, epochs=1))

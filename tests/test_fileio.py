@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spkver import fileio
-from spkver.backend import PldaModel
 from spkver.core import (
     Embedding,
     Language,
@@ -16,7 +15,6 @@ from spkver.core import (
 )
 from spkver.extractor import Extractor
 from spkver.fileio import DataFormatError
-from spkver.nplda import NpldaParams
 from spkver.norm import LangClassifier
 
 
@@ -164,27 +162,6 @@ class TestInventory:
 
 
 class TestModelContainers:
-    def test_plda_round_trip(self, tmp_path, rng):
-        a = rng.normal(size=(3, 3))
-        model = PldaModel(mu=rng.normal(size=3), sigma_b=a @ a.T, sigma_w=np.eye(3) * 0.37)
-        path = tmp_path / "plda.txt"
-        fileio.write_plda(path, model)
-        back = fileio.read_plda(path)
-        np.testing.assert_array_equal(back.mu, model.mu)
-        np.testing.assert_array_equal(back.sigma_b, model.sigma_b)
-        np.testing.assert_array_equal(back.sigma_w, model.sigma_w)
-
-    def test_nplda_round_trip(self, tmp_path, rng):
-        g = rng.normal(size=(2, 2))
-        params = NpldaParams(rng.normal(size=(2, 2)), g + g.T, rng.normal(size=2), -1.25)
-        path = tmp_path / "nplda.txt"
-        fileio.write_nplda(path, params)
-        back = fileio.read_nplda(path)
-        np.testing.assert_array_equal(back.lam, params.lam)
-        np.testing.assert_array_equal(back.gamma, params.gamma)
-        np.testing.assert_array_equal(back.c, params.c)
-        assert back.k == params.k
-
     def test_checkpoint_round_trip(self, tmp_path):
         net = Extractor.init(4, 6, 3, seed=9)
         path = tmp_path / "ckpt.txt"
@@ -206,8 +183,8 @@ class TestModelContainers:
         net = Extractor.init(2, 2, 2, seed=0)
         path = tmp_path / "ckpt.txt"
         fileio.write_checkpoint(path, net, strategy="AAM_ONLY", seed=0)
-        with pytest.raises(DataFormatError, match="expected a PLDA file"):
-            fileio.read_plda(path)
+        with pytest.raises(DataFormatError, match="expected a LANGCLF file"):
+            fileio.read_lang_classifier(path)
 
     def test_container_text_is_per_value_repr(self, tmp_path, rng):
         mat = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-20, 20, size=(3, 4))

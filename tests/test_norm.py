@@ -152,7 +152,7 @@ class TestLanguageDependentAsNorm:
         cohort = build_cohort(cohort_corpus.embeddings, cohort_corpus.metas)
         n_top = effective_n_top(10, cohort, language_dependent=True)
 
-        meta = eval_corpus.meta_by_utt()
+        meta = {m.utt_id: m for m in eval_corpus.metas}
         gaps = {}
         for mode in ("plain", "lang"):
             same, cross = [], []
@@ -195,7 +195,7 @@ class TestLanguageDependentAsNorm:
 
 class TestLanguageId:
     def _labeled(self, corpus):
-        metas = corpus.meta_by_utt()
+        metas = {m.utt_id: m for m in corpus.metas}
         x = np.stack([e.vec for e in corpus.embeddings])
         langs = [metas[e.utt_id].language for e in corpus.embeddings]
         return x, langs
@@ -262,7 +262,7 @@ class TestBuildCohort:
             noise_sigma=0.3, seed=12,
         ))
         cohort = build_cohort(corpus.embeddings, corpus.metas)
-        meta = corpus.meta_by_utt()
+        meta = {m.utt_id: m for m in corpus.metas}
         expected = {(m.speaker_id, m.language) for m in corpus.metas}
         assert len(cohort) == len(expected)
         for entry in cohort.entries:

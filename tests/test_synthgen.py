@@ -128,12 +128,13 @@ class TestGenTranscript:
 class TestGenTrials:
     def test_td_all_tc(self):
         corpus = gen_corpus(_cfg())
-        protocol = gen_trials(corpus, Task.TD, 40, seed=1, proportions=(1, 0, 0, 0))
+        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 40, seed=1,
+                              proportions=(1, 0, 0, 0))
         assert all(k.label is TrialLabel.TC for k in protocol.keys)
 
     def test_td_histogram_matches_proportions(self):
         corpus = gen_corpus(_cfg())
-        protocol = gen_trials(corpus, Task.TD, 101, seed=2,
+        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 101, seed=2,
                               proportions=(0.4, 0.1, 0.4, 0.1))
         counts = {}
         for k in protocol.keys:
@@ -146,11 +147,11 @@ class TestGenTrials:
 
     def test_td_protocol_consistent_and_labels_truthful(self):
         corpus = gen_corpus(_cfg())
-        protocol = gen_trials(corpus, Task.TD, 120, seed=3)
+        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
         assert validate_protocol(protocol.trials, protocol.keys,
                                  corpus.metas, protocol.enroll_map) == []
-        meta = corpus.meta_by_utt()
-        key = protocol.key_by_trial
+        meta = {m.utt_id: m for m in corpus.metas}
+        key = {k.trial_id: k.label for k in protocol.keys}
         for trial in protocol.trials:
             _, spk, phr = trial.model_id.split("_")
             test = meta[trial.test_utt_id]
@@ -169,25 +170,26 @@ class TestGenTrials:
 
     def test_ti_exact_count_and_consistency(self):
         corpus = gen_corpus(_cfg(n_utts_per_cell=8))
-        protocol = gen_trials(corpus, Task.TI, 100, seed=4)
+        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 100, seed=4)
         assert len(protocol.trials) == 100 and len(protocol.keys) == 100
         assert validate_protocol(protocol.trials, protocol.keys,
                                  corpus.metas, protocol.enroll_map) == []
 
     def test_ti_enrollment_is_l1_only(self):
         corpus = gen_corpus(_cfg(n_utts_per_cell=8))
-        protocol = gen_trials(corpus, Task.TI, 50, seed=5)
-        meta = corpus.meta_by_utt()
+        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 50, seed=5)
+        meta = {m.utt_id: m for m in corpus.metas}
         for utt_ids in protocol.enroll_map.values():
             assert all(meta[u].language is Language.L1 for u in utt_ids)
 
     def test_tw_with_single_phrase_is_infeasible(self):
         corpus = gen_corpus(_cfg(n_phrases=1))
         with pytest.raises(ValueError):
-            gen_trials(corpus, Task.TD, 10, seed=6, proportions=(0.5, 0.5, 0, 0))
+            gen_trials(corpus.metas, corpus.inventory, Task.TD, 10, seed=6,
+                       proportions=(0.5, 0.5, 0, 0))
 
     def test_determinism(self):
         corpus = gen_corpus(_cfg())
-        a = gen_trials(corpus, Task.TD, 60, seed=9)
-        b = gen_trials(corpus, Task.TD, 60, seed=9)
+        a = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
+        b = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         assert a.trials == b.trials and a.keys == b.keys
