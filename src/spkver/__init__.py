@@ -4,13 +4,12 @@ Modules by role: core (domain types), synthgen (corpus generator),
 extractor (embedding network and training objectives), backend (cosine and
 two-covariance PLDA), nplda (discriminative pair scorer), norm (adaptive
 score normalization and language id), metrics (EER / minDCF / filtering /
-fusion), fileio (text formats), pipeline + cli (orchestration).
+fusion), fileio (.npz arrays and text formats), pipeline + cli
+(orchestration).
 """
 
 from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, train_phrase_plda_bank
 from .core import (
-    Embedding,
-    EnrollModel,
     Language,
     NumericalError,
     PhraseEntry,

@@ -99,6 +99,16 @@ class PipelineConfig:
             raise ConfigError("train_fraction + dev_fraction must leave room for eval")
         if self.n_top < 2:
             raise ConfigError(f"n_top must be >= 2, got {self.n_top}")
+        for name in ("n_dev_trials", "n_eval_trials", "n_enroll"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # TD enrolls on the first n_enroll utterances of every (speaker, phrase)
+        # cell and tests on the rest; TI enrolls across all of a speaker's phrases.
+        if self.task == "TD" and self.n_enroll >= self.n_utts_per_cell:
+            raise ConfigError(
+                f"task=TD needs n_enroll < n_utts_per_cell, got {self.n_enroll} "
+                f"and {self.n_utts_per_cell}"
+            )
         try:
             self.train_config()
             grid_divisions(self.grid_step)

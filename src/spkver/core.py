@@ -1,7 +1,8 @@
-"""Core domain types: utterances, embeddings, enrollment models, trials, keys.
+"""Core domain types: utterance labels, trials, keys, phrase inventories.
 
 Everything here is immutable after construction; the operations are pure
-functions.
+functions. Vectors are plain arrays: a split is a pair (ids, x) with one row
+of x per id.
 """
 
 from __future__ import annotations
@@ -42,32 +43,6 @@ class TrialLabel(Enum):
         return self in (TrialLabel.TC, TrialLabel.TARGET)
 
 
-def _as_vector(vec) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector has non-finite components")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """A fixed-dimension vector attached to one utterance."""
-
-    utt_id: str
-    vec: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vec", _as_vector(self.vec))
-
-    @property
-    def dim(self) -> int:
-        return int(self.vec.shape[0])
-
-
 @dataclass(frozen=True)
 class UttMeta:
     """Speaker / phrase / language / transcript labels for one utterance.
@@ -80,27 +55,6 @@ class UttMeta:
     phrase_id: Optional[str]
     language: Language
     transcript: Optional[str] = None
-
-
-@dataclass(frozen=True, eq=False)
-class EnrollModel:
-    """Representation of a speaker built from enrollment utterances.
-
-    The centroid always has unit Euclidean norm.
-    """
-
-    model_id: str
-    utt_ids: tuple
-    centroid: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.utt_ids:
-            raise ValueError("enrollment model needs at least one utterance")
-        vec = _as_vector(self.centroid)
-        if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-            raise ValueError("enrollment centroid must have unit norm")
-        object.__setattr__(self, "centroid", vec)
-        object.__setattr__(self, "utt_ids", tuple(self.utt_ids))
 
 
 @dataclass(frozen=True)
@@ -154,26 +108,20 @@ class PhraseInventory:
         return tuple(e.phrase_id for e in self.entries)
 
 
-def build_enroll_model(model_id: str, embeddings: Sequence[Embedding]) -> EnrollModel:
-    """Average enrollment embeddings and scale the mean to unit norm.
+def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
+    """The unit-norm mean of a model's (n, D) enrollment rows: its centroid.
 
-    Raises ValueError on an empty list or a dimension mismatch, and
+    Raises ValueError unless the rows form a non-empty (n, D) array, and
     NumericalError when the mean cancels to (near) zero norm.
     """
-    if not embeddings:
-        raise ValueError("enrollment needs at least one embedding")
-    dims = {e.dim for e in embeddings}
-    if len(dims) != 1:
-        raise ValueError(f"embedding dimension mismatch: {sorted(dims)}")
-    mean = np.mean([e.vec for e in embeddings], axis=0)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError(f"model {model_id}: expected (n, D) enrollment rows, got {rows.shape}")
+    mean = rows.mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
         raise NumericalError(f"zero-norm centroid for model {model_id}")
-    return EnrollModel(
-        model_id=model_id,
-        utt_ids=tuple(e.utt_id for e in embeddings),
-        centroid=mean / norm,
-    )
+    return mean / norm
 
 
 def validate_protocol(

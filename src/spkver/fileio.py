@@ -1,20 +1,33 @@
-"""Bit-exact, line-oriented file formats tying the pipeline together.
+"""File formats tying the pipeline together.
 
-All files are UTF-8 with LF endings and single-space separators. Floats are
-printed as the shortest decimal that round-trips the underlying 64-bit
-value (Python repr), so write -> read reproduces every object exactly.
+Numeric artifacts are uncompressed `.npz` archives (`np.savez`), read back
+with `allow_pickle=False`:
+
+- an id-keyed matrix (features, embeddings) holds `ids`, a 1-D unicode array
+  of unique whitespace-free ids, and `x`, a finite 2-D float64 array with one
+  row per id (`write_matrix` / `read_matrix`);
+- a model file holds named arrays (`write_arrays` / `read_arrays`): the
+  extractor checkpoint `w1`, `b1`, `w2`, `b2`, `strategy` and `seed`, the
+  language classifier `weights` and `bias`.
+
+numpy stores every member with a fixed zip timestamp, so equal arrays give
+equal bytes. Everything people read (metadata, inventory, trials, keys,
+enrollment maps, scores) is UTF-8 text with LF endings and single-space
+separators; scores are printed as the shortest decimal that round-trips the
+64-bit value (Python repr). Every reader raises DataFormatError naming the
+file and the line or member at fault.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zipfile
 from pathlib import Path
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    Embedding,
     Language,
     NumericalError,
     PhraseEntry,
@@ -27,7 +40,7 @@ from .core import (
 
 
 class DataFormatError(ValueError):
-    """Malformed data file; message carries file and line number."""
+    """Malformed data file; the message names the file and the line or member."""
 
 
 def _fmt(value: float) -> str:
@@ -68,41 +81,99 @@ def sha256_of(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# embeddings
+# binary arrays
+
+# What np.load raises on a truncated or corrupt archive or member.
+_NPZ_ERRORS = (OSError, EOFError, KeyError, NotImplementedError, ValueError, zipfile.BadZipFile)
 
 
-def write_embeddings(path, embeddings: Sequence[Embedding]) -> None:
-    if not embeddings:
-        raise ValueError("refusing to write an empty embedding file")
-    dim = embeddings[0].dim
-    lines = [f"EMB {dim}"]
-    for emb in embeddings:
-        if emb.dim != dim:
-            raise ValueError(f"embedding {emb.utt_id} has dim {emb.dim}, expected {dim}")
-        _check_token(emb.utt_id, "utt_id")
-        lines.append(emb.utt_id + " " + " ".join(map(repr, emb.vec.tolist())))
-    write_lines(path, lines)
+def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write named arrays as an uncompressed .npz at exactly `path`."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:  # a handle, so numpy adds no .npz suffix
+        np.savez(fh, **arrays)
 
 
-def read_embeddings(path) -> list:
-    lines = _read_lines(path)
-    if not lines or not lines[0].startswith("EMB "):
-        _fail(path, 1, "expected 'EMB <dim>' header")
+def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
+    """The named members of an .npz file; any other member is ignored.
+
+    A file that is not an .npz archive, a missing, truncated or corrupt member
+    and an object array (which would need unpickling) raise DataFormatError.
+    """
     try:
-        dim = int(lines[0].split(" ")[1])
-    except (IndexError, ValueError):
-        _fail(path, 1, "bad embedding header")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            _fail(path, lineno, f"expected utt_id plus {dim} values, got {len(parts) - 1}")
+        fh = open(path, "rb")  # np.load leaks the handles it opens on a corrupt zip
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    out = {}
+    with fh:
         try:
-            vec = np.asarray(list(map(float, parts[1:])))
-        except ValueError:
-            _fail(path, lineno, "non-numeric embedding value")
-        out.append(Embedding(utt_id=parts[0], vec=vec))
+            npz = np.load(fh, allow_pickle=False)
+        except _NPZ_ERRORS as exc:
+            raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from exc
+        if isinstance(npz, np.ndarray):
+            raise DataFormatError(f"{path}: a bare .npy array, not an .npz archive")
+        with npz:
+            for name in names:
+                if name not in npz.files:
+                    raise DataFormatError(f"{path}: missing member {name!r}")
+                try:
+                    out[name] = npz[name]
+                except _NPZ_ERRORS as exc:
+                    raise DataFormatError(f"{path}: member {name!r} is unreadable: {exc}") from exc
     return out
+
+
+def _floats(path, name: str, value: np.ndarray, ndim: int) -> np.ndarray:
+    if value.dtype != np.float64 or value.ndim != ndim:
+        raise DataFormatError(
+            f"{path}: member {name!r} must be a {ndim}-D float64 array, "
+            f"got {value.ndim}-D {value.dtype}"
+        )
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DataFormatError(
+            f"{path}: member {name!r} has non-finite values at {np.argwhere(bad)[0].tolist()}"
+        )
+    return value
+
+
+def _checked_matrix(path, ids: np.ndarray, x: np.ndarray):
+    """Validated (ids as a list of str, x) of an id-keyed matrix."""
+    if ids.dtype.kind != "U" or ids.ndim != 1 or ids.size == 0:
+        raise DataFormatError(
+            f"{path}: member 'ids' must be a non-empty 1-D unicode array, "
+            f"got shape {ids.shape} {ids.dtype}"
+        )
+    id_list = ids.tolist()
+    seen = set()
+    for token in id_list:
+        try:
+            _check_token(token, "id")
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: member 'ids': {exc}") from exc
+        if token in seen:
+            raise DataFormatError(f"{path}: member 'ids': duplicate id {token!r}")
+        seen.add(token)
+    _floats(path, "x", x, 2)
+    if x.shape[0] != len(id_list):
+        raise DataFormatError(
+            f"{path}: member 'x' has {x.shape[0]} rows for {len(id_list)} ids"
+        )
+    return id_list, x
+
+
+def write_matrix(path, ids: Sequence[str], x: np.ndarray) -> None:
+    """Write an id-keyed matrix: `ids` plus `x`, one float64 row per id."""
+    ids_arr = np.asarray(ids, dtype=str)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    _checked_matrix(path, ids_arr, x)
+    write_arrays(path, {"ids": ids_arr, "x": x})
+
+
+def read_matrix(path):
+    """(ids, x) of an id-keyed matrix: a list of str and an (N, D) float64 array."""
+    arrays = read_arrays(path, ("ids", "x"))
+    return _checked_matrix(path, arrays["ids"], arrays["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,129 +341,45 @@ def read_scores(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# typed model containers: named MAT blocks plus a SCALARS block
-
-
-def write_container(
-    path,
-    kind: str,
-    mats: Mapping[str, np.ndarray],
-    scalars: Mapping[str, float],
-    strings: Mapping[str, str] = {},
-) -> None:
-    lines = [kind]
-    for name, value in strings.items():
-        lines.append(f"STR {_check_token(name, 'name')} {_check_token(value, 'value')}")
-    for name, mat in mats.items():
-        arr = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-        lines.append(f"MAT {_check_token(name, 'name')} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(map(repr, row.tolist())))
-    lines.append("SCALARS")
-    for name, value in scalars.items():
-        lines.append(f"{_check_token(name, 'name')} {_fmt(value)}")
-    write_lines(path, lines)
-
-
-def read_container(path, expected_kind: str = None):
-    lines = _read_lines(path)
-    if not lines:
-        _fail(path, 1, "empty container file")
-    kind = lines[0]
-    if expected_kind is not None and kind != expected_kind:
-        _fail(path, 1, f"expected a {expected_kind} file, found {kind!r}")
-    strings: Dict[str, str] = {}
-    mats: Dict[str, np.ndarray] = {}
-    scalars: Dict[str, float] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "SCALARS":
-        parts = lines[i].split(" ")
-        if parts[0] == "STR":
-            if len(parts) != 3:
-                _fail(path, i + 1, "expected 'STR <name> <value>'")
-            strings[parts[1]] = parts[2]
-            i += 1
-        elif parts[0] == "MAT":
-            if len(parts) != 4:
-                _fail(path, i + 1, "expected 'MAT <name> <rows> <cols>'")
-            try:
-                rows, cols = int(parts[2]), int(parts[3])
-            except ValueError:
-                _fail(path, i + 1, "non-integer matrix shape")
-            block = lines[i + 1 : i + 1 + rows]
-            if len(block) != rows:
-                _fail(path, i + 1, f"matrix {parts[1]} truncated")
-            try:
-                mat = np.asarray([list(map(float, row.split(" "))) for row in block])
-            except ValueError:
-                _fail(path, i + 2, f"non-numeric value in matrix {parts[1]}")
-            if mat.shape != (rows, cols):
-                _fail(path, i + 1, f"matrix {parts[1]} shape mismatch")
-            mats[parts[1]] = mat
-            i += 1 + rows
-        else:
-            _fail(path, i + 1, f"unexpected line {lines[i]!r}")
-    if i == len(lines):
-        _fail(path, len(lines), "missing SCALARS block")
-    for lineno, line in enumerate(lines[i + 1 :], start=i + 2):
-        parts = line.split(" ")
-        if len(parts) != 2:
-            _fail(path, lineno, "expected '<name> <value>' scalar line")
-        try:
-            scalars[parts[0]] = float(parts[1])
-        except ValueError:
-            _fail(path, lineno, f"non-numeric scalar {parts[1]!r}")
-    return kind, strings, mats, scalars
-
-
-# ---------------------------------------------------------------------------
 # checkpoint and language classifier
 
 
 def write_checkpoint(path, extractor, strategy: str, seed: int) -> None:
-    write_container(
-        path,
-        "CKPT",
-        strings={"strategy": strategy},
-        mats={
-            "w1": extractor.w1,
-            "b1": extractor.b1,
-            "w2": extractor.w2,
-            "b2": extractor.b2,
-        },
-        scalars={
-            "in_dim": extractor.in_dim,
-            "hidden_dim": extractor.w1.shape[0],
-            "emb_dim": extractor.emb_dim,
-            "seed": seed,
-        },
-    )
+    write_arrays(path, {
+        "w1": extractor.w1,
+        "b1": extractor.b1,
+        "w2": extractor.w2,
+        "b2": extractor.b2,
+        "strategy": np.asarray(_check_token(strategy, "strategy")),
+        "seed": np.asarray(seed, dtype=np.int64),
+    })
 
 
 def read_checkpoint(path):
     from .extractor import Extractor
 
-    _, strings, mats, scalars = read_container(path, "CKPT")
-    for name in ("w1", "b1", "w2", "b2"):
-        if name not in mats:
-            raise DataFormatError(f"{path}: missing matrix {name}")
-    extractor = Extractor(
-        w1=mats["w1"], b1=mats["b1"][0], w2=mats["w2"], b2=mats["b2"][0]
-    )
-    return extractor, strings.get("strategy", ""), int(scalars.get("seed", 0))
+    arrays = read_arrays(path, ("w1", "b1", "w2", "b2", "strategy", "seed"))
+    strategy, seed = arrays["strategy"], arrays["seed"]
+    if strategy.dtype.kind != "U" or strategy.ndim != 0:
+        raise DataFormatError(f"{path}: member 'strategy' must be a unicode scalar")
+    if seed.dtype != np.int64 or seed.ndim != 0:
+        raise DataFormatError(f"{path}: member 'seed' must be an int64 scalar")
+    extractor = Extractor(**{
+        name: _floats(path, name, arrays[name], ndim)
+        for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1))
+    })
+    return extractor, str(strategy), int(seed)
 
 
 def write_lang_classifier(path, classifier) -> None:
-    write_container(
-        path,
-        "LANGCLF",
-        mats={"weights": classifier.weights, "bias": classifier.bias},
-        scalars={},
-    )
+    write_arrays(path, {"weights": classifier.weights, "bias": classifier.bias})
 
 
 def read_lang_classifier(path):
     from .norm import LangClassifier
 
-    _, _, mats, _ = read_container(path, "LANGCLF")
-    return LangClassifier(weights=mats["weights"], bias=mats["bias"][0])
+    arrays = read_arrays(path, ("weights", "bias"))
+    return LangClassifier(
+        weights=_floats(path, "weights", arrays["weights"], 2),
+        bias=_floats(path, "bias", arrays["bias"], 1),
+    )

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import Embedding, Language, NumericalError, UttMeta
+from .core import Language, NumericalError, UttMeta
 
 # A broadcasting pair scorer: (..., D) with (..., D) -> (...) scores.
 Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -61,26 +61,26 @@ class NormStats:
     n_top: int
 
 
-def build_cohort(embeddings: Sequence[Embedding], metas: Sequence[UttMeta]) -> Cohort:
-    """One averaged embedding per (speaker, language) pair.
+def build_cohort(ids: Sequence[str], x: np.ndarray, metas: Sequence[UttMeta]) -> Cohort:
+    """One averaged row of x (one row per id) per (speaker, language) pair.
 
     Averaging per language keeps each entry's language tag well defined,
     which the language-dependent filter needs.
     """
     meta_of = {m.utt_id: m for m in metas}
     groups: Dict[tuple, list] = {}
-    for emb in embeddings:
-        meta = meta_of.get(emb.utt_id)
+    for row, utt_id in enumerate(ids):
+        meta = meta_of.get(utt_id)
         if meta is None:
-            raise ValueError(f"no metadata for cohort utterance {emb.utt_id}")
-        groups.setdefault((meta.speaker_id, meta.language), []).append(emb.vec)
+            raise ValueError(f"no metadata for cohort utterance {utt_id}")
+        groups.setdefault((meta.speaker_id, meta.language), []).append(row)
     entries = [
         CohortEntry(
             utt_id=f"{spk}:{lang.value}",
-            vec=np.mean(vecs, axis=0),
+            vec=x[rows].mean(axis=0),
             language=lang,
         )
-        for (spk, lang), vecs in groups.items()
+        for (spk, lang), rows in groups.items()
     ]
     return Cohort(tuple(entries))
 

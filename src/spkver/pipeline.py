@@ -2,18 +2,22 @@
 
 Every stage reads its inputs from the working directory and writes its
 outputs there, so any stage rerun from on-disk state reproduces its prior
-outputs byte-for-byte. File layout (all under cfg.workdir):
+outputs byte-for-byte. File layout (all under cfg.workdir; fileio describes
+the formats):
 
-    feats_{split}.emb, meta_{split}.meta   synthetic features + labels
-    inventory.txt                          phrase inventory
+    feats_{split}.npz              features: members ids, x (one row per id)
+    meta_{split}.meta              utterance labels, in the order of the ids
+    inventory.txt                  phrase inventory
     trials_{split}.txt, keys_{split}.txt, enroll_{split}.txt
-    ckpt.txt                               trained extractor
-    emb_{split}.emb                        extracted embeddings
-    lang_clf.txt                           language classifier (norm with LID)
-    scores_{system}_{split}.txt            trial scores per system
+                                   trial lists, their keys, enrollment maps
+    ckpt.npz                       trained extractor: w1, b1, w2, b2, strategy, seed
+    emb_{split}.npz                extracted embeddings: members ids, x
+    lang_clf.npz                   language classifier (norm with LID): weights, bias
+    scores_{system}_{split}.txt    trial scores per system
     fusion_weights.txt, metrics.txt, manifest.txt
 
-Splits are train / dev / eval, by disjoint speaker groups of one corpus.
+Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
+split travels as (ids, x): its utterance ids and one matrix row per id.
 Scoring and normalization work on whole splits: each backend scores a
 split's row-aligned (enroll, test) arrays in one call (NPLDA in one call
 per claimed phrase), and AS-norm takes its cohort statistics in one call
@@ -82,9 +86,9 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
     written: List[Path] = []
     for split, spk_ids in groups.items():
         sub = corpus.subset_by_speakers(spk_ids)
-        fileio.write_embeddings(_workpath(cfg, f"feats_{split}.emb"), sub.embeddings)
+        fileio.write_matrix(_workpath(cfg, f"feats_{split}.npz"), sub.ids, sub.x)
         fileio.write_metas(_workpath(cfg, f"meta_{split}.meta"), sub.metas)
-        written += [_workpath(cfg, f"feats_{split}.emb"), _workpath(cfg, f"meta_{split}.meta")]
+        written += [_workpath(cfg, f"feats_{split}.npz"), _workpath(cfg, f"meta_{split}.meta")]
         if split == "train":
             continue
         n_trials = cfg.n_dev_trials if split == "dev" else cfg.n_eval_trials
@@ -112,10 +116,14 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
 
 
 def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
-    emb_name = f"emb_{split}.emb" if extracted else f"feats_{split}.emb"
-    embeddings = fileio.read_embeddings(_workpath(cfg, emb_name))
+    """(ids, x, metas) of a split's features, or with `extracted` of its
+    embeddings; the metadata must list the same ids in the same order."""
+    path = _workpath(cfg, f"emb_{split}.npz" if extracted else f"feats_{split}.npz")
+    ids, x = fileio.read_matrix(path)
     metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
-    return embeddings, metas
+    if ids != [m.utt_id for m in metas]:
+        raise fileio.DataFormatError(f"{path}: ids differ from those of meta_{split}.meta")
+    return ids, x, metas
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +132,24 @@ def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
 
 def cmd_train(cfg: PipelineConfig) -> List[Path]:
     """Train the embedding network on the train split."""
-    embeddings, metas = _load_split(cfg, "train")
+    _, feats, metas = _load_split(cfg, "train")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 6)
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
-    feats = np.stack([e.vec for e in embeddings])
     result = extractor.train(net, feats, metas, inventory, cfg.train_config(seed=seeds[5]))
-    path = _workpath(cfg, "ckpt.txt")
+    path = _workpath(cfg, "ckpt.npz")
     fileio.write_checkpoint(path, result.extractor, cfg.strategy, cfg.seed)
     return [path]
 
 
 def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Path]:
     """Map every split's features through the trained network."""
-    net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.txt"))
+    net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.npz"))
     written = []
     for split in splits:
-        feats = fileio.read_embeddings(_workpath(cfg, f"feats_{split}.emb"))
-        mat = np.stack([e.vec for e in feats])
-        unit = extractor.extract_embeddings(net, mat)
-        out = [
-            type(feats[0])(utt_id=e.utt_id, vec=v) for e, v in zip(feats, unit)
-        ]
-        path = _workpath(cfg, f"emb_{split}.emb")
-        fileio.write_embeddings(path, out)
+        ids, feats = fileio.read_matrix(_workpath(cfg, f"feats_{split}.npz"))
+        path = _workpath(cfg, f"emb_{split}.npz")
+        fileio.write_matrix(path, ids, extractor.extract_embeddings(net, feats))
         written.append(path)
     return written
 
@@ -156,24 +158,25 @@ def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Pat
 # scoring
 
 
-def _pair_vectors(embeddings, enroll_map, trials):
-    """Row-aligned (N, D) enroll centroids and test vectors of the trials."""
-    emb_by_utt = {e.utt_id: e for e in embeddings}
-    models = {
-        model_id: build_enroll_model(model_id, [emb_by_utt[u] for u in utt_ids])
+def _pair_vectors(ids, x, enroll_map, trials):
+    """Row-aligned (N, D) enroll centroids and test vectors of the trials,
+    from the rows of x (one per id)."""
+    row_of = {u: i for i, u in enumerate(ids)}
+    centroids = {
+        model_id: build_enroll_model(model_id, x[[row_of[u] for u in utt_ids]])
         for model_id, utt_ids in enroll_map.items()
     }
-    enroll = np.stack([models[t.model_id].centroid for t in trials])
-    test = np.stack([emb_by_utt[t.test_utt_id].vec for t in trials])
+    enroll = np.stack([centroids[t.model_id] for t in trials])
+    test = x[[row_of[t.test_utt_id] for t in trials]]
     return enroll, test
 
 
 def _trial_vectors(cfg: PipelineConfig, split: str):
     """A split's trials with their row-aligned (N, D) enroll and test vectors."""
-    embeddings = fileio.read_embeddings(_workpath(cfg, f"emb_{split}.emb"))
+    ids, x = fileio.read_matrix(_workpath(cfg, f"emb_{split}.npz"))
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
     enroll_map = fileio.read_enroll_map(_workpath(cfg, f"enroll_{split}.txt"))
-    enroll, test = _pair_vectors(embeddings, enroll_map, trials)
+    enroll, test = _pair_vectors(ids, x, enroll_map, trials)
     return trials, enroll, test
 
 
@@ -183,15 +186,14 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
     scorers: Dict[str, Callable] = {"cosine": lambda trials, e, t: backend.cosine_score(e, t)}
     if not ({"plda", "nplda"} & set(cfg.backends)):
         return scorers
-    embeddings, metas = _load_split(cfg, "train", extracted=True)
+    ids, x, metas = _load_split(cfg, "train", extracted=True)
     if "plda" in cfg.backends:
-        x = np.stack([e.vec for e in embeddings])
         spk = [m.speaker_id for m in metas]
         plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
         plda_scorer = backend.PldaScorer(plda_model)
         scorers["plda"] = lambda trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
-        params_by_phrase = _train_nplda_bank(cfg, embeddings, metas)
+        params_by_phrase = _train_nplda_bank(cfg, ids, x, metas)
         scorers["nplda"] = functools.partial(_score_by_claimed_phrase, params_by_phrase)
     return scorers
 
@@ -209,9 +211,8 @@ def _score_by_claimed_phrase(params_by_phrase, trials, e, t) -> np.ndarray:
     return scores
 
 
-def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda.NpldaParams]:
+def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, nplda.NpldaParams]:
     """Per-phrase NPLDA bank: generative init plus same-phrase cost training."""
-    x = np.stack([e.vec for e in embeddings])
     spk = [m.speaker_id for m in metas]
     phr = [m.phrase_id for m in metas]
     bank, failures = backend.train_phrase_plda_bank(x, spk, phr, iters=cfg.plda_iters)
@@ -224,7 +225,7 @@ def _train_nplda_bank(cfg: PipelineConfig, embeddings, metas) -> Dict[str, nplda
         metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
         proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
     )
-    enroll, test = _pair_vectors(embeddings, protocol.enroll_map, protocol.trials)
+    enroll, test = _pair_vectors(ids, x, protocol.enroll_map, protocol.trials)
     phrase_of_utt = {m.utt_id: m.phrase_id for m in metas}
     claimed = np.asarray([t.claimed_phrase_id for t in protocol.trials], dtype=object)
     spoken = np.asarray([phrase_of_utt[t.test_utt_id] for t in protocol.trials], dtype=object)
@@ -273,19 +274,18 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
 
 def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
     """AS-Norm (optionally language-dependent) over the norm_backend scores."""
-    train_emb, train_meta = _load_split(cfg, "train", extracted=True)
-    cohort = norm.build_cohort(train_emb, train_meta)
+    train_ids, train_x, train_meta = _load_split(cfg, "train", extracted=True)
+    cohort = norm.build_cohort(train_ids, train_x, train_meta)
     n_top = norm.effective_n_top(cfg.n_top, cohort, cfg.language_dependent)
     cohort_scorer = backend.cosine_score  # cosine cohort scores, whatever the norm_backend
 
     classifier = None
     written = []
     if cfg.language_dependent and cfg.use_lid:
-        x = np.stack([e.vec for e in train_emb])
         langs = [m.language for m in train_meta]
-        classifier = norm.train_language_id(x, langs, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
-        fileio.write_lang_classifier(_workpath(cfg, "lang_clf.txt"), classifier)
-        written.append(_workpath(cfg, "lang_clf.txt"))
+        classifier = norm.train_language_id(train_x, langs, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
+        fileio.write_lang_classifier(_workpath(cfg, "lang_clf.npz"), classifier)
+        written.append(_workpath(cfg, "lang_clf.npz"))
     for split in splits:
         raw = fileio.read_scores(_workpath(cfg, f"scores_{cfg.norm_backend}_{split}.txt"))
         trials, enroll, test = _trial_vectors(cfg, split)
@@ -316,16 +316,18 @@ def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> 
     if cfg.task != "TD":
         raise ConfigError("the phrase filter applies to TD trials only")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
+    phrase_of_text: Dict[str, str] = {}  # a transcript's phrase depends on its text only
     written = []
     for split in splits:
         trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
         metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
         transcripts = {m.utt_id: m.transcript or "" for m in metas}
-        tested = dict.fromkeys(t.test_utt_id for t in trials)
-        classified = {
-            u: metrics.classify_phrase(transcripts[u], inventory)
-            for u in tested if u in transcripts
-        }
+        tested = {t.test_utt_id: transcripts[t.test_utt_id]
+                  for t in trials if t.test_utt_id in transcripts}
+        for text in tested.values():
+            if text not in phrase_of_text:
+                phrase_of_text[text] = metrics.classify_phrase(text, inventory)
+        classified = {u: phrase_of_text[text] for u, text in tested.items()}
         for system in _fusion_inputs(cfg):
             src = _workpath(cfg, f"scores_{system}_{split}.txt")
             scores = fileio.read_scores(src)

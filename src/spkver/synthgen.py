@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    Embedding,
     Language,
     NumericalError,
     PhraseEntry,
@@ -66,9 +65,12 @@ class GenConfig:
             raise ValueError("transcript_error_rate must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthCorpus:
-    embeddings: tuple
+    """Utterance ids, their (N, dim) vectors (one row per id) and labels."""
+
+    ids: tuple
+    x: np.ndarray
     metas: tuple
     inventory: PhraseInventory
 
@@ -80,10 +82,13 @@ class SynthCorpus:
     def subset_by_speakers(self, speaker_ids: Sequence[str]) -> "SynthCorpus":
         """Restrict to the given speakers, keeping the inventory."""
         keep = set(speaker_ids)
-        metas = tuple(m for m in self.metas if m.speaker_id in keep)
-        utts = {m.utt_id for m in metas}
-        embeddings = tuple(e for e in self.embeddings if e.utt_id in utts)
-        return replace(self, embeddings=embeddings, metas=metas)
+        rows = [i for i, m in enumerate(self.metas) if m.speaker_id in keep]
+        return replace(
+            self,
+            ids=tuple(self.ids[i] for i in rows),
+            x=self.x[rows],
+            metas=tuple(self.metas[i] for i in rows),
+        )
 
 
 def _gen_reference_texts(rng: np.random.Generator, n_phrases: int) -> list:
@@ -154,7 +159,8 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
     )
     inventory = PhraseInventory(entries)
 
-    embeddings, metas = [], []
+    ids, metas = [], []
+    x = np.empty((config.n_speakers * config.n_phrases * config.n_utts_per_cell, config.dim))
     for s in range(config.n_speakers):
         spk_id = f"spk{s:03d}"
         for p in range(config.n_phrases):
@@ -173,7 +179,8 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
                     config.transcript_error_rate,
                     seed=int(rng.integers(2**63)),
                 )
-                embeddings.append(Embedding(utt_id=utt_id, vec=vec / norm))
+                x[len(ids)] = vec / norm
+                ids.append(utt_id)
                 metas.append(
                     UttMeta(
                         utt_id=utt_id,
@@ -183,7 +190,7 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
                         transcript=transcript,
                     )
                 )
-    return SynthCorpus(embeddings=tuple(embeddings), metas=tuple(metas), inventory=inventory)
+    return SynthCorpus(ids=tuple(ids), x=x, metas=tuple(metas), inventory=inventory)
 
 
 @dataclass(frozen=True)

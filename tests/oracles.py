@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from spkver.core import NumericalError, build_enroll_model
+from spkver.core import NumericalError
 from spkver.metrics import DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf
 
 
@@ -346,20 +346,20 @@ def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
     return best[2]
 
 
-def nplda_training_pairs_literal(protocol, embeddings, metas, phrases):
+def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     """The pairs each phrase's NPLDA training sees, selected trial by trial.
 
     Returns phrase -> (enroll, test, labels, claimed phrases, spoken phrases)
     for every phrase with at least 4 same-phrase trials of both classes; the
     other phrases keep their generative init and are absent.
     """
-    emb_of = {e.utt_id: e for e in embeddings}
+    vec_of = dict(zip(ids, x))
     meta_of = {m.utt_id: m for m in metas}
     label_of = {k.trial_id: k.label for k in protocol.keys}
-    models = {
-        mid: build_enroll_model(mid, [emb_of[u] for u in utts])
-        for mid, utts in protocol.enroll_map.items()
-    }
+    centroid_of = {}
+    for mid, utts in protocol.enroll_map.items():
+        mean = np.mean([vec_of[u] for u in utts], axis=0)
+        centroid_of[mid] = mean / np.linalg.norm(mean)
     out = {}
     for phrase in phrases:
         rows = [
@@ -370,8 +370,8 @@ def nplda_training_pairs_literal(protocol, embeddings, metas, phrases):
         if len(rows) < 4 or all(labels) or not any(labels):
             continue
         out[phrase] = (
-            np.stack([models[t.model_id].centroid for t in rows]),
-            np.stack([emb_of[t.test_utt_id].vec for t in rows]),
+            np.stack([centroid_of[t.model_id] for t in rows]),
+            np.stack([vec_of[t.test_utt_id] for t in rows]),
             labels,
             [t.claimed_phrase_id for t in rows],
             [meta_of[t.test_utt_id].phrase_id for t in rows],

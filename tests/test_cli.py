@@ -45,9 +45,9 @@ class TestSubcommands:
     def test_e2e_writes_expected_files(self, e2e_dir):
         names = {p.name for p in Path(e2e_dir).iterdir()}
         for expected in (
-            "feats_train.emb", "meta_eval.meta", "inventory.txt",
+            "feats_train.npz", "meta_eval.meta", "inventory.txt",
             "trials_eval.txt", "keys_dev.txt", "enroll_eval.txt",
-            "ckpt.txt", "emb_eval.emb",
+            "ckpt.npz", "emb_eval.npz", "lang_clf.npz",
             "scores_cosine_eval.txt", "scores_plda_dev.txt",
             "scores_cosine_norm_eval.txt", "scores_cosine_norm_filt_eval.txt",
             "scores_fused_eval.txt", "fusion_weights.txt",
@@ -116,6 +116,25 @@ class TestConfigHandling:
         assert main(["gen", "--set", f"workdir={workdir}", "--set", setting]) == 2
         assert message in capsys.readouterr().err
         assert not workdir.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("n_enroll=8", "task=TD needs n_enroll < n_utts_per_cell, got 8 and 8"),
+        ("n_dev_trials=0", "n_dev_trials must be >= 1, got 0"),
+        ("n_eval_trials=-1", "n_eval_trials must be >= 1, got -1"),
+        ("n_enroll=0", "n_enroll must be >= 1, got 0"),
+    ])
+    def test_bad_protocol_size_fails_before_any_stage(self, tmp_path, capsys, setting, message):
+        workdir = tmp_path / "w"
+        assert main(["e2e", "--set", f"workdir={workdir}", "--set", setting]) == 2
+        assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
+    def test_ti_enrollment_may_use_a_whole_cell(self):
+        # TI enrolls on a speaker's L1 utterances across all phrases, so
+        # n_enroll may reach n_utts_per_cell (the ti-plda-norm benchmark does)
+        cfg = load_config(overrides=["task=TI", "n_utts_per_cell=3", "n_enroll=3",
+                                     "norm_backend=plda", "language_dependent=false"])
+        assert cfg.n_enroll == cfg.n_utts_per_cell == 3
 
     def test_grid_step_not_dividing_one_fails_before_any_stage(self, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -201,12 +220,16 @@ class TestStageInputs:
         monkeypatch.setattr(metrics, "classify_phrase", counting)
         before = _digests(workdir)
         pipeline.cmd_filter(cfg)
-        tested = n_utts = 0
+        tested_texts, n_utts = set(), 0
         for split in ("dev", "eval"):
             trials = fileio.read_trials(workdir / f"trials_{split}.txt")
-            tested += len({t.test_utt_id for t in trials})
-            n_utts += len(fileio.read_metas(workdir / f"meta_{split}.meta"))
-        assert len(calls) == tested < n_utts
+            metas = fileio.read_metas(workdir / f"meta_{split}.meta")
+            text_of = {m.utt_id: m.transcript or "" for m in metas}
+            tested_texts |= {text_of[t.test_utt_id] for t in trials}
+            n_utts += len(metas)
+        # one call per distinct transcript of a tested utterance, across splits
+        assert sorted(calls) == sorted(tested_texts)
+        assert len(calls) < n_utts
         assert _digests(workdir) == before
 
 
@@ -214,10 +237,22 @@ class TestErrorExitCodes:
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         assert main(["gen"] + _args(workdir)) == 0
-        (workdir / "feats_train.emb").write_text("EMB 2\nu1 0.5\n")
+        path = workdir / "feats_train.npz"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
         code = main(["train"] + _args(workdir))
         assert code == 3
-        assert "feats_train.emb:2" in capsys.readouterr().err
+        assert f"data error: {path}: not a readable .npz archive" in capsys.readouterr().err
+
+    def test_features_out_of_step_with_metadata_is_data_error(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert main(["gen"] + _args(workdir)) == 0
+        path = workdir / "feats_train.npz"
+        ids, x = fileio.read_matrix(path)
+        fileio.write_matrix(path, ids[::-1], x[::-1])
+        capsys.readouterr()
+        assert main(["train"] + _args(workdir)) == 3
+        assert f"{path}: ids differ from those of meta_train.meta" in capsys.readouterr().err
 
     def test_fusion_trial_mismatch_is_data_error(self, e2e_dir, tmp_path, capsys):
         import shutil
@@ -252,10 +287,10 @@ class TestNormAgainstLiteral:
     @pytest.mark.parametrize("split", ["dev", "eval"])
     def test_norm_scores_match_trial_at_a_time_oracle(self, e2e_dir, split):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}"])
-        train_emb, train_meta = pipeline._load_split(cfg, "train", extracted=True)
-        cohort = norm.build_cohort(train_emb, train_meta)
+        train_ids, train_x, train_meta = pipeline._load_split(cfg, "train", extracted=True)
+        cohort = norm.build_cohort(train_ids, train_x, train_meta)
         n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
-        classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.txt")
+        classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.npz")
         trials, enroll, test = pipeline._trial_vectors(cfg, split)
         raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v)[0] for v in test]
@@ -275,7 +310,7 @@ class TestBackendTraining:
         self, e2e_dir, monkeypatch, backends, global_calls
     ):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", f"backends={backends}"])
-        n_train = len(fileio.read_embeddings(Path(e2e_dir) / "emb_train.emb"))
+        n_train = len(fileio.read_matrix(Path(e2e_dir) / "emb_train.npz")[0])
         rows_per_call = []
         train = backend.plda_em_train
 
@@ -292,7 +327,7 @@ class TestBackendTraining:
 
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
-        embeddings, metas = pipeline._load_split(cfg, "train", extracted=True)
+        ids, x, metas = pipeline._load_split(cfg, "train", extracted=True)
         protocols, seen = [], {}
         gen_trials, train_nplda = synthgen.gen_trials, nplda.train_nplda
 
@@ -306,8 +341,8 @@ class TestBackendTraining:
 
         monkeypatch.setattr(synthgen, "gen_trials", recording_gen)
         monkeypatch.setattr(nplda, "train_nplda", recording_train)
-        bank = pipeline._train_nplda_bank(cfg, embeddings, metas)
-        expected = nplda_training_pairs_literal(protocols[0], embeddings, metas, list(bank))
+        bank = pipeline._train_nplda_bank(cfg, ids, x, metas)
+        expected = nplda_training_pairs_literal(protocols[0], ids, x, metas, list(bank))
         assert expected and list(seen) == list(expected)
         for phrase, (enroll, test, labels, claimed, spoken) in expected.items():
             np.testing.assert_array_equal(seen[phrase][0], enroll)

@@ -407,7 +407,7 @@ def _train_corpus(**kw):
 
 def _train_inputs(corpus):
     """The (features, metas, inventory) arguments of `train` for a corpus."""
-    return np.stack([e.vec for e in corpus.embeddings]), corpus.metas, corpus.inventory
+    return corpus.x, corpus.metas, corpus.inventory
 
 
 class TestTrain:

@@ -1,9 +1,13 @@
+import io
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spkver import fileio
 from spkver.core import (
-    Embedding,
     Language,
     NumericalError,
     PhraseEntry,
@@ -23,71 +27,176 @@ def rng():
     return np.random.default_rng(0)
 
 
+def _savez(path, **arrays):
+    """Write an .npz directly, bypassing the checks of fileio's writers."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class Unpickled(Exception):
+    pass
+
+
+def _trip():
+    raise Unpickled
+
+
+class _Tripwire:
+    """Raises Unpickled when it is unpickled."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+# awkward float64 values: signed zeros, subnormals, extremes and the 1-ulp
+# neighbours of each
+_MAX = float(np.finfo(np.float64).max)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX, 1.0, 0.1, 1e16]
+_EDGES += [float(np.nextafter(v, d)) for v in _EDGES[:] for d in (-_MAX, _MAX)]
+_FLOATS = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+# ids that str.split() keeps whole: no separators, no control characters
+_IDS = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1)
+
+
 class TestEmbeddingRoundTrip:
-    def test_bitwise_round_trip(self, tmp_path, rng):
-        # awkward values on purpose: denormals, negatives, integers
-        vecs = [rng.normal(size=4) * 10.0 ** rng.integers(-8, 8) for _ in range(20)]
-        vecs.append(np.array([1.0, -1.0, 0.0, 5e-324]))
-        embs = [Embedding(f"utt{i}", v) for i, v in enumerate(vecs)]
-        path = tmp_path / "x.emb"
-        fileio.write_embeddings(path, embs)
-        back = fileio.read_embeddings(path)
-        assert len(back) == len(embs)
-        for a, b in zip(embs, back):
-            assert a.utt_id == b.utt_id
-            np.testing.assert_array_equal(a.vec, b.vec)
+    @given(data=st.data(), n=st.integers(1, 6), dim=st.integers(1, 5))
+    def test_bitwise_round_trip(self, tmp_path_factory, data, n, dim):
+        ids = data.draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+        x = data.draw(hnp.arrays(np.float64, (n, dim), elements=_FLOATS))
+        path = tmp_path_factory.getbasetemp() / "round_trip.npz"
+        fileio.write_matrix(path, ids, x)
+        back_ids, back_x = fileio.read_matrix(path)
+        assert back_ids == ids
+        assert back_x.dtype == np.float64 and back_x.shape == (n, dim)
+        np.testing.assert_array_equal(back_x.view(np.uint64), x.view(np.uint64))
 
     def test_rewrite_is_byte_identical(self, tmp_path, rng):
-        embs = [Embedding(f"u{i}", rng.normal(size=3)) for i in range(5)]
-        p1, p2 = tmp_path / "a.emb", tmp_path / "b.emb"
-        fileio.write_embeddings(p1, embs)
-        fileio.write_embeddings(p2, fileio.read_embeddings(p1))
-        assert p1.read_bytes() == p2.read_bytes()
+        ids, x = [f"u{i}" for i in range(5)], rng.normal(size=(5, 3))
+        p1, p2, p3 = tmp_path / "a.npz", tmp_path / "b.npz", tmp_path / "c.npz"
+        fileio.write_matrix(p1, ids, x)
+        fileio.write_matrix(p2, ids, x.copy())
+        fileio.write_matrix(p3, *fileio.read_matrix(p1))
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+        # numpy stamps every member with the fixed zip epoch, not the clock
+        with zipfile.ZipFile(p1) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.emb"
+        path = tmp_path / "bad.npz"
         path.write_text("nope 1.0\n")
-        with pytest.raises(DataFormatError, match="bad.emb:1"):
-            fileio.read_embeddings(path)
+        with pytest.raises(DataFormatError, match="bad.npz: not a readable .npz archive"):
+            fileio.read_matrix(path)
+        np.save(path.with_suffix(".npy"), np.ones((2, 2)))
+        path.write_bytes(path.with_suffix(".npy").read_bytes())
+        with pytest.raises(DataFormatError, match="bad.npz: a bare .npy array"):
+            fileio.read_matrix(path)
 
-    def test_wrong_arity_reports_line(self, tmp_path):
-        path = tmp_path / "bad.emb"
-        path.write_text("EMB 2\nu1 1.0 2.0\nu2 1.0\n")
-        with pytest.raises(DataFormatError, match="bad.emb:3"):
-            fileio.read_embeddings(path)
+    def test_row_count_mismatch_reported(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        _savez(path, ids=np.asarray(["u1", "u2"]), x=np.ones((3, 2)))
+        with pytest.raises(DataFormatError, match="bad.npz: member 'x' has 3 rows for 2 ids"):
+            fileio.read_matrix(path)
+        _savez(path, ids=np.asarray(["u1", "u2"]), x=np.ones(2))
+        with pytest.raises(DataFormatError, match="member 'x' must be a 2-D float64 array"):
+            fileio.read_matrix(path)
 
     def test_whitespace_id_rejected_on_write(self, tmp_path):
-        with pytest.raises(ValueError):
-            fileio.write_embeddings(tmp_path / "x.emb", [Embedding("a b", np.ones(2))])
+        path = tmp_path / "x.npz"
+        with pytest.raises(DataFormatError, match="x.npz: member 'ids'.*whitespace-free"):
+            fileio.write_matrix(path, ["a b"], np.ones((1, 2)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("utt_id", ["", "a\tb", "a\nb", "a\u00a0b", "a\u2003b", " a"])
     def test_any_whitespace_or_empty_id_rejected(self, tmp_path, utt_id):
         with pytest.raises(ValueError, match="whitespace-free"):
-            fileio.write_embeddings(tmp_path / "x.emb", [Embedding(utt_id, np.ones(2))])
+            fileio.write_matrix(tmp_path / "x.npz", [utt_id], np.ones((1, 2)))
+        path = tmp_path / "y.npz"
+        _savez(path, ids=np.asarray(["u", utt_id]), x=np.ones((2, 2)))
+        with pytest.raises(DataFormatError, match="y.npz: member 'ids'.*whitespace-free"):
+            fileio.read_matrix(path)
 
-    def test_text_is_header_then_per_value_repr(self, tmp_path, rng):
-        vecs = [rng.normal(size=5) * 10.0 ** rng.integers(-300, 300) for _ in range(8)]
-        vecs.append(np.array([-0.0, 0.0, 5e-324, 1e16, 0.1]))
-        embs = [Embedding(f"u{i}", v) for i, v in enumerate(vecs)]
-        path = tmp_path / "x.emb"
-        fileio.write_embeddings(path, embs)
-        expected = "EMB 5\n" + "".join(
-            e.utt_id + "".join(" " + repr(float(v)) for v in e.vec) + "\n" for e in embs
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+    def test_duplicate_id_reported(self, tmp_path):
+        with pytest.raises(DataFormatError, match="duplicate id 'u1'"):
+            fileio.write_matrix(tmp_path / "x.npz", ["u1", "u2", "u1"], np.ones((3, 2)))
+        path = tmp_path / "y.npz"
+        _savez(path, ids=np.asarray(["u1", "u1"]), x=np.ones((2, 2)))
+        with pytest.raises(DataFormatError, match="y.npz: member 'ids': duplicate id 'u1'"):
+            fileio.read_matrix(path)
 
-    def test_non_numeric_value_reports_line(self, tmp_path):
-        path = tmp_path / "bad.emb"
-        path.write_text("EMB 2\nu1 1.0 2.0\nu2 1.0 x\n")
-        with pytest.raises(DataFormatError, match="bad.emb:3: non-numeric"):
-            fileio.read_embeddings(path)
+    def test_empty_matrix_refused(self, tmp_path):
+        with pytest.raises(DataFormatError, match="non-empty 1-D unicode array"):
+            fileio.write_matrix(tmp_path / "x.npz", [], np.ones((0, 2)))
+
+    def test_file_holds_ids_and_x_members(self, tmp_path, rng):
+        ids, x = ["u0", "u1", "u2"], rng.normal(size=(3, 4))
+        path = tmp_path / "x.npz"
+        fileio.write_matrix(path, ids, x)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["ids", "x"]
+            assert npz["ids"].dtype.kind == "U" and npz["ids"].tolist() == ids
+            assert npz["x"].dtype == np.float64
+            np.testing.assert_array_equal(npz["x"], x)
+
+    def test_non_float64_matrix_reported(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        for x in (np.ones((2, 2), dtype=np.int64), np.asarray([["1.0", "x"], ["1", "2"]]),
+                  np.ones((2, 2), dtype=np.float32)):
+            _savez(path, ids=np.asarray(["u1", "u2"]), x=x)
+            with pytest.raises(DataFormatError,
+                               match="bad.npz: member 'x' must be a 2-D float64 array"):
+                fileio.read_matrix(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_vector_rejected_on_read(self, tmp_path, bad):
-        path = tmp_path / "bad.emb"
-        path.write_text(f"EMB 2\nu1 1.0 {bad}\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            fileio.read_embeddings(path)
+        path = tmp_path / "bad.npz"
+        _savez(path, ids=np.asarray(["u1", "u2"]), x=np.array([[1.0, 2.0], [1.0, float(bad)]]))
+        with pytest.raises(DataFormatError,
+                           match=r"bad.npz: member 'x' has non-finite values at \[1, 1\]"):
+            fileio.read_matrix(path)
+
+    def test_non_finite_matrix_never_written(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with pytest.raises(DataFormatError, match="non-finite"):
+            fileio.write_matrix(path, ["u1"], np.array([[0.5, np.nan]]))
+        assert not path.exists()
+
+    def test_missing_member_reported(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        _savez(path, ids=np.asarray(["u1"]))
+        with pytest.raises(DataFormatError, match="bad.npz: missing member 'x'"):
+            fileio.read_matrix(path)
+
+    @pytest.mark.parametrize("member", ["ids", "x"])
+    def test_object_array_is_refused_unopened(self, tmp_path, member):
+        arrays = {"ids": np.asarray(["u1"]), "x": np.ones((1, 2))}
+        arrays[member] = np.asarray([_Tripwire()], dtype=object)
+        path = tmp_path / "bad.npz"
+        _savez(path, **arrays)
+        with pytest.raises(DataFormatError, match=f"bad.npz: member '{member}' is unreadable"):
+            fileio.read_matrix(path)
+        with np.load(path, allow_pickle=True) as npz, pytest.raises(Unpickled):
+            npz[member]  # the tripwire does fire when unpickled
+
+    def test_every_truncation_and_corruption_is_reported(self, tmp_path):
+        ids, x = ["u1", "u2"], np.arange(6.0).reshape(2, 3)
+        good = io.BytesIO()
+        np.savez(good, ids=np.asarray(ids), x=x)
+        data = good.getvalue()
+        path = tmp_path / "bad.npz"
+        damaged = [data[:n] for n in range(len(data))]
+        damaged += [data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:] for i in range(len(data))]
+        n_reported = 0
+        for blob in damaged:
+            path.write_bytes(blob)
+            try:
+                back = fileio.read_matrix(path)
+            except DataFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                n_reported += 1
+            else:  # damage to a field numpy does not read must not change the data
+                assert back[0] == ids
+                np.testing.assert_array_equal(back[1], x)
+        assert n_reported > len(data)
 
 
 class TestMetaRoundTrip:
@@ -164,7 +273,7 @@ class TestInventory:
 class TestModelContainers:
     def test_checkpoint_round_trip(self, tmp_path):
         net = Extractor.init(4, 6, 3, seed=9)
-        path = tmp_path / "ckpt.txt"
+        path = tmp_path / "ckpt.npz"
         fileio.write_checkpoint(path, net, strategy="PCT", seed=17)
         back, strategy, seed = fileio.read_checkpoint(path)
         assert strategy == "PCT" and seed == 17
@@ -173,7 +282,7 @@ class TestModelContainers:
 
     def test_lang_classifier_round_trip(self, tmp_path, rng):
         clf = LangClassifier(weights=rng.normal(size=(2, 5)), bias=rng.normal(size=2))
-        path = tmp_path / "clf.txt"
+        path = tmp_path / "clf.npz"
         fileio.write_lang_classifier(path, clf)
         back = fileio.read_lang_classifier(path)
         np.testing.assert_array_equal(back.weights, clf.weights)
@@ -181,30 +290,38 @@ class TestModelContainers:
 
     def test_kind_mismatch(self, tmp_path):
         net = Extractor.init(2, 2, 2, seed=0)
-        path = tmp_path / "ckpt.txt"
+        path = tmp_path / "ckpt.npz"
         fileio.write_checkpoint(path, net, strategy="AAM_ONLY", seed=0)
-        with pytest.raises(DataFormatError, match="expected a LANGCLF file"):
+        with pytest.raises(DataFormatError, match="ckpt.npz: missing member 'weights'"):
             fileio.read_lang_classifier(path)
 
-    def test_container_text_is_per_value_repr(self, tmp_path, rng):
-        mat = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-20, 20, size=(3, 4))
-        path = tmp_path / "c.txt"
-        fileio.write_container(path, "KIND", mats={"m": mat}, scalars={"k": 0.1},
-                               strings={"s": "v"})
-        rows = ["".join(" " + repr(float(v)) for v in row)[1:] for row in mat]
-        expected = "\n".join(["KIND", "STR s v", "MAT m 3 4", *rows, "SCALARS", "k 0.1"])
-        assert path.read_text() == expected + "\n"
-        _, _, mats, _ = fileio.read_container(path, "KIND")
-        np.testing.assert_array_equal(mats["m"], mat)
+    def test_file_holds_named_members(self, tmp_path):
+        net = Extractor.init(4, 6, 3, seed=9)
+        path = tmp_path / "ckpt.npz"
+        fileio.write_checkpoint(path, net, strategy="PCT", seed=17)
+        first = path.read_bytes()
+        fileio.write_checkpoint(path, net, strategy="PCT", seed=17)
+        assert path.read_bytes() == first
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["w1", "b1", "w2", "b2", "strategy", "seed"]
+            assert npz["strategy"].shape == () and str(npz["strategy"]) == "PCT"
+            assert npz["seed"].dtype == np.int64 and int(npz["seed"]) == 17
+            np.testing.assert_array_equal(npz["w2"], net.w2)
 
-    def test_non_numeric_matrix_value_reports_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("PLDA\nMAT mu 1 2\n1.0 y\nSCALARS\n")
-        with pytest.raises(DataFormatError, match="bad.txt:3: non-numeric value in matrix mu"):
-            fileio.read_container(path, "PLDA")
+    def test_non_float64_member_reported(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        _savez(path, weights=np.ones((2, 3), dtype=np.int64), bias=np.zeros(2))
+        with pytest.raises(DataFormatError,
+                           match="bad.npz: member 'weights' must be a 2-D float64 array"):
+            fileio.read_lang_classifier(path)
+        _savez(path, weights=np.ones((2, 3)), bias=np.array([0.0, np.inf]))
+        with pytest.raises(DataFormatError, match="bad.npz: member 'bias' has non-finite"):
+            fileio.read_lang_classifier(path)
 
-    def test_truncated_matrix_reports_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("PLDA\nMAT mu 1 2\n")
-        with pytest.raises(DataFormatError):
-            fileio.read_container(path, "PLDA")
+    def test_truncated_file_reported(self, tmp_path):
+        net = Extractor.init(2, 2, 2, seed=0)
+        path = tmp_path / "ckpt.npz"
+        fileio.write_checkpoint(path, net, strategy="AAM_ONLY", seed=0)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(DataFormatError, match="ckpt.npz: not a readable .npz archive"):
+            fileio.read_checkpoint(path)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import as_norm_literal, cohort_stats_literal
 from spkver.backend import cosine_score
-from spkver.core import Embedding, Language, NumericalError
+from spkver.core import Language, NumericalError
 from spkver.norm import (
     Cohort,
     CohortEntry,
@@ -149,37 +149,34 @@ class TestLanguageDependentAsNorm:
         speakers = corpus.speaker_ids
         cohort_corpus = corpus.subset_by_speakers(speakers[:15])
         eval_corpus = corpus.subset_by_speakers(speakers[15:])
-        cohort = build_cohort(cohort_corpus.embeddings, cohort_corpus.metas)
+        cohort = build_cohort(cohort_corpus.ids, cohort_corpus.x, cohort_corpus.metas)
         n_top = effective_n_top(10, cohort, language_dependent=True)
 
-        meta = {m.utt_id: m for m in eval_corpus.metas}
         gaps = {}
         for mode in ("plain", "lang"):
             same, cross = [], []
             by_spk = {}
-            for emb in eval_corpus.embeddings:
-                by_spk.setdefault(meta[emb.utt_id].speaker_id, []).append(emb)
-            for spk, embs in by_spk.items():
-                l1 = [e for e in embs if meta[e.utt_id].language is Language.L1]
+            for vec, meta in zip(eval_corpus.x, eval_corpus.metas):
+                by_spk.setdefault(meta.speaker_id, []).append((vec, meta.language))
+            for spk, rows in by_spk.items():
+                l1 = [i for i, (_, lang) in enumerate(rows) if lang is Language.L1]
                 if len(l1) < 4:
                     continue
-                centroid = np.mean([e.vec for e in l1[:3]], axis=0)
+                centroid = np.mean([rows[i][0] for i in l1[:3]], axis=0)
                 centroid /= np.linalg.norm(centroid)
-                enrolled = {e.utt_id for e in l1[:3]}
-                for emb in embs:
-                    if emb.utt_id in enrolled:
+                for i, (vec, lang) in enumerate(rows):
+                    if i in l1[:3]:
                         continue
-                    raw = cosine_score(centroid, emb.vec)
-                    lang = meta[emb.utt_id].language
+                    raw = cosine_score(centroid, vec)
                     if mode == "lang":
                         score = language_dependent_as_norm(
-                            raw, centroid, emb.vec, cohort, cosine_score, n_top, lang
+                            raw, centroid, vec, cohort, cosine_score, n_top, lang
                         )
                     else:
                         score = as_norm(
                             raw,
                             cohort_stats(centroid, cohort, cosine_score, n_top),
-                            cohort_stats(emb.vec, cohort, cosine_score, n_top),
+                            cohort_stats(vec, cohort, cosine_score, n_top),
                         )
                     (same if lang is Language.L1 else cross).append(score)
             pooled_std = float(np.std(same + cross))
@@ -195,10 +192,7 @@ class TestLanguageDependentAsNorm:
 
 class TestLanguageId:
     def _labeled(self, corpus):
-        metas = {m.utt_id: m for m in corpus.metas}
-        x = np.stack([e.vec for e in corpus.embeddings])
-        langs = [metas[e.utt_id].language for e in corpus.embeddings]
-        return x, langs
+        return corpus.x, [m.language for m in corpus.metas]
 
     def test_separable_clusters_reach_full_accuracy(self):
         corpus = gen_corpus(GenConfig(
@@ -261,16 +255,15 @@ class TestBuildCohort:
             n_speakers=5, n_phrases=2, n_utts_per_cell=6, dim=6,
             noise_sigma=0.3, seed=12,
         ))
-        cohort = build_cohort(corpus.embeddings, corpus.metas)
-        meta = {m.utt_id: m for m in corpus.metas}
+        # rows in reverse order: entries are found by id, not by position
+        cohort = build_cohort(corpus.ids[::-1], corpus.x[::-1], corpus.metas)
         expected = {(m.speaker_id, m.language) for m in corpus.metas}
         assert len(cohort) == len(expected)
         for entry in cohort.entries:
             spk, lang = entry.utt_id.split(":")
             members = [
-                e.vec for e in corpus.embeddings
-                if meta[e.utt_id].speaker_id == spk
-                and meta[e.utt_id].language.value == lang
+                vec for vec, m in zip(corpus.x, corpus.metas)
+                if m.speaker_id == spk and m.language.value == lang
             ]
             np.testing.assert_allclose(entry.vec, np.mean(members, axis=0), atol=1e-12)
 

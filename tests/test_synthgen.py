@@ -25,15 +25,15 @@ def _cfg(**kw):
 class TestGenCorpus:
     def test_all_embeddings_unit_norm(self):
         corpus = gen_corpus(_cfg())
-        for emb in corpus.embeddings:
-            assert abs(np.linalg.norm(emb.vec) - 1.0) < 1e-12
+        for vec in corpus.x:
+            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
     def test_noise_free_degenerate_case(self):
         corpus = gen_corpus(_cfg(phrase_strength=0.0, language_shift=0.0,
                                  noise_sigma=0.0, transcript_error_rate=0.0))
         by_spk = {}
-        for emb, meta in zip(corpus.embeddings, corpus.metas):
-            by_spk.setdefault(meta.speaker_id, []).append(emb.vec)
+        for vec, meta in zip(corpus.x, corpus.metas):
+            by_spk.setdefault(meta.speaker_id, []).append(vec)
         for vecs in by_spk.values():
             for v in vecs[1:]:
                 np.testing.assert_array_equal(v, vecs[0])
@@ -42,19 +42,19 @@ class TestGenCorpus:
         a = gen_corpus(_cfg(seed=7))
         b = gen_corpus(_cfg(seed=7))
         assert [m for m in a.metas] == [m for m in b.metas]
-        for ea, eb in zip(a.embeddings, b.embeddings):
-            assert ea.utt_id == eb.utt_id
-            np.testing.assert_array_equal(ea.vec, eb.vec)
+        assert a.ids == b.ids
+        np.testing.assert_array_equal(a.x, b.x)
 
     def test_metadata_covers_embeddings(self):
         corpus = gen_corpus(_cfg())
-        assert {e.utt_id for e in corpus.embeddings} == {m.utt_id for m in corpus.metas}
+        assert corpus.ids == tuple(m.utt_id for m in corpus.metas)
+        assert corpus.x.shape == (len(corpus.ids), 8)
         assert len(corpus.inventory) == 3
 
     def test_strong_phrase_factor_dominates_speaker(self):
         # brute-force nearest-centroid accuracy for both label families
         corpus = gen_corpus(_cfg(phrase_strength=6.0, noise_sigma=0.6, seed=3))
-        x = np.stack([e.vec for e in corpus.embeddings])
+        x = corpus.x
 
         def nearest_centroid_accuracy(labels):
             uniq = sorted(set(labels))
@@ -76,8 +76,8 @@ class TestGenCorpus:
             corpus = gen_corpus(_cfg(language_shift=0.0, phrase_strength=0.0,
                                      noise_sigma=sigma, n_utts_per_cell=40, seed=5))
             by = {}
-            for emb, meta in zip(corpus.embeddings, corpus.metas):
-                by.setdefault((meta.speaker_id, meta.language), []).append(emb.vec)
+            for vec, meta in zip(corpus.x, corpus.metas):
+                by.setdefault((meta.speaker_id, meta.language), []).append(vec)
             dists = []
             for spk in {m.speaker_id for m in corpus.metas}:
                 l1 = by.get((spk, Language.L1))
@@ -100,7 +100,9 @@ class TestGenCorpus:
         keep = corpus.speaker_ids[:2]
         sub = corpus.subset_by_speakers(keep)
         assert set(m.speaker_id for m in sub.metas) == set(keep)
-        assert {e.utt_id for e in sub.embeddings} == {m.utt_id for m in sub.metas}
+        assert sub.ids == tuple(m.utt_id for m in sub.metas)
+        rows = [corpus.ids.index(u) for u in sub.ids]
+        np.testing.assert_array_equal(sub.x, corpus.x[rows])
 
 
 class TestGenTranscript:
