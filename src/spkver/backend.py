@@ -5,12 +5,20 @@ and residual eps ~ N(0, Sigma_w). Training is EM on (Sigma_b, Sigma_w)
 with mu fixed at the grand mean; the verification score is the closed-form
 log-likelihood ratio of same-speaker vs different-speaker hypotheses,
 evaluated through the stacked joint Gaussian of the pair.
+
+EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
+the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
+per distinct utterance count n, the number of speakers m_n and the scatter
+F_n = sum_{s: n_s = n} f_s f_s^T of their sums f_s. The likelihood splits
+into within-speaker deviations ~ N(0, Sigma_w) and speaker means
+~ N(0, Sigma_b + Sigma_w / n), so after one pass over the rows each
+iteration factors Sigma_w and one J_n = Sigma_w + n Sigma_b per count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,31 +82,70 @@ def _chol_quad(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(z * z, axis=0)
 
 
-def _marginal_loglik(xc: np.ndarray, sums: np.ndarray, counts: np.ndarray,
-                     sigma_b: np.ndarray, sigma_w: np.ndarray) -> float:
-    """Observed-data log-likelihood of the two-covariance model.
+class _PldaStats(NamedTuple):
+    """What the two-covariance likelihood and EM need of the centred rows.
+    Entry 0 is the within-speaker term, entry k >= 1 the speakers with the
+    k-th distinct utterance count n; entry k's covariance is
+    Sigma_w + counts[k] Sigma_b, i.e. Sigma_w, then J_n."""
 
-    `xc` holds the (N, D) rows minus mu, `sums` the (S, D) per-speaker sums
-    of those rows and `counts` the (S,) utterance counts. Per speaker with
-    n utterances and first-order sum f the joint covariance is
-    I_n (x) Sigma_w + 1_n 1_n^T (x) Sigma_b. Its log-determinant is
-    (n - 1) log|Sigma_w| + log|Sigma_w + n Sigma_b|, and its quadratic form
-    is sum_i x_i^T Sigma_w^{-1} x_i minus the coupling term
-    f^T (Sigma_w + n Sigma_b)^{-1} Sigma_b Sigma_w^{-1} f. Only n and f
-    depend on the speaker, so the determinant and the coupling solve are
-    done once per distinct utterance count, without the stacked matrix.
+    n_rows: int  # N
+    counts: np.ndarray  # (K + 1,) 0, then the distinct counts n, ascending
+    weights: np.ndarray  # (K + 1,) N - S, then m_n, the speakers with count n
+    scatter: np.ndarray  # (K + 1, D, D) S_w, then F_n / n
+
+
+def _sufficient_stats(xc: np.ndarray, index: np.ndarray, counts: np.ndarray) -> _PldaStats:
+    """The statistics of the rows `xc` (already minus mu) of speakers
+    `index`, with `counts` rows per speaker, in one pass."""
+    sums = np.zeros((counts.size, xc.shape[1]))
+    np.add.at(sums, index, xc)
+    resid = xc - (sums / counts[:, None])[index]
+    # with return_counts, np.unique does not import numpy.ma (numpy >= 2.3)
+    distinct, n_spk = np.unique(counts, return_counts=True)
+    scatter = [resid.T @ resid]
+    for cnt in distinct:
+        f = sums[counts == cnt]
+        scatter.append((f.T @ f) / cnt)
+    return _PldaStats(
+        n_rows=xc.shape[0],
+        counts=np.concatenate(([0.0], distinct)),
+        weights=np.concatenate(([xc.shape[0] - counts.size], n_spk)),
+        scatter=np.stack(scatter),
+    )
+
+
+def _marginal_loglik(stats: _PldaStats, sigma_b: np.ndarray,
+                     sigma_w: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Observed-data log-likelihood of the two-covariance model, and the
+    (K, D, D) inverses of J_n = Sigma_w + n Sigma_b, one per distinct count.
+
+    A speaker's n rows split into within-speaker deviations x_i - xbar,
+    distributed as N(0, Sigma_w) on n - 1 degrees of freedom, and its mean
+    xbar ~ N(0, Sigma_b + Sigma_w / n) = N(0, J_n / n). Summed over the S
+    speakers and N rows:
+
+        -1/2 [N D log 2pi + (N - S) log|Sigma_w| + sum_n m_n log|J_n|
+              + tr(Sigma_w^{-1} S_w) + sum_n tr(J_n^{-1} F_n) / n]
+
+    with the statistics of `_sufficient_stats`: the within-speaker scatter
+    S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and, per distinct count n,
+    the m_n speakers with n utterances and F_n = sum_{s: n_s = n} f_s f_s^T
+    over their sums f_s.
+
+    One Cholesky factor each of Sigma_w and the J_n gives the determinants
+    and the inverses; EM reuses the inverses for its next E-step.
     """
-    n, d = xc.shape
-    ldet_w, chol_w = _logdet_and_chol(sigma_w)
-    total = n * d * LOG_2PI + (n - counts.size) * ldet_w + float(np.sum(_chol_quad(chol_w, xc)))
-    rhs = sigma_b @ np.linalg.inv(sigma_w) @ sums.T
-    for cnt in np.unique(counts):
-        members = counts == cnt
-        joint = sigma_w + cnt * sigma_b
-        ldet_m, _ = _logdet_and_chol(joint)
-        coup = float(np.sum(sums[members].T * np.linalg.solve(joint, rhs[:, members])))
-        total += np.count_nonzero(members) * ldet_m - coup
-    return -0.5 * total
+    covs = sigma_w + np.multiply.outer(stats.counts, sigma_b)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"covariance not positive definite: {exc}") from exc
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    chol_inv = np.linalg.inv(chol)
+    inv = np.swapaxes(chol_inv, 1, 2) @ chol_inv
+    total = (stats.n_rows * sigma_w.shape[0] * LOG_2PI + float(stats.weights @ logdets)
+             + float(np.sum(inv * stats.scatter)))
+    return -0.5 * total, inv[1:]
 
 
 def plda_em_train(
@@ -112,9 +159,21 @@ def plda_em_train(
     The trace holds the observed-data log-likelihood of the initial model
     and of the model after each iteration; EM guarantees it never decreases
     (up to the small ridge added for conditioning; default 1e-6*trace/D).
-    A speaker's posterior depends on its data only through its utterance
-    count and first-order sum, so each iteration inverts one posterior
-    covariance per distinct count.
+
+    The rows are read once, into the within-speaker scatter S_w and, per
+    distinct utterance count n, the number of speakers m_n and the scatter
+    F_n of their sums (`_sufficient_stats`); every iteration then works on
+    D x D matrices only. With J_n = Sigma_w + n Sigma_b, a speaker with n
+    utterances has posterior covariance P_n = Sigma_b J_n^{-1} Sigma_w, and
+    the posterior means of those speakers contribute Q_n = J_n^{-1} F_n J_n^{-1}:
+
+        Sigma_b <- (sum_n m_n P_n + Sigma_b (sum_n Q_n) Sigma_b) / S
+        Sigma_w <- (sum_n n m_n P_n + S_w + Sigma_w (sum_n Q_n / n) Sigma_w) / N
+
+    The likelihood splits into within-speaker deviations ~ N(0, Sigma_w) and
+    speaker means ~ N(0, Sigma_b + Sigma_w / n) (`_marginal_loglik`), so the
+    factorization of each J_n that scores a model for the trace also serves
+    the next E-step.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(speaker_labels)
@@ -129,11 +188,13 @@ def plda_em_train(
 
     mu = x.mean(axis=0)
     xc = x - mu
-    sums = np.zeros((counts.size, d))
-    np.add.at(sums, index, xc)
+    stats = _sufficient_stats(xc, index, counts)
+    distinct, n_spk = stats.counts[1:], stats.weights[1:]
     total_cov = (xc.T @ xc) / n
     if float(np.trace(total_cov)) < 1e-12 * d:
         raise NumericalError("degenerate data: zero total scatter")
+
+    eye = np.eye(d)
 
     def _ridge_for(cov: np.ndarray) -> float:
         if ridge is not None:
@@ -142,28 +203,23 @@ def plda_em_train(
 
     sigma_b = 0.5 * total_cov
     sigma_w = 0.5 * total_cov
-    trace = [_marginal_loglik(xc, sums, counts, sigma_b, sigma_w)]
+    loglik, j_inv = _marginal_loglik(stats, sigma_b, sigma_w)
+    trace = [loglik]
+    f_scatter = stats.scatter[1:] * distinct[:, None, None]  # F_n
+    # rows: the weights of sum_n m_n P_n and sum_n n m_n P_n over the J_n^{-1},
+    # then of sum_n Q_n and sum_n Q_n / n over the Q_n
+    p_weights = np.stack([n_spk, n_spk * distinct])
+    q_weights = np.stack([np.ones_like(distinct), 1.0 / distinct])
 
     for _ in range(iters):
-        b_inv = np.linalg.inv(sigma_b)
-        w_inv = np.linalg.inv(sigma_w)
-        proj = sums @ w_inv.T  # row s: Sigma_w^{-1} f_s
-        means = np.empty_like(sums)
-        cov_b = np.zeros((d, d))  # sum over speakers of the posterior covariance
-        cov_w = np.zeros((d, d))  # the same, weighted by utterance count
-        for cnt in np.unique(counts):
-            members = counts == cnt
-            n_spk = np.count_nonzero(members)
-            post_cov = np.linalg.inv(b_inv + cnt * w_inv)
-            means[members] = proj[members] @ post_cov.T
-            cov_b += n_spk * post_cov
-            cov_w += (n_spk * cnt) * post_cov
-        resid = xc - means[index]
-        sigma_b = (cov_b + means.T @ means) / counts.size
-        sigma_w = (cov_w + resid.T @ resid) / n
-        sigma_b = 0.5 * (sigma_b + sigma_b.T) + _ridge_for(sigma_b) * np.eye(d)
-        sigma_w = 0.5 * (sigma_w + sigma_w.T) + _ridge_for(sigma_w) * np.eye(d)
-        trace.append(_marginal_loglik(xc, sums, counts, sigma_b, sigma_w))
+        p_b, p_w = np.einsum("ak,kij->aij", p_weights, j_inv)
+        q_b, q_w = np.einsum("ak,kij->aij", q_weights, j_inv @ f_scatter @ j_inv)
+        new_b = sigma_b @ (p_b @ sigma_w + q_b @ sigma_b) / counts.size
+        new_w = (sigma_b @ p_w @ sigma_w + stats.scatter[0] + sigma_w @ q_w @ sigma_w) / n
+        sigma_b = 0.5 * (new_b + new_b.T) + _ridge_for(new_b) * eye
+        sigma_w = 0.5 * (new_w + new_w.T) + _ridge_for(new_w) * eye
+        loglik, j_inv = _marginal_loglik(stats, sigma_b, sigma_w)
+        trace.append(loglik)
 
     return PldaModel(mu=mu, sigma_b=sigma_b, sigma_w=sigma_w), trace
 

@@ -197,12 +197,11 @@ def train_nplda(
         if not np.isfinite(theta):
             theta = float(np.median(scores))
 
-    loss0, _, _ = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
-    trace = [loss0]
+    # each scoring yields the trace entry and the next epoch's gradients
+    loss, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+    trace = [loss]
     lr = config.learning_rate
     for _ in range(config.epochs):
-        scores = score_now()
-        _, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
         # d score / d params, accumulated over the batch
         de = d_scores[:, None] * e
         dt = d_scores[:, None] * t
@@ -216,7 +215,7 @@ def train_nplda(
         c -= lr * d_c
         k -= lr * d_k
         theta -= lr * d_theta
-        loss, _, _ = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
+        loss, d_scores, d_theta = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
         trace.append(loss)
 
     return NpldaTrainResult(

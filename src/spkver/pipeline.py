@@ -172,10 +172,30 @@ def _pair_vectors(ids, x, enroll_map, trials):
 
 
 def _trial_vectors(cfg: PipelineConfig, split: str):
-    """A split's trials with their row-aligned (N, D) enroll and test vectors."""
-    ids, x = fileio.read_matrix(_workpath(cfg, f"emb_{split}.npz"))
+    """A split's trials with their row-aligned (N, D) enroll and test vectors.
+
+    A model the trials name but the enroll map lacks, or an utterance the
+    enroll map or trials name but the embeddings lack, raises
+    DataFormatError naming the file that lacks it and the id.
+    """
+    emb_path = _workpath(cfg, f"emb_{split}.npz")
+    enroll_path = _workpath(cfg, f"enroll_{split}.txt")
+    ids, x = fileio.read_matrix(emb_path)
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
-    enroll_map = fileio.read_enroll_map(_workpath(cfg, f"enroll_{split}.txt"))
+    enroll_map = fileio.read_enroll_map(enroll_path)
+    known = set(ids)
+    for t in trials:
+        if t.model_id not in enroll_map:
+            raise fileio.DataFormatError(
+                f"{enroll_path}: no enrollment for model {t.model_id!r} of trial {t.trial_id}")
+        if t.test_utt_id not in known:
+            raise fileio.DataFormatError(
+                f"{emb_path}: no embedding for test utterance {t.test_utt_id!r}")
+    for model_id, utt_ids in enroll_map.items():
+        missing = [u for u in utt_ids if u not in known]
+        if missing:
+            raise fileio.DataFormatError(
+                f"{emb_path}: no embedding for utterance {missing[0]!r} enrolling {model_id!r}")
     enroll, test = _pair_vectors(ids, x, enroll_map, trials)
     return trials, enroll, test
 

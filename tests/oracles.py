@@ -14,7 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from spkver.core import NumericalError
-from spkver.metrics import DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf
+from spkver.metrics import (
+    DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf, min_dcf_from_arrays,
+)
+from spkver.nplda import NpldaParams, nplda_score, soft_detcost
 
 
 def sweep_points(tgt, non):
@@ -377,3 +380,46 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
             [meta_of[t.test_utt_id].phrase_id for t in rows],
         )
     return out
+
+
+def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
+    """NPLDA gradient descent that scores the batch twice per epoch.
+
+    The form that `nplda.train_nplda` replaced, without its input checks:
+    each epoch rescores the batch for its gradients, then again after the
+    update for the trace. Returns ((lam, gamma, c, k), theta, loss trace).
+    """
+    e = np.atleast_2d(np.asarray(enroll_vecs, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(test_vecs, dtype=np.float64))
+    lab = np.asarray(labels, dtype=bool)
+    lam, gamma, c, k = params.lam.copy(), params.gamma.copy(), params.c.copy(), params.k
+
+    def score_now():
+        return nplda_score(NpldaParams(lam, gamma, c, k), e, t)
+
+    scores = score_now()
+    if config.theta is not None:
+        theta = float(config.theta)
+    else:
+        _, theta = min_dcf_from_arrays(scores[lab], scores[~lab], config.dcf)
+        if not np.isfinite(theta):
+            theta = float(np.median(scores))
+    loss0, _, _ = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+    trace = [loss0]
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        scores = score_now()
+        _, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+        de = d_scores[:, None] * e
+        dt = d_scores[:, None] * t
+        d_lam = 0.5 * (de.T @ t + dt.T @ e)
+        d_gamma = de.T @ e + dt.T @ t
+        d_gamma = 0.5 * (d_gamma + d_gamma.T)
+        lam -= lr * d_lam
+        gamma -= lr * d_gamma
+        c -= lr * (de + dt).sum(axis=0)
+        k -= lr * float(d_scores.sum())
+        theta -= lr * d_theta
+        loss, _, _ = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
+        trace.append(loss)
+    return (lam, gamma, c, k), theta, tuple(trace)

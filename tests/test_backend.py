@@ -8,6 +8,7 @@ from spkver.backend import (
     PldaModel,
     PldaScorer,
     _marginal_loglik,
+    _sufficient_stats,
     cosine_score,
     plda_em_train,
     train_phrase_plda_bank,
@@ -143,10 +144,9 @@ def _mixed_count_corpus(seed, dim, extra_counts):
 
 def _grouped_marginal(x, labels, sigma_b, sigma_w, mu):
     _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    xc = x - mu
-    sums = np.zeros((counts.size, x.shape[1]))
-    np.add.at(sums, index, xc)
-    return _marginal_loglik(xc, sums, counts, sigma_b, sigma_w)
+    stats = _sufficient_stats(x - mu, index, counts)
+    loglik, _ = _marginal_loglik(stats, sigma_b, sigma_w)
+    return loglik
 
 
 def _rel(a, b):

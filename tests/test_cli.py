@@ -1,10 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import as_norm_literal, nplda_training_pairs_literal
+import spkver
 from spkver import backend, fileio, metrics, norm, nplda, pipeline, synthgen
 from spkver.backend import cosine_score
 from spkver.cli import main
@@ -266,6 +270,42 @@ class TestErrorExitCodes:
         assert code == 3
         assert "trial-id mismatch" in capsys.readouterr().err
 
+    def test_trial_model_missing_from_enroll_map_is_data_error(self, e2e_dir, tmp_path,
+                                                                capsys):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        model_id = fileio.read_trials(workdir / "trials_dev.txt")[0].model_id
+        path = workdir / "enroll_dev.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines
+                                if line.split(" ")[0] != model_id))
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir)) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: no enrollment for model {model_id!r}" in err
+
+    @pytest.mark.parametrize("name, field, message", [
+        ("trials_eval.txt", 2, "no embedding for test utterance 'no_such_utt'"),
+        ("enroll_eval.txt", 1, "no embedding for utterance 'no_such_utt' enrolling"),
+    ])
+    def test_unknown_utterance_is_data_error(self, e2e_dir, tmp_path, capsys, name, field,
+                                             message):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / name
+        lines = path.read_text().splitlines()
+        fields = lines[0].split(" ")
+        fields[field] = "no_such_utt"
+        path.write_text("\n".join([" ".join(fields)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir)) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {workdir / 'emb_eval.npz'}: {message}" in err
+
     def test_numerical_failure_maps_to_exit_4(self, monkeypatch, capsys):
         def boom(cfg):
             raise NumericalError("zero variance among top cohort scores")
@@ -348,3 +388,30 @@ class TestBackendTraining:
             np.testing.assert_array_equal(seen[phrase][0], enroll)
             np.testing.assert_array_equal(seen[phrase][1], test)
             assert seen[phrase][2:] == (labels, claimed, spoken)
+
+
+_MASKED_IMPORT_PROBE = """
+import sys
+import spkver.cli
+before = "numpy.ma" in sys.modules
+code = spkver.cli.main(sys.argv[1:])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+class TestImports:
+    def test_e2e_imports_no_masked_arrays(self, tmp_path):
+        # numpy >= 2.3 imports numpy.ma inside np.unique without return_* flags;
+        # where `import numpy` already loads it (numpy 1.x), nothing can change
+        env = dict(os.environ)
+        src = str(Path(spkver.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        settings = ["epochs=2", "n_speakers=12", "n_dev_trials=40", "n_eval_trials=40",
+                    "n_top=5", "lid_epochs=5", "backends=cosine,plda,nplda",
+                    f"workdir={tmp_path / 'w'}"]
+        argv = ["e2e"] + [arg for item in settings for arg in ("--set", item)]
+        out = subprocess.run([sys.executable, "-c", _MASKED_IMPORT_PROBE] + argv, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        code, before, after = out.splitlines()[-1].split(" ")
+        assert code == "0"
+        assert after == before

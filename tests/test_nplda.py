@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import check_gradients
+from oracles import check_gradients, train_nplda_literal
+from spkver import nplda
 from spkver.backend import PldaModel, PldaScorer
 from spkver.metrics import DcfParams
 from spkver.nplda import (
@@ -193,3 +194,30 @@ class TestTrainNplda:
         b = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
         np.testing.assert_array_equal(a.params.lam, b.params.lam)
         assert a.theta == b.theta and a.loss_trace == b.loss_trace
+
+    @pytest.mark.parametrize("epochs,theta", [(0, None), (1, None), (6, None), (4, 0.3)])
+    def test_matches_two_scoring_oracle(self, epochs, theta):
+        params, e, t, labels = self._training_set(11 + epochs)
+        cfg = NpldaTrainConfig(learning_rate=2e-3, epochs=epochs, theta=theta)
+        result = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
+        (lam, gamma, c, k), theta_lit, trace = train_nplda_literal(params, e, t, labels, cfg)
+        np.testing.assert_array_equal(result.params.lam, lam)
+        np.testing.assert_array_equal(result.params.gamma, gamma)
+        np.testing.assert_array_equal(result.params.c, c)
+        assert result.params.k == k
+        assert result.theta == theta_lit
+        assert result.loss_trace == trace
+
+    def test_scores_the_batch_once_per_epoch(self, monkeypatch):
+        params, e, t, labels = self._training_set(12)
+        calls = []
+        score = nplda.nplda_score
+
+        def counting(*args):
+            calls.append(1)
+            return score(*args)
+
+        monkeypatch.setattr(nplda, "nplda_score", counting)
+        train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels),
+                    NpldaTrainConfig(epochs=5))
+        assert len(calls) == 6
