@@ -30,10 +30,8 @@ from .extractor import (
     aam_loss,
     forward,
     ge2e_loss,
+    heads_loss,
     pct_loss,
-    pmt_loss,
-    product_label,
-    spk_plus_phrase_loss,
     train,
 )
 from .metrics import (

@@ -4,13 +4,21 @@ The network is intentionally small (input F -> hidden H with ReLU ->
 embedding D, linear), so every objective below ships with exact,
 hand-derived gradients that finite differences can certify:
 
-  * angular-margin softmax over cosine logits (scale s, additive margin m),
-  * speaker + phrase multi-task variant,
-  * speaker x phrase product-label variant,
-  * per-phrase multi-head routing (one speaker classifier per phrase),
+  * angular-margin softmax (AAM) over cosine logits (scale s, additive
+    margin m),
   * generalized end-to-end contrastive loss with own-centroid exclusion,
   * the contrastive combination (margin softmax + GE2E) over same-phrase
-    batches with exactly two utterances per speaker.
+    batches with exactly two utterances per speaker (PCT).
+
+Every other strategy is one `heads_loss`: a weighted sum of AAM terms
+(head, rows, labels, weight) over the N training rows, with speaker index
+s, phrase index p (inventory order) and P phrases:
+
+  * AAM_ONLY:         (spk, all, s, 1)
+  * SPK_PLUS_PHRASE:  (spk, all, s, 1) + (phrase, all, p, multitask_weight)
+  * SPK_TIMES_PHRASE: (product, all, s*P + p, 1)
+  * PMT:              one (p, rows_p, s[rows_p], |rows_p|/N) per phrase, in
+                      the order in which phrases first appear in the metas.
 
 All losses accept arbitrary (not necessarily unit-norm) inputs because they
 normalize inside the cosine; gradients include those normalization terms.
@@ -238,64 +246,36 @@ def aam_loss(embeddings: np.ndarray, labels: Sequence[int], head: AamHead):
     return loss, d_e, d_w
 
 
-def spk_plus_phrase_loss(
-    embeddings: np.ndarray,
-    spk_labels: Sequence[int],
-    phrase_labels: Optional[Sequence[int]],
-    spk_head: AamHead,
-    phrase_head: AamHead,
-    multitask_weight: float = 1.0,
-):
-    """Joint speaker + phrase classification: L_spk + weight * L_phrase."""
-    if phrase_labels is None:
-        raise ValueError("speaker+phrase training requires phrase labels")
-    l_spk, de_spk, dw_spk = aam_loss(embeddings, spk_labels, spk_head)
-    l_phr, de_phr, dw_phr = aam_loss(embeddings, phrase_labels, phrase_head)
-    loss = l_spk + multitask_weight * l_phr
-    d_e = de_spk + multitask_weight * de_phr
-    return loss, d_e, dw_spk, multitask_weight * dw_phr
+ALL_ROWS = slice(None)  # a heads_loss term that scores every row
 
 
-def product_label(spk_index: int, phrase_index: int, n_phrases: int) -> int:
-    """Combined class index for the speaker x phrase label space."""
-    if n_phrases < 1:
-        raise ValueError("n_phrases must be positive")
-    if spk_index < 0:
-        raise ValueError("speaker index out of range")
-    if not 0 <= phrase_index < n_phrases:
-        raise ValueError("phrase index out of range")
-    return spk_index * n_phrases + phrase_index
+def heads_loss(unit: np.ndarray, terms: Sequence, heads: Mapping[str, AamHead]):
+    """Weighted sum of margin-softmax terms over one batch of embeddings.
 
+    Each term is (head, rows, labels, weight) and adds
+    weight * aam_loss(unit[rows], labels, heads[head]); `rows` is ALL_ROWS or
+    an index array. Returns (loss, d_unit, {head: d_weights}).
 
-def pmt_loss(
-    embeddings: np.ndarray,
-    spk_labels: Sequence[int],
-    phrase_labels: Sequence,
-    heads: Mapping,
-):
-    """Route each utterance through the speaker head of its phrase.
-
-    The loss is the mean over the whole batch; gradients flow only to each
-    utterance's own head. Returns (loss, d_embeddings, {phrase: d_weights}).
+    Each term's gradients are scaled in place, which is exact at weight 1,
+    and a first term over ALL_ROWS lends its d_unit as the accumulator, so
+    a single-term objective allocates nothing beyond aam_loss itself.
     """
-    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    y = np.asarray(spk_labels, dtype=int)
-    phr = list(phrase_labels)
-    for p in phr:
-        if p not in heads:
-            raise ValueError(f"no classification head for phrase {p!r}")
-    n = e.shape[0]
     loss = 0.0
-    d_e = np.zeros_like(e)
-    d_heads = {}
-    for p in dict.fromkeys(phr):
-        idx = np.asarray([i for i, q in enumerate(phr) if q == p], dtype=int)
-        part, de_p, dw_p = aam_loss(e[idx], y[idx], heads[p])
-        weight = idx.size / n
+    d_unit = None
+    d_heads: Dict[str, np.ndarray] = {}
+    for head, rows, labels, weight in terms:
+        part, d_e, d_w = aam_loss(unit[rows], labels, heads[head])
         loss += weight * part
-        d_e[idx] += weight * de_p
-        d_heads[p] = weight * dw_p
-    return loss, d_e, d_heads
+        d_e *= weight
+        d_w *= weight
+        if d_unit is None and rows is ALL_ROWS:
+            d_unit = d_e
+        else:
+            if d_unit is None:
+                d_unit = np.zeros_like(unit)
+            d_unit[rows] += d_e
+        d_heads[head] = d_heads[head] + d_w if head in d_heads else d_w
+    return loss, d_unit, d_heads
 
 
 # ---------------------------------------------------------------------------
@@ -496,39 +476,48 @@ def train(
     spk_index = {s: i for i, s in enumerate(speaker_ids)}
     spk_labels = np.asarray([spk_index[m.speaker_id] for m in metas])
 
-    needs_phrases = config.strategy in PHRASE_STRATEGIES
-    if needs_phrases and any(m.phrase_id is None for m in metas):
-        raise ValueError(f"strategy {config.strategy.value} requires phrase labels")
+    strategy = config.strategy
     phrase_ids = inventory.phrase_ids
     phr_index = {p: i for i, p in enumerate(phrase_ids)}
-    phr_labels = (
-        np.asarray([phr_index[m.phrase_id] for m in metas]) if needs_phrases else None
-    )
+    phr_labels = None
+    if strategy in PHRASE_STRATEGIES:
+        if any(m.phrase_id is None for m in metas):
+            raise ValueError(f"strategy {strategy.value} requires phrase labels")
+        for m in metas:
+            if m.phrase_id not in phr_index:
+                raise ValueError(f"utterance {m.utt_id!r} has phrase {m.phrase_id!r}, "
+                                 "which the phrase inventory lacks")
+        phr_labels = np.asarray([phr_index[m.phrase_id] for m in metas])
 
     rng = np.random.default_rng(config.seed)
-    emb_dim = net.emb_dim
     n_spk = len(speaker_ids)
 
-    def head_seed() -> int:
-        return int(rng.integers(2**63))
+    def new_head(n_classes: int) -> AamHead:
+        return AamHead.init(n_classes, net.emb_dim, int(rng.integers(2**63)),
+                            config.aam_scale, config.aam_margin)
 
+    # heads are seeded in this order: spk, phrase, product, per-phrase
     heads: Dict[str, AamHead] = {}
-    ge2e: Optional[Ge2eParams] = None
-    if config.strategy in (Strategy.AAM_ONLY, Strategy.SPK_PLUS_PHRASE, Strategy.PCT):
-        heads["spk"] = AamHead.init(n_spk, emb_dim, head_seed(),
-                                    config.aam_scale, config.aam_margin)
-    if config.strategy is Strategy.SPK_PLUS_PHRASE:
-        heads["phrase"] = AamHead.init(len(phrase_ids), emb_dim, head_seed(),
-                                       config.aam_scale, config.aam_margin)
-    if config.strategy is Strategy.SPK_TIMES_PHRASE:
-        heads["product"] = AamHead.init(n_spk * len(phrase_ids), emb_dim, head_seed(),
-                                        config.aam_scale, config.aam_margin)
-    if config.strategy is Strategy.PMT:
+    terms = []  # the heads_loss objective; PCT trains "spk" through pct_loss
+    if strategy in (Strategy.AAM_ONLY, Strategy.SPK_PLUS_PHRASE, Strategy.PCT):
+        heads["spk"] = new_head(n_spk)
+        terms.append(("spk", ALL_ROWS, spk_labels, 1.0))
+    if strategy is Strategy.SPK_PLUS_PHRASE:
+        heads["phrase"] = new_head(len(phrase_ids))
+        terms.append(("phrase", ALL_ROWS, phr_labels, config.multitask_weight))
+    if strategy is Strategy.SPK_TIMES_PHRASE:
+        heads["product"] = new_head(n_spk * len(phrase_ids))
+        terms.append(("product", ALL_ROWS, spk_labels * len(phrase_ids) + phr_labels, 1.0))
+    if strategy is Strategy.PMT:
         for p in phrase_ids:
-            heads[p] = AamHead.init(n_spk, emb_dim, head_seed(),
-                                    config.aam_scale, config.aam_margin)
-    if config.strategy is Strategy.PCT:
+            heads[p] = new_head(n_spk)
+        for k in dict.fromkeys(phr_labels.tolist()):  # first-appearance order
+            rows = np.flatnonzero(phr_labels == k)
+            terms.append((phrase_ids[k], rows, spk_labels[rows], rows.size / len(metas)))
+    ge2e = pct_groups = None
+    if strategy is Strategy.PCT:
         ge2e = Ge2eParams()
+        pct_groups = _pct_groups(metas, phr_labels, len(phrase_ids))
 
     def apply_net_grads(cache, d_unit, lr) -> None:
         d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
@@ -540,13 +529,12 @@ def train(
     trace = []
     for epoch in range(config.epochs):
         lr = lr_schedule(config, epoch)
-        if config.strategy is Strategy.PCT:
+        if strategy is Strategy.PCT:
             losses = []
-            for p in phrase_ids:
-                batch = _sample_pct_batch(rng, metas, phr_index[p], phr_labels,
-                                          config.pct_speakers_per_batch)
-                if batch is None:
+            for p, groups in zip(phrase_ids, pct_groups):
+                if len(groups) < 2:
                     continue
+                batch = _sample_pct_batch(rng, groups, config.pct_speakers_per_batch)
                 cache = _forward_cache(net, feats[batch])
                 loss, d_e, d_head, d_w, d_b = pct_loss(
                     cache["unit"], spk_labels[batch], [p] * len(batch),
@@ -564,29 +552,9 @@ def train(
             continue
 
         cache = _forward_cache(net, feats)
-        unit = cache["unit"]
-        if config.strategy is Strategy.AAM_ONLY:
-            loss, d_e, d_w = aam_loss(unit, spk_labels, heads["spk"])
-            head_updates = {"spk": d_w}
-        elif config.strategy is Strategy.SPK_PLUS_PHRASE:
-            loss, d_e, d_ws, d_wp = spk_plus_phrase_loss(
-                unit, spk_labels, phr_labels, heads["spk"], heads["phrase"],
-                config.multitask_weight,
-            )
-            head_updates = {"spk": d_ws, "phrase": d_wp}
-        elif config.strategy is Strategy.SPK_TIMES_PHRASE:
-            combined = np.asarray([
-                product_label(int(s), int(p), len(phrase_ids))
-                for s, p in zip(spk_labels, phr_labels)
-            ])
-            loss, d_e, d_w = aam_loss(unit, combined, heads["product"])
-            head_updates = {"product": d_w}
-        else:  # PMT
-            phr_names = [phrase_ids[i] for i in phr_labels]
-            loss, d_e, d_heads = pmt_loss(unit, spk_labels, phr_names, heads)
-            head_updates = d_heads
-        apply_net_grads(cache, d_e, lr)
-        for name, d_w in head_updates.items():
+        loss, d_unit, d_heads = heads_loss(cache["unit"], terms, heads)
+        apply_net_grads(cache, d_unit, lr)
+        for name, d_w in d_heads.items():
             heads[name].weights -= lr * d_w
             heads[name].renormalize()
         trace.append(float(loss))
@@ -599,20 +567,24 @@ def train(
     )
 
 
-def _sample_pct_batch(rng, metas, phrase_idx, phr_labels, speakers_per_batch):
-    """Indices of a same-phrase batch with two utterances per speaker."""
-    in_phrase: Dict[str, list] = {}
+def _pct_groups(metas, phr_labels, n_phrases):
+    """For each phrase, the rows of every speaker with >= 2 utterances of it,
+    in speaker-id order."""
+    by_phrase = [{} for _ in range(n_phrases)]
     for i, m in enumerate(metas):
-        if phr_labels[i] == phrase_idx:
-            in_phrase.setdefault(m.speaker_id, []).append(i)
-    eligible = sorted(s for s, utts in in_phrase.items() if len(utts) >= 2)
-    if len(eligible) < 2:
-        return None
-    count = min(speakers_per_batch, len(eligible))
-    chosen = rng.permutation(len(eligible))[:count]
+        by_phrase[phr_labels[i]].setdefault(m.speaker_id, []).append(i)
+    return [[rows for _, rows in sorted(spk_rows.items()) if len(rows) >= 2]
+            for spk_rows in by_phrase]
+
+
+def _sample_pct_batch(rng, groups, speakers_per_batch):
+    """Indices of a same-phrase batch with two utterances per speaker, drawn
+    from one phrase's `_pct_groups` entry."""
+    count = min(speakers_per_batch, len(groups))
+    chosen = rng.permutation(len(groups))[:count]
     batch = []
     for ci in sorted(int(c) for c in chosen):
-        utts = in_phrase[eligible[ci]]
+        utts = groups[ci]
         pick = rng.permutation(len(utts))[:2]
         batch.extend(utts[int(p)] for p in pick)
     return batch

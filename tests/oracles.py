@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from spkver.core import NumericalError
+from spkver.extractor import AamHead, aam_loss
 from spkver.metrics import (
     DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf, min_dcf_from_arrays,
 )
@@ -423,3 +425,66 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
         loss, _, _ = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
         trace.append(loss)
     return (lam, gamma, c, k), theta, tuple(trace)
+
+
+# The per-strategy losses that `heads_loss` replaced, kept as they were.
+
+
+def spk_plus_phrase_loss(
+    embeddings: np.ndarray,
+    spk_labels: Sequence[int],
+    phrase_labels: Optional[Sequence[int]],
+    spk_head: AamHead,
+    phrase_head: AamHead,
+    multitask_weight: float = 1.0,
+):
+    """Joint speaker + phrase classification: L_spk + weight * L_phrase."""
+    if phrase_labels is None:
+        raise ValueError("speaker+phrase training requires phrase labels")
+    l_spk, de_spk, dw_spk = aam_loss(embeddings, spk_labels, spk_head)
+    l_phr, de_phr, dw_phr = aam_loss(embeddings, phrase_labels, phrase_head)
+    loss = l_spk + multitask_weight * l_phr
+    d_e = de_spk + multitask_weight * de_phr
+    return loss, d_e, dw_spk, multitask_weight * dw_phr
+
+
+def product_label(spk_index: int, phrase_index: int, n_phrases: int) -> int:
+    """Combined class index for the speaker x phrase label space."""
+    if n_phrases < 1:
+        raise ValueError("n_phrases must be positive")
+    if spk_index < 0:
+        raise ValueError("speaker index out of range")
+    if not 0 <= phrase_index < n_phrases:
+        raise ValueError("phrase index out of range")
+    return spk_index * n_phrases + phrase_index
+
+
+def pmt_loss(
+    embeddings: np.ndarray,
+    spk_labels: Sequence[int],
+    phrase_labels: Sequence,
+    heads: Mapping,
+):
+    """Route each utterance through the speaker head of its phrase.
+
+    The loss is the mean over the whole batch; gradients flow only to each
+    utterance's own head. Returns (loss, d_embeddings, {phrase: d_weights}).
+    """
+    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    y = np.asarray(spk_labels, dtype=int)
+    phr = list(phrase_labels)
+    for p in phr:
+        if p not in heads:
+            raise ValueError(f"no classification head for phrase {p!r}")
+    n = e.shape[0]
+    loss = 0.0
+    d_e = np.zeros_like(e)
+    d_heads = {}
+    for p in dict.fromkeys(phr):
+        idx = np.asarray([i for i, q in enumerate(phr) if q == p], dtype=int)
+        part, de_p, dw_p = aam_loss(e[idx], y[idx], heads[p])
+        weight = idx.size / n
+        loss += weight * part
+        d_e[idx] += weight * de_p
+        d_heads[p] = weight * dw_p
+    return loss, d_e, d_heads

@@ -258,6 +258,20 @@ class TestErrorExitCodes:
         assert main(["train"] + _args(workdir)) == 3
         assert f"{path}: ids differ from those of meta_train.meta" in capsys.readouterr().err
 
+    def test_phrase_missing_from_inventory_is_data_error(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert main(["gen"] + _args(workdir)) == 0
+        path = workdir / "inventory.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines[:-1]))
+        phrase = lines[-1].split(" ")[0]
+        utt = next(m.utt_id for m in fileio.read_metas(workdir / "meta_train.meta")
+                   if m.phrase_id == phrase)
+        capsys.readouterr()
+        assert main(["train"] + _args(workdir, "strategy=PMT")) == 3
+        err = capsys.readouterr().err
+        assert f"data error: utterance {utt!r} has phrase {phrase!r}" in err
+
     def test_fusion_trial_mismatch_is_data_error(self, e2e_dir, tmp_path, capsys):
         import shutil
 

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_gradients, ge2e_loss_literal
+from oracles import (
+    check_gradients,
+    ge2e_loss_literal,
+    pmt_loss,
+    product_label,
+    spk_plus_phrase_loss,
+)
 from spkver.core import NumericalError
 from spkver.extractor import (
+    ALL_ROWS,
     AamHead,
     Extractor,
     Ge2eParams,
@@ -14,10 +21,8 @@ from spkver.extractor import (
     extract_embeddings,
     forward,
     ge2e_loss,
+    heads_loss,
     pct_loss,
-    pmt_loss,
-    product_label,
-    spk_plus_phrase_loss,
     train,
 )
 from spkver.synthgen import GenConfig, gen_corpus
@@ -246,6 +251,115 @@ class TestPmtLoss:
         )
 
 
+def _pmt_terms(labels, phrases):
+    """heads_loss terms of PMT, one head per phrase, in first-appearance order as in train."""
+    labels, phrases = np.asarray(labels), np.asarray(phrases)
+    terms = []
+    for p in dict.fromkeys(phrases.tolist()):
+        rows = np.flatnonzero(phrases == p)
+        terms.append((p, rows, labels[rows], rows.size / len(labels)))
+    return terms
+
+
+class TestHeadsLossAgainstOracles:
+    """heads_loss against the per-strategy losses it replaced, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1))
+    def test_speaker_plus_phrase(self, n, dim, n_spk, n_phr, weight, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(n, dim))
+        spk, phr = rng.integers(0, n_spk, size=n), rng.integers(0, n_phr, size=n)
+        heads = {"spk": _head(rng, n_spk, dim), "phrase": _head(rng, n_phr, dim)}
+        loss, d_e, d_heads = heads_loss(
+            e, [("spk", ALL_ROWS, spk, 1.0), ("phrase", ALL_ROWS, phr, weight)], heads)
+        ref, d_e_ref, dw_spk, dw_phr = spk_plus_phrase_loss(
+            e, spk, phr, heads["spk"], heads["phrase"], weight)
+        assert loss == ref
+        assert np.array_equal(d_e, d_e_ref)
+        assert list(d_heads) == ["spk", "phrase"]
+        assert np.array_equal(d_heads["spk"], dw_spk)
+        assert np.array_equal(d_heads["phrase"], dw_phr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_speaker_times_phrase(self, n, dim, n_spk, n_phr, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=(n, dim))
+        spk, phr = rng.integers(0, n_spk, size=n), rng.integers(0, n_phr, size=n)
+        heads = {"product": _head(rng, n_spk * n_phr, dim)}
+        loss, d_e, d_heads = heads_loss(
+            e, [("product", ALL_ROWS, spk * n_phr + phr, 1.0)], heads)
+        product = [product_label(int(s), int(p), n_phr) for s, p in zip(spk, phr)]
+        ref, d_e_ref, d_w_ref = aam_loss(e, product, heads["product"])
+        assert loss == ref
+        assert np.array_equal(d_e, d_e_ref)
+        assert np.array_equal(d_heads["product"], d_w_ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.permutations(["p0", "p1", "p2", "p3"]), st.integers(1, 4), st.integers(0, 8),
+           st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_per_phrase_heads(self, order, n_used, n_extra, dim, n_spk, seed):
+        # phrases first appear in `order`, which need not be the inventory's
+        rng = np.random.default_rng(seed)
+        used = order[:n_used]
+        phrases = used + [used[i] for i in rng.integers(0, n_used, size=n_extra)]
+        n = len(phrases)
+        e = rng.normal(size=(n, dim))
+        spk = rng.integers(0, n_spk, size=n)
+        heads = {p: _head(rng, n_spk, dim) for p in ["p0", "p1", "p2", "p3"]}
+        loss, d_e, d_heads = heads_loss(e, _pmt_terms(spk, phrases), heads)
+        ref, d_e_ref, d_heads_ref = pmt_loss(e, spk, phrases, heads)
+        assert loss == ref
+        assert np.array_equal(d_e, d_e_ref)
+        assert list(d_heads) == list(d_heads_ref) == used
+        for p in used:
+            assert np.array_equal(d_heads[p], d_heads_ref[p])
+
+    def test_repeated_head_sums_its_gradients(self):
+        rng = np.random.default_rng(22)
+        e = rng.normal(size=(5, 3))
+        labels = rng.integers(0, 2, size=5)
+        heads = {"spk": _head(rng, 2, 3)}
+        loss, d_e, d_heads = heads_loss(
+            e, [("spk", ALL_ROWS, labels, 0.25), ("spk", ALL_ROWS, labels, 0.75)], heads)
+        ref, d_e_ref, d_w_ref = aam_loss(e, labels, heads["spk"])
+        assert loss == pytest.approx(ref, rel=1e-15)
+        np.testing.assert_allclose(d_e, d_e_ref, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d_heads["spk"], d_w_ref, rtol=1e-14, atol=1e-15)
+
+
+class TestHeadsLossGradients:
+    def _check(self, e, terms, heads):
+        _, d_e, d_heads = heads_loss(e, terms, heads)
+
+        def fn(arrays):
+            hs = {k: AamHead(arrays[k], h.scale, h.margin) for k, h in heads.items()}
+            return heads_loss(arrays["e"], terms, hs)[0]
+
+        arrays = {"e": e.copy(), **{k: h.weights.copy() for k, h in heads.items()}}
+        check_gradients(fn, arrays, {"e": d_e, **d_heads})
+
+    def test_overlapping_terms(self):
+        # speaker + phrase: both terms score every row
+        rng = np.random.default_rng(23)
+        e = _unit_rows(rng, 5, 3)
+        spk, phr = rng.integers(0, 3, size=5), rng.integers(0, 2, size=5)
+        heads = {"spk": _head(rng, 3, 3), "phrase": _head(rng, 2, 3)}
+        self._check(e, [("spk", ALL_ROWS, spk, 1.0), ("phrase", ALL_ROWS, phr, 0.6)], heads)
+
+    def test_partitioning_terms(self):
+        # per-phrase heads: each row is scored by its own phrase's head only
+        rng = np.random.default_rng(24)
+        e = _unit_rows(rng, 6, 3)
+        spk = rng.integers(0, 2, size=6)
+        phrases = ["b", "a", "b", "c", "a", "b"]
+        heads = {p: _head(rng, 2, 3) for p in "abc"}
+        self._check(e, _pmt_terms(spk, phrases), heads)
+
+
 class TestGe2eLoss:
     def test_hand_evaluated_two_by_two(self):
         e1 = np.array([1.0, 0.0])
@@ -428,17 +542,64 @@ class TestTrain:
         result = train(net, *_train_inputs(corpus), cfg)
         assert result.loss_trace[-1] < result.loss_trace[0]
 
-    def test_training_is_bit_reproducible(self):
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_training_is_bit_reproducible(self, strategy):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=2)
-        cfg = TrainConfig(strategy=Strategy.PCT, epochs=5, lr_initial=0.02,
+        cfg = TrainConfig(strategy=strategy, epochs=5, lr_initial=0.02,
                           lr_final=0.01, pct_speakers_per_batch=3, seed=33)
         a = train(net, *_train_inputs(corpus), cfg)
         b = train(net, *_train_inputs(corpus), cfg)
         np.testing.assert_array_equal(a.extractor.w1, b.extractor.w1)
         np.testing.assert_array_equal(a.extractor.w2, b.extractor.w2)
         assert a.loss_trace == b.loss_trace
-        assert a.ge2e.w == b.ge2e.w and a.ge2e.b == b.ge2e.b
+        assert list(a.heads) == list(b.heads)
+        for name, head in a.heads.items():
+            np.testing.assert_array_equal(head.weights, b.heads[name].weights)
+        if strategy is Strategy.PCT:
+            assert a.ge2e.w == b.ge2e.w and a.ge2e.b == b.ge2e.b
+        else:
+            assert a.ge2e is None and b.ge2e is None
+
+    @pytest.mark.parametrize("strategy", [s for s in Strategy if s is not Strategy.PCT])
+    @pytest.mark.parametrize("multitask_weight", [1.0, 0.3])
+    def test_first_loss_is_the_oracle_loss_at_the_initial_network(self, strategy,
+                                                                   multitask_weight):
+        # pins the order of the head seeds and the terms of each objective;
+        # the metas are reversed so that phrases do not first appear in
+        # inventory order, and with five phrases the PMT sum then rounds
+        # differently in inventory order
+        corpus = _train_corpus(n_phrases=5)
+        feats, metas = corpus.x[::-1], corpus.metas[::-1]
+        net = Extractor.init(6, 8, 5, seed=6)
+        cfg = TrainConfig(strategy=strategy, epochs=1, multitask_weight=multitask_weight,
+                          aam_scale=16.0, aam_margin=0.3, seed=34)
+        result = train(net, feats, metas, corpus.inventory, cfg)
+
+        rng = np.random.default_rng(cfg.seed)
+
+        def head(n_classes):
+            return AamHead.init(n_classes, 5, int(rng.integers(2**63)), 16.0, 0.3)
+
+        _, unit = forward(net, feats)
+        speakers = sorted({m.speaker_id for m in metas})
+        spk = [speakers.index(m.speaker_id) for m in metas]
+        phrase_ids = list(corpus.inventory.phrase_ids)
+        phr = [phrase_ids.index(m.phrase_id) for m in metas]
+        if strategy is Strategy.AAM_ONLY:
+            expected = aam_loss(unit, spk, head(len(speakers)))[0]
+        elif strategy is Strategy.SPK_PLUS_PHRASE:
+            spk_head = head(len(speakers))
+            expected = spk_plus_phrase_loss(unit, spk, phr, spk_head, head(len(phrase_ids)),
+                                            multitask_weight)[0]
+        elif strategy is Strategy.SPK_TIMES_PHRASE:
+            product = [product_label(s, p, len(phrase_ids)) for s, p in zip(spk, phr)]
+            expected = aam_loss(unit, product, head(len(speakers) * len(phrase_ids)))[0]
+        else:
+            heads = {p: head(len(speakers)) for p in phrase_ids}
+            assert list(dict.fromkeys(m.phrase_id for m in metas)) != phrase_ids
+            expected = pmt_loss(unit, spk, [m.phrase_id for m in metas], heads)[0]
+        assert result.loss_trace[0] == expected
 
     def test_inputs_not_mutated(self):
         corpus = _train_corpus()
