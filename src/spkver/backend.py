@@ -4,7 +4,8 @@ The PLDA model is x = mu + y + eps with speaker factor y ~ N(0, Sigma_b)
 and residual eps ~ N(0, Sigma_w). Training is EM on (Sigma_b, Sigma_w)
 with mu fixed at the grand mean; the verification score is the closed-form
 log-likelihood ratio of same-speaker vs different-speaker hypotheses,
-evaluated through the stacked joint Gaussian of the pair.
+expanded once per model into a quadratic form in the pair (`PldaScorer`).
+`quadratic_score` evaluates that form; NPLDA scores through it too.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
 the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
@@ -46,10 +47,6 @@ class PldaModel:
             if not np.allclose(arr, arr.T, atol=1e-10):
                 raise ValueError(f"{name} must be symmetric")
 
-    @property
-    def dim(self) -> int:
-        return int(self.mu.shape[0])
-
 
 def cosine_score(e: np.ndarray, t: np.ndarray):
     """Inner product over the product of norms, in [-1, 1].
@@ -69,17 +66,28 @@ def cosine_score(e: np.ndarray, t: np.ndarray):
     return float(scores) if scores.ndim == 0 else scores
 
 
-def _logdet_and_chol(mat: np.ndarray) -> Tuple[float, np.ndarray]:
+def _logdet(mat: np.ndarray) -> float:
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance not positive definite: {exc}") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
-def _chol_quad(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x^T M^{-1} x for M = chol @ chol.T, batched over rows of x."""
-    z = np.linalg.solve(chol, x.T)
-    return np.sum(z * z, axis=0)
+
+def quadratic_score(lam: np.ndarray, gamma: np.ndarray, c: np.ndarray, k: float, e, t):
+    """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k, for a
+    symmetric L. A broadcasting pair scorer: `e` and `t` of shapes (..., D)
+    broadcast to scores of shape (...); two 1-D vectors give a float."""
+    e = np.asarray(e, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if e.shape[-1] != c.shape[0] or t.shape[-1] != c.shape[0]:
+        raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {c.shape[0]}")
+    cross = np.sum((e @ lam) * t, axis=-1)
+    self_e = np.sum((e @ gamma) * e, axis=-1)
+    self_t = np.sum((t @ gamma) * t, axis=-1)
+    lin = (e + t) @ c
+    scores = cross + self_e + self_t + lin + k
+    return float(scores) if scores.ndim == 0 else scores
 
 
 class _PldaStats(NamedTuple):
@@ -225,42 +233,36 @@ def plda_em_train(
 
 
 class PldaScorer:
-    """Log-likelihood-ratio scorer with the pair factorizations precomputed.
+    """The PLDA log-likelihood ratio as a quadratic form, expanded once.
 
-    Same-speaker hypothesis: the stacked pair [e; t] is jointly Gaussian
-    with covariance [[T, B], [B, T]], T = Sigma_b + Sigma_w. Different
-    speakers: two independent N(mu, T) draws.
+    Same speaker: the centred pair [e; t] is jointly Gaussian with covariance
+    [[T, B], [B, T]], T = Sigma_b + Sigma_w, B = Sigma_b; different speakers:
+    two independent N(mu, T) draws. With the Schur complement
+    S = T - B T^{-1} B the ratio is exactly `quadratic_score` with
+    L = S^{-1} B T^{-1}, G = (T^{-1} - S^{-1}) / 2, c = -(L + 2G) mu and
+    k = (logdet T - logdet S) / 2 - mu^T c.
     """
 
     def __init__(self, model: PldaModel):
-        self.model = model
-        t_cov = model.sigma_b + model.sigma_w
-        joint = np.block([[t_cov, model.sigma_b], [model.sigma_b, t_cov]])
-        self._ldet_t, self._chol_t = _logdet_and_chol(t_cov)
-        self._ldet_j, self._chol_j = _logdet_and_chol(joint)
-        self._d = model.dim
+        b = model.sigma_b
+        t_cov = b + model.sigma_w
+        try:
+            t_inv = np.linalg.inv(t_cov)
+            schur = t_cov - b @ t_inv @ b
+            s_inv = np.linalg.inv(schur)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"non-invertible PLDA covariances: {exc}") from exc
+        lam = s_inv @ b @ t_inv
+        self.lam = 0.5 * (lam + lam.T)
+        gamma = 0.5 * (t_inv - s_inv)
+        self.gamma = 0.5 * (gamma + gamma.T)
+        self.c = -(self.lam + 2.0 * self.gamma) @ model.mu
+        self.k = 0.5 * (_logdet(t_cov) - _logdet(schur)) - float(model.mu @ self.c)
 
     def score(self, e: np.ndarray, t: np.ndarray):
         """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two
         1-D vectors give a float."""
-        e = np.asarray(e, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        if e.shape[-1] != self._d or t.shape[-1] != self._d:
-            raise ValueError("dimension mismatch with PLDA model")
-        e, t = np.broadcast_arrays(e, t)
-        shape = e.shape[:-1]
-        e = e.reshape(-1, self._d) - self.model.mu
-        t = t.reshape(-1, self._d) - self.model.mu
-        stacked = np.concatenate([e, t], axis=1)
-        log_same = -0.5 * (2 * self._d * LOG_2PI + self._ldet_j + _chol_quad(self._chol_j, stacked))
-        log_diff = -0.5 * (
-            2 * self._d * LOG_2PI
-            + 2 * self._ldet_t
-            + _chol_quad(self._chol_t, e)
-            + _chol_quad(self._chol_t, t)
-        )
-        scores = (log_same - log_diff).reshape(shape)
-        return float(scores) if scores.ndim == 0 else scores
+        return quadratic_score(self.lam, self.gamma, self.c, self.k, e, t)
 
 
 def train_phrase_plda_bank(

@@ -201,9 +201,6 @@ class AamHead:
             raise NumericalError("zero-norm class weight")
         self.weights /= norms
 
-    def copy(self) -> "AamHead":
-        return AamHead(self.weights.copy(), self.scale, self.margin)
-
 
 def aam_loss(embeddings: np.ndarray, labels: Sequence[int], head: AamHead):
     """Margin softmax over cosine logits.

@@ -5,9 +5,11 @@ Score form for a pair (e, t):
     s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k
 
 with L used symmetrized, so the score is symmetric in its arguments.
-Initialization expands the two-covariance log-likelihood ratio into
-(L, G, c, k) exactly; training is plain full-batch gradient descent on a
-differentiable detection-cost surrogate over same-phrase pairs.
+The generative two-covariance log-likelihood ratio is exactly this form:
+initialization takes (L, G, c, k) from `backend.PldaScorer`, and both
+score through `backend.quadratic_score`. Training is plain full-batch
+gradient descent on a differentiable detection-cost surrogate over
+same-phrase pairs.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import PldaModel, _logdet_and_chol
-from .core import NumericalError
+from .backend import PldaModel, PldaScorer, quadratic_score
 from .metrics import DcfParams, min_dcf_from_arrays
 
 
@@ -43,10 +44,6 @@ class NpldaParams:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "k", float(self.k))
 
-    @property
-    def dim(self) -> int:
-        return int(self.c.shape[0])
-
 
 @dataclass(frozen=True)
 class NpldaTrainConfig:
@@ -66,45 +63,16 @@ class NpldaTrainConfig:
 
 
 def init_from_plda(model: PldaModel) -> NpldaParams:
-    """Expand the generative LLR into quadratic parameters, exactly.
-
-    With T = Sigma_b + Sigma_w and Schur complement S = T - B T^{-1} B:
-    L = S^{-1} B T^{-1}, G = (T^{-1} - S^{-1}) / 2, c = -(L + 2G) mu,
-    k = (logdet T - logdet S) / 2 - mu^T c.
-    """
-    b = model.sigma_b
-    t_cov = b + model.sigma_w
-    try:
-        t_inv = np.linalg.inv(t_cov)
-        schur = t_cov - b @ t_inv @ b
-        s_inv = np.linalg.inv(schur)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"non-invertible PLDA covariances: {exc}") from exc
-    ldet_t, _ = _logdet_and_chol(t_cov)
-    ldet_s, _ = _logdet_and_chol(schur)
-    lam = s_inv @ b @ t_inv
-    lam = 0.5 * (lam + lam.T)
-    gamma = 0.5 * (t_inv - s_inv)
-    gamma = 0.5 * (gamma + gamma.T)
-    c = -(lam + 2.0 * gamma) @ model.mu
-    k = 0.5 * (ldet_t - ldet_s) - float(model.mu @ c)
-    return NpldaParams(lam=lam, gamma=gamma, c=c, k=k)
+    """The generative LLR's quadratic parameters, exactly (`PldaScorer`)."""
+    scorer = PldaScorer(model)
+    return NpldaParams(lam=scorer.lam, gamma=scorer.gamma, c=scorer.c, k=scorer.k)
 
 
 def nplda_score(params: NpldaParams, e: np.ndarray, t: np.ndarray):
     """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two 1-D
     vectors give a float."""
-    e = np.asarray(e, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if e.shape[-1] != params.dim or t.shape[-1] != params.dim:
-        raise ValueError("pair batch shape mismatch with NPLDA parameters")
     lam_sym = 0.5 * (params.lam + params.lam.T)
-    cross = np.sum((e @ lam_sym) * t, axis=-1)
-    self_e = np.sum((e @ params.gamma) * e, axis=-1)
-    self_t = np.sum((t @ params.gamma) * t, axis=-1)
-    lin = (e + t) @ params.c
-    scores = cross + self_e + self_t + lin + params.k
-    return float(scores) if scores.ndim == 0 else scores
+    return quadratic_score(lam_sym, params.gamma, params.c, params.k, e, t)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

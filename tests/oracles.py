@@ -163,6 +163,30 @@ def _plda_chol_quad(chol, x):
     return np.sum(z * z, axis=0)
 
 
+def plda_llr_joint_literal(model, e, t):
+    """Two-covariance PLDA log-likelihood ratio through the stacked pair.
+
+    The form that `backend.PldaScorer`'s quadratic expansion replaced. Same
+    speaker: [e; t] - [mu; mu] ~ N(0, [[T, B], [B, T]]) with B = Sigma_b,
+    T = Sigma_b + Sigma_w, scored with a Cholesky factor of the 2D x 2D
+    joint covariance; different speakers: two independent N(mu, T) draws.
+    Takes (N, D) rows and returns (N,) scores.
+    """
+    e = np.atleast_2d(np.asarray(e, dtype=np.float64)) - model.mu
+    t = np.atleast_2d(np.asarray(t, dtype=np.float64)) - model.mu
+    d = model.mu.shape[0]
+    t_cov = model.sigma_b + model.sigma_w
+    joint = np.block([[t_cov, model.sigma_b], [model.sigma_b, t_cov]])
+    ldet_t, chol_t = _plda_logdet_chol(t_cov)
+    ldet_j, chol_j = _plda_logdet_chol(joint)
+    log_2pi = math.log(2.0 * math.pi)
+    stacked = np.concatenate([e, t], axis=1)
+    log_same = -0.5 * (2 * d * log_2pi + ldet_j + _plda_chol_quad(chol_j, stacked))
+    log_diff = -0.5 * (2 * d * log_2pi + 2 * ldet_t
+                       + _plda_chol_quad(chol_t, e) + _plda_chol_quad(chol_t, t))
+    return log_same - log_diff
+
+
 def plda_marginal_loglik_literal(x, labels, sigma_b, sigma_w, mu):
     """Two-covariance PLDA marginal log-likelihood, one speaker at a time.
 

@@ -237,6 +237,12 @@ class TestPldaScoring:
         for _ in range(5):
             assert PldaScorer(model).score(rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_degenerate_model_fails_loudly(self):
+        # no within-speaker noise: same-speaker pairs are singular, the LLR unbounded
+        model = PldaModel(mu=np.zeros(2), sigma_b=np.eye(2), sigma_w=np.zeros((2, 2)))
+        with pytest.raises(NumericalError):
+            PldaScorer(model)
+
     def test_same_point_at_mean_dominates(self):
         model = self._model(4)
         far = model.mu + 10.0

@@ -379,6 +379,28 @@ class TestBackendTraining:
         assert rows_per_call.count(n_train) == global_calls
         assert len(rows_per_call) == cfg.n_phrases + global_calls
 
+    def test_plda_scores_a_split_in_one_scorer_call(self, e2e_dir, monkeypatch):
+        # bench/child.py traces PLDA scoring by these two names, and a
+        # PLDA-only workload must make no nplda_score call
+        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,plda"])
+        scorers = pipeline._train_backend_scorers(cfg)
+        trials, enroll, test = pipeline._trial_vectors(cfg, "eval")
+        calls = {"PldaScorer.score": 0, "nplda_score": 0}
+        plda_score, nplda_score = backend.PldaScorer.score, nplda.nplda_score
+
+        def counting_plda(self, e, t):
+            calls["PldaScorer.score"] += 1
+            return plda_score(self, e, t)
+
+        def counting_nplda(*args, **kwargs):
+            calls["nplda_score"] += 1
+            return nplda_score(*args, **kwargs)
+
+        monkeypatch.setattr(backend.PldaScorer, "score", counting_plda)
+        monkeypatch.setattr(nplda, "nplda_score", counting_nplda)
+        assert scorers["plda"](trials, enroll, test).shape == (len(trials),)
+        assert calls == {"PldaScorer.score": 1, "nplda_score": 0}
+
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
         ids, x, metas = pipeline._load_split(cfg, "train", extracted=True)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import check_gradients, train_nplda_literal
+from oracles import check_gradients, plda_llr_joint_literal, train_nplda_literal
 from spkver import nplda
-from spkver.backend import PldaModel, PldaScorer
+from spkver.backend import PldaModel, PldaScorer, plda_em_train
 from spkver.metrics import DcfParams
 from spkver.nplda import (
     NpldaParams,
@@ -39,7 +39,23 @@ class TestInitFromPlda:
         for _ in range(100):
             e = model.mu + rng.normal(size=dim)
             t = model.mu + rng.normal(size=dim)
-            assert abs(nplda_score(params, e, t) - scorer.score(e, t)) < 1e-8
+            expected = float(plda_llr_joint_literal(model, e, t)[0])
+            assert abs(nplda_score(params, e, t) - expected) < 1e-8
+            assert abs(scorer.score(e, t) - expected) < 1e-8
+
+    def test_reproduces_generative_llr_of_a_trained_model(self):
+        # D=48 as in the pipeline's embeddings: 50 speakers x 12 rows
+        rng = np.random.default_rng(48)
+        dim, n_spk, n_utt = 48, 50, 12
+        factors = rng.normal(size=(n_spk, dim))
+        x = np.repeat(factors, n_utt, axis=0) + 0.7 * rng.normal(size=(n_spk * n_utt, dim))
+        model, _ = plda_em_train(x, np.repeat(np.arange(n_spk), n_utt), iters=10)
+        e, t = x[rng.permutation(len(x))[:200]], x[rng.permutation(len(x))[:200]]
+        expected = plda_llr_joint_literal(model, e, t)
+        tol = 1e-12 * np.max(np.abs(expected))
+        np.testing.assert_allclose(PldaScorer(model).score(e, t), expected, rtol=0, atol=tol)
+        np.testing.assert_allclose(nplda_score(init_from_plda(model), e, t), expected,
+                                   rtol=0, atol=tol)
 
     def test_zero_between_covariance(self):
         model = PldaModel(mu=np.ones(3), sigma_b=np.zeros((3, 3)), sigma_w=np.eye(3))
