@@ -38,7 +38,7 @@ from .metrics import (
     DcfParams,
     FusionWeights,
     apply_phrase_filter,
-    classify_phrase,
+    classify_phrases,
     eer,
     fuse,
     levenshtein,

@@ -14,13 +14,17 @@ numpy stores every member with a fixed zip timestamp, so equal arrays give
 equal bytes. Everything people read (metadata, inventory, trials, keys,
 enrollment maps, scores) is UTF-8 text with LF endings and single-space
 separators; scores are printed as the shortest decimal that round-trips the
-64-bit value (Python repr). Every reader raises DataFormatError naming the
-file and the line or member at fault.
+64-bit value (Python repr). A score file travels as (trial ids, values), a
+list of ids and a float64 vector in file order, which the pipeline keeps
+row-aligned to the split's trial list (`write_scores` / `read_scores`).
+Every reader raises DataFormatError naming the file and the line or member
+at fault.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import zipfile
 from pathlib import Path
 from typing import Dict, Mapping, Sequence
@@ -41,10 +45,6 @@ from .core import (
 
 class DataFormatError(ValueError):
     """Malformed data file; the message names the file and the line or member."""
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _check_token(token: str, what: str) -> str:
@@ -69,11 +69,10 @@ def _read_lines(path) -> list:
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
-    """Write each line followed by LF, creating the parent directory."""
+    """Write each line followed by LF, in one go, creating the parent directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def sha256_of(path) -> str:
@@ -280,25 +279,32 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
     write_lines(path, lines)
 
 
-def read_trials(path) -> list:
-    out = []
+def _trial_fields(path):
+    """Each line's four fields, in file order."""
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(" ")
         if len(parts) != 4:
             _fail(path, lineno, "expected 4 fields: trial model test_utt claimed_phrase")
-        out.append(
-            Trial(
-                trial_id=parts[0],
-                model_id=parts[1],
-                test_utt_id=parts[2],
-                claimed_phrase_id=None if parts[3] == "-" else parts[3],
-            )
-        )
-    return out
+        yield parts
+
+
+def read_trials(path) -> list:
+    return [
+        Trial(trial_id, model_id, test_utt_id, None if claimed == "-" else claimed)
+        for trial_id, model_id, test_utt_id, claimed in _trial_fields(path)
+    ]
+
+
+def read_trial_ids(path) -> list:
+    """The trial ids of a trials file, in file order."""
+    return [parts[0] for parts in _trial_fields(path)]
 
 
 def write_keys(path, keys: Sequence[TrialKey]) -> None:
     write_lines(path, [f"{k.trial_id} {k.label.value}" for k in keys])
+
+
+_LABELS = {label.value: label for label in TrialLabel}
 
 
 def read_keys(path) -> list:
@@ -307,37 +313,49 @@ def read_keys(path) -> list:
         parts = line.split(" ")
         if len(parts) != 2:
             _fail(path, lineno, "expected 2 fields: trial label")
-        try:
-            label = TrialLabel(parts[1])
-        except ValueError:
+        if parts[1] not in _LABELS:
             _fail(path, lineno, f"unknown trial label {parts[1]!r}")
-        out.append(TrialKey(trial_id=parts[0], label=label))
+        out.append(TrialKey(trial_id=parts[0], label=_LABELS[parts[1]]))
     return out
 
 
-def write_scores(path, scores: Mapping[str, float]) -> None:
-    lines = []
-    for trial_id, score in scores.items():
-        _check_token(trial_id, "trial_id")
-        if not np.isfinite(score):
-            raise NumericalError(f"non-finite score {score!r} for trial {trial_id}")
-        lines.append(f"{trial_id} {_fmt(score)}")
-    write_lines(path, lines)
+def write_scores(path, trial_ids: Sequence[str], values) -> None:
+    """Write one `trial_id score` line per trial; `values` holds one finite
+    score per trial id."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(trial_ids),):
+        raise ValueError(f"{len(trial_ids)} trial ids for scores of shape {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(
+            f"non-finite score {float(values[bad[0]])!r} for trial {trial_ids[bad[0]]}")
+    if "\n".join(trial_ids).split() != list(trial_ids):  # an empty id or one with whitespace
+        for trial_id in trial_ids:
+            _check_token(trial_id, "trial_id")
+    write_lines(path, [f"{t} {value!r}" for t, value in zip(trial_ids, values.tolist())])
 
 
-def read_scores(path) -> dict:
-    out: Dict[str, float] = {}
+def read_scores(path):
+    """(trial ids, scores) of a score file in file order: a list of str and
+    a float64 vector. A line without exactly two fields, a repeated trial id
+    and a non-numeric or non-finite score raise DataFormatError naming the line."""
+    ids, values, seen = [], [], set()
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(" ")
         if len(parts) != 2:
             _fail(path, lineno, "expected 2 fields: trial score")
-        if parts[0] in out:
+        if parts[0] in seen:
             _fail(path, lineno, f"duplicate trial_id {parts[0]}")
+        seen.add(parts[0])
         try:
-            out[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError:
             _fail(path, lineno, f"non-numeric score {parts[1]!r}")
-    return out
+        if not math.isfinite(value):
+            _fail(path, lineno, f"non-finite score {parts[1]!r} for trial {parts[0]}")
+        ids.append(parts[0])
+        values.append(value)
+    return ids, np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

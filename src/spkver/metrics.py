@@ -1,6 +1,9 @@
 """Detection metrics, phrase classification / trial filtering, and score fusion.
 
-A ScoreSet is an insertion-ordered dict mapping trial_id -> float score.
+Scores travel as (trial ids, values): a float64 vector row-aligned to a
+split's trial list, one entry per trial in trial-list order. The trials'
+keys are a boolean target mask over the same rows, several systems' scores
+a (systems, N) matrix, and the phrase filter's verdict a mismatch mask.
 Target pooling: TC and TARGET count as targets; TW, IC, IW and NONTARGET
 are one pooled nontarget class.
 """
@@ -9,13 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import PhraseInventory, Trial, TrialLabel
-
-ScoreSet = Dict[str, float]
+from .core import PhraseInventory
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,6 @@ class FusionWeights:
         return len(self.weights)
 
 
-def _split_scores(scores: ScoreSet, keys: Mapping[str, TrialLabel]):
-    """Split a score set into (target, nontarget) arrays, in score-set order."""
-    tgt, non = [], []
-    for trial_id, score in scores.items():
-        if trial_id not in keys:
-            raise ValueError(f"scored trial {trial_id} has no key")
-        if not np.isfinite(score):
-            raise ValueError(f"non-finite score for trial {trial_id}")
-        (tgt if keys[trial_id].is_target else non).append(float(score))
-    return np.asarray(tgt, dtype=np.float64), np.asarray(non, dtype=np.float64)
-
-
 def _operating_points(scores: np.ndarray, is_target: np.ndarray):
     """Miss / false-alarm curves of each row of (G, N) scores under an
     accept-if-score>=threshold sweep, from one stable sort per row.
@@ -87,17 +76,18 @@ def _operating_points(scores: np.ndarray, is_target: np.ndarray):
     run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     start = np.maximum.accumulate(np.where(run_start, np.arange(n), 0), axis=1)
     tgt_below = np.take_along_axis(tgt_before, start, axis=1)
-    ends = ((0, 0), (1, 1))
-    thr = np.pad(ranked, ends, constant_values=(-np.inf, np.inf))
-    miss = np.pad(tgt_below / n_tgt, ends, constant_values=(0.0, 1.0))
-    fa = np.pad((n_non - (start - tgt_below)) / n_non, ends, constant_values=(1.0, 0.0))
+    thr = _framed(ranked, -np.inf, np.inf)
+    miss = _framed(tgt_below / n_tgt, 0.0, 1.0)
+    fa = _framed((n_non - (start - tgt_below)) / n_non, 1.0, 0.0)
     return thr, miss, fa
 
 
-def _one_row(tgt: np.ndarray, non: np.ndarray):
-    """Operating points of one system's target / nontarget scores."""
-    is_target = np.arange(tgt.size + non.size) < tgt.size
-    return _operating_points(np.concatenate([tgt, non])[None], is_target)
+def _framed(rows: np.ndarray, first: float, last: float) -> np.ndarray:
+    """(G, N + 2) copy of (G, N) rows with `first` prepended and `last`
+    appended to each row."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 2))
+    out[:, 0], out[:, 1:-1], out[:, -1] = first, rows, last
+    return out
 
 
 def _eer_rows(miss: np.ndarray, fa: np.ndarray) -> np.ndarray:
@@ -123,109 +113,116 @@ def _min_dcf_rows(thr: np.ndarray, miss: np.ndarray, fa: np.ndarray, params: Dcf
     return costs[rows, k], thr[rows, k]
 
 
-def eer(scores: ScoreSet, keys: Mapping[str, TrialLabel]) -> float:
+def _checked(scores, is_target, ndim: int = 1):
+    """scores as an ndim-D float64 array of one column per trial and
+    is_target as a boolean mask over the trials; ValueError on a shape
+    mismatch or a non-finite score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_target = np.asarray(is_target, dtype=bool)
+    if scores.ndim != ndim or is_target.ndim != 1 or scores.shape[-1:] != is_target.shape:
+        raise ValueError(
+            f"expected {ndim}-D scores with one column per target flag, "
+            f"got {scores.shape} scores for {is_target.shape} target flags")
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise ValueError(f"non-finite score at {np.argwhere(bad)[0].tolist()}")
+    return scores, is_target
+
+
+def eer(scores: np.ndarray, is_target: np.ndarray) -> float:
     """Equal error rate with linear interpolation between operating points."""
-    _, miss, fa = _one_row(*_split_scores(scores, keys))
+    scores, is_target = _checked(scores, is_target)
+    _, miss, fa = _operating_points(scores[None], is_target)
     return float(_eer_rows(miss, fa)[0])
 
 
-def min_dcf_from_arrays(tgt: np.ndarray, non: np.ndarray, params: DcfParams = DcfParams()):
-    """min_dcf over raw target / nontarget score arrays; returns (cost, threshold)."""
-    tgt = np.asarray(tgt, dtype=np.float64)
-    non = np.asarray(non, dtype=np.float64)
-    cost, thr = _min_dcf_rows(*_one_row(tgt, non), params)
-    return float(cost[0]), float(thr[0])
-
-
-def min_dcf_details(
-    scores: ScoreSet, keys: Mapping[str, TrialLabel], params: DcfParams = DcfParams()
-):
+def min_dcf_details(scores: np.ndarray, is_target: np.ndarray, params: DcfParams = DcfParams()):
     """Normalized minimum detection cost and the threshold attaining it.
 
     Threshold candidates are the observed scores plus the +/-inf endpoints;
     the cost is piecewise constant between scores, so this is exhaustive.
     """
-    tgt, non = _split_scores(scores, keys)
-    return min_dcf_from_arrays(tgt, non, params)
+    scores, is_target = _checked(scores, is_target)
+    cost, thr = _min_dcf_rows(*_operating_points(scores[None], is_target), params)
+    return float(cost[0]), float(thr[0])
 
 
-def min_dcf(
-    scores: ScoreSet, keys: Mapping[str, TrialLabel], params: DcfParams = DcfParams()
-) -> float:
-    return min_dcf_details(scores, keys, params)[0]
+def min_dcf(scores: np.ndarray, is_target: np.ndarray, params: DcfParams = DcfParams()) -> float:
+    return min_dcf_details(scores, is_target, params)[0]
+
+
+def _codes(texts: Sequence[str]) -> np.ndarray:
+    """(len(texts), L) code points of the texts, each row padded past its
+    text's end; what the padding holds never matters to `_edit_distances`."""
+    return np.asarray(texts, dtype=str).view(np.int32).reshape(len(texts), -1)
+
+
+def _edit_distances(texts: Sequence[str], refs: Sequence[str]) -> np.ndarray:
+    """(len(texts), len(refs)) unit-cost insert/delete/substitute distances
+    of every (text, reference) pair, in one Wagner-Fischer DP for all pairs.
+
+    Step i turns row i - 1 of every pair's table D into row i. Deletions
+    and substitutions come from row i - 1: tmp[j] = min(D[i-1, j] + 1,
+    D[i-1, j-1] + (text[i-1] != ref[j-1])), tmp[0] = i. Insertions then
+    chain along the row, D[i, j] = min over k <= j of tmp[k] + j - k, which
+    is np.minimum.accumulate(tmp - j) + j. The rows are kept shifted, as
+    D[i, j] - j, so that running minimum is the whole insertion step. The
+    arithmetic is integer, so every distance is exact. A pair's distance is
+    D[len(text), len(ref)]: later rows and columns only pad.
+    """
+    n_refs = len(refs)
+    text_len = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    ref_len = np.fromiter(map(len, refs), dtype=np.intp, count=n_refs)
+    out = np.empty((len(texts), n_refs), dtype=np.int64)
+    if out.size == 0:
+        return out
+    a, b = _codes(texts), _codes(refs)
+    ref_rows = np.arange(n_refs)
+    shifted = np.zeros((len(texts), n_refs, b.shape[1] + 1), dtype=np.int64)  # row 0: D - j = 0
+    out[text_len == 0] = ref_len
+    ends = set(text_len.tolist())
+    for i in range(1, max(ends) + 1):
+        match = a[:, i - 1, None, None] == b  # (texts, refs, ref positions)
+        np.minimum(shifted[..., 1:] + 1, shifted[..., :-1] - match, out=shifted[..., 1:])
+        shifted[..., 0] = i
+        np.minimum.accumulate(shifted, axis=-1, out=shifted)
+        if i in ends:
+            rows = text_len == i
+            out[rows] = shifted[rows][:, ref_rows, ref_len] + ref_len
+    return out
 
 
 def levenshtein(a: str, b: str) -> int:
     """Minimum unit-cost insert/delete/substitute edits between two strings."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    return int(_edit_distances([a], [b])[0, 0])
 
 
-def classify_phrase(transcript: str, inventory: PhraseInventory) -> str:
-    """Phrase whose reference text minimizes edit distance to the transcript.
-
-    Ties are broken by inventory order.
-    """
+def classify_phrases(transcripts: Sequence[str], inventory: PhraseInventory) -> list:
+    """Each transcript's phrase: the inventory entry whose reference text is
+    the fewest edits away, ties going to the first such entry."""
     if len(inventory) == 0:
         raise ValueError("empty phrase inventory")
-    best_id, best_dist = None, None
-    for entry in inventory:
-        dist = levenshtein(transcript, entry.text)
-        if best_dist is None or dist < best_dist:
-            best_id, best_dist = entry.phrase_id, dist
-    return best_id
+    dist = _edit_distances(transcripts, [entry.text for entry in inventory])
+    phrase_ids = inventory.phrase_ids
+    return [phrase_ids[k] for k in np.argmin(dist, axis=1).tolist()]
 
 
-def apply_phrase_filter(
-    scores: ScoreSet,
-    trials: Sequence[Trial],
-    classified_phrase: Mapping[str, str],
-    floor: float = -1000.0,
-) -> ScoreSet:
-    """Floor the score of every trial whose classified test phrase mismatches
-    the claimed phrase; other trials pass through unchanged."""
-    by_id = {t.trial_id: t for t in trials}
-    out: ScoreSet = {}
-    for trial_id, score in scores.items():
-        trial = by_id.get(trial_id)
-        if trial is None:
-            raise ValueError(f"scored trial {trial_id} not in trial list")
-        if trial.claimed_phrase_id is None:
-            raise ValueError(f"trial {trial_id} has no claimed phrase")
-        if trial.test_utt_id not in classified_phrase:
-            raise ValueError(f"no phrase classification for utterance {trial.test_utt_id}")
-        if classified_phrase[trial.test_utt_id] != trial.claimed_phrase_id:
-            out[trial_id] = float(floor)
-        else:
-            out[trial_id] = float(score)
-    return out
+def apply_phrase_filter(scores: np.ndarray, mismatch: np.ndarray, floor: float = -1000.0):
+    """`floor` where a trial's classified test phrase mismatches its claimed
+    phrase (`mismatch`, one flag per trial), the score itself elsewhere."""
+    scores = np.asarray(scores, dtype=np.float64)
+    mismatch = np.asarray(mismatch, dtype=bool)
+    if scores.ndim != 1 or mismatch.shape != scores.shape:
+        raise ValueError(f"{scores.shape} scores for {mismatch.shape} mismatch flags")
+    return np.where(mismatch, float(floor), scores)
 
 
-def fuse(score_sets: Sequence[ScoreSet], weights: FusionWeights) -> ScoreSet:
-    """Per-trial weighted sum of several systems' scores."""
-    if len(score_sets) != len(weights):
-        raise ValueError("one weight per score set required")
-    if not score_sets:
-        raise ValueError("nothing to fuse")
-    ids, scores = _aligned(score_sets)
-    return dict(zip(ids, _weighted_sums(np.asarray([weights.weights]), scores)[0].tolist()))
-
-
-def _aligned(score_sets: Sequence[ScoreSet]):
-    """The first set's trial ids, and every set's scores in that order as a
-    (systems, N) matrix; ValueError unless all sets hold the same trials."""
-    ids = list(score_sets[0])
-    id_set = set(ids)
-    if any(set(s) != id_set for s in score_sets[1:]):
-        raise ValueError("trial-id mismatch between fused score sets")
-    return ids, np.asarray([[s[t] for t in ids] for s in score_sets], dtype=np.float64)
+def fuse(scores: np.ndarray, weights: FusionWeights) -> np.ndarray:
+    """Per-trial weighted sum of the rows of (systems, N) scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or len(scores) != len(weights):
+        raise ValueError(f"one weight per system required: {len(weights)} for {scores.shape}")
+    return _weighted_sums(np.asarray([weights.weights]), scores)[0]
 
 
 def _weighted_sums(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -263,8 +260,8 @@ _SWEEP_SCORES = 1 << 17
 
 
 def tune_weights(
-    dev_sets: Sequence[ScoreSet],
-    dev_keys: Mapping[str, TrialLabel],
+    dev_scores: np.ndarray,
+    is_target: np.ndarray,
     params: DcfParams = DcfParams(),
     grid_step: float = 0.1,
 ) -> FusionWeights:
@@ -274,22 +271,21 @@ def tune_weights(
     weight vector. The simplex corners are always in the grid, so the result
     never underperforms the best single system on the dev set.
 
-    Each grid point's fused dev scores are one row of a (G, N) matrix, added
-    up as `fuse` adds them; one sorted sweep per row gives its minDCF and EER.
+    `dev_scores` holds one row per system and one column per dev trial, and
+    `is_target` flags the target columns. Each grid point's fused dev scores
+    are one row of a (G, N) matrix, added up as `fuse` adds them; one sorted
+    sweep per row gives its minDCF and EER.
     """
-    if not dev_sets:
+    scores, is_target = _checked(dev_scores, is_target, ndim=2)
+    if len(scores) == 0:
         raise ValueError("tune_weights needs at least one system")
-    if len(dev_sets) == 1:
+    if len(scores) == 1:
         return FusionWeights((1.0,))
-    grid = _simplex_grid(len(dev_sets), grid_divisions(grid_step))
-    ids, scores = _aligned(dev_sets)
-    for s in dev_sets:
-        _split_scores(s, dev_keys)  # every trial keyed, every score finite
-    is_target = np.asarray([dev_keys[t].is_target for t in ids], dtype=bool)
+    grid = _simplex_grid(len(scores), grid_divisions(grid_step))
 
     costs = np.empty(len(grid))
     errs = np.empty(len(grid))
-    step = max(1, _SWEEP_SCORES // max(len(ids), 1))
+    step = max(1, _SWEEP_SCORES // max(scores.shape[1], 1))
     for lo in range(0, len(grid), step):
         thr, miss, fa = _operating_points(_weighted_sums(grid[lo : lo + step], scores), is_target)
         costs[lo : lo + step] = _min_dcf_rows(thr, miss, fa, params)[0]

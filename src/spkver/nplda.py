@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .backend import PldaModel, PldaScorer, quadratic_score
-from .metrics import DcfParams, min_dcf_from_arrays
+from .metrics import DcfParams, min_dcf_details
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +161,7 @@ def train_nplda(
     if config.theta is not None:
         theta = float(config.theta)
     else:
-        _, theta = min_dcf_from_arrays(scores[lab], scores[~lab], config.dcf)
+        _, theta = min_dcf_details(scores, lab, config.dcf)
         if not np.isfinite(theta):
             theta = float(np.median(scores))
 

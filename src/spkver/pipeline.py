@@ -18,6 +18,10 @@ the formats):
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
 split travels as (ids, x): its utterance ids and one matrix row per id.
+Scores travel as (trial ids, values): every stage checks once per score or
+key file that it lists exactly the split's trial ids in trial-list order
+(DataFormatError naming the file and the first id that differs) and then
+works on float64 vectors row-aligned to that list.
 Scoring and normalization work on whole splits: each backend scores a
 split's row-aligned (enroll, test) arrays in one call (NPLDA in one call
 per claimed phrase), and AS-norm takes its cohort statistics in one call
@@ -124,6 +128,39 @@ def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
     if ids != [m.utt_id for m in metas]:
         raise fileio.DataFormatError(f"{path}: ids differ from those of meta_{split}.meta")
     return ids, x, metas
+
+
+# ---------------------------------------------------------------------------
+# score and key files
+
+
+def _check_trial_ids(path, ids: list, trial_ids: list, split: str) -> None:
+    """DataFormatError naming the file and its first differing id unless
+    `ids` are the split's trial ids, in trial-list order."""
+    if ids == trial_ids:
+        return
+    k = next((i for i, (a, b) in enumerate(zip(ids, trial_ids)) if a != b),
+             min(len(ids), len(trial_ids)))
+    got = repr(ids[k]) if k < len(ids) else "the end of the file"
+    want = repr(trial_ids[k]) if k < len(trial_ids) else "no trial"
+    raise fileio.DataFormatError(
+        f"{path}:{k + 1}: trial-id mismatch with trials_{split}.txt: {got} where it has {want}")
+
+
+def _read_scores(cfg: PipelineConfig, system: str, split: str, trial_ids: list) -> np.ndarray:
+    """A system's scores of a split, row-aligned to the split's trial ids."""
+    path = _workpath(cfg, f"scores_{system}_{split}.txt")
+    ids, values = fileio.read_scores(path)
+    _check_trial_ids(path, ids, trial_ids, split)
+    return values
+
+
+def _target_mask(cfg: PipelineConfig, split: str, trial_ids: list) -> np.ndarray:
+    """Which of the split's trials are targets, from its keys."""
+    path = _workpath(cfg, f"keys_{split}.txt")
+    keys = fileio.read_keys(path)
+    _check_trial_ids(path, [k.trial_id for k in keys], trial_ids, split)
+    return np.fromiter((k.label.is_target for k in keys), dtype=bool, count=len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +316,10 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
     written = []
     for split in splits:
         trials, enroll, test = _trial_vectors(cfg, split)
+        trial_ids = [t.trial_id for t in trials]
         for name in cfg.backends:
-            values = scorers[name](trials, enroll, test)
-            scores = {t.trial_id: float(s) for t, s in zip(trials, values)}
             path = _workpath(cfg, f"scores_{name}_{split}.txt")
-            fileio.write_scores(path, scores)
+            fileio.write_scores(path, trial_ids, scorers[name](trials, enroll, test))
             written.append(path)
     return written
 
@@ -307,8 +343,9 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
         fileio.write_lang_classifier(_workpath(cfg, "lang_clf.npz"), classifier)
         written.append(_workpath(cfg, "lang_clf.npz"))
     for split in splits:
-        raw = fileio.read_scores(_workpath(cfg, f"scores_{cfg.norm_backend}_{split}.txt"))
         trials, enroll, test = _trial_vectors(cfg, split)
+        trial_ids = [t.trial_id for t in trials]
+        raw = _read_scores(cfg, cfg.norm_backend, split, trial_ids)
         test_langs = None
         if classifier is not None:
             test_langs, _ = norm.predict_language(classifier, test)
@@ -317,12 +354,10 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
             lang_by_utt = {m.utt_id: m.language for m in metas}
             test_langs = [lang_by_utt[t.test_utt_id] for t in trials]
         normed = norm.language_dependent_as_norm(
-            np.asarray([raw[t.trial_id] for t in trials]),
-            enroll, test, cohort, cohort_scorer, n_top, test_langs,
+            raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )
-        out = {t.trial_id: float(s) for t, s in zip(trials, normed)}
         path = _workpath(cfg, f"scores_{cfg.norm_backend}_norm_{split}.txt")
-        fileio.write_scores(path, out)
+        fileio.write_scores(path, trial_ids, normed)
         written.append(path)
     return written
 
@@ -336,26 +371,42 @@ def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> 
     if cfg.task != "TD":
         raise ConfigError("the phrase filter applies to TD trials only")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
-    phrase_of_text: Dict[str, str] = {}  # a transcript's phrase depends on its text only
+    tested = {split: _tested_transcripts(cfg, split) for split in splits}
+    # a transcript's phrase depends on its text only: classify each distinct one once
+    distinct = list(dict.fromkeys(text for _, texts in tested.values() for text in texts))
+    phrase_of_text = dict(zip(distinct, metrics.classify_phrases(distinct, inventory)))
     written = []
-    for split in splits:
-        trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
-        metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
-        transcripts = {m.utt_id: m.transcript or "" for m in metas}
-        tested = {t.test_utt_id: transcripts[t.test_utt_id]
-                  for t in trials if t.test_utt_id in transcripts}
-        for text in tested.values():
-            if text not in phrase_of_text:
-                phrase_of_text[text] = metrics.classify_phrase(text, inventory)
-        classified = {u: phrase_of_text[text] for u, text in tested.items()}
+    for split, (trials, texts) in tested.items():
+        trial_ids = [t.trial_id for t in trials]
+        mismatch = np.fromiter(
+            (phrase_of_text[text] != t.claimed_phrase_id for t, text in zip(trials, texts)),
+            dtype=bool, count=len(trials),
+        )
         for system in _fusion_inputs(cfg):
-            src = _workpath(cfg, f"scores_{system}_{split}.txt")
-            scores = fileio.read_scores(src)
-            filtered = metrics.apply_phrase_filter(scores, trials, classified, cfg.filter_floor)
+            scores = _read_scores(cfg, system, split, trial_ids)
             path = _workpath(cfg, f"scores_{system}_filt_{split}.txt")
-            fileio.write_scores(path, filtered)
+            fileio.write_scores(
+                path, trial_ids, metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
             written.append(path)
     return written
+
+
+def _tested_transcripts(cfg: PipelineConfig, split: str):
+    """A split's trials and the transcript of each trial's test utterance
+    (an utterance without one reads as the empty text); DataFormatError
+    for a trial without a claimed phrase or a test utterance without metadata."""
+    trials_path = _workpath(cfg, f"trials_{split}.txt")
+    meta_path = _workpath(cfg, f"meta_{split}.meta")
+    trials = fileio.read_trials(trials_path)
+    text_of = {m.utt_id: m.transcript or "" for m in fileio.read_metas(meta_path)}
+    for t in trials:
+        if t.claimed_phrase_id is None:
+            raise fileio.DataFormatError(
+                f"{trials_path}: trial {t.trial_id} has no claimed phrase")
+        if t.test_utt_id not in text_of:
+            raise fileio.DataFormatError(
+                f"{meta_path}: no transcript for test utterance {t.test_utt_id!r}")
+    return trials, [text_of[t.test_utt_id] for t in trials]
 
 
 def _fusion_inputs(cfg: PipelineConfig) -> List[str]:
@@ -381,37 +432,33 @@ def _final_systems(cfg: PipelineConfig) -> List[str]:
 def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     """Tune fusion weights on dev minDCF and apply them to the eval scores."""
     systems = _final_systems(cfg)
-    dev_keys = {k.trial_id: k.label for k in fileio.read_keys(_workpath(cfg, "keys_dev.txt"))}
-    dev_sets = [
-        fileio.read_scores(_workpath(cfg, f"scores_{s}_dev.txt")) for s in systems
-    ]
+    dev_ids = fileio.read_trial_ids(_workpath(cfg, "trials_dev.txt"))
+    dev_scores = np.stack([_read_scores(cfg, s, "dev", dev_ids) for s in systems])
     params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
-    weights = metrics.tune_weights(dev_sets, dev_keys, params, cfg.grid_step)
+    weights = metrics.tune_weights(
+        dev_scores, _target_mask(cfg, "dev", dev_ids), params, cfg.grid_step)
 
-    eval_sets = [
-        fileio.read_scores(_workpath(cfg, f"scores_{s}_eval.txt")) for s in systems
-    ]
-    fused = metrics.fuse(eval_sets, weights)
+    eval_ids = fileio.read_trial_ids(_workpath(cfg, "trials_eval.txt"))
+    fused = metrics.fuse(np.stack([_read_scores(cfg, s, "eval", eval_ids) for s in systems]),
+                         weights)
     wpath = _workpath(cfg, "fusion_weights.txt")
     fileio.write_lines(wpath, [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)])
     spath = _workpath(cfg, "scores_fused_eval.txt")
-    fileio.write_scores(spath, fused)
+    fileio.write_scores(spath, eval_ids, fused)
     return [wpath, spath]
 
 
 def cmd_eval(cfg: PipelineConfig) -> List[Path]:
     """EER / minDCF report over every final system plus the fusion."""
-    keys = {k.trial_id: k.label for k in fileio.read_keys(_workpath(cfg, "keys_eval.txt"))}
+    trial_ids = fileio.read_trial_ids(_workpath(cfg, "trials_eval.txt"))
+    is_target = _target_mask(cfg, "eval", trial_ids)
     params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
     lines = []
     for system in _final_systems(cfg) + ["fused"]:
-        path = _workpath(cfg, f"scores_{system}_eval.txt")
-        if not path.exists():
-            continue
-        scores = fileio.read_scores(path)
+        scores = _read_scores(cfg, system, "eval", trial_ids)
         lines.append(
-            f"{system} eer={repr(metrics.eer(scores, keys))} "
-            f"min_dcf={repr(metrics.min_dcf(scores, keys, params))}"
+            f"{system} eer={repr(metrics.eer(scores, is_target))} "
+            f"min_dcf={repr(metrics.min_dcf(scores, is_target, params))}"
         )
     out = _workpath(cfg, "metrics.txt")
     fileio.write_lines(out, lines)

@@ -291,16 +291,19 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     trials, keys = [], []
     idx = 0
     for label, count in counts.items():
+        # a label's test pool for a model: the cells that share the model's
+        # speaker (TC, TW) or not, and its phrase (TC, IC) or not, in cell order
+        same_spk = label in (TrialLabel.TC, TrialLabel.TW)
+        same_phr = label in (TrialLabel.TC, TrialLabel.IC)
+        pools: dict = {}  # model_id -> its pool, built on first use
         for _ in range(count):
             model_id, spk, phr = _choice(rng, models)
-            if label is TrialLabel.TC:
-                pool = test_pool.get((spk, phr), [])
-            elif label is TrialLabel.TW:
-                pool = [u for (s, p), us in test_pool.items() if s == spk and p != phr for u in us]
-            elif label is TrialLabel.IC:
-                pool = [u for (s, p), us in test_pool.items() if s != spk and p == phr for u in us]
-            else:
-                pool = [u for (s, p), us in test_pool.items() if s != spk and p != phr for u in us]
+            pool = pools.get(model_id)
+            if pool is None:
+                pool = pools[model_id] = [
+                    u for (s, p), us in test_pool.items()
+                    if (s == spk) == same_spk and (p == phr) == same_phr for u in us
+                ]
             if not pool:
                 raise ValueError(f"infeasible request: no test utterances for label {label.value}")
             test_utt = _choice(rng, pool)
@@ -324,7 +327,8 @@ def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
         if len(l1) < n_enroll:
             continue
         enrolled = l1[:n_enroll]
-        rest = [m.utt_id for m in ms if m.utt_id not in set(enrolled)]
+        enrolled_set = set(enrolled)
+        rest = [m.utt_id for m in ms if m.utt_id not in enrolled_set]
         if not rest:
             continue
         enroll_map[f"m_{spk}"] = tuple(enrolled)
@@ -335,6 +339,8 @@ def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
             "infeasible request: need >=2 speakers with enough L1 utterances to enroll"
         )
 
+    others = {spk: [s for s in eligible if s != spk] for spk in eligible}
+
     trials, keys = [], []
     idx = 0
     for label, count in counts.items():
@@ -343,7 +349,7 @@ def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
             if label is TrialLabel.TARGET:
                 test_utt = _choice(rng, test_pool[spk])
             else:
-                other = _choice(rng, [s for s in eligible if s != spk])
+                other = _choice(rng, others[spk])
                 test_utt = _choice(rng, test_pool[other])
             trial_id = f"t{idx:06d}"
             idx += 1

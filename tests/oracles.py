@@ -16,10 +16,10 @@ import numpy as np
 
 from spkver.core import NumericalError
 from spkver.extractor import AamHead, aam_loss
-from spkver.metrics import (
-    DcfParams, FusionWeights, eer, fuse, grid_divisions, min_dcf, min_dcf_from_arrays,
-)
+from spkver.core import Language, Trial, TrialKey, TrialLabel
+from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.nplda import NpldaParams, nplda_score, soft_detcost
+from spkver.synthgen import TrialProtocol
 
 
 def sweep_points(tgt, non):
@@ -70,6 +70,109 @@ def levenshtein_recursive(a: str, b: str) -> int:
         )
 
     return dist(len(a), len(b))
+
+
+def levenshtein_loop(a: str, b: str) -> int:
+    """Two-row Wagner-Fischer DP, one character pair at a time: the form
+    that the batched `metrics._edit_distances` replaced."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def classify_phrase_literal(transcript: str, inventory) -> str:
+    """Phrase whose reference text minimizes edit distance to the transcript,
+    one inventory entry at a time; ties go to the first entry."""
+    if len(inventory) == 0:
+        raise ValueError("empty phrase inventory")
+    best_id, best_dist = None, None
+    for entry in inventory:
+        dist = levenshtein_loop(transcript, entry.text)
+        if best_dist is None or dist < best_dist:
+            best_id, best_dist = entry.phrase_id, dist
+    return best_id
+
+
+# ---------------------------------------------------------------------------
+# scores as {trial_id: score} dicts, keys as {trial_id: TrialLabel}: the
+# per-trial forms that the row-aligned array metrics replaced
+
+
+def split_scores_literal(scores: Mapping[str, float], keys: Mapping[str, TrialLabel]):
+    """Split a score dict into (target, nontarget) arrays, in dict order."""
+    tgt, non = [], []
+    for trial_id, score in scores.items():
+        if trial_id not in keys:
+            raise ValueError(f"scored trial {trial_id} has no key")
+        if not np.isfinite(score):
+            raise ValueError(f"non-finite score for trial {trial_id}")
+        (tgt if keys[trial_id].is_target else non).append(float(score))
+    return np.asarray(tgt, dtype=np.float64), np.asarray(non, dtype=np.float64)
+
+
+def _targets_first(scores, keys):
+    tgt, non = split_scores_literal(scores, keys)
+    return np.concatenate([tgt, non]), np.arange(tgt.size + non.size) < tgt.size
+
+
+def eer_dict(scores, keys) -> float:
+    """EER of a score dict, its targets ahead of its nontargets."""
+    return eer(*_targets_first(scores, keys))
+
+
+def min_dcf_dict(scores, keys, params=DcfParams()):
+    """(minDCF, threshold) of a score dict, its targets ahead of its nontargets."""
+    return min_dcf_details(*_targets_first(scores, keys), params)
+
+
+def aligned_literal(score_sets: Sequence[Mapping[str, float]]):
+    """The first set's trial ids, and every set's scores in that order as a
+    (systems, N) matrix; ValueError unless all sets hold the same trials."""
+    ids = list(score_sets[0])
+    id_set = set(ids)
+    if any(set(s) != id_set for s in score_sets[1:]):
+        raise ValueError("trial-id mismatch between fused score sets")
+    return ids, np.asarray([[s[t] for t in ids] for s in score_sets], dtype=np.float64)
+
+
+def fuse_dict(score_sets, weights: FusionWeights) -> dict:
+    """Per-trial weighted sum, added up left to right over the systems."""
+    if len(score_sets) != len(weights):
+        raise ValueError("one weight per score set required")
+    ids, _ = aligned_literal(score_sets)
+    out = {}
+    for trial_id in ids:
+        total = 0.0
+        for w, s in zip(weights.weights, score_sets):
+            total += w * s[trial_id]
+        out[trial_id] = total
+    return out
+
+
+def apply_phrase_filter_dict(scores, trials, classified_phrase, floor=-1000.0) -> dict:
+    """Floor the score of every trial whose classified test phrase mismatches
+    the claimed phrase, one trial at a time."""
+    by_id = {t.trial_id: t for t in trials}
+    out = {}
+    for trial_id, score in scores.items():
+        trial = by_id.get(trial_id)
+        if trial is None:
+            raise ValueError(f"scored trial {trial_id} not in trial list")
+        if trial.claimed_phrase_id is None:
+            raise ValueError(f"trial {trial_id} has no claimed phrase")
+        if trial.test_utt_id not in classified_phrase:
+            raise ValueError(f"no phrase classification for utterance {trial.test_utt_id}")
+        if classified_phrase[trial.test_utt_id] != trial.claimed_phrase_id:
+            out[trial_id] = float(floor)
+        else:
+            out[trial_id] = float(score)
+    return out
 
 
 def check_gradients(fn, arrays: dict, analytic: dict, step: float = 1e-5,
@@ -354,7 +457,8 @@ def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
 
     The one-weight-vector-at-a-time form that the one-sweep
     `metrics.tune_weights` replaced: it fuses, scores minDCF and scores EER
-    once per grid point through the library's one-system functions.
+    once per grid point through the dict forms `fuse_dict`, `min_dcf_dict`
+    and `eer_dict`.
 
     Ties break on (a) lower dev EER, then (b) the lexicographically smallest
     weight vector. The simplex corners are always in the grid, so the result
@@ -367,9 +471,9 @@ def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
     best = None
     for raw in _simplex_grid(len(dev_sets), grid_step):
         w = FusionWeights(raw)
-        fused = fuse(dev_sets, w)
-        cost = min_dcf(fused, dev_keys, params)
-        err = eer(fused, dev_keys)
+        fused = fuse_dict(dev_sets, w)
+        cost = min_dcf_dict(fused, dev_keys, params)[0]
+        err = eer_dict(fused, dev_keys)
         if best is None or (cost, err) < (best[0], best[1]):
             best = (cost, err, w)
     return best[2]
@@ -427,7 +531,8 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
     if config.theta is not None:
         theta = float(config.theta)
     else:
-        _, theta = min_dcf_from_arrays(scores[lab], scores[~lab], config.dcf)
+        _, theta = min_dcf_details(np.concatenate([scores[lab], scores[~lab]]),
+                                   np.arange(lab.size) < lab.sum(), config.dcf)
         if not np.isfinite(theta):
             theta = float(np.median(scores))
     loss0, _, _ = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
@@ -512,3 +617,100 @@ def pmt_loss(
         d_e[idx] += weight * de_p
         d_heads[p] = weight * dw_p
     return loss, d_e, d_heads
+
+
+# ---------------------------------------------------------------------------
+# trial generation, one pool scan per trial
+
+
+def _choice_literal(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
+    """`synthgen._gen_td` as it was before it built each model's pools once:
+    every trial rescans every cell for its label's test pool."""
+    # Enrollment cells: first n_enroll utterances of each (speaker, phrase)
+    # cell enroll; the rest are that cell's test pool.
+    cells: dict = {}
+    test_pool: dict = {}
+    for m in metas:
+        cells.setdefault((m.speaker_id, m.phrase_id), []).append(m.utt_id)
+    enroll_map = {}
+    models = []
+    for (spk, phr), utts in cells.items():
+        if len(utts) < n_enroll + 1:
+            continue
+        model_id = f"m_{spk}_{phr}"
+        enroll_map[model_id] = tuple(utts[:n_enroll])
+        test_pool[(spk, phr)] = utts[n_enroll:]
+        models.append((model_id, spk, phr))
+    if not models:
+        raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
+        raise ValueError("TW/IW trials need at least 2 phrases")
+
+    trials, keys = [], []
+    idx = 0
+    for label, count in counts.items():
+        for _ in range(count):
+            model_id, spk, phr = _choice_literal(rng, models)
+            if label is TrialLabel.TC:
+                pool = test_pool.get((spk, phr), [])
+            elif label is TrialLabel.TW:
+                pool = [u for (s, p), us in test_pool.items() if s == spk and p != phr for u in us]
+            elif label is TrialLabel.IC:
+                pool = [u for (s, p), us in test_pool.items() if s != spk and p == phr for u in us]
+            else:
+                pool = [u for (s, p), us in test_pool.items() if s != spk and p != phr for u in us]
+            if not pool:
+                raise ValueError(f"infeasible request: no test utterances for label {label.value}")
+            test_utt = _choice_literal(rng, pool)
+            trial_id = f"t{idx:06d}"
+            idx += 1
+            trials.append(Trial(trial_id, model_id, test_utt, claimed_phrase_id=phr))
+            keys.append(TrialKey(trial_id, label))
+    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
+
+
+def gen_ti_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
+    """`synthgen._gen_ti` as it was before it built each speaker's list of
+    other speakers once: every nontarget trial rebuilds it."""
+    # Enroll each speaker on its first n_enroll L1 utterances; every other
+    # utterance (any language) is eligible as test material.
+    by_spk: dict = {}
+    for m in metas:
+        by_spk.setdefault(m.speaker_id, []).append(m)
+    enroll_map = {}
+    test_pool: dict = {}
+    for spk, ms in by_spk.items():
+        l1 = [m.utt_id for m in ms if m.language is Language.L1]
+        if len(l1) < n_enroll:
+            continue
+        enrolled = l1[:n_enroll]
+        rest = [m.utt_id for m in ms if m.utt_id not in set(enrolled)]
+        if not rest:
+            continue
+        enroll_map[f"m_{spk}"] = tuple(enrolled)
+        test_pool[spk] = rest
+    eligible = sorted(test_pool)
+    if len(eligible) < 2:
+        raise ValueError(
+            "infeasible request: need >=2 speakers with enough L1 utterances to enroll"
+        )
+
+    trials, keys = [], []
+    idx = 0
+    for label, count in counts.items():
+        for _ in range(count):
+            spk = _choice_literal(rng, eligible)
+            if label is TrialLabel.TARGET:
+                test_utt = _choice_literal(rng, test_pool[spk])
+            else:
+                other = _choice_literal(rng, [s for s in eligible if s != spk])
+                test_utt = _choice_literal(rng, test_pool[other])
+            trial_id = f"t{idx:06d}"
+            idx += 1
+            trials.append(Trial(trial_id, f"m_{spk}", test_utt, claimed_phrase_id=None))
+            keys.append(TrialKey(trial_id, label))
+    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)

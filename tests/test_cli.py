@@ -215,13 +215,13 @@ class TestStageInputs:
         shutil.copytree(e2e_dir, workdir)
         cfg = load_config(overrides=BASE + [f"workdir={workdir}"])
         calls = []
-        classify = metrics.classify_phrase
+        classify = metrics.classify_phrases
 
-        def counting(transcript, inventory):
-            calls.append(transcript)
-            return classify(transcript, inventory)
+        def counting(transcripts, inventory):
+            calls.append(list(transcripts))
+            return classify(transcripts, inventory)
 
-        monkeypatch.setattr(metrics, "classify_phrase", counting)
+        monkeypatch.setattr(metrics, "classify_phrases", counting)
         before = _digests(workdir)
         pipeline.cmd_filter(cfg)
         tested_texts, n_utts = set(), 0
@@ -231,9 +231,10 @@ class TestStageInputs:
             text_of = {m.utt_id: m.transcript or "" for m in metas}
             tested_texts |= {text_of[t.test_utt_id] for t in trials}
             n_utts += len(metas)
-        # one call per distinct transcript of a tested utterance, across splits
-        assert sorted(calls) == sorted(tested_texts)
-        assert len(calls) < n_utts
+        # one batch, one text per distinct transcript of a tested utterance, across splits
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(tested_texts)
+        assert len(calls[0]) < n_utts
         assert _digests(workdir) == before
 
 
@@ -283,6 +284,87 @@ class TestErrorExitCodes:
         code = main(["fuse"] + _args(workdir))
         assert code == 3
         assert "trial-id mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, name", [
+        ("eval", "scores_plda_filt_eval.txt"),
+        ("eval", "scores_fused_eval.txt"),
+        ("eval", "keys_eval.txt"),
+        ("fuse", "scores_cosine_norm_filt_eval.txt"),
+        ("fuse", "scores_plda_filt_dev.txt"),
+        ("filter", "scores_plda_dev.txt"),
+        ("norm", "scores_cosine_eval.txt"),
+    ])
+    def test_truncated_file_is_data_error(self, e2e_dir, tmp_path, capsys, stage, name):
+        # the stage reported metrics over, or wrote scores of, the remaining trials
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / name
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines[:-1]))
+        last = lines[-1].split(" ")[0]
+        split = "dev" if "dev" in name else "eval"
+        capsys.readouterr()
+        assert main([stage] + _args(workdir)) == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {path}:{len(lines)}: trial-id mismatch with trials_{split}.txt: "
+                f"the end of the file where it has {last!r}") in err
+
+    def test_reordered_score_file_is_data_error(self, e2e_dir, tmp_path, capsys):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "scores_plda_filt_eval.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in [lines[1], lines[0]] + lines[2:]))
+        first, second = (line.split(" ")[0] for line in lines[:2])
+        capsys.readouterr()
+        assert main(["eval"] + _args(workdir)) == 3
+        assert (f"{path}:1: trial-id mismatch with trials_eval.txt: {second!r} where it has "
+                f"{first!r}") in capsys.readouterr().err
+
+    def test_missing_score_file_is_data_error(self, e2e_dir, tmp_path, capsys):
+        # eval used to skip a final system without a score file
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "scores_plda_filt_eval.txt"
+        path.unlink()
+        capsys.readouterr()
+        assert main(["eval"] + _args(workdir)) == 3
+        assert f"data error: {path}: " in capsys.readouterr().err
+
+    def test_tested_utterance_without_metadata_is_data_error(self, e2e_dir, tmp_path, capsys):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        utt = fileio.read_trials(workdir / "trials_eval.txt")[0].test_utt_id
+        path = workdir / "meta_eval.meta"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines if line.split(" ")[0] != utt))
+        capsys.readouterr()
+        assert main(["filter"] + _args(workdir)) == 3
+        assert (f"data error: {path}: no transcript for test utterance {utt!r}"
+                in capsys.readouterr().err)
+
+    def test_trial_without_claimed_phrase_is_data_error(self, e2e_dir, tmp_path, capsys):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "trials_dev.txt"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(" ")
+        path.write_text("".join(f"{line}\n" for line in
+                                [lines[0], " ".join(fields[:3] + ["-"])] + lines[2:]))
+        capsys.readouterr()
+        assert main(["filter"] + _args(workdir)) == 3
+        assert (f"data error: {path}: trial {fields[0]} has no claimed phrase"
+                in capsys.readouterr().err)
 
     def test_trial_model_missing_from_enroll_map_is_data_error(self, e2e_dir, tmp_path,
                                                                 capsys):
@@ -346,13 +428,13 @@ class TestNormAgainstLiteral:
         n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
         classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.npz")
         trials, enroll, test = pipeline._trial_vectors(cfg, split)
-        raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
+        trial_ids = [t.trial_id for t in trials]
+        raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v)[0] for v in test]
-        expected = as_norm_literal([raw[t.trial_id] for t in trials], enroll, test, cohort,
-                                   cosine_score, n_top, langs)
-        got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
-        np.testing.assert_allclose([got[t.trial_id] for t in trials], expected,
-                                   rtol=1e-12, atol=0)
+        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
+        got_ids, got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
+        assert raw_ids == got_ids == trial_ids
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestBackendTraining:

@@ -232,6 +232,7 @@ class TestProtocolFiles:
         fileio.write_keys(tmp_path / "k.txt", keys)
         fileio.write_enroll_map(tmp_path / "e.txt", enroll)
         assert fileio.read_trials(tmp_path / "t.txt") == trials
+        assert fileio.read_trial_ids(tmp_path / "t.txt") == ["t1", "t2"]
         assert fileio.read_keys(tmp_path / "k.txt") == keys
         assert fileio.read_enroll_map(tmp_path / "e.txt") == enroll
 
@@ -242,20 +243,75 @@ class TestProtocolFiles:
         assert labels == [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.TW]
 
     def test_scores_round_trip_and_duplicate_detection(self, tmp_path, rng):
-        scores = {f"t{i}": float(v) for i, v in enumerate(rng.normal(size=30))}
+        ids, values = [f"t{i}" for i in range(30)], rng.normal(size=30)
         path = tmp_path / "s.txt"
-        fileio.write_scores(path, scores)
-        assert fileio.read_scores(path) == scores
+        fileio.write_scores(path, ids, values)
+        back_ids, back = fileio.read_scores(path)
+        assert back_ids == ids and back.dtype == np.float64
+        np.testing.assert_array_equal(back, values)
         path.write_text("t1 0.5\nt1 0.7\n")
         with pytest.raises(DataFormatError, match="duplicate"):
             fileio.read_scores(path)
+
+    def test_score_file_bytes_are_id_and_repr_per_line(self, tmp_path, rng):
+        values = [float(v) for v in rng.normal(size=40) * 10.0 ** rng.integers(-12, 12, 40)]
+        values += [0.0, -0.0, 5e-324, 1e308, -1000.0, 0.1 + 0.2, 1.0, -3.0]
+        ids = [f"t{i:06d}" for i in range(len(values))]
+        path = tmp_path / "s.txt"
+        fileio.write_scores(path, ids, np.asarray(values))
+        expected = "".join(f"{i} {v!r}\n" for i, v in zip(ids, values))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("text, message", [
+        ("t0 0.5\nt1 0.5 0.7\n", "s.txt:2: expected 2 fields"),
+        ("t0 0.5\n\nt1 0.5\n", "s.txt:2: expected 2 fields"),
+        ("t0 0.5\nt1 0.7\nt0 0.1\n", "s.txt:3: duplicate trial_id t0"),
+        ("t0 0.5\nt1 abc\n", "s.txt:2: non-numeric score 'abc'"),
+        ("t0\t0.5\n", "s.txt:1: expected 2 fields"),
+        ("t0 0.5\nt1 nan\n", "s.txt:2: non-finite score 'nan' for trial t1"),
+        ("t0 -inf\n", "s.txt:1: non-finite score '-inf' for trial t0"),
+    ])
+    def test_score_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            fileio.read_scores(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("t0 TC\nt1 TC IW\n", "k.txt:2: expected 2 fields"),
+        ("t0 TC\n\nt1 IW\n", "k.txt:2: expected 2 fields"),
+        ("t0 TC\nt1 TW\nt2 XX\n", "k.txt:3: unknown trial label 'XX'"),
+    ])
+    def test_key_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "k.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            fileio.read_keys(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_score_is_never_written(self, tmp_path, bad):
         path = tmp_path / "s.txt"
         with pytest.raises(NumericalError, match="non-finite"):
-            fileio.write_scores(path, {"t0": 0.5, "t1": bad})
+            fileio.write_scores(path, ["t0", "t1"], [0.5, bad])
         assert not path.exists()
+
+    def test_trials_without_four_fields_name_the_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("t1 m1 u1 ph00\nt2 m1 u2\n")
+        for read in (fileio.read_trials, fileio.read_trial_ids):
+            with pytest.raises(DataFormatError, match="t.txt:2: expected 4 fields"):
+                read(path)
+
+    @pytest.mark.parametrize("trial_id", ["", "a b", "a\tb", " a", "a\u00a0b"])
+    def test_whitespace_trial_id_is_never_written(self, tmp_path, trial_id):
+        path = tmp_path / "s.txt"
+        with pytest.raises(ValueError, match="trial_id .* must be non-empty and whitespace-free"):
+            fileio.write_scores(path, ["t0", trial_id, "t2"], [0.5, 0.25, 0.125])
+        assert not path.exists()
+
+    def test_one_score_per_trial_id(self, tmp_path):
+        with pytest.raises(ValueError, match="2 trial ids for scores of shape"):
+            fileio.write_scores(tmp_path / "s.txt", ["t0", "t1"], [0.5])
 
 
 class TestInventory:

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    aligned_literal,
+    apply_phrase_filter_dict,
+    classify_phrase_literal,
     eer_bruteforce,
+    eer_dict,
+    fuse_dict,
+    levenshtein_loop,
     levenshtein_recursive,
     min_dcf_bruteforce,
+    min_dcf_dict,
     tune_weights_literal,
 )
 from spkver import metrics
@@ -14,7 +21,7 @@ from spkver.metrics import (
     DcfParams,
     FusionWeights,
     apply_phrase_filter,
-    classify_phrase,
+    classify_phrases,
     eer,
     fuse,
     levenshtein,
@@ -25,14 +32,22 @@ from spkver.metrics import (
 
 
 def _score_set(tgt, non):
-    scores, keys = {}, {}
-    for i, s in enumerate(tgt):
-        scores[f"t{i}"] = float(s)
-        keys[f"t{i}"] = TrialLabel.TARGET
-    for i, s in enumerate(non):
-        scores[f"n{i}"] = float(s)
-        keys[f"n{i}"] = TrialLabel.NONTARGET
-    return scores, keys
+    """Row-aligned scores and target flags, the targets first."""
+    scores = np.concatenate([np.asarray(tgt, dtype=np.float64), np.asarray(non, dtype=np.float64)])
+    return scores, np.arange(scores.size) < len(tgt)
+
+
+def _as_dicts(ids, scores, is_target):
+    """The {trial_id: score} and {trial_id: TrialLabel} forms of row-aligned arrays."""
+    labels = [TrialLabel.TARGET if t else TrialLabel.NONTARGET for t in is_target]
+    return dict(zip(ids, map(float, scores))), dict(zip(ids, labels))
+
+
+def _matrix(sets, keys):
+    """(systems, N) scores and the target flags of dict score sets, in the
+    first set's trial order."""
+    ids, scores = aligned_literal(sets)
+    return scores, np.asarray([keys[t].is_target for t in ids])
 
 
 class TestEer:
@@ -50,6 +65,16 @@ class TestEer:
         assert eer_bruteforce([1.0, 1.0], [1.0, 1.0, 1.0]) == 0.5
         scores, keys = _score_set([1.0, 1.0], [1.0, 1.0, 1.0])
         assert eer(scores, keys) == 0.5
+
+    def test_misaligned_or_non_finite_scores_raise(self):
+        scores, is_target = _score_set([1.0, 0.9], [0.1, 0.2])
+        with pytest.raises(ValueError, match="target flags"):
+            eer(scores, is_target[:-1])
+        with pytest.raises(ValueError, match="expected 1-D scores"):
+            min_dcf(scores[None], is_target)
+        scores[2] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite score at \[2\]"):
+            eer(scores, is_target)
 
     def test_single_class_raises(self):
         scores, keys = _score_set([1.0], [])
@@ -120,13 +145,59 @@ class TestMonotoneInvariance:
         assert min_dcf(scores, keys) == pytest.approx(min_dcf(warped, keys), abs=1e-12)
 
 
+class TestAgainstDictForms:
+    """The row-aligned metrics against the per-trial dict forms they replaced,
+    on trials listed in a drawn order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(0.01, 0.5))
+    def test_eer_and_min_dcf_equal_dict_forms(self, n, seed, p_target):
+        rng = np.random.default_rng(seed)
+        is_target = rng.random(n) < 0.4
+        is_target[:2] = (True, False)
+        rng.shuffle(is_target)
+        scores = np.round(rng.normal(is_target * 1.0, 1.0) * 4) / 4  # ties
+        ids = [f"t{i}" for i in rng.permutation(n)]
+        score_dict, keys = _as_dicts(ids, scores, is_target)
+        params = DcfParams(p_target=p_target)
+        assert eer(scores, is_target) == eer_dict(score_dict, keys)
+        assert min_dcf_details(scores, is_target, params) == min_dcf_dict(score_dict, keys, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_fuse_equals_dict_form(self, n_systems, n, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(n_systems, n)) * 10.0 ** rng.integers(-3, 3, (n_systems, 1))
+        raw = rng.integers(0, 20, n_systems) + 1
+        weights = FusionWeights(tuple(raw / raw.sum()))
+        ids = [f"t{i}" for i in rng.permutation(n)]
+        sets = [dict(zip(ids, row.tolist())) for row in scores]
+        assert fuse(scores, weights).tolist() == list(fuse_dict(sets, weights).values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_phrase_filter_equals_dict_form(self, n, seed):
+        rng = np.random.default_rng(seed)
+        phrases = ["ph00", "ph01", "ph02"]
+        trials = [Trial(f"t{i}", "m", f"u{i % 7}", phrases[int(rng.integers(3))])
+                  for i in rng.permutation(n)]
+        classified = {f"u{k}": phrases[int(rng.integers(3))] for k in range(7)}
+        scores = rng.normal(size=n)
+        mismatch = np.asarray([classified[t.test_utt_id] != t.claimed_phrase_id for t in trials])
+        expected = apply_phrase_filter_dict(
+            dict(zip((t.trial_id for t in trials), scores.tolist())), trials, classified, -7.5)
+        assert apply_phrase_filter(scores, mismatch, -7.5).tolist() == list(expected.values())
+
+
 class TestLevenshtein:
     @pytest.mark.parametrize(
         "a,b,expected",
-        [("abc", "abc", 0), ("", "abc", 3), ("kitten", "sitting", 3), ("ab", "", 2)],
+        [("abc", "abc", 0), ("", "abc", 3), ("kitten", "sitting", 3), ("ab", "", 2),
+         ("", "", 0), ("héllo", "hello", 1), ("\U0001f600a", "a", 1)],
     )
     def test_known_distances(self, a, b, expected):
         assert levenshtein_recursive(a, b) == expected  # oracle agrees
+        assert levenshtein_loop(a, b) == expected
         assert levenshtein(a, b) == expected
 
     @given(st.text(alphabet="abcd", max_size=12), st.text(alphabet="abcd", max_size=12))
@@ -143,6 +214,30 @@ class TestLevenshtein:
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
+# a small alphabet for many matches, plus non-ASCII letters, an astral-plane
+# character and NUL, which numpy's fixed-width strings drop from a text's end
+_TEXT = st.text(alphabet="abcé\u4e2d\U0001f600\x00", max_size=9)
+
+
+class TestBatchedEditDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TEXT, max_size=6), st.lists(_TEXT, max_size=5))
+    def test_every_pair_matches_oracles(self, texts, refs):
+        dist = metrics._edit_distances(texts, refs)
+        assert dist.shape == (len(texts), len(refs)) and dist.dtype == np.int64
+        for i, text in enumerate(texts):
+            for j, ref in enumerate(refs):
+                expected = levenshtein_recursive(text, ref)
+                assert levenshtein_loop(text, ref) == expected
+                assert dist[i, j] == expected
+
+    def test_unequal_lengths_in_one_batch(self):
+        texts = ["", "a", "kitten", "abcdefghijklmnopqrst"]
+        refs = ["sitting", "", "abc"]
+        expected = [[levenshtein_recursive(t, r) for r in refs] for t in texts]
+        assert metrics._edit_distances(texts, refs).tolist() == expected
+
+
 def _inventory():
     return PhraseInventory(
         (
@@ -155,7 +250,7 @@ def _inventory():
 
 class TestClassifyPhrase:
     def test_exact_match(self):
-        assert classify_phrase("sobhbekheyr", _inventory()) == "ph01"
+        assert classify_phrases(["sobhbekheyr"], _inventory()) == ["ph01"]
 
     def test_tie_breaks_by_inventory_order(self):
         inv = PhraseInventory(
@@ -165,77 +260,73 @@ class TestClassifyPhrase:
                 PhraseEntry("p3", "cccc", Language.L2),
             )
         )
-        # equidistant from every entry
-        assert classify_phrase("dddd", inv) == "p1"
+        # "dddd" is equidistant from every entry, "bbcc" from p2 and p3
+        assert classify_phrases(["dddd", "bbcc", ""], inv) == ["p1", "p2", "p1"]
+        assert classify_phrase_literal("bbcc", inv) == "p2"
 
     def test_empty_inventory(self):
         with pytest.raises(ValueError):
-            classify_phrase("x", PhraseInventory(()))
+            classify_phrases(["x"], PhraseInventory(()))
+
+    def test_no_transcripts(self):
+        assert classify_phrases([], _inventory()) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_TEXT, max_size=8),
+           st.lists(_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    def test_matches_one_at_a_time_oracle(self, texts, refs):
+        inv = PhraseInventory(tuple(PhraseEntry(f"p{k}", ref, Language.L1)
+                                    for k, ref in enumerate(refs)))
+        assert classify_phrases(texts, inv) == [classify_phrase_literal(t, inv) for t in texts]
 
     def test_noisy_transcripts_still_classify(self):
         from spkver.synthgen import gen_transcript
 
         inv = _inventory()
-        correct = 0
-        total = 0
+        texts, truth = [], []
         for i, entry in enumerate(inv):
             for k in range(340):
-                noisy = gen_transcript(entry.text, 0.1, seed=1000 * i + k)
-                total += 1
-                correct += classify_phrase(noisy, inv) == entry.phrase_id
-        assert correct / total >= 0.99
+                texts.append(gen_transcript(entry.text, 0.1, seed=1000 * i + k))
+                truth.append(entry.phrase_id)
+        got = classify_phrases(texts, inv)
+        assert np.mean([g == t for g, t in zip(got, truth)]) >= 0.99
 
 
 class TestPhraseFilter:
-    def _setup(self):
-        trials = [
-            Trial("t0", "m", "u0", "ph00"),
-            Trial("t1", "m", "u1", "ph00"),
-            Trial("t2", "m", "u2", "ph00"),
-        ]
-        scores = {"t0": 1.0, "t1": 0.5, "t2": -0.2}
-        classified = {"u0": "ph00", "u1": "ph01", "u2": "ph00"}
-        return trials, scores, classified
-
     def test_mismatch_gets_floor(self):
-        trials, scores, classified = self._setup()
-        out = apply_phrase_filter(scores, trials, classified, floor=-1000.0)
-        assert out == {"t0": 1.0, "t1": -1000.0, "t2": -0.2}
+        out = apply_phrase_filter([1.0, 0.5, -0.2], [False, True, False], floor=-1000.0)
+        assert out.tolist() == [1.0, -1000.0, -0.2]
 
     def test_all_match_is_identity(self):
-        trials, scores, classified = self._setup()
-        classified["u1"] = "ph00"
-        assert apply_phrase_filter(scores, trials, classified) == scores
+        scores = np.asarray([1.0, 0.5, -0.2])
+        assert apply_phrase_filter(scores, np.zeros(3, dtype=bool)).tolist() == scores.tolist()
 
-    def test_missing_classification(self):
-        trials, scores, classified = self._setup()
-        del classified["u1"]
-        with pytest.raises(ValueError, match="no phrase classification"):
-            apply_phrase_filter(scores, trials, classified)
+    def test_misaligned_mask_raises(self):
+        with pytest.raises(ValueError, match="mismatch flags"):
+            apply_phrase_filter([1.0, 0.5, -0.2], [False, True])
 
     def test_never_raises_scores(self):
-        trials, scores, classified = self._setup()
-        out = apply_phrase_filter(scores, trials, classified, floor=-5)
-        assert all(out[t] <= scores[t] for t in scores)
+        scores = np.asarray([1.0, 0.5, -0.2])
+        out = apply_phrase_filter(scores, [True, True, False], floor=-5)
+        assert (out <= scores).all()
 
 
 class TestFusion:
     def test_single_system_identity(self):
-        s = {"a": 1.0, "b": -2.0}
-        assert fuse([s], FusionWeights((1.0,))) == s
+        s = np.asarray([[1.0, -2.0]])
+        assert fuse(s, FusionWeights((1.0,))).tolist() == [1.0, -2.0]
 
     def test_identical_sets_any_weights(self):
-        s = {"a": 1.0, "b": -2.0}
-        assert fuse([s, s], FusionWeights((0.3, 0.7))) == pytest.approx(s)
+        s = np.asarray([1.0, -2.0])
+        np.testing.assert_allclose(fuse(np.stack([s, s]), FusionWeights((0.3, 0.7))), s)
 
     def test_mean_weights(self):
-        a = {"x": 1.0, "y": 3.0}
-        b = {"x": 3.0, "y": -1.0}
-        assert fuse([a, b], FusionWeights((0.5, 0.5))) == {"x": 2.0, "y": 1.0}
+        scores = np.asarray([[1.0, 3.0], [3.0, -1.0]])
+        assert fuse(scores, FusionWeights((0.5, 0.5))).tolist() == [2.0, 1.0]
 
-    def test_mismatched_ids(self):
-        with pytest.raises(ValueError, match="trial-id mismatch"):
-            fuse([{"a": 1.0}, {"b": 1.0}], FusionWeights((0.5, 0.5)))
+    def test_one_weight_per_system(self):
+        with pytest.raises(ValueError, match="one weight per system"):
+            fuse(np.ones((3, 4)), FusionWeights((0.5, 0.5)))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -246,42 +337,37 @@ class TestFusion:
 
 class TestTuneWeights:
     def test_single_system(self):
-        scores, keys = _score_set([2.0, 1.5], [0.1])
-        assert tune_weights([scores], keys).weights == (1.0,)
+        scores, is_target = _score_set([2.0, 1.5], [0.1])
+        assert tune_weights(scores[None], is_target).weights == (1.0,)
 
     def test_perfect_system_wins(self):
         rng = np.random.default_rng(7)
         tgt, non = rng.normal(2, 0.1, 20), rng.normal(-2, 0.1, 20)
-        good, keys = _score_set(tgt, non)
-        noise = {k: float(v) for k, v in zip(good, rng.normal(0, 100, size=len(good)))}
+        good, is_target = _score_set(tgt, non)
+        scores = np.stack([good, rng.normal(0, 100, size=good.size)])
         # oracle: walk all 11 grid points by hand and check (1.0, 0.0) is
         # the unique minimizer before trusting the search
         costs = {}
         for i in range(11):
             w = FusionWeights((i / 10, 1 - i / 10))
-            costs[w.weights] = min_dcf(fuse([good, noise], w), keys)
+            costs[w.weights] = min_dcf(fuse(scores, w), is_target)
         assert costs[(1.0, 0.0)] == 0.0
         assert all(c > 0.0 for w, c in costs.items() if w != (1.0, 0.0))
-        weights = tune_weights([good, noise], keys, grid_step=0.1)
+        weights = tune_weights(scores, is_target, grid_step=0.1)
         assert weights.weights[0] == 1.0
 
     def test_duplicate_systems_tie_break_lexicographic(self):
-        scores, keys = _score_set([1.0, 0.8, 0.6], [0.7, 0.2])
-        weights = tune_weights([scores, dict(scores)], keys, grid_step=0.5)
+        scores, is_target = _score_set([1.0, 0.8, 0.6], [0.7, 0.2])
+        weights = tune_weights(np.stack([scores, scores]), is_target, grid_step=0.5)
         assert weights.weights == (0.0, 1.0)
 
     def test_never_worse_than_best_single(self):
         rng = np.random.default_rng(3)
-        keys = None
         for _ in range(10):
-            sets = []
-            for _ in range(3):
-                tgt = rng.normal(1, 1, size=15)
-                non = rng.normal(0, 1, size=25)
-                scores, keys = _score_set(tgt, non)
-                sets.append(scores)
-            fused_cost = min_dcf(fuse(sets, tune_weights(sets, keys)), keys)
-            singles = [min_dcf(s, keys) for s in sets]
+            is_target = np.arange(40) < 15
+            scores = rng.normal(is_target * 1.0, 1.0, size=(3, 40))
+            fused_cost = min_dcf(fuse(scores, tune_weights(scores, is_target)), is_target)
+            singles = [min_dcf(s, is_target) for s in scores]
             assert fused_cost <= min(singles) + 1e-12
 
 
@@ -313,7 +399,7 @@ class TestTuneWeightsAgainstLiteral:
             grid_step = 0.2  # keeps the loop oracle's 4-system grid at 56 points
         sets, keys = _fusion_case(seed, n_systems, n_trials)
         params = DcfParams(p_target=p_target)
-        got = tune_weights(sets, keys, params, grid_step)
+        got = tune_weights(*_matrix(sets, keys), params, grid_step)
         assert got.weights == tune_weights_literal(sets, keys, params, grid_step).weights
 
     def test_rows_swept_in_blocks(self, monkeypatch):
@@ -321,7 +407,7 @@ class TestTuneWeightsAgainstLiteral:
         monkeypatch.setattr(metrics, "_SWEEP_SCORES", 120)
         for seed in range(5):
             sets, keys = _fusion_case(seed, 3, 40)
-            got = tune_weights(sets, keys, grid_step=0.1)
+            got = tune_weights(*_matrix(sets, keys), grid_step=0.1)
             assert got.weights == tune_weights_literal(sets, keys, grid_step=0.1).weights
 
     def test_grid_order_matches_product_filter(self):
@@ -334,12 +420,16 @@ class TestTuneWeightsAgainstLiteral:
             assert [tuple(w) for w in metrics._simplex_grid(n_systems, n)] == expected
 
     def test_bad_inputs_raise(self):
-        sets, keys = _fusion_case(0, 2, 10)
-        with pytest.raises(ValueError, match="trial-id mismatch"):
-            tune_weights([sets[0], {**sets[1], "extra": 0.0}], keys)
-        with pytest.raises(ValueError, match="has no key"):
-            tune_weights(sets, {k: v for k, v in keys.items() if k != "t3"})
-        with pytest.raises(ValueError, match="non-finite score for trial t4"):
-            tune_weights([sets[0], {**sets[1], "t4": float("inf")}], keys)
+        scores, is_target = _matrix(*_fusion_case(0, 2, 10))
+        with pytest.raises(ValueError, match="target flags"):
+            tune_weights(scores, is_target[:-1])
+        with pytest.raises(ValueError, match="expected 2-D scores"):
+            tune_weights(scores[0], is_target)
+        bad = scores.copy()
+        bad[1, 4] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite score at \[1, 4\]"):
+            tune_weights(bad, is_target)
         with pytest.raises(ValueError, match="at least one target and one nontarget"):
-            tune_weights(sets, {k: TrialLabel.TARGET for k in keys})
+            tune_weights(scores, np.ones_like(is_target))
+        with pytest.raises(ValueError, match="at least one system"):
+            tune_weights(np.empty((0, 10)), is_target)

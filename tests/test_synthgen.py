@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spkver.core import Language, TrialLabel, validate_protocol
+from oracles import gen_td_literal, gen_ti_literal
+from spkver import synthgen
+from spkver.core import (
+    Language, PhraseEntry, PhraseInventory, TrialLabel, UttMeta, validate_protocol,
+)
 from spkver.metrics import levenshtein
 from spkver.synthgen import GenConfig, Task, gen_corpus, gen_transcript, gen_trials
 
@@ -195,3 +200,75 @@ class TestGenTrials:
         a = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         b = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         assert a.trials == b.trials and a.keys == b.keys
+
+
+def _outcome(fn, *args):
+    """fn's protocol, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _uneven_corpus(draw):
+    """Metadata with a drawn number of utterances (possibly none) per
+    (speaker, phrase) cell and drawn languages, and its inventory."""
+    n_spk, n_phr = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    metas = []
+    for s in range(n_spk):
+        for p in range(n_phr):
+            for u in range(draw(st.integers(0, 5))):
+                lang = draw(st.sampled_from([Language.L1, Language.L2]))
+                metas.append(UttMeta(f"s{s}_p{p}_u{u}", f"s{s}", f"p{p}", lang, "abc"))
+    inventory = PhraseInventory(tuple(PhraseEntry(f"p{p}", "abc", Language.L1)
+                                      for p in range(n_phr)))
+    return metas, inventory
+
+
+class TestGenTrialsAgainstLiteral:
+    """Pools built once per model (TD) and speaker (TI) against the per-trial
+    rescans they replaced: same draws, same protocol, same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_uneven_corpus(), st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.integers(1, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_td_protocol_equals_per_trial_form(self, corpus, props, n_trials, n_enroll, seed):
+        metas, inventory = corpus
+        if sum(props) == 0:
+            props[0] = 1
+        counts = dict(zip(synthgen._LABELS[Task.TD],
+                          synthgen._allocate(n_trials, synthgen.trial_proportions(Task.TD, props))))
+        got = _outcome(synthgen._gen_td, metas, inventory, counts, n_enroll,
+                       np.random.default_rng(seed))
+        assert got == _outcome(gen_td_literal, metas, inventory, counts, n_enroll,
+                               np.random.default_rng(seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_uneven_corpus(), st.lists(st.integers(0, 3), min_size=2, max_size=2),
+           st.integers(1, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_ti_protocol_equals_per_trial_form(self, corpus, props, n_trials, n_enroll, seed):
+        metas, _ = corpus
+        if sum(props) == 0:
+            props[1] = 1
+        counts = dict(zip(synthgen._LABELS[Task.TI],
+                          synthgen._allocate(n_trials, synthgen.trial_proportions(Task.TI, props))))
+        got = _outcome(synthgen._gen_ti, metas, counts, n_enroll, np.random.default_rng(seed))
+        assert got == _outcome(gen_ti_literal, metas, counts, n_enroll,
+                               np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("task, proportions", [
+        (Task.TD, None), (Task.TD, (0.5, 0.0, 0.5, 0.0)), (Task.TI, None), (Task.TI, (0, 1)),
+    ])
+    def test_generated_corpus(self, task, proportions):
+        corpus = gen_corpus(_cfg(n_speakers=9, n_utts_per_cell=6))
+        props = synthgen.trial_proportions(task, proportions)
+        counts = dict(zip(synthgen._LABELS[task], synthgen._allocate(300, props)))
+        if task is Task.TD:
+            expected = gen_td_literal(corpus.metas, corpus.inventory, counts, 3,
+                                      np.random.default_rng(21))
+        else:
+            expected = gen_ti_literal(corpus.metas, counts, 3, np.random.default_rng(21))
+        got = gen_trials(corpus.metas, corpus.inventory, task, 300, seed=21,
+                         proportions=proportions, n_enroll=3)
+        assert got == expected
