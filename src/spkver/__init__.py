@@ -14,9 +14,8 @@ from .core import (
     NumericalError,
     PhraseEntry,
     PhraseInventory,
-    Trial,
-    TrialKey,
     TrialLabel,
+    Trials,
     UttMeta,
     build_enroll_model,
     validate_protocol,
@@ -48,7 +47,6 @@ from .metrics import (
 )
 from .norm import (
     Cohort,
-    CohortEntry,
     LangClassifier,
     NormStats,
     as_norm,

@@ -2,14 +2,15 @@
 
 Everything here is immutable after construction; the operations are pure
 functions. Vectors are plain arrays: a split is a pair (ids, x) with one row
-of x per id.
+of x per id. Trials and keys are columns: a trial list is one `Trials` of
+equal-length tuples, and its key is one TrialLabel per trial, in trial order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,21 +58,16 @@ class UttMeta:
     transcript: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One verification question: does test_utt come from the enrolled speaker
-    (and, in the text-dependent case, the claimed phrase)?"""
+class Trials(NamedTuple):
+    """A trial list as four equal-length columns. Trial ids[i] asks whether
+    utterance test_ids[i] comes from the speaker enrolled as model_ids[i]
+    and, text-dependent, speaks phrase claimed[i] (None for TI trials).
+    The trial count is len(trials.ids); len(trials) counts the columns."""
 
-    trial_id: str
-    model_id: str
-    test_utt_id: str
-    claimed_phrase_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class TrialKey:
-    trial_id: str
-    label: TrialLabel
+    ids: tuple
+    model_ids: tuple
+    test_ids: tuple
+    claimed: tuple
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,8 @@ def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
 
 
 def validate_protocol(
-    trials: Sequence[Trial],
-    keys: Sequence[TrialKey],
+    trials: Trials,
+    labels: Sequence[TrialLabel],
     metas: Sequence[UttMeta],
     enroll_map: Mapping[str, Sequence[str]],
 ) -> list:
@@ -149,24 +145,16 @@ def validate_protocol(
                 report.append(f"model {model_id}: dangling enrollment utterance {utt_id}")
 
     seen_trials = set()
-    for trial in trials:
-        if trial.trial_id in seen_trials:
-            report.append(f"duplicate trial_id: {trial.trial_id}")
-        seen_trials.add(trial.trial_id)
-        if trial.model_id not in enroll_map:
-            report.append(f"trial {trial.trial_id}: dangling model {trial.model_id}")
-        if trial.test_utt_id not in known_utts:
-            report.append(f"trial {trial.trial_id}: dangling test utterance {trial.test_utt_id}")
+    for trial_id, model_id, test_id in zip(trials.ids, trials.model_ids, trials.test_ids):
+        if trial_id in seen_trials:
+            report.append(f"duplicate trial_id: {trial_id}")
+        seen_trials.add(trial_id)
+        if model_id not in enroll_map:
+            report.append(f"trial {trial_id}: dangling model {model_id}")
+        if test_id not in known_utts:
+            report.append(f"trial {trial_id}: dangling test utterance {test_id}")
 
-    keyed = set()
-    for key in keys:
-        if key.trial_id in keyed:
-            report.append(f"duplicate key for trial {key.trial_id}")
-        keyed.add(key.trial_id)
-        if key.trial_id not in seen_trials:
-            report.append(f"key {key.trial_id}: no matching trial")
-    for trial in trials:
-        if trial.trial_id not in keyed:
-            report.append(f"trial {trial.trial_id}: missing key")
+    if len(labels) != len(trials.ids):
+        report.append(f"{len(labels)} labels for {len(trials.ids)} trials")
 
     return report

@@ -7,16 +7,18 @@ with `allow_pickle=False`:
   of unique whitespace-free ids, and `x`, a finite 2-D float64 array with one
   row per id (`write_matrix` / `read_matrix`);
 - a model file holds named arrays (`write_arrays` / `read_arrays`): the
-  extractor checkpoint `w1`, `b1`, `w2`, `b2`, `strategy` and `seed`, the
-  language classifier `weights` and `bias`.
+  extractor checkpoint `w1`, `b1`, `w2`, `b2`, `strategy` and `seed`.
 
 numpy stores every member with a fixed zip timestamp, so equal arrays give
 equal bytes. Everything people read (metadata, inventory, trials, keys,
 enrollment maps, scores) is UTF-8 text with LF endings and single-space
 separators; scores are printed as the shortest decimal that round-trips the
-64-bit value (Python repr). A score file travels as (trial ids, values), a
-list of ids and a float64 vector in file order, which the pipeline keeps
-row-aligned to the split's trial list (`write_scores` / `read_scores`).
+64-bit value (Python repr). Trials, keys and scores travel as columns in
+file order: a trials file as a `Trials` (`write_trials` / `read_trials`), a
+key file as (trial ids, TrialLabels) (`write_keys` / `read_keys`), and a
+score file as (trial ids, values), a list of ids and a float64 vector,
+which the pipeline keeps row-aligned to the split's trial list
+(`write_scores` / `read_scores`).
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
 """
@@ -36,9 +38,8 @@ from .core import (
     NumericalError,
     PhraseEntry,
     PhraseInventory,
-    Trial,
-    TrialKey,
     TrialLabel,
+    Trials,
     UttMeta,
 )
 
@@ -271,52 +272,52 @@ def read_enroll_map(path) -> dict:
     return out
 
 
-def write_trials(path, trials: Sequence[Trial]) -> None:
-    lines = []
-    for t in trials:
-        claimed = t.claimed_phrase_id if t.claimed_phrase_id is not None else "-"
-        lines.append(f"{t.trial_id} {t.model_id} {t.test_utt_id} {claimed}")
-    write_lines(path, lines)
+def write_trials(path, trials: Trials) -> None:
+    write_lines(path, [
+        f"{trial_id} {model_id} {test_id} {'-' if claimed is None else claimed}"
+        for trial_id, model_id, test_id, claimed in zip(*trials)
+    ])
 
 
-def _trial_fields(path):
-    """Each line's four fields, in file order."""
+def read_trials(path) -> Trials:
+    """The trials of a trials file as columns, in file order; a claimed
+    phrase `-` reads as None."""
+    ids, model_ids, test_ids, claimed = [], [], [], []
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(" ")
         if len(parts) != 4:
             _fail(path, lineno, "expected 4 fields: trial model test_utt claimed_phrase")
-        yield parts
+        ids.append(parts[0])
+        model_ids.append(parts[1])
+        test_ids.append(parts[2])
+        claimed.append(None if parts[3] == "-" else parts[3])
+    return Trials(tuple(ids), tuple(model_ids), tuple(test_ids), tuple(claimed))
 
 
-def read_trials(path) -> list:
-    return [
-        Trial(trial_id, model_id, test_utt_id, None if claimed == "-" else claimed)
-        for trial_id, model_id, test_utt_id, claimed in _trial_fields(path)
-    ]
-
-
-def read_trial_ids(path) -> list:
-    """The trial ids of a trials file, in file order."""
-    return [parts[0] for parts in _trial_fields(path)]
-
-
-def write_keys(path, keys: Sequence[TrialKey]) -> None:
-    write_lines(path, [f"{k.trial_id} {k.label.value}" for k in keys])
+def write_keys(path, trial_ids: Sequence[str], labels: Sequence[TrialLabel]) -> None:
+    """Write one `trial_id label` line per trial; `labels` holds one
+    TrialLabel per trial id."""
+    if len(labels) != len(trial_ids):
+        raise ValueError(f"{len(trial_ids)} trial ids for {len(labels)} labels")
+    write_lines(path, [f"{t} {label.value}" for t, label in zip(trial_ids, labels)])
 
 
 _LABELS = {label.value: label for label in TrialLabel}
 
 
-def read_keys(path) -> list:
-    out = []
+def read_keys(path):
+    """(trial ids, labels) of a key file in file order: a list of str and a
+    list of TrialLabel."""
+    ids, labels = [], []
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(" ")
         if len(parts) != 2:
             _fail(path, lineno, "expected 2 fields: trial label")
         if parts[1] not in _LABELS:
             _fail(path, lineno, f"unknown trial label {parts[1]!r}")
-        out.append(TrialKey(trial_id=parts[0], label=_LABELS[parts[1]]))
-    return out
+        ids.append(parts[0])
+        labels.append(_LABELS[parts[1]])
+    return ids, labels
 
 
 def write_scores(path, trial_ids: Sequence[str], values) -> None:
@@ -359,7 +360,7 @@ def read_scores(path):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint and language classifier
+# checkpoint
 
 
 def write_checkpoint(path, extractor, strategy: str, seed: int) -> None:
@@ -388,16 +389,3 @@ def read_checkpoint(path):
     })
     return extractor, str(strategy), int(seed)
 
-
-def write_lang_classifier(path, classifier) -> None:
-    write_arrays(path, {"weights": classifier.weights, "bias": classifier.bias})
-
-
-def read_lang_classifier(path):
-    from .norm import LangClassifier
-
-    arrays = read_arrays(path, ("weights", "bias"))
-    return LangClassifier(
-        weights=_floats(path, "weights", arrays["weights"], 2),
-        bias=_floats(path, "bias", arrays["bias"], 1),
-    )

@@ -13,7 +13,7 @@ utterance's language; the test-side cohort is never language-filtered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,33 +23,13 @@ from .core import Language, NumericalError, UttMeta
 Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class CohortEntry:
-    utt_id: str
-    vec: np.ndarray
-    language: Language
+class Cohort(NamedTuple):
+    """The AS-norm cohort: row i of the (M, D) float64 array x is entry
+    ids[i], in language languages[i] (an object array of Language)."""
 
-
-@dataclass(frozen=True)
-class Cohort:
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("cohort must be non-empty")
-        dims = {e.vec.shape[0] for e in entries}
-        if len(dims) != 1:
-            raise ValueError("cohort embeddings must share one dimension")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def filtered(self, language: Optional[Language]):
-        if language is None:
-            return self.entries
-        return tuple(e for e in self.entries if e.language is language)
+    ids: tuple
+    x: np.ndarray
+    languages: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,14 +38,13 @@ class NormStats:
 
     mu: object
     sigma: object
-    n_top: int
 
 
 def build_cohort(ids: Sequence[str], x: np.ndarray, metas: Sequence[UttMeta]) -> Cohort:
     """One averaged row of x (one row per id) per (speaker, language) pair.
 
     Averaging per language keeps each entry's language tag well defined,
-    which the language-dependent filter needs.
+    which the language-dependent filter needs. Empty `ids` raise ValueError.
     """
     meta_of = {m.utt_id: m for m in metas}
     groups: Dict[tuple, list] = {}
@@ -74,15 +53,13 @@ def build_cohort(ids: Sequence[str], x: np.ndarray, metas: Sequence[UttMeta]) ->
         if meta is None:
             raise ValueError(f"no metadata for cohort utterance {utt_id}")
         groups.setdefault((meta.speaker_id, meta.language), []).append(row)
-    entries = [
-        CohortEntry(
-            utt_id=f"{spk}:{lang.value}",
-            vec=x[rows].mean(axis=0),
-            language=lang,
-        )
-        for (spk, lang), rows in groups.items()
-    ]
-    return Cohort(tuple(entries))
+    if not groups:
+        raise ValueError("cohort must be non-empty")
+    return Cohort(
+        ids=tuple(f"{spk}:{lang.value}" for spk, lang in groups),
+        x=np.stack([x[rows].mean(axis=0) for rows in groups.values()]),
+        languages=np.array([lang for _, lang in groups], dtype=object),
+    )
 
 
 def cohort_stats(
@@ -99,22 +76,19 @@ def cohort_stats(
     """
     if n_top < 2:
         raise ValueError("n_top must be >= 2")
-    entries = cohort.filtered(language_filter)
-    if len(entries) < n_top:
-        raise ValueError(
-            f"cohort has {len(entries)} usable entries after filtering, need {n_top}"
-        )
+    x = cohort.x if language_filter is None else cohort.x[cohort.languages == language_filter]
+    if len(x) < n_top:
+        raise ValueError(f"cohort has {len(x)} usable entries after filtering, need {n_top}")
     anchors = np.asarray(anchors, dtype=np.float64)
-    cohort_vecs = np.stack([e.vec for e in entries])
-    scores = np.asarray(scorer(anchors[..., None, :], cohort_vecs), dtype=np.float64)
+    scores = np.asarray(scorer(anchors[..., None, :], x), dtype=np.float64)
     top = np.sort(scores, axis=-1)[..., -n_top:]
     mu = top.mean(axis=-1)
     sigma = top.std(axis=-1)  # population divisor
     if not np.all(sigma > 0.0):
         raise NumericalError(f"zero variance among top cohort scores (mu={mu[~(sigma > 0.0)]})")
     if anchors.ndim == 1:
-        return NormStats(mu=float(mu), sigma=float(sigma), n_top=n_top)
-    return NormStats(mu=mu, sigma=sigma, n_top=n_top)
+        return NormStats(mu=float(mu), sigma=float(sigma))
+    return NormStats(mu=mu, sigma=sigma)
 
 
 def as_norm(raw_score, enroll_stats: NormStats, test_stats: NormStats):
@@ -150,16 +124,16 @@ def language_dependent_as_norm(
         stats = cohort_stats(enroll_vecs[rows], cohort, scorer, n_top, language_filter=lang)
         mu[rows], sigma[rows] = stats.mu, stats.sigma
     test_stats = cohort_stats(test_vecs, cohort, scorer, n_top, language_filter=None)
-    normed = as_norm(raw_scores, NormStats(mu, sigma, n_top), test_stats)
+    normed = as_norm(raw_scores, NormStats(mu, sigma), test_stats)
     return float(normed) if np.ndim(normed) == 0 else normed
 
 
 def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int:
     """Cap a configured cohort depth at what the cohort can support."""
-    limit = len(cohort)
+    limit = len(cohort.x)
     if language_dependent:
         for lang in Language:
-            subset = len(cohort.filtered(lang))
+            subset = int(np.count_nonzero(cohort.languages == lang))
             if subset:
                 limit = min(limit, subset)
     if limit < 2:

@@ -12,16 +12,17 @@ the formats):
                                    trial lists, their keys, enrollment maps
     ckpt.npz                       trained extractor: w1, b1, w2, b2, strategy, seed
     emb_{split}.npz                extracted embeddings: members ids, x
-    lang_clf.npz                   language classifier (norm with LID): weights, bias
     scores_{system}_{split}.txt    trial scores per system
     fusion_weights.txt, metrics.txt, manifest.txt
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
 split travels as (ids, x): its utterance ids and one matrix row per id.
-Scores travel as (trial ids, values): every stage checks once per score or
-key file that it lists exactly the split's trial ids in trial-list order
-(DataFormatError naming the file and the first id that differs) and then
-works on float64 vectors row-aligned to that list.
+Trials travel as columns (a `Trials`: trial, model, test utterance and
+claimed-phrase ids), keys as (trial ids, labels) and scores as (trial ids,
+values): every stage checks once per score or key file that it lists
+exactly the split's trial ids in trial-list order (DataFormatError naming
+the file and the first id that differs) and then works on float64 vectors
+row-aligned to that list.
 Scoring and normalization work on whole splits: each backend scores a
 split's row-aligned (enroll, test) arrays in one call (NPLDA in one call
 per claimed phrase), and AS-norm takes its cohort statistics in one call
@@ -102,12 +103,13 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
             proportions=proportions, n_enroll=cfg.n_enroll,
         )
         problems = validate_protocol(
-            protocol.trials, protocol.keys, sub.metas, protocol.enroll_map
+            protocol.trials, protocol.labels, sub.metas, protocol.enroll_map
         )
         if problems:
             raise RuntimeError(f"generated {split} protocol is inconsistent: {problems[:3]}")
         fileio.write_trials(_workpath(cfg, f"trials_{split}.txt"), protocol.trials)
-        fileio.write_keys(_workpath(cfg, f"keys_{split}.txt"), protocol.keys)
+        fileio.write_keys(
+            _workpath(cfg, f"keys_{split}.txt"), protocol.trials.ids, protocol.labels)
         fileio.write_enroll_map(_workpath(cfg, f"enroll_{split}.txt"), protocol.enroll_map)
         written += [
             _workpath(cfg, f"trials_{split}.txt"),
@@ -134,10 +136,10 @@ def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
 # score and key files
 
 
-def _check_trial_ids(path, ids: list, trial_ids: list, split: str) -> None:
+def _check_trial_ids(path, ids: list, trial_ids: tuple, split: str) -> None:
     """DataFormatError naming the file and its first differing id unless
     `ids` are the split's trial ids, in trial-list order."""
-    if ids == trial_ids:
+    if tuple(ids) == trial_ids:
         return
     k = next((i for i, (a, b) in enumerate(zip(ids, trial_ids)) if a != b),
              min(len(ids), len(trial_ids)))
@@ -147,7 +149,7 @@ def _check_trial_ids(path, ids: list, trial_ids: list, split: str) -> None:
         f"{path}:{k + 1}: trial-id mismatch with trials_{split}.txt: {got} where it has {want}")
 
 
-def _read_scores(cfg: PipelineConfig, system: str, split: str, trial_ids: list) -> np.ndarray:
+def _read_scores(cfg: PipelineConfig, system: str, split: str, trial_ids: tuple) -> np.ndarray:
     """A system's scores of a split, row-aligned to the split's trial ids."""
     path = _workpath(cfg, f"scores_{system}_{split}.txt")
     ids, values = fileio.read_scores(path)
@@ -155,12 +157,12 @@ def _read_scores(cfg: PipelineConfig, system: str, split: str, trial_ids: list) 
     return values
 
 
-def _target_mask(cfg: PipelineConfig, split: str, trial_ids: list) -> np.ndarray:
+def _target_mask(cfg: PipelineConfig, split: str, trial_ids: tuple) -> np.ndarray:
     """Which of the split's trials are targets, from its keys."""
     path = _workpath(cfg, f"keys_{split}.txt")
-    keys = fileio.read_keys(path)
-    _check_trial_ids(path, [k.trial_id for k in keys], trial_ids, split)
-    return np.fromiter((k.label.is_target for k in keys), dtype=bool, count=len(keys))
+    ids, labels = fileio.read_keys(path)
+    _check_trial_ids(path, ids, trial_ids, split)
+    return np.fromiter((label.is_target for label in labels), dtype=bool, count=len(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,8 @@ def _pair_vectors(ids, x, enroll_map, trials):
         model_id: build_enroll_model(model_id, x[[row_of[u] for u in utt_ids]])
         for model_id, utt_ids in enroll_map.items()
     }
-    enroll = np.stack([centroids[t.model_id] for t in trials])
-    test = x[[row_of[t.test_utt_id] for t in trials]]
+    enroll = np.stack([centroids[m] for m in trials.model_ids])
+    test = x[[row_of[u] for u in trials.test_ids]]
     return enroll, test
 
 
@@ -221,13 +223,13 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
     enroll_map = fileio.read_enroll_map(enroll_path)
     known = set(ids)
-    for t in trials:
-        if t.model_id not in enroll_map:
+    for trial_id, model_id, test_id in zip(trials.ids, trials.model_ids, trials.test_ids):
+        if model_id not in enroll_map:
             raise fileio.DataFormatError(
-                f"{enroll_path}: no enrollment for model {t.model_id!r} of trial {t.trial_id}")
-        if t.test_utt_id not in known:
+                f"{enroll_path}: no enrollment for model {model_id!r} of trial {trial_id}")
+        if test_id not in known:
             raise fileio.DataFormatError(
-                f"{emb_path}: no embedding for test utterance {t.test_utt_id!r}")
+                f"{emb_path}: no embedding for test utterance {test_id!r}")
     for model_id, utt_ids in enroll_map.items():
         missing = [u for u in utt_ids if u not in known]
         if missing:
@@ -238,9 +240,10 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
 
 
 def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
-    """One trial scorer per configured backend: (trials, enroll, test) ->
-    scores, for row-aligned (N, D) enroll and test vectors."""
-    scorers: Dict[str, Callable] = {"cosine": lambda trials, e, t: backend.cosine_score(e, t)}
+    """One trial scorer per configured backend: (trials_path, trials, enroll,
+    test) -> scores, for the Trials read from trials_path and their
+    row-aligned (N, D) enroll and test vectors."""
+    scorers: Dict[str, Callable] = {"cosine": lambda path, trials, e, t: backend.cosine_score(e, t)}
     if not ({"plda", "nplda"} & set(cfg.backends)):
         return scorers
     ids, x, metas = _load_split(cfg, "train", extracted=True)
@@ -248,21 +251,25 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
         spk = [m.speaker_id for m in metas]
         plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
         plda_scorer = backend.PldaScorer(plda_model)
-        scorers["plda"] = lambda trials, e, t: plda_scorer.score(e, t)
+        scorers["plda"] = lambda path, trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
         params_by_phrase = _train_nplda_bank(cfg, ids, x, metas)
         scorers["nplda"] = functools.partial(_score_by_claimed_phrase, params_by_phrase)
     return scorers
 
 
-def _score_by_claimed_phrase(params_by_phrase, trials, e, t) -> np.ndarray:
-    """NPLDA scores, one nplda_score call per claimed phrase."""
-    phrases = np.asarray([trial.claimed_phrase_id for trial in trials], dtype=object)
-    scores = np.empty(len(trials))
-    for phrase in dict.fromkeys(phrases):
+def _score_by_claimed_phrase(params_by_phrase, trials_path, trials, e, t) -> np.ndarray:
+    """NPLDA scores, one nplda_score call per claimed phrase; DataFormatError
+    naming the trials file for a trial that claims a phrase without a model."""
+    phrases = np.asarray(trials.claimed, dtype=object)
+    scores = np.empty(len(phrases))
+    for phrase in dict.fromkeys(trials.claimed):
         params = params_by_phrase.get(phrase)
         if params is None:
-            raise ConfigError(f"no NPLDA model for claimed phrase {phrase!r}")
+            trial_id = trials.ids[trials.claimed.index(phrase)]
+            raise fileio.DataFormatError(
+                f"{trials_path}: trial {trial_id} claims phrase {phrase!r}, "
+                "which has no NPLDA model")
         rows = phrases == phrase
         scores[rows] = nplda.nplda_score(params, e[rows], t[rows])
     return scores
@@ -284,9 +291,9 @@ def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, nplda.Npl
     )
     enroll, test = _pair_vectors(ids, x, protocol.enroll_map, protocol.trials)
     phrase_of_utt = {m.utt_id: m.phrase_id for m in metas}
-    claimed = np.asarray([t.claimed_phrase_id for t in protocol.trials], dtype=object)
-    spoken = np.asarray([phrase_of_utt[t.test_utt_id] for t in protocol.trials], dtype=object)
-    is_target = np.asarray([k.label.is_target for k in protocol.keys], dtype=bool)
+    claimed = np.asarray(protocol.trials.claimed, dtype=object)
+    spoken = np.asarray([phrase_of_utt[u] for u in protocol.trials.test_ids], dtype=object)
+    is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
     params_by_phrase = {}
     train_cfg = nplda.NpldaTrainConfig(
@@ -316,10 +323,10 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
     written = []
     for split in splits:
         trials, enroll, test = _trial_vectors(cfg, split)
-        trial_ids = [t.trial_id for t in trials]
+        trials_path = _workpath(cfg, f"trials_{split}.txt")
         for name in cfg.backends:
             path = _workpath(cfg, f"scores_{name}_{split}.txt")
-            fileio.write_scores(path, trial_ids, scorers[name](trials, enroll, test))
+            fileio.write_scores(path, trials.ids, scorers[name](trials_path, trials, enroll, test))
             written.append(path)
     return written
 
@@ -340,24 +347,21 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
     if cfg.language_dependent and cfg.use_lid:
         langs = [m.language for m in train_meta]
         classifier = norm.train_language_id(train_x, langs, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
-        fileio.write_lang_classifier(_workpath(cfg, "lang_clf.npz"), classifier)
-        written.append(_workpath(cfg, "lang_clf.npz"))
     for split in splits:
         trials, enroll, test = _trial_vectors(cfg, split)
-        trial_ids = [t.trial_id for t in trials]
-        raw = _read_scores(cfg, cfg.norm_backend, split, trial_ids)
+        raw = _read_scores(cfg, cfg.norm_backend, split, trials.ids)
         test_langs = None
         if classifier is not None:
             test_langs, _ = norm.predict_language(classifier, test)
         elif cfg.language_dependent:
             metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
             lang_by_utt = {m.utt_id: m.language for m in metas}
-            test_langs = [lang_by_utt[t.test_utt_id] for t in trials]
+            test_langs = [lang_by_utt[u] for u in trials.test_ids]
         normed = norm.language_dependent_as_norm(
             raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )
         path = _workpath(cfg, f"scores_{cfg.norm_backend}_norm_{split}.txt")
-        fileio.write_scores(path, trial_ids, normed)
+        fileio.write_scores(path, trials.ids, normed)
         written.append(path)
     return written
 
@@ -377,16 +381,15 @@ def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> 
     phrase_of_text = dict(zip(distinct, metrics.classify_phrases(distinct, inventory)))
     written = []
     for split, (trials, texts) in tested.items():
-        trial_ids = [t.trial_id for t in trials]
         mismatch = np.fromiter(
-            (phrase_of_text[text] != t.claimed_phrase_id for t, text in zip(trials, texts)),
-            dtype=bool, count=len(trials),
+            (phrase_of_text[text] != claimed for claimed, text in zip(trials.claimed, texts)),
+            dtype=bool, count=len(texts),
         )
         for system in _fusion_inputs(cfg):
-            scores = _read_scores(cfg, system, split, trial_ids)
+            scores = _read_scores(cfg, system, split, trials.ids)
             path = _workpath(cfg, f"scores_{system}_filt_{split}.txt")
             fileio.write_scores(
-                path, trial_ids, metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
+                path, trials.ids, metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
             written.append(path)
     return written
 
@@ -399,14 +402,13 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
     meta_path = _workpath(cfg, f"meta_{split}.meta")
     trials = fileio.read_trials(trials_path)
     text_of = {m.utt_id: m.transcript or "" for m in fileio.read_metas(meta_path)}
-    for t in trials:
-        if t.claimed_phrase_id is None:
+    for trial_id, test_id, claimed in zip(trials.ids, trials.test_ids, trials.claimed):
+        if claimed is None:
+            raise fileio.DataFormatError(f"{trials_path}: trial {trial_id} has no claimed phrase")
+        if test_id not in text_of:
             raise fileio.DataFormatError(
-                f"{trials_path}: trial {t.trial_id} has no claimed phrase")
-        if t.test_utt_id not in text_of:
-            raise fileio.DataFormatError(
-                f"{meta_path}: no transcript for test utterance {t.test_utt_id!r}")
-    return trials, [text_of[t.test_utt_id] for t in trials]
+                f"{meta_path}: no transcript for test utterance {test_id!r}")
+    return trials, [text_of[u] for u in trials.test_ids]
 
 
 def _fusion_inputs(cfg: PipelineConfig) -> List[str]:
@@ -432,13 +434,13 @@ def _final_systems(cfg: PipelineConfig) -> List[str]:
 def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     """Tune fusion weights on dev minDCF and apply them to the eval scores."""
     systems = _final_systems(cfg)
-    dev_ids = fileio.read_trial_ids(_workpath(cfg, "trials_dev.txt"))
+    dev_ids = fileio.read_trials(_workpath(cfg, "trials_dev.txt")).ids
     dev_scores = np.stack([_read_scores(cfg, s, "dev", dev_ids) for s in systems])
     params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
     weights = metrics.tune_weights(
         dev_scores, _target_mask(cfg, "dev", dev_ids), params, cfg.grid_step)
 
-    eval_ids = fileio.read_trial_ids(_workpath(cfg, "trials_eval.txt"))
+    eval_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
     fused = metrics.fuse(np.stack([_read_scores(cfg, s, "eval", eval_ids) for s in systems]),
                          weights)
     wpath = _workpath(cfg, "fusion_weights.txt")
@@ -450,7 +452,7 @@ def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
 
 def cmd_eval(cfg: PipelineConfig) -> List[Path]:
     """EER / minDCF report over every final system plus the fusion."""
-    trial_ids = fileio.read_trial_ids(_workpath(cfg, "trials_eval.txt"))
+    trial_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
     is_target = _target_mask(cfg, "eval", trial_ids)
     params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
     lines = []

@@ -26,9 +26,8 @@ from .core import (
     NumericalError,
     PhraseEntry,
     PhraseInventory,
-    Trial,
-    TrialKey,
     TrialLabel,
+    Trials,
     UttMeta,
 )
 
@@ -195,10 +194,11 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
 
 @dataclass(frozen=True)
 class TrialProtocol:
-    """Trials, keys, and the enrollment map that makes them resolvable."""
+    """Trials, one label per trial, and the enrollment map that makes them
+    resolvable."""
 
-    trials: tuple
-    keys: tuple
+    trials: Trials
+    labels: tuple
     enroll_map: dict  # model_id -> tuple of enrollment utt_ids
 
 
@@ -288,8 +288,7 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
-    trials, keys = [], []
-    idx = 0
+    model_ids, test_ids, claimed, labels = [], [], [], []
     for label, count in counts.items():
         # a label's test pool for a model: the cells that share the model's
         # speaker (TC, TW) or not, and its phrase (TC, IC) or not, in cell order
@@ -306,12 +305,11 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
                 ]
             if not pool:
                 raise ValueError(f"infeasible request: no test utterances for label {label.value}")
-            test_utt = _choice(rng, pool)
-            trial_id = f"t{idx:06d}"
-            idx += 1
-            trials.append(Trial(trial_id, model_id, test_utt, claimed_phrase_id=phr))
-            keys.append(TrialKey(trial_id, label))
-    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
+            model_ids.append(model_id)
+            test_ids.append(_choice(rng, pool))
+            claimed.append(phr)
+        labels += [label] * count
+    return _protocol(model_ids, test_ids, claimed, labels, enroll_map)
 
 
 def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
@@ -341,18 +339,22 @@ def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
 
     others = {spk: [s for s in eligible if s != spk] for spk in eligible}
 
-    trials, keys = [], []
-    idx = 0
+    model_ids, test_ids, labels = [], [], []
     for label, count in counts.items():
         for _ in range(count):
             spk = _choice(rng, eligible)
             if label is TrialLabel.TARGET:
-                test_utt = _choice(rng, test_pool[spk])
+                test_ids.append(_choice(rng, test_pool[spk]))
             else:
                 other = _choice(rng, others[spk])
-                test_utt = _choice(rng, test_pool[other])
-            trial_id = f"t{idx:06d}"
-            idx += 1
-            trials.append(Trial(trial_id, f"m_{spk}", test_utt, claimed_phrase_id=None))
-            keys.append(TrialKey(trial_id, label))
-    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
+                test_ids.append(_choice(rng, test_pool[other]))
+            model_ids.append(f"m_{spk}")
+        labels += [label] * count
+    return _protocol(model_ids, test_ids, [None] * len(labels), labels, enroll_map)
+
+
+def _protocol(model_ids, test_ids, claimed, labels, enroll_map) -> TrialProtocol:
+    """The protocol of the drawn trial columns, with ids t000000, t000001, ..."""
+    ids = tuple(f"t{i:06d}" for i in range(len(labels)))
+    trials = Trials(ids, tuple(model_ids), tuple(test_ids), tuple(claimed))
+    return TrialProtocol(trials, tuple(labels), enroll_map)

@@ -16,7 +16,7 @@ import numpy as np
 
 from spkver.core import NumericalError
 from spkver.extractor import AamHead, aam_loss
-from spkver.core import Language, Trial, TrialKey, TrialLabel
+from spkver.core import Language, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.nplda import NpldaParams, nplda_score, soft_detcost
 from spkver.synthgen import TrialProtocol
@@ -158,17 +158,17 @@ def fuse_dict(score_sets, weights: FusionWeights) -> dict:
 def apply_phrase_filter_dict(scores, trials, classified_phrase, floor=-1000.0) -> dict:
     """Floor the score of every trial whose classified test phrase mismatches
     the claimed phrase, one trial at a time."""
-    by_id = {t.trial_id: t for t in trials}
+    by_id = {t: (u, c) for t, u, c in zip(trials.ids, trials.test_ids, trials.claimed)}
     out = {}
     for trial_id, score in scores.items():
-        trial = by_id.get(trial_id)
-        if trial is None:
+        if trial_id not in by_id:
             raise ValueError(f"scored trial {trial_id} not in trial list")
-        if trial.claimed_phrase_id is None:
+        test_id, claimed = by_id[trial_id]
+        if claimed is None:
             raise ValueError(f"trial {trial_id} has no claimed phrase")
-        if trial.test_utt_id not in classified_phrase:
-            raise ValueError(f"no phrase classification for utterance {trial.test_utt_id}")
-        if classified_phrase[trial.test_utt_id] != trial.claimed_phrase_id:
+        if test_id not in classified_phrase:
+            raise ValueError(f"no phrase classification for utterance {test_id}")
+        if classified_phrase[test_id] != claimed:
             out[trial_id] = float(floor)
         else:
             out[trial_id] = float(score)
@@ -228,13 +228,13 @@ def cohort_stats_literal(anchor, cohort, scorer, n_top, language_filter=None):
     """
     if n_top < 2:
         raise ValueError("n_top must be >= 2")
-    entries = [e for e in cohort.entries
-               if language_filter is None or e.language is language_filter]
-    if len(entries) < n_top:
+    rows = [vec for vec, lang in zip(cohort.x, cohort.languages)
+            if language_filter is None or lang is language_filter]
+    if len(rows) < n_top:
         raise ValueError(
-            f"cohort has {len(entries)} usable entries after filtering, need {n_top}"
+            f"cohort has {len(rows)} usable entries after filtering, need {n_top}"
         )
-    scores = np.asarray([float(scorer(anchor, e.vec)) for e in entries], dtype=np.float64)
+    scores = np.asarray([float(scorer(anchor, vec)) for vec in rows], dtype=np.float64)
     top = np.sort(scores)[-n_top:]
     mu = float(top.mean())
     sigma = float(top.std())
@@ -488,26 +488,27 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     """
     vec_of = dict(zip(ids, x))
     meta_of = {m.utt_id: m for m in metas}
-    label_of = {k.trial_id: k.label for k in protocol.keys}
+    label_of = dict(zip(protocol.trials.ids, protocol.labels))
     centroid_of = {}
     for mid, utts in protocol.enroll_map.items():
         mean = np.mean([vec_of[u] for u in utts], axis=0)
         centroid_of[mid] = mean / np.linalg.norm(mean)
+    trials = list(zip(*protocol.trials))  # (trial id, model id, test id, claimed phrase)
     out = {}
     for phrase in phrases:
         rows = [
-            t for t in protocol.trials
-            if t.claimed_phrase_id == phrase and meta_of[t.test_utt_id].phrase_id == phrase
+            (t, m, u, c) for t, m, u, c in trials
+            if c == phrase and meta_of[u].phrase_id == phrase
         ]
-        labels = [label_of[t.trial_id].is_target for t in rows]
+        labels = [label_of[t].is_target for t, _, _, _ in rows]
         if len(rows) < 4 or all(labels) or not any(labels):
             continue
         out[phrase] = (
-            np.stack([centroid_of[t.model_id] for t in rows]),
-            np.stack([vec_of[t.test_utt_id] for t in rows]),
+            np.stack([centroid_of[m] for _, m, _, _ in rows]),
+            np.stack([vec_of[u] for _, _, u, _ in rows]),
             labels,
-            [t.claimed_phrase_id for t in rows],
-            [meta_of[t.test_utt_id].phrase_id for t in rows],
+            [c for _, _, _, c in rows],
+            [meta_of[u].phrase_id for _, _, u, _ in rows],
         )
     return out
 
@@ -650,7 +651,7 @@ def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
-    trials, keys = [], []
+    trials, labels = [], []
     idx = 0
     for label, count in counts.items():
         for _ in range(count):
@@ -668,9 +669,9 @@ def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
             test_utt = _choice_literal(rng, pool)
             trial_id = f"t{idx:06d}"
             idx += 1
-            trials.append(Trial(trial_id, model_id, test_utt, claimed_phrase_id=phr))
-            keys.append(TrialKey(trial_id, label))
-    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
+            trials.append((trial_id, model_id, test_utt, phr))
+            labels.append(label)
+    return _protocol_literal(trials, labels, enroll_map)
 
 
 def gen_ti_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
@@ -699,7 +700,7 @@ def gen_ti_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
             "infeasible request: need >=2 speakers with enough L1 utterances to enroll"
         )
 
-    trials, keys = [], []
+    trials, labels = [], []
     idx = 0
     for label, count in counts.items():
         for _ in range(count):
@@ -711,6 +712,13 @@ def gen_ti_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
                 test_utt = _choice_literal(rng, test_pool[other])
             trial_id = f"t{idx:06d}"
             idx += 1
-            trials.append(Trial(trial_id, f"m_{spk}", test_utt, claimed_phrase_id=None))
-            keys.append(TrialKey(trial_id, label))
-    return TrialProtocol(tuple(trials), tuple(keys), enroll_map)
+            trials.append((trial_id, f"m_{spk}", test_utt, None))
+            labels.append(label)
+    return _protocol_literal(trials, labels, enroll_map)
+
+
+def _protocol_literal(trials, labels, enroll_map) -> TrialProtocol:
+    """The protocol of a list of (trial id, model id, test id, claimed phrase)
+    rows, one column at a time."""
+    columns = [tuple(row[k] for row in trials) for k in range(4)]
+    return TrialProtocol(Trials(*columns), tuple(labels), enroll_map)

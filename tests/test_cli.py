@@ -51,13 +51,14 @@ class TestSubcommands:
         for expected in (
             "feats_train.npz", "meta_eval.meta", "inventory.txt",
             "trials_eval.txt", "keys_dev.txt", "enroll_eval.txt",
-            "ckpt.npz", "emb_eval.npz", "lang_clf.npz",
+            "ckpt.npz", "emb_eval.npz",
             "scores_cosine_eval.txt", "scores_plda_dev.txt",
             "scores_cosine_norm_eval.txt", "scores_cosine_norm_filt_eval.txt",
             "scores_fused_eval.txt", "fusion_weights.txt",
             "metrics.txt", "manifest.txt",
         ):
             assert expected in names, expected
+        assert "lang_clf.npz" not in names  # the classifier is trained and used within norm
 
     def test_metrics_report_format(self, e2e_dir, capsys):
         assert main(["eval"] + _args(e2e_dir)) == 0
@@ -229,7 +230,7 @@ class TestStageInputs:
             trials = fileio.read_trials(workdir / f"trials_{split}.txt")
             metas = fileio.read_metas(workdir / f"meta_{split}.meta")
             text_of = {m.utt_id: m.transcript or "" for m in metas}
-            tested_texts |= {text_of[t.test_utt_id] for t in trials}
+            tested_texts |= {text_of[u] for u in trials.test_ids}
             n_utts += len(metas)
         # one batch, one text per distinct transcript of a tested utterance, across splits
         assert len(calls) == 1
@@ -342,7 +343,7 @@ class TestErrorExitCodes:
 
         workdir = tmp_path / "w"
         shutil.copytree(e2e_dir, workdir)
-        utt = fileio.read_trials(workdir / "trials_eval.txt")[0].test_utt_id
+        utt = fileio.read_trials(workdir / "trials_eval.txt").test_ids[0]
         path = workdir / "meta_eval.meta"
         lines = path.read_text().splitlines()
         path.write_text("".join(f"{line}\n" for line in lines if line.split(" ")[0] != utt))
@@ -372,7 +373,7 @@ class TestErrorExitCodes:
 
         workdir = tmp_path / "w"
         shutil.copytree(e2e_dir, workdir)
-        model_id = fileio.read_trials(workdir / "trials_dev.txt")[0].model_id
+        model_id = fileio.read_trials(workdir / "trials_dev.txt").model_ids[0]
         path = workdir / "enroll_dev.txt"
         lines = path.read_text().splitlines()
         path.write_text("".join(f"{line}\n" for line in lines
@@ -381,6 +382,25 @@ class TestErrorExitCodes:
         assert main(["score"] + _args(workdir)) == 3
         err = capsys.readouterr().err
         assert f"data error: {path}: no enrollment for model {model_id!r}" in err
+
+    @pytest.mark.parametrize("claimed", ["ph99", "-"])
+    def test_claimed_phrase_without_nplda_model_is_data_error(self, e2e_dir, tmp_path, capsys,
+                                                              claimed):
+        # the trials file is at fault, not the config: this used to exit 2
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "trials_eval.txt"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(" ")
+        path.write_text("".join(f"{line}\n" for line in
+                                [lines[0], " ".join(fields[:3] + [claimed])] + lines[2:]))
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 3
+        phrase = None if claimed == "-" else claimed
+        assert (f"data error: {path}: trial {fields[0]} claims phrase {phrase!r}, "
+                "which has no NPLDA model") in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, field, message", [
         ("trials_eval.txt", 2, "no embedding for test utterance 'no_such_utt'"),
@@ -412,6 +432,45 @@ class TestErrorExitCodes:
         assert "zero variance" in capsys.readouterr().err
 
 
+# sha256 of every file `gen` writes from PCG64 draws alone (no printed floats),
+# for the default config at seed 601, as the per-trial dataclass code wrote them
+_GEN_DIGESTS = {
+    "TD": {
+        "trials_dev.txt": "a75622b897776203b2796d5a369df54032cf997cd21c9c49ebcb03b0af8e2867",
+        "trials_eval.txt": "59ec72052c6e337c4e47c4b6b582c84713e849856efd3d77a05b668023b3d244",
+        "keys_dev.txt": "b5f40db21dfe47ae29edb9170d551891fb500c09c46f0218b73d33904aba5d99",
+        "keys_eval.txt": "d1370a0ec77067e5956972a71d1b2573248a6b0ee93f88b8e47ddbdd0c6c25ac",
+        "enroll_dev.txt": "b19358de16954f5c3f94facfd5ac368b4d87eed08c2c1ac49defce21166b1b82",
+        "enroll_eval.txt": "946e845a2ad027096d7716129a4c5482fa026a6fe98bd79ec3de8015c447c5f5",
+    },
+    "TI": {
+        "trials_dev.txt": "84e438be1ebe85f08142f87e7116db1a7c114d5e3a06f8d762565743f0bb1e7e",
+        "trials_eval.txt": "4e8958d4945ff06f2bf75f70d50d184f24d14386dab85d240c0d266d24a181c1",
+        "keys_dev.txt": "f50830d0be7495a57d7ad037f75748e0574a92d5d48835d03183d9f07b7caead",
+        "keys_eval.txt": "287fa249191d65dcea6896b8223d3c3599f7d4dec5e760b395eda5a5f382a84a",
+        "enroll_dev.txt": "8588f2757531112ed71c34b53d2c3a766faf9f9bcae3d89eba4e2d5fcc43020f",
+        "enroll_eval.txt": "595c142942ca97574c098345a30e04cd942d100fc1114c923c564ffddda1c519",
+    },
+}
+# the corpus and its split do not depend on the task
+_CORPUS_DIGESTS = {
+    "meta_train.meta": "16b22d8e5a5e7f0913535dbc099eecd41738753baffd8578a4a28846fd5cbc49",
+    "meta_dev.meta": "09b94b4630a835d3fac3dadf69a4e8846b39fcc4cd9708581c60c3f0410a4dd5",
+    "meta_eval.meta": "03a913b1ced5b3e39485edf0955d2a2e431a3fda6a2f35bb380b2a424e174c36",
+    "inventory.txt": "c40fa9b00992fb7c0ca5f3a0810256f63a942015e256d407e9a7810b55695597",
+}
+
+
+class TestGenBytes:
+    @pytest.mark.parametrize("task", ["TD", "TI"])
+    def test_protocol_files_keep_their_bytes(self, tmp_path, task):
+        assert main(["gen", "--set", f"workdir={tmp_path}", "--set", f"task={task}",
+                     "--seed", "601"]) == 0
+        expected = {**_GEN_DIGESTS[task], **_CORPUS_DIGESTS}
+        digests = _digests(tmp_path)
+        assert {name: digests[name] for name in expected} == expected
+
+
 class TestWorkdirInvariance:
     def test_outputs_identical_across_workdirs(self, e2e_dir, tmp_path):
         other = tmp_path / "elsewhere"
@@ -426,14 +485,15 @@ class TestNormAgainstLiteral:
         train_ids, train_x, train_meta = pipeline._load_split(cfg, "train", extracted=True)
         cohort = norm.build_cohort(train_ids, train_x, train_meta)
         n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
-        classifier = fileio.read_lang_classifier(Path(e2e_dir) / "lang_clf.npz")
+        # training is deterministic, so this is the classifier norm used
+        classifier = norm.train_language_id(train_x, [m.language for m in train_meta],
+                                            epochs=cfg.lid_epochs, lr=cfg.lid_lr)
         trials, enroll, test = pipeline._trial_vectors(cfg, split)
-        trial_ids = [t.trial_id for t in trials]
         raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v)[0] for v in test]
         expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
         got_ids, got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
-        assert raw_ids == got_ids == trial_ids
+        assert tuple(raw_ids) == tuple(got_ids) == trials.ids
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -480,7 +540,8 @@ class TestBackendTraining:
 
         monkeypatch.setattr(backend.PldaScorer, "score", counting_plda)
         monkeypatch.setattr(nplda, "nplda_score", counting_nplda)
-        assert scorers["plda"](trials, enroll, test).shape == (len(trials),)
+        path = Path(e2e_dir) / "trials_eval.txt"
+        assert scorers["plda"](path, trials, enroll, test).shape == (len(trials.ids),)
         assert calls == {"PldaScorer.score": 1, "nplda_score": 0}
 
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 from spkver.core import (
     Language,
     NumericalError,
-    Trial,
-    TrialKey,
     TrialLabel,
+    Trials,
     UttMeta,
     build_enroll_model,
     validate_protocol,
@@ -56,35 +55,33 @@ class TestValidateProtocol:
             UttMeta("u2", "s1", "ph00", Language.L1),
             UttMeta("u3", "s2", "ph00", Language.L2),
         ]
-        trials = [Trial("t1", "m1", "u3", "ph00")]
-        keys = [TrialKey("t1", TrialLabel.IC)]
+        trials = Trials(("t1",), ("m1",), ("u3",), ("ph00",))
+        labels = [TrialLabel.IC]
         enroll = {"m1": ("u1", "u2")}
-        return trials, keys, metas, enroll
+        return trials, labels, metas, enroll
 
     def test_consistent_protocol_is_clean(self):
         assert validate_protocol(*self._fixture()) == []
 
     def test_empty_everything_is_clean(self):
-        assert validate_protocol([], [], [], {}) == []
+        assert validate_protocol(Trials((), (), (), ()), [], [], {}) == []
 
     def test_dangling_test_utt(self):
-        trials, keys, metas, enroll = self._fixture()
-        trials = [Trial("t1", "m1", "nope", "ph00")]
-        report = validate_protocol(trials, keys, metas, enroll)
+        _, labels, metas, enroll = self._fixture()
+        trials = Trials(("t1",), ("m1",), ("nope",), ("ph00",))
+        report = validate_protocol(trials, labels, metas, enroll)
         assert len(report) == 1 and "dangling test utterance" in report[0]
 
     def test_duplicate_trial_id(self):
-        trials, keys, metas, enroll = self._fixture()
-        trials = trials + [Trial("t1", "m1", "u3", "ph00")]
-        report = validate_protocol(trials, keys, metas, enroll)
+        trials, labels, metas, enroll = self._fixture()
+        trials = Trials(*(column * 2 for column in trials))
+        report = validate_protocol(trials, labels * 2, metas, enroll)
         assert len(report) == 1 and "duplicate trial_id" in report[0]
 
-    def test_missing_key_and_orphan_key(self):
-        trials, _, metas, enroll = self._fixture()
-        report = validate_protocol(trials, [], metas, enroll)
-        assert any("missing key" in r for r in report)
-        report = validate_protocol(trials, [TrialKey("t1", TrialLabel.TC), TrialKey("zz", TrialLabel.TC)], metas, enroll)
-        assert any("no matching trial" in r for r in report)
+    def test_label_count_mismatch(self):
+        trials, labels, metas, enroll = self._fixture()
+        assert validate_protocol(trials, [], metas, enroll) == ["0 labels for 1 trials"]
+        assert validate_protocol(trials, labels * 2, metas, enroll) == ["2 labels for 1 trials"]
 
 
 class TestTypes:

@@ -12,14 +12,12 @@ from spkver.core import (
     NumericalError,
     PhraseEntry,
     PhraseInventory,
-    Trial,
-    TrialKey,
     TrialLabel,
+    Trials,
     UttMeta,
 )
 from spkver.extractor import Extractor
 from spkver.fileio import DataFormatError
-from spkver.norm import LangClassifier
 
 
 @pytest.fixture
@@ -225,21 +223,40 @@ class TestMetaRoundTrip:
 
 class TestProtocolFiles:
     def test_trials_keys_enroll_round_trip(self, tmp_path):
-        trials = [Trial("t1", "m1", "u1", "ph00"), Trial("t2", "m1", "u2", None)]
-        keys = [TrialKey("t1", TrialLabel.TC), TrialKey("t2", TrialLabel.NONTARGET)]
+        trials = Trials(("t1", "t2"), ("m1", "m1"), ("u1", "u2"), ("ph00", None))
+        labels = [TrialLabel.TC, TrialLabel.NONTARGET]
         enroll = {"m1": ("u3", "u4"), "m2": ("u5",)}
         fileio.write_trials(tmp_path / "t.txt", trials)
-        fileio.write_keys(tmp_path / "k.txt", keys)
+        fileio.write_keys(tmp_path / "k.txt", trials.ids, labels)
         fileio.write_enroll_map(tmp_path / "e.txt", enroll)
+        assert (tmp_path / "t.txt").read_text() == "t1 m1 u1 ph00\nt2 m1 u2 -\n"
+        assert (tmp_path / "k.txt").read_text() == "t1 TC\nt2 NTG\n"
         assert fileio.read_trials(tmp_path / "t.txt") == trials
-        assert fileio.read_trial_ids(tmp_path / "t.txt") == ["t1", "t2"]
-        assert fileio.read_keys(tmp_path / "k.txt") == keys
+        assert fileio.read_keys(tmp_path / "k.txt") == (["t1", "t2"], labels)
         assert fileio.read_enroll_map(tmp_path / "e.txt") == enroll
+
+    # a claimed phrase of None (text-independent) is written as "-"
+    @given(st.lists(st.tuples(_IDS, _IDS, _IDS, st.none() | _IDS.filter(lambda t: t != "-"),
+                              st.sampled_from(list(TrialLabel))), max_size=20))
+    def test_trials_and_keys_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp()
+        trials = Trials(*(tuple(row[k] for row in rows) for k in range(4)))
+        labels = [row[4] for row in rows]
+        fileio.write_trials(path / "t.txt", trials)
+        fileio.write_keys(path / "k.txt", trials.ids, labels)
+        assert fileio.read_trials(path / "t.txt") == trials
+        assert fileio.read_keys(path / "k.txt") == (list(trials.ids), labels)
+
+    def test_key_count_must_match_trial_ids(self, tmp_path):
+        with pytest.raises(ValueError, match="2 trial ids for 1 labels"):
+            fileio.write_keys(tmp_path / "k.txt", ["t0", "t1"], [TrialLabel.TC])
+        assert not (tmp_path / "k.txt").exists()
 
     def test_key_tokens(self, tmp_path):
         path = tmp_path / "k.txt"
         path.write_text("t1 TGT\nt2 NTG\nt3 TW\n")
-        labels = [k.label for k in fileio.read_keys(path)]
+        ids, labels = fileio.read_keys(path)
+        assert ids == ["t1", "t2", "t3"]
         assert labels == [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.TW]
 
     def test_scores_round_trip_and_duplicate_detection(self, tmp_path, rng):
@@ -298,9 +315,8 @@ class TestProtocolFiles:
     def test_trials_without_four_fields_name_the_line(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("t1 m1 u1 ph00\nt2 m1 u2\n")
-        for read in (fileio.read_trials, fileio.read_trial_ids):
-            with pytest.raises(DataFormatError, match="t.txt:2: expected 4 fields"):
-                read(path)
+        with pytest.raises(DataFormatError, match="t.txt:2: expected 4 fields"):
+            fileio.read_trials(path)
 
     @pytest.mark.parametrize("trial_id", ["", "a b", "a\tb", " a", "a\u00a0b"])
     def test_whitespace_trial_id_is_never_written(self, tmp_path, trial_id):
@@ -336,20 +352,11 @@ class TestModelContainers:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
 
-    def test_lang_classifier_round_trip(self, tmp_path, rng):
-        clf = LangClassifier(weights=rng.normal(size=(2, 5)), bias=rng.normal(size=2))
-        path = tmp_path / "clf.npz"
-        fileio.write_lang_classifier(path, clf)
-        back = fileio.read_lang_classifier(path)
-        np.testing.assert_array_equal(back.weights, clf.weights)
-        np.testing.assert_array_equal(back.bias, clf.bias)
-
     def test_kind_mismatch(self, tmp_path):
-        net = Extractor.init(2, 2, 2, seed=0)
-        path = tmp_path / "ckpt.npz"
-        fileio.write_checkpoint(path, net, strategy="AAM_ONLY", seed=0)
-        with pytest.raises(DataFormatError, match="ckpt.npz: missing member 'weights'"):
-            fileio.read_lang_classifier(path)
+        path = tmp_path / "emb.npz"
+        fileio.write_matrix(path, ["u1", "u2"], np.eye(2))
+        with pytest.raises(DataFormatError, match="emb.npz: missing member 'w1'"):
+            fileio.read_checkpoint(path)
 
     def test_file_holds_named_members(self, tmp_path):
         net = Extractor.init(4, 6, 3, seed=9)
@@ -365,14 +372,17 @@ class TestModelContainers:
             np.testing.assert_array_equal(npz["w2"], net.w2)
 
     def test_non_float64_member_reported(self, tmp_path):
+        net = Extractor.init(2, 3, 2, seed=0)
+        members = dict(w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2,
+                       strategy=np.asarray("AAM_ONLY"), seed=np.asarray(0, dtype=np.int64))
         path = tmp_path / "bad.npz"
-        _savez(path, weights=np.ones((2, 3), dtype=np.int64), bias=np.zeros(2))
+        _savez(path, **{**members, "w2": np.ones((3, 2), dtype=np.int64)})
         with pytest.raises(DataFormatError,
-                           match="bad.npz: member 'weights' must be a 2-D float64 array"):
-            fileio.read_lang_classifier(path)
-        _savez(path, weights=np.ones((2, 3)), bias=np.array([0.0, np.inf]))
-        with pytest.raises(DataFormatError, match="bad.npz: member 'bias' has non-finite"):
-            fileio.read_lang_classifier(path)
+                           match="bad.npz: member 'w2' must be a 2-D float64 array"):
+            fileio.read_checkpoint(path)
+        _savez(path, **{**members, "b1": np.array([0.0, np.inf, 0.0])})
+        with pytest.raises(DataFormatError, match="bad.npz: member 'b1' has non-finite"):
+            fileio.read_checkpoint(path)
 
     def test_truncated_file_reported(self, tmp_path):
         net = Extractor.init(2, 2, 2, seed=0)

@@ -16,7 +16,7 @@ from oracles import (
     tune_weights_literal,
 )
 from spkver import metrics
-from spkver.core import Language, PhraseEntry, PhraseInventory, Trial, TrialLabel
+from spkver.core import Language, PhraseEntry, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import (
     DcfParams,
     FusionWeights,
@@ -179,13 +179,15 @@ class TestAgainstDictForms:
     def test_phrase_filter_equals_dict_form(self, n, seed):
         rng = np.random.default_rng(seed)
         phrases = ["ph00", "ph01", "ph02"]
-        trials = [Trial(f"t{i}", "m", f"u{i % 7}", phrases[int(rng.integers(3))])
-                  for i in rng.permutation(n)]
+        order = rng.permutation(n)
+        claimed = tuple(phrases[int(rng.integers(3))] for _ in order)
+        trials = Trials(tuple(f"t{i}" for i in order), ("m",) * n,
+                        tuple(f"u{i % 7}" for i in order), claimed)
         classified = {f"u{k}": phrases[int(rng.integers(3))] for k in range(7)}
         scores = rng.normal(size=n)
-        mismatch = np.asarray([classified[t.test_utt_id] != t.claimed_phrase_id for t in trials])
+        mismatch = np.asarray([classified[u] != c for u, c in zip(trials.test_ids, claimed)])
         expected = apply_phrase_filter_dict(
-            dict(zip((t.trial_id for t in trials), scores.tolist())), trials, classified, -7.5)
+            dict(zip(trials.ids, scores.tolist())), trials, classified, -7.5)
         assert apply_phrase_filter(scores, mismatch, -7.5).tolist() == list(expected.values())
 
 

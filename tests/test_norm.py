@@ -7,7 +7,6 @@ from spkver.backend import cosine_score
 from spkver.core import Language, NumericalError
 from spkver.norm import (
     Cohort,
-    CohortEntry,
     NormStats,
     as_norm,
     build_cohort,
@@ -20,8 +19,11 @@ from spkver.norm import (
 from spkver.synthgen import GenConfig, gen_corpus
 
 
-def _entry(utt_id, vec, lang=Language.L1):
-    return CohortEntry(utt_id=utt_id, vec=np.asarray(vec, dtype=float), language=lang)
+def _cohort(vecs, langs=None):
+    """A cohort of the given rows, all L1 unless languages are given."""
+    x = np.asarray(vecs, dtype=np.float64)
+    langs = [Language.L1] * len(x) if langs is None else langs
+    return Cohort(tuple(f"c{i}" for i in range(len(x))), x, np.array(langs, dtype=object))
 
 
 def _dot_scorer(a, b):
@@ -31,33 +33,28 @@ def _dot_scorer(a, b):
 class TestCohortStats:
     def test_top_two_arithmetic(self):
         # cohort scoring 0.9 / 0.5 / 0.1 against the anchor, N_top=2
-        cohort = Cohort((
-            _entry("a", [0.9]), _entry("b", [0.5]), _entry("c", [0.1]),
-        ))
+        cohort = _cohort([[0.9], [0.5], [0.1]])
         stats = cohort_stats(np.array([1.0]), cohort, _dot_scorer, n_top=2)
         assert stats.mu == pytest.approx(0.7)
         assert stats.sigma == pytest.approx(0.2)
 
     def test_identical_scores_zero_variance(self):
-        cohort = Cohort((_entry("a", [0.5]), _entry("b", [0.5])))
+        cohort = _cohort([[0.5], [0.5]])
         with pytest.raises(NumericalError, match="zero variance"):
             cohort_stats(np.array([1.0]), cohort, _dot_scorer, n_top=2)
 
     def test_language_filter_equals_subcohort(self):
         rng = np.random.default_rng(0)
-        entries = tuple(
-            _entry(f"u{i}", rng.normal(size=3), Language.L2 if i % 2 else Language.L1)
-            for i in range(12)
-        )
-        cohort = Cohort(entries)
-        sub = Cohort(tuple(e for e in entries if e.language is Language.L2))
+        x = rng.normal(size=(12, 3))
+        cohort = _cohort(x, [Language.L2 if i % 2 else Language.L1 for i in range(12)])
+        sub = _cohort(x[1::2], [Language.L2] * 6)
         anchor = rng.normal(size=3)
         a = cohort_stats(anchor, cohort, _dot_scorer, 4, language_filter=Language.L2)
         b = cohort_stats(anchor, sub, _dot_scorer, 4)
         assert a == b
 
     def test_filtered_cohort_too_small(self):
-        cohort = Cohort((_entry("a", [1.0]), _entry("b", [2.0], Language.L2)))
+        cohort = _cohort([[1.0], [2.0]], [Language.L1, Language.L2])
         with pytest.raises(ValueError, match="usable entries"):
             cohort_stats(np.array([1.0]), cohort, _dot_scorer, 2, Language.L2)
 
@@ -65,56 +62,51 @@ class TestCohortStats:
     @settings(max_examples=25, deadline=None)
     def test_order_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        entries = [_entry(f"u{i}", rng.normal(size=4)) for i in range(8)]
+        x = rng.normal(size=(8, 4))
         anchor = rng.normal(size=4)
-        a = cohort_stats(anchor, Cohort(tuple(entries)), _dot_scorer, 3)
-        perm = [entries[i] for i in rng.permutation(8)]
-        b = cohort_stats(anchor, Cohort(tuple(perm)), _dot_scorer, 3)
+        a = cohort_stats(anchor, _cohort(x), _dot_scorer, 3)
+        b = cohort_stats(anchor, _cohort(x[rng.permutation(8)]), _dot_scorer, 3)
         assert a.mu == pytest.approx(b.mu, abs=1e-12)
         assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
 
 
 class TestAsNorm:
     def test_unit_stats(self):
-        stats = NormStats(mu=0.0, sigma=1.0, n_top=2)
+        stats = NormStats(mu=0.0, sigma=1.0)
         assert as_norm(1.0, stats, stats) == 2.0
 
     def test_score_at_both_means_is_zero(self):
-        stats = NormStats(mu=0.7, sigma=0.3, n_top=2)
+        stats = NormStats(mu=0.7, sigma=0.3)
         assert as_norm(0.7, stats, stats) == 0.0
 
     def test_direct_evaluation(self):
-        enroll = NormStats(mu=0.5, sigma=0.5, n_top=2)
-        test = NormStats(mu=0.0, sigma=1.0, n_top=2)
+        enroll = NormStats(mu=0.5, sigma=0.5)
+        test = NormStats(mu=0.0, sigma=1.0)
         assert as_norm(1.0, enroll, test) == pytest.approx(2.0)
 
     def test_zero_sigma_rejected(self):
-        good = NormStats(mu=0.0, sigma=1.0, n_top=2)
-        bad = NormStats(mu=0.0, sigma=0.0, n_top=2)
+        good = NormStats(mu=0.0, sigma=1.0)
+        bad = NormStats(mu=0.0, sigma=0.0)
         with pytest.raises(NumericalError):
             as_norm(1.0, good, bad)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 2), st.floats(0.1, 2),
            st.floats(-2, 2), st.floats(0.01, 1))
     def test_strictly_increasing_in_raw_score(self, mu_e, mu_t, sig_e, sig_t, s, delta):
-        enroll = NormStats(mu_e, sig_e, 2)
-        test = NormStats(mu_t, sig_t, 2)
+        enroll = NormStats(mu_e, sig_e)
+        test = NormStats(mu_t, sig_t)
         assert as_norm(s + delta, enroll, test) > as_norm(s, enroll, test)
 
 
 class TestLanguageDependentAsNorm:
     def _mixed_cohort(self, seed=1, n=20):
         rng = np.random.default_rng(seed)
-        entries = tuple(
-            _entry(f"u{i}", rng.normal(size=4), Language.L2 if i % 2 else Language.L1)
-            for i in range(n)
-        )
-        return Cohort(entries), rng
+        langs = [Language.L2 if i % 2 else Language.L1 for i in range(n)]
+        return _cohort(rng.normal(size=(n, 4)), langs), rng
 
     def test_monolingual_cohort_equals_plain_asnorm(self):
         rng = np.random.default_rng(2)
-        entries = tuple(_entry(f"u{i}", rng.normal(size=4)) for i in range(10))
-        cohort = Cohort(entries)
+        cohort = _cohort(rng.normal(size=(10, 4)))
         e, t = rng.normal(size=4), rng.normal(size=4)
         raw = _dot_scorer(e, t)
         ld = language_dependent_as_norm(raw, e, t, cohort, _dot_scorer, 4, Language.L1)
@@ -258,20 +250,28 @@ class TestBuildCohort:
         # rows in reverse order: entries are found by id, not by position
         cohort = build_cohort(corpus.ids[::-1], corpus.x[::-1], corpus.metas)
         expected = {(m.speaker_id, m.language) for m in corpus.metas}
-        assert len(cohort) == len(expected)
-        for entry in cohort.entries:
-            spk, lang = entry.utt_id.split(":")
+        assert len(cohort.ids) == len(expected) == len(set(cohort.ids))
+        assert cohort.x.shape == (len(expected), 6) and cohort.x.dtype == np.float64
+        assert cohort.languages.shape == (len(expected),)
+        for entry_id, row, lang in zip(cohort.ids, cohort.x, cohort.languages):
+            spk, lang_value = entry_id.split(":")
+            assert lang.value == lang_value
             members = [
                 vec for vec, m in zip(corpus.x, corpus.metas)
-                if m.speaker_id == spk and m.language.value == lang
+                if m.speaker_id == spk and m.language is lang
             ]
-            np.testing.assert_allclose(entry.vec, np.mean(members, axis=0), atol=1e-12)
+            np.testing.assert_allclose(row, np.mean(members, axis=0), atol=1e-12)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="cohort must be non-empty"):
+            build_cohort([], np.empty((0, 3)), [])
 
 
 def _random_cohort(rng, n_l1, n_l2, dim):
-    entries = [_entry(f"a{i}", rng.normal(size=dim), Language.L1) for i in range(n_l1)]
-    entries += [_entry(f"b{i}", rng.normal(size=dim), Language.L2) for i in range(n_l2)]
-    return Cohort(tuple(entries[i] for i in rng.permutation(len(entries))))
+    x = np.concatenate([rng.normal(size=(n_l1, dim)), rng.normal(size=(n_l2, dim))])
+    langs = np.array([Language.L1] * n_l1 + [Language.L2] * n_l2, dtype=object)
+    order = rng.permutation(len(x))
+    return _cohort(x[order], list(langs[order]))
 
 
 class TestBatchedNormMatchesLiteral:
@@ -285,7 +285,7 @@ class TestBatchedNormMatchesLiteral:
     def test_cohort_stats_rows_match_literal(self, seed, n_anchors, n_l1, n_l2, lang):
         rng = np.random.default_rng(seed)
         cohort = _random_cohort(rng, n_l1, n_l2, dim=4)
-        limit = len(cohort.filtered(lang))
+        limit = len(cohort.x) if lang is None else int(np.sum(cohort.languages == lang))
         n_top = int(rng.integers(2, limit + 1))
         anchors = rng.normal(size=(n_anchors, 4))
         stats = cohort_stats(anchors, cohort, cosine_score, n_top, language_filter=lang)
@@ -313,8 +313,7 @@ class TestBatchedNormMatchesLiteral:
                           cohort_stats(test, cohort, cosine_score, n_top))
         else:
             if mode == "ld_lid":
-                x = np.stack([e.vec for e in cohort.entries])
-                clf = train_language_id(x, [e.language for e in cohort.entries], epochs=20)
+                clf = train_language_id(cohort.x, list(cohort.languages), epochs=20)
                 langs, _ = predict_language(clf, test)
                 assert langs == [predict_language(clf, v)[0] for v in test]
             elif mode == "ld_metadata":
@@ -340,8 +339,7 @@ class TestBatchFailures:
             cohort_stats(anchors, cohort, cosine_score, 3)
 
     def test_one_zero_variance_row_among_many(self):
-        cohort = Cohort((_entry("a", [1.0, 0.0]), _entry("b", [1.0, 1.0]),
-                         _entry("c", [1.0, -1.0])))
+        cohort = _cohort([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         # the anchor [1, 0] scores 1, 1, 1 against the cohort
         anchors = np.array([[0.0, 1.0], [0.3, 1.0], [1.0, 0.0], [0.5, -1.0]])
         with pytest.raises(NumericalError, match="zero variance"):
@@ -359,7 +357,7 @@ class TestBatchFailures:
             effective_n_top(2, cohort, language_dependent=True)
 
     def test_one_zero_sigma_in_batched_stats(self):
-        good = NormStats(mu=np.zeros(3), sigma=np.ones(3), n_top=2)
-        bad = NormStats(mu=np.zeros(3), sigma=np.array([1.0, 0.0, 1.0]), n_top=2)
+        good = NormStats(mu=np.zeros(3), sigma=np.ones(3))
+        bad = NormStats(mu=np.zeros(3), sigma=np.array([1.0, 0.0, 1.0]))
         with pytest.raises(NumericalError):
             as_norm(np.ones(3), good, bad)

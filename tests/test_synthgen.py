@@ -137,15 +137,15 @@ class TestGenTrials:
         corpus = gen_corpus(_cfg())
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 40, seed=1,
                               proportions=(1, 0, 0, 0))
-        assert all(k.label is TrialLabel.TC for k in protocol.keys)
+        assert all(label is TrialLabel.TC for label in protocol.labels)
 
     def test_td_histogram_matches_proportions(self):
         corpus = gen_corpus(_cfg())
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 101, seed=2,
                               proportions=(0.4, 0.1, 0.4, 0.1))
         counts = {}
-        for k in protocol.keys:
-            counts[k.label] = counts.get(k.label, 0) + 1
+        for label in protocol.labels:
+            counts[label] = counts.get(label, 0) + 1
         assert counts[TrialLabel.TC] in (40, 41)
         assert counts[TrialLabel.TW] in (10, 11)
         assert counts[TrialLabel.IC] in (40, 41)
@@ -155,14 +155,15 @@ class TestGenTrials:
     def test_td_protocol_consistent_and_labels_truthful(self):
         corpus = gen_corpus(_cfg())
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
-        assert validate_protocol(protocol.trials, protocol.keys,
+        assert validate_protocol(protocol.trials, protocol.labels,
                                  corpus.metas, protocol.enroll_map) == []
         meta = {m.utt_id: m for m in corpus.metas}
-        key = {k.trial_id: k.label for k in protocol.keys}
-        for trial in protocol.trials:
-            _, spk, phr = trial.model_id.split("_")
-            test = meta[trial.test_utt_id]
-            label = key[trial.trial_id]
+        trials = protocol.trials
+        assert trials.ids == tuple(f"t{i:06d}" for i in range(120))
+        for model_id, test_id, claimed, label in zip(
+                trials.model_ids, trials.test_ids, trials.claimed, protocol.labels):
+            _, spk, phr = model_id.split("_")
+            test = meta[test_id]
             same_spk = test.speaker_id == spk
             same_phr = test.phrase_id == phr
             expected = {
@@ -172,14 +173,16 @@ class TestGenTrials:
                 (False, False): TrialLabel.IW,
             }[(same_spk, same_phr)]
             assert label is expected
-            assert trial.claimed_phrase_id == phr
-            assert trial.test_utt_id not in protocol.enroll_map[trial.model_id]
+            assert claimed == phr
+            assert test_id not in protocol.enroll_map[model_id]
 
     def test_ti_exact_count_and_consistency(self):
         corpus = gen_corpus(_cfg(n_utts_per_cell=8))
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 100, seed=4)
-        assert len(protocol.trials) == 100 and len(protocol.keys) == 100
-        assert validate_protocol(protocol.trials, protocol.keys,
+        assert all(len(column) == 100 for column in protocol.trials)
+        assert len(protocol.labels) == 100
+        assert protocol.trials.claimed == (None,) * 100
+        assert validate_protocol(protocol.trials, protocol.labels,
                                  corpus.metas, protocol.enroll_map) == []
 
     def test_ti_enrollment_is_l1_only(self):
@@ -199,7 +202,7 @@ class TestGenTrials:
         corpus = gen_corpus(_cfg())
         a = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         b = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
-        assert a.trials == b.trials and a.keys == b.keys
+        assert a.trials == b.trials and a.labels == b.labels
 
 
 def _outcome(fn, *args):
