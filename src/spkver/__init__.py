@@ -1,14 +1,14 @@
 """Desk-scale speaker-verification toolkit over synthetic latent-factor corpora.
 
 Modules by role: core (domain types), synthgen (corpus generator),
-extractor (embedding network and training objectives), backend (cosine and
-two-covariance PLDA), nplda (discriminative pair scorer), norm (adaptive
-score normalization and language id), metrics (EER / minDCF / filtering /
-fusion), fileio (.npz arrays and text formats), pipeline + cli
-(orchestration).
+extractor (embedding network and training objectives), backend (cosine,
+two-covariance PLDA and its quadratic pair-score form), nplda (training
+that form discriminatively), norm (adaptive score normalization and
+language id), metrics (EER / minDCF / filtering / fusion), fileio (.npz
+arrays and text formats), pipeline + cli (orchestration).
 """
 
-from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, train_phrase_plda_bank
+from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, quadratic_score
 from .core import (
     Language,
     NumericalError,
@@ -56,14 +56,7 @@ from .norm import (
     predict_language,
     train_language_id,
 )
-from .nplda import (
-    NpldaParams,
-    NpldaTrainConfig,
-    init_from_plda,
-    nplda_score,
-    soft_detcost,
-    train_nplda,
-)
+from .nplda import NpldaTrainConfig, nplda_score, soft_detcost, train_nplda
 from .synthgen import GenConfig, SynthCorpus, Task, gen_corpus, gen_transcript, gen_trials
 
 __version__ = "0.1.0"

@@ -4,8 +4,10 @@ The PLDA model is x = mu + y + eps with speaker factor y ~ N(0, Sigma_b)
 and residual eps ~ N(0, Sigma_w). Training is EM on (Sigma_b, Sigma_w)
 with mu fixed at the grand mean; the verification score is the closed-form
 log-likelihood ratio of same-speaker vs different-speaker hypotheses,
-expanded once per model into a quadratic form in the pair (`PldaScorer`).
-`quadratic_score` evaluates that form; NPLDA scores through it too.
+expanded once per model into a quadratic form in the pair
+(`PldaScorer.from_model`). `PldaScorer` is that form, (L, G, c, k), for
+PLDA and NPLDA alike: NPLDA starts from the generative form and trains it,
+and `quadratic_score` evaluates either.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
 the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
@@ -19,7 +21,7 @@ iteration factors Sigma_w and one J_n = Sigma_w + n Sigma_b per count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,19 +76,20 @@ def _logdet(mat: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def quadratic_score(lam: np.ndarray, gamma: np.ndarray, c: np.ndarray, k: float, e, t):
-    """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k, for a
-    symmetric L. A broadcasting pair scorer: `e` and `t` of shapes (..., D)
-    broadcast to scores of shape (...); two 1-D vectors give a float."""
+def quadratic_score(form: PldaScorer, e, t):
+    """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k for the
+    form's (L, G, c, k). A broadcasting pair scorer: `e` and `t` of shapes
+    (..., D) broadcast to scores of shape (...); two 1-D vectors give a float."""
     e = np.asarray(e, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if e.shape[-1] != c.shape[0] or t.shape[-1] != c.shape[0]:
-        raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {c.shape[0]}")
-    cross = np.sum((e @ lam) * t, axis=-1)
-    self_e = np.sum((e @ gamma) * e, axis=-1)
-    self_t = np.sum((t @ gamma) * t, axis=-1)
-    lin = (e + t) @ c
-    scores = cross + self_e + self_t + lin + k
+    dim = form.c.shape[0]
+    if e.shape[-1] != dim or t.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {dim}")
+    cross = np.sum((e @ form.lam) * t, axis=-1)
+    self_e = np.sum((e @ form.gamma) * e, axis=-1)
+    self_t = np.sum((t @ form.gamma) * t, axis=-1)
+    lin = (e + t) @ form.c
+    scores = cross + self_e + self_t + lin + form.k
     return float(scores) if scores.ndim == 0 else scores
 
 
@@ -232,18 +235,43 @@ def plda_em_train(
     return PldaModel(mu=mu, sigma_b=sigma_b, sigma_w=sigma_w), trace
 
 
+@dataclass(frozen=True, eq=False)
 class PldaScorer:
-    """The PLDA log-likelihood ratio as a quadratic form, expanded once.
-
-    Same speaker: the centred pair [e; t] is jointly Gaussian with covariance
-    [[T, B], [B, T]], T = Sigma_b + Sigma_w, B = Sigma_b; different speakers:
-    two independent N(mu, T) draws. With the Schur complement
-    S = T - B T^{-1} B the ratio is exactly `quadratic_score` with
-    L = S^{-1} B T^{-1}, G = (T^{-1} - S^{-1}) / 2, c = -(L + 2G) mu and
-    k = (logdet T - logdet S) / 2 - mu^T c.
+    """A pair score as the quadratic form (L, G, c, k) of `quadratic_score`:
+    the generative PLDA log-likelihood ratio (`from_model`) and every NPLDA
+    form trained from it. The form stores L symmetrized, so its score is
+    symmetric in the pair; G must be symmetric already.
     """
 
-    def __init__(self, model: PldaModel):
+    lam: np.ndarray  # (D, D) cross term, stored symmetrized
+    gamma: np.ndarray  # (D, D) self term, symmetric
+    c: np.ndarray  # (D,)
+    k: float
+
+    def __post_init__(self) -> None:
+        lam, gamma, c = (np.asarray(a, dtype=np.float64) for a in (self.lam, self.gamma, self.c))
+        k = float(self.k)
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
+                and np.all(np.isfinite(c)) and np.isfinite(k)):
+            raise ValueError("non-finite quadratic-form parameters")
+        if not np.allclose(gamma, gamma.T, atol=1e-10):
+            raise ValueError("gamma must be symmetric")
+        object.__setattr__(self, "lam", 0.5 * (lam + lam.T))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "k", k)
+
+    @classmethod
+    def from_model(cls, model: PldaModel) -> PldaScorer:
+        """The PLDA log-likelihood ratio as a quadratic form, exactly.
+
+        Same speaker: the centred pair [e; t] is jointly Gaussian with
+        covariance [[T, B], [B, T]], T = Sigma_b + Sigma_w, B = Sigma_b;
+        different speakers: two independent N(mu, T) draws. With the Schur
+        complement S = T - B T^{-1} B the ratio is the form with
+        L = S^{-1} B T^{-1}, G = (T^{-1} - S^{-1}) / 2, c = -(L + 2G) mu and
+        k = (logdet T - logdet S) / 2 - mu^T c.
+        """
         b = model.sigma_b
         t_cov = b + model.sigma_w
         try:
@@ -253,39 +281,14 @@ class PldaScorer:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"non-invertible PLDA covariances: {exc}") from exc
         lam = s_inv @ b @ t_inv
-        self.lam = 0.5 * (lam + lam.T)
+        lam = 0.5 * (lam + lam.T)
         gamma = 0.5 * (t_inv - s_inv)
-        self.gamma = 0.5 * (gamma + gamma.T)
-        self.c = -(self.lam + 2.0 * self.gamma) @ model.mu
-        self.k = 0.5 * (_logdet(t_cov) - _logdet(schur)) - float(model.mu @ self.c)
+        gamma = 0.5 * (gamma + gamma.T)
+        c = -(lam + 2.0 * gamma) @ model.mu
+        k = 0.5 * (_logdet(t_cov) - _logdet(schur)) - float(model.mu @ c)
+        return cls(lam, gamma, c, k)
 
     def score(self, e: np.ndarray, t: np.ndarray):
         """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two
         1-D vectors give a float."""
-        return quadratic_score(self.lam, self.gamma, self.c, self.k, e, t)
-
-
-def train_phrase_plda_bank(
-    embeddings: np.ndarray,
-    speaker_labels: Sequence,
-    phrase_labels: Sequence,
-    iters: int = 20,
-) -> Tuple[Dict[str, PldaModel], Dict[str, str]]:
-    """Train one PLDA model per phrase on that phrase's subset.
-
-    Returns (phrase_id -> model, phrase_id -> failure reason): phrases with
-    insufficient data are reported in the failure map instead of aborting.
-    """
-    x = np.asarray(embeddings, dtype=np.float64)
-    spk = np.asarray(speaker_labels)
-    phr = np.asarray(phrase_labels)
-    models: Dict[str, PldaModel] = {}
-    failures: Dict[str, str] = {}
-    for phrase in dict.fromkeys(phr.tolist()):
-        mask = phr == phrase
-        try:
-            model, _ = plda_em_train(x[mask], spk[mask], iters=iters)
-            models[phrase] = model
-        except (ValueError, NumericalError) as exc:
-            failures[phrase] = str(exc)
-    return models, failures
+        return quadratic_score(self, e, t)

@@ -281,12 +281,16 @@ def write_trials(path, trials: Trials) -> None:
 
 def read_trials(path) -> Trials:
     """The trials of a trials file as columns, in file order; a claimed
-    phrase `-` reads as None."""
-    ids, model_ids, test_ids, claimed = [], [], [], []
+    phrase `-` reads as None. A line without exactly four fields and a
+    repeated trial id raise DataFormatError naming the line."""
+    ids, model_ids, test_ids, claimed, seen = [], [], [], [], set()
     for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split(" ")
         if len(parts) != 4:
             _fail(path, lineno, "expected 4 fields: trial model test_utt claimed_phrase")
+        if parts[0] in seen:
+            _fail(path, lineno, f"duplicate trial_id {parts[0]}")
+        seen.add(parts[0])
         ids.append(parts[0])
         model_ids.append(parts[1])
         test_ids.append(parts[2])

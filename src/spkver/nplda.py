@@ -4,12 +4,12 @@ Score form for a pair (e, t):
 
     s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k
 
-with L used symmetrized, so the score is symmetric in its arguments.
-The generative two-covariance log-likelihood ratio is exactly this form:
-initialization takes (L, G, c, k) from `backend.PldaScorer`, and both
-score through `backend.quadratic_score`. Training is plain full-batch
-gradient descent on a differentiable detection-cost surrogate over
-same-phrase pairs.
+with L symmetric, so the score is symmetric in its arguments. The
+generative two-covariance log-likelihood ratio is exactly this form
+(`backend.PldaScorer.from_model`); NPLDA starts from it, trains it and
+returns it as the same type, `backend.PldaScorer`. Training is plain
+full-batch gradient descent on a differentiable detection-cost surrogate
+over same-phrase pairs.
 """
 
 from __future__ import annotations
@@ -19,30 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import PldaModel, PldaScorer, quadratic_score
+from .backend import PldaScorer, quadratic_score
 from .metrics import DcfParams, min_dcf_details
-
-
-@dataclass(frozen=True, eq=False)
-class NpldaParams:
-    lam: np.ndarray  # (D, D) cross term
-    gamma: np.ndarray  # (D, D) self term, symmetric
-    c: np.ndarray  # (D,)
-    k: float
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=np.float64)
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
-                and np.all(np.isfinite(c)) and np.isfinite(self.k)):
-            raise ValueError("non-finite NPLDA parameters")
-        if not np.allclose(gamma, gamma.T, atol=1e-10):
-            raise ValueError("gamma must be symmetric")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k", float(self.k))
 
 
 @dataclass(frozen=True)
@@ -62,17 +40,10 @@ class NpldaTrainConfig:
             raise ValueError("alpha must be positive")
 
 
-def init_from_plda(model: PldaModel) -> NpldaParams:
-    """The generative LLR's quadratic parameters, exactly (`PldaScorer`)."""
-    scorer = PldaScorer(model)
-    return NpldaParams(lam=scorer.lam, gamma=scorer.gamma, c=scorer.c, k=scorer.k)
-
-
-def nplda_score(params: NpldaParams, e: np.ndarray, t: np.ndarray):
+def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray):
     """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two 1-D
     vectors give a float."""
-    lam_sym = 0.5 * (params.lam + params.lam.T)
-    return quadratic_score(lam_sym, params.gamma, params.c, params.k, e, t)
+    return quadratic_score(form, e, t)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -120,13 +91,13 @@ def soft_detcost(
 
 @dataclass(frozen=True)
 class NpldaTrainResult:
-    params: NpldaParams
+    params: PldaScorer
     theta: float
     loss_trace: tuple  # soft cost before training and after each epoch
 
 
 def train_nplda(
-    params: NpldaParams,
+    form: PldaScorer,
     enroll_vecs: np.ndarray,
     test_vecs: np.ndarray,
     labels: Sequence[bool],
@@ -134,7 +105,8 @@ def train_nplda(
     test_phrases: Sequence,
     config: NpldaTrainConfig = NpldaTrainConfig(),
 ) -> NpldaTrainResult:
-    """Full-batch gradient descent on the soft detection cost.
+    """Full-batch gradient descent on the soft detection cost, from `form`
+    to the trained form in the result's `params`.
 
     Every training pair must be same-phrase; a violating pair aborts before
     any update. theta is learned jointly, starting (by default) from the
@@ -149,13 +121,10 @@ def train_nplda(
     if lab.all() or not lab.any():
         raise ValueError("training pairs must include both classes")
 
-    lam = params.lam.copy()
-    gamma = params.gamma.copy()
-    c = params.c.copy()
-    k = params.k
+    lam, gamma, c, k = form.lam.copy(), form.gamma.copy(), form.c.copy(), form.k
 
     def score_now() -> np.ndarray:
-        return nplda_score(NpldaParams(lam, gamma, c, k), e, t)
+        return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
     scores = score_now()
     if config.theta is not None:
@@ -187,7 +156,7 @@ def train_nplda(
         trace.append(loss)
 
     return NpldaTrainResult(
-        params=NpldaParams(lam=lam, gamma=gamma, c=c, k=k),
+        params=PldaScorer(lam=lam, gamma=gamma, c=c, k=k),
         theta=theta,
         loss_trace=tuple(trace),
     )

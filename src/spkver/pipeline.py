@@ -39,7 +39,7 @@ import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig
-from .core import build_enroll_model, validate_protocol
+from .core import NumericalError, build_enroll_model, validate_protocol
 from .synthgen import RNG_ALGORITHM, GenConfig, Task
 
 SPLITS = ("train", "dev", "eval")
@@ -250,7 +250,7 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
     if "plda" in cfg.backends:
         spk = [m.speaker_id for m in metas]
         plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
-        plda_scorer = backend.PldaScorer(plda_model)
+        plda_scorer = backend.PldaScorer.from_model(plda_model)
         scorers["plda"] = lambda path, trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
         params_by_phrase = _train_nplda_bank(cfg, ids, x, metas)
@@ -275,13 +275,27 @@ def _score_by_claimed_phrase(params_by_phrase, trials_path, trials, e, t) -> np.
     return scores
 
 
-def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, nplda.NpldaParams]:
-    """Per-phrase NPLDA bank: generative init plus same-phrase cost training."""
-    spk = [m.speaker_id for m in metas]
-    phr = [m.phrase_id for m in metas]
-    bank, failures = backend.train_phrase_plda_bank(x, spk, phr, iters=cfg.plda_iters)
-    if failures:
-        raise ConfigError(f"phrase PLDA training failed for: {sorted(failures)}")
+def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, backend.PldaScorer]:
+    """Per-phrase NPLDA bank, one form per train phrase in first-appearance
+    order: PLDA EM on that phrase's rows gives the generative form, which
+    same-phrase cost training then fine-tunes. A phrase with too little data
+    for PLDA raises DataFormatError naming meta_train.meta and the phrase; a
+    NumericalError names the phrase. Every phrase's PLDA is trained before
+    the training pairs are drawn: their draw fails first on such a phrase,
+    without naming it."""
+    spk = np.asarray([m.speaker_id for m in metas])
+    phr = np.asarray([m.phrase_id for m in metas])
+    bank = {}
+    for phrase in dict.fromkeys(phr.tolist()):
+        mask = phr == phrase
+        try:
+            model, _ = backend.plda_em_train(x[mask], spk[mask], iters=cfg.plda_iters)
+            bank[phrase] = backend.PldaScorer.from_model(model)
+        except NumericalError as exc:
+            raise NumericalError(f"PLDA of phrase {phrase!r}: {exc}") from exc
+        except ValueError as exc:
+            raise fileio.DataFormatError(
+                f"{_workpath(cfg, 'meta_train.meta')}: phrase {phrase!r}: {exc}") from exc
 
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 7)
@@ -295,26 +309,22 @@ def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, nplda.Npl
     spoken = np.asarray([phrase_of_utt[u] for u in protocol.trials.test_ids], dtype=object)
     is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
-    params_by_phrase = {}
     train_cfg = nplda.NpldaTrainConfig(
         learning_rate=cfg.nplda_lr,
         epochs=cfg.nplda_epochs,
         alpha=cfg.nplda_alpha,
         dcf=metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa),
     )
-    for phrase, model in bank.items():
+    for phrase, init in bank.items():
         rows = (claimed == phrase) & (spoken == phrase)
-        init = nplda.init_from_plda(model)
         labels = is_target[rows]
         if labels.size < 4 or labels.all() or not labels.any():
-            params_by_phrase[phrase] = init  # too little data; keep generative init
-            continue
-        result = nplda.train_nplda(
+            continue  # too little data; keep generative init
+        bank[phrase] = nplda.train_nplda(
             init, enroll[rows], test[rows], labels, claimed[rows], spoken[rows], train_cfg
-        )
-        params_by_phrase[phrase] = result.params
+        ).params
 
-    return params_by_phrase
+    return bank
 
 
 def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
@@ -354,9 +364,13 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
         if classifier is not None:
             test_langs, _ = norm.predict_language(classifier, test)
         elif cfg.language_dependent:
-            metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
-            lang_by_utt = {m.utt_id: m.language for m in metas}
-            test_langs = [lang_by_utt[u] for u in trials.test_ids]
+            meta_path = _workpath(cfg, f"meta_{split}.meta")
+            lang_by_utt = {m.utt_id: m.language for m in fileio.read_metas(meta_path)}
+            try:
+                test_langs = [lang_by_utt[u] for u in trials.test_ids]
+            except KeyError as exc:
+                raise fileio.DataFormatError(
+                    f"{meta_path}: no language for test utterance {exc.args[0]!r}") from exc
         normed = norm.language_dependent_as_norm(
             raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )

@@ -18,7 +18,8 @@ from spkver.core import NumericalError
 from spkver.extractor import AamHead, aam_loss
 from spkver.core import Language, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
-from spkver.nplda import NpldaParams, nplda_score, soft_detcost
+from spkver.backend import PldaScorer
+from spkver.nplda import nplda_score, soft_detcost
 from spkver.synthgen import TrialProtocol
 
 
@@ -269,10 +270,11 @@ def _plda_chol_quad(chol, x):
 def plda_llr_joint_literal(model, e, t):
     """Two-covariance PLDA log-likelihood ratio through the stacked pair.
 
-    The form that `backend.PldaScorer`'s quadratic expansion replaced. Same
-    speaker: [e; t] - [mu; mu] ~ N(0, [[T, B], [B, T]]) with B = Sigma_b,
-    T = Sigma_b + Sigma_w, scored with a Cholesky factor of the 2D x 2D
-    joint covariance; different speakers: two independent N(mu, T) draws.
+    The form that the quadratic expansion of `backend.PldaScorer.from_model`
+    replaced. Same speaker: [e; t] - [mu; mu] ~ N(0, [[T, B], [B, T]]) with
+    B = Sigma_b, T = Sigma_b + Sigma_w, scored with a Cholesky factor of the
+    2D x 2D joint covariance; different speakers: two independent N(mu, T)
+    draws.
     Takes (N, D) rows and returns (N,) scores.
     """
     e = np.atleast_2d(np.asarray(e, dtype=np.float64)) - model.mu
@@ -518,7 +520,7 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
 
     The form that `nplda.train_nplda` replaced, without its input checks:
     each epoch rescores the batch for its gradients, then again after the
-    update for the trace. Returns ((lam, gamma, c, k), theta, loss trace).
+    update for the trace. Returns (trained form, theta, loss trace).
     """
     e = np.atleast_2d(np.asarray(enroll_vecs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(test_vecs, dtype=np.float64))
@@ -526,7 +528,7 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
     lam, gamma, c, k = params.lam.copy(), params.gamma.copy(), params.c.copy(), params.k
 
     def score_now():
-        return nplda_score(NpldaParams(lam, gamma, c, k), e, t)
+        return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
     scores = score_now()
     if config.theta is not None:
@@ -554,7 +556,7 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
         theta -= lr * d_theta
         loss, _, _ = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
         trace.append(loss)
-    return (lam, gamma, c, k), theta, tuple(trace)
+    return PldaScorer(lam, gamma, c, k), theta, tuple(trace)
 
 
 # The per-strategy losses that `heads_loss` replaced, kept as they were.

@@ -11,8 +11,9 @@ from spkver.backend import (
     _sufficient_stats,
     cosine_score,
     plda_em_train,
-    train_phrase_plda_bank,
 )
+from spkver import fileio, pipeline, synthgen
+from spkver.config import load_config
 from spkver.core import NumericalError
 
 
@@ -213,6 +214,57 @@ class TestGroupedPldaAgainstLiteral:
         np.testing.assert_allclose(trace, expected, rtol=1e-10, atol=0)
 
 
+class TestQuadraticForm:
+    def test_asymmetric_lam_is_stored_symmetrized(self):
+        rng = np.random.default_rng(20)
+        lam = rng.normal(size=(3, 3))
+        form = PldaScorer(lam, np.eye(3), np.zeros(3), 0.0)
+        np.testing.assert_array_equal(form.lam, 0.5 * (lam + lam.T))
+        np.testing.assert_array_equal(form.lam, form.lam.T)
+        assert not np.array_equal(lam, lam.T)  # the input itself is left as it was
+
+    def test_fields_are_float64(self):
+        form = PldaScorer(np.eye(2, dtype=int), [[1, 0], [0, 1]], [1, 2], 3)
+        for value in (form.lam, form.gamma, form.c):
+            assert value.dtype == np.float64
+        assert type(form.k) is float
+
+    def test_asymmetric_gamma_is_rejected(self):
+        gamma = np.eye(2)
+        gamma[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="gamma must be symmetric"):
+            PldaScorer(np.eye(2), gamma, np.zeros(2), 0.0)
+        gamma[0, 1] = 1e-11  # within the 1e-10 tolerance
+        np.testing.assert_array_equal(PldaScorer(np.eye(2), gamma, np.zeros(2), 0.0).gamma, gamma)
+
+    @pytest.mark.parametrize("field", ["lam", "gamma", "c", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_rejected(self, field, bad):
+        values = {"lam": np.eye(2), "gamma": np.eye(2), "c": np.zeros(2), "k": 0.0}
+        if field == "k":
+            values["k"] = bad
+        else:
+            values[field] = values[field].copy()
+            values[field].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PldaScorer(**values)
+
+    def test_from_model_is_a_fixed_point_of_the_constructor(self):
+        rng = np.random.default_rng(21)
+        model = PldaModel(mu=rng.normal(size=3), sigma_b=_random_pd(rng, 3),
+                          sigma_w=_random_pd(rng, 3, scale=0.7))
+        form = PldaScorer.from_model(model)
+        again = PldaScorer(form.lam, form.gamma, form.c, form.k)
+        for name in ("lam", "gamma", "c"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(form, name))
+        assert again.k == form.k
+
+    def test_frozen(self):
+        form = PldaScorer(np.eye(2), np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(AttributeError):
+            form.k = 1.0
+
+
 class TestPldaScoring:
     def _model(self, seed=0, dim=2):
         rng = np.random.default_rng(seed)
@@ -227,26 +279,26 @@ class TestPldaScoring:
         rng = np.random.default_rng(2)
         for _ in range(10):
             e, t = rng.normal(size=2), rng.normal(size=2)
-            assert PldaScorer(model).score(e, t) == pytest.approx(
-                PldaScorer(model).score(t, e), abs=1e-10
+            assert PldaScorer.from_model(model).score(e, t) == pytest.approx(
+                PldaScorer.from_model(model).score(t, e), abs=1e-10
             )
 
     def test_no_speaker_information_scores_zero(self):
         model = PldaModel(mu=np.zeros(2), sigma_b=np.zeros((2, 2)), sigma_w=np.eye(2))
         rng = np.random.default_rng(3)
         for _ in range(5):
-            assert PldaScorer(model).score(rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
+            assert PldaScorer.from_model(model).score(rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_model_fails_loudly(self):
         # no within-speaker noise: same-speaker pairs are singular, the LLR unbounded
         model = PldaModel(mu=np.zeros(2), sigma_b=np.eye(2), sigma_w=np.zeros((2, 2)))
         with pytest.raises(NumericalError):
-            PldaScorer(model)
+            PldaScorer.from_model(model)
 
     def test_same_point_at_mean_dominates(self):
         model = self._model(4)
         far = model.mu + 10.0
-        scorer = PldaScorer(model)
+        scorer = PldaScorer.from_model(model)
         assert scorer.score(model.mu, model.mu) >= scorer.score(model.mu, far)
 
     def test_matches_numeric_integration(self):
@@ -268,12 +320,12 @@ class TestPldaScoring:
             num, err = integrate.dblquad(integrand, -9, 9, -9, 9,
                                          epsabs=1e-12, epsrel=1e-9)
             expected = np.log(num) - marg.logpdf(e) - marg.logpdf(t)
-            assert PldaScorer(model).score(e, t) == pytest.approx(expected, abs=1e-6)
+            assert PldaScorer.from_model(model).score(e, t) == pytest.approx(expected, abs=1e-6)
             assert err < 1e-10
 
     def test_batch_scorer_matches_single(self):
         model = self._model(10, dim=3)
-        scorer = PldaScorer(model)
+        scorer = PldaScorer.from_model(model)
         rng = np.random.default_rng(11)
         e = rng.normal(size=(7, 3))
         t = rng.normal(size=(7, 3))
@@ -283,7 +335,7 @@ class TestPldaScoring:
 
     def test_broadcast_scorer_matches_per_pair_calls(self):
         model = self._model(15, dim=3)
-        scorer = PldaScorer(model)
+        scorer = PldaScorer.from_model(model)
         rng = np.random.default_rng(16)
         e, t = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
         outer = scorer.score(e[:, None, :], t)
@@ -302,7 +354,7 @@ class TestPldaScoring:
         x, labels = _simulate(rng, sigma_b, sigma_w, n_speakers=40, n_utts=4,
                               mu=np.array([1.0, 1.0]))
         model, _ = plda_em_train(x, labels, iters=15)
-        scorer = PldaScorer(model)
+        scorer = PldaScorer.from_model(model)
         same_llr, same_cos, diff_llr, diff_cos = [], [], [], []
         for i in range(0, len(x), 2):
             j = i + 1
@@ -321,38 +373,36 @@ class TestPldaScoring:
 
 
 class TestPhraseBank:
-    def _corpus(self, seed=0):
-        rng = np.random.default_rng(seed)
-        x, spk, phr = [], [], []
-        for p in range(2):
-            data, labels = _simulate(rng, np.eye(2), 0.3 * np.eye(2), 6, 4)
-            x.append(data)
-            spk += [f"s{p}_{l}" for l in labels]
-            phr += [f"ph{p}"] * len(labels)
-        return np.concatenate(x), spk, phr
+    """The generative stage of the per-phrase bank: with no NPLDA epochs, each
+    phrase's form is the PLDA closed form of that phrase's rows alone."""
 
-    def test_single_phrase_equals_plain_training(self):
-        x, spk, _ = self._corpus(1)
-        phr = ["ph0"] * len(spk)
-        bank, failures = train_phrase_plda_bank(x, spk, phr, iters=5)
-        assert failures == {}
-        direct, _ = plda_em_train(x, spk, iters=5)
-        np.testing.assert_allclose(bank["ph0"].sigma_b, direct.sigma_b)
-        np.testing.assert_allclose(bank["ph0"].sigma_w, direct.sigma_w)
+    def _bank(self, tmp_path, n_phrases, seed):
+        corpus = synthgen.gen_corpus(synthgen.GenConfig(
+            n_speakers=6, n_phrases=n_phrases, n_utts_per_cell=5, dim=3,
+            phrase_strength=1.0, noise_sigma=0.5, seed=seed,
+        ))
+        fileio.write_inventory(tmp_path / "inventory.txt", corpus.inventory)
+        cfg = load_config(overrides=[f"workdir={tmp_path}", "nplda_epochs=0",
+                                     "n_dev_trials=40", "plda_iters=5"])
+        bank = pipeline._train_nplda_bank(cfg, corpus.ids, corpus.x, corpus.metas)
+        return corpus, bank
 
-    def test_disjoint_subsets_train_independently(self):
-        x, spk, phr = self._corpus(2)
-        bank, failures = train_phrase_plda_bank(x, spk, phr, iters=5)
-        assert failures == {}
-        mask = [p == "ph1" for p in phr]
-        direct, _ = plda_em_train(x[mask], [s for s, m in zip(spk, mask) if m], iters=5)
-        np.testing.assert_allclose(bank["ph1"].sigma_w, direct.sigma_w)
+    @staticmethod
+    def _assert_same_form(got, want):
+        for name in ("lam", "gamma", "c"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.k == want.k
 
-    def test_single_speaker_phrase_reports_failure(self):
-        x, spk, phr = self._corpus(3)
-        x = np.concatenate([x, np.random.default_rng(0).normal(size=(3, 2))])
-        spk = spk + ["lonely"] * 3
-        phr = phr + ["ph_solo"] * 3
-        bank, failures = train_phrase_plda_bank(x, spk, phr, iters=5)
-        assert "ph_solo" in failures
-        assert "ph_solo" not in bank
+    def test_single_phrase_equals_plain_training(self, tmp_path):
+        corpus, bank = self._bank(tmp_path, n_phrases=1, seed=1)
+        assert list(bank) == ["ph00"]
+        direct, _ = plda_em_train(corpus.x, [m.speaker_id for m in corpus.metas], iters=5)
+        self._assert_same_form(bank["ph00"], PldaScorer.from_model(direct))
+
+    def test_disjoint_subsets_train_independently(self, tmp_path):
+        corpus, bank = self._bank(tmp_path, n_phrases=2, seed=2)
+        assert list(bank) == ["ph00", "ph01"]
+        mask = np.asarray([m.phrase_id == "ph01" for m in corpus.metas])
+        spk = [m.speaker_id for m, keep in zip(corpus.metas, mask) if keep]
+        direct, _ = plda_em_train(corpus.x[mask], spk, iters=5)
+        self._assert_same_form(bank["ph01"], PldaScorer.from_model(direct))

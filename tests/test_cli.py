@@ -422,6 +422,75 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {workdir / 'emb_eval.npz'}: {message}" in err
 
+    def test_duplicate_trial_id_is_data_error(self, e2e_dir, tmp_path, capsys):
+        # score used to accept it, and norm then blamed scores_cosine_dev.txt:2
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "trials_dev.txt"
+        lines = path.read_text().splitlines()
+        first = lines[0].split(" ")[0]
+        lines[1] = " ".join([first] + lines[1].split(" ")[1:])
+        path.write_text("".join(f"{line}\n" for line in lines))
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir)) == 3
+        assert (f"data error: {path}:2: duplicate trial_id {first}"
+                in capsys.readouterr().err)
+
+    def test_norm_test_utterance_without_metadata_is_data_error(self, e2e_dir, tmp_path,
+                                                                capsys):
+        # language-dependent norm without LID used to fail with a bare KeyError
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        utt = fileio.read_trials(workdir / "trials_dev.txt").test_ids[0]
+        path = workdir / "meta_dev.meta"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in lines if line.split(" ")[0] != utt))
+        capsys.readouterr()
+        assert main(["norm"] + _args(workdir, "use_lid=false")) == 3
+        assert (f"data error: {path}: no language for test utterance {utt!r}"
+                in capsys.readouterr().err)
+
+    def test_phrase_spoken_by_one_speaker_is_data_error(self, e2e_dir, tmp_path, capsys):
+        # the phrase's PLDA cannot be trained; this used to exit 2 as a config error
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "meta_train.meta"
+        metas = fileio.read_metas(path)
+        phrase = metas[0].phrase_id
+        lines = path.read_text().splitlines()
+        for i, meta in enumerate(metas, start=1):
+            if meta.phrase_id == phrase:
+                fields = lines[i].split(" ", 2)
+                lines[i] = " ".join([fields[0], metas[0].speaker_id, fields[2]])
+        path.write_text("".join(f"{line}\n" for line in lines))
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 3
+        assert (f"data error: {path}: phrase {phrase!r}: PLDA training needs at least 2 speakers"
+                in capsys.readouterr().err)
+
+    def test_phrase_plda_numerical_failure_names_the_phrase(self, e2e_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        phrase = fileio.read_metas(workdir / "meta_train.meta")[0].phrase_id
+
+        def singular(model):
+            raise NumericalError("non-invertible PLDA covariances")
+
+        monkeypatch.setattr(backend.PldaScorer, "from_model", singular)
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 4
+        assert (f"numerical failure: PLDA of phrase {phrase!r}: non-invertible"
+                in capsys.readouterr().err)
+
     def test_numerical_failure_maps_to_exit_4(self, monkeypatch, capsys):
         def boom(cfg):
             raise NumericalError("zero variance among top cohort scores")
@@ -547,7 +616,7 @@ class TestBackendTraining:
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
         ids, x, metas = pipeline._load_split(cfg, "train", extracted=True)
-        protocols, seen = [], {}
+        protocols, seen, inits = [], {}, {}
         gen_trials, train_nplda = synthgen.gen_trials, nplda.train_nplda
 
         def recording_gen(*args, **kwargs):
@@ -555,6 +624,7 @@ class TestBackendTraining:
             return protocols[-1]
 
         def recording_train(init, enroll, test, labels, claimed, spoken, config):
+            inits[claimed[0]] = init
             seen[claimed[0]] = (enroll, test, list(labels), list(claimed), list(spoken))
             return train_nplda(init, enroll, test, labels, claimed, spoken, config)
 
@@ -567,6 +637,19 @@ class TestBackendTraining:
             np.testing.assert_array_equal(seen[phrase][0], enroll)
             np.testing.assert_array_equal(seen[phrase][1], test)
             assert seen[phrase][2:] == (labels, claimed, spoken)
+        # every train phrase, in first-appearance order, starts from the PLDA
+        # of its own rows; a phrase without training pairs keeps that init
+        phrases = list(dict.fromkeys(m.phrase_id for m in metas))
+        assert list(bank) == phrases
+        for phrase in phrases:
+            rows = [i for i, m in enumerate(metas) if m.phrase_id == phrase]
+            model, _ = backend.plda_em_train(x[rows], [metas[i].speaker_id for i in rows],
+                                             iters=cfg.plda_iters)
+            want = backend.PldaScorer.from_model(model)
+            init = inits.get(phrase, bank[phrase])
+            for name in ("lam", "gamma", "c"):
+                np.testing.assert_array_equal(getattr(init, name), getattr(want, name))
+            assert init.k == want.k
 
 
 _MASKED_IMPORT_PROBE = """

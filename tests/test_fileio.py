@@ -244,8 +244,13 @@ class TestProtocolFiles:
         labels = [row[4] for row in rows]
         fileio.write_trials(path / "t.txt", trials)
         fileio.write_keys(path / "k.txt", trials.ids, labels)
-        assert fileio.read_trials(path / "t.txt") == trials
         assert fileio.read_keys(path / "k.txt") == (list(trials.ids), labels)
+        repeat = next((i for i, t in enumerate(trials.ids) if t in trials.ids[:i]), None)
+        if repeat is None:
+            assert fileio.read_trials(path / "t.txt") == trials
+        else:
+            with pytest.raises(DataFormatError, match=f"t.txt:{repeat + 1}: duplicate trial_id"):
+                fileio.read_trials(path / "t.txt")
 
     def test_key_count_must_match_trial_ids(self, tmp_path):
         with pytest.raises(ValueError, match="2 trial ids for 1 labels"):
@@ -316,6 +321,12 @@ class TestProtocolFiles:
         path = tmp_path / "t.txt"
         path.write_text("t1 m1 u1 ph00\nt2 m1 u2\n")
         with pytest.raises(DataFormatError, match="t.txt:2: expected 4 fields"):
+            fileio.read_trials(path)
+
+    def test_duplicate_trial_id_names_the_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("t1 m1 u1 ph00\nt2 m1 u2 ph00\nt1 m2 u3 ph01\n")
+        with pytest.raises(DataFormatError, match="t.txt:3: duplicate trial_id t1$"):
             fileio.read_trials(path)
 
     @pytest.mark.parametrize("trial_id", ["", "a b", "a\tb", " a", "a\u00a0b"])

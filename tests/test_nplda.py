@@ -5,14 +5,7 @@ from oracles import check_gradients, plda_llr_joint_literal, train_nplda_literal
 from spkver import nplda
 from spkver.backend import PldaModel, PldaScorer, plda_em_train
 from spkver.metrics import DcfParams
-from spkver.nplda import (
-    NpldaParams,
-    NpldaTrainConfig,
-    init_from_plda,
-    nplda_score,
-    soft_detcost,
-    train_nplda,
-)
+from spkver.nplda import NpldaTrainConfig, nplda_score, soft_detcost, train_nplda
 
 
 def _random_pd(rng, dim, scale=1.0):
@@ -33,15 +26,14 @@ class TestInitFromPlda:
     @pytest.mark.parametrize("dim", [2, 5])
     def test_reproduces_generative_llr_pointwise(self, dim):
         model = _model(seed=dim, dim=dim)
-        params = init_from_plda(model)
-        scorer = PldaScorer(model)
+        form = PldaScorer.from_model(model)
         rng = np.random.default_rng(100 + dim)
         for _ in range(100):
             e = model.mu + rng.normal(size=dim)
             t = model.mu + rng.normal(size=dim)
             expected = float(plda_llr_joint_literal(model, e, t)[0])
-            assert abs(nplda_score(params, e, t) - expected) < 1e-8
-            assert abs(scorer.score(e, t) - expected) < 1e-8
+            assert abs(nplda_score(form, e, t) - expected) < 1e-8
+            assert abs(form.score(e, t) - expected) < 1e-8
 
     def test_reproduces_generative_llr_of_a_trained_model(self):
         # D=48 as in the pipeline's embeddings: 50 speakers x 12 rows
@@ -53,13 +45,13 @@ class TestInitFromPlda:
         e, t = x[rng.permutation(len(x))[:200]], x[rng.permutation(len(x))[:200]]
         expected = plda_llr_joint_literal(model, e, t)
         tol = 1e-12 * np.max(np.abs(expected))
-        np.testing.assert_allclose(PldaScorer(model).score(e, t), expected, rtol=0, atol=tol)
-        np.testing.assert_allclose(nplda_score(init_from_plda(model), e, t), expected,
-                                   rtol=0, atol=tol)
+        form = PldaScorer.from_model(model)
+        np.testing.assert_allclose(form.score(e, t), expected, rtol=0, atol=tol)
+        np.testing.assert_allclose(nplda_score(form, e, t), expected, rtol=0, atol=tol)
 
     def test_zero_between_covariance(self):
         model = PldaModel(mu=np.ones(3), sigma_b=np.zeros((3, 3)), sigma_w=np.eye(3))
-        params = init_from_plda(model)
+        params = PldaScorer.from_model(model)
         np.testing.assert_allclose(params.lam, 0.0, atol=1e-12)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -67,7 +59,7 @@ class TestInitFromPlda:
 
     def test_zero_epochs_leaves_scores_unchanged(self):
         model = _model(3)
-        params = init_from_plda(model)
+        params = PldaScorer.from_model(model)
         rng = np.random.default_rng(4)
         e = rng.normal(size=(10, 2))
         t = rng.normal(size=(10, 2))
@@ -82,41 +74,47 @@ class TestInitFromPlda:
 
 
 class TestNpldaScore:
+    """NPLDA scores a `PldaScorer` form exactly as the form's own `score`."""
+
     def test_constant_params(self):
-        params = NpldaParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 3.0)
+        form = PldaScorer(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 3.0)
         rng = np.random.default_rng(1)
-        assert nplda_score(params, rng.normal(size=2), rng.normal(size=2)) == 3.0
+        e, t = rng.normal(size=2), rng.normal(size=2)
+        assert nplda_score(form, e, t) == form.score(e, t) == 3.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(2)
         lam = rng.normal(size=(3, 3))  # deliberately asymmetric
         gamma = _random_pd(rng, 3)
-        params = NpldaParams(lam, gamma, rng.normal(size=3), -0.5)
+        form = PldaScorer(lam, gamma, rng.normal(size=3), -0.5)
         for _ in range(10):
             e, t = rng.normal(size=3), rng.normal(size=3)
-            assert nplda_score(params, e, t) == pytest.approx(
-                nplda_score(params, t, e), abs=1e-12
+            assert nplda_score(form, e, t) == form.score(e, t)
+            assert nplda_score(form, e, t) == pytest.approx(
+                nplda_score(form, t, e), abs=1e-12
             )
 
     def test_batch_equals_per_row_calls(self):
         rng = np.random.default_rng(3)
-        params = NpldaParams(rng.normal(size=(3, 3)), _random_pd(rng, 3), rng.normal(size=3), 0.7)
+        form = PldaScorer(rng.normal(size=(3, 3)), _random_pd(rng, 3), rng.normal(size=3), 0.7)
         e, t = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
-        rows = nplda_score(params, e[:5], t)
+        rows = nplda_score(form, e[:5], t)
+        np.testing.assert_array_equal(rows, form.score(e[:5], t))
         np.testing.assert_allclose(
-            rows, [nplda_score(params, e[i], t[i]) for i in range(5)], rtol=1e-12, atol=1e-12
+            rows, [nplda_score(form, e[i], t[i]) for i in range(5)], rtol=1e-12, atol=1e-12
         )
-        outer = nplda_score(params, e[:, None, :], t)
+        outer = nplda_score(form, e[:, None, :], t)
         assert outer.shape == (8, 5)
         np.testing.assert_allclose(
-            outer, [[nplda_score(params, a, b) for b in t] for a in e], rtol=1e-12, atol=1e-12
+            outer, [[nplda_score(form, a, b) for b in t] for a in e], rtol=1e-12, atol=1e-12
         )
-        assert isinstance(nplda_score(params, e[0], t[0]), float)
+        assert isinstance(nplda_score(form, e[0], t[0]), float)
 
     def test_dimension_mismatch(self):
-        params = NpldaParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            nplda_score(params, np.zeros(3), np.zeros(3))
+        form = PldaScorer(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
+        for score in (nplda_score, PldaScorer.score):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                score(form, np.zeros(3), np.zeros(3))
 
 
 class TestSoftDetcost:
@@ -163,7 +161,7 @@ class TestSoftDetcost:
 class TestTrainNplda:
     def _training_set(self, seed=0, n=60):
         model = _model(seed)
-        params = init_from_plda(model)
+        params = PldaScorer.from_model(model)
         rng = np.random.default_rng(seed + 1)
         lb = np.linalg.cholesky(model.sigma_b)
         lw = np.linalg.cholesky(model.sigma_w)
@@ -216,11 +214,11 @@ class TestTrainNplda:
         params, e, t, labels = self._training_set(11 + epochs)
         cfg = NpldaTrainConfig(learning_rate=2e-3, epochs=epochs, theta=theta)
         result = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
-        (lam, gamma, c, k), theta_lit, trace = train_nplda_literal(params, e, t, labels, cfg)
-        np.testing.assert_array_equal(result.params.lam, lam)
-        np.testing.assert_array_equal(result.params.gamma, gamma)
-        np.testing.assert_array_equal(result.params.c, c)
-        assert result.params.k == k
+        form, theta_lit, trace = train_nplda_literal(params, e, t, labels, cfg)
+        np.testing.assert_array_equal(result.params.lam, form.lam)
+        np.testing.assert_array_equal(result.params.gamma, form.gamma)
+        np.testing.assert_array_equal(result.params.c, form.c)
+        assert result.params.k == form.k
         assert result.theta == theta_lit
         assert result.loss_trace == trace
 
