@@ -195,12 +195,15 @@ def read_metas(path) -> list:
     lines = _read_lines(path)
     if not lines or lines[0] != "META":
         _fail(path, 1, "expected 'META' header")
-    out = []
+    out, seen = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ", 4)
         if len(parts) != 5:
             _fail(path, lineno, "expected 5 fields: utt spk phrase lang transcript")
         utt, spk, phrase, lang, transcript = parts
+        if utt in seen:
+            _fail(path, lineno, f"duplicate utt_id {utt}")
+        seen.add(utt)
         try:
             language = Language(lang)
         except ValueError:
@@ -238,6 +241,8 @@ def read_inventory(path) -> PhraseInventory:
         parts = line.split(" ", 2)
         if len(parts) != 3:
             _fail(path, lineno, "expected 3 fields: phrase lang text")
+        if any(entry.phrase_id == parts[0] for entry in entries):
+            _fail(path, lineno, f"duplicate phrase_id {parts[0]}")
         try:
             language = Language(parts[1])
         except ValueError:

@@ -438,6 +438,24 @@ class TestErrorExitCodes:
         assert (f"data error: {path}:2: duplicate trial_id {first}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("stage, extra", [("filter", []), ("norm", ["use_lid=false"])])
+    def test_repeated_utterance_in_metadata_is_data_error(self, e2e_dir, tmp_path, capsys,
+                                                          stage, extra):
+        # both stages used to exit 0, taking the last line's transcript or language
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        path = workdir / "meta_eval.meta"
+        lines = path.read_text().splitlines()
+        utt, spk, phrase, lang, _ = lines[1].split(" ", 4)
+        lines.append(f"{utt} {spk} {phrase} {lang} another transcript")
+        path.write_text("".join(f"{line}\n" for line in lines))
+        capsys.readouterr()
+        assert main([stage] + _args(workdir, *extra)) == 3
+        assert (f"data error: {path}:{len(lines)}: duplicate utt_id {utt}"
+                in capsys.readouterr().err)
+
     def test_norm_test_utterance_without_metadata_is_data_error(self, e2e_dir, tmp_path,
                                                                 capsys):
         # language-dependent norm without LID used to fail with a bare KeyError
@@ -661,13 +679,32 @@ print(code, before, "numpy.ma" in sys.modules)
 """
 
 
+def _subprocess_env(**changes):
+    """os.environ with spkver's source directory on PYTHONPATH, updated by
+    `changes`; a None value removes the variable."""
+    env = dict(os.environ)
+    src = str(Path(spkver.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 class TestImports:
     def test_e2e_imports_no_masked_arrays(self, tmp_path):
         # numpy >= 2.3 imports numpy.ma inside np.unique without return_* flags;
         # where `import numpy` already loads it (numpy 1.x), nothing can change
-        env = dict(os.environ)
-        src = str(Path(spkver.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _subprocess_env()
         settings = ["epochs=2", "n_speakers=12", "n_dev_trials=40", "n_eval_trials=40",
                     "n_top=5", "lid_epochs=5", "backends=cosine,plda,nplda",
                     f"workdir={tmp_path / 'w'}"]
@@ -677,3 +714,32 @@ class TestImports:
         code, before, after = out.splitlines()[-1].split(" ")
         assert code == "0"
         assert after == before
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_import_sets_one_thread_unless_set(self, given, expected):
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=given)
+        probe = "import os, spkver; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == [expected]
+
+    @pytest.mark.skipif(_usable_cpus() < 2,
+                        reason="one usable CPU: OpenBLAS runs one thread either way")
+    def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
+        # at these model sizes OpenBLAS splits its sums across threads, and the
+        # checkpoint, embeddings and scores used to differ between 1 and 2 threads
+        settings = ["dim=64", "hidden_dim=128", "emb_dim=48", "n_speakers=100",
+                    "n_utts_per_cell=3", "task=TI", "epochs=20", "n_dev_trials=20",
+                    "n_eval_trials=50"]
+        digests = []
+        for threads in (None, "1"):
+            workdir = tmp_path / f"threads-{threads}"
+            argv = ["e2e", "--seed", "11"] + [
+                arg for item in settings + [f"workdir={workdir}"] for arg in ("--set", item)]
+            subprocess.run([sys.executable, "-m", "spkver.cli"] + argv,
+                           env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True)
+            digests.append(_digests(workdir))
+        assert digests[0] == digests[1]

@@ -220,6 +220,12 @@ class TestMetaRoundTrip:
         with pytest.raises(DataFormatError, match="m.meta:2"):
             fileio.read_metas(path)
 
+    def test_duplicate_utt_id_names_the_line(self, tmp_path):
+        path = tmp_path / "m.meta"
+        path.write_text("META\nu1 s1 - L1 -\nu2 s1 - L1 -\nu1 s2 - L2 other words\n")
+        with pytest.raises(DataFormatError, match="m.meta:4: duplicate utt_id u1$"):
+            fileio.read_metas(path)
+
 
 class TestProtocolFiles:
     def test_trials_keys_enroll_round_trip(self, tmp_path):
@@ -351,6 +357,12 @@ class TestInventory:
         fileio.write_inventory(path, inv)
         back = fileio.read_inventory(path)
         assert back.entries == inv.entries
+
+    def test_duplicate_phrase_id_names_the_line(self, tmp_path):
+        path = tmp_path / "inv.txt"
+        path.write_text("INV\nph00 L1 good morning\nph00 L2 good evening\n")
+        with pytest.raises(DataFormatError, match="inv.txt:3: duplicate phrase_id ph00$"):
+            fileio.read_inventory(path)
 
 
 class TestModelContainers:

@@ -1,6 +1,7 @@
 """Static checks over the package's own source files."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,45 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _names_blas_threads(statement: ast.stmt) -> bool:
+    return any(isinstance(node, ast.Constant) and node.value == "OPENBLAS_NUM_THREADS"
+               for node in ast.walk(statement))
+
+
+def imports_before_blas_setting(source: str) -> list:
+    """(line, module) of every import that may load numpy before the module
+    sets OPENBLAS_NUM_THREADS, scanning its top-level statements in order:
+    a relative import or one from outside the standard library. A module that
+    never sets it gets (0, "OPENBLAS_NUM_THREADS") at the end."""
+    found = []
+    for node in ast.parse(source).body:
+        if _names_blas_threads(node):
+            return found
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return found + [(0, "OPENBLAS_NUM_THREADS")]
+
+
+def test_blas_thread_setting_precedes_numpy():
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert imports_before_blas_setting(source) == []
+
+
+def test_checker_flags_a_reordered_init():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    setting = next(node for node in tree.body if _names_blas_threads(node))
+    tree.body.remove(setting)
+    tree.body.append(setting)  # as if imports were sorted above all statements
+    flagged = [module for _, module in imports_before_blas_setting(ast.unparse(tree))]
+    assert {".backend", ".core", ".nplda"} <= set(flagged)
+    assert "os" not in flagged
+    assert imports_before_blas_setting("import numpy\nimport os\n") == [
+        (1, "numpy"), (0, "OPENBLAS_NUM_THREADS")]
