@@ -22,12 +22,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, quadratic_score
 from .core import (
     Language,
+    Metas,
     NumericalError,
-    PhraseEntry,
     PhraseInventory,
     TrialLabel,
     Trials,
-    UttMeta,
     build_enroll_model,
     validate_protocol,
 )

@@ -12,8 +12,9 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .extractor import Strategy, TrainConfig
-from .metrics import grid_divisions
-from .synthgen import Task, trial_proportions
+from .metrics import DcfParams, grid_divisions
+from .nplda import NpldaTrainConfig
+from .synthgen import GenConfig, Task, trial_proportions
 
 
 class ConfigError(ValueError):
@@ -109,12 +110,47 @@ class PipelineConfig:
                 f"task=TD needs n_enroll < n_utts_per_cell, got {self.n_enroll} "
                 f"and {self.n_utts_per_cell}"
             )
+        for name in ("plda_iters", "lid_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("hidden_dim", "emb_dim", "lid_lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         try:
+            self.gen_config()
             self.train_config()
+            self.nplda_config()
             grid_divisions(self.grid_step)
             trial_proportions(Task(self.task), self.proportions or None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def gen_config(self, seed: int = 0) -> GenConfig:
+        """The corpus-generation settings; GenConfig checks their values."""
+        return GenConfig(
+            n_speakers=self.n_speakers,
+            n_phrases=self.n_phrases,
+            n_utts_per_cell=self.n_utts_per_cell,
+            dim=self.dim,
+            phrase_strength=self.phrase_strength,
+            language_shift=self.language_shift,
+            noise_sigma=self.noise_sigma,
+            transcript_error_rate=self.transcript_error_rate,
+            seed=seed,
+        )
+
+    def dcf_params(self) -> DcfParams:
+        """The detection-cost operating point; DcfParams checks its values."""
+        return DcfParams(self.p_target, self.c_miss, self.c_fa)
+
+    def nplda_config(self) -> NpldaTrainConfig:
+        """The NPLDA fine-tuning settings; NpldaTrainConfig checks their values."""
+        return NpldaTrainConfig(
+            learning_rate=self.nplda_lr,
+            epochs=self.nplda_epochs,
+            alpha=self.nplda_alpha,
+            dcf=self.dcf_params(),
+        )
 
     def train_config(self, seed: int = 0) -> TrainConfig:
         """The extractor-training settings; TrainConfig checks their values."""

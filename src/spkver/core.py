@@ -1,16 +1,17 @@
 """Core domain types: utterance labels, trials, keys, phrase inventories.
 
 Everything here is immutable after construction; the operations are pure
-functions. Vectors are plain arrays: a split is a pair (ids, x) with one row
-of x per id. Trials and keys are columns: a trial list is one `Trials` of
-equal-length tuples, and its key is one TrialLabel per trial, in trial order.
+functions. Labels are columns of equal-length tuples, not per-row objects:
+a split is a pair (x, metas), where row i of x is utterance
+metas.utt_ids[i] and row i of every other `Metas` column labels it. A
+trial list is one `Trials`, its key is one TrialLabel per trial in trial
+order, and a `PhraseInventory` holds one column per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,18 +45,18 @@ class TrialLabel(Enum):
         return self in (TrialLabel.TC, TrialLabel.TARGET)
 
 
-@dataclass(frozen=True)
-class UttMeta:
-    """Speaker / phrase / language / transcript labels for one utterance.
+class Metas(NamedTuple):
+    """Utterance labels as five equal-length columns: utterance utt_ids[i]
+    is spoken by speakers[i] in languages[i] (a Language), saying phrase
+    phrases[i] with ASR-style transcript transcripts[i]. A phrase or
+    transcript is None where it is absent (text-independent data). The
+    utterance count is len(metas.utt_ids); len(metas) counts the columns."""
 
-    phrase_id and transcript are None for text-independent data.
-    """
-
-    utt_id: str
-    speaker_id: str
-    phrase_id: Optional[str]
-    language: Language
-    transcript: Optional[str] = None
+    utt_ids: tuple
+    speakers: tuple
+    phrases: tuple
+    languages: tuple
+    transcripts: tuple
 
 
 class Trials(NamedTuple):
@@ -70,38 +71,14 @@ class Trials(NamedTuple):
     claimed: tuple
 
 
-@dataclass(frozen=True)
-class PhraseEntry:
-    phrase_id: str
-    text: str
-    language: Language
+class PhraseInventory(NamedTuple):
+    """Closed, ordered inventory of pass-phrases as three equal-length
+    columns: phrase phrase_ids[i] has reference text texts[i] in
+    languages[i]. len(inventory.phrase_ids) counts the phrases."""
 
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError(f"phrase {self.phrase_id}: empty reference text")
-
-
-@dataclass(frozen=True)
-class PhraseInventory:
-    """Closed, ordered inventory of pass-phrases with reference texts."""
-
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ids = [e.phrase_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("phrase ids must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def phrase_ids(self) -> tuple:
-        return tuple(e.phrase_id for e in self.entries)
+    phrase_ids: tuple
+    texts: tuple
+    languages: tuple
 
 
 def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
@@ -123,7 +100,7 @@ def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
 def validate_protocol(
     trials: Trials,
     labels: Sequence[TrialLabel],
-    metas: Sequence[UttMeta],
+    metas: Metas,
     enroll_map: Mapping[str, Sequence[str]],
 ) -> list:
     """Cross-check a trial protocol; return a list of violation strings.
@@ -134,10 +111,10 @@ def validate_protocol(
     report = []
 
     known_utts = set()
-    for meta in metas:
-        if meta.utt_id in known_utts:
-            report.append(f"duplicate utt_id in metas: {meta.utt_id}")
-        known_utts.add(meta.utt_id)
+    for utt_id in metas.utt_ids:
+        if utt_id in known_utts:
+            report.append(f"duplicate utt_id in metas: {utt_id}")
+        known_utts.add(utt_id)
 
     for model_id, utt_ids in enroll_map.items():
         for utt_id in utt_ids:

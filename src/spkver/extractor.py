@@ -33,7 +33,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import NumericalError, PhraseInventory, UttMeta
+from .core import Metas, NumericalError, PhraseInventory
 
 
 class Strategy(Enum):
@@ -449,13 +449,13 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
 def train(
     extractor: Extractor,
     features: np.ndarray,
-    metas: Sequence[UttMeta],
+    metas: Metas,
     inventory: PhraseInventory,
     config: TrainConfig,
 ) -> TrainResult:
     """Fine-tune the network with the configured objective.
 
-    `features` is an (N, F) array with one row per entry of `metas`; the
+    `features` is an (N, F) array whose row i is utterance metas.utt_ids[i]; the
     inventory fixes the phrase order of the phrase-aware objectives. Plain
     gradient descent under the exponential learning-rate schedule;
     deterministic given the seed. Head rows are re-normalized to unit norm
@@ -463,28 +463,27 @@ def train(
     """
     net = extractor.copy()
     feats = np.asarray(features, dtype=np.float64)
-    metas = list(metas)
-    if feats.ndim != 2 or feats.shape[0] != len(metas):
+    if feats.ndim != 2 or feats.shape[0] != len(metas.utt_ids):
         raise ValueError("features must be (N, F) with one row per meta")
     if feats.shape[1] != net.in_dim:
         raise ValueError("corpus feature dim does not match the network")
 
-    speaker_ids = tuple(sorted({m.speaker_id for m in metas}))
+    speaker_ids = tuple(sorted(set(metas.speakers)))
     spk_index = {s: i for i, s in enumerate(speaker_ids)}
-    spk_labels = np.asarray([spk_index[m.speaker_id] for m in metas])
+    spk_labels = np.asarray([spk_index[s] for s in metas.speakers])
 
     strategy = config.strategy
     phrase_ids = inventory.phrase_ids
     phr_index = {p: i for i, p in enumerate(phrase_ids)}
     phr_labels = None
     if strategy in PHRASE_STRATEGIES:
-        if any(m.phrase_id is None for m in metas):
+        if any(p is None for p in metas.phrases):
             raise ValueError(f"strategy {strategy.value} requires phrase labels")
-        for m in metas:
-            if m.phrase_id not in phr_index:
-                raise ValueError(f"utterance {m.utt_id!r} has phrase {m.phrase_id!r}, "
+        for utt, p in zip(metas.utt_ids, metas.phrases):
+            if p not in phr_index:
+                raise ValueError(f"utterance {utt!r} has phrase {p!r}, "
                                  "which the phrase inventory lacks")
-        phr_labels = np.asarray([phr_index[m.phrase_id] for m in metas])
+        phr_labels = np.asarray([phr_index[p] for p in metas.phrases])
 
     rng = np.random.default_rng(config.seed)
     n_spk = len(speaker_ids)
@@ -510,11 +509,11 @@ def train(
             heads[p] = new_head(n_spk)
         for k in dict.fromkeys(phr_labels.tolist()):  # first-appearance order
             rows = np.flatnonzero(phr_labels == k)
-            terms.append((phrase_ids[k], rows, spk_labels[rows], rows.size / len(metas)))
+            terms.append((phrase_ids[k], rows, spk_labels[rows], rows.size / len(feats)))
     ge2e = pct_groups = None
     if strategy is Strategy.PCT:
         ge2e = Ge2eParams()
-        pct_groups = _pct_groups(metas, phr_labels, len(phrase_ids))
+        pct_groups = _pct_groups(metas.speakers, phr_labels, len(phrase_ids))
 
     def apply_net_grads(cache, d_unit, lr) -> None:
         d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
@@ -564,12 +563,12 @@ def train(
     )
 
 
-def _pct_groups(metas, phr_labels, n_phrases):
+def _pct_groups(speakers, phr_labels, n_phrases):
     """For each phrase, the rows of every speaker with >= 2 utterances of it,
     in speaker-id order."""
     by_phrase = [{} for _ in range(n_phrases)]
-    for i, m in enumerate(metas):
-        by_phrase[phr_labels[i]].setdefault(m.speaker_id, []).append(i)
+    for i, spk in enumerate(speakers):
+        by_phrase[phr_labels[i]].setdefault(spk, []).append(i)
     return [[rows for _, rows in sorted(spk_rows.items()) if len(rows) >= 2]
             for spk_rows in by_phrase]
 

@@ -13,8 +13,11 @@ numpy stores every member with a fixed zip timestamp, so equal arrays give
 equal bytes. Everything people read (metadata, inventory, trials, keys,
 enrollment maps, scores) is UTF-8 text with LF endings and single-space
 separators; scores are printed as the shortest decimal that round-trips the
-64-bit value (Python repr). Trials, keys and scores travel as columns in
-file order: a trials file as a `Trials` (`write_trials` / `read_trials`), a
+64-bit value (Python repr). Text files travel as columns in file order: a
+metadata file as a `Metas` (`write_metas` / `read_metas`), whose rows the
+pipeline keeps aligned to the rows of the split's `x`, an inventory as a
+`PhraseInventory` (`write_inventory` / `read_inventory`), a trials file as
+a `Trials` (`write_trials` / `read_trials`), a
 key file as (trial ids, TrialLabels) (`write_keys` / `read_keys`), and a
 score file as (trial ids, values), a list of ids and a float64 vector,
 which the pipeline keeps row-aligned to the split's trial list
@@ -33,15 +36,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    Language,
-    NumericalError,
-    PhraseEntry,
-    PhraseInventory,
-    TrialLabel,
-    Trials,
-    UttMeta,
-)
+from .core import Language, Metas, NumericalError, PhraseInventory, TrialLabel, Trials
 
 
 class DataFormatError(ValueError):
@@ -180,44 +175,49 @@ def read_matrix(path):
 # utterance metadata
 
 
-def write_metas(path, metas: Sequence[UttMeta]) -> None:
+def write_metas(path, metas: Metas) -> None:
+    """Write one `utt spk phrase lang transcript` line per utterance; an
+    absent phrase, and an absent or empty transcript, is written `-`.
+    Columns of unequal length raise ValueError."""
     lines = ["META"]
-    for m in metas:
-        _check_token(m.utt_id, "utt_id")
-        _check_token(m.speaker_id, "speaker_id")
-        phrase = m.phrase_id if m.phrase_id is not None else "-"
-        transcript = m.transcript if m.transcript not in (None, "") else "-"
-        lines.append(f"{m.utt_id} {m.speaker_id} {phrase} {m.language.value} {transcript}")
+    for utt, spk, phrase, lang, transcript in zip(*metas, strict=True):
+        _check_token(utt, "utt_id")
+        _check_token(spk, "speaker_id")
+        phrase = "-" if phrase is None else _check_token(phrase, "phrase_id")
+        transcript = transcript if transcript not in (None, "") else "-"
+        lines.append(f"{utt} {spk} {phrase} {lang.value} {transcript}")
     write_lines(path, lines)
 
 
-def read_metas(path) -> list:
+def read_metas(path) -> Metas:
+    """The utterance labels of a metadata file as columns, in file order; a
+    phrase or transcript `-` reads as None. A line without five fields, an
+    empty id, a repeated utt_id and an unknown language raise
+    DataFormatError naming the line."""
     lines = _read_lines(path)
     if not lines or lines[0] != "META":
         _fail(path, 1, "expected 'META' header")
-    out, seen = [], set()
+    utts, spks, phrases, languages, transcripts, seen = [], [], [], [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ", 4)
         if len(parts) != 5:
             _fail(path, lineno, "expected 5 fields: utt spk phrase lang transcript")
         utt, spk, phrase, lang, transcript = parts
+        for value, what in ((utt, "utt_id"), (spk, "speaker_id"), (phrase, "phrase_id")):
+            if not value:
+                _fail(path, lineno, f"empty {what}")
         if utt in seen:
             _fail(path, lineno, f"duplicate utt_id {utt}")
         seen.add(utt)
         try:
-            language = Language(lang)
+            languages.append(Language(lang))
         except ValueError:
             _fail(path, lineno, f"unknown language {lang!r}")
-        out.append(
-            UttMeta(
-                utt_id=utt,
-                speaker_id=spk,
-                phrase_id=None if phrase == "-" else phrase,
-                language=language,
-                transcript=None if transcript == "-" else transcript,
-            )
-        )
-    return out
+        utts.append(utt)
+        spks.append(spk)
+        phrases.append(None if phrase == "-" else phrase)
+        transcripts.append(None if transcript == "-" else transcript)
+    return Metas(tuple(utts), tuple(spks), tuple(phrases), tuple(languages), tuple(transcripts))
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +226,41 @@ def read_metas(path) -> list:
 
 def write_inventory(path, inventory: PhraseInventory) -> None:
     lines = ["INV"]
-    for entry in inventory:
-        _check_token(entry.phrase_id, "phrase_id")
-        lines.append(f"{entry.phrase_id} {entry.language.value} {entry.text}")
+    for phrase_id, text, lang in zip(*inventory, strict=True):
+        _check_token(phrase_id, "phrase_id")
+        if not text:
+            raise ValueError(f"phrase {phrase_id}: empty reference text")
+        lines.append(f"{phrase_id} {lang.value} {text}")
     write_lines(path, lines)
 
 
 def read_inventory(path) -> PhraseInventory:
+    """The phrases of an inventory file as columns, in file order. A line
+    without three fields, an empty phrase id or reference text, a repeated
+    phrase id and an unknown language raise DataFormatError naming the line."""
     lines = _read_lines(path)
     if not lines or lines[0] != "INV":
         _fail(path, 1, "expected 'INV' header")
-    entries = []
+    phrase_ids, texts, languages, seen = [], [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ", 2)
         if len(parts) != 3:
             _fail(path, lineno, "expected 3 fields: phrase lang text")
-        if any(entry.phrase_id == parts[0] for entry in entries):
-            _fail(path, lineno, f"duplicate phrase_id {parts[0]}")
+        phrase_id, lang, text = parts
+        if not phrase_id:
+            _fail(path, lineno, "empty phrase_id")
+        if phrase_id in seen:
+            _fail(path, lineno, f"duplicate phrase_id {phrase_id}")
+        seen.add(phrase_id)
         try:
-            language = Language(parts[1])
+            languages.append(Language(lang))
         except ValueError:
-            _fail(path, lineno, f"unknown language {parts[1]!r}")
-        entries.append(PhraseEntry(phrase_id=parts[0], text=parts[2], language=language))
-    return PhraseInventory(tuple(entries))
+            _fail(path, lineno, f"unknown language {lang!r}")
+        if not text:
+            _fail(path, lineno, f"phrase {phrase_id}: empty reference text")
+        phrase_ids.append(phrase_id)
+        texts.append(text)
+    return PhraseInventory(tuple(phrase_ids), tuple(texts), tuple(languages))
 
 
 # ---------------------------------------------------------------------------

@@ -200,11 +200,10 @@ def levenshtein(a: str, b: str) -> int:
 def classify_phrases(transcripts: Sequence[str], inventory: PhraseInventory) -> list:
     """Each transcript's phrase: the inventory entry whose reference text is
     the fewest edits away, ties going to the first such entry."""
-    if len(inventory) == 0:
+    if not inventory.phrase_ids:
         raise ValueError("empty phrase inventory")
-    dist = _edit_distances(transcripts, [entry.text for entry in inventory])
-    phrase_ids = inventory.phrase_ids
-    return [phrase_ids[k] for k in np.argmin(dist, axis=1).tolist()]
+    dist = _edit_distances(transcripts, inventory.texts)
+    return [inventory.phrase_ids[k] for k in np.argmin(dist, axis=1).tolist()]
 
 
 def apply_phrase_filter(scores: np.ndarray, mismatch: np.ndarray, floor: float = -1000.0):

@@ -17,7 +17,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Language, NumericalError, UttMeta
+from .core import Language, Metas, NumericalError
 
 # A broadcasting pair scorer: (..., D) with (..., D) -> (...) scores.
 Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -40,19 +40,17 @@ class NormStats:
     sigma: object
 
 
-def build_cohort(ids: Sequence[str], x: np.ndarray, metas: Sequence[UttMeta]) -> Cohort:
-    """One averaged row of x (one row per id) per (speaker, language) pair.
+def build_cohort(x: np.ndarray, metas: Metas) -> Cohort:
+    """One averaged row of x per (speaker, language) pair, in first-appearance
+    order. `metas` are the label columns row-aligned to x: row i of x is
+    utterance metas.utt_ids[i], spoken by metas.speakers[i] in metas.languages[i].
 
     Averaging per language keeps each entry's language tag well defined,
-    which the language-dependent filter needs. Empty `ids` raise ValueError.
+    which the language-dependent filter needs. No rows raise ValueError.
     """
-    meta_of = {m.utt_id: m for m in metas}
     groups: Dict[tuple, list] = {}
-    for row, utt_id in enumerate(ids):
-        meta = meta_of.get(utt_id)
-        if meta is None:
-            raise ValueError(f"no metadata for cohort utterance {utt_id}")
-        groups.setdefault((meta.speaker_id, meta.language), []).append(row)
+    for row, key in enumerate(zip(metas.speakers, metas.languages)):
+        groups.setdefault(key, []).append(row)
     if not groups:
         raise ValueError("cohort must be non-empty")
     return Cohort(

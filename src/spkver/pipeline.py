@@ -16,7 +16,11 @@ the formats):
     fusion_weights.txt, metrics.txt, manifest.txt
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
-split travels as (ids, x): its utterance ids and one matrix row per id.
+labelled split travels as (x, metas), with the metadata as columns
+row-aligned to x: row i of x is utterance metas.utt_ids[i], and row i of
+every other `Metas` column (speaker, phrase, language, transcript) labels
+it. `_load_split` checks once that the matrix file lists the metadata's
+ids in the same order and keeps no second copy of them.
 Trials travel as columns (a `Trials`: trial, model, test utterance and
 claimed-phrase ids), keys as (trial ids, labels) and scores as (trial ids,
 values): every stage checks once per score or key file that it lists
@@ -40,7 +44,7 @@ import numpy as np
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig
 from .core import NumericalError, build_enroll_model, validate_protocol
-from .synthgen import RNG_ALGORITHM, GenConfig, Task
+from .synthgen import RNG_ALGORITHM, Task
 
 SPLITS = ("train", "dev", "eval")
 
@@ -60,18 +64,7 @@ def _child_seeds(seed: int, n: int) -> list:
 def cmd_gen(cfg: PipelineConfig) -> List[Path]:
     """Generate the corpus, split it by speakers, and write protocol files."""
     seeds = _child_seeds(cfg.seed, 4)
-    gen_cfg = GenConfig(
-        n_speakers=cfg.n_speakers,
-        n_phrases=cfg.n_phrases,
-        n_utts_per_cell=cfg.n_utts_per_cell,
-        dim=cfg.dim,
-        phrase_strength=cfg.phrase_strength,
-        language_shift=cfg.language_shift,
-        noise_sigma=cfg.noise_sigma,
-        transcript_error_rate=cfg.transcript_error_rate,
-        seed=seeds[0],
-    )
-    corpus = synthgen.gen_corpus(gen_cfg)
+    corpus = synthgen.gen_corpus(cfg.gen_config(seed=seeds[0]))
 
     speakers = list(corpus.speaker_ids)
     rng = np.random.default_rng(seeds[1])
@@ -91,7 +84,7 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
     written: List[Path] = []
     for split, spk_ids in groups.items():
         sub = corpus.subset_by_speakers(spk_ids)
-        fileio.write_matrix(_workpath(cfg, f"feats_{split}.npz"), sub.ids, sub.x)
+        fileio.write_matrix(_workpath(cfg, f"feats_{split}.npz"), sub.metas.utt_ids, sub.x)
         fileio.write_metas(_workpath(cfg, f"meta_{split}.meta"), sub.metas)
         written += [_workpath(cfg, f"feats_{split}.npz"), _workpath(cfg, f"meta_{split}.meta")]
         if split == "train":
@@ -122,14 +115,15 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
 
 
 def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
-    """(ids, x, metas) of a split's features, or with `extracted` of its
-    embeddings; the metadata must list the same ids in the same order."""
+    """(x, metas) of a split's features, or with `extracted` of its
+    embeddings: row i of x is utterance metas.utt_ids[i]. The matrix file
+    must list the metadata's ids in the same order (DataFormatError)."""
     path = _workpath(cfg, f"emb_{split}.npz" if extracted else f"feats_{split}.npz")
     ids, x = fileio.read_matrix(path)
     metas = fileio.read_metas(_workpath(cfg, f"meta_{split}.meta"))
-    if ids != [m.utt_id for m in metas]:
+    if tuple(ids) != metas.utt_ids:
         raise fileio.DataFormatError(f"{path}: ids differ from those of meta_{split}.meta")
-    return ids, x, metas
+    return x, metas
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def _target_mask(cfg: PipelineConfig, split: str, trial_ids: tuple) -> np.ndarra
 
 def cmd_train(cfg: PipelineConfig) -> List[Path]:
     """Train the embedding network on the train split."""
-    _, feats, metas = _load_split(cfg, "train")
+    feats, metas = _load_split(cfg, "train")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 6)
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
@@ -246,14 +240,13 @@ def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
     scorers: Dict[str, Callable] = {"cosine": lambda path, trials, e, t: backend.cosine_score(e, t)}
     if not ({"plda", "nplda"} & set(cfg.backends)):
         return scorers
-    ids, x, metas = _load_split(cfg, "train", extracted=True)
+    x, metas = _load_split(cfg, "train", extracted=True)
     if "plda" in cfg.backends:
-        spk = [m.speaker_id for m in metas]
-        plda_model, _ = backend.plda_em_train(x, spk, iters=cfg.plda_iters)
+        plda_model, _ = backend.plda_em_train(x, metas.speakers, iters=cfg.plda_iters)
         plda_scorer = backend.PldaScorer.from_model(plda_model)
         scorers["plda"] = lambda path, trials, e, t: plda_scorer.score(e, t)
     if "nplda" in cfg.backends:
-        params_by_phrase = _train_nplda_bank(cfg, ids, x, metas)
+        params_by_phrase = _train_nplda_bank(cfg, x, metas)
         scorers["nplda"] = functools.partial(_score_by_claimed_phrase, params_by_phrase)
     return scorers
 
@@ -275,7 +268,7 @@ def _score_by_claimed_phrase(params_by_phrase, trials_path, trials, e, t) -> np.
     return scores
 
 
-def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, backend.PldaScorer]:
+def _train_nplda_bank(cfg: PipelineConfig, x, metas) -> Dict[str, backend.PldaScorer]:
     """Per-phrase NPLDA bank, one form per train phrase in first-appearance
     order: PLDA EM on that phrase's rows gives the generative form, which
     same-phrase cost training then fine-tunes. A phrase with too little data
@@ -283,8 +276,8 @@ def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, backend.P
     NumericalError names the phrase. Every phrase's PLDA is trained before
     the training pairs are drawn: their draw fails first on such a phrase,
     without naming it."""
-    spk = np.asarray([m.speaker_id for m in metas])
-    phr = np.asarray([m.phrase_id for m in metas])
+    spk = np.asarray(metas.speakers)
+    phr = np.asarray(metas.phrases)
     bank = {}
     for phrase in dict.fromkeys(phr.tolist()):
         mask = phr == phrase
@@ -303,18 +296,13 @@ def _train_nplda_bank(cfg: PipelineConfig, ids, x, metas) -> Dict[str, backend.P
         metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
         proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
     )
-    enroll, test = _pair_vectors(ids, x, protocol.enroll_map, protocol.trials)
-    phrase_of_utt = {m.utt_id: m.phrase_id for m in metas}
+    enroll, test = _pair_vectors(metas.utt_ids, x, protocol.enroll_map, protocol.trials)
+    phrase_of_utt = dict(zip(metas.utt_ids, metas.phrases))
     claimed = np.asarray(protocol.trials.claimed, dtype=object)
     spoken = np.asarray([phrase_of_utt[u] for u in protocol.trials.test_ids], dtype=object)
     is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
-    train_cfg = nplda.NpldaTrainConfig(
-        learning_rate=cfg.nplda_lr,
-        epochs=cfg.nplda_epochs,
-        alpha=cfg.nplda_alpha,
-        dcf=metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa),
-    )
+    train_cfg = cfg.nplda_config()
     for phrase, init in bank.items():
         rows = (claimed == phrase) & (spoken == phrase)
         labels = is_target[rows]
@@ -347,16 +335,16 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
 
 def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
     """AS-Norm (optionally language-dependent) over the norm_backend scores."""
-    train_ids, train_x, train_meta = _load_split(cfg, "train", extracted=True)
-    cohort = norm.build_cohort(train_ids, train_x, train_meta)
+    train_x, train_meta = _load_split(cfg, "train", extracted=True)
+    cohort = norm.build_cohort(train_x, train_meta)
     n_top = norm.effective_n_top(cfg.n_top, cohort, cfg.language_dependent)
     cohort_scorer = backend.cosine_score  # cosine cohort scores, whatever the norm_backend
 
     classifier = None
     written = []
     if cfg.language_dependent and cfg.use_lid:
-        langs = [m.language for m in train_meta]
-        classifier = norm.train_language_id(train_x, langs, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
+        classifier = norm.train_language_id(
+            train_x, train_meta.languages, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
     for split in splits:
         trials, enroll, test = _trial_vectors(cfg, split)
         raw = _read_scores(cfg, cfg.norm_backend, split, trials.ids)
@@ -365,7 +353,8 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
             test_langs, _ = norm.predict_language(classifier, test)
         elif cfg.language_dependent:
             meta_path = _workpath(cfg, f"meta_{split}.meta")
-            lang_by_utt = {m.utt_id: m.language for m in fileio.read_metas(meta_path)}
+            metas = fileio.read_metas(meta_path)
+            lang_by_utt = dict(zip(metas.utt_ids, metas.languages))
             try:
                 test_langs = [lang_by_utt[u] for u in trials.test_ids]
             except KeyError as exc:
@@ -415,7 +404,8 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
     trials_path = _workpath(cfg, f"trials_{split}.txt")
     meta_path = _workpath(cfg, f"meta_{split}.meta")
     trials = fileio.read_trials(trials_path)
-    text_of = {m.utt_id: m.transcript or "" for m in fileio.read_metas(meta_path)}
+    metas = fileio.read_metas(meta_path)
+    text_of = {utt: text or "" for utt, text in zip(metas.utt_ids, metas.transcripts)}
     for trial_id, test_id, claimed in zip(trials.ids, trials.test_ids, trials.claimed):
         if claimed is None:
             raise fileio.DataFormatError(f"{trials_path}: trial {trial_id} has no claimed phrase")
@@ -450,7 +440,7 @@ def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     systems = _final_systems(cfg)
     dev_ids = fileio.read_trials(_workpath(cfg, "trials_dev.txt")).ids
     dev_scores = np.stack([_read_scores(cfg, s, "dev", dev_ids) for s in systems])
-    params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
+    params = cfg.dcf_params()
     weights = metrics.tune_weights(
         dev_scores, _target_mask(cfg, "dev", dev_ids), params, cfg.grid_step)
 
@@ -468,7 +458,7 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
     """EER / minDCF report over every final system plus the fusion."""
     trial_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
     is_target = _target_mask(cfg, "eval", trial_ids)
-    params = metrics.DcfParams(cfg.p_target, cfg.c_miss, cfg.c_fa)
+    params = cfg.dcf_params()
     lines = []
     for system in _final_systems(cfg) + ["fused"]:
         scores = _read_scores(cfg, system, "eval", trial_ids)

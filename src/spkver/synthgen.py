@@ -21,15 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Language,
-    NumericalError,
-    PhraseEntry,
-    PhraseInventory,
-    TrialLabel,
-    Trials,
-    UttMeta,
-)
+from .core import Language, Metas, NumericalError, PhraseInventory, TrialLabel, Trials
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -66,27 +58,25 @@ class GenConfig:
 
 @dataclass(frozen=True, eq=False)
 class SynthCorpus:
-    """Utterance ids, their (N, dim) vectors (one row per id) and labels."""
+    """(N, dim) utterance vectors and their labels: row i of x is utterance
+    metas.utt_ids[i]."""
 
-    ids: tuple
     x: np.ndarray
-    metas: tuple
+    metas: Metas
     inventory: PhraseInventory
 
     @property
     def speaker_ids(self) -> tuple:
-        seen = dict.fromkeys(m.speaker_id for m in self.metas)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.metas.speakers))
 
     def subset_by_speakers(self, speaker_ids: Sequence[str]) -> "SynthCorpus":
         """Restrict to the given speakers, keeping the inventory."""
         keep = set(speaker_ids)
-        rows = [i for i, m in enumerate(self.metas) if m.speaker_id in keep]
+        rows = [i for i, spk in enumerate(self.metas.speakers) if spk in keep]
         return replace(
             self,
-            ids=tuple(self.ids[i] for i in rows),
             x=self.x[rows],
-            metas=tuple(self.metas[i] for i in rows),
+            metas=Metas(*(tuple(column[i] for i in rows) for column in self.metas)),
         )
 
 
@@ -148,17 +138,14 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
     texts = _gen_reference_texts(rng, config.n_phrases)
 
     n_l1 = (config.n_phrases + 1) // 2
-    entries = tuple(
-        PhraseEntry(
-            phrase_id=f"ph{p:02d}",
-            text=texts[p],
-            language=Language.L1 if p < n_l1 else Language.L2,
-        )
-        for p in range(config.n_phrases)
+    inventory = PhraseInventory(
+        phrase_ids=tuple(f"ph{p:02d}" for p in range(config.n_phrases)),
+        texts=tuple(texts),
+        languages=tuple(Language.L1 if p < n_l1 else Language.L2
+                        for p in range(config.n_phrases)),
     )
-    inventory = PhraseInventory(entries)
 
-    ids, metas = [], []
+    ids, speakers, phrases, languages, transcripts = [], [], [], [], []
     x = np.empty((config.n_speakers * config.n_phrases * config.n_utts_per_cell, config.dim))
     for s in range(config.n_speakers):
         spk_id = f"spk{s:03d}"
@@ -180,16 +167,13 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
                 )
                 x[len(ids)] = vec / norm
                 ids.append(utt_id)
-                metas.append(
-                    UttMeta(
-                        utt_id=utt_id,
-                        speaker_id=spk_id,
-                        phrase_id=f"ph{p:02d}",
-                        language=lang,
-                        transcript=transcript,
-                    )
-                )
-    return SynthCorpus(ids=tuple(ids), x=x, metas=tuple(metas), inventory=inventory)
+                speakers.append(spk_id)
+                phrases.append(inventory.phrase_ids[p])
+                languages.append(lang)
+                transcripts.append(transcript)
+    metas = Metas(tuple(ids), tuple(speakers), tuple(phrases), tuple(languages),
+                  tuple(transcripts))
+    return SynthCorpus(x=x, metas=metas, inventory=inventory)
 
 
 @dataclass(frozen=True)
@@ -238,7 +222,7 @@ def _choice(rng: np.random.Generator, items: Sequence):
 
 
 def gen_trials(
-    metas: Sequence[UttMeta],
+    metas: Metas,
     inventory: PhraseInventory,
     task: Task,
     n_trials: int,
@@ -246,7 +230,7 @@ def gen_trials(
     proportions: Optional[Sequence[float]] = None,
     n_enroll: int = 3,
 ) -> TrialProtocol:
-    """Sample a keyed trial list over the utterances in `metas`.
+    """Sample a keyed trial list over the utterances of `metas`.
 
     TD mode enrolls per (speaker, phrase) cell and emits TC/TW/IC/IW labels
     with the requested proportions (default uniform). TI mode enrolls each
@@ -257,9 +241,9 @@ def gen_trials(
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     rng = np.random.default_rng(seed)
-    if len({m.speaker_id for m in metas}) < 2:
+    if len(set(metas.speakers)) < 2:
         raise ValueError("trial generation needs at least 2 speakers")
-    if task is Task.TD and any(m.phrase_id is None for m in metas):
+    if task is Task.TD and any(phrase is None for phrase in metas.phrases):
         raise ValueError("TD trials require phrase labels on every utterance")
     counts = dict(zip(_LABELS[task], _allocate(n_trials, trial_proportions(task, proportions))))
     if task is Task.TD:
@@ -272,8 +256,8 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     # cell enroll; the rest are that cell's test pool.
     cells: dict = {}
     test_pool: dict = {}
-    for m in metas:
-        cells.setdefault((m.speaker_id, m.phrase_id), []).append(m.utt_id)
+    for utt, spk, phr in zip(metas.utt_ids, metas.speakers, metas.phrases):
+        cells.setdefault((spk, phr), []).append(utt)
     enroll_map = {}
     models = []
     for (spk, phr), utts in cells.items():
@@ -285,7 +269,7 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
         models.append((model_id, spk, phr))
     if not models:
         raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
-    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory.phrase_ids) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
     model_ids, test_ids, claimed, labels = [], [], [], []
@@ -315,18 +299,18 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
 def _gen_ti(metas, counts, n_enroll, rng) -> TrialProtocol:
     # Enroll each speaker on its first n_enroll L1 utterances; every other
     # utterance (any language) is eligible as test material.
-    by_spk: dict = {}
-    for m in metas:
-        by_spk.setdefault(m.speaker_id, []).append(m)
+    by_spk: dict = {}  # speaker -> its (utt_id, language) pairs
+    for utt, spk, lang in zip(metas.utt_ids, metas.speakers, metas.languages):
+        by_spk.setdefault(spk, []).append((utt, lang))
     enroll_map = {}
     test_pool: dict = {}
-    for spk, ms in by_spk.items():
-        l1 = [m.utt_id for m in ms if m.language is Language.L1]
+    for spk, utts in by_spk.items():
+        l1 = [utt for utt, lang in utts if lang is Language.L1]
         if len(l1) < n_enroll:
             continue
         enrolled = l1[:n_enroll]
         enrolled_set = set(enrolled)
-        rest = [m.utt_id for m in ms if m.utt_id not in enrolled_set]
+        rest = [utt for utt, _ in utts if utt not in enrolled_set]
         if not rest:
             continue
         enroll_map[f"m_{spk}"] = tuple(enrolled)

@@ -10,17 +10,33 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from spkver.core import NumericalError
 from spkver.extractor import AamHead, aam_loss
-from spkver.core import Language, TrialLabel, Trials
+from spkver.core import Language, Metas, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.backend import PldaScorer
 from spkver.nplda import nplda_score, soft_detcost
 from spkver.synthgen import TrialProtocol
+
+
+class UttMeta(NamedTuple):
+    """One utterance's labels: the row form of `Metas`, which the oracles
+    that walk utterances one at a time iterate."""
+
+    utt_id: str
+    speaker_id: str
+    phrase_id: Optional[str]
+    language: Language
+    transcript: Optional[str] = None
+
+
+def meta_rows(metas: Metas) -> list:
+    """The rows of `Metas` columns, one UttMeta per utterance."""
+    return [UttMeta(*row) for row in zip(*metas)]
 
 
 def sweep_points(tgt, non):
@@ -90,13 +106,13 @@ def levenshtein_loop(a: str, b: str) -> int:
 def classify_phrase_literal(transcript: str, inventory) -> str:
     """Phrase whose reference text minimizes edit distance to the transcript,
     one inventory entry at a time; ties go to the first entry."""
-    if len(inventory) == 0:
+    if not inventory.phrase_ids:
         raise ValueError("empty phrase inventory")
     best_id, best_dist = None, None
-    for entry in inventory:
-        dist = levenshtein_loop(transcript, entry.text)
+    for phrase_id, text in zip(inventory.phrase_ids, inventory.texts):
+        dist = levenshtein_loop(transcript, text)
         if best_dist is None or dist < best_dist:
-            best_id, best_dist = entry.phrase_id, dist
+            best_id, best_dist = phrase_id, dist
     return best_id
 
 
@@ -489,7 +505,7 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     other phrases keep their generative init and are absent.
     """
     vec_of = dict(zip(ids, x))
-    meta_of = {m.utt_id: m for m in metas}
+    meta_of = {m.utt_id: m for m in meta_rows(metas)}
     label_of = dict(zip(protocol.trials.ids, protocol.labels))
     centroid_of = {}
     for mid, utts in protocol.enroll_map.items():
@@ -637,7 +653,7 @@ def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
     # cell enroll; the rest are that cell's test pool.
     cells: dict = {}
     test_pool: dict = {}
-    for m in metas:
+    for m in meta_rows(metas):
         cells.setdefault((m.speaker_id, m.phrase_id), []).append(m.utt_id)
     enroll_map = {}
     models = []
@@ -650,7 +666,7 @@ def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
         models.append((model_id, spk, phr))
     if not models:
         raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
-    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory) < 2:
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory.phrase_ids) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
     trials, labels = [], []
@@ -682,7 +698,7 @@ def gen_ti_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
     # Enroll each speaker on its first n_enroll L1 utterances; every other
     # utterance (any language) is eligible as test material.
     by_spk: dict = {}
-    for m in metas:
+    for m in meta_rows(metas):
         by_spk.setdefault(m.speaker_id, []).append(m)
     enroll_map = {}
     test_pool: dict = {}

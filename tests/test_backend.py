@@ -384,7 +384,7 @@ class TestPhraseBank:
         fileio.write_inventory(tmp_path / "inventory.txt", corpus.inventory)
         cfg = load_config(overrides=[f"workdir={tmp_path}", "nplda_epochs=0",
                                      "n_dev_trials=40", "plda_iters=5"])
-        bank = pipeline._train_nplda_bank(cfg, corpus.ids, corpus.x, corpus.metas)
+        bank = pipeline._train_nplda_bank(cfg, corpus.x, corpus.metas)
         return corpus, bank
 
     @staticmethod
@@ -396,13 +396,13 @@ class TestPhraseBank:
     def test_single_phrase_equals_plain_training(self, tmp_path):
         corpus, bank = self._bank(tmp_path, n_phrases=1, seed=1)
         assert list(bank) == ["ph00"]
-        direct, _ = plda_em_train(corpus.x, [m.speaker_id for m in corpus.metas], iters=5)
+        direct, _ = plda_em_train(corpus.x, corpus.metas.speakers, iters=5)
         self._assert_same_form(bank["ph00"], PldaScorer.from_model(direct))
 
     def test_disjoint_subsets_train_independently(self, tmp_path):
         corpus, bank = self._bank(tmp_path, n_phrases=2, seed=2)
         assert list(bank) == ["ph00", "ph01"]
-        mask = np.asarray([m.phrase_id == "ph01" for m in corpus.metas])
-        spk = [m.speaker_id for m, keep in zip(corpus.metas, mask) if keep]
+        mask = np.asarray(corpus.metas.phrases) == "ph01"
+        spk = [s for s, keep in zip(corpus.metas.speakers, mask) if keep]
         direct, _ = plda_em_train(corpus.x[mask], spk, iters=5)
         self._assert_same_form(bank["ph01"], PldaScorer.from_model(direct))

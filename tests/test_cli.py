@@ -162,6 +162,28 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("n_phrases=0", "counts must be positive"),
+        ("dim=1", "dim must be >= 2"),
+        ("noise_sigma=-1", "strengths and noise sigma must be >= 0"),
+        ("transcript_error_rate=2", "transcript_error_rate must lie in [0, 1]"),
+        ("p_target=0", "p_target must lie in (0, 1)"),
+        ("c_miss=0", "costs must be positive"),
+        ("nplda_lr=0", "learning rate must be positive"),
+        ("hidden_dim=0", "hidden_dim must be positive, got 0"),
+        ("emb_dim=0", "emb_dim must be positive, got 0"),
+        ("lid_lr=-1", "lid_lr must be positive, got -1.0"),
+        ("lid_epochs=-1", "lid_epochs must be >= 0, got -1"),
+        ("plda_iters=-1", "plda_iters must be >= 0, got -1"),
+    ])
+    def test_bad_model_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
+                                                      message):
+        # these used to exit 3 or 4 from a stage, some after writing files, or to run
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, setting)) == 2
+        assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
     @pytest.mark.parametrize("settings, message", [
         (["proportions=0.5,0.5"], "TD proportions must have 4 entries"),
         (["task=TI", "proportions=0.25,0.25,0.25,0.25"], "TI proportions must have 2 entries"),
@@ -229,9 +251,9 @@ class TestStageInputs:
         for split in ("dev", "eval"):
             trials = fileio.read_trials(workdir / f"trials_{split}.txt")
             metas = fileio.read_metas(workdir / f"meta_{split}.meta")
-            text_of = {m.utt_id: m.transcript or "" for m in metas}
+            text_of = {u: t or "" for u, t in zip(metas.utt_ids, metas.transcripts)}
             tested_texts |= {text_of[u] for u in trials.test_ids}
-            n_utts += len(metas)
+            n_utts += len(metas.utt_ids)
         # one batch, one text per distinct transcript of a tested utterance, across splits
         assert len(calls) == 1
         assert sorted(calls[0]) == sorted(tested_texts)
@@ -267,8 +289,8 @@ class TestErrorExitCodes:
         lines = path.read_text().splitlines()
         path.write_text("".join(f"{line}\n" for line in lines[:-1]))
         phrase = lines[-1].split(" ")[0]
-        utt = next(m.utt_id for m in fileio.read_metas(workdir / "meta_train.meta")
-                   if m.phrase_id == phrase)
+        metas = fileio.read_metas(workdir / "meta_train.meta")
+        utt = metas.utt_ids[metas.phrases.index(phrase)]
         capsys.readouterr()
         assert main(["train"] + _args(workdir, "strategy=PMT")) == 3
         err = capsys.readouterr().err
@@ -480,12 +502,12 @@ class TestErrorExitCodes:
         shutil.copytree(e2e_dir, workdir)
         path = workdir / "meta_train.meta"
         metas = fileio.read_metas(path)
-        phrase = metas[0].phrase_id
+        phrase = metas.phrases[0]
         lines = path.read_text().splitlines()
-        for i, meta in enumerate(metas, start=1):
-            if meta.phrase_id == phrase:
+        for i, spoken in enumerate(metas.phrases, start=1):
+            if spoken == phrase:
                 fields = lines[i].split(" ", 2)
-                lines[i] = " ".join([fields[0], metas[0].speaker_id, fields[2]])
+                lines[i] = " ".join([fields[0], metas.speakers[0], fields[2]])
         path.write_text("".join(f"{line}\n" for line in lines))
         capsys.readouterr()
         assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 3
@@ -498,7 +520,7 @@ class TestErrorExitCodes:
 
         workdir = tmp_path / "w"
         shutil.copytree(e2e_dir, workdir)
-        phrase = fileio.read_metas(workdir / "meta_train.meta")[0].phrase_id
+        phrase = fileio.read_metas(workdir / "meta_train.meta").phrases[0]
 
         def singular(model):
             raise NumericalError("non-invertible PLDA covariances")
@@ -519,8 +541,9 @@ class TestErrorExitCodes:
         assert "zero variance" in capsys.readouterr().err
 
 
-# sha256 of every file `gen` writes from PCG64 draws alone (no printed floats),
-# for the default config at seed 601, as the per-trial dataclass code wrote them
+# sha256 of every text file `gen` writes, from PCG64 draws alone (no printed
+# floats), for the default config at seed 601, as the per-row dataclass code
+# (one object per trial, utterance and phrase) wrote them
 _GEN_DIGESTS = {
     "TD": {
         "trials_dev.txt": "a75622b897776203b2796d5a369df54032cf997cd21c9c49ebcb03b0af8e2867",
@@ -554,8 +577,9 @@ class TestGenBytes:
         assert main(["gen", "--set", f"workdir={tmp_path}", "--set", f"task={task}",
                      "--seed", "601"]) == 0
         expected = {**_GEN_DIGESTS[task], **_CORPUS_DIGESTS}
-        digests = _digests(tmp_path)
-        assert {name: digests[name] for name in expected} == expected
+        digests = {name: d for name, d in _digests(tmp_path).items() if name.endswith(
+            (".txt", ".meta"))}
+        assert digests == expected
 
 
 class TestWorkdirInvariance:
@@ -569,11 +593,11 @@ class TestNormAgainstLiteral:
     @pytest.mark.parametrize("split", ["dev", "eval"])
     def test_norm_scores_match_trial_at_a_time_oracle(self, e2e_dir, split):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}"])
-        train_ids, train_x, train_meta = pipeline._load_split(cfg, "train", extracted=True)
-        cohort = norm.build_cohort(train_ids, train_x, train_meta)
+        train_x, train_meta = pipeline._load_split(cfg, "train", extracted=True)
+        cohort = norm.build_cohort(train_x, train_meta)
         n_top = norm.effective_n_top(cfg.n_top, cohort, language_dependent=True)
         # training is deterministic, so this is the classifier norm used
-        classifier = norm.train_language_id(train_x, [m.language for m in train_meta],
+        classifier = norm.train_language_id(train_x, train_meta.languages,
                                             epochs=cfg.lid_epochs, lr=cfg.lid_lr)
         trials, enroll, test = pipeline._trial_vectors(cfg, split)
         raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
@@ -633,7 +657,7 @@ class TestBackendTraining:
 
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
-        ids, x, metas = pipeline._load_split(cfg, "train", extracted=True)
+        x, metas = pipeline._load_split(cfg, "train", extracted=True)
         protocols, seen, inits = [], {}, {}
         gen_trials, train_nplda = synthgen.gen_trials, nplda.train_nplda
 
@@ -648,8 +672,8 @@ class TestBackendTraining:
 
         monkeypatch.setattr(synthgen, "gen_trials", recording_gen)
         monkeypatch.setattr(nplda, "train_nplda", recording_train)
-        bank = pipeline._train_nplda_bank(cfg, ids, x, metas)
-        expected = nplda_training_pairs_literal(protocols[0], ids, x, metas, list(bank))
+        bank = pipeline._train_nplda_bank(cfg, x, metas)
+        expected = nplda_training_pairs_literal(protocols[0], metas.utt_ids, x, metas, list(bank))
         assert expected and list(seen) == list(expected)
         for phrase, (enroll, test, labels, claimed, spoken) in expected.items():
             np.testing.assert_array_equal(seen[phrase][0], enroll)
@@ -657,11 +681,11 @@ class TestBackendTraining:
             assert seen[phrase][2:] == (labels, claimed, spoken)
         # every train phrase, in first-appearance order, starts from the PLDA
         # of its own rows; a phrase without training pairs keeps that init
-        phrases = list(dict.fromkeys(m.phrase_id for m in metas))
+        phrases = list(dict.fromkeys(metas.phrases))
         assert list(bank) == phrases
         for phrase in phrases:
-            rows = [i for i, m in enumerate(metas) if m.phrase_id == phrase]
-            model, _ = backend.plda_em_train(x[rows], [metas[i].speaker_id for i in rows],
+            rows = [i for i, p in enumerate(metas.phrases) if p == phrase]
+            model, _ = backend.plda_em_train(x[rows], [metas.speakers[i] for i in rows],
                                              iters=cfg.plda_iters)
             want = backend.PldaScorer.from_model(model)
             init = inits.get(phrase, bank[phrase])

@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from spkver.core import (
     Language,
+    Metas,
     NumericalError,
     TrialLabel,
     Trials,
-    UttMeta,
     build_enroll_model,
     validate_protocol,
 )
@@ -50,11 +50,8 @@ class TestBuildEnrollModel:
 
 class TestValidateProtocol:
     def _fixture(self):
-        metas = [
-            UttMeta("u1", "s1", "ph00", Language.L1),
-            UttMeta("u2", "s1", "ph00", Language.L1),
-            UttMeta("u3", "s2", "ph00", Language.L2),
-        ]
+        metas = Metas(("u1", "u2", "u3"), ("s1", "s1", "s2"), ("ph00",) * 3,
+                      (Language.L1, Language.L1, Language.L2), (None,) * 3)
         trials = Trials(("t1",), ("m1",), ("u3",), ("ph00",))
         labels = [TrialLabel.IC]
         enroll = {"m1": ("u1", "u2")}
@@ -64,7 +61,7 @@ class TestValidateProtocol:
         assert validate_protocol(*self._fixture()) == []
 
     def test_empty_everything_is_clean(self):
-        assert validate_protocol(Trials((), (), (), ()), [], [], {}) == []
+        assert validate_protocol(Trials((), (), (), ()), [], Metas((), (), (), (), ()), {}) == []
 
     def test_dangling_test_utt(self):
         _, labels, metas, enroll = self._fixture()

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     check_gradients,
     ge2e_loss_literal,
+    meta_rows,
     pmt_loss,
     product_label,
     spk_plus_phrase_loss,
 )
-from spkver.core import NumericalError
+from spkver.core import Metas, NumericalError
 from spkver.extractor import (
     ALL_ROWS,
     AamHead,
@@ -570,7 +571,8 @@ class TestTrain:
         # inventory order, and with five phrases the PMT sum then rounds
         # differently in inventory order
         corpus = _train_corpus(n_phrases=5)
-        feats, metas = corpus.x[::-1], corpus.metas[::-1]
+        feats = corpus.x[::-1]
+        metas = Metas(*(column[::-1] for column in corpus.metas))
         net = Extractor.init(6, 8, 5, seed=6)
         cfg = TrainConfig(strategy=strategy, epochs=1, multitask_weight=multitask_weight,
                           aam_scale=16.0, aam_margin=0.3, seed=34)
@@ -582,10 +584,11 @@ class TestTrain:
             return AamHead.init(n_classes, 5, int(rng.integers(2**63)), 16.0, 0.3)
 
         _, unit = forward(net, feats)
-        speakers = sorted({m.speaker_id for m in metas})
-        spk = [speakers.index(m.speaker_id) for m in metas]
+        rows = meta_rows(metas)
+        speakers = sorted({m.speaker_id for m in rows})
+        spk = [speakers.index(m.speaker_id) for m in rows]
         phrase_ids = list(corpus.inventory.phrase_ids)
-        phr = [phrase_ids.index(m.phrase_id) for m in metas]
+        phr = [phrase_ids.index(m.phrase_id) for m in rows]
         if strategy is Strategy.AAM_ONLY:
             expected = aam_loss(unit, spk, head(len(speakers)))[0]
         elif strategy is Strategy.SPK_PLUS_PHRASE:
@@ -597,8 +600,8 @@ class TestTrain:
             expected = aam_loss(unit, product, head(len(speakers) * len(phrase_ids)))[0]
         else:
             heads = {p: head(len(speakers)) for p in phrase_ids}
-            assert list(dict.fromkeys(m.phrase_id for m in metas)) != phrase_ids
-            expected = pmt_loss(unit, spk, [m.phrase_id for m in metas], heads)[0]
+            assert list(dict.fromkeys(m.phrase_id for m in rows)) != phrase_ids
+            expected = pmt_loss(unit, spk, [m.phrase_id for m in rows], heads)[0]
         assert result.loss_trace[0] == expected
 
     def test_inputs_not_mutated(self):
@@ -630,10 +633,7 @@ class TestTrain:
 
     def test_phrase_strategy_requires_phrase_labels(self):
         corpus = _train_corpus()
-        stripped = [
-            type(m)(m.utt_id, m.speaker_id, None, m.language, m.transcript)
-            for m in corpus.metas
-        ]
+        stripped = corpus.metas._replace(phrases=(None,) * len(corpus.metas.utt_ids))
         feats, _, inventory = _train_inputs(corpus)
         net = Extractor.init(6, 8, 5, seed=5)
         with pytest.raises(ValueError, match="requires phrase labels"):

@@ -7,15 +7,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spkver import fileio
-from spkver.core import (
-    Language,
-    NumericalError,
-    PhraseEntry,
-    PhraseInventory,
-    TrialLabel,
-    Trials,
-    UttMeta,
-)
+from spkver.core import Language, Metas, NumericalError, PhraseInventory, TrialLabel, Trials
 from spkver.extractor import Extractor
 from spkver.fileio import DataFormatError
 
@@ -197,22 +189,57 @@ class TestEmbeddingRoundTrip:
         assert n_reported > len(data)
 
 
+# a transcript: whitespace-free words joined by single spaces, never the "-" of an absent one
+_TEXTS = st.lists(_IDS, min_size=1, max_size=3).map(" ".join).filter(lambda t: t != "-")
+
+
 class TestMetaRoundTrip:
     def test_round_trip_with_optional_fields(self, tmp_path):
-        metas = [
-            UttMeta("u1", "s1", "ph00", Language.L1, "hello there friend"),
-            UttMeta("u2", "s1", None, Language.L2, None),
-            UttMeta("u3", "s2", "ph01", Language.L1, "x"),
-        ]
+        metas = Metas(("u1", "u2", "u3"), ("s1", "s1", "s2"), ("ph00", None, "ph01"),
+                      (Language.L1, Language.L2, Language.L1), ("hello there friend", None, "x"))
         path = tmp_path / "m.meta"
         fileio.write_metas(path, metas)
         assert fileio.read_metas(path) == metas
 
     def test_transcript_keeps_internal_spaces(self, tmp_path):
-        metas = [UttMeta("u1", "s1", "p", Language.L1, "a b c d")]
+        metas = Metas(("u1",), ("s1",), ("p",), (Language.L1,), ("a b c d",))
         path = tmp_path / "m.meta"
         fileio.write_metas(path, metas)
-        assert fileio.read_metas(path)[0].transcript == "a b c d"
+        assert fileio.read_metas(path).transcripts == ("a b c d",)
+
+    # an absent phrase or transcript (None) is written as "-"
+    @given(st.lists(st.tuples(_IDS, _IDS, st.none() | _IDS.filter(lambda t: t != "-"),
+                              st.sampled_from(Language), st.none() | _TEXTS),
+                    unique_by=lambda row: row[0], max_size=12))
+    def test_columns_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "m.meta"
+        metas = Metas(*(tuple(row[k] for row in rows) for k in range(5)))
+        fileio.write_metas(path, metas)
+        lines = [f"{utt} {spk} {phrase or '-'} {lang.value} {transcript or '-'}"
+                 for utt, spk, phrase, lang, transcript in rows]
+        assert path.read_bytes() == "".join(f"{line}\n" for line in ["META"] + lines).encode()
+        assert fileio.read_metas(path) == metas
+
+    @pytest.mark.parametrize("metas", [
+        Metas(("u1", "u2"), ("s1",), (None, None), (Language.L1,) * 2, (None, None)),
+        Metas(("u1",), ("s1",), ("",), (Language.L1,), (None,)),
+    ])
+    def test_unequal_columns_or_empty_phrase_are_not_written(self, tmp_path, metas):
+        with pytest.raises(ValueError):
+            fileio.write_metas(tmp_path / "m.meta", metas)
+        assert not (tmp_path / "m.meta").exists()
+
+    @pytest.mark.parametrize("line, field", [
+        (" s1 ph00 L1 -", "utt_id"),
+        ("u1  ph00 L1 -", "speaker_id"),
+        ("u1 s1  L1 -", "phrase_id"),
+    ])
+    def test_empty_id_names_the_line(self, tmp_path, line, field):
+        # these read as '' before; write_metas refuses to write such values
+        path = tmp_path / "m.meta"
+        path.write_text(f"META\nu0 s0 ph00 L2 -\n{line}\n")
+        with pytest.raises(DataFormatError, match=f"m.meta:3: empty {field}$"):
+            fileio.read_metas(path)
 
     def test_unknown_language_reports_line(self, tmp_path):
         path = tmp_path / "m.meta"
@@ -349,20 +376,43 @@ class TestProtocolFiles:
 
 class TestInventory:
     def test_round_trip(self, tmp_path):
-        inv = PhraseInventory((
-            PhraseEntry("ph00", "salamaleikum", Language.L1),
-            PhraseEntry("ph01", "good morning", Language.L2),
-        ))
+        inv = PhraseInventory(("ph00", "ph01"), ("salamaleikum", "good morning"),
+                              (Language.L1, Language.L2))
         path = tmp_path / "inv.txt"
         fileio.write_inventory(path, inv)
-        back = fileio.read_inventory(path)
-        assert back.entries == inv.entries
+        assert fileio.read_inventory(path) == inv
+
+    @given(st.lists(st.tuples(_IDS, _TEXTS, st.sampled_from(Language)),
+                    unique_by=lambda row: row[0], max_size=8))
+    def test_columns_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "inv.txt"
+        inv = PhraseInventory(*(tuple(row[k] for row in rows) for k in range(3)))
+        fileio.write_inventory(path, inv)
+        lines = ["INV"] + [f"{phrase} {lang.value} {text}" for phrase, text, lang in rows]
+        assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+        assert fileio.read_inventory(path) == inv
 
     def test_duplicate_phrase_id_names_the_line(self, tmp_path):
         path = tmp_path / "inv.txt"
         path.write_text("INV\nph00 L1 good morning\nph00 L2 good evening\n")
         with pytest.raises(DataFormatError, match="inv.txt:3: duplicate phrase_id ph00$"):
             fileio.read_inventory(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("ph01 L1 ", "phrase ph01: empty reference text"),  # a bare ValueError before
+        (" L1 abc", "empty phrase_id"),  # accepted before
+    ])
+    def test_empty_field_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "inv.txt"
+        path.write_text(f"INV\nph00 L1 good morning\n{line}\n")
+        with pytest.raises(DataFormatError, match=f"inv.txt:3: {message}$"):
+            fileio.read_inventory(path)
+
+    def test_empty_reference_text_is_not_written(self, tmp_path):
+        inv = PhraseInventory(("ph00",), ("",), (Language.L1,))
+        with pytest.raises(ValueError, match="phrase ph00: empty reference text"):
+            fileio.write_inventory(tmp_path / "inv.txt", inv)
+        assert not (tmp_path / "inv.txt").exists()
 
 
 class TestModelContainers:

@@ -16,7 +16,7 @@ from oracles import (
     tune_weights_literal,
 )
 from spkver import metrics
-from spkver.core import Language, PhraseEntry, PhraseInventory, TrialLabel, Trials
+from spkver.core import Language, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import (
     DcfParams,
     FusionWeights,
@@ -241,13 +241,9 @@ class TestBatchedEditDistance:
 
 
 def _inventory():
-    return PhraseInventory(
-        (
-            PhraseEntry("ph00", "salamaleikum", Language.L1),
-            PhraseEntry("ph01", "sobhbekheyr", Language.L1),
-            PhraseEntry("ph02", "goodmorningall", Language.L2),
-        )
-    )
+    return PhraseInventory(("ph00", "ph01", "ph02"),
+                           ("salamaleikum", "sobhbekheyr", "goodmorningall"),
+                           (Language.L1, Language.L1, Language.L2))
 
 
 class TestClassifyPhrase:
@@ -255,20 +251,15 @@ class TestClassifyPhrase:
         assert classify_phrases(["sobhbekheyr"], _inventory()) == ["ph01"]
 
     def test_tie_breaks_by_inventory_order(self):
-        inv = PhraseInventory(
-            (
-                PhraseEntry("p1", "aaaa", Language.L1),
-                PhraseEntry("p2", "bbbb", Language.L1),
-                PhraseEntry("p3", "cccc", Language.L2),
-            )
-        )
+        inv = PhraseInventory(("p1", "p2", "p3"), ("aaaa", "bbbb", "cccc"),
+                              (Language.L1, Language.L1, Language.L2))
         # "dddd" is equidistant from every entry, "bbcc" from p2 and p3
         assert classify_phrases(["dddd", "bbcc", ""], inv) == ["p1", "p2", "p1"]
         assert classify_phrase_literal("bbcc", inv) == "p2"
 
     def test_empty_inventory(self):
         with pytest.raises(ValueError):
-            classify_phrases(["x"], PhraseInventory(()))
+            classify_phrases(["x"], PhraseInventory((), (), ()))
 
     def test_no_transcripts(self):
         assert classify_phrases([], _inventory()) == []
@@ -277,8 +268,8 @@ class TestClassifyPhrase:
     @given(st.lists(_TEXT, max_size=8),
            st.lists(_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
     def test_matches_one_at_a_time_oracle(self, texts, refs):
-        inv = PhraseInventory(tuple(PhraseEntry(f"p{k}", ref, Language.L1)
-                                    for k, ref in enumerate(refs)))
+        inv = PhraseInventory(tuple(f"p{k}" for k in range(len(refs))), tuple(refs),
+                              (Language.L1,) * len(refs))
         assert classify_phrases(texts, inv) == [classify_phrase_literal(t, inv) for t in texts]
 
     def test_noisy_transcripts_still_classify(self):
@@ -286,10 +277,10 @@ class TestClassifyPhrase:
 
         inv = _inventory()
         texts, truth = [], []
-        for i, entry in enumerate(inv):
+        for i, (phrase_id, text) in enumerate(zip(inv.phrase_ids, inv.texts)):
             for k in range(340):
-                texts.append(gen_transcript(entry.text, 0.1, seed=1000 * i + k))
-                truth.append(entry.phrase_id)
+                texts.append(gen_transcript(text, 0.1, seed=1000 * i + k))
+                truth.append(phrase_id)
         got = classify_phrases(texts, inv)
         assert np.mean([g == t for g, t in zip(got, truth)]) >= 0.99
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import as_norm_literal, cohort_stats_literal
+from oracles import as_norm_literal, cohort_stats_literal, meta_rows
 from spkver.backend import cosine_score
-from spkver.core import Language, NumericalError
+from spkver.core import Language, Metas, NumericalError
 from spkver.norm import (
     Cohort,
     NormStats,
@@ -141,14 +141,14 @@ class TestLanguageDependentAsNorm:
         speakers = corpus.speaker_ids
         cohort_corpus = corpus.subset_by_speakers(speakers[:15])
         eval_corpus = corpus.subset_by_speakers(speakers[15:])
-        cohort = build_cohort(cohort_corpus.ids, cohort_corpus.x, cohort_corpus.metas)
+        cohort = build_cohort(cohort_corpus.x, cohort_corpus.metas)
         n_top = effective_n_top(10, cohort, language_dependent=True)
 
         gaps = {}
         for mode in ("plain", "lang"):
             same, cross = [], []
             by_spk = {}
-            for vec, meta in zip(eval_corpus.x, eval_corpus.metas):
+            for vec, meta in zip(eval_corpus.x, meta_rows(eval_corpus.metas)):
                 by_spk.setdefault(meta.speaker_id, []).append((vec, meta.language))
             for spk, rows in by_spk.items():
                 l1 = [i for i, (_, lang) in enumerate(rows) if lang is Language.L1]
@@ -184,7 +184,7 @@ class TestLanguageDependentAsNorm:
 
 class TestLanguageId:
     def _labeled(self, corpus):
-        return corpus.x, [m.language for m in corpus.metas]
+        return corpus.x, list(corpus.metas.languages)
 
     def test_separable_clusters_reach_full_accuracy(self):
         corpus = gen_corpus(GenConfig(
@@ -247,9 +247,10 @@ class TestBuildCohort:
             n_speakers=5, n_phrases=2, n_utts_per_cell=6, dim=6,
             noise_sigma=0.3, seed=12,
         ))
-        # rows in reverse order: entries are found by id, not by position
-        cohort = build_cohort(corpus.ids[::-1], corpus.x[::-1], corpus.metas)
-        expected = {(m.speaker_id, m.language) for m in corpus.metas}
+        # rows in reverse order: each entry averages its own rows wherever they sit
+        cohort = build_cohort(corpus.x[::-1], Metas(*(column[::-1] for column in corpus.metas)))
+        rows = meta_rows(corpus.metas)
+        expected = {(m.speaker_id, m.language) for m in rows}
         assert len(cohort.ids) == len(expected) == len(set(cohort.ids))
         assert cohort.x.shape == (len(expected), 6) and cohort.x.dtype == np.float64
         assert cohort.languages.shape == (len(expected),)
@@ -257,14 +258,14 @@ class TestBuildCohort:
             spk, lang_value = entry_id.split(":")
             assert lang.value == lang_value
             members = [
-                vec for vec, m in zip(corpus.x, corpus.metas)
+                vec for vec, m in zip(corpus.x, rows)
                 if m.speaker_id == spk and m.language is lang
             ]
             np.testing.assert_allclose(row, np.mean(members, axis=0), atol=1e-12)
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="cohort must be non-empty"):
-            build_cohort([], np.empty((0, 3)), [])
+            build_cohort(np.empty((0, 3)), Metas((), (), (), (), ()))
 
 
 def _random_cohort(rng, n_l1, n_l2, dim):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gen_td_literal, gen_ti_literal
+from oracles import gen_td_literal, gen_ti_literal, meta_rows
 from spkver import synthgen
-from spkver.core import (
-    Language, PhraseEntry, PhraseInventory, TrialLabel, UttMeta, validate_protocol,
-)
+from spkver.core import Language, Metas, PhraseInventory, TrialLabel, validate_protocol
 from spkver.metrics import levenshtein
 from spkver.synthgen import GenConfig, Task, gen_corpus, gen_transcript, gen_trials
 
@@ -37,8 +35,8 @@ class TestGenCorpus:
         corpus = gen_corpus(_cfg(phrase_strength=0.0, language_shift=0.0,
                                  noise_sigma=0.0, transcript_error_rate=0.0))
         by_spk = {}
-        for vec, meta in zip(corpus.x, corpus.metas):
-            by_spk.setdefault(meta.speaker_id, []).append(vec)
+        for vec, spk in zip(corpus.x, corpus.metas.speakers):
+            by_spk.setdefault(spk, []).append(vec)
         for vecs in by_spk.values():
             for v in vecs[1:]:
                 np.testing.assert_array_equal(v, vecs[0])
@@ -46,15 +44,16 @@ class TestGenCorpus:
     def test_seed_reproducibility_bitwise(self):
         a = gen_corpus(_cfg(seed=7))
         b = gen_corpus(_cfg(seed=7))
-        assert [m for m in a.metas] == [m for m in b.metas]
-        assert a.ids == b.ids
+        assert a.metas == b.metas and a.inventory == b.inventory
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_metadata_covers_embeddings(self):
         corpus = gen_corpus(_cfg())
-        assert corpus.ids == tuple(m.utt_id for m in corpus.metas)
-        assert corpus.x.shape == (len(corpus.ids), 8)
-        assert len(corpus.inventory) == 3
+        n = 6 * 3 * 5
+        assert corpus.x.shape == (n, 8)
+        assert [len(column) for column in corpus.metas] == [n] * 5
+        assert len(set(corpus.metas.utt_ids)) == n
+        assert [len(column) for column in corpus.inventory] == [3] * 3
 
     def test_strong_phrase_factor_dominates_speaker(self):
         # brute-force nearest-centroid accuracy for both label families
@@ -70,8 +69,8 @@ class TestGenCorpus:
                 hits += uniq[int(np.argmin(dists))] == lab
             return hits / len(labels)
 
-        phrase_acc = nearest_centroid_accuracy([m.phrase_id for m in corpus.metas])
-        speaker_acc = nearest_centroid_accuracy([m.speaker_id for m in corpus.metas])
+        phrase_acc = nearest_centroid_accuracy(list(corpus.metas.phrases))
+        speaker_acc = nearest_centroid_accuracy(list(corpus.metas.speakers))
         assert phrase_acc > speaker_acc
 
     def test_no_language_shift_means_matched_language_distributions(self):
@@ -81,10 +80,10 @@ class TestGenCorpus:
             corpus = gen_corpus(_cfg(language_shift=0.0, phrase_strength=0.0,
                                      noise_sigma=sigma, n_utts_per_cell=40, seed=5))
             by = {}
-            for vec, meta in zip(corpus.x, corpus.metas):
+            for vec, meta in zip(corpus.x, meta_rows(corpus.metas)):
                 by.setdefault((meta.speaker_id, meta.language), []).append(vec)
             dists = []
-            for spk in {m.speaker_id for m in corpus.metas}:
+            for spk in set(corpus.metas.speakers):
                 l1 = by.get((spk, Language.L1))
                 l2 = by.get((spk, Language.L2))
                 if l1 and l2:
@@ -104,10 +103,11 @@ class TestGenCorpus:
         corpus = gen_corpus(_cfg())
         keep = corpus.speaker_ids[:2]
         sub = corpus.subset_by_speakers(keep)
-        assert set(m.speaker_id for m in sub.metas) == set(keep)
-        assert sub.ids == tuple(m.utt_id for m in sub.metas)
-        rows = [corpus.ids.index(u) for u in sub.ids]
+        assert set(sub.metas.speakers) == set(keep)
+        rows = [i for i, spk in enumerate(corpus.metas.speakers) if spk in keep]
+        assert meta_rows(sub.metas) == [meta_rows(corpus.metas)[i] for i in rows]
         np.testing.assert_array_equal(sub.x, corpus.x[rows])
+        assert sub.inventory == corpus.inventory
 
 
 class TestGenTranscript:
@@ -157,7 +157,7 @@ class TestGenTrials:
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
         assert validate_protocol(protocol.trials, protocol.labels,
                                  corpus.metas, protocol.enroll_map) == []
-        meta = {m.utt_id: m for m in corpus.metas}
+        meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         trials = protocol.trials
         assert trials.ids == tuple(f"t{i:06d}" for i in range(120))
         for model_id, test_id, claimed, label in zip(
@@ -188,7 +188,7 @@ class TestGenTrials:
     def test_ti_enrollment_is_l1_only(self):
         corpus = gen_corpus(_cfg(n_utts_per_cell=8))
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 50, seed=5)
-        meta = {m.utt_id: m for m in corpus.metas}
+        meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         for utt_ids in protocol.enroll_map.values():
             assert all(meta[u].language is Language.L1 for u in utt_ids)
 
@@ -218,15 +218,15 @@ def _uneven_corpus(draw):
     """Metadata with a drawn number of utterances (possibly none) per
     (speaker, phrase) cell and drawn languages, and its inventory."""
     n_spk, n_phr = draw(st.integers(2, 5)), draw(st.integers(1, 4))
-    metas = []
+    rows = []
     for s in range(n_spk):
         for p in range(n_phr):
             for u in range(draw(st.integers(0, 5))):
                 lang = draw(st.sampled_from([Language.L1, Language.L2]))
-                metas.append(UttMeta(f"s{s}_p{p}_u{u}", f"s{s}", f"p{p}", lang, "abc"))
-    inventory = PhraseInventory(tuple(PhraseEntry(f"p{p}", "abc", Language.L1)
-                                      for p in range(n_phr)))
-    return metas, inventory
+                rows.append((f"s{s}_p{p}_u{u}", f"s{s}", f"p{p}", lang, "abc"))
+    inventory = PhraseInventory(tuple(f"p{p}" for p in range(n_phr)), ("abc",) * n_phr,
+                                (Language.L1,) * n_phr)
+    return Metas(*(tuple(row[k] for row in rows) for k in range(5))), inventory
 
 
 class TestGenTrialsAgainstLiteral:
