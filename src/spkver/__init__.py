@@ -19,54 +19,4 @@ import os
 # the thread count also changes the bits of the checkpoint and the scores.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .backend import PldaModel, PldaScorer, cosine_score, plda_em_train, quadratic_score
-from .core import (
-    Language,
-    Metas,
-    NumericalError,
-    PhraseInventory,
-    TrialLabel,
-    Trials,
-    build_enroll_model,
-    validate_protocol,
-)
-from .extractor import (
-    AamHead,
-    Extractor,
-    Ge2eParams,
-    Strategy,
-    TrainConfig,
-    aam_loss,
-    forward,
-    ge2e_loss,
-    heads_loss,
-    pct_loss,
-    train,
-)
-from .metrics import (
-    DcfParams,
-    FusionWeights,
-    apply_phrase_filter,
-    classify_phrases,
-    eer,
-    fuse,
-    levenshtein,
-    min_dcf,
-    min_dcf_details,
-    tune_weights,
-)
-from .norm import (
-    Cohort,
-    LangClassifier,
-    NormStats,
-    as_norm,
-    build_cohort,
-    cohort_stats,
-    language_dependent_as_norm,
-    predict_language,
-    train_language_id,
-)
-from .nplda import NpldaTrainConfig, nplda_score, soft_detcost, train_nplda
-from .synthgen import GenConfig, SynthCorpus, Task, gen_corpus, gen_transcript, gen_trials
-
 __version__ = "0.1.0"

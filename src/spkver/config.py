@@ -110,6 +110,11 @@ class PipelineConfig:
                 f"task=TD needs n_enroll < n_utts_per_cell, got {self.n_enroll} "
                 f"and {self.n_utts_per_cell}"
             )
+        if self.task == "TI" and self.n_enroll >= self.n_phrases * self.n_utts_per_cell:
+            raise ConfigError(
+                f"task=TI needs n_enroll < n_phrases * n_utts_per_cell, got {self.n_enroll} "
+                f"and {self.n_phrases * self.n_utts_per_cell}"
+            )
         for name in ("plda_iters", "lid_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -1,27 +1,41 @@
 """File formats tying the pipeline together.
 
 Numeric artifacts are uncompressed `.npz` archives (`np.savez`), read back
-with `allow_pickle=False`:
+with `allow_pickle=False`. numpy stamps every member with a fixed zip time,
+so equal arrays give equal bytes.
 
-- an id-keyed matrix (features, embeddings) holds `ids`, a 1-D unicode array
-  of unique whitespace-free ids, and `x`, a finite 2-D float64 array with one
-  row per id (`write_matrix` / `read_matrix`);
-- a model file holds named arrays (`write_arrays` / `read_arrays`): the
+- An id-keyed matrix (features, embeddings) holds `ids`, a 1-D unicode array
+  of unique tokens (below), and `x`, a finite 2-D float64 array with one row
+  per id (`write_matrix` / `read_matrix`).
+- A model file holds named arrays (`write_arrays` / `read_arrays`): the
   extractor checkpoint `w1`, `b1`, `w2`, `b2`, `strategy` and `seed`.
 
-numpy stores every member with a fixed zip timestamp, so equal arrays give
-equal bytes. Everything people read (metadata, inventory, trials, keys,
-enrollment maps, scores) is UTF-8 text with LF endings and single-space
-separators; scores are printed as the shortest decimal that round-trips the
-64-bit value (Python repr). Text files travel as columns in file order: a
-metadata file as a `Metas` (`write_metas` / `read_metas`), whose rows the
-pipeline keeps aligned to the rows of the split's `x`, an inventory as a
-`PhraseInventory` (`write_inventory` / `read_inventory`), a trials file as
-a `Trials` (`write_trials` / `read_trials`), a
-key file as (trial ids, TrialLabels) (`write_keys` / `read_keys`), and a
-score file as (trial ids, values), a list of ids and a float64 vector,
-which the pipeline keeps row-aligned to the split's trial list
-(`write_scores` / `read_scores`).
+Everything people read is UTF-8 text with LF endings: an optional header
+line, then one row per line, fields separated by single spaces. One row
+rule holds for every text format, and a writer raises ValueError, before it
+writes, for exactly the rows its reader rejects, so a file written reads
+back as given:
+
+- a token is a non-empty, whitespace-free str; every field is a token but a
+  free last field, which may hold spaces but no line break;
+- an optional field (marked ?) holds None as "-", so "-" is no value there;
+- the first field is the row's key, unique in its file.
+
+The formats:
+
+- metadata: header `META`, rows `utt_id speaker_id phrase_id? language
+  transcript?`, the free transcript possibly empty;
+- inventory: header `INV`, rows `phrase_id language text`, the free
+  reference text not empty;
+- enrollment map: rows `model_id utt_id...`, one or more utterance ids;
+- trials: rows `trial_id model_id test_id claimed_phrase?`;
+- keys: rows `trial_id label`;
+- scores: rows `trial_id score`, each score finite and written as the
+  shortest decimal that round-trips it (Python repr).
+
+Each reads as columns in file order: a `Metas` row-aligned to its split's
+`x`, a `PhraseInventory`, a dict of utterance-id tuples, a `Trials`, and
+(trial ids, values) row-aligned to the split's trials.
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
 """
@@ -29,10 +43,10 @@ at fault.
 from __future__ import annotations
 
 import hashlib
-import math
 import zipfile
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Mapping, Sequence
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,14 +57,27 @@ class DataFormatError(ValueError):
     """Malformed data file; the message names the file and the line or member."""
 
 
-def _check_token(token: str, what: str) -> str:
-    if not token or token.split() != [token]:
-        raise ValueError(f"{what} {token!r} must be non-empty and whitespace-free")
-    return token
-
-
 def _fail(path, lineno: int, msg: str):
     raise DataFormatError(f"{path}:{lineno}: {msg}")
+
+
+def _check_tokens(values: list, what: str, path=None, lines: Sequence[int] = ()) -> None:
+    """Raise ValueError, or with a `path` DataFormatError naming line lines[i],
+    for the first values[i] that is not a token."""
+    if "\n".join(values).split() == values:  # one C-level pass
+        return
+    i, value = next((i, v) for i, v in enumerate(values) if v.split() != [v])
+    msg = f"{what} {value!r} must be non-empty and whitespace-free"
+    if path is None:
+        raise ValueError(msg)
+    _fail(path, lines[i], f"empty {what}" if value == "" else msg)
+
+
+def _repeat(values: list) -> Optional[int]:
+    """The index of the first value equal to an earlier one, or None."""
+    first: Dict[str, int] = {}
+    return None if len(set(values)) == len(values) else next(
+        i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
 def _read_lines(path) -> list:
@@ -68,7 +95,7 @@ def write_lines(path, lines: Sequence[str]) -> None:
     """Write each line followed by LF, in one go, creating the parent directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        fh.write("\n".join([*lines, ""]))
 
 
 def sha256_of(path) -> str:
@@ -120,15 +147,12 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
 
 def _floats(path, name: str, value: np.ndarray, ndim: int) -> np.ndarray:
     if value.dtype != np.float64 or value.ndim != ndim:
-        raise DataFormatError(
-            f"{path}: member {name!r} must be a {ndim}-D float64 array, "
-            f"got {value.ndim}-D {value.dtype}"
-        )
+        raise DataFormatError(f"{path}: member {name!r} must be a {ndim}-D float64 array, "
+                              f"got {value.ndim}-D {value.dtype}")
     bad = ~np.isfinite(value)
     if bad.any():
-        raise DataFormatError(
-            f"{path}: member {name!r} has non-finite values at {np.argwhere(bad)[0].tolist()}"
-        )
+        raise DataFormatError(f"{path}: member {name!r} has non-finite values "
+                              f"at {np.argwhere(bad)[0].tolist()}")
     return value
 
 
@@ -140,20 +164,16 @@ def _checked_matrix(path, ids: np.ndarray, x: np.ndarray):
             f"got shape {ids.shape} {ids.dtype}"
         )
     id_list = ids.tolist()
-    seen = set()
-    for token in id_list:
-        try:
-            _check_token(token, "id")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: member 'ids': {exc}") from exc
-        if token in seen:
-            raise DataFormatError(f"{path}: member 'ids': duplicate id {token!r}")
-        seen.add(token)
+    try:
+        _check_tokens(id_list, "id")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: member 'ids': {exc}") from exc
+    i = _repeat(id_list)
+    if i is not None:
+        raise DataFormatError(f"{path}: member 'ids': duplicate id {id_list[i]!r}")
     _floats(path, "x", x, 2)
     if x.shape[0] != len(id_list):
-        raise DataFormatError(
-            f"{path}: member 'x' has {x.shape[0]} rows for {len(id_list)} ids"
-        )
+        raise DataFormatError(f"{path}: member 'x' has {x.shape[0]} rows for {len(id_list)} ids")
     return id_list, x
 
 
@@ -172,178 +192,171 @@ def read_matrix(path):
 
 
 # ---------------------------------------------------------------------------
-# utterance metadata
+# text rows
+
+
+class _Field(NamedTuple):
+    """A text field, named `name` in messages; an `optional` one holds None as "-".
+    `parse` maps its text to a value (raising KeyError or ValueError, reported as
+    `bad` formatted with the text) and `show` a value to its text (None: as is)."""
+
+    name: str
+    optional: bool = False
+    parse: Optional[Callable] = None
+    bad: str = ""
+    show: Optional[Callable] = None
+
+
+class _Format(NamedTuple):
+    """A header line or None, the fields, whether the last is free, and the message
+    (formatted with the key) for an empty free field, "" where it may be empty."""
+
+    header: Optional[str]
+    fields: tuple
+    free: bool = False
+    empty: str = ""
+
+
+def _read_rows(path, fmt: _Format) -> list:
+    """The columns of a text file, one list per field in file order, with
+    "-" read as None in optional fields and parsed fields parsed. A row that
+    breaks the row rule raises DataFormatError naming its line."""
+    lines = _read_lines(path)
+    if fmt.header is not None and lines[:1] != [fmt.header]:
+        _fail(path, 1, f"expected {fmt.header!r} header")
+    first = 1 + (fmt.header is not None)  # the line number of the first row
+    lines = lines[first - 1:]
+    n = len(fmt.fields)
+    # without a free field, one whitespace split of the file gives its columns,
+    # and they hold tokens only if rebuilding the lines from them gives it back
+    flat = [] if fmt.free else " ".join(lines).split()
+    columns = [flat[k::n] for k in range(n)]
+    checked = not fmt.free and list(map(" ".join, zip(*columns))) == lines
+    if not checked:
+        rows = [line.split(" ", n - 1 if fmt.free else -1) for line in lines]
+        if set(map(len, rows)) - {n}:
+            i = next(i for i, row in enumerate(rows) if len(row) != n)
+            _fail(path, first + i, f"expected {n} fields: {' '.join(f.name for f in fmt.fields)}")
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in fmt.fields]
+    for k, (column, field) in enumerate(zip(columns, fmt.fields)):
+        if fmt.free and k == n - 1:
+            if fmt.empty and "" in column:
+                _fail(path, first + column.index(""), fmt.empty.format(columns[0][column.index("")]))
+        elif not checked:
+            _check_tokens(column, field.name, path, range(first, first + len(column)))
+        if field.optional:
+            columns[k] = column = [None if text == "-" else text for text in column]
+        if field.parse is not None:
+            try:
+                columns[k] = list(map(field.parse, column))
+            except (KeyError, ValueError):
+                for i, text in enumerate(column):
+                    try:
+                        field.parse(text)
+                    except (KeyError, ValueError):
+                        _fail(path, first + i, field.bad.format(text))
+    i = _repeat(columns[0])
+    if i is not None:
+        _fail(path, first + i, f"duplicate {fmt.fields[0].name} {columns[0][i]}")
+    return columns
+
+
+def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
+    """Write one row per index of `columns`, one sequence per field. Columns
+    of unequal length and a value that breaks the row rule raise ValueError
+    before anything is written."""
+    texts = []
+    for column, field in zip(columns, fmt.fields):
+        if field.optional:
+            if "-" in column:
+                raise ValueError(f"{field.name} '-' would read back as absent")
+            column = ["-" if value is None else value for value in column]
+        column = list(column if field.show is None else map(field.show, column))
+        if not (fmt.free and field is fmt.fields[-1]):
+            _check_tokens(column, field.name)
+        elif fmt.empty and "" in column:
+            raise ValueError(fmt.empty.format(texts[0][column.index("")]))
+        elif "\n" in "".join(column) or "\r" in "".join(column):
+            text = next(text for text in column if "\n" in text or "\r" in text)
+            raise ValueError(f"{field.name} {text!r} holds a line break")
+        texts.append(column)
+    i = _repeat(texts[0])
+    if i is not None:
+        raise ValueError(f"duplicate {fmt.fields[0].name} {texts[0][i]}")
+    rows = list(map(" ".join, zip(*texts, strict=True)))  # ValueError for unequal columns
+    write_lines(path, [fmt.header] * (fmt.header is not None) + rows)
+
+
+_LANGUAGE = _Field("language", parse={m.value: m for m in Language}.__getitem__,
+                   bad="unknown language {!r}", show=attrgetter("value"))
+_METAS = _Format("META", (
+    _Field("utt_id"), _Field("speaker_id"), _Field("phrase_id", optional=True), _LANGUAGE,
+    _Field("transcript", optional=True)), free=True)
+_INVENTORY = _Format("INV", (_Field("phrase_id"), _LANGUAGE, _Field("text")),
+                     free=True, empty="phrase {}: empty reference text")
+_ENROLL = _Format(None, (_Field("model_id"), _Field("utt_ids")),
+                  free=True, empty="model {} has no enrollment utterances")
+_TRIALS = _Format(None, (_Field("trial_id"), _Field("model_id"), _Field("test_id"),
+                         _Field("claimed_phrase", optional=True)))
+_KEYS = _Format(None, (_Field("trial_id"), _Field(
+    "label", parse={m.value: m for m in TrialLabel}.__getitem__,
+    bad="unknown trial label {!r}", show=attrgetter("value"))))
+_SCORES = _Format(None, (
+    _Field("trial_id"), _Field("score", parse=float, bad="non-numeric score {!r}", show=repr)))
 
 
 def write_metas(path, metas: Metas) -> None:
-    """Write one `utt spk phrase lang transcript` line per utterance; an
-    absent phrase, and an absent or empty transcript, is written `-`.
-    Columns of unequal length raise ValueError."""
-    lines = ["META"]
-    for utt, spk, phrase, lang, transcript in zip(*metas, strict=True):
-        _check_token(utt, "utt_id")
-        _check_token(spk, "speaker_id")
-        phrase = "-" if phrase is None else _check_token(phrase, "phrase_id")
-        transcript = transcript if transcript not in (None, "") else "-"
-        lines.append(f"{utt} {spk} {phrase} {lang.value} {transcript}")
-    write_lines(path, lines)
+    _write_rows(path, _METAS, metas)
 
 
 def read_metas(path) -> Metas:
-    """The utterance labels of a metadata file as columns, in file order; a
-    phrase or transcript `-` reads as None. A line without five fields, an
-    empty id, a repeated utt_id and an unknown language raise
-    DataFormatError naming the line."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "META":
-        _fail(path, 1, "expected 'META' header")
-    utts, spks, phrases, languages, transcripts, seen = [], [], [], [], [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ", 4)
-        if len(parts) != 5:
-            _fail(path, lineno, "expected 5 fields: utt spk phrase lang transcript")
-        utt, spk, phrase, lang, transcript = parts
-        for value, what in ((utt, "utt_id"), (spk, "speaker_id"), (phrase, "phrase_id")):
-            if not value:
-                _fail(path, lineno, f"empty {what}")
-        if utt in seen:
-            _fail(path, lineno, f"duplicate utt_id {utt}")
-        seen.add(utt)
-        try:
-            languages.append(Language(lang))
-        except ValueError:
-            _fail(path, lineno, f"unknown language {lang!r}")
-        utts.append(utt)
-        spks.append(spk)
-        phrases.append(None if phrase == "-" else phrase)
-        transcripts.append(None if transcript == "-" else transcript)
-    return Metas(tuple(utts), tuple(spks), tuple(phrases), tuple(languages), tuple(transcripts))
-
-
-# ---------------------------------------------------------------------------
-# phrase inventory
+    return Metas(*map(tuple, _read_rows(path, _METAS)))
 
 
 def write_inventory(path, inventory: PhraseInventory) -> None:
-    lines = ["INV"]
-    for phrase_id, text, lang in zip(*inventory, strict=True):
-        _check_token(phrase_id, "phrase_id")
-        if not text:
-            raise ValueError(f"phrase {phrase_id}: empty reference text")
-        lines.append(f"{phrase_id} {lang.value} {text}")
-    write_lines(path, lines)
+    _write_rows(path, _INVENTORY, (inventory.phrase_ids, inventory.languages, inventory.texts))
 
 
 def read_inventory(path) -> PhraseInventory:
-    """The phrases of an inventory file as columns, in file order. A line
-    without three fields, an empty phrase id or reference text, a repeated
-    phrase id and an unknown language raise DataFormatError naming the line."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "INV":
-        _fail(path, 1, "expected 'INV' header")
-    phrase_ids, texts, languages, seen = [], [], [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ", 2)
-        if len(parts) != 3:
-            _fail(path, lineno, "expected 3 fields: phrase lang text")
-        phrase_id, lang, text = parts
-        if not phrase_id:
-            _fail(path, lineno, "empty phrase_id")
-        if phrase_id in seen:
-            _fail(path, lineno, f"duplicate phrase_id {phrase_id}")
-        seen.add(phrase_id)
-        try:
-            languages.append(Language(lang))
-        except ValueError:
-            _fail(path, lineno, f"unknown language {lang!r}")
-        if not text:
-            _fail(path, lineno, f"phrase {phrase_id}: empty reference text")
-        phrase_ids.append(phrase_id)
-        texts.append(text)
+    phrase_ids, languages, texts = _read_rows(path, _INVENTORY)
     return PhraseInventory(tuple(phrase_ids), tuple(texts), tuple(languages))
 
 
-# ---------------------------------------------------------------------------
-# enrollment map, trials, keys, scores
-
-
 def write_enroll_map(path, enroll_map: Mapping[str, Sequence[str]]) -> None:
-    lines = []
-    for model_id, utt_ids in enroll_map.items():
-        _check_token(model_id, "model_id")
-        if not utt_ids:
-            raise ValueError(f"model {model_id} has no enrollment utterances")
-        lines.append(model_id + " " + " ".join(_check_token(u, "utt_id") for u in utt_ids))
-    write_lines(path, lines)
+    _check_tokens([utt for utts in enroll_map.values() for utt in utts], "utt_id")
+    _write_rows(path, _ENROLL, (list(enroll_map), [" ".join(u) for u in enroll_map.values()]))
 
 
 def read_enroll_map(path) -> dict:
-    out: Dict[str, tuple] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split(" ")
-        if len(parts) < 2:
-            _fail(path, lineno, "expected model_id plus at least one utt_id")
-        if parts[0] in out:
-            _fail(path, lineno, f"duplicate model_id {parts[0]}")
-        out[parts[0]] = tuple(parts[1:])
-    return out
+    model_ids, texts = _read_rows(path, _ENROLL)
+    utt_ids = [text.split(" ") for text in texts]
+    _check_tokens([utt for ids in utt_ids for utt in ids], "utt_id", path,
+                  [lineno for lineno, ids in enumerate(utt_ids, start=1) for _ in ids])
+    return dict(zip(model_ids, map(tuple, utt_ids)))
 
 
 def write_trials(path, trials: Trials) -> None:
-    write_lines(path, [
-        f"{trial_id} {model_id} {test_id} {'-' if claimed is None else claimed}"
-        for trial_id, model_id, test_id, claimed in zip(*trials)
-    ])
+    _write_rows(path, _TRIALS, trials)
 
 
 def read_trials(path) -> Trials:
-    """The trials of a trials file as columns, in file order; a claimed
-    phrase `-` reads as None. A line without exactly four fields and a
-    repeated trial id raise DataFormatError naming the line."""
-    ids, model_ids, test_ids, claimed, seen = [], [], [], [], set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split(" ")
-        if len(parts) != 4:
-            _fail(path, lineno, "expected 4 fields: trial model test_utt claimed_phrase")
-        if parts[0] in seen:
-            _fail(path, lineno, f"duplicate trial_id {parts[0]}")
-        seen.add(parts[0])
-        ids.append(parts[0])
-        model_ids.append(parts[1])
-        test_ids.append(parts[2])
-        claimed.append(None if parts[3] == "-" else parts[3])
-    return Trials(tuple(ids), tuple(model_ids), tuple(test_ids), tuple(claimed))
+    return Trials(*map(tuple, _read_rows(path, _TRIALS)))
 
 
 def write_keys(path, trial_ids: Sequence[str], labels: Sequence[TrialLabel]) -> None:
-    """Write one `trial_id label` line per trial; `labels` holds one
-    TrialLabel per trial id."""
+    """Write one TrialLabel per trial id."""
     if len(labels) != len(trial_ids):
         raise ValueError(f"{len(trial_ids)} trial ids for {len(labels)} labels")
-    write_lines(path, [f"{t} {label.value}" for t, label in zip(trial_ids, labels)])
-
-
-_LABELS = {label.value: label for label in TrialLabel}
+    _write_rows(path, _KEYS, (trial_ids, labels))
 
 
 def read_keys(path):
-    """(trial ids, labels) of a key file in file order: a list of str and a
-    list of TrialLabel."""
-    ids, labels = [], []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split(" ")
-        if len(parts) != 2:
-            _fail(path, lineno, "expected 2 fields: trial label")
-        if parts[1] not in _LABELS:
-            _fail(path, lineno, f"unknown trial label {parts[1]!r}")
-        ids.append(parts[0])
-        labels.append(_LABELS[parts[1]])
-    return ids, labels
+    """(trial ids, labels): a list of str and a list of TrialLabel."""
+    return tuple(_read_rows(path, _KEYS))
 
 
 def write_scores(path, trial_ids: Sequence[str], values) -> None:
-    """Write one `trial_id score` line per trial; `values` holds one finite
-    score per trial id."""
+    """Write one finite score per trial id; NumericalError for a non-finite one."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(trial_ids),):
         raise ValueError(f"{len(trial_ids)} trial ids for scores of shape {values.shape}")
@@ -351,33 +364,18 @@ def write_scores(path, trial_ids: Sequence[str], values) -> None:
     if bad.size:
         raise NumericalError(
             f"non-finite score {float(values[bad[0]])!r} for trial {trial_ids[bad[0]]}")
-    if "\n".join(trial_ids).split() != list(trial_ids):  # an empty id or one with whitespace
-        for trial_id in trial_ids:
-            _check_token(trial_id, "trial_id")
-    write_lines(path, [f"{t} {value!r}" for t, value in zip(trial_ids, values.tolist())])
+    _write_rows(path, _SCORES, (trial_ids, values.tolist()))
 
 
 def read_scores(path):
-    """(trial ids, scores) of a score file in file order: a list of str and
-    a float64 vector. A line without exactly two fields, a repeated trial id
-    and a non-numeric or non-finite score raise DataFormatError naming the line."""
-    ids, values, seen = [], [], set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split(" ")
-        if len(parts) != 2:
-            _fail(path, lineno, "expected 2 fields: trial score")
-        if parts[0] in seen:
-            _fail(path, lineno, f"duplicate trial_id {parts[0]}")
-        seen.add(parts[0])
-        try:
-            value = float(parts[1])
-        except ValueError:
-            _fail(path, lineno, f"non-numeric score {parts[1]!r}")
-        if not math.isfinite(value):
-            _fail(path, lineno, f"non-finite score {parts[1]!r} for trial {parts[0]}")
-        ids.append(parts[0])
-        values.append(value)
-    return ids, np.asarray(values, dtype=np.float64)
+    """(trial ids, scores): a list of str and a float64 vector."""
+    ids, values = _read_rows(path, _SCORES)
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:  # the message quotes the line's text
+        i, text = int(bad[0]), _read_lines(path)[bad[0]].split(" ")[1]
+        _fail(path, i + 1, f"non-finite score {text!r} for trial {ids[i]}")
+    return ids, values
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +383,13 @@ def read_scores(path):
 
 
 def write_checkpoint(path, extractor, strategy: str, seed: int) -> None:
+    _check_tokens([strategy], "strategy")
     write_arrays(path, {
         "w1": extractor.w1,
         "b1": extractor.b1,
         "w2": extractor.w2,
         "b2": extractor.b2,
-        "strategy": np.asarray(_check_token(strategy, "strategy")),
+        "strategy": np.asarray(strategy),
         "seed": np.asarray(seed, dtype=np.int64),
     })
 

@@ -79,36 +79,34 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
         "eval": order[n_train + n_dev :],
     }
 
-    task = Task(cfg.task)
-    proportions = list(cfg.proportions) if cfg.proportions else None
-    written: List[Path] = []
-    for split, spk_ids in groups.items():
-        sub = corpus.subset_by_speakers(spk_ids)
-        fileio.write_matrix(_workpath(cfg, f"feats_{split}.npz"), sub.metas.utt_ids, sub.x)
-        fileio.write_metas(_workpath(cfg, f"meta_{split}.meta"), sub.metas)
-        written += [_workpath(cfg, f"feats_{split}.npz"), _workpath(cfg, f"meta_{split}.meta")]
-        if split == "train":
-            continue
-        n_trials = cfg.n_dev_trials if split == "dev" else cfg.n_eval_trials
-        trial_seed = seeds[2] if split == "dev" else seeds[3]
-        protocol = synthgen.gen_trials(
-            sub.metas, corpus.inventory, task, n_trials, trial_seed,
-            proportions=proportions, n_enroll=cfg.n_enroll,
+    # draw both protocols before writing, so a draw that fails leaves no file
+    subs = {split: corpus.subset_by_speakers(spk_ids) for split, spk_ids in groups.items()}
+    protocols = {}
+    for split, n_trials, trial_seed in (("dev", cfg.n_dev_trials, seeds[2]),
+                                        ("eval", cfg.n_eval_trials, seeds[3])):
+        metas = subs[split].metas
+        protocols[split] = protocol = synthgen.gen_trials(
+            metas, corpus.inventory, Task(cfg.task), n_trials, trial_seed,
+            proportions=list(cfg.proportions) or None, n_enroll=cfg.n_enroll,
         )
-        problems = validate_protocol(
-            protocol.trials, protocol.labels, sub.metas, protocol.enroll_map
-        )
+        problems = validate_protocol(protocol.trials, protocol.labels, metas, protocol.enroll_map)
         if problems:
             raise RuntimeError(f"generated {split} protocol is inconsistent: {problems[:3]}")
-        fileio.write_trials(_workpath(cfg, f"trials_{split}.txt"), protocol.trials)
-        fileio.write_keys(
-            _workpath(cfg, f"keys_{split}.txt"), protocol.trials.ids, protocol.labels)
-        fileio.write_enroll_map(_workpath(cfg, f"enroll_{split}.txt"), protocol.enroll_map)
-        written += [
-            _workpath(cfg, f"trials_{split}.txt"),
-            _workpath(cfg, f"keys_{split}.txt"),
-            _workpath(cfg, f"enroll_{split}.txt"),
-        ]
+
+    written: List[Path] = []
+    for split, sub in subs.items():
+        feats, meta = _workpath(cfg, f"feats_{split}.npz"), _workpath(cfg, f"meta_{split}.meta")
+        fileio.write_matrix(feats, sub.metas.utt_ids, sub.x)
+        fileio.write_metas(meta, sub.metas)
+        written += [feats, meta]
+        if split in protocols:
+            protocol = protocols[split]
+            trials, keys, enroll = (_workpath(cfg, f"{name}_{split}.txt")
+                                    for name in ("trials", "keys", "enroll"))
+            fileio.write_trials(trials, protocol.trials)
+            fileio.write_keys(keys, protocol.trials.ids, protocol.labels)
+            fileio.write_enroll_map(enroll, protocol.enroll_map)
+            written += [trials, keys, enroll]
     fileio.write_inventory(_workpath(cfg, "inventory.txt"), corpus.inventory)
     written.append(_workpath(cfg, "inventory.txt"))
     return written

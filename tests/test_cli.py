@@ -141,6 +141,25 @@ class TestConfigHandling:
                                      "norm_backend=plda", "language_dependent=false"])
         assert cfg.n_enroll == cfg.n_utts_per_cell == 3
 
+    def test_ti_enrollment_that_cannot_work_fails_before_any_stage(self, tmp_path, capsys):
+        # no speaker has n_enroll utterances plus one to test; this used to
+        # exit 3 from gen after writing four files
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, "task=TI", "n_phrases=1", "n_utts_per_cell=2",
+                                    "n_speakers=12")) == 2
+        assert ("task=TI needs n_enroll < n_phrases * n_utts_per_cell, got 3 and 2"
+                in capsys.readouterr().err)
+        assert not workdir.exists()
+
+    def test_infeasible_protocol_draw_writes_no_file(self, tmp_path, capsys):
+        # with 4 utterances per speaker, too few dev speakers draw 3 L1
+        # utterances to enroll; gen used to write train and dev features first
+        workdir = tmp_path / "w"
+        assert main(["gen"] + _args(workdir, "task=TI", "n_phrases=2", "n_utts_per_cell=2",
+                                    "n_speakers=12")) == 3
+        assert "infeasible request" in capsys.readouterr().err
+        assert not workdir.exists() or not any(workdir.iterdir())
+
     def test_grid_step_not_dividing_one_fails_before_any_stage(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         assert main(["e2e"] + _args(workdir, "grid_step=0.3")) == 2

@@ -1,4 +1,5 @@
 import io
+import re
 import zipfile
 
 import numpy as np
@@ -275,15 +276,19 @@ class TestProtocolFiles:
         path = tmp_path_factory.getbasetemp()
         trials = Trials(*(tuple(row[k] for row in rows) for k in range(4)))
         labels = [row[4] for row in rows]
+        repeat = next((t for i, t in enumerate(trials.ids) if t in trials.ids[:i]), None)
+        if repeat is not None:  # neither writer writes a file its reader rejects
+            for write in (lambda p: fileio.write_trials(p, trials),
+                          lambda p: fileio.write_keys(p, trials.ids, labels)):
+                (path / "x.txt").unlink(missing_ok=True)
+                with pytest.raises(ValueError, match=f"^duplicate trial_id {re.escape(repeat)}$"):
+                    write(path / "x.txt")
+                assert not (path / "x.txt").exists()
+            return
         fileio.write_trials(path / "t.txt", trials)
         fileio.write_keys(path / "k.txt", trials.ids, labels)
         assert fileio.read_keys(path / "k.txt") == (list(trials.ids), labels)
-        repeat = next((i for i, t in enumerate(trials.ids) if t in trials.ids[:i]), None)
-        if repeat is None:
-            assert fileio.read_trials(path / "t.txt") == trials
-        else:
-            with pytest.raises(DataFormatError, match=f"t.txt:{repeat + 1}: duplicate trial_id"):
-                fileio.read_trials(path / "t.txt")
+        assert fileio.read_trials(path / "t.txt") == trials
 
     def test_key_count_must_match_trial_ids(self, tmp_path):
         with pytest.raises(ValueError, match="2 trial ids for 1 labels"):
@@ -413,6 +418,130 @@ class TestInventory:
         with pytest.raises(ValueError, match="phrase ph00: empty reference text"):
             fileio.write_inventory(tmp_path / "inv.txt", inv)
         assert not (tmp_path / "inv.txt").exists()
+
+
+def _score_columns(path):
+    ids, values = fileio.read_scores(path)
+    return ids, values.tolist()
+
+
+# values that break the row rule one way or another: empty, the "-" of an
+# absent value, whitespace, line breaks
+_AWKWARD = st.sampled_from(["a", "b", "-", "", "a b", " ", "\t", "x\ny", "x\rz"])
+# each text format: (a strategy per field, columns -> value, writer, reader)
+_FORMATS = {
+    "metas": ((_AWKWARD, _AWKWARD, st.none() | _AWKWARD, st.sampled_from(Language),
+               st.none() | _AWKWARD),
+              lambda cols: Metas(*cols), fileio.write_metas, fileio.read_metas),
+    "inventory": ((_AWKWARD, _AWKWARD, st.sampled_from(Language)),
+                  lambda cols: PhraseInventory(*cols), fileio.write_inventory,
+                  fileio.read_inventory),
+    "enroll": ((_AWKWARD, st.lists(_AWKWARD, max_size=3).map(tuple)),
+               lambda cols: dict(zip(*cols)), fileio.write_enroll_map, fileio.read_enroll_map),
+    "trials": ((_AWKWARD, _AWKWARD, _AWKWARD, st.none() | _AWKWARD),
+               lambda cols: Trials(*cols), fileio.write_trials, fileio.read_trials),
+    "keys": ((_AWKWARD, st.sampled_from(TrialLabel)), lambda cols: tuple(map(list, cols)),
+             lambda path, value: fileio.write_keys(path, *value), fileio.read_keys),
+    "scores": ((_AWKWARD, st.floats(allow_nan=False, allow_infinity=False)),
+               lambda cols: tuple(map(list, cols)),
+               lambda path, value: fileio.write_scores(path, *value), _score_columns),
+}
+_HEADERS = {"metas": "META\n", "inventory": "INV\n"}
+# fields of a line that a reader may or may not accept; no "\r", which
+# reading turns into a line break
+_FIELDS = st.sampled_from(["a", "b", "-", "", "\t", "L1", "TC", "0.5"])
+
+
+class TestRowRule:
+    """Writers refuse exactly what readers reject."""
+
+    @pytest.mark.parametrize("name", sorted(_FORMATS))
+    @given(data=st.data())
+    def test_a_file_written_reads_back_as_given(self, tmp_path_factory, name, data):
+        fields, make, write, read = _FORMATS[name]
+        rows = data.draw(st.lists(st.tuples(*fields), max_size=4))
+        value = make([tuple(row[k] for row in rows) for k in range(len(fields))])
+        path = tmp_path_factory.getbasetemp() / f"{name}.txt"
+        path.unlink(missing_ok=True)
+        try:
+            write(path, value)
+        except ValueError:
+            assert not path.exists()
+        else:
+            assert read(path) == value
+
+    @pytest.mark.parametrize("name", sorted(_FORMATS))
+    @given(data=st.data())
+    def test_a_file_read_writes_back_byte_for_byte(self, tmp_path_factory, name, data):
+        _, _, write, read = _FORMATS[name]
+        lines = data.draw(st.lists(st.lists(_FIELDS, min_size=1, max_size=6).map(" ".join),
+                                   max_size=4))
+        text = _HEADERS.get(name, "") + "".join(f"{line}\n" for line in lines)
+        path = tmp_path_factory.getbasetemp() / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            value = read(path)
+        except DataFormatError:
+            return
+        path.unlink()
+        write(path, value)
+        assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("write, message", [
+        # these wrote a file that its reader rejected or read back differently
+        (lambda p: fileio.write_trials(p, Trials(("t1", "t2"), ("m1",), ("u1", "u2"),
+                                                 (None, None))), "shorter"),
+        (lambda p: fileio.write_trials(p, Trials(("a b",), ("m1",), ("u1",), (None,))),
+         "trial_id 'a b' must be non-empty and whitespace-free"),
+        (lambda p: fileio.write_keys(p, ["t0", "a b"], [TrialLabel.TC] * 2),
+         "trial_id 'a b' must be non-empty and whitespace-free"),
+        (lambda p: fileio.write_keys(p, ["t1", "t1"], [TrialLabel.TC, TrialLabel.IW]),
+         "duplicate trial_id t1"),
+        (lambda p: fileio.write_trials(p, Trials(("t1",), ("m1",), ("u1",), ("-",))),
+         "claimed_phrase '-' would read back as absent"),
+        (lambda p: fileio.write_metas(p, Metas(("u1",), ("s1",), ("-",), (Language.L1,),
+                                               (None,))),
+         "phrase_id '-' would read back as absent"),
+        (lambda p: fileio.write_metas(p, Metas(("u1",), ("s1",), ("p",), (Language.L1,),
+                                               ("-",))),
+         "transcript '-' would read back as absent"),
+        (lambda p: fileio.write_metas(p, Metas(("u1",), ("s1",), ("p",), (Language.L1,),
+                                               ("a\nb",))),
+         r"transcript 'a\\nb' holds a line break"),
+        (lambda p: fileio.write_inventory(p, PhraseInventory(("ph00",), ("a\rb",),
+                                                             (Language.L1,))),
+         r"text 'a\\rb' holds a line break"),
+    ])
+    def test_writer_refuses_what_its_reader_rejects(self, tmp_path, write, message):
+        path = tmp_path / "f.txt"
+        with pytest.raises(ValueError, match=message):
+            write(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("read, text, message", [
+        # each of these was read, with an empty id or a repeated trial id
+        (fileio.read_trials, "t0 m0 u0 -\nt1  u1 -\n", "f.txt:2: empty model_id$"),
+        (fileio.read_scores, " 0.5\n", "f.txt:1: empty trial_id$"),
+        (fileio.read_keys, "t0 TC\n TC\n", "f.txt:2: empty trial_id$"),
+        (fileio.read_enroll_map, "m0 u0\nm1 u1 \n", "f.txt:2: empty utt_id$"),
+        (fileio.read_keys, "t1 TC\nt1 IW\n", "f.txt:2: duplicate trial_id t1$"),
+        (fileio.read_enroll_map, "m0 u0\nm1 \n", "f.txt:2: model m1 has no enrollment"),
+        (fileio.read_trials, "t0 m0\tx u0 -\n", r"f.txt:1: model_id 'm0\\tx' must be"),
+        (fileio.read_scores, "\n", "f.txt:1: expected 2 fields"),
+    ])
+    def test_reader_rejects_what_its_writer_refuses(self, tmp_path, read, text, message):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read(path)
+
+    def test_empty_transcript_round_trips(self, tmp_path):
+        # it was written "-" and read back as None, the absent transcript
+        metas = Metas(("u1", "u2"), ("s1", "s1"), ("p", "p"), (Language.L1,) * 2, ("", None))
+        path = tmp_path / "m.meta"
+        fileio.write_metas(path, metas)
+        assert path.read_text() == "META\nu1 s1 p L1 \nu2 s1 p L1 -\n"
+        assert fileio.read_metas(path) == metas
 
 
 class TestModelContainers:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     aligned_literal,
@@ -143,6 +143,22 @@ class TestMonotoneInvariance:
         warped, _ = _score_set(np.tanh(tgt) * 3 + 1, np.tanh(non) * 3 + 1)
         assert eer(scores, keys) == pytest.approx(eer(warped, keys), abs=1e-12)
         assert min_dcf(scores, keys) == pytest.approx(min_dcf(warped, keys), abs=1e-12)
+
+    # small integers give ties within and across the classes
+    _SCORES = st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float),
+                       min_size=1, max_size=25)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SCORES, _SCORES)
+    @example([0.5], [0.5, -1.0, 0.5])  # one target
+    @example([2.0, 2.0, -3.0], [7.0])  # one nontarget
+    def test_dense_ranks_change_nothing(self, tgt, non):
+        # a dense rank is a strictly increasing map of the scores that keeps
+        # their ties
+        scores, keys = _score_set(tgt, non)
+        ranks = np.unique(scores, return_inverse=True)[1].astype(np.float64)
+        assert eer(ranks, keys) == eer(scores, keys)
+        assert min_dcf(ranks, keys) == min_dcf(scores, keys)
 
 
 class TestAgainstDictForms:
