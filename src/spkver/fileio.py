@@ -147,12 +147,15 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
 
 def _floats(path, name: str, value: np.ndarray, ndim: int) -> np.ndarray:
     if value.dtype != np.float64 or value.ndim != ndim:
-        raise DataFormatError(f"{path}: member {name!r} must be a {ndim}-D float64 array, "
-                              f"got {value.ndim}-D {value.dtype}")
+        raise DataFormatError(
+            f"{path}: member {name!r} must be a {ndim}-D float64 array, "
+            f"got {value.ndim}-D {value.dtype}"
+        )
     bad = ~np.isfinite(value)
     if bad.any():
-        raise DataFormatError(f"{path}: member {name!r} has non-finite values "
-                              f"at {np.argwhere(bad)[0].tolist()}")
+        raise DataFormatError(
+            f"{path}: member {name!r} has non-finite values at {np.argwhere(bad)[0].tolist()}"
+        )
     return value
 
 
@@ -173,7 +176,9 @@ def _checked_matrix(path, ids: np.ndarray, x: np.ndarray):
         raise DataFormatError(f"{path}: member 'ids': duplicate id {id_list[i]!r}")
     _floats(path, "x", x, 2)
     if x.shape[0] != len(id_list):
-        raise DataFormatError(f"{path}: member 'x' has {x.shape[0]} rows for {len(id_list)} ids")
+        raise DataFormatError(
+            f"{path}: member 'x' has {x.shape[0]} rows for {len(id_list)} ids"
+        )
     return id_list, x
 
 
@@ -225,25 +230,17 @@ def _read_rows(path, fmt: _Format) -> list:
     if fmt.header is not None and lines[:1] != [fmt.header]:
         _fail(path, 1, f"expected {fmt.header!r} header")
     first = 1 + (fmt.header is not None)  # the line number of the first row
-    lines = lines[first - 1:]
     n = len(fmt.fields)
-    # without a free field, one whitespace split of the file gives its columns,
-    # and they hold tokens only if rebuilding the lines from them gives it back
-    flat = [] if fmt.free else " ".join(lines).split()
-    columns = [flat[k::n] for k in range(n)]
-    checked = not fmt.free and list(map(" ".join, zip(*columns))) == lines
-    if not checked:
-        rows = [line.split(" ", n - 1 if fmt.free else -1) for line in lines]
-        if set(map(len, rows)) - {n}:
-            i = next(i for i, row in enumerate(rows) if len(row) != n)
-            _fail(path, first + i, f"expected {n} fields: {' '.join(f.name for f in fmt.fields)}")
-        columns = [list(column) for column in zip(*rows)] or [[] for _ in fmt.fields]
+    rows = [line.split(" ", n - 1 if fmt.free else -1) for line in lines[first - 1:]]
+    if set(map(len, rows)) - {n}:
+        i = next(i for i, row in enumerate(rows) if len(row) != n)
+        _fail(path, first + i, f"expected {n} fields: {' '.join(f.name for f in fmt.fields)}")
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in fmt.fields]
     for k, (column, field) in enumerate(zip(columns, fmt.fields)):
-        if fmt.free and k == n - 1:
-            if fmt.empty and "" in column:
-                _fail(path, first + column.index(""), fmt.empty.format(columns[0][column.index("")]))
-        elif not checked:
+        if not (fmt.free and k == n - 1):
             _check_tokens(column, field.name, path, range(first, first + len(column)))
+        elif fmt.empty and "" in column:
+            _fail(path, first + column.index(""), fmt.empty.format(columns[0][column.index("")]))
         if field.optional:
             columns[k] = column = [None if text == "-" else text for text in column]
         if field.parse is not None:
@@ -306,28 +303,34 @@ _SCORES = _Format(None, (
 
 
 def write_metas(path, metas: Metas) -> None:
+    """Write a metadata file, one row per utterance (see the module docstring)."""
     _write_rows(path, _METAS, metas)
 
 
 def read_metas(path) -> Metas:
+    """The utterance labels of a metadata file as columns, in file order."""
     return Metas(*map(tuple, _read_rows(path, _METAS)))
 
 
 def write_inventory(path, inventory: PhraseInventory) -> None:
+    """Write an inventory file, one row per phrase."""
     _write_rows(path, _INVENTORY, (inventory.phrase_ids, inventory.languages, inventory.texts))
 
 
 def read_inventory(path) -> PhraseInventory:
+    """The phrases of an inventory file as columns, in file order."""
     phrase_ids, languages, texts = _read_rows(path, _INVENTORY)
     return PhraseInventory(tuple(phrase_ids), tuple(texts), tuple(languages))
 
 
 def write_enroll_map(path, enroll_map: Mapping[str, Sequence[str]]) -> None:
+    """Write an enrollment map, one row per model with its utterance ids."""
     _check_tokens([utt for utts in enroll_map.values() for utt in utts], "utt_id")
     _write_rows(path, _ENROLL, (list(enroll_map), [" ".join(u) for u in enroll_map.values()]))
 
 
 def read_enroll_map(path) -> dict:
+    """Model id -> tuple of enrollment utterance ids, in file order."""
     model_ids, texts = _read_rows(path, _ENROLL)
     utt_ids = [text.split(" ") for text in texts]
     _check_tokens([utt for ids in utt_ids for utt in ids], "utt_id", path,
@@ -336,10 +339,12 @@ def read_enroll_map(path) -> dict:
 
 
 def write_trials(path, trials: Trials) -> None:
+    """Write a trials file, one row per trial."""
     _write_rows(path, _TRIALS, trials)
 
 
 def read_trials(path) -> Trials:
+    """The trials of a trials file as columns, in file order."""
     return Trials(*map(tuple, _read_rows(path, _TRIALS)))
 
 
