@@ -7,7 +7,7 @@ log-likelihood ratio of same-speaker vs different-speaker hypotheses,
 expanded once per model into a quadratic form in the pair
 (`PldaScorer.from_model`). `PldaScorer` is that form, (L, G, c, k), for
 PLDA and NPLDA alike: NPLDA starts from the generative form and trains it,
-and `quadratic_score` evaluates either.
+and `PldaScorer.score` evaluates either.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
 the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
@@ -50,11 +50,11 @@ class PldaModel:
                 raise ValueError(f"{name} must be symmetric")
 
 
-def cosine_score(e: np.ndarray, t: np.ndarray):
+def cosine_score(e: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Inner product over the product of norms, in [-1, 1].
 
     A broadcasting pair scorer: `e` and `t` of shapes (..., D) broadcast to
-    scores of shape (...); two 1-D vectors give a float.
+    scores of shape (...).
     """
     e = np.asarray(e, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -64,8 +64,7 @@ def cosine_score(e: np.ndarray, t: np.ndarray):
     nt = np.sqrt(np.einsum("...d,...d->...", t, t))
     if not (np.all(ne > 0.0) and np.all(nt > 0.0)):
         raise NumericalError("cosine of a zero vector is undefined")
-    scores = np.einsum("...d,...d->...", e, t) / (ne * nt)
-    return float(scores) if scores.ndim == 0 else scores
+    return np.einsum("...d,...d->...", e, t) / (ne * nt)
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -74,23 +73,6 @@ def _logdet(mat: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance not positive definite: {exc}") from exc
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def quadratic_score(form: PldaScorer, e, t):
-    """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k for the
-    form's (L, G, c, k). A broadcasting pair scorer: `e` and `t` of shapes
-    (..., D) broadcast to scores of shape (...); two 1-D vectors give a float."""
-    e = np.asarray(e, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    dim = form.c.shape[0]
-    if e.shape[-1] != dim or t.shape[-1] != dim:
-        raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {dim}")
-    cross = np.sum((e @ form.lam) * t, axis=-1)
-    self_e = np.sum((e @ form.gamma) * e, axis=-1)
-    self_t = np.sum((t @ form.gamma) * t, axis=-1)
-    lin = (e + t) @ form.c
-    scores = cross + self_e + self_t + lin + form.k
-    return float(scores) if scores.ndim == 0 else scores
 
 
 class _PldaStats(NamedTuple):
@@ -237,9 +219,9 @@ def plda_em_train(
 
 @dataclass(frozen=True, eq=False)
 class PldaScorer:
-    """A pair score as the quadratic form (L, G, c, k) of `quadratic_score`:
-    the generative PLDA log-likelihood ratio (`from_model`) and every NPLDA
-    form trained from it. The form stores L symmetrized, so its score is
+    """A pair score as the quadratic form (L, G, c, k) of `score`: the
+    generative PLDA log-likelihood ratio (`from_model`) and every NPLDA form
+    trained from it. The form stores L symmetrized, so its score is
     symmetric in the pair; G must be symmetric already.
     """
 
@@ -288,7 +270,16 @@ class PldaScorer:
         k = 0.5 * (_logdet(t_cov) - _logdet(schur)) - float(model.mu @ c)
         return cls(lam, gamma, c, k)
 
-    def score(self, e: np.ndarray, t: np.ndarray):
-        """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two
-        1-D vectors give a float."""
-        return quadratic_score(self, e, t)
+    def score(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k. A
+        broadcasting pair scorer: `e` and `t` of shapes (..., D) broadcast to
+        scores of shape (...)."""
+        e = np.asarray(e, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        dim = self.c.shape[0]
+        if e.shape[-1] != dim or t.shape[-1] != dim:
+            raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {dim}")
+        cross = np.sum((e @ self.lam) * t, axis=-1)
+        self_e = np.sum((e @ self.gamma) * e, axis=-1)
+        self_t = np.sum((t @ self.gamma) * t, axis=-1)
+        return cross + self_e + self_t + (e + t) @ self.c + self.k

@@ -214,7 +214,7 @@ def load_config(path: Optional[str] = None, overrides=(), seed: Optional[int] = 
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(text.split("\n"), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -235,16 +235,14 @@ def load_config(path: Optional[str] = None, overrides=(), seed: Optional[int] = 
     return cfg
 
 
-def dump_config(cfg: PipelineConfig, exclude=("workdir",)) -> list:
+def dump_config(cfg: PipelineConfig) -> list:
     """Deterministic key=value lines for manifests.
 
     The output location is excluded so that runs differing only in where
     they write produce identical manifests.
     """
     lines = []
-    for name in sorted(_FIELDS):
-        if name in exclude:
-            continue
+    for name in sorted(_FIELDS.keys() - {"workdir"}):
         value = getattr(cfg, name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)

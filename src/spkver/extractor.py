@@ -92,32 +92,16 @@ def _forward_cache(extractor: Extractor, x: np.ndarray) -> dict:
     return {"x": x, "z1": z1, "h": h, "raw": raw, "norms": norms, "unit": unit}
 
 
-def forward(extractor: Extractor, features: np.ndarray):
-    """Run the network; returns (raw, unit-normalized) embeddings.
-
-    The unit output is None when any raw embedding has zero norm, which
-    flags a degenerate network rather than raising.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    single = feats.ndim == 1
-    feats2 = np.atleast_2d(feats)
-    if feats2.shape[1] != extractor.in_dim:
-        raise ValueError(f"feature dim {feats2.shape[1]} != network input {extractor.in_dim}")
-    cache = _forward_cache(extractor, feats2)
-    raw, unit = cache["raw"], cache["unit"]
-    if np.any(cache["norms"] == 0.0):
-        unit = None
-    if single:
-        return raw[0], (None if unit is None else unit[0])
-    return raw, unit
-
-
 def extract_embeddings(extractor: Extractor, features: np.ndarray) -> np.ndarray:
-    """Batch forward returning unit embeddings; degenerate rows raise."""
-    raw, unit = forward(extractor, np.atleast_2d(np.asarray(features, dtype=np.float64)))
-    if unit is None:
+    """The unit embeddings of an (N, F) feature batch. Other shapes raise
+    ValueError, and a zero-norm raw embedding NumericalError."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[1] != extractor.in_dim:
+        raise ValueError(f"features must be (N, {extractor.in_dim}), got shape {feats.shape}")
+    cache = _forward_cache(extractor, feats)
+    if np.any(cache["norms"] == 0.0):
         raise NumericalError("extractor produced a zero-norm embedding")
-    return unit
+    return cache["unit"]
 
 
 def _backward_to_params(extractor: Extractor, cache: dict, d_unit: np.ndarray):

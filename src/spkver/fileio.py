@@ -81,10 +81,17 @@ def _repeat(values: list) -> Optional[int]:
 
 
 def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file with LF endings; invalid UTF-8 and a
+    carriage return anywhere raise DataFormatError naming the line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        _fail(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}")
+    if "\r" in text:
+        _fail(path, text.count("\n", 0, text.index("\r")) + 1, "carriage return (LF endings only)")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -183,8 +190,14 @@ def _checked_matrix(path, ids: np.ndarray, x: np.ndarray):
 
 
 def write_matrix(path, ids: Sequence[str], x: np.ndarray) -> None:
-    """Write an id-keyed matrix: `ids` plus `x`, one float64 row per id."""
+    """Write an id-keyed matrix: `ids` plus `x`, one float64 row per id. An
+    id that numpy's unicode array would change (a trailing NUL, a non-str)
+    raises ValueError before anything is written."""
     ids_arr = np.asarray(ids, dtype=str)
+    kept = ids_arr.tolist()
+    if kept != list(ids):
+        given, back = next((a, b) for a, b in zip(ids, kept) if a != b)
+        raise ValueError(f"id {given!r} would read back as {back!r}")
     x = np.ascontiguousarray(x, dtype=np.float64)
     _checked_matrix(path, ids_arr, x)
     write_arrays(path, {"ids": ids_arr, "x": x})

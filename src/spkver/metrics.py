@@ -278,8 +278,6 @@ def tune_weights(
     scores, is_target = _checked(dev_scores, is_target, ndim=2)
     if len(scores) == 0:
         raise ValueError("tune_weights needs at least one system")
-    if len(scores) == 1:
-        return FusionWeights((1.0,))
     grid = _simplex_grid(len(scores), grid_divisions(grid_step))
 
     costs = np.empty(len(grid))

@@ -34,7 +34,7 @@ class Cohort(NamedTuple):
 
 @dataclass(frozen=True)
 class NormStats:
-    """Top-N cohort statistics: floats for one anchor, arrays for a batch."""
+    """Top-N cohort statistics, one entry per anchor."""
 
     mu: object
     sigma: object
@@ -69,8 +69,9 @@ def cohort_stats(
 ) -> NormStats:
     """Mean / population standard deviation of each anchor's top-N cohort scores.
 
-    `anchors` is one vector (D,) or a batch (..., D); the (anchors x cohort)
-    scores come from one broadcasting scorer call.
+    `anchors` is a batch (..., D), and the statistics are arrays of shape
+    (...). The (anchors x cohort) scores come from one broadcasting scorer
+    call, against the entries in `language_filter` (None: all of them).
     """
     if n_top < 2:
         raise ValueError("n_top must be >= 2")
@@ -84,8 +85,6 @@ def cohort_stats(
     sigma = top.std(axis=-1)  # population divisor
     if not np.all(sigma > 0.0):
         raise NumericalError(f"zero variance among top cohort scores (mu={mu[~(sigma > 0.0)]})")
-    if anchors.ndim == 1:
-        return NormStats(mu=float(mu), sigma=float(sigma))
     return NormStats(mu=mu, sigma=sigma)
 
 
@@ -106,9 +105,10 @@ def language_dependent_as_norm(
     scorer: Scorer,
     n_top: int,
     test_languages,
-):
-    """AS-Norm of row-aligned trials, each with its enroll-side cohort
-    restricted to its test language.
+) -> np.ndarray:
+    """AS-Norm of row-aligned trials ((N,) raw scores, (N, D) enroll and
+    test vectors), each with its enroll-side cohort restricted to its test
+    language.
 
     `test_languages` is one Language (or None: no restriction) for every
     trial, or one per trial; the enroll-side statistics take one
@@ -122,8 +122,7 @@ def language_dependent_as_norm(
         stats = cohort_stats(enroll_vecs[rows], cohort, scorer, n_top, language_filter=lang)
         mu[rows], sigma[rows] = stats.mu, stats.sigma
     test_stats = cohort_stats(test_vecs, cohort, scorer, n_top, language_filter=None)
-    normed = as_norm(raw_scores, NormStats(mu, sigma), test_stats)
-    return float(normed) if np.ndim(normed) == 0 else normed
+    return as_norm(raw_scores, NormStats(mu, sigma), test_stats)
 
 
 def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int:
@@ -143,17 +142,15 @@ def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int
 # language identification on embeddings
 
 
+_LANGUAGES = (Language.L1, Language.L2)  # the classes, in index order
+
+
 @dataclass
 class LangClassifier:
     """Multinomial logistic model over embedding space."""
 
     weights: np.ndarray  # (n_languages, D)
     bias: np.ndarray  # (n_languages,)
-    languages: tuple = (Language.L1, Language.L2)
-
-    @property
-    def dim(self) -> int:
-        return int(self.weights.shape[1])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -174,37 +171,31 @@ def train_language_id(
     posteriors; training is deterministic with no randomness at all.
     """
     x = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    languages = (Language.L1, Language.L2)
-    idx = {lang: i for i, lang in enumerate(languages)}
+    idx = {lang: i for i, lang in enumerate(_LANGUAGES)}
     y = np.asarray([idx[l] for l in language_labels])
     if len(set(y.tolist())) < 2:
         raise ValueError("language-id training needs both languages")
     n, d = x.shape
 
-    w = np.zeros((len(languages), d))
-    b = np.zeros(len(languages))
-    onehot = np.zeros((n, len(languages)))
+    w = np.zeros((len(_LANGUAGES), d))
+    b = np.zeros(len(_LANGUAGES))
+    onehot = np.zeros((n, len(_LANGUAGES)))
     onehot[np.arange(n), y] = 1.0
     for _ in range(epochs):
         probs = _softmax(x @ w.T + b)
         delta = (probs - onehot) / n
         w -= lr * (delta.T @ x)
         b -= lr * delta.sum(axis=0)
-    return LangClassifier(weights=w, bias=b, languages=languages)
+    return LangClassifier(weights=w, bias=b)
 
 
 def predict_language(classifier: LangClassifier, embeddings: np.ndarray):
-    """Argmax language plus the softmax posterior; ties go to the
-    lower-indexed language.
-
-    One embedding (D,) gives (Language, posterior); a batch (N, D) gives
-    (list of N Languages, (N, n_languages) posteriors).
-    """
+    """The argmax languages (a list of N) and the (N, n_languages) softmax
+    posteriors of an (N, D) batch of embeddings; ties go to the
+    lower-indexed language."""
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.shape[-1] != classifier.dim:
-        raise ValueError("embedding dimension does not match the classifier")
+    if x.ndim != 2 or x.shape[1] != classifier.weights.shape[1]:
+        raise ValueError(f"embeddings of shape {x.shape} do not match the classifier's "
+                         f"dimension {classifier.weights.shape[1]}")
     posterior = _softmax(x @ classifier.weights.T + classifier.bias)
-    picks = np.argmax(posterior, axis=-1)
-    if picks.ndim == 0:
-        return classifier.languages[int(picks)], posterior
-    return [classifier.languages[i] for i in picks], posterior
+    return [_LANGUAGES[i] for i in np.argmax(posterior, axis=1)], posterior

@@ -7,19 +7,19 @@ Score form for a pair (e, t):
 with L symmetric, so the score is symmetric in its arguments. The
 generative two-covariance log-likelihood ratio is exactly this form
 (`backend.PldaScorer.from_model`); NPLDA starts from it, trains it and
-returns it as the same type, `backend.PldaScorer`. Training is plain
-full-batch gradient descent on a differentiable detection-cost surrogate
-over same-phrase pairs.
+returns it as the same type, `backend.PldaScorer`, whose `score` evaluates
+it. Training is plain full-batch gradient descent on a differentiable
+detection-cost surrogate over same-phrase pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .backend import PldaScorer, quadratic_score
+from .backend import PldaScorer
 from .metrics import DcfParams, min_dcf_details
 
 
@@ -29,7 +29,6 @@ class NpldaTrainConfig:
     epochs: int = 5
     alpha: float = 10.0  # sigmoid sharpness of the soft detection cost
     dcf: DcfParams = field(default_factory=DcfParams)
-    theta: Optional[float] = None  # None: init at the generative minDCF threshold
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -40,10 +39,10 @@ class NpldaTrainConfig:
             raise ValueError("alpha must be positive")
 
 
-def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray):
-    """Broadcasting pair scorer: (..., D) with (..., D) -> (...); two 1-D
-    vectors give a float."""
-    return quadratic_score(form, e, t)
+def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`form.score(e, t)`: the NPLDA scores under their own name, which the
+    benchmark's tracer times separately from the PLDA backend's."""
+    return form.score(e, t)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -109,8 +108,8 @@ def train_nplda(
     to the trained form in the result's `params`.
 
     Every training pair must be same-phrase; a violating pair aborts before
-    any update. theta is learned jointly, starting (by default) from the
-    threshold that minimizes the generative minDCF on the initial scores.
+    any update. theta is learned jointly, starting from the threshold that
+    minimizes the generative minDCF on the initial scores.
     """
     e = np.atleast_2d(np.asarray(enroll_vecs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(test_vecs, dtype=np.float64))
@@ -127,12 +126,9 @@ def train_nplda(
         return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
     scores = score_now()
-    if config.theta is not None:
-        theta = float(config.theta)
-    else:
-        _, theta = min_dcf_details(scores, lab, config.dcf)
-        if not np.isfinite(theta):
-            theta = float(np.median(scores))
+    _, theta = min_dcf_details(scores, lab, config.dcf)
+    if not np.isfinite(theta):
+        theta = float(np.median(scores))
 
     # each scoring yields the trace entry and the next epoch's gradients
     loss, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)

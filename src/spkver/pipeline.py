@@ -37,16 +37,17 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, dump_config
 from .core import NumericalError, build_enroll_model, validate_protocol
 from .synthgen import RNG_ALGORITHM, Task
 
 SPLITS = ("train", "dev", "eval")
+TRIAL_SPLITS = ("dev", "eval")  # the splits with trial lists
 
 
 def _workpath(cfg: PipelineConfig, name: str) -> Path:
@@ -173,11 +174,11 @@ def cmd_train(cfg: PipelineConfig) -> List[Path]:
     return [path]
 
 
-def cmd_extract(cfg: PipelineConfig, splits: Sequence[str] = SPLITS) -> List[Path]:
+def cmd_extract(cfg: PipelineConfig) -> List[Path]:
     """Map every split's features through the trained network."""
     net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.npz"))
     written = []
-    for split in splits:
+    for split in SPLITS:
         ids, feats = fileio.read_matrix(_workpath(cfg, f"feats_{split}.npz"))
         path = _workpath(cfg, f"emb_{split}.npz")
         fileio.write_matrix(path, ids, extractor.extract_embeddings(net, feats))
@@ -313,11 +314,11 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas) -> Dict[str, backend.PldaSc
     return bank
 
 
-def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
+def cmd_score(cfg: PipelineConfig) -> List[Path]:
     """Score every configured backend over the dev and eval trial lists."""
     scorers = _train_backend_scorers(cfg)
     written = []
-    for split in splits:
+    for split in TRIAL_SPLITS:
         trials, enroll, test = _trial_vectors(cfg, split)
         trials_path = _workpath(cfg, f"trials_{split}.txt")
         for name in cfg.backends:
@@ -331,7 +332,7 @@ def cmd_score(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> L
 # normalization
 
 
-def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
+def cmd_norm(cfg: PipelineConfig) -> List[Path]:
     """AS-Norm (optionally language-dependent) over the norm_backend scores."""
     train_x, train_meta = _load_split(cfg, "train", extracted=True)
     cohort = norm.build_cohort(train_x, train_meta)
@@ -343,7 +344,7 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
     if cfg.language_dependent and cfg.use_lid:
         classifier = norm.train_language_id(
             train_x, train_meta.languages, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
-    for split in splits:
+    for split in TRIAL_SPLITS:
         trials, enroll, test = _trial_vectors(cfg, split)
         raw = _read_scores(cfg, cfg.norm_backend, split, trials.ids)
         test_langs = None
@@ -371,12 +372,12 @@ def cmd_norm(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> Li
 # phrase filter
 
 
-def cmd_filter(cfg: PipelineConfig, splits: Sequence[str] = ("dev", "eval")) -> List[Path]:
+def cmd_filter(cfg: PipelineConfig) -> List[Path]:
     """Floor the scores of trials whose recognized phrase mismatches the claim."""
     if cfg.task != "TD":
         raise ConfigError("the phrase filter applies to TD trials only")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
-    tested = {split: _tested_transcripts(cfg, split) for split in splits}
+    tested = {split: _tested_transcripts(cfg, split) for split in TRIAL_SPLITS}
     # a transcript's phrase depends on its text only: classify each distinct one once
     distinct = list(dict.fromkeys(text for _, texts in tested.values() for text in texts))
     phrase_of_text = dict(zip(distinct, metrics.classify_phrases(distinct, inventory)))
@@ -476,8 +477,6 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
 
 def cmd_e2e(cfg: PipelineConfig) -> List[Path]:
     """Run the whole pipeline and write a manifest of seeds and digests."""
-    from .config import dump_config
-
     written = []
     written += cmd_gen(cfg)
     written += cmd_train(cfg)

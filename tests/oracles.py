@@ -547,13 +547,10 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
         return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
     scores = score_now()
-    if config.theta is not None:
-        theta = float(config.theta)
-    else:
-        _, theta = min_dcf_details(np.concatenate([scores[lab], scores[~lab]]),
-                                   np.arange(lab.size) < lab.sum(), config.dcf)
-        if not np.isfinite(theta):
-            theta = float(np.median(scores))
+    _, theta = min_dcf_details(np.concatenate([scores[lab], scores[~lab]]),
+                               np.arange(lab.size) < lab.sum(), config.dcf)
+    if not np.isfinite(theta):
+        theta = float(np.median(scores))
     loss0, _, _ = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
     trace = [loss0]
     lr = config.learning_rate

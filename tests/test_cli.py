@@ -108,6 +108,14 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert main(["gen", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_non_utf8_config_file_is_a_config_error(self, tmp_path, capsys):
+        # it exited 3 as a data error that named no file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=8\n# caf\xe9\n")
+        assert main(["gen", "--config", str(cfg), "--set", f"workdir={tmp_path / 'w'}"]) == 2
+        assert f"config error: cannot read config {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
     def test_task_validation(self, tmp_path):
         assert main(["gen", "--set", f"workdir={tmp_path}", "--set", "task=XX"]) == 2
 
@@ -620,7 +628,7 @@ class TestNormAgainstLiteral:
                                             epochs=cfg.lid_epochs, lr=cfg.lid_lr)
         trials, enroll, test = pipeline._trial_vectors(cfg, split)
         raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
-        langs = [norm.predict_language(classifier, v)[0] for v in test]
+        langs = [norm.predict_language(classifier, v[None])[0][0] for v in test]
         expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
         got_ids, got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
         assert tuple(raw_ids) == tuple(got_ids) == trials.ids

@@ -20,7 +20,6 @@ from spkver.extractor import (
     TrainConfig,
     aam_loss,
     extract_embeddings,
-    forward,
     ge2e_loss,
     heads_loss,
     pct_loss,
@@ -41,31 +40,29 @@ def _head(rng, n_classes, dim, scale=8.0, margin=0.2):
 class TestForward:
     def test_zero_weights_flags_degenerate_normalization(self):
         net = Extractor(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.zeros(2))
-        raw, unit = forward(net, np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(raw, 0.0)
-        assert unit is None
+        with pytest.raises(NumericalError, match="zero-norm embedding"):
+            extract_embeddings(net, np.array([[1.0, -1.0]]))
 
     def test_identity_like_network(self):
         d = 3
         net = Extractor(np.eye(d), np.zeros(d), np.eye(d), np.zeros(d))
-        feats = np.array([2.0, -1.0, 1.0])
-        raw, unit = forward(net, feats)
+        feats = np.array([[2.0, -1.0, 1.0]])
+        unit = extract_embeddings(net, feats)
         relu = np.maximum(feats, 0.0)
-        np.testing.assert_allclose(raw, relu)
         np.testing.assert_allclose(unit, relu / np.linalg.norm(relu))
 
     def test_deterministic(self):
         net = Extractor.init(4, 6, 3, seed=1)
         x = np.random.default_rng(2).normal(size=(5, 4))
-        r1, u1 = forward(net, x)
-        r2, u2 = forward(net, x)
-        np.testing.assert_array_equal(r1, r2)
-        np.testing.assert_array_equal(u1, u2)
+        np.testing.assert_array_equal(extract_embeddings(net, x), extract_embeddings(net, x))
 
     def test_dim_mismatch(self):
         net = Extractor.init(4, 6, 3, seed=1)
-        with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+        with pytest.raises(ValueError, match=r"features must be \(N, 4\)"):
+            extract_embeddings(net, np.zeros((1, 5)))
+        # one feature vector is not a batch
+        with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+            extract_embeddings(net, np.zeros(4))
 
     def test_extract_embeddings_unit(self):
         net = Extractor.init(4, 6, 3, seed=3)
@@ -583,7 +580,7 @@ class TestTrain:
         def head(n_classes):
             return AamHead.init(n_classes, 5, int(rng.integers(2**63)), 16.0, 0.3)
 
-        _, unit = forward(net, feats)
+        unit = extract_embeddings(net, feats)
         rows = meta_rows(metas)
         speakers = sorted({m.speaker_id for m in rows})
         spk = [speakers.index(m.speaker_id) for m in rows]

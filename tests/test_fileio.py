@@ -106,6 +106,15 @@ class TestEmbeddingRoundTrip:
         with pytest.raises(DataFormatError, match="y.npz: member 'ids'.*whitespace-free"):
             fileio.read_matrix(path)
 
+    @pytest.mark.parametrize("ids", [["a\x00", "b"], ["a\x00", "a"]])
+    def test_id_numpy_would_change_is_never_written(self, tmp_path, ids):
+        # numpy's unicode arrays drop trailing NULs: the first read back as
+        # ['a', 'b'], the second was refused as a duplicate of 'a'
+        path = tmp_path / "x.npz"
+        with pytest.raises(ValueError, match=r"id 'a\\x00' would read back as 'a'"):
+            fileio.write_matrix(path, ids, np.ones((2, 2)))
+        assert not path.exists()
+
     def test_duplicate_id_reported(self, tmp_path):
         with pytest.raises(DataFormatError, match="duplicate id 'u1'"):
             fileio.write_matrix(tmp_path / "x.npz", ["u1", "u2", "u1"], np.ones((3, 2)))
@@ -447,9 +456,8 @@ _FORMATS = {
                lambda path, value: fileio.write_scores(path, *value), _score_columns),
 }
 _HEADERS = {"metas": "META\n", "inventory": "INV\n"}
-# fields of a line that a reader may or may not accept; no "\r", which
-# reading turns into a line break
-_FIELDS = st.sampled_from(["a", "b", "-", "", "\t", "L1", "TC", "0.5"])
+# fields of a line that a reader may or may not accept
+_FIELDS = st.sampled_from(["a", "b", "-", "", "\t", "\r", "L1", "TC", "0.5"])
 
 
 class TestRowRule:
@@ -532,6 +540,21 @@ class TestRowRule:
     def test_reader_rejects_what_its_writer_refuses(self, tmp_path, read, text, message):
         path = tmp_path / "f.txt"
         path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read(path)
+
+    @pytest.mark.parametrize("read, data, message", [
+        # read as two scores
+        (fileio.read_scores, b"t1 0.5\r\nt2 0.25\r\n", "f.txt:1: carriage return"),
+        # split in two and reported as line 3 of a two-line file
+        (fileio.read_metas, b"META\nu1 s1 - L1 ab\rcd\n", "f.txt:2: carriage return"),
+        # raised a UnicodeDecodeError that named no file
+        (fileio.read_scores, b"\xff\xfe", "f.txt:1: not UTF-8"),
+    ], ids=["crlf", "lone_cr", "not_utf8"])
+    def test_reader_rejects_what_is_not_utf8_with_lf_endings(self, tmp_path, read, data,
+                                                              message):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
         with pytest.raises(DataFormatError, match=message):
             read(path)
 

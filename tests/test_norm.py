@@ -34,40 +34,42 @@ class TestCohortStats:
     def test_top_two_arithmetic(self):
         # cohort scoring 0.9 / 0.5 / 0.1 against the anchor, N_top=2
         cohort = _cohort([[0.9], [0.5], [0.1]])
-        stats = cohort_stats(np.array([1.0]), cohort, _dot_scorer, n_top=2)
-        assert stats.mu == pytest.approx(0.7)
-        assert stats.sigma == pytest.approx(0.2)
+        stats = cohort_stats(np.array([[1.0]]), cohort, _dot_scorer, n_top=2)
+        assert stats.mu.shape == stats.sigma.shape == (1,)
+        assert stats.mu[0] == pytest.approx(0.7)
+        assert stats.sigma[0] == pytest.approx(0.2)
 
     def test_identical_scores_zero_variance(self):
         cohort = _cohort([[0.5], [0.5]])
         with pytest.raises(NumericalError, match="zero variance"):
-            cohort_stats(np.array([1.0]), cohort, _dot_scorer, n_top=2)
+            cohort_stats(np.array([[1.0]]), cohort, _dot_scorer, n_top=2)
 
     def test_language_filter_equals_subcohort(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 3))
         cohort = _cohort(x, [Language.L2 if i % 2 else Language.L1 for i in range(12)])
         sub = _cohort(x[1::2], [Language.L2] * 6)
-        anchor = rng.normal(size=3)
+        anchor = rng.normal(size=(1, 3))
         a = cohort_stats(anchor, cohort, _dot_scorer, 4, language_filter=Language.L2)
         b = cohort_stats(anchor, sub, _dot_scorer, 4)
-        assert a == b
+        np.testing.assert_array_equal(a.mu, b.mu)
+        np.testing.assert_array_equal(a.sigma, b.sigma)
 
     def test_filtered_cohort_too_small(self):
         cohort = _cohort([[1.0], [2.0]], [Language.L1, Language.L2])
         with pytest.raises(ValueError, match="usable entries"):
-            cohort_stats(np.array([1.0]), cohort, _dot_scorer, 2, Language.L2)
+            cohort_stats(np.array([[1.0]]), cohort, _dot_scorer, 2, Language.L2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_order_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(8, 4))
-        anchor = rng.normal(size=4)
+        anchor = rng.normal(size=(1, 4))
         a = cohort_stats(anchor, _cohort(x), _dot_scorer, 3)
         b = cohort_stats(anchor, _cohort(x[rng.permutation(8)]), _dot_scorer, 3)
-        assert a.mu == pytest.approx(b.mu, abs=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
+        np.testing.assert_allclose(a.mu, b.mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.sigma, b.sigma, rtol=0, atol=1e-12)
 
 
 class TestAsNorm:
@@ -107,7 +109,7 @@ class TestLanguageDependentAsNorm:
     def test_monolingual_cohort_equals_plain_asnorm(self):
         rng = np.random.default_rng(2)
         cohort = _cohort(rng.normal(size=(10, 4)))
-        e, t = rng.normal(size=4), rng.normal(size=4)
+        e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         raw = _dot_scorer(e, t)
         ld = language_dependent_as_norm(raw, e, t, cohort, _dot_scorer, 4, Language.L1)
         plain = as_norm(
@@ -115,11 +117,11 @@ class TestLanguageDependentAsNorm:
             cohort_stats(e, cohort, _dot_scorer, 4),
             cohort_stats(t, cohort, _dot_scorer, 4),
         )
-        assert ld == plain
+        np.testing.assert_array_equal(ld, plain)
 
     def test_enroll_side_uses_language_subcohort(self):
         cohort, rng = self._mixed_cohort()
-        e, t = rng.normal(size=4), rng.normal(size=4)
+        e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         raw = _dot_scorer(e, t)
         ld = language_dependent_as_norm(raw, e, t, cohort, _dot_scorer, 5, Language.L2)
         expected = as_norm(
@@ -127,7 +129,7 @@ class TestLanguageDependentAsNorm:
             cohort_stats(e, cohort, _dot_scorer, 5, language_filter=Language.L2),
             cohort_stats(t, cohort, _dot_scorer, 5),
         )
-        assert ld == expected
+        np.testing.assert_array_equal(ld, expected)
 
     def test_language_gap_shrinks_versus_plain_asnorm(self):
         # corpus with a real language shift (comparable to the sqrt(dim)
@@ -144,35 +146,32 @@ class TestLanguageDependentAsNorm:
         cohort = build_cohort(cohort_corpus.x, cohort_corpus.metas)
         n_top = effective_n_top(10, cohort, language_dependent=True)
 
-        gaps = {}
-        for mode in ("plain", "lang"):
-            same, cross = [], []
-            by_spk = {}
-            for vec, meta in zip(eval_corpus.x, meta_rows(eval_corpus.metas)):
-                by_spk.setdefault(meta.speaker_id, []).append((vec, meta.language))
-            for spk, rows in by_spk.items():
-                l1 = [i for i, (_, lang) in enumerate(rows) if lang is Language.L1]
-                if len(l1) < 4:
-                    continue
-                centroid = np.mean([rows[i][0] for i in l1[:3]], axis=0)
-                centroid /= np.linalg.norm(centroid)
-                for i, (vec, lang) in enumerate(rows):
-                    if i in l1[:3]:
-                        continue
-                    raw = cosine_score(centroid, vec)
-                    if mode == "lang":
-                        score = language_dependent_as_norm(
-                            raw, centroid, vec, cohort, cosine_score, n_top, lang
-                        )
-                    else:
-                        score = as_norm(
-                            raw,
-                            cohort_stats(centroid, cohort, cosine_score, n_top),
-                            cohort_stats(vec, cohort, cosine_score, n_top),
-                        )
-                    (same if lang is Language.L1 else cross).append(score)
-            pooled_std = float(np.std(same + cross))
-            gaps[mode] = abs(float(np.mean(same) - np.mean(cross))) / pooled_std
+        by_spk = {}
+        for vec, meta in zip(eval_corpus.x, meta_rows(eval_corpus.metas)):
+            by_spk.setdefault(meta.speaker_id, []).append((vec, meta.language))
+        enroll, test, langs = [], [], []
+        for rows in by_spk.values():
+            l1 = [i for i, (_, lang) in enumerate(rows) if lang is Language.L1]
+            if len(l1) < 4:
+                continue
+            centroid = np.mean([rows[i][0] for i in l1[:3]], axis=0)
+            centroid /= np.linalg.norm(centroid)
+            for i, (vec, lang) in enumerate(rows):
+                if i not in l1[:3]:
+                    enroll.append(centroid)
+                    test.append(vec)
+                    langs.append(lang)
+        enroll, test = np.array(enroll), np.array(test)
+        raw = cosine_score(enroll, test)
+        cross = np.array([lang is Language.L2 for lang in langs])
+        scores = {
+            "plain": as_norm(raw, cohort_stats(enroll, cohort, cosine_score, n_top),
+                             cohort_stats(test, cohort, cosine_score, n_top)),
+            "lang": language_dependent_as_norm(raw, enroll, test, cohort, cosine_score,
+                                               n_top, langs),
+        }
+        gaps = {mode: abs(float(np.mean(s[~cross]) - np.mean(s[cross]))) / float(np.std(s))
+                for mode, s in scores.items()}
         assert gaps["lang"] < gaps["plain"]
 
     def test_effective_n_top_clamps_to_language_subsets(self):
@@ -193,17 +192,18 @@ class TestLanguageId:
         ))
         x, langs = self._labeled(corpus)
         clf = train_language_id(x, langs, epochs=1000, lr=2.0)
-        hits = sum(predict_language(clf, v)[0] is l for v, l in zip(x, langs))
-        assert hits == len(langs)
+        predicted, _ = predict_language(clf, x)
+        assert predicted == langs
 
     def test_zero_epochs_predicts_uniform(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 4))
         langs = [Language.L1] * 5 + [Language.L2] * 5
         clf = train_language_id(x, langs, epochs=0)
-        lang, posterior = predict_language(clf, x[0])
-        np.testing.assert_allclose(posterior, [0.5, 0.5])
-        assert lang is Language.L1  # tie-break toward the lower-indexed language
+        predicted, posterior = predict_language(clf, x)
+        np.testing.assert_allclose(posterior, 0.5)
+        # tie-break toward the lower-indexed language
+        assert predicted == [Language.L1] * len(x)
 
     def test_no_shift_accuracy_near_chance(self):
         corpus = gen_corpus(GenConfig(
@@ -213,7 +213,8 @@ class TestLanguageId:
         x, langs = self._labeled(corpus)
         assert len(langs) == 1000
         clf = train_language_id(x, langs, epochs=200, lr=0.5)
-        hits = sum(predict_language(clf, v)[0] is l for v, l in zip(x, langs))
+        predicted, _ = predict_language(clf, x)
+        hits = sum(p is l for p, l in zip(predicted, langs))
         assert 0.4 <= hits / len(langs) <= 0.6
 
     def test_single_language_rejected(self):
@@ -228,17 +229,20 @@ class TestLanguageId:
         langs = [Language.L1] * 20 + [Language.L2] * 20
         clf = train_language_id(x, langs, epochs=300, lr=1.0)
         direction = clf.weights[1] - clf.weights[0]
-        lang, posterior = predict_language(clf, 50.0 * direction / np.linalg.norm(direction))
-        assert lang is Language.L2
-        assert posterior[1] > 0.999
+        predicted, posterior = predict_language(clf, [50.0 * direction / np.linalg.norm(direction)])
+        assert predicted == [Language.L2]
+        assert posterior.shape == (1, 2) and posterior[0, 1] > 0.999
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 3))
         langs = [Language.L1] * 3 + [Language.L2] * 3
         clf = train_language_id(x, langs, epochs=1)
-        with pytest.raises(ValueError):
-            predict_language(clf, np.zeros(4))
+        with pytest.raises(ValueError, match="dimension 3"):
+            predict_language(clf, np.zeros((1, 4)))
+        # one embedding is not a batch
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            predict_language(clf, np.zeros(3))
 
 
 class TestBuildCohort:
@@ -316,7 +320,7 @@ class TestBatchedNormMatchesLiteral:
             if mode == "ld_lid":
                 clf = train_language_id(cohort.x, list(cohort.languages), epochs=20)
                 langs, _ = predict_language(clf, test)
-                assert langs == [predict_language(clf, v)[0] for v in test]
+                assert langs == [predict_language(clf, v[None])[0][0] for v in test]
             elif mode == "ld_metadata":
                 langs = [(Language.L1, Language.L2)[i] for i in rng.integers(0, 2, n_trials)]
             else:
