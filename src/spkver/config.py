@@ -7,6 +7,7 @@ are accepted on the command line via repeated `--set key=value` flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -121,14 +122,24 @@ class PipelineConfig:
         for name in ("hidden_dim", "emb_dim", "lid_lr"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.strategy == Strategy.PCT.value and self.n_utts_per_cell < 2:
+            raise ConfigError(
+                f"strategy=PCT needs n_utts_per_cell >= 2, got {self.n_utts_per_cell}"
+            )
         try:
             self.gen_config()
             self.train_config()
             self.nplda_config()
             grid_divisions(self.grid_step)
-            trial_proportions(Task(self.task), self.proportions or None)
+            props = trial_proportions(Task(self.task), self.proportions or None)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.task == "TD" and self.n_phrases < 2:
+            _, tw, _, iw = props
+            if tw > 0 or iw > 0:
+                raise ConfigError(
+                    f"task=TD with TW or IW trials needs n_phrases >= 2, got {self.n_phrases}"
+                )
 
     def gen_config(self, seed: int = 0) -> GenConfig:
         """The corpus-generation settings; GenConfig checks their values."""
@@ -176,6 +187,12 @@ class PipelineConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 def _coerce(name: str, raw: str):
     field = _FIELDS.get(name)
     if field is None:
@@ -185,7 +202,7 @@ def _coerce(name: str, raw: str):
         if base == "int":
             return int(raw)
         if base == "float":
-            return float(raw)
+            return _finite(float(raw))
         if base == "bool":
             if raw.lower() in ("1", "true", "yes"):
                 return True
@@ -197,7 +214,7 @@ def _coerce(name: str, raw: str):
                 return ()
             parts = [p for p in raw.split(",") if p != ""]
             if name in ("proportions",):
-                return tuple(float(p) for p in parts)
+                return tuple(_finite(float(p)) for p in parts)
             return tuple(parts)
         return raw
     except ValueError as exc:

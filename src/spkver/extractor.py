@@ -6,19 +6,28 @@ hand-derived gradients that finite differences can certify:
 
   * angular-margin softmax (AAM) over cosine logits (scale s, additive
     margin m),
-  * generalized end-to-end contrastive loss with own-centroid exclusion,
-  * the contrastive combination (margin softmax + GE2E) over same-phrase
-    batches with exactly two utterances per speaker (PCT).
+  * generalized end-to-end contrastive loss (GE2E) with own-centroid
+    exclusion.
 
-Every other strategy is one `heads_loss`: a weighted sum of AAM terms
-(head, rows, labels, weight) over the N training rows, with speaker index
-s, phrase index p (inventory order) and P phrases:
+Every strategy trains through `heads_loss`: a weighted sum of AAM terms
+(head, rows, labels, weight) over a batch of rows, with speaker index s,
+phrase index p (inventory order) and P phrases. The first four take one
+step per epoch over all N training rows:
 
   * AAM_ONLY:         (spk, all, s, 1)
   * SPK_PLUS_PHRASE:  (spk, all, s, 1) + (phrase, all, p, multitask_weight)
   * SPK_TIMES_PHRASE: (product, all, s*P + p, 1)
   * PMT:              one (p, rows_p, s[rows_p], |rows_p|/N) per phrase, in
                       the order in which phrases first appear in the metas.
+
+PCT (phrase-aware contrastive training) takes one step per epoch for each
+phrase with >= 2 speakers that have >= 2 utterances of it. The step's batch
+holds two of those utterances for each of up to pct_speakers_per_batch such
+speakers, and its objective is
+
+  * PCT:              (spk, all, s[batch], 1)
+                      + contrastive_weight * GE2E over the batch as
+                      (speakers, 2, D); the term is skipped at weight 0.
 
 All losses accept arbitrary (not necessarily unit-norm) inputs because they
 normalize inside the cosine; gradients include those normalization terms.
@@ -152,6 +161,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 # angular-margin softmax
 
 
+def _check_aam(scale: float, margin: float) -> None:
+    """The margin-softmax settings rule: scale > 0 and 0 <= margin < pi/2."""
+    if not scale > 0:
+        raise ValueError(f"AAM scale must be positive, got {scale}")
+    if not 0.0 <= margin < np.pi / 2:
+        raise ValueError(f"AAM margin must lie in [0, pi/2), got {margin}")
+
+
 @dataclass
 class AamHead:
     """Cosine classifier head: unit-norm class rows, scale s, margin m."""
@@ -162,10 +179,7 @@ class AamHead:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if not 0.0 <= self.margin < np.pi / 2:
-            raise ValueError("margin must lie in [0, pi/2)")
+        _check_aam(self.scale, self.margin)
 
     @classmethod
     def init(cls, n_classes: int, dim: int, seed: int = 0,
@@ -348,44 +362,6 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
     return loss, d_e, d_w, d_b
 
 
-def pct_loss(
-    embeddings: np.ndarray,
-    spk_labels: Sequence,
-    phrase_labels: Sequence,
-    spk_head: AamHead,
-    ge2e_params: Ge2eParams,
-    contrastive_weight: float = 1.0,
-):
-    """Margin softmax plus weighted GE2E over one same-phrase batch.
-
-    The batch must hold exactly two utterances for each of >= 2 speakers and
-    a single phrase; violations raise before anything is computed. Speaker
-    labels index the margin-softmax head. Returns
-    (loss, d_embeddings, d_head_weights, d_ge2e_w, d_ge2e_b).
-    """
-    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    phr = list(phrase_labels)
-    if len(set(phr)) != 1:
-        raise ValueError("same-phrase constraint violated")
-    spk = list(spk_labels)
-    order = list(dict.fromkeys(spk))
-    positions = {s: [i for i, q in enumerate(spk) if q == s] for s in order}
-    if any(len(p) != 2 for p in positions.values()):
-        raise ValueError("PCT batches need exactly two utterances per speaker")
-    if len(order) < 2:
-        raise ValueError("PCT batches need at least two speakers")
-
-    loss_a, d_e, d_head = aam_loss(e, spk, spk_head)
-    if contrastive_weight == 0.0:
-        return loss_a, d_e, d_head, 0.0, 0.0
-
-    grouped = np.asarray([positions[s] for s in order])  # (S, 2) batch rows
-    loss_g, d_g, d_w, d_b = ge2e_loss(e[grouped], ge2e_params)
-    d_e[grouped] += contrastive_weight * d_g
-    loss = loss_a + contrastive_weight * loss_g
-    return loss, d_e, d_head, contrastive_weight * d_w, contrastive_weight * d_b
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -412,6 +388,7 @@ class TrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.pct_speakers_per_batch < 2:
             raise ValueError("PCT batches need >= 2 speakers")
+        _check_aam(self.aam_scale, self.aam_margin)
 
 
 @dataclass
@@ -478,7 +455,7 @@ def train(
 
     # heads are seeded in this order: spk, phrase, product, per-phrase
     heads: Dict[str, AamHead] = {}
-    terms = []  # the heads_loss objective; PCT trains "spk" through pct_loss
+    terms = []  # the heads_loss objective over all rows; PCT applies it per batch
     if strategy in (Strategy.AAM_ONLY, Strategy.SPK_PLUS_PHRASE, Strategy.PCT):
         heads["spk"] = new_head(n_spk)
         terms.append(("spk", ALL_ROWS, spk_labels, 1.0))
@@ -495,49 +472,44 @@ def train(
             rows = np.flatnonzero(phr_labels == k)
             terms.append((phrase_ids[k], rows, spk_labels[rows], rows.size / len(feats)))
     ge2e = pct_groups = None
+    mu = config.contrastive_weight
     if strategy is Strategy.PCT:
         ge2e = Ge2eParams()
         pct_groups = _pct_groups(metas.speakers, phr_labels, len(phrase_ids))
-
-    def apply_net_grads(cache, d_unit, lr) -> None:
-        d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
-        net.w1 -= lr * d_w1
-        net.b1 -= lr * d_b1
-        net.w2 -= lr * d_w2
-        net.b2 -= lr * d_b2
+        if not pct_groups:
+            raise ValueError("no phrase yields a valid PCT batch")
 
     trace = []
     for epoch in range(config.epochs):
         lr = lr_schedule(config, epoch)
-        if strategy is Strategy.PCT:
-            losses = []
-            for p, groups in zip(phrase_ids, pct_groups):
-                if len(groups) < 2:
-                    continue
-                batch = _sample_pct_batch(rng, groups, config.pct_speakers_per_batch)
-                cache = _forward_cache(net, feats[batch])
-                loss, d_e, d_head, d_w, d_b = pct_loss(
-                    cache["unit"], spk_labels[batch], [p] * len(batch),
-                    heads["spk"], ge2e, config.contrastive_weight,
-                )
-                apply_net_grads(cache, d_e, lr)
-                heads["spk"].weights -= lr * d_head
-                heads["spk"].renormalize()
-                ge2e.w = max(ge2e.w - lr * d_w, 1e-6)
-                ge2e.b -= lr * d_b
-                losses.append(loss)
-            if not losses:
-                raise ValueError("no phrase yields a valid PCT batch")
-            trace.append(float(np.mean(losses)))
-            continue
-
-        cache = _forward_cache(net, feats)
-        loss, d_unit, d_heads = heads_loss(cache["unit"], terms, heads)
-        apply_net_grads(cache, d_unit, lr)
-        for name, d_w in d_heads.items():
-            heads[name].weights -= lr * d_w
-            heads[name].renormalize()
-        trace.append(float(loss))
+        if pct_groups is None:
+            steps = [(ALL_ROWS, terms)]
+        else:
+            batches = [_sample_pct_batch(rng, groups, config.pct_speakers_per_batch)
+                       for groups in pct_groups]
+            steps = [(batch, [("spk", ALL_ROWS, spk_labels[batch], 1.0)]) for batch in batches]
+        losses = []
+        for rows, step_terms in steps:
+            cache = _forward_cache(net, feats[rows])
+            unit = cache["unit"]
+            loss, d_unit, d_heads = heads_loss(unit, step_terms, heads)
+            if ge2e is not None and mu != 0.0:
+                # a PCT batch holds each speaker's two rows next to each other
+                loss_g, d_g, d_w, d_b = ge2e_loss(unit.reshape(-1, 2, unit.shape[1]), ge2e)
+                loss += mu * loss_g
+                d_unit += mu * d_g.reshape(unit.shape)
+                ge2e.w = max(ge2e.w - lr * (mu * d_w), 1e-6)
+                ge2e.b -= lr * (mu * d_b)
+            d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
+            net.w1 -= lr * d_w1
+            net.b1 -= lr * d_b1
+            net.w2 -= lr * d_w2
+            net.b2 -= lr * d_b2
+            for name, d_head in d_heads.items():
+                heads[name].weights -= lr * d_head
+                heads[name].renormalize()
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
 
     return TrainResult(
         extractor=net,
@@ -548,18 +520,20 @@ def train(
 
 
 def _pct_groups(speakers, phr_labels, n_phrases):
-    """For each phrase, the rows of every speaker with >= 2 utterances of it,
-    in speaker-id order."""
+    """For each phrase with >= 2 speakers that have >= 2 utterances of it, in
+    inventory order, the rows of each such speaker, in speaker-id order."""
     by_phrase = [{} for _ in range(n_phrases)]
     for i, spk in enumerate(speakers):
         by_phrase[phr_labels[i]].setdefault(spk, []).append(i)
-    return [[rows for _, rows in sorted(spk_rows.items()) if len(rows) >= 2]
-            for spk_rows in by_phrase]
+    groups = ([rows for _, rows in sorted(spk_rows.items()) if len(rows) >= 2]
+              for spk_rows in by_phrase)
+    return [g for g in groups if len(g) >= 2]
 
 
 def _sample_pct_batch(rng, groups, speakers_per_batch):
-    """Indices of a same-phrase batch with two utterances per speaker, drawn
-    from one phrase's `_pct_groups` entry."""
+    """Indices of a same-phrase batch drawn from one phrase's `_pct_groups`
+    entry: two utterances per speaker, each speaker's pair adjacent, speakers
+    in group order."""
     count = min(speakers_per_batch, len(groups))
     chosen = rng.permutation(len(groups))[:count]
     batch = []

@@ -7,6 +7,7 @@ code paths they are used to check.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from functools import lru_cache
@@ -15,7 +16,16 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from spkver.core import NumericalError
-from spkver.extractor import AamHead, aam_loss
+from spkver.extractor import (
+    AamHead,
+    Ge2eParams,
+    TrainResult,
+    _backward_to_params,
+    _forward_cache,
+    aam_loss,
+    ge2e_loss,
+    lr_schedule,
+)
 from spkver.core import Language, Metas, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.backend import PldaScorer
@@ -572,7 +582,8 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
     return PldaScorer(lam, gamma, c, k), theta, tuple(trace)
 
 
-# The per-strategy losses that `heads_loss` replaced, kept as they were.
+# The per-strategy losses and the PCT epoch loop that `heads_loss` and
+# `train`'s one step body replaced, kept as they were.
 
 
 def spk_plus_phrase_loss(
@@ -633,6 +644,117 @@ def pmt_loss(
         d_e[idx] += weight * de_p
         d_heads[p] = weight * dw_p
     return loss, d_e, d_heads
+
+
+def pct_loss_literal(
+    embeddings: np.ndarray,
+    spk_labels: Sequence,
+    phrase_labels: Sequence,
+    spk_head: AamHead,
+    ge2e_params: Ge2eParams,
+    contrastive_weight: float = 1.0,
+):
+    """Margin softmax plus weighted GE2E over one same-phrase batch.
+
+    The batch must hold exactly two utterances for each of >= 2 speakers and
+    a single phrase; violations raise before anything is computed. Speaker
+    labels index the margin-softmax head. Returns
+    (loss, d_embeddings, d_head_weights, d_ge2e_w, d_ge2e_b).
+    """
+    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    phr = list(phrase_labels)
+    if len(set(phr)) != 1:
+        raise ValueError("same-phrase constraint violated")
+    spk = list(spk_labels)
+    order = list(dict.fromkeys(spk))
+    positions = {s: [i for i, q in enumerate(spk) if q == s] for s in order}
+    if any(len(p) != 2 for p in positions.values()):
+        raise ValueError("PCT batches need exactly two utterances per speaker")
+    if len(order) < 2:
+        raise ValueError("PCT batches need at least two speakers")
+
+    loss_a, d_e, d_head = aam_loss(e, spk, spk_head)
+    if contrastive_weight == 0.0:
+        return loss_a, d_e, d_head, 0.0, 0.0
+
+    grouped = np.asarray([positions[s] for s in order])  # (S, 2) batch rows
+    loss_g, d_g, d_w, d_b = ge2e_loss(e[grouped], ge2e_params)
+    d_e[grouped] += contrastive_weight * d_g
+    loss = loss_a + contrastive_weight * loss_g
+    return loss, d_e, d_head, contrastive_weight * d_w, contrastive_weight * d_b
+
+
+def _pct_groups_literal(speakers, phr_labels, n_phrases):
+    """For each phrase, the rows of every speaker with >= 2 utterances of it,
+    in speaker-id order."""
+    by_phrase = [{} for _ in range(n_phrases)]
+    for i, spk in enumerate(speakers):
+        by_phrase[phr_labels[i]].setdefault(spk, []).append(i)
+    return [[rows for _, rows in sorted(spk_rows.items()) if len(rows) >= 2]
+            for spk_rows in by_phrase]
+
+
+def _sample_pct_batch_literal(rng, groups, speakers_per_batch):
+    """Indices of a same-phrase batch with two utterances per speaker, drawn
+    from one phrase's `_pct_groups_literal` entry."""
+    count = min(speakers_per_batch, len(groups))
+    chosen = rng.permutation(len(groups))[:count]
+    batch = []
+    for ci in sorted(int(c) for c in chosen):
+        utts = groups[ci]
+        pick = rng.permutation(len(utts))[:2]
+        batch.extend(utts[int(p)] for p in pick)
+    return batch
+
+
+def train_pct_literal(extractor, features, metas, inventory, config) -> TrainResult:
+    """`train` with strategy=PCT as its own epoch loop: one `pct_loss_literal`
+    step per phrase that has >= 2 speakers with >= 2 utterances of it."""
+    net = extractor.copy()
+    feats = np.asarray(features, dtype=np.float64)
+    speaker_ids = tuple(sorted(set(metas.speakers)))
+    spk_index = {s: i for i, s in enumerate(speaker_ids)}
+    spk_labels = np.asarray([spk_index[s] for s in metas.speakers])
+    phrase_ids = inventory.phrase_ids
+    phr_index = {p: i for i, p in enumerate(phrase_ids)}
+    phr_labels = np.asarray([phr_index[p] for p in metas.phrases])
+
+    rng = np.random.default_rng(config.seed)
+    heads = {"spk": AamHead.init(len(speaker_ids), net.emb_dim, int(rng.integers(2**63)),
+                                 config.aam_scale, config.aam_margin)}
+    ge2e = Ge2eParams()
+    pct_groups = _pct_groups_literal(metas.speakers, phr_labels, len(phrase_ids))
+
+    def apply_net_grads(cache, d_unit, lr) -> None:
+        d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
+        net.w1 -= lr * d_w1
+        net.b1 -= lr * d_b1
+        net.w2 -= lr * d_w2
+        net.b2 -= lr * d_b2
+
+    trace = []
+    for epoch in range(config.epochs):
+        lr = lr_schedule(config, epoch)
+        losses = []
+        for p, groups in zip(phrase_ids, pct_groups):
+            if len(groups) < 2:
+                continue
+            batch = _sample_pct_batch_literal(rng, groups, config.pct_speakers_per_batch)
+            cache = _forward_cache(net, feats[batch])
+            loss, d_e, d_head, d_w, d_b = pct_loss_literal(
+                cache["unit"], spk_labels[batch], [p] * len(batch),
+                heads["spk"], ge2e, config.contrastive_weight,
+            )
+            apply_net_grads(cache, d_e, lr)
+            heads["spk"].weights -= lr * d_head
+            heads["spk"].renormalize()
+            ge2e.w = max(ge2e.w - lr * d_w, 1e-6)
+            ge2e.b -= lr * d_b
+            losses.append(loss)
+        if not losses:
+            raise ValueError("no phrase yields a valid PCT batch")
+        trace.append(float(np.mean(losses)))
+    return TrainResult(net, heads, copy.copy(ge2e), tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,10 @@ class TestConfigHandling:
                                      "norm_backend=plda", "language_dependent=false"])
         assert cfg.n_enroll == cfg.n_utts_per_cell == 3
 
+    def test_one_phrase_td_without_wrong_phrase_trials_is_valid(self):
+        cfg = load_config(overrides=["n_phrases=1", "proportions=1,0,1,0"])
+        assert cfg.n_phrases == 1 and cfg.proportions == (1.0, 0.0, 1.0, 0.0)
+
     def test_ti_enrollment_that_cannot_work_fails_before_any_stage(self, tmp_path, capsys):
         # no speaker has n_enroll utterances plus one to test; this used to
         # exit 3 from gen after writing four files
@@ -181,6 +185,11 @@ class TestConfigHandling:
         ("multitask_weight=-1", "loss weights must be >= 0"),
         ("contrastive_weight=-0.5", "loss weights must be >= 0"),
         ("pct_speakers_per_batch=1", "PCT batches need >= 2 speakers"),
+        ("aam_scale=0", "AAM scale must be positive, got 0.0"),
+        ("aam_margin=2", "AAM margin must lie in [0, pi/2), got 2.0"),
+        ("aam_margin=-0.1", "AAM margin must lie in [0, pi/2), got -0.1"),
+        ("lr_initial=nan", "bad value for lr_initial: 'nan'"),
+        ("contrastive_weight=inf", "bad value for contrastive_weight: 'inf'"),
     ])
     def test_bad_training_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
                                                          message):
@@ -202,6 +211,11 @@ class TestConfigHandling:
         ("lid_lr=-1", "lid_lr must be positive, got -1.0"),
         ("lid_epochs=-1", "lid_epochs must be >= 0, got -1"),
         ("plda_iters=-1", "plda_iters must be >= 0, got -1"),
+        ("noise_sigma=nan", "bad value for noise_sigma: 'nan'"),
+        ("nplda_lr=nan", "bad value for nplda_lr: 'nan'"),
+        ("filter_floor=nan", "bad value for filter_floor: 'nan'"),
+        ("filter_floor=-inf", "bad value for filter_floor: '-inf'"),
+        ("p_target=nan", "bad value for p_target: 'nan'"),
     ])
     def test_bad_model_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
                                                       message):
@@ -217,6 +231,13 @@ class TestConfigHandling:
         (["proportions=0.5,-0.1,0.5,0.1"], "non-negative"),
         (["proportions=0,0,0,0"], "sum > 0"),
         (["task=TI", "backends=cosine,nplda"], "the nplda backend needs phrase labels"),
+        (["proportions=0.5,nan,0.5,0.1"], "bad value for proportions: '0.5,nan,0.5,0.1'"),
+        (["proportions=0.5,0.1,inf,0.1"], "bad value for proportions: '0.5,0.1,inf,0.1'"),
+        (["n_phrases=1"], "task=TD with TW or IW trials needs n_phrases >= 2, got 1"),
+        (["n_phrases=1", "proportions=1,0,1,1"],
+         "task=TD with TW or IW trials needs n_phrases >= 2, got 1"),
+        (["task=TI", "strategy=PCT", "n_utts_per_cell=1"],
+         "strategy=PCT needs n_utts_per_cell >= 2, got 1"),
     ])
     def test_bad_trial_setting_fails_before_any_stage(self, tmp_path, capsys, settings,
                                                       message):

@@ -6,9 +6,11 @@ from oracles import (
     check_gradients,
     ge2e_loss_literal,
     meta_rows,
+    pct_loss_literal,
     pmt_loss,
     product_label,
     spk_plus_phrase_loss,
+    train_pct_literal,
 )
 from spkver.core import Metas, NumericalError
 from spkver.extractor import (
@@ -22,7 +24,6 @@ from spkver.extractor import (
     extract_embeddings,
     ge2e_loss,
     heads_loss,
-    pct_loss,
     train,
 )
 from spkver.synthgen import GenConfig, gen_corpus
@@ -449,6 +450,8 @@ class TestGe2eAgainstLiteral:
 
 
 class TestPctLoss:
+    # the literal PCT objective that `train` reproduces step for step
+
     def _batch(self, rng, n_spk=3, dim=4):
         e = _unit_rows(rng, 2 * n_spk, dim)
         spk = np.repeat(np.arange(n_spk), 2)
@@ -459,48 +462,25 @@ class TestPctLoss:
         e, spk = self._batch(rng)
         head = _head(rng, 3, 4)
         plain, de, dw = aam_loss(e, spk, head)
-        combo, de_c, dw_c, d_w, d_b = pct_loss(e, spk, ["p"] * 6, head, Ge2eParams(), 0.0)
+        combo, de_c, dw_c, d_w, d_b = pct_loss_literal(e, spk, ["p"] * 6, head,
+                                                       Ge2eParams(), 0.0)
         assert combo == plain
         np.testing.assert_array_equal(de_c, de)
         np.testing.assert_array_equal(dw_c, dw)
         assert d_w == 0.0 and d_b == 0.0
-
-    def test_mixed_phrase_batch_rejected(self):
-        rng = np.random.default_rng(16)
-        e, spk = self._batch(rng)
-        with pytest.raises(ValueError, match="same-phrase constraint violated"):
-            pct_loss(e, spk, ["p"] * 5 + ["q"], _head(rng, 3, 4), Ge2eParams())
-
-    def test_wrong_utterance_count_rejected(self):
-        rng = np.random.default_rng(17)
-        e = _unit_rows(rng, 5, 4)
-        spk = [0, 0, 1, 1, 1]
-        with pytest.raises(ValueError, match="two utterances per speaker"):
-            pct_loss(e, spk, ["p"] * 5, _head(rng, 2, 4), Ge2eParams())
-
-    def test_gradients_follow_interleaved_batch_rows(self):
-        # speakers in scattered rows get the gradients of a grouped batch
-        rng = np.random.default_rng(20)
-        e, spk = self._batch(rng, n_spk=4, dim=5)
-        head = _head(rng, 4, 5)
-        perm = rng.permutation(len(spk))
-        grouped = pct_loss(e, spk, ["p"] * 8, head, Ge2eParams(w=3.0, b=-1.0))
-        mixed = pct_loss(e[perm], spk[perm], ["p"] * 8, head, Ge2eParams(w=3.0, b=-1.0))
-        assert mixed[0] == pytest.approx(grouped[0], rel=1e-12)
-        np.testing.assert_allclose(mixed[1], grouped[1][perm], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mixed[2], grouped[2], rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(18)
         e, spk = self._batch(rng, n_spk=3, dim=3)
         head = _head(rng, 3, 3)
         mu = 0.8
-        _, d_e, d_head, d_w, d_b = pct_loss(e, spk, ["p"] * 6, head, Ge2eParams(w=1.2, b=0.1), mu)
+        _, d_e, d_head, d_w, d_b = pct_loss_literal(e, spk, ["p"] * 6, head,
+                                                    Ge2eParams(w=1.2, b=0.1), mu)
 
         def fn(arrays):
             h = AamHead(arrays["w_head"], head.scale, head.margin)
             p = Ge2eParams(w=float(arrays["gw"]), b=float(arrays["gb"]))
-            return pct_loss(arrays["e"], spk, ["p"] * 6, h, p, mu)[0]
+            return pct_loss_literal(arrays["e"], spk, ["p"] * 6, h, p, mu)[0]
 
         check_gradients(
             fn,
@@ -600,6 +580,38 @@ class TestTrain:
             assert list(dict.fromkeys(m.phrase_id for m in rows)) != phrase_ids
             expected = pmt_loss(unit, spk, [m.phrase_id for m in rows], heads)[0]
         assert result.loss_trace[0] == expected
+
+    @pytest.mark.parametrize("contrastive_weight", [0.0, 0.7])
+    def test_pct_matches_the_literal_epoch_loop(self, contrastive_weight):
+        # phrase 1 keeps one speaker's utterances only, so it yields no batch,
+        # and batches of 3 draw from 5 speakers
+        corpus = _train_corpus(n_speakers=5, n_phrases=3)
+        phrase_ids = corpus.inventory.phrase_ids
+        keep = [p != phrase_ids[1] or s == corpus.metas.speakers[0]
+                for s, p in zip(corpus.metas.speakers, corpus.metas.phrases)]
+        feats = corpus.x[keep]
+        metas = Metas(*(tuple(v for v, k in zip(column, keep) if k)
+                        for column in corpus.metas))
+        net = Extractor.init(6, 8, 5, seed=7)
+        cfg = TrainConfig(strategy=Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
+                          contrastive_weight=contrastive_weight, pct_speakers_per_batch=3,
+                          seed=35)
+        got = train(net, feats, metas, corpus.inventory, cfg)
+        want = train_pct_literal(net, feats, metas, corpus.inventory, cfg)
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(got.extractor, name),
+                                          getattr(want.extractor, name))
+        assert list(got.heads) == list(want.heads) == ["spk"]
+        np.testing.assert_array_equal(got.heads["spk"].weights, want.heads["spk"].weights)
+        assert (got.ge2e.w, got.ge2e.b) == (want.ge2e.w, want.ge2e.b)
+        assert got.loss_trace == want.loss_trace
+        assert len(got.loss_trace) == 6
+
+    def test_pct_without_a_valid_batch_raises(self):
+        corpus = _train_corpus(n_utts_per_cell=1)
+        net = Extractor.init(6, 8, 5, seed=8)
+        with pytest.raises(ValueError, match="no phrase yields a valid PCT batch"):
+            train(net, *_train_inputs(corpus), TrainConfig(strategy=Strategy.PCT, epochs=1))
 
     def test_inputs_not_mutated(self):
         corpus = _train_corpus()

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,68 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in a tree: as a bare name, an attribute,
+    or an imported name."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def unused_private_defs(sources: dict) -> list:
+    """(module, line, name) of every top-level private def or class that no
+    code of the package reads outside its own body; `sources` maps module
+    names to source text."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads[node.name] == _reads(node)[node.name]
+    )
+
+
+def test_checker_flags_unused_private_defs():
+    sources = {
+        "a.py": (
+            "def _used(x):\n"
+            "    return x\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Unused:\n"
+            '    """_Unused in a docstring is no reference."""\n'
+            "def _imported():\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used(1)\n"
+        ),
+        "b.py": (
+            "from .a import _imported\n"
+            "from . import a\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    return a._by_attribute\n"
+        ),
+    }
+    assert unused_private_defs(sources) == [
+        ("a.py", 3, "_recursive"), ("a.py", 5, "_Unused"), ("b.py", 5, "_helper")]
+
+
+def test_no_unused_private_defs():
+    sources = {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}
+    assert unused_private_defs(sources) == []
 
 
 def _names_blas_threads(statement: ast.stmt) -> bool:
