@@ -6,7 +6,7 @@ with mu fixed at the grand mean; the verification score is the closed-form
 log-likelihood ratio of same-speaker vs different-speaker hypotheses,
 expanded once per model into a quadratic form in the pair
 (`PldaScorer.from_model`). `PldaScorer` is that form, (L, G, c, k), for
-PLDA and NPLDA alike: NPLDA starts from the generative form and trains it,
+PLDA and NPLDA alike: NPLDA fine-tunes the one generative form per phrase,
 and `PldaScorer.score` evaluates either.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):

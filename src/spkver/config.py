@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .extractor import Strategy, TrainConfig
 from .metrics import DcfParams, grid_divisions
 from .nplda import NpldaTrainConfig
-from .synthgen import GenConfig, Task, trial_proportions
+from .synthgen import GenConfig, Task, trial_counts, trial_proportions
 
 
 class ConfigError(ValueError):
@@ -89,6 +89,8 @@ class PipelineConfig:
         for backend in self.backends:
             if backend not in ("cosine", "plda", "nplda"):
                 raise ConfigError(f"unknown backend {backend!r} (expected cosine, plda, or nplda)")
+            if self.backends.count(backend) > 1:
+                raise ConfigError(f"backend {backend!r} is listed more than once")
         if self.norm_backend not in self.backends:
             raise ConfigError(
                 f"norm_backend {self.norm_backend!r} is not among backends {self.backends}"
@@ -140,6 +142,13 @@ class PipelineConfig:
                 raise ConfigError(
                     f"task=TD with TW or IW trials needs n_phrases >= 2, got {self.n_phrases}"
                 )
+        for name in ("n_dev_trials", "n_eval_trials"):  # EER and minDCF need both kinds
+            counts = trial_counts(Task(self.task), getattr(self, name), self.proportions or None)
+            kinds = {label.is_target for label, count in counts.items() if count > 0}
+            if kinds != {True, False}:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)} at proportions {','.join(map(str, props))} "
+                    f"gives no {'nontarget' if True in kinds else 'target'} trial")
 
     def gen_config(self, seed: int = 0) -> GenConfig:
         """The corpus-generation settings; GenConfig checks their values."""

@@ -279,7 +279,8 @@ def heads_loss(unit: np.ndarray, terms: Sequence, heads: Mapping[str, AamHead]):
 
 @dataclass
 class Ge2eParams:
-    """Learnable similarity scale/bias; w stays strictly positive."""
+    """Similarity scale w (trained, kept positive) and bias b, not trained:
+    a bias shared by every similarity cancels in the softmax."""
 
     w: float = 10.0
     b: float = -5.0
@@ -295,8 +296,8 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
     Similarity of utterance (s, u) to speaker k's centroid is w*cos + b,
     where the own-speaker centroid excludes utterance (s, u) itself. Each
     utterance is classified against its own speaker with softmax
-    cross-entropy. Returns (loss, d_embeddings, d_w, d_b), exact gradients
-    including the exclusion term.
+    cross-entropy. Returns (loss, d_embeddings, d_w), exact gradients
+    including the exclusion term; b gets none (see `Ge2eParams`).
 
     Works on whole arrays: the own centroid of (s, u) is (sum_s - e_su) /
     (U - 1) (Wan et al., "Generalized end-to-end loss for speaker
@@ -337,7 +338,6 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
     d_sims = (d_sims / (s_n * u_n)).reshape(s_n, u_n, s_n)
 
     d_w = float((d_sims * cos).sum())
-    d_b = float(d_sims.sum())
     d_cos = params.w * d_sims
 
     # backward, with d cos(a, c) / da = c / (|a| |c|) - cos a / |a|^2 and the
@@ -359,7 +359,7 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
         e / (n_e * n_own)[:, :, None] - (cos_own / n_own**2)[:, :, None] * own
     )
     d_e += (d_own.sum(axis=1, keepdims=True) - d_own) / (u_n - 1)
-    return loss, d_e, d_w, d_b
+    return loss, d_e, d_w
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +495,10 @@ def train(
             loss, d_unit, d_heads = heads_loss(unit, step_terms, heads)
             if ge2e is not None and mu != 0.0:
                 # a PCT batch holds each speaker's two rows next to each other
-                loss_g, d_g, d_w, d_b = ge2e_loss(unit.reshape(-1, 2, unit.shape[1]), ge2e)
+                loss_g, d_g, d_w = ge2e_loss(unit.reshape(-1, 2, unit.shape[1]), ge2e)
                 loss += mu * loss_g
                 d_unit += mu * d_g.reshape(unit.shape)
                 ge2e.w = max(ge2e.w - lr * (mu * d_w), 1e-6)
-                ge2e.b -= lr * (mu * d_b)
             d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
             net.w1 -= lr * d_w1
             net.b1 -= lr * d_b1

@@ -6,10 +6,11 @@ Score form for a pair (e, t):
 
 with L symmetric, so the score is symmetric in its arguments. The
 generative two-covariance log-likelihood ratio is exactly this form
-(`backend.PldaScorer.from_model`); NPLDA starts from it, trains it and
-returns it as the same type, `backend.PldaScorer`, whose `score` evaluates
-it. Training is plain full-batch gradient descent on a differentiable
-detection-cost surrogate over same-phrase pairs.
+(`backend.PldaScorer.from_model`). NPLDA starts from the PLDA trained on
+all the data (Ramoji, Krishnan & Ganapathy, Odyssey 2020), fine-tunes it
+once per phrase and returns each result as a `backend.PldaScorer`. Training
+is full-batch gradient descent on a differentiable detection-cost surrogate
+over same-phrase pairs.
 """
 
 from __future__ import annotations

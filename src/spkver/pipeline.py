@@ -27,23 +27,24 @@ values): every stage checks once per score or key file that it lists
 exactly the split's trial ids in trial-list order (DataFormatError naming
 the file and the first id that differs) and then works on float64 vectors
 row-aligned to that list.
-Scoring and normalization work on whole splits: each backend scores a
-split's row-aligned (enroll, test) arrays in one call (NPLDA in one call
-per claimed phrase), and AS-norm takes its cohort statistics in one call
-per side and language group.
+Scoring trains one PLDA, by EM on every train row: the plda backend
+scores with its form, and NPLDA fine-tunes that form once per train
+phrase. Scoring and normalization work on whole splits: each backend
+scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
+one call per claimed phrase), and AS-norm takes its cohort statistics in
+one call per side and language group.
 """
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig, dump_config
-from .core import NumericalError, build_enroll_model, validate_protocol
+from .core import build_enroll_model, validate_protocol
 from .synthgen import RNG_ALGORITHM, Task
 
 SPLITS = ("train", "dev", "eval")
@@ -232,69 +233,39 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
     return trials, enroll, test
 
 
-def _train_backend_scorers(cfg: PipelineConfig) -> Dict[str, Callable]:
-    """One trial scorer per configured backend: (trials_path, trials, enroll,
-    test) -> scores, for the Trials read from trials_path and their
-    row-aligned (N, D) enroll and test vectors."""
-    scorers: Dict[str, Callable] = {"cosine": lambda path, trials, e, t: backend.cosine_score(e, t)}
-    if not ({"plda", "nplda"} & set(cfg.backends)):
-        return scorers
-    x, metas = _load_split(cfg, "train", extracted=True)
-    if "plda" in cfg.backends:
-        plda_model, _ = backend.plda_em_train(x, metas.speakers, iters=cfg.plda_iters)
-        plda_scorer = backend.PldaScorer.from_model(plda_model)
-        scorers["plda"] = lambda path, trials, e, t: plda_scorer.score(e, t)
-    if "nplda" in cfg.backends:
-        params_by_phrase = _train_nplda_bank(cfg, x, metas)
-        scorers["nplda"] = functools.partial(_score_by_claimed_phrase, params_by_phrase)
-    return scorers
-
-
-def _score_by_claimed_phrase(params_by_phrase, trials_path, trials, e, t) -> np.ndarray:
+def _score_by_claimed_phrase(bank, trials_path, trials, e, t) -> np.ndarray:
     """NPLDA scores, one nplda_score call per claimed phrase; DataFormatError
     naming the trials file for a trial that claims a phrase without a model."""
     phrases = np.asarray(trials.claimed, dtype=object)
     scores = np.empty(len(phrases))
     for phrase in dict.fromkeys(trials.claimed):
-        params = params_by_phrase.get(phrase)
-        if params is None:
+        form = bank.get(phrase)
+        if form is None:
             trial_id = trials.ids[trials.claimed.index(phrase)]
             raise fileio.DataFormatError(
                 f"{trials_path}: trial {trial_id} claims phrase {phrase!r}, "
                 "which has no NPLDA model")
         rows = phrases == phrase
-        scores[rows] = nplda.nplda_score(params, e[rows], t[rows])
+        scores[rows] = nplda.nplda_score(form, e[rows], t[rows])
     return scores
 
 
-def _train_nplda_bank(cfg: PipelineConfig, x, metas) -> Dict[str, backend.PldaScorer]:
+def _train_nplda_bank(cfg: PipelineConfig, x, metas,
+                      form: backend.PldaScorer) -> Dict[str, backend.PldaScorer]:
     """Per-phrase NPLDA bank, one form per train phrase in first-appearance
-    order: PLDA EM on that phrase's rows gives the generative form, which
-    same-phrase cost training then fine-tunes. A phrase with too little data
-    for PLDA raises DataFormatError naming meta_train.meta and the phrase; a
-    NumericalError names the phrase. Every phrase's PLDA is trained before
-    the training pairs are drawn: their draw fails first on such a phrase,
-    without naming it."""
-    spk = np.asarray(metas.speakers)
-    phr = np.asarray(metas.phrases)
-    bank = {}
-    for phrase in dict.fromkeys(phr.tolist()):
-        mask = phr == phrase
-        try:
-            model, _ = backend.plda_em_train(x[mask], spk[mask], iters=cfg.plda_iters)
-            bank[phrase] = backend.PldaScorer.from_model(model)
-        except NumericalError as exc:
-            raise NumericalError(f"PLDA of phrase {phrase!r}: {exc}") from exc
-        except ValueError as exc:
-            raise fileio.DataFormatError(
-                f"{_workpath(cfg, 'meta_train.meta')}: phrase {phrase!r}: {exc}") from exc
-
+    order: `form`, the PLDA of every train row, fine-tuned on the phrase's
+    same-phrase training pairs, or `form` itself if it has too few. A failed
+    pair draw (a phrase spoken by one speaker) raises DataFormatError."""
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 7)
-    protocol = synthgen.gen_trials(
-        metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
-        proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
-    )
+    try:
+        protocol = synthgen.gen_trials(
+            metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
+            proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
+        )
+    except ValueError as exc:
+        raise fileio.DataFormatError(
+            f"{_workpath(cfg, 'meta_train.meta')}: NPLDA training pairs: {exc}") from exc
     enroll, test = _pair_vectors(metas.utt_ids, x, protocol.enroll_map, protocol.trials)
     phrase_of_utt = dict(zip(metas.utt_ids, metas.phrases))
     claimed = np.asarray(protocol.trials.claimed, dtype=object)
@@ -302,28 +273,41 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas) -> Dict[str, backend.PldaSc
     is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
     train_cfg = cfg.nplda_config()
-    for phrase, init in bank.items():
+    bank = {}
+    for phrase in dict.fromkeys(metas.phrases):
         rows = (claimed == phrase) & (spoken == phrase)
         labels = is_target[rows]
         if labels.size < 4 or labels.all() or not labels.any():
-            continue  # too little data; keep generative init
-        bank[phrase] = nplda.train_nplda(
-            init, enroll[rows], test[rows], labels, claimed[rows], spoken[rows], train_cfg
-        ).params
-
+            bank[phrase] = form  # too little data: keep the generative form
+        else:
+            bank[phrase] = nplda.train_nplda(
+                form, enroll[rows], test[rows], labels, claimed[rows], spoken[rows], train_cfg
+            ).params
     return bank
 
 
 def cmd_score(cfg: PipelineConfig) -> List[Path]:
     """Score every configured backend over the dev and eval trial lists."""
-    scorers = _train_backend_scorers(cfg)
+    form = bank = None
+    if {"plda", "nplda"} & set(cfg.backends):
+        x, metas = _load_split(cfg, "train", extracted=True)
+        model, _ = backend.plda_em_train(x, metas.speakers, iters=cfg.plda_iters)
+        form = backend.PldaScorer.from_model(model)
+        if "nplda" in cfg.backends:
+            bank = _train_nplda_bank(cfg, x, metas, form)
     written = []
     for split in TRIAL_SPLITS:
         trials, enroll, test = _trial_vectors(cfg, split)
-        trials_path = _workpath(cfg, f"trials_{split}.txt")
         for name in cfg.backends:
+            if name == "cosine":
+                scores = backend.cosine_score(enroll, test)
+            elif name == "plda":
+                scores = form.score(enroll, test)
+            else:
+                scores = _score_by_claimed_phrase(
+                    bank, _workpath(cfg, f"trials_{split}.txt"), trials, enroll, test)
             path = _workpath(cfg, f"scores_{name}_{split}.txt")
-            fileio.write_scores(path, trials.ids, scorers[name](trials_path, trials, enroll, test))
+            fileio.write_scores(path, trials.ids, scores)
             written.append(path)
     return written
 

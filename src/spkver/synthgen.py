@@ -206,15 +206,18 @@ def trial_proportions(task: Task, proportions: Optional[Sequence[float]] = None)
     return props
 
 
-def _allocate(n_trials: int, props: Sequence[float]) -> list:
-    """Largest-remainder allocation of n_trials over checked proportions."""
+def trial_counts(task: Task, n_trials: int,
+                 proportions: Optional[Sequence[float]] = None) -> dict:
+    """Trials per label of a task: the largest-remainder allocation of
+    n_trials over the checked proportions (`trial_proportions`)."""
+    props = trial_proportions(task, proportions)
     props = [p / sum(props) for p in props]
     base = [int(np.floor(n_trials * p)) for p in props]
     remainders = [n_trials * p - b for p, b in zip(props, base)]
     short = n_trials - sum(base)
     for idx in sorted(range(len(props)), key=lambda i: (-remainders[i], i))[:short]:
         base[idx] += 1
-    return base
+    return dict(zip(_LABELS[task], base))
 
 
 def _choice(rng: np.random.Generator, items: Sequence):
@@ -245,7 +248,7 @@ def gen_trials(
         raise ValueError("trial generation needs at least 2 speakers")
     if task is Task.TD and any(phrase is None for phrase in metas.phrases):
         raise ValueError("TD trials require phrase labels on every utterance")
-    counts = dict(zip(_LABELS[task], _allocate(n_trials, trial_proportions(task, proportions))))
+    counts = trial_counts(task, n_trials, proportions)
     if task is Task.TD:
         return _gen_td(metas, inventory, counts, n_enroll, rng)
     return _gen_ti(metas, counts, n_enroll, rng)

@@ -678,7 +678,8 @@ def pct_loss_literal(
         return loss_a, d_e, d_head, 0.0, 0.0
 
     grouped = np.asarray([positions[s] for s in order])  # (S, 2) batch rows
-    loss_g, d_g, d_w, d_b = ge2e_loss(e[grouped], ge2e_params)
+    loss_g, d_g, d_w = ge2e_loss(e[grouped], ge2e_params)
+    d_b = ge2e_loss_literal(e[grouped], ge2e_params)[3]  # ge2e_loss computes none
     d_e[grouped] += contrastive_weight * d_g
     loss = loss_a + contrastive_weight * loss_g
     return loss, d_e, d_head, contrastive_weight * d_w, contrastive_weight * d_b

@@ -12,8 +12,6 @@ from spkver.backend import (
     cosine_score,
     plda_em_train,
 )
-from spkver import fileio, pipeline, synthgen
-from spkver.config import load_config
 from spkver.core import NumericalError
 
 
@@ -377,39 +375,3 @@ class TestPldaScoring:
         auc_llr = auc_by_sorting(same_llr, diff_llr)
         auc_cos = auc_by_sorting(same_cos, diff_cos)
         assert auc_llr > auc_cos
-
-
-class TestPhraseBank:
-    """The generative stage of the per-phrase bank: with no NPLDA epochs, each
-    phrase's form is the PLDA closed form of that phrase's rows alone."""
-
-    def _bank(self, tmp_path, n_phrases, seed):
-        corpus = synthgen.gen_corpus(synthgen.GenConfig(
-            n_speakers=6, n_phrases=n_phrases, n_utts_per_cell=5, dim=3,
-            phrase_strength=1.0, noise_sigma=0.5, seed=seed,
-        ))
-        fileio.write_inventory(tmp_path / "inventory.txt", corpus.inventory)
-        cfg = load_config(overrides=[f"workdir={tmp_path}", "nplda_epochs=0",
-                                     "n_dev_trials=40", "plda_iters=5"])
-        bank = pipeline._train_nplda_bank(cfg, corpus.x, corpus.metas)
-        return corpus, bank
-
-    @staticmethod
-    def _assert_same_form(got, want):
-        for name in ("lam", "gamma", "c"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert got.k == want.k
-
-    def test_single_phrase_equals_plain_training(self, tmp_path):
-        corpus, bank = self._bank(tmp_path, n_phrases=1, seed=1)
-        assert list(bank) == ["ph00"]
-        direct, _ = plda_em_train(corpus.x, corpus.metas.speakers, iters=5)
-        self._assert_same_form(bank["ph00"], PldaScorer.from_model(direct))
-
-    def test_disjoint_subsets_train_independently(self, tmp_path):
-        corpus, bank = self._bank(tmp_path, n_phrases=2, seed=2)
-        assert list(bank) == ["ph00", "ph01"]
-        mask = np.asarray(corpus.metas.phrases) == "ph01"
-        spk = [s for s, keep in zip(corpus.metas.speakers, mask) if keep]
-        direct, _ = plda_em_train(corpus.x[mask], spk, iters=5)
-        self._assert_same_form(bank["ph01"], PldaScorer.from_model(direct))

@@ -216,6 +216,8 @@ class TestConfigHandling:
         ("filter_floor=nan", "bad value for filter_floor: 'nan'"),
         ("filter_floor=-inf", "bad value for filter_floor: '-inf'"),
         ("p_target=nan", "bad value for p_target: 'nan'"),
+        # each PLDA score file used to be written twice, and fusion to weigh it twice
+        ("backends=cosine,plda,plda", "backend 'plda' is listed more than once"),
     ])
     def test_bad_model_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
                                                       message):
@@ -238,6 +240,18 @@ class TestConfigHandling:
          "task=TD with TW or IW trials needs n_phrases >= 2, got 1"),
         (["task=TI", "strategy=PCT", "n_utts_per_cell=1"],
          "strategy=PCT needs n_utts_per_cell >= 2, got 1"),
+        # a split without both kinds of trial used to run every stage, then
+        # exit 3 from eval
+        (["proportions=0,0,0,1"],
+         "n_dev_trials=100 at proportions 0.0,0.0,0.0,1.0 gives no target trial"),
+        (["proportions=1,0,0,0"],
+         "n_dev_trials=100 at proportions 1.0,0.0,0.0,0.0 gives no nontarget trial"),
+        (["task=TI", "proportions=1,0"],
+         "n_dev_trials=100 at proportions 1.0,0.0 gives no nontarget trial"),
+        (["n_dev_trials=1"],
+         "n_dev_trials=1 at proportions 0.25,0.25,0.25,0.25 gives no nontarget trial"),
+        (["n_eval_trials=1"],
+         "n_eval_trials=1 at proportions 0.25,0.25,0.25,0.25 gives no nontarget trial"),
     ])
     def test_bad_trial_setting_fails_before_any_stage(self, tmp_path, capsys, settings,
                                                       message):
@@ -543,7 +557,8 @@ class TestErrorExitCodes:
                 in capsys.readouterr().err)
 
     def test_phrase_spoken_by_one_speaker_is_data_error(self, e2e_dir, tmp_path, capsys):
-        # the phrase's PLDA cannot be trained; this used to exit 2 as a config error
+        # the NPLDA training-pair draw asks for an impostor utterance of the
+        # phrase and finds none; this used to exit 2 as a config error
         import shutil
 
         workdir = tmp_path / "w"
@@ -559,16 +574,16 @@ class TestErrorExitCodes:
         path.write_text("".join(f"{line}\n" for line in lines))
         capsys.readouterr()
         assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 3
-        assert (f"data error: {path}: phrase {phrase!r}: PLDA training needs at least 2 speakers"
+        assert (f"data error: {path}: NPLDA training pairs: infeasible request: "
                 in capsys.readouterr().err)
 
-    def test_phrase_plda_numerical_failure_names_the_phrase(self, e2e_dir, tmp_path,
-                                                             monkeypatch, capsys):
+    def test_plda_numerical_failure_under_nplda_exits_4(self, e2e_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        # NPLDA fine-tunes the one PLDA form, so its failure stops the nplda backend too
         import shutil
 
         workdir = tmp_path / "w"
         shutil.copytree(e2e_dir, workdir)
-        phrase = fileio.read_metas(workdir / "meta_train.meta").phrases[0]
 
         def singular(model):
             raise NumericalError("non-invertible PLDA covariances")
@@ -576,7 +591,7 @@ class TestErrorExitCodes:
         monkeypatch.setattr(backend.PldaScorer, "from_model", singular)
         capsys.readouterr()
         assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 4
-        assert (f"numerical failure: PLDA of phrase {phrase!r}: non-invertible"
+        assert ("numerical failure: non-invertible PLDA covariances"
                 in capsys.readouterr().err)
 
     def test_numerical_failure_maps_to_exit_4(self, monkeypatch, capsys):
@@ -657,15 +672,26 @@ class TestNormAgainstLiteral:
 
 
 class TestBackendTraining:
-    @pytest.mark.parametrize("backends, global_calls", [
-        ("cosine,nplda", 0),
+    @staticmethod
+    def _copy(e2e_dir, tmp_path):
+        import shutil
+
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        return workdir
+
+    @pytest.mark.parametrize("backends, calls", [
+        ("cosine", 0),
+        ("cosine,plda", 1),
+        ("cosine,nplda", 1),
         ("cosine,plda,nplda", 1),
     ])
-    def test_global_plda_trained_only_for_the_plda_backend(
-        self, e2e_dir, monkeypatch, backends, global_calls
+    def test_plda_em_runs_at_most_once(
+        self, e2e_dir, tmp_path, monkeypatch, backends, calls
     ):
-        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", f"backends={backends}"])
-        n_train = len(fileio.read_matrix(Path(e2e_dir) / "emb_train.npz")[0])
+        workdir = self._copy(e2e_dir, tmp_path)
+        cfg = load_config(overrides=BASE + [f"workdir={workdir}", f"backends={backends}"])
+        n_train = len(fileio.read_matrix(workdir / "emb_train.npz")[0])
         rows_per_call = []
         train = backend.plda_em_train
 
@@ -674,18 +700,17 @@ class TestBackendTraining:
             return train(x, *args, **kwargs)
 
         monkeypatch.setattr(backend, "plda_em_train", counting)
-        scorers = pipeline._train_backend_scorers(cfg)
-        assert sorted(scorers) == sorted(backends.split(","))
-        # one call per phrase of the NPLDA bank, plus the global model on every row
-        assert rows_per_call.count(n_train) == global_calls
-        assert len(rows_per_call) == cfg.n_phrases + global_calls
+        written = pipeline.cmd_score(cfg)
+        assert [p.name for p in written] == [f"scores_{name}_{split}.txt"
+                                             for split in ("dev", "eval")
+                                             for name in backends.split(",")]
+        assert rows_per_call == [n_train] * calls
 
-    def test_plda_scores_a_split_in_one_scorer_call(self, e2e_dir, monkeypatch):
+    def test_plda_scores_a_split_in_one_scorer_call(self, e2e_dir, tmp_path, monkeypatch):
         # bench/child.py traces PLDA scoring by these two names, and a
         # PLDA-only workload must make no nplda_score call
-        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,plda"])
-        scorers = pipeline._train_backend_scorers(cfg)
-        trials, enroll, test = pipeline._trial_vectors(cfg, "eval")
+        workdir = self._copy(e2e_dir, tmp_path)
+        cfg = load_config(overrides=BASE + [f"workdir={workdir}", "backends=cosine,plda"])
         calls = {"PldaScorer.score": 0, "nplda_score": 0}
         plda_score, nplda_score = backend.PldaScorer.score, nplda.nplda_score
 
@@ -699,13 +724,51 @@ class TestBackendTraining:
 
         monkeypatch.setattr(backend.PldaScorer, "score", counting_plda)
         monkeypatch.setattr(nplda, "nplda_score", counting_nplda)
-        path = Path(e2e_dir) / "trials_eval.txt"
-        assert scorers["plda"](path, trials, enroll, test).shape == (len(trials.ids),)
-        assert calls == {"PldaScorer.score": 1, "nplda_score": 0}
+        pipeline.cmd_score(cfg)
+        assert calls == {"PldaScorer.score": 2, "nplda_score": 0}  # dev and eval
+
+    def test_untrained_bank_is_the_plda_form(self, e2e_dir, tmp_path, monkeypatch):
+        # with no NPLDA epochs every phrase's form is the PLDA backend's form
+        # (a phrase without training pairs keeps that very object), so NPLDA
+        # and PLDA score each split alike, up to rounding: NPLDA scores each
+        # claimed phrase's rows as one block, which BLAS may round differently
+        # in the last bits of the form's terms
+        workdir = self._copy(e2e_dir, tmp_path)
+        cfg = load_config(overrides=BASE + [f"workdir={workdir}", "nplda_epochs=0",
+                                            "backends=cosine,plda,nplda"])
+        forms, banks = [], []
+        from_model, train_bank = backend.PldaScorer.from_model, pipeline._train_nplda_bank
+
+        def recording_form(model):
+            forms.append(from_model(model))
+            return forms[-1]
+
+        def recording_bank(*args):
+            banks.append(train_bank(*args))
+            return banks[-1]
+
+        monkeypatch.setattr(backend.PldaScorer, "from_model", recording_form)
+        monkeypatch.setattr(pipeline, "_train_nplda_bank", recording_bank)
+        pipeline.cmd_score(cfg)
+        assert len(forms) == len(banks) == 1
+        phrases = list(dict.fromkeys(fileio.read_metas(workdir / "meta_train.meta").phrases))
+        assert list(banks[0]) == phrases
+        for form in banks[0].values():
+            for name in ("lam", "gamma", "c"):
+                np.testing.assert_array_equal(getattr(form, name), getattr(forms[0], name))
+            assert form.k == forms[0].k
+        for split in ("dev", "eval"):
+            plda_ids, plda_scores = fileio.read_scores(workdir / f"scores_plda_{split}.txt")
+            nplda_ids, nplda_scores = fileio.read_scores(workdir / f"scores_nplda_{split}.txt")
+            assert plda_ids == nplda_ids
+            np.testing.assert_allclose(nplda_scores, plda_scores, rtol=0,
+                                       atol=1e-12 * np.abs(plda_scores).max())
 
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
         x, metas = pipeline._load_split(cfg, "train", extracted=True)
+        model, _ = backend.plda_em_train(x, metas.speakers, iters=cfg.plda_iters)
+        form = backend.PldaScorer.from_model(model)
         protocols, seen, inits = [], {}, {}
         gen_trials, train_nplda = synthgen.gen_trials, nplda.train_nplda
 
@@ -720,26 +783,19 @@ class TestBackendTraining:
 
         monkeypatch.setattr(synthgen, "gen_trials", recording_gen)
         monkeypatch.setattr(nplda, "train_nplda", recording_train)
-        bank = pipeline._train_nplda_bank(cfg, x, metas)
+        bank = pipeline._train_nplda_bank(cfg, x, metas, form)
         expected = nplda_training_pairs_literal(protocols[0], metas.utt_ids, x, metas, list(bank))
         assert expected and list(seen) == list(expected)
         for phrase, (enroll, test, labels, claimed, spoken) in expected.items():
             np.testing.assert_array_equal(seen[phrase][0], enroll)
             np.testing.assert_array_equal(seen[phrase][1], test)
             assert seen[phrase][2:] == (labels, claimed, spoken)
-        # every train phrase, in first-appearance order, starts from the PLDA
-        # of its own rows; a phrase without training pairs keeps that init
+        # every train phrase, in first-appearance order, starts from the one
+        # PLDA form; a phrase without training pairs keeps that form
         phrases = list(dict.fromkeys(metas.phrases))
         assert list(bank) == phrases
-        for phrase in phrases:
-            rows = [i for i, p in enumerate(metas.phrases) if p == phrase]
-            model, _ = backend.plda_em_train(x[rows], [metas.speakers[i] for i in rows],
-                                             iters=cfg.plda_iters)
-            want = backend.PldaScorer.from_model(model)
-            init = inits.get(phrase, bank[phrase])
-            for name in ("lam", "gamma", "c"):
-                np.testing.assert_array_equal(getattr(init, name), getattr(want, name))
-            assert init.k == want.k
+        assert all(init is form for init in inits.values())
+        assert all(bank[phrase] is form for phrase in phrases if phrase not in inits)
 
 
 _MASKED_IMPORT_PROBE = """

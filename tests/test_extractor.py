@@ -364,13 +364,13 @@ class TestGe2eLoss:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         batch = np.stack([[e1, e1], [e2, e2]])
-        loss, _, _, _ = ge2e_loss(batch, Ge2eParams(w=1.0, b=0.0))
+        loss, _, _ = ge2e_loss(batch, Ge2eParams(w=1.0, b=0.0))
         assert loss == pytest.approx(np.log(1 + np.exp(-1.0)), abs=1e-12)
 
     def test_full_confusion_gives_log_s(self):
         v = np.array([0.6, 0.8])
         batch = np.stack([[v, v]] * 3)
-        loss, _, _, _ = ge2e_loss(batch, Ge2eParams(w=2.0, b=0.3))
+        loss, _, _ = ge2e_loss(batch, Ge2eParams(w=2.0, b=0.3))
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
     def test_too_few_speakers_or_utts(self):
@@ -386,16 +386,15 @@ class TestGe2eLoss:
             batch = rng.normal(size=(3, 2, 3))
             batch /= np.linalg.norm(batch, axis=2, keepdims=True)
             params = Ge2eParams(w=1.5, b=-0.4)
-            _, d_e, d_w, d_b = ge2e_loss(batch, params)
+            _, d_e, d_w = ge2e_loss(batch, params)
 
             def fn(arrays):
-                p = Ge2eParams(w=float(arrays["w"]), b=float(arrays["b"]))
-                return ge2e_loss(arrays["e"], p)[0]
+                return ge2e_loss(arrays["e"], Ge2eParams(w=float(arrays["w"]), b=-0.4))[0]
 
             check_gradients(
                 fn,
-                {"e": batch.copy(), "w": np.array(1.5), "b": np.array(-0.4)},
-                {"e": d_e, "w": np.array(d_w), "b": np.array(d_b)},
+                {"e": batch.copy(), "w": np.array(1.5)},
+                {"e": d_e, "w": np.array(d_w)},
             )
 
 
@@ -410,14 +409,15 @@ class TestGe2eAgainstLiteral:
     def test_matches_loop(self, s_n, u_n, dim, w, b, seed):
         batch = np.random.default_rng(seed).normal(size=(s_n, u_n, dim))
         params = Ge2eParams(w=w, b=b)
-        loss, d_e, d_w, d_b = ge2e_loss(batch, params)
+        loss, d_e, d_w = ge2e_loss(batch, params)
         loss_ref, d_e_ref, d_w_ref, d_b_ref = ge2e_loss_literal(batch, params)
         assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
         largest = max(np.abs(d_e_ref).max(), abs(d_w_ref))
         assert np.abs(d_e - d_e_ref).max() <= 1e-10 * largest
         assert abs(d_w - d_w_ref) <= 1e-10 * largest
         # the softmax rows sum to one, so the bias gradient is analytically 0
-        assert abs(d_b) <= 1e-12 and abs(d_b_ref) <= 1e-12
+        # and ge2e_loss computes none
+        assert abs(d_b_ref) <= 1e-12
 
     # values on a 1/8 grid, so that the centroid sums below cancel exactly
     @staticmethod
@@ -606,6 +606,16 @@ class TestTrain:
         assert (got.ge2e.w, got.ge2e.b) == (want.ge2e.w, want.ge2e.b)
         assert got.loss_trace == want.loss_trace
         assert len(got.loss_trace) == 6
+
+    def test_pct_keeps_the_ge2e_bias_fixed(self):
+        # a shared bias cancels in the softmax, so training leaves it alone
+        corpus = _train_corpus()
+        net = Extractor.init(6, 8, 5, seed=9)
+        cfg = TrainConfig(strategy=Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
+                          pct_speakers_per_batch=3, seed=36)
+        result = train(net, *_train_inputs(corpus), cfg)
+        assert result.ge2e.w != Ge2eParams().w
+        assert result.ge2e.b == Ge2eParams().b
 
     def test_pct_without_a_valid_batch_raises(self):
         corpus = _train_corpus(n_utts_per_cell=1)

@@ -240,8 +240,7 @@ class TestGenTrialsAgainstLiteral:
         metas, inventory = corpus
         if sum(props) == 0:
             props[0] = 1
-        counts = dict(zip(synthgen._LABELS[Task.TD],
-                          synthgen._allocate(n_trials, synthgen.trial_proportions(Task.TD, props))))
+        counts = synthgen.trial_counts(Task.TD, n_trials, props)
         got = _outcome(synthgen._gen_td, metas, inventory, counts, n_enroll,
                        np.random.default_rng(seed))
         assert got == _outcome(gen_td_literal, metas, inventory, counts, n_enroll,
@@ -254,8 +253,7 @@ class TestGenTrialsAgainstLiteral:
         metas, _ = corpus
         if sum(props) == 0:
             props[1] = 1
-        counts = dict(zip(synthgen._LABELS[Task.TI],
-                          synthgen._allocate(n_trials, synthgen.trial_proportions(Task.TI, props))))
+        counts = synthgen.trial_counts(Task.TI, n_trials, props)
         got = _outcome(synthgen._gen_ti, metas, counts, n_enroll, np.random.default_rng(seed))
         assert got == _outcome(gen_ti_literal, metas, counts, n_enroll,
                                np.random.default_rng(seed))
@@ -265,8 +263,7 @@ class TestGenTrialsAgainstLiteral:
     ])
     def test_generated_corpus(self, task, proportions):
         corpus = gen_corpus(_cfg(n_speakers=9, n_utts_per_cell=6))
-        props = synthgen.trial_proportions(task, proportions)
-        counts = dict(zip(synthgen._LABELS[task], synthgen._allocate(300, props)))
+        counts = synthgen.trial_counts(task, 300, proportions)
         if task is Task.TD:
             expected = gen_td_literal(corpus.metas, corpus.inventory, counts, 3,
                                       np.random.default_rng(21))
