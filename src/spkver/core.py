@@ -11,7 +11,7 @@ order, and a `PhraseInventory` holds one column per field.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,42 +96,3 @@ def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
         raise NumericalError(f"zero-norm centroid for model {model_id}")
     return mean / norm
 
-
-def validate_protocol(
-    trials: Trials,
-    labels: Sequence[TrialLabel],
-    metas: Metas,
-    enroll_map: Mapping[str, Sequence[str]],
-) -> list:
-    """Cross-check a trial protocol; return a list of violation strings.
-
-    An empty report means the protocol is consistent. Nothing is raised:
-    all problems are reported.
-    """
-    report = []
-
-    known_utts = set()
-    for utt_id in metas.utt_ids:
-        if utt_id in known_utts:
-            report.append(f"duplicate utt_id in metas: {utt_id}")
-        known_utts.add(utt_id)
-
-    for model_id, utt_ids in enroll_map.items():
-        for utt_id in utt_ids:
-            if utt_id not in known_utts:
-                report.append(f"model {model_id}: dangling enrollment utterance {utt_id}")
-
-    seen_trials = set()
-    for trial_id, model_id, test_id in zip(trials.ids, trials.model_ids, trials.test_ids):
-        if trial_id in seen_trials:
-            report.append(f"duplicate trial_id: {trial_id}")
-        seen_trials.add(trial_id)
-        if model_id not in enroll_map:
-            report.append(f"trial {trial_id}: dangling model {model_id}")
-        if test_id not in known_utts:
-            report.append(f"trial {trial_id}: dangling test utterance {test_id}")
-
-    if len(labels) != len(trials.ids):
-        report.append(f"{len(labels)} labels for {len(trials.ids)} trials")
-
-    return report

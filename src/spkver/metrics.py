@@ -33,6 +33,13 @@ class DcfParams:
         if self.c_miss <= 0 or self.c_fa <= 0:
             raise ValueError("costs must be positive")
 
+    def cost_weights(self) -> tuple:
+        """(w_miss, w_fa, min(w_miss, w_fa)): the weights of P_miss and P_fa
+        and the cost of the better trivial system, which normalizes them."""
+        w_miss = self.c_miss * self.p_target
+        w_fa = self.c_fa * (1.0 - self.p_target)
+        return w_miss, w_fa, min(w_miss, w_fa)
+
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -105,9 +112,8 @@ def _eer_rows(miss: np.ndarray, fa: np.ndarray) -> np.ndarray:
 
 def _min_dcf_rows(thr: np.ndarray, miss: np.ndarray, fa: np.ndarray, params: DcfParams):
     """Each row's minimum normalized cost and the first threshold attaining it."""
-    w_miss = params.c_miss * params.p_target
-    w_fa = params.c_fa * (1.0 - params.p_target)
-    costs = (w_miss * miss + w_fa * fa) / min(w_miss, w_fa)
+    w_miss, w_fa, norm = params.cost_weights()
+    costs = (w_miss * miss + w_fa * fa) / norm
     rows = np.arange(costs.shape[0])
     k = np.argmin(costs, axis=1)
     return costs[rows, k], thr[rows, k]

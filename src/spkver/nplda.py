@@ -69,9 +69,7 @@ def soft_detcost(
     n_non = int((~labels).sum())
     if n_tar == 0 or n_non == 0:
         raise ValueError("soft_detcost needs both target and nontarget scores")
-    w_miss = cost_params.c_miss * cost_params.p_target
-    w_fa = cost_params.c_fa * (1.0 - cost_params.p_target)
-    denom = min(w_miss, w_fa)
+    w_miss, w_fa, denom = cost_params.cost_weights()
 
     z_miss = alpha * (theta - scores[labels])
     z_fa = alpha * (scores[~labels] - theta)

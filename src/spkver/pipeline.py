@@ -23,10 +23,12 @@ it. `_load_split` checks once that the matrix file lists the metadata's
 ids in the same order and keeps no second copy of them.
 Trials travel as columns (a `Trials`: trial, model, test utterance and
 claimed-phrase ids), keys as (trial ids, labels) and scores as (trial ids,
-values): every stage checks once per score or key file that it lists
-exactly the split's trial ids in trial-list order (DataFormatError naming
-the file and the first id that differs) and then works on float64 vectors
-row-aligned to that list.
+values). A stage checks once per score or key file that it lists exactly
+the split's trial ids in trial-list order, and resolves every other id once
+per file with `_rows`: the row of each wanted id among the file's unique
+ids. Both raise DataFormatError naming the file and the first id at fault;
+a trial's centroid, test vector, language, transcript and spoken phrase
+are then columns indexed by those rows, row-aligned to the trial list.
 Scoring trains one PLDA, by EM on every train row: the plda backend
 scores with its form, and NPLDA fine-tunes that form once per train
 phrase. Scoring and normalization work on whole splits: each backend
@@ -37,6 +39,7 @@ one call per side and language group.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig, dump_config
-from .core import build_enroll_model, validate_protocol
+from .core import build_enroll_model
 from .synthgen import RNG_ALGORITHM, Task
 
 SPLITS = ("train", "dev", "eval")
@@ -86,14 +89,10 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
     protocols = {}
     for split, n_trials, trial_seed in (("dev", cfg.n_dev_trials, seeds[2]),
                                         ("eval", cfg.n_eval_trials, seeds[3])):
-        metas = subs[split].metas
-        protocols[split] = protocol = synthgen.gen_trials(
-            metas, corpus.inventory, Task(cfg.task), n_trials, trial_seed,
+        protocols[split] = synthgen.gen_trials(
+            subs[split].metas, corpus.inventory, Task(cfg.task), n_trials, trial_seed,
             proportions=list(cfg.proportions) or None, n_enroll=cfg.n_enroll,
         )
-        problems = validate_protocol(protocol.trials, protocol.labels, metas, protocol.enroll_map)
-        if problems:
-            raise RuntimeError(f"generated {split} protocol is inconsistent: {problems[:3]}")
 
     written: List[Path] = []
     for split, sub in subs.items():
@@ -191,62 +190,59 @@ def cmd_extract(cfg: PipelineConfig) -> List[Path]:
 # scoring
 
 
-def _pair_vectors(ids, x, enroll_map, trials):
-    """Row-aligned (N, D) enroll centroids and test vectors of the trials,
-    from the rows of x (one per id)."""
-    row_of = {u: i for i, u in enumerate(ids)}
-    centroids = {
-        model_id: build_enroll_model(model_id, x[[row_of[u] for u in utt_ids]])
-        for model_id, utt_ids in enroll_map.items()
-    }
-    enroll = np.stack([centroids[m] for m in trials.model_ids])
-    test = x[[row_of[u] for u in trials.test_ids]]
-    return enroll, test
+def _rows(path, ids, wanted, missing) -> np.ndarray:
+    """The row of each wanted id among a file's unique `ids`, as an int
+    array. The first wanted id the file lacks, wanted[i], raises
+    DataFormatError naming `path` and the message `missing(i)`."""
+    row_of = dict(zip(ids, range(len(ids))))
+    rows = np.fromiter((row_of.get(u, -1) for u in wanted), dtype=np.intp, count=len(wanted))
+    if (rows < 0).any():
+        raise fileio.DataFormatError(f"{path}: {missing(int(np.argmax(rows < 0)))}")
+    return rows
+
+
+def _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials):
+    """The trials' row-aligned (N, D) enroll centroids, and the row of each
+    trial's test utterance among `ids` (one per row of x). A model or
+    utterance that `enroll_map` or `ids` lacks raises DataFormatError
+    naming enroll_path or emb_path and the id."""
+    models = list(enroll_map)
+    model_rows = _rows(enroll_path, models, trials.model_ids, lambda i: (
+        f"no enrollment for model {trials.model_ids[i]!r} of trial {trials.ids[i]}"))
+    test_rows = _rows(emb_path, ids, trials.test_ids, lambda i: (
+        f"no embedding for test utterance {trials.test_ids[i]!r}"))
+    owners = [m for m in models for _ in enroll_map[m]]
+    utts = [u for m in models for u in enroll_map[m]]
+    utt_rows = _rows(emb_path, ids, utts, lambda i: (
+        f"no embedding for utterance {utts[i]!r} enrolling {owners[i]!r}"))
+    ends = np.cumsum([len(enroll_map[m]) for m in models])[:-1]
+    centroids = np.stack([build_enroll_model(model_id, x[rows])
+                          for model_id, rows in zip(models, np.split(utt_rows, ends))])
+    return centroids[model_rows], test_rows
 
 
 def _trial_vectors(cfg: PipelineConfig, split: str):
-    """A split's trials with their row-aligned (N, D) enroll and test vectors.
-
-    A model the trials name but the enroll map lacks, or an utterance the
-    enroll map or trials name but the embeddings lack, raises
-    DataFormatError naming the file that lacks it and the id.
-    """
+    """A split's trials with their row-aligned (N, D) enroll and test
+    vectors; DataFormatError as in `_trial_rows`."""
     emb_path = _workpath(cfg, f"emb_{split}.npz")
     enroll_path = _workpath(cfg, f"enroll_{split}.txt")
     ids, x = fileio.read_matrix(emb_path)
     trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
     enroll_map = fileio.read_enroll_map(enroll_path)
-    known = set(ids)
-    for trial_id, model_id, test_id in zip(trials.ids, trials.model_ids, trials.test_ids):
-        if model_id not in enroll_map:
-            raise fileio.DataFormatError(
-                f"{enroll_path}: no enrollment for model {model_id!r} of trial {trial_id}")
-        if test_id not in known:
-            raise fileio.DataFormatError(
-                f"{emb_path}: no embedding for test utterance {test_id!r}")
-    for model_id, utt_ids in enroll_map.items():
-        missing = [u for u in utt_ids if u not in known]
-        if missing:
-            raise fileio.DataFormatError(
-                f"{emb_path}: no embedding for utterance {missing[0]!r} enrolling {model_id!r}")
-    enroll, test = _pair_vectors(ids, x, enroll_map, trials)
-    return trials, enroll, test
+    enroll, test_rows = _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials)
+    return trials, enroll, x[test_rows]
 
 
 def _score_by_claimed_phrase(bank, trials_path, trials, e, t) -> np.ndarray:
     """NPLDA scores, one nplda_score call per claimed phrase; DataFormatError
     naming the trials file for a trial that claims a phrase without a model."""
-    phrases = np.asarray(trials.claimed, dtype=object)
-    scores = np.empty(len(phrases))
-    for phrase in dict.fromkeys(trials.claimed):
-        form = bank.get(phrase)
-        if form is None:
-            trial_id = trials.ids[trials.claimed.index(phrase)]
-            raise fileio.DataFormatError(
-                f"{trials_path}: trial {trial_id} claims phrase {phrase!r}, "
-                "which has no NPLDA model")
-        rows = phrases == phrase
-        scores[rows] = nplda.nplda_score(form, e[rows], t[rows])
+    forms = list(bank.values())
+    which = _rows(trials_path, list(bank), trials.claimed, lambda i: (
+        f"trial {trials.ids[i]} claims phrase {trials.claimed[i]!r}, which has no NPLDA model"))
+    scores = np.empty(len(which))
+    for k in np.flatnonzero(np.bincount(which)):
+        rows = which == k
+        scores[rows] = nplda.nplda_score(forms[k], e[rows], t[rows])
     return scores
 
 
@@ -254,8 +250,17 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
                       form: backend.PldaScorer) -> Dict[str, backend.PldaScorer]:
     """Per-phrase NPLDA bank, one form per train phrase in first-appearance
     order: `form`, the PLDA of every train row, fine-tuned on the phrase's
-    same-phrase training pairs, or `form` itself if it has too few. A failed
-    pair draw (a phrase spoken by one speaker) raises DataFormatError."""
+    same-phrase training pairs, or `form` itself if it has too few. A phrase
+    without impostor pairs (only one speaker has more than n_enroll
+    utterances of it) or a failed pair draw raises DataFormatError."""
+    meta_path = _workpath(cfg, "meta_train.meta")
+    cells = Counter(zip(metas.phrases, metas.speakers))
+    enrollable = Counter(phrase for (phrase, _), n in cells.items() if n > cfg.n_enroll)
+    lone = [phrase for phrase, n in enrollable.items() if n == 1]
+    if lone:
+        raise fileio.DataFormatError(
+            f"{meta_path}: NPLDA training pairs: infeasible request: only one speaker "
+            f"has more than n_enroll={cfg.n_enroll} utterances of phrase {lone[0]!r}")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     seeds = _child_seeds(cfg.seed, 7)
     try:
@@ -264,12 +269,11 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
             proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
         )
     except ValueError as exc:
-        raise fileio.DataFormatError(
-            f"{_workpath(cfg, 'meta_train.meta')}: NPLDA training pairs: {exc}") from exc
-    enroll, test = _pair_vectors(metas.utt_ids, x, protocol.enroll_map, protocol.trials)
-    phrase_of_utt = dict(zip(metas.utt_ids, metas.phrases))
+        raise fileio.DataFormatError(f"{meta_path}: NPLDA training pairs: {exc}") from exc
+    enroll, test_rows = _trial_rows(
+        meta_path, metas.utt_ids, x, meta_path, protocol.enroll_map, protocol.trials)
     claimed = np.asarray(protocol.trials.claimed, dtype=object)
-    spoken = np.asarray([phrase_of_utt[u] for u in protocol.trials.test_ids], dtype=object)
+    spoken = np.asarray(metas.phrases, dtype=object)[test_rows]
     is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
     train_cfg = cfg.nplda_config()
@@ -280,9 +284,8 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
         if labels.size < 4 or labels.all() or not labels.any():
             bank[phrase] = form  # too little data: keep the generative form
         else:
-            bank[phrase] = nplda.train_nplda(
-                form, enroll[rows], test[rows], labels, claimed[rows], spoken[rows], train_cfg
-            ).params
+            bank[phrase] = nplda.train_nplda(form, enroll[rows], x[test_rows[rows]], labels,
+                                             claimed[rows], spoken[rows], train_cfg).params
     return bank
 
 
@@ -337,12 +340,9 @@ def cmd_norm(cfg: PipelineConfig) -> List[Path]:
         elif cfg.language_dependent:
             meta_path = _workpath(cfg, f"meta_{split}.meta")
             metas = fileio.read_metas(meta_path)
-            lang_by_utt = dict(zip(metas.utt_ids, metas.languages))
-            try:
-                test_langs = [lang_by_utt[u] for u in trials.test_ids]
-            except KeyError as exc:
-                raise fileio.DataFormatError(
-                    f"{meta_path}: no language for test utterance {exc.args[0]!r}") from exc
+            test_langs = np.asarray(metas.languages, dtype=object)[_rows(
+                meta_path, metas.utt_ids, trials.test_ids,
+                lambda i: f"no language for test utterance {trials.test_ids[i]!r}")]
         normed = norm.language_dependent_as_norm(
             raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )
@@ -388,14 +388,12 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
     meta_path = _workpath(cfg, f"meta_{split}.meta")
     trials = fileio.read_trials(trials_path)
     metas = fileio.read_metas(meta_path)
-    text_of = {utt: text or "" for utt, text in zip(metas.utt_ids, metas.transcripts)}
-    for trial_id, test_id, claimed in zip(trials.ids, trials.test_ids, trials.claimed):
-        if claimed is None:
-            raise fileio.DataFormatError(f"{trials_path}: trial {trial_id} has no claimed phrase")
-        if test_id not in text_of:
-            raise fileio.DataFormatError(
-                f"{meta_path}: no transcript for test utterance {test_id!r}")
-    return trials, [text_of[u] for u in trials.test_ids]
+    if None in trials.claimed:
+        trial_id = trials.ids[trials.claimed.index(None)]
+        raise fileio.DataFormatError(f"{trials_path}: trial {trial_id} has no claimed phrase")
+    rows = _rows(meta_path, metas.utt_ids, trials.test_ids,
+                 lambda i: f"no transcript for test utterance {trials.test_ids[i]!r}")
+    return trials, [metas.transcripts[i] or "" for i in rows]
 
 
 def _fusion_inputs(cfg: PipelineConfig) -> List[str]:

@@ -1,11 +1,14 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import as_norm_literal, nplda_training_pairs_literal
 import spkver
@@ -557,8 +560,10 @@ class TestErrorExitCodes:
                 in capsys.readouterr().err)
 
     def test_phrase_spoken_by_one_speaker_is_data_error(self, e2e_dir, tmp_path, capsys):
-        # the NPLDA training-pair draw asks for an impostor utterance of the
-        # phrase and finds none; this used to exit 2 as a config error
+        # the NPLDA training-pair draw would ask for an impostor utterance of
+        # the phrase and find none; this used to exit 2 as a config error, and
+        # then exit 3 only when the draw (seeded by --seed) picked such a
+        # trial: at seed 2 it did not, and the phrase kept the PLDA form
         import shutil
 
         workdir = tmp_path / "w"
@@ -572,10 +577,13 @@ class TestErrorExitCodes:
                 fields = lines[i].split(" ", 2)
                 lines[i] = " ".join([fields[0], metas.speakers[0], fields[2]])
         path.write_text("".join(f"{line}\n" for line in lines))
-        capsys.readouterr()
-        assert main(["score"] + _args(workdir, "backends=cosine,nplda")) == 3
-        assert (f"data error: {path}: NPLDA training pairs: infeasible request: "
-                in capsys.readouterr().err)
+        for seed in (0, 2):
+            capsys.readouterr()
+            assert main(["score", "--seed", str(seed)]
+                        + _args(workdir, "backends=cosine,nplda")) == 3
+            assert (f"data error: {path}: NPLDA training pairs: infeasible request: only one "
+                    f"speaker has more than n_enroll=3 utterances of phrase {phrase!r}"
+                    in capsys.readouterr().err)
 
     def test_plda_numerical_failure_under_nplda_exits_4(self, e2e_dir, tmp_path,
                                                          monkeypatch, capsys):
@@ -796,6 +804,111 @@ class TestBackendTraining:
         assert list(bank) == phrases
         assert all(init is form for init in inits.values())
         assert all(bank[phrase] is form for phrase in phrases if phrase not in inits)
+
+
+def _rescore(workdir):
+    """Rerun every stage from `score` through `eval` on a copied e2e workdir."""
+    cfg = load_config(overrides=BASE + [f"workdir={workdir}", "backends=cosine,plda,nplda"])
+    for stage in (pipeline.cmd_score, pipeline.cmd_norm, pipeline.cmd_filter,
+                  pipeline.cmd_fuse, pipeline.cmd_eval):
+        stage(cfg)
+
+
+def _outputs(workdir):
+    """(name, split) -> (ids, values) of every score file in a workdir, and
+    the bytes of its metrics.txt and fusion_weights.txt."""
+    scores = {(p.name.rsplit("_", 1)[0], p.stem.rsplit("_", 1)[1]): fileio.read_scores(p)
+              for p in sorted(Path(workdir).glob("scores_*.txt"))}
+    return scores, [(Path(workdir) / name).read_bytes()
+                    for name in ("metrics.txt", "fusion_weights.txt")]
+
+
+class TestMetamorphic:
+    """Properties that hold end to end, whatever the data: the trial order
+    and the names of trials, models and utterances do not matter."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, e2e_dir, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("reference")
+        shutil.copytree(e2e_dir, workdir, dirs_exist_ok=True)
+        _rescore(workdir)
+        return _outputs(workdir), workdir
+
+    @staticmethod
+    def _rerun(workdir, edit):
+        """`_outputs` of a copy of `workdir` that `edit` changed, rerun from
+        score through eval."""
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "w"
+            shutil.copytree(workdir, copy)
+            edit(copy)
+            _rescore(copy)
+            return _outputs(copy)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_trial_order_permutes_scores_and_keeps_metrics(self, reference, seed):
+        (expected, reports), workdir = reference
+        rng = np.random.default_rng(seed)
+        order = {}
+
+        def permute(workdir):
+            for split in ("dev", "eval"):
+                trials = fileio.read_trials(workdir / f"trials_{split}.txt")
+                ids, labels = fileio.read_keys(workdir / f"keys_{split}.txt")
+                order[split] = perm = rng.permutation(len(ids))
+                fileio.write_trials(workdir / f"trials_{split}.txt",
+                                    type(trials)(*([c[i] for i in perm] for c in trials)))
+                fileio.write_keys(workdir / f"keys_{split}.txt",
+                                  [ids[i] for i in perm], [labels[i] for i in perm])
+
+        got, got_reports = self._rerun(workdir, permute)
+        assert got.keys() == expected.keys() and got_reports == reports
+        for (name, split), (ids, values) in expected.items():
+            perm = order[split]
+            assert got[name, split][0] == [ids[i] for i in perm], name
+            # equal up to rounding, not bitwise: NPLDA scores one block per
+            # claimed phrase, and OpenBLAS's matrix-vector product rounds a
+            # row by its position in a block of a size not divisible by 4
+            # (seen: 3e-14 of the largest |score|)
+            np.testing.assert_allclose(got[name, split][1], values[perm], rtol=0,
+                                       atol=1e-12 * np.abs(values).max(), err_msg=name)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_renamed_ids_keep_every_score(self, reference, seed):
+        (expected, reports), workdir = reference
+        rng = np.random.default_rng(seed)
+        new = {}
+
+        def rename(workdir):
+            splits = ("dev", "eval")
+            trials = {s: fileio.read_trials(workdir / f"trials_{s}.txt") for s in splits}
+            enroll = {s: fileio.read_enroll_map(workdir / f"enroll_{s}.txt") for s in splits}
+            metas = {s: fileio.read_metas(workdir / f"meta_{s}.meta") for s in splits}
+            old = sorted({i for s in splits for i in trials[s].ids + metas[s].utt_ids}
+                         | {m for s in splits for m in enroll[s]})
+            new.update(zip(old, (f"id{n:06d}" for n in rng.permutation(len(old)))))
+            for s in splits:
+                t = trials[s]
+                fileio.write_trials(workdir / f"trials_{s}.txt", type(t)(
+                    *([new[i] for i in c] for c in (t.ids, t.model_ids, t.test_ids)), t.claimed))
+                ids, labels = fileio.read_keys(workdir / f"keys_{s}.txt")
+                fileio.write_keys(workdir / f"keys_{s}.txt", [new[i] for i in ids], labels)
+                fileio.write_enroll_map(workdir / f"enroll_{s}.txt", {
+                    new[m]: [new[u] for u in utts] for m, utts in enroll[s].items()})
+                fileio.write_metas(workdir / f"meta_{s}.meta", metas[s]._replace(
+                    utt_ids=tuple(new[u] for u in metas[s].utt_ids)))
+                for kind in ("feats", "emb"):
+                    path = workdir / f"{kind}_{s}.npz"
+                    ids, x = fileio.read_matrix(path)
+                    fileio.write_matrix(path, [new[u] for u in ids], x)
+
+        got, got_reports = self._rerun(workdir, rename)
+        assert got.keys() == expected.keys() and got_reports == reports
+        for key, (ids, values) in expected.items():
+            assert got[key][0] == [new[i] for i in ids], key
+            np.testing.assert_array_equal(got[key][1], values, err_msg=str(key))
 
 
 _MASKED_IMPORT_PROBE = """

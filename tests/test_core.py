@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spkver.core import (
-    Language,
-    Metas,
-    NumericalError,
-    TrialLabel,
-    Trials,
-    build_enroll_model,
-    validate_protocol,
-)
+from spkver.core import NumericalError, TrialLabel, build_enroll_model
 
 
 class TestBuildEnrollModel:
@@ -46,39 +38,6 @@ class TestBuildEnrollModel:
         assert abs(np.linalg.norm(centroid) - 1.0) < 1e-12
         flipped = build_enroll_model("m", vecs[::-1])
         np.testing.assert_allclose(centroid, flipped, atol=1e-12)
-
-
-class TestValidateProtocol:
-    def _fixture(self):
-        metas = Metas(("u1", "u2", "u3"), ("s1", "s1", "s2"), ("ph00",) * 3,
-                      (Language.L1, Language.L1, Language.L2), (None,) * 3)
-        trials = Trials(("t1",), ("m1",), ("u3",), ("ph00",))
-        labels = [TrialLabel.IC]
-        enroll = {"m1": ("u1", "u2")}
-        return trials, labels, metas, enroll
-
-    def test_consistent_protocol_is_clean(self):
-        assert validate_protocol(*self._fixture()) == []
-
-    def test_empty_everything_is_clean(self):
-        assert validate_protocol(Trials((), (), (), ()), [], Metas((), (), (), (), ()), {}) == []
-
-    def test_dangling_test_utt(self):
-        _, labels, metas, enroll = self._fixture()
-        trials = Trials(("t1",), ("m1",), ("nope",), ("ph00",))
-        report = validate_protocol(trials, labels, metas, enroll)
-        assert len(report) == 1 and "dangling test utterance" in report[0]
-
-    def test_duplicate_trial_id(self):
-        trials, labels, metas, enroll = self._fixture()
-        trials = Trials(*(column * 2 for column in trials))
-        report = validate_protocol(trials, labels * 2, metas, enroll)
-        assert len(report) == 1 and "duplicate trial_id" in report[0]
-
-    def test_label_count_mismatch(self):
-        trials, labels, metas, enroll = self._fixture()
-        assert validate_protocol(trials, [], metas, enroll) == ["0 labels for 1 trials"]
-        assert validate_protocol(trials, labels * 2, metas, enroll) == ["2 labels for 1 trials"]
 
 
 class TestTypes:

@@ -67,10 +67,15 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
-def unused_private_defs(sources: dict) -> list:
-    """(module, line, name) of every top-level private def or class that no
-    code of the package reads outside its own body; `sources` maps module
-    names to source text."""
+# entry points, read by the installed `spkver` script rather than by package code
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def unused_defs(sources: dict, exempt=ENTRY_POINTS) -> list:
+    """(module, line, name) of every top-level def or class, public or
+    private, that no code of the package reads outside its own body; tests
+    do not count as readers. `sources` maps module names to source text;
+    `exempt` holds (module, name) pairs that are never reported."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     return sorted(
@@ -78,7 +83,7 @@ def unused_private_defs(sources: dict) -> list:
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        and not node.name.startswith("__") and (module, node.name) not in exempt
         and reads[node.name] == _reads(node)[node.name]
     )
 
@@ -96,6 +101,8 @@ def test_checker_flags_unused_private_defs():
             "    pass\n"
             "def public():\n"
             "    return _used(1)\n"
+            "def main():\n"
+            "    return public()\n"
         ),
         "b.py": (
             "from .a import _imported\n"
@@ -104,15 +111,19 @@ def test_checker_flags_unused_private_defs():
             "    pass\n"
             "def _helper():\n"
             "    return a._by_attribute\n"
+            "class Public:\n"
+            "    pass\n"
         ),
     }
-    assert unused_private_defs(sources) == [
-        ("a.py", 3, "_recursive"), ("a.py", 5, "_Unused"), ("b.py", 5, "_helper")]
+    assert unused_defs(sources, exempt={("a.py", "main")}) == [
+        ("a.py", 3, "_recursive"), ("a.py", 5, "_Unused"), ("b.py", 5, "_helper"),
+        ("b.py", 7, "Public")]
+    assert ("a.py", 11, "main") in unused_defs(sources, exempt=set())
 
 
 def test_no_unused_private_defs():
     sources = {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}
-    assert unused_private_defs(sources) == []
+    assert unused_defs(sources) == []
 
 
 def _names_blas_threads(statement: ast.stmt) -> bool:

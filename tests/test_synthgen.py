@@ -4,9 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import gen_td_literal, gen_ti_literal, meta_rows
 from spkver import synthgen
-from spkver.core import Language, Metas, PhraseInventory, TrialLabel, validate_protocol
+from spkver.core import Language, Metas, PhraseInventory, TrialLabel
 from spkver.metrics import levenshtein
 from spkver.synthgen import GenConfig, Task, gen_corpus, gen_transcript, gen_trials
+
+
+def _assert_resolvable(protocol, metas):
+    """Trial ids are unique, one label per trial, and every model and
+    utterance the protocol names exists."""
+    trials, known = protocol.trials, set(metas.utt_ids)
+    assert len(set(trials.ids)) == len(trials.ids) == len(protocol.labels)
+    assert set(trials.model_ids) <= set(protocol.enroll_map)
+    assert set(trials.test_ids) <= known
+    assert all(set(utt_ids) <= known for utt_ids in protocol.enroll_map.values())
 
 
 def _cfg(**kw):
@@ -155,8 +165,7 @@ class TestGenTrials:
     def test_td_protocol_consistent_and_labels_truthful(self):
         corpus = gen_corpus(_cfg())
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
-        assert validate_protocol(protocol.trials, protocol.labels,
-                                 corpus.metas, protocol.enroll_map) == []
+        _assert_resolvable(protocol, corpus.metas)
         meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         trials = protocol.trials
         assert trials.ids == tuple(f"t{i:06d}" for i in range(120))
@@ -182,8 +191,7 @@ class TestGenTrials:
         assert all(len(column) == 100 for column in protocol.trials)
         assert len(protocol.labels) == 100
         assert protocol.trials.claimed == (None,) * 100
-        assert validate_protocol(protocol.trials, protocol.labels,
-                                 corpus.metas, protocol.enroll_map) == []
+        _assert_resolvable(protocol, corpus.metas)
 
     def test_ti_enrollment_is_l1_only(self):
         corpus = gen_corpus(_cfg(n_utts_per_cell=8))
