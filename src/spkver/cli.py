@@ -2,7 +2,8 @@
 
     spkver <subcommand> [--config FILE] [--set key=value ...] [--seed N]
 
-Subcommands: gen, train, extract, score, norm, filter, fuse, eval, e2e.
+Subcommands: one per stage of `pipeline.stage_files` (gen, train, extract,
+score, norm, filter, fuse, eval), and e2e, which runs them all in that order.
 Exit codes: 0 success, 2 usage/config error, 3 data/format error,
 4 numerical failure.
 """
@@ -13,21 +14,9 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import ConfigError, load_config
+from .config import ConfigError, PipelineConfig, load_config
 from .core import NumericalError
 from .fileio import DataFormatError
-
-_COMMANDS = {
-    "gen": pipeline.cmd_gen,
-    "train": pipeline.cmd_train,
-    "extract": pipeline.cmd_extract,
-    "score": pipeline.cmd_score,
-    "norm": pipeline.cmd_norm,
-    "filter": pipeline.cmd_filter,
-    "fuse": pipeline.cmd_fuse,
-    "eval": pipeline.cmd_eval,
-    "e2e": pipeline.cmd_e2e,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale speaker-verification pipeline on synthetic corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=(fn.__doc__ or "").strip().split("\n")[0])
+    for name in [stage for stage, _, _ in pipeline.stage_files(PipelineConfig())] + ["e2e"]:
+        doc = getattr(pipeline, f"cmd_{name}").__doc__ or ""
+        cmd = sub.add_parser(name, help=doc.strip().split("\n")[0])
         cmd.add_argument("--config", default=None, help="key=value config file")
         cmd.add_argument(
             "--set",
@@ -55,7 +45,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        written = _COMMANDS[args.command](cfg)
+        written = getattr(pipeline, f"cmd_{args.command}")(cfg)
         for path in written:
             print(f"wrote {path}")
         return 0

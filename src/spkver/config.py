@@ -142,6 +142,7 @@ class PipelineConfig:
                 raise ConfigError(
                     f"task=TD with TW or IW trials needs n_phrases >= 2, got {self.n_phrases}"
                 )
+        self.split_sizes()
         for name in ("n_dev_trials", "n_eval_trials"):  # EER and minDCF need both kinds
             counts = trial_counts(Task(self.task), getattr(self, name), self.proportions or None)
             kinds = {label.is_target for label, count in counts.items() if count > 0}
@@ -149,6 +150,16 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} at proportions {','.join(map(str, props))} "
                     f"gives no {'nontarget' if True in kinds else 'target'} trial")
+
+    def split_sizes(self) -> Tuple[int, int, int]:
+        """Speakers in the train, dev and eval splits; ConfigError if one gets fewer than 2."""
+        n_train = round(self.train_fraction * self.n_speakers)
+        n_dev = round(self.dev_fraction * self.n_speakers)
+        sizes = (n_train, n_dev, self.n_speakers - n_train - n_dev)
+        if min(sizes) < 2:
+            raise ConfigError(f"n_speakers={self.n_speakers} splits into {sizes} train/dev/eval "
+                              "speakers; each split needs >= 2")
+        return sizes
 
     def gen_config(self, seed: int = 0) -> GenConfig:
         """The corpus-generation settings; GenConfig checks their values."""

@@ -2,18 +2,11 @@
 
 Every stage reads its inputs from the working directory and writes its
 outputs there, so any stage rerun from on-disk state reproduces its prior
-outputs byte-for-byte. File layout (all under cfg.workdir; fileio describes
-the formats):
-
-    feats_{split}.npz              features: members ids, x (one row per id)
-    meta_{split}.meta              utterance labels, in the order of the ids
-    inventory.txt                  phrase inventory
-    trials_{split}.txt, keys_{split}.txt, enroll_{split}.txt
-                                   trial lists, their keys, enrollment maps
-    ckpt.npz                       trained extractor: w1, b1, w2, b2, strategy, seed
-    emb_{split}.npz                extracted embeddings: members ids, x
-    scores_{system}_{split}.txt    trial scores per system
-    fusion_weights.txt, metrics.txt, manifest.txt
+outputs byte-for-byte. `stage_files` names the files each stage reads and
+writes, and fileio describes their formats: a features or embeddings file
+holds members ids and x (one row per id), the checkpoint the trained
+extractor (w1, b1, w2, b2, strategy, seed), and a scores file one score
+per trial of a split for one system.
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
 labelled split travels as (x, metas), with the metadata as columns
@@ -41,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,6 +56,60 @@ def _child_seeds(seed: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# what each stage reads and writes
+
+
+def _systems(cfg: PipelineConfig) -> Dict[str, Tuple[str, str]]:
+    """Each backend's score system as normalized (`_norm` added for the
+    norm_backend only) and as fused and evaluated (`_filt` added after the
+    TD phrase filter)."""
+    filt = "_filt" if cfg.task == "TD" else ""
+    normed = {name: f"{name}_norm" if name == cfg.norm_backend else name for name in cfg.backends}
+    return {name: (system, system + filt) for name, system in normed.items()}
+
+
+def stage_files(cfg: PipelineConfig) -> List[Tuple[str, List[str], List[str]]]:
+    """Each stage of cfg's e2e run, in run order, as (stage, inputs,
+    outputs): the workdir files it reads, and those it writes in the order
+    it writes them. The phrase filter runs for TD only."""
+    def each(*patterns, splits=TRIAL_SPLITS):
+        return [pattern.format(split) for split in splits for pattern in patterns]
+
+    def scores(systems, splits=TRIAL_SPLITS):
+        return [f"scores_{system}_{split}.txt" for split in splits for system in systems]
+
+    systems = _systems(cfg)
+    fused = [final for _, final in systems.values()]
+    train = ["emb_train.npz", "meta_train.meta"]
+    vectors = each("emb_{}.npz", "trials_{}.txt", "enroll_{}.txt")
+    table = [
+        ("gen", [], each("feats_{}.npz", "meta_{}.meta", splits=("train",))
+         + each("feats_{}.npz", "meta_{}.meta", "trials_{}.txt", "keys_{}.txt", "enroll_{}.txt")
+         + ["inventory.txt"]),
+        ("train", ["feats_train.npz", "meta_train.meta", "inventory.txt"], ["ckpt.npz"]),
+        ("extract", ["ckpt.npz"] + each("feats_{}.npz", splits=SPLITS),
+         each("emb_{}.npz", splits=SPLITS)),
+        ("score", (train if {"plda", "nplda"} & set(cfg.backends) else [])
+         + (["inventory.txt"] if "nplda" in cfg.backends else []) + vectors, scores(cfg.backends)),
+        ("norm", train + vectors + scores([cfg.norm_backend])
+         + (each("meta_{}.meta") if cfg.language_dependent and not cfg.use_lid else []),
+         scores([systems[cfg.norm_backend][0]])),
+        ("filter", ["inventory.txt"] + each("trials_{}.txt", "meta_{}.meta")
+         + scores([normed for normed, _ in systems.values()]), scores(fused)),
+        ("fuse", each("trials_{}.txt") + ["keys_dev.txt"] + scores(fused),
+         ["fusion_weights.txt", "scores_fused_eval.txt"]),
+        ("eval", ["trials_eval.txt", "keys_eval.txt"] + scores(fused + ["fused"], ("eval",)),
+         ["metrics.txt"]),
+    ]
+    return [row for row in table if row[0] != "filter" or cfg.task == "TD"]
+
+
+def _outputs(cfg: PipelineConfig, stage: str) -> List[Path]:
+    """The paths `stage` writes, by cfg's `stage_files`."""
+    return [_workpath(cfg, name) for name in {s: out for s, _, out in stage_files(cfg)}[stage]]
+
+
+# ---------------------------------------------------------------------------
 # gen
 
 
@@ -74,10 +121,7 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
     speakers = list(corpus.speaker_ids)
     rng = np.random.default_rng(seeds[1])
     order = [speakers[i] for i in rng.permutation(len(speakers))]
-    n_train = max(2, round(cfg.train_fraction * len(order)))
-    n_dev = max(2, round(cfg.dev_fraction * len(order)))
-    if n_train + n_dev + 2 > len(order):
-        raise ConfigError("not enough speakers for a train/dev/eval split")
+    n_train, n_dev, _ = cfg.split_sizes()
     groups = {
         "train": order[:n_train],
         "dev": order[n_train : n_train + n_dev],
@@ -94,23 +138,17 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
             proportions=list(cfg.proportions) or None, n_enroll=cfg.n_enroll,
         )
 
-    written: List[Path] = []
     for split, sub in subs.items():
-        feats, meta = _workpath(cfg, f"feats_{split}.npz"), _workpath(cfg, f"meta_{split}.meta")
-        fileio.write_matrix(feats, sub.metas.utt_ids, sub.x)
-        fileio.write_metas(meta, sub.metas)
-        written += [feats, meta]
+        fileio.write_matrix(_workpath(cfg, f"feats_{split}.npz"), sub.metas.utt_ids, sub.x)
+        fileio.write_metas(_workpath(cfg, f"meta_{split}.meta"), sub.metas)
         if split in protocols:
             protocol = protocols[split]
-            trials, keys, enroll = (_workpath(cfg, f"{name}_{split}.txt")
-                                    for name in ("trials", "keys", "enroll"))
-            fileio.write_trials(trials, protocol.trials)
-            fileio.write_keys(keys, protocol.trials.ids, protocol.labels)
-            fileio.write_enroll_map(enroll, protocol.enroll_map)
-            written += [trials, keys, enroll]
+            fileio.write_trials(_workpath(cfg, f"trials_{split}.txt"), protocol.trials)
+            fileio.write_keys(_workpath(cfg, f"keys_{split}.txt"), protocol.trials.ids,
+                              protocol.labels)
+            fileio.write_enroll_map(_workpath(cfg, f"enroll_{split}.txt"), protocol.enroll_map)
     fileio.write_inventory(_workpath(cfg, "inventory.txt"), corpus.inventory)
-    written.append(_workpath(cfg, "inventory.txt"))
-    return written
+    return _outputs(cfg, "gen")
 
 
 def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
@@ -169,21 +207,18 @@ def cmd_train(cfg: PipelineConfig) -> List[Path]:
     seeds = _child_seeds(cfg.seed, 6)
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
     result = extractor.train(net, feats, metas, inventory, cfg.train_config(seed=seeds[5]))
-    path = _workpath(cfg, "ckpt.npz")
-    fileio.write_checkpoint(path, result.extractor, cfg.strategy, cfg.seed)
-    return [path]
+    fileio.write_checkpoint(_workpath(cfg, "ckpt.npz"), result.extractor, cfg.strategy, cfg.seed)
+    return _outputs(cfg, "train")
 
 
 def cmd_extract(cfg: PipelineConfig) -> List[Path]:
     """Map every split's features through the trained network."""
     net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.npz"))
-    written = []
     for split in SPLITS:
         ids, feats = fileio.read_matrix(_workpath(cfg, f"feats_{split}.npz"))
-        path = _workpath(cfg, f"emb_{split}.npz")
-        fileio.write_matrix(path, ids, extractor.extract_embeddings(net, feats))
-        written.append(path)
-    return written
+        fileio.write_matrix(_workpath(cfg, f"emb_{split}.npz"), ids,
+                            extractor.extract_embeddings(net, feats))
+    return _outputs(cfg, "extract")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +333,6 @@ def cmd_score(cfg: PipelineConfig) -> List[Path]:
         form = backend.PldaScorer.from_model(model)
         if "nplda" in cfg.backends:
             bank = _train_nplda_bank(cfg, x, metas, form)
-    written = []
     for split in TRIAL_SPLITS:
         trials, enroll, test = _trial_vectors(cfg, split)
         for name in cfg.backends:
@@ -309,10 +343,8 @@ def cmd_score(cfg: PipelineConfig) -> List[Path]:
             else:
                 scores = _score_by_claimed_phrase(
                     bank, _workpath(cfg, f"trials_{split}.txt"), trials, enroll, test)
-            path = _workpath(cfg, f"scores_{name}_{split}.txt")
-            fileio.write_scores(path, trials.ids, scores)
-            written.append(path)
-    return written
+            fileio.write_scores(_workpath(cfg, f"scores_{name}_{split}.txt"), trials.ids, scores)
+    return _outputs(cfg, "score")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +358,8 @@ def cmd_norm(cfg: PipelineConfig) -> List[Path]:
     n_top = norm.effective_n_top(cfg.n_top, cohort, cfg.language_dependent)
     cohort_scorer = backend.cosine_score  # cosine cohort scores, whatever the norm_backend
 
+    system, _ = _systems(cfg)[cfg.norm_backend]
     classifier = None
-    written = []
     if cfg.language_dependent and cfg.use_lid:
         classifier = norm.train_language_id(
             train_x, train_meta.languages, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
@@ -346,10 +378,8 @@ def cmd_norm(cfg: PipelineConfig) -> List[Path]:
         normed = norm.language_dependent_as_norm(
             raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )
-        path = _workpath(cfg, f"scores_{cfg.norm_backend}_norm_{split}.txt")
-        fileio.write_scores(path, trials.ids, normed)
-        written.append(path)
-    return written
+        fileio.write_scores(_workpath(cfg, f"scores_{system}_{split}.txt"), trials.ids, normed)
+    return _outputs(cfg, "norm")
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +395,16 @@ def cmd_filter(cfg: PipelineConfig) -> List[Path]:
     # a transcript's phrase depends on its text only: classify each distinct one once
     distinct = list(dict.fromkeys(text for _, texts in tested.values() for text in texts))
     phrase_of_text = dict(zip(distinct, metrics.classify_phrases(distinct, inventory)))
-    written = []
     for split, (trials, texts) in tested.items():
         mismatch = np.fromiter(
             (phrase_of_text[text] != claimed for claimed, text in zip(trials.claimed, texts)),
             dtype=bool, count=len(texts),
         )
-        for system in _fusion_inputs(cfg):
+        for system, filtered in _systems(cfg).values():
             scores = _read_scores(cfg, system, split, trials.ids)
-            path = _workpath(cfg, f"scores_{system}_filt_{split}.txt")
-            fileio.write_scores(
-                path, trials.ids, metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
-            written.append(path)
-    return written
+            fileio.write_scores(_workpath(cfg, f"scores_{filtered}_{split}.txt"), trials.ids,
+                                metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
+    return _outputs(cfg, "filter")
 
 
 def _tested_transcripts(cfg: PipelineConfig, split: str):
@@ -396,29 +423,13 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
     return trials, [metas.transcripts[i] or "" for i in rows]
 
 
-def _fusion_inputs(cfg: PipelineConfig) -> List[str]:
-    """System names fed to fusion, before any filtering suffix."""
-    systems = []
-    for name in cfg.backends:
-        if name == cfg.norm_backend:
-            systems.append(f"{name}_norm")
-        else:
-            systems.append(name)
-    return systems
-
-
-def _final_systems(cfg: PipelineConfig) -> List[str]:
-    suffix = "_filt" if cfg.task == "TD" else ""
-    return [s + suffix for s in _fusion_inputs(cfg)]
-
-
 # ---------------------------------------------------------------------------
 # fusion and evaluation
 
 
 def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     """Tune fusion weights on dev minDCF and apply them to the eval scores."""
-    systems = _final_systems(cfg)
+    systems = [fused for _, fused in _systems(cfg).values()]
     dev_ids = fileio.read_trials(_workpath(cfg, "trials_dev.txt")).ids
     dev_scores = np.stack([_read_scores(cfg, s, "dev", dev_ids) for s in systems])
     params = cfg.dcf_params()
@@ -428,11 +439,10 @@ def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     eval_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
     fused = metrics.fuse(np.stack([_read_scores(cfg, s, "eval", eval_ids) for s in systems]),
                          weights)
-    wpath = _workpath(cfg, "fusion_weights.txt")
-    fileio.write_lines(wpath, [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)])
-    spath = _workpath(cfg, "scores_fused_eval.txt")
-    fileio.write_scores(spath, eval_ids, fused)
-    return [wpath, spath]
+    fileio.write_lines(_workpath(cfg, "fusion_weights.txt"),
+                       [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)])
+    fileio.write_scores(_workpath(cfg, "scores_fused_eval.txt"), eval_ids, fused)
+    return _outputs(cfg, "fuse")
 
 
 def cmd_eval(cfg: PipelineConfig) -> List[Path]:
@@ -441,16 +451,15 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
     is_target = _target_mask(cfg, "eval", trial_ids)
     params = cfg.dcf_params()
     lines = []
-    for system in _final_systems(cfg) + ["fused"]:
+    for system in [fused for _, fused in _systems(cfg).values()] + ["fused"]:
         scores = _read_scores(cfg, system, "eval", trial_ids)
         lines.append(
             f"{system} eer={repr(metrics.eer(scores, is_target))} "
             f"min_dcf={repr(metrics.min_dcf(scores, is_target, params))}"
         )
-    out = _workpath(cfg, "metrics.txt")
-    fileio.write_lines(out, lines)
+    fileio.write_lines(_workpath(cfg, "metrics.txt"), lines)
     print("\n".join(lines))
-    return [out]
+    return _outputs(cfg, "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +467,14 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
 
 
 def cmd_e2e(cfg: PipelineConfig) -> List[Path]:
-    """Run the whole pipeline and write a manifest of seeds and digests."""
-    written = []
-    written += cmd_gen(cfg)
-    written += cmd_train(cfg)
-    written += cmd_extract(cfg)
-    written += cmd_score(cfg)
-    written += cmd_norm(cfg)
-    if cfg.task == "TD":
-        written += cmd_filter(cfg)
-    written += cmd_fuse(cfg)
-    written += cmd_eval(cfg)
-
-    lines = ["MANIFEST", f"rng={RNG_ALGORITHM}"]
-    lines += dump_config(cfg)
-    digests = sorted(
-        (Path(p).name, fileio.sha256_of(p)) for p in dict.fromkeys(written)
-    )
-    lines += [f"sha256 {name} {digest}" for name, digest in digests]
-    manifest = _workpath(cfg, "manifest.txt")
-    fileio.write_lines(manifest, lines)
-    return written + [manifest]
+    """Run the whole pipeline and write a manifest of seeds, stage files and digests."""
+    table = stage_files(cfg)
+    for stage, _, _ in table:
+        globals()[f"cmd_{stage}"](cfg)  # looked up per call, so a wrapper set on the module runs
+    written = [name for _, _, outputs in table for name in outputs]
+    lines = ["MANIFEST", f"rng={RNG_ALGORITHM}"] + dump_config(cfg)
+    lines += [f"stage {stage} reads {','.join(inputs) or '-'} writes {','.join(outputs) or '-'}"
+              for stage, inputs, outputs in table]
+    lines += [f"sha256 {n} {fileio.sha256_of(_workpath(cfg, n))}" for n in sorted(written)]
+    fileio.write_lines(_workpath(cfg, "manifest.txt"), lines)
+    return [_workpath(cfg, name) for name in written + ["manifest.txt"]]

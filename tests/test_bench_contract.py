@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spkver import backend, norm
+from spkver import backend, norm, pipeline
 from spkver.cli import build_parser
 from spkver.config import load_config
 
@@ -52,3 +52,26 @@ def test_workload_settings_pass_load_config(tmp_path, workload):
     args = build_parser().parse_args(_load("run").WORKLOADS[workload].args(1, tmp_path / "w"))
     cfg = load_config(args.config, args.overrides, args.seed)
     assert cfg.workdir == str(tmp_path / "w") and cfg.seed == 1
+
+
+def test_child_stages_are_the_td_table():
+    # child.py wraps pipeline.cmd_<stage> for each name in STAGES
+    table = pipeline.stage_files(load_config())
+    assert _load("child").STAGES == tuple(stage for stage, _, _ in table)
+
+
+def test_e2e_looks_each_stage_up_when_it_runs(tmp_path, monkeypatch):
+    # child.py replaces pipeline.cmd_<stage> with a timed wrapper; an e2e that
+    # held the stage functions themselves would leave those spans empty
+    cfg = load_config(overrides=[f"workdir={tmp_path}"])
+    table = pipeline.stage_files(cfg)
+    calls = []
+    for stage, _, outputs in table:
+        def stub(cfg, stage=stage, outputs=outputs):
+            calls.append(stage)
+            for name in outputs:
+                (tmp_path / name).write_bytes(b"")
+
+        monkeypatch.setattr(pipeline, f"cmd_{stage}", stub)
+    pipeline.cmd_e2e(cfg)
+    assert calls == [stage for stage, _, _ in table]

@@ -145,6 +145,15 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not workdir.exists()
 
+    def test_split_of_too_few_speakers_fails_before_any_stage(self, tmp_path, capsys):
+        # 10 % of 8 speakers rounds to 1; gen used to train on 2 instead and exit 0
+        workdir = tmp_path / "w"
+        assert main(["gen", "--set", f"workdir={workdir}", "--set", "n_speakers=8",
+                     "--set", "train_fraction=0.1"]) == 2
+        assert ("n_speakers=8 splits into (1, 2, 5) train/dev/eval speakers; each split "
+                "needs >= 2" in capsys.readouterr().err)
+        assert not workdir.exists()
+
     def test_ti_enrollment_may_use_a_whole_cell(self):
         # TI enrolls on a speaker's L1 utterances across all phrases, so
         # n_enroll may reach n_utts_per_cell (the ti-plda-norm benchmark does)
@@ -264,37 +273,87 @@ class TestConfigHandling:
         assert not workdir.exists()
 
 
+# settings on top of BASE, and the metadata files the score and norm stages
+# read under them: score needs train labels only to train PLDA, and norm reads
+# a trial split's languages only when no LID predicts them
+_SPLIT_METAS = ["meta_dev.meta", "meta_eval.meta"]
+STAGE_CONFIGS = {
+    "td": ([], ["meta_train.meta"], ["meta_train.meta"]),
+    "td-pct-nplda": (["backends=cosine,plda,nplda", "strategy=PCT"],
+                     ["meta_train.meta"], ["meta_train.meta"]),
+    "td-plda-norm-no-lid": (["use_lid=false", "norm_backend=plda"],
+                            ["meta_train.meta"], ["meta_train.meta"] + _SPLIT_METAS),
+    "td-cosine-language-free": (["backends=cosine", "language_dependent=false"],
+                                [], ["meta_train.meta"]),
+    "ti-no-lid": (["task=TI", "use_lid=false"],
+                  ["meta_train.meta"], ["meta_train.meta"] + _SPLIT_METAS),
+    "ti-plda-norm-language-free": (["task=TI", "norm_backend=plda", "language_dependent=false"],
+                                   ["meta_train.meta"], ["meta_train.meta"]),
+}
+
+
+def _record_files(monkeypatch):
+    """Log the file name of each outermost call of every public fileio
+    reader and writer; returns the (reads, writes) logs."""
+    reads, writes, depth = [], [], [0]
+
+    def logged(fn, log):
+        def call(path, *args, **kwargs):
+            if depth[0] == 0:
+                log.append(Path(path).name)
+            depth[0] += 1
+            try:
+                return fn(path, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    for name in dir(fileio):
+        if name.startswith(("read_", "write_")) or name == "sha256_of":
+            log = writes if name.startswith("write_") else reads
+            monkeypatch.setattr(fileio, name, logged(getattr(fileio, name), log))
+    return reads, writes
+
+
 class TestStageInputs:
-    def _meta_reads(self, monkeypatch):
-        names = []
-        read = fileio.read_metas
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_each_stage_reads_and_writes_its_declared_files(self, tmp_path, monkeypatch,
+                                                            config):
+        settings, score_metas, norm_metas = STAGE_CONFIGS[config]
+        pinned = {"score": score_metas, "norm": norm_metas}
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + settings)
+        reads, writes = _record_files(monkeypatch)
+        for stage, inputs, outputs in pipeline.stage_files(cfg):
+            reads.clear()
+            writes.clear()
+            written = getattr(pipeline, f"cmd_{stage}")(cfg)
+            assert sorted(set(reads)) == sorted(inputs), stage
+            assert writes == outputs and [p.name for p in written] == outputs, stage
+            if stage in pinned:
+                assert {n for n in reads if n.endswith(".meta")} == set(pinned[stage]), stage
 
-        def recording(path):
-            names.append(Path(path).name)
-            return read(path)
-
-        monkeypatch.setattr(fileio, "read_metas", recording)
-        return names
-
-    def test_score_reads_no_metadata(self, e2e_dir, monkeypatch):
-        cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}"])
-        names = self._meta_reads(monkeypatch)
-        pipeline._trial_vectors(cfg, "dev")
-        assert names == []
-
-    @pytest.mark.parametrize("use_lid, split_metas", [("true", []),
-                                                       ("false", ["meta_dev.meta",
-                                                                  "meta_eval.meta"])])
-    def test_norm_reads_split_metadata_only_without_lid(self, e2e_dir, tmp_path, monkeypatch,
-                                                         use_lid, split_metas):
-        import shutil
-
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_stages_chain_and_the_manifest_records_them(self, tmp_path, capsys, config):
         workdir = tmp_path / "w"
-        shutil.copytree(e2e_dir, workdir)
-        cfg = load_config(overrides=BASE + [f"workdir={workdir}", f"use_lid={use_lid}"])
-        names = self._meta_reads(monkeypatch)
-        pipeline.cmd_norm(cfg)
-        assert names == ["meta_train.meta"] + split_metas
+        settings = STAGE_CONFIGS[config][0]
+        assert main(["e2e"] + _args(workdir, *settings)) == 0
+        table = pipeline.stage_files(load_config(overrides=BASE + settings))
+        written = [name for _, _, outputs in table for name in outputs]
+        assert len(written) == len(set(written))  # one stage writes each file
+        for k, (stage, inputs, _) in enumerate(table):
+            assert set(inputs) <= {name for _, _, outputs in table[:k] for name in outputs}, stage
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("wrote ")] == [f"wrote {workdir / name}"
+                                                  for name in written + ["manifest.txt"]]
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(written + ["manifest.txt"])
+
+        lines = (workdir / "manifest.txt").read_text().splitlines()
+        tail = [line.split(" ") for line in lines if line.startswith(("stage ", "sha256 "))]
+        assert [fields[0] for fields in tail] == ["stage"] * len(table) + ["sha256"] * len(written)
+        assert [(name, [] if reads == "-" else reads.split(","),
+                 [] if writes == "-" else writes.split(","))
+                for _, name, _, reads, _, writes in tail[:len(table)]] == table
 
     def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
         import shutil
@@ -607,7 +666,6 @@ class TestErrorExitCodes:
             raise NumericalError("zero variance among top cohort scores")
 
         monkeypatch.setitem(pipeline.__dict__, "cmd_norm", boom)
-        monkeypatch.setitem(__import__("spkver.cli", fromlist=["x"])._COMMANDS, "norm", boom)
         assert main(["norm"]) == 4
         assert "zero variance" in capsys.readouterr().err
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import spkver
+from spkver.config import PipelineConfig
+from spkver.pipeline import stage_files
 
 SRC = Path(spkver.__file__).resolve().parent
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -67,8 +69,10 @@ def _reads(tree: ast.AST) -> Counter:
     return reads
 
 
-# entry points, read by the installed `spkver` script rather than by package code
-ENTRY_POINTS = {("cli.py", "main")}
+# entry points, read by the installed `spkver` script rather than by package
+# code, and the stage commands, which cli and cmd_e2e look up by their names
+ENTRY_POINTS = {("cli.py", "main"), ("pipeline.py", "cmd_e2e")} | {
+    ("pipeline.py", f"cmd_{stage}") for stage, _, _ in stage_files(PipelineConfig())}
 
 
 def unused_defs(sources: dict, exempt=ENTRY_POINTS) -> list:
