@@ -93,12 +93,15 @@ class Extractor:
 
 
 def _forward_cache(extractor: Extractor, x: np.ndarray) -> dict:
-    z1 = x @ extractor.w1.T + extractor.b1
-    h = np.maximum(z1, 0.0)
-    raw = h @ extractor.w2.T + extractor.b2
-    norms = np.linalg.norm(raw, axis=1)
-    unit = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
-    return {"x": x, "z1": z1, "h": h, "raw": raw, "norms": norms, "unit": unit}
+    # in place, so each (N, H) and (N, D) array is allocated once per step
+    h = x @ extractor.w1.T
+    h += extractor.b1
+    np.maximum(h, 0.0, out=h)
+    unit = h @ extractor.w2.T
+    unit += extractor.b2
+    norms = np.linalg.norm(unit, axis=1)
+    unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    return {"x": x, "h": h, "norms": norms, "unit": unit}
 
 
 def extract_embeddings(extractor: Extractor, features: np.ndarray) -> np.ndarray:
@@ -115,17 +118,20 @@ def extract_embeddings(extractor: Extractor, features: np.ndarray) -> np.ndarray
 
 def _backward_to_params(extractor: Extractor, cache: dict, d_unit: np.ndarray):
     """Backprop a gradient on the unit embeddings into network parameters."""
-    raw, norms, unit = cache["raw"], cache["norms"], cache["unit"]
+    h, norms, unit = cache["h"], cache["norms"], cache["unit"]
     if np.any(norms == 0.0):
         raise NumericalError("cannot backprop through a zero-norm embedding")
-    proj = np.sum(d_unit * unit, axis=1, keepdims=True)
-    d_raw = (d_unit - proj * unit) / norms[:, None]
-    d_w2 = d_raw.T @ cache["h"]
+    d_raw = d_unit * unit  # one (N, D) buffer for every step of d_raw
+    proj = np.sum(d_raw, axis=1, keepdims=True)
+    np.multiply(proj, unit, out=d_raw)
+    np.subtract(d_unit, d_raw, out=d_raw)
+    d_raw /= norms[:, None]
+    d_w2 = d_raw.T @ h
     d_b2 = d_raw.sum(axis=0)
     d_h = d_raw @ extractor.w2
-    d_z1 = d_h * (cache["z1"] > 0.0)
-    d_w1 = d_z1.T @ cache["x"]
-    d_b1 = d_z1.sum(axis=0)
+    d_h *= h > 0.0  # the ReLU's mask: h > 0 exactly where its input is
+    d_w1 = d_h.T @ cache["x"]
+    d_b1 = d_h.sum(axis=0)
     return d_w1, d_b1, d_w2, d_b2
 
 

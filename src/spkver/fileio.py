@@ -38,12 +38,20 @@ Each reads as columns in file order: a `Metas` row-aligned to its split's
 (trial ids, values) row-aligned to the split's trials.
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
+
+Inside `keep_columns` (one e2e run), every text file written or parsed keeps
+its bytes and columns, and a later read of the same path in the same format
+whose bytes are equal returns copies of those columns instead of parsing
+again. Only byte-equal content is answered from the kept columns, and only
+the row formats above are kept: `.npz` files and `write_lines` output never.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import zipfile
+from contextvars import ContextVar
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
@@ -80,14 +88,19 @@ def _repeat(values: list) -> Optional[int]:
         i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 text file with LF endings; invalid UTF-8 and a
-    carriage return anywhere raise DataFormatError naming the line."""
+def _read_bytes(path) -> bytes:
     try:
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path, data: bytes) -> list:
+    """The lines of the bytes `data` of a UTF-8 text file with LF endings;
+    invalid UTF-8 and a carriage return anywhere raise DataFormatError naming
+    the line of `path`."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         _fail(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}")
     if "\r" in text:
@@ -98,11 +111,16 @@ def _read_lines(path) -> list:
     return lines
 
 
+def _write_text(path, lines: Sequence[str]) -> bytes:
+    data = "\n".join([*lines, ""]).encode("utf-8")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(data)
+    return data
+
+
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write each line followed by LF, in one go, creating the parent directory."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([*lines, ""]))
+    _write_text(path, lines)
 
 
 def sha256_of(path) -> str:
@@ -235,11 +253,30 @@ class _Format(NamedTuple):
     empty: str = ""
 
 
+# (str(path), format) -> (bytes, columns as tuples) of each text file written
+# or parsed inside `keep_columns`; None outside it
+_kept: ContextVar[Optional[dict]] = ContextVar("kept", default=None)
+
+
+@contextlib.contextmanager
+def keep_columns():
+    """Keep the columns of every text file written or parsed until the context
+    exits, normally or not (see the module docstring)."""
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
 def _read_rows(path, fmt: _Format) -> list:
     """The columns of a text file, one list per field in file order, with
     "-" read as None in optional fields and parsed fields parsed. A row that
     breaks the row rule raises DataFormatError naming its line."""
-    lines = _read_lines(path)
+    data, key, kept = _read_bytes(path), (str(path), fmt), _kept.get()
+    if kept is not None and key in kept and kept[key][0] == data:
+        return [list(column) for column in kept[key][1]]
+    lines = _read_lines(path, data)
     if fmt.header is not None and lines[:1] != [fmt.header]:
         _fail(path, 1, f"expected {fmt.header!r} header")
     first = 1 + (fmt.header is not None)  # the line number of the first row
@@ -268,6 +305,8 @@ def _read_rows(path, fmt: _Format) -> list:
     i = _repeat(columns[0])
     if i is not None:
         _fail(path, first + i, f"duplicate {fmt.fields[0].name} {columns[0][i]}")
+    if kept is not None:
+        kept[key] = (data, tuple(map(tuple, columns)))
     return columns
 
 
@@ -294,7 +333,10 @@ def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
     if i is not None:
         raise ValueError(f"duplicate {fmt.fields[0].name} {texts[0][i]}")
     rows = list(map(" ".join, zip(*texts, strict=True)))  # ValueError for unequal columns
-    write_lines(path, [fmt.header] * (fmt.header is not None) + rows)
+    data = _write_text(path, [fmt.header] * (fmt.header is not None) + rows)
+    kept = _kept.get()
+    if kept is not None:  # the values as given, which is how the row rule reads them back
+        kept[(str(path), fmt)] = (data, tuple(map(tuple, columns)))
 
 
 _LANGUAGE = _Field("language", parse={m.value: m for m in Language}.__getitem__,
@@ -391,7 +433,7 @@ def read_scores(path):
     values = np.asarray(values, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:  # the message quotes the line's text
-        i, text = int(bad[0]), _read_lines(path)[bad[0]].split(" ")[1]
+        i, text = int(bad[0]), _read_lines(path, _read_bytes(path))[bad[0]].split(" ")[1]
         _fail(path, i + 1, f"non-finite score {text!r} for trial {ids[i]}")
     return ids, values
 

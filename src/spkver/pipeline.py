@@ -28,6 +28,10 @@ phrase. Scoring and normalization work on whole splits: each backend
 scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
 one call per claimed phrase), and AS-norm takes its cohort statistics in
 one call per side and language group.
+
+`cmd_e2e` runs its stages inside `fileio.keep_columns`, so a text file one
+stage writes is parsed by no later stage that reads it unchanged; a single
+stage run alone parses what it reads.
 """
 
 from __future__ import annotations
@@ -469,8 +473,9 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
 def cmd_e2e(cfg: PipelineConfig) -> List[Path]:
     """Run the whole pipeline and write a manifest of seeds, stage files and digests."""
     table = stage_files(cfg)
-    for stage, _, _ in table:
-        globals()[f"cmd_{stage}"](cfg)  # looked up per call, so a wrapper set on the module runs
+    with fileio.keep_columns():
+        for stage, _, _ in table:
+            globals()[f"cmd_{stage}"](cfg)  # looked up per call, so a wrapper set on the module runs
     written = [name for _, _, outputs in table for name in outputs]
     lines = ["MANIFEST", f"rng={RNG_ALGORITHM}"] + dump_config(cfg)
     lines += [f"stage {stage} reads {','.join(inputs) or '-'} writes {','.join(outputs) or '-'}"

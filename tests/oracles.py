@@ -20,8 +20,6 @@ from spkver.extractor import (
     AamHead,
     Ge2eParams,
     TrainResult,
-    _backward_to_params,
-    _forward_cache,
     aam_loss,
     ge2e_loss,
     lr_schedule,
@@ -708,6 +706,32 @@ def _sample_pct_batch_literal(rng, groups, speakers_per_batch):
     return batch
 
 
+def forward_cache_literal(extractor, x: np.ndarray) -> dict:
+    """The network's forward pass with a fresh array for every intermediate."""
+    z1 = x @ extractor.w1.T + extractor.b1
+    h = np.maximum(z1, 0.0)
+    raw = h @ extractor.w2.T + extractor.b2
+    norms = np.linalg.norm(raw, axis=1)
+    unit = raw / np.where(norms == 0.0, 1.0, norms)[:, None]
+    return {"x": x, "z1": z1, "h": h, "raw": raw, "norms": norms, "unit": unit}
+
+
+def backward_to_params_literal(extractor, cache: dict, d_unit: np.ndarray):
+    """Backprop of `forward_cache_literal`, with the ReLU mask taken from z1."""
+    norms, unit = cache["norms"], cache["unit"]
+    if np.any(norms == 0.0):
+        raise NumericalError("cannot backprop through a zero-norm embedding")
+    proj = np.sum(d_unit * unit, axis=1, keepdims=True)
+    d_raw = (d_unit - proj * unit) / norms[:, None]
+    d_w2 = d_raw.T @ cache["h"]
+    d_b2 = d_raw.sum(axis=0)
+    d_h = d_raw @ extractor.w2
+    d_z1 = d_h * (cache["z1"] > 0.0)
+    d_w1 = d_z1.T @ cache["x"]
+    d_b1 = d_z1.sum(axis=0)
+    return d_w1, d_b1, d_w2, d_b2
+
+
 def train_pct_literal(extractor, features, metas, inventory, config) -> TrainResult:
     """`train` with strategy=PCT as its own epoch loop: one `pct_loss_literal`
     step per phrase that has >= 2 speakers with >= 2 utterances of it."""
@@ -727,7 +751,7 @@ def train_pct_literal(extractor, features, metas, inventory, config) -> TrainRes
     pct_groups = _pct_groups_literal(metas.speakers, phr_labels, len(phrase_ids))
 
     def apply_net_grads(cache, d_unit, lr) -> None:
-        d_w1, d_b1, d_w2, d_b2 = _backward_to_params(net, cache, d_unit)
+        d_w1, d_b1, d_w2, d_b2 = backward_to_params_literal(net, cache, d_unit)
         net.w1 -= lr * d_w1
         net.b1 -= lr * d_b1
         net.w2 -= lr * d_w2
@@ -741,7 +765,7 @@ def train_pct_literal(extractor, features, metas, inventory, config) -> TrainRes
             if len(groups) < 2:
                 continue
             batch = _sample_pct_batch_literal(rng, groups, config.pct_speakers_per_batch)
-            cache = _forward_cache(net, feats[batch])
+            cache = forward_cache_literal(net, feats[batch])
             loss, d_e, d_head, d_w, d_b = pct_loss_literal(
                 cache["unit"], spk_labels[batch], [p] * len(batch),
                 heads["spk"], ge2e, config.contrastive_weight,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -716,6 +717,53 @@ class TestWorkdirInvariance:
         other = tmp_path / "elsewhere"
         assert main(["e2e"] + _args(other)) == 0
         assert _digests(other) == _digests(e2e_dir)
+
+
+# the reader of each text file a stage writes with a row writer; the others
+# (fusion_weights.txt, metrics.txt, manifest.txt) are write_lines output
+_READERS = {"meta": fileio.read_metas, "inventory": fileio.read_inventory,
+            "enroll": fileio.read_enroll_map, "trials": fileio.read_trials,
+            "keys": fileio.read_keys, "scores": fileio.read_scores}
+
+
+def _read_text_files(workdir):
+    """Every row-format file of a workdir, read by its reader; scores as (ids, bytes)."""
+    out = {}
+    for path in sorted(Path(workdir).iterdir()):
+        read = _READERS.get(path.name.split("_")[0].split(".")[0])
+        if read is not None:
+            value = read(path)
+            out[path.name] = (value[0], value[1].tobytes()) if read is fileio.read_scores \
+                else value
+    return out
+
+
+class TestKeptColumnsInE2e:
+    """`e2e` keeps the columns of every text file it writes; the stages run one
+    by one keep none. Both give the same bytes and reads."""
+
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_e2e_writes_what_the_stages_run_alone_write(self, tmp_path, config):
+        settings = STAGE_CONFIGS[config][0]
+        assert main(["e2e"] + _args(tmp_path / "e2e", *settings)) == 0
+        for stage, _, _ in pipeline.stage_files(load_config(overrides=BASE + settings)):
+            assert main([stage] + _args(tmp_path / "stages", *settings)) == 0, stage
+            assert fileio._kept.get() is None
+        e2e = _digests(tmp_path / "e2e")
+        del e2e["manifest.txt"]
+        assert _digests(tmp_path / "stages") == e2e
+
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_kept_reads_equal_parsed_reads(self, tmp_path, config):
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + STAGE_CONFIGS[config][0])
+        with fileio.keep_columns():  # as cmd_e2e runs the stages
+            for stage, _, _ in pipeline.stage_files(cfg):
+                getattr(pipeline, f"cmd_{stage}")(cfg)
+            with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
+                kept = _read_text_files(tmp_path)
+        assert kept == _read_text_files(tmp_path)
+        texts = {p.name for p in tmp_path.iterdir() if p.suffix in (".txt", ".meta")}
+        assert sorted(texts - set(kept)) == ["fusion_weights.txt", "metrics.txt"]
 
 
 class TestNormAgainstLiteral:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    backward_to_params_literal,
     check_gradients,
+    forward_cache_literal,
     ge2e_loss_literal,
     meta_rows,
     pct_loss_literal,
@@ -20,6 +22,8 @@ from spkver.extractor import (
     Ge2eParams,
     Strategy,
     TrainConfig,
+    _backward_to_params,
+    _forward_cache,
     aam_loss,
     extract_embeddings,
     ge2e_loss,
@@ -70,6 +74,33 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(8, 4))
         unit = extract_embeddings(net, x)
         np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
+
+
+class TestForwardBackwardAgainstLiteral:
+    """The in-place forward and backward pass compute bit for bit what the
+    literal one does, with a fresh array for every intermediate."""
+
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 10), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    def test_bitwise_equal(self, n, f, h, d, seed):
+        rng = np.random.default_rng(seed)
+        net = Extractor(rng.normal(size=(h, f + 1)), rng.normal(size=h),
+                        rng.normal(size=(d, h)), rng.normal(size=d))
+        # every other row has an all-negative pre-activation: a large first
+        # feature against a first column of -1 weights
+        net.w1[:, 0] = -1.0
+        x = rng.normal(size=(n, f + 1))
+        x[:, 0] = np.where(np.arange(n) % 2 == 1, 1e3, 0.0)
+        d_unit = rng.normal(size=(n, d))
+        d_unit_given = d_unit.copy()
+        got, want = _forward_cache(net, x), forward_cache_literal(net, x)
+        assert not (want["z1"][1::2] > 0.0).any()
+        for name in ("h", "norms", "unit"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+        for got_grad, want_grad in zip(_backward_to_params(net, got, d_unit),
+                                       backward_to_params_literal(net, want, d_unit)):
+            assert got_grad.tobytes() == want_grad.tobytes()
+        assert d_unit.tobytes() == d_unit_given.tobytes()
 
 
 class TestAamLoss:

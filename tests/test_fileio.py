@@ -1,6 +1,8 @@
 import io
+import os
 import re
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,6 +567,92 @@ class TestRowRule:
         fileio.write_metas(path, metas)
         assert path.read_text() == "META\nu1 s1 p L1 \nu2 s1 p L1 -\n"
         assert fileio.read_metas(path) == metas
+
+
+def _kept_paths():
+    return [key[0] for key in fileio._kept.get()]
+
+
+class TestKeptColumns:
+    """Inside `keep_columns` a text file written or parsed is not parsed again
+    while its bytes stay the same."""
+
+    @pytest.mark.parametrize("name", sorted(_FORMATS))
+    @given(data=st.data())
+    def test_every_format_round_trips_through_the_kept_columns(self, tmp_path_factory, name,
+                                                               data):
+        fields, make, write, read = _FORMATS[name]
+        rows = data.draw(st.lists(st.tuples(*fields), max_size=4))
+        value = make([tuple(row[k] for row in rows) for k in range(len(fields))])
+        path = tmp_path_factory.getbasetemp() / f"kept_{name}.txt"
+        path.unlink(missing_ok=True)
+        with fileio.keep_columns():
+            try:
+                write(path, value)
+            except ValueError:
+                assert _kept_paths() == []
+                return
+            assert _kept_paths() == [str(path)]
+            with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
+                kept = read(path)
+        parsed = read(path)
+        assert kept == value
+        assert repr(kept) == repr(parsed)  # the same values of the same types
+
+    def test_same_size_edit_is_parsed_again(self, tmp_path):
+        path = tmp_path / "s.txt"
+
+        def edit(data):  # as if within one mtime tick: size and times unchanged
+            path.write_bytes(data)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert path.stat().st_size == stat.st_size
+
+        with fileio.keep_columns():
+            fileio.write_scores(path, ["t0", "t1"], [0.5, 0.25])
+            stat = path.stat()
+            edit(b"t0 0.5\nt1 0.75\n")
+            ids, values = fileio.read_scores(path)
+            assert ids == ["t0", "t1"] and values.tolist() == [0.5, 0.75]
+            edit(b"t0 0.5\nt1 0.7x\n")
+            with pytest.raises(DataFormatError, match="s.txt:2: non-numeric score '0.7x'"):
+                fileio.read_scores(path)
+
+    def test_another_format_is_not_answered_from_the_kept_columns(self, tmp_path):
+        path = tmp_path / "k.txt"
+        with fileio.keep_columns():
+            fileio.write_keys(path, ["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
+            assert fileio.read_enroll_map(path) == {"t0": ("TC",), "t1": ("IW",)}
+            with pytest.raises(DataFormatError, match="k.txt:1: non-numeric score 'TC'"):
+                fileio.read_scores(path)
+            assert fileio.read_keys(path) == (["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
+
+    def test_a_mutated_column_does_not_change_the_next_read(self, tmp_path):
+        path = tmp_path / "k.txt"
+        ids, labels = ["t0", "t1"], [TrialLabel.TC, TrialLabel.IW]
+        with fileio.keep_columns():
+            fileio.write_keys(path, ids, labels)
+            ids[0], labels[1] = "x", TrialLabel.TC
+            for _ in range(2):
+                back_ids, back_labels = fileio.read_keys(path)
+                assert (back_ids, back_labels) == (["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
+                back_ids.append("t2")
+                back_labels[0] = TrialLabel.TW
+
+    def test_nothing_is_kept_after_the_context(self, tmp_path):
+        path = tmp_path / "s.txt"
+        assert fileio._kept.get() is None
+        with fileio.keep_columns():
+            fileio.write_scores(path, ["t0"], [0.5])
+            assert _kept_paths() == [str(path)]
+        assert fileio._kept.get() is None
+        with pytest.raises(RuntimeError):
+            with fileio.keep_columns():
+                fileio.read_scores(path)
+                raise RuntimeError
+        assert fileio._kept.get() is None
+        fileio.write_scores(path, ["t0"], [0.5])
+        fileio.read_scores(path)
+        assert fileio._kept.get() is None
 
 
 class TestModelContainers:
