@@ -2,8 +2,9 @@
 
     spkver <subcommand> [--config FILE] [--set key=value ...] [--seed N]
 
-Subcommands: one per stage of `pipeline.stage_files` (gen, train, extract,
-score, norm, filter, fuse, eval), and e2e, which runs them all in that order.
+Subcommands: one per stage of `pipeline.STAGES` (gen, train, extract, score,
+norm, filter, fuse, eval), and e2e, which runs them all in that order (filter
+for TD only). Each prints one `wrote` line per file it wrote, in order.
 Exit codes: 0 success, 2 usage/config error, 3 data/format error,
 4 numerical failure.
 """
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, load_config
 from .core import NumericalError
 from .fileio import DataFormatError
 
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale speaker-verification pipeline on synthetic corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [stage for stage, _, _ in pipeline.stage_files(PipelineConfig())] + ["e2e"]:
+    for name in pipeline.STAGES + ("e2e",):
         doc = getattr(pipeline, f"cmd_{name}").__doc__ or ""
         cmd = sub.add_parser(name, help=doc.strip().split("\n")[0])
         cmd.add_argument("--config", default=None, help="key=value config file")
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        written = getattr(pipeline, f"cmd_{args.command}")(cfg)
+        _, written = pipeline.run_stage(cfg, args.command)
         for path in written:
             print(f"wrote {path}")
         return 0

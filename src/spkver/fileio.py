@@ -39,11 +39,14 @@ Each reads as columns in file order: a `Metas` row-aligned to its split's
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
 
-Inside `keep_columns` (one e2e run), every text file written or parsed keeps
-its bytes and columns, and a later read of the same path in the same format
-whose bytes are equal returns copies of those columns instead of parsing
-again. Only byte-equal content is answered from the kept columns, and only
-the row formats above are kept: `.npz` files and `write_lines` output never.
+A `session` (one stage, or one e2e run of them all) does two jobs until it
+exits. It records ("read" or "write", str(path)) for every file a reader or
+writer opens, in call order. And every text file written or parsed keeps its
+bytes and columns, so a later read of the same path in the same format whose
+bytes are equal returns copies of those columns instead of parsing again;
+such a read is still recorded. Only byte-equal content is answered from the
+kept columns, and only the row formats above are kept: `.npz` files and
+`write_lines` output never.
 """
 
 from __future__ import annotations
@@ -88,7 +91,44 @@ def _repeat(values: list) -> Optional[int]:
         i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
+class _Session(NamedTuple):
+    """The active session's record of (op, str(path)) per file opened, and
+    (str(path), format) -> (bytes, columns as tuples) of each text file
+    written or parsed."""
+
+    files: list
+    kept: dict
+
+
+_session: ContextVar[Optional[_Session]] = ContextVar("session", default=None)
+
+
+@contextlib.contextmanager
+def session():
+    """Record the files opened and keep the columns of the text files written
+    or parsed until the context exits, normally or not (see the module
+    docstring). Yields the record, a list that grows as files are opened; a
+    session opened inside an active one joins it, sharing its record and
+    kept columns."""
+    active = _session.get()
+    if active is not None:
+        yield active.files
+        return
+    token = _session.set(_Session([], {}))
+    try:
+        yield _session.get().files
+    finally:
+        _session.reset(token)
+
+
+def _note(op: str, path) -> None:
+    active = _session.get()
+    if active is not None:
+        active.files.append((op, str(path)))
+
+
 def _read_bytes(path) -> bytes:
+    _note("read", path)
     try:
         return Path(path).read_bytes()
     except OSError as exc:
@@ -113,8 +153,12 @@ def _read_lines(path, data: bytes) -> list:
 
 def _write_text(path, lines: Sequence[str]) -> bytes:
     data = "\n".join([*lines, ""]).encode("utf-8")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    _note("write", path)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     return data
 
 
@@ -136,9 +180,13 @@ _NPZ_ERRORS = (OSError, EOFError, KeyError, NotImplementedError, ValueError, zip
 
 def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
     """Write named arrays as an uncompressed .npz at exactly `path`."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:  # a handle, so numpy adds no .npz suffix
-        np.savez(fh, **arrays)
+    _note("write", path)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:  # a handle, so numpy adds no .npz suffix
+            np.savez(fh, **arrays)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -147,6 +195,7 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
     A file that is not an .npz archive, a missing, truncated or corrupt member
     and an object array (which would need unpickling) raise DataFormatError.
     """
+    _note("read", path)
     try:
         fh = open(path, "rb")  # np.load leaks the handles it opens on a corrupt zip
     except OSError as exc:
@@ -253,28 +302,13 @@ class _Format(NamedTuple):
     empty: str = ""
 
 
-# (str(path), format) -> (bytes, columns as tuples) of each text file written
-# or parsed inside `keep_columns`; None outside it
-_kept: ContextVar[Optional[dict]] = ContextVar("kept", default=None)
-
-
-@contextlib.contextmanager
-def keep_columns():
-    """Keep the columns of every text file written or parsed until the context
-    exits, normally or not (see the module docstring)."""
-    token = _kept.set({})
-    try:
-        yield
-    finally:
-        _kept.reset(token)
-
-
 def _read_rows(path, fmt: _Format) -> list:
     """The columns of a text file, one list per field in file order, with
     "-" read as None in optional fields and parsed fields parsed. A row that
     breaks the row rule raises DataFormatError naming its line."""
-    data, key, kept = _read_bytes(path), (str(path), fmt), _kept.get()
-    if kept is not None and key in kept and kept[key][0] == data:
+    data, key, active = _read_bytes(path), (str(path), fmt), _session.get()
+    kept = {} if active is None else active.kept
+    if key in kept and kept[key][0] == data:
         return [list(column) for column in kept[key][1]]
     lines = _read_lines(path, data)
     if fmt.header is not None and lines[:1] != [fmt.header]:
@@ -305,8 +339,7 @@ def _read_rows(path, fmt: _Format) -> list:
     i = _repeat(columns[0])
     if i is not None:
         _fail(path, first + i, f"duplicate {fmt.fields[0].name} {columns[0][i]}")
-    if kept is not None:
-        kept[key] = (data, tuple(map(tuple, columns)))
+    kept[key] = (data, tuple(map(tuple, columns)))
     return columns
 
 
@@ -334,9 +367,9 @@ def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
         raise ValueError(f"duplicate {fmt.fields[0].name} {texts[0][i]}")
     rows = list(map(" ".join, zip(*texts, strict=True)))  # ValueError for unequal columns
     data = _write_text(path, [fmt.header] * (fmt.header is not None) + rows)
-    kept = _kept.get()
-    if kept is not None:  # the values as given, which is how the row rule reads them back
-        kept[(str(path), fmt)] = (data, tuple(map(tuple, columns)))
+    active = _session.get()
+    if active is not None:  # the values as given, which is how the row rule reads them back
+        active.kept[(str(path), fmt)] = (data, tuple(map(tuple, columns)))
 
 
 _LANGUAGE = _Field("language", parse={m.value: m for m in Language}.__getitem__,

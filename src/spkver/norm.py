@@ -24,10 +24,9 @@ Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class Cohort(NamedTuple):
-    """The AS-norm cohort: row i of the (M, D) float64 array x is entry
-    ids[i], in language languages[i] (an object array of Language)."""
+    """The AS-norm cohort: row i of the (M, D) float64 array x is an entry
+    in language languages[i] (an object array of Language)."""
 
-    ids: tuple
     x: np.ndarray
     languages: np.ndarray
 
@@ -54,7 +53,6 @@ def build_cohort(x: np.ndarray, metas: Metas) -> Cohort:
     if not groups:
         raise ValueError("cohort must be non-empty")
     return Cohort(
-        ids=tuple(f"{spk}:{lang.value}" for spk, lang in groups),
         x=np.stack([x[rows].mean(axis=0) for rows in groups.values()]),
         languages=np.array([lang for _, lang in groups], dtype=object),
     )

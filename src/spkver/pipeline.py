@@ -2,11 +2,11 @@
 
 Every stage reads its inputs from the working directory and writes its
 outputs there, so any stage rerun from on-disk state reproduces its prior
-outputs byte-for-byte. `stage_files` names the files each stage reads and
-writes, and fileio describes their formats: a features or embeddings file
-holds members ids and x (one row per id), the checkpoint the trained
-extractor (w1, b1, w2, b2, strategy, seed), and a scores file one score
-per trial of a split for one system.
+outputs byte-for-byte. `run_stage` runs one stage and returns the files it
+read and wrote, as its fileio session recorded them. fileio describes their
+formats: a features or embeddings file holds members ids and x (one row per
+id), the checkpoint the trained extractor (w1, b1, w2, b2, strategy, seed),
+and a scores file one score per trial of a split for one system.
 
 Splits are train / dev / eval, by disjoint speaker groups of one corpus. A
 labelled split travels as (x, metas), with the metadata as columns
@@ -29,9 +29,9 @@ scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
 one call per claimed phrase), and AS-norm takes its cohort statistics in
 one call per side and language group.
 
-`cmd_e2e` runs its stages inside `fileio.keep_columns`, so a text file one
-stage writes is parsed by no later stage that reads it unchanged; a single
-stage run alone parses what it reads.
+`cmd_e2e` runs its stages inside one session, so a text file one stage
+writes is parsed by no later stage that reads it unchanged, and its
+manifest names what each stage read and wrote from that session's record.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .config import ConfigError, PipelineConfig, dump_config
 from .core import build_enroll_model
 from .synthgen import RNG_ALGORITHM, Task
 
+STAGES = ("gen", "train", "extract", "score", "norm", "filter", "fuse", "eval")
 SPLITS = ("train", "dev", "eval")
 TRIAL_SPLITS = ("dev", "eval")  # the splits with trial lists
 
@@ -60,7 +61,7 @@ def _child_seeds(seed: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# what each stage reads and writes
+# system names
 
 
 def _systems(cfg: PipelineConfig) -> Dict[str, Tuple[str, str]]:
@@ -72,52 +73,11 @@ def _systems(cfg: PipelineConfig) -> Dict[str, Tuple[str, str]]:
     return {name: (system, system + filt) for name, system in normed.items()}
 
 
-def stage_files(cfg: PipelineConfig) -> List[Tuple[str, List[str], List[str]]]:
-    """Each stage of cfg's e2e run, in run order, as (stage, inputs,
-    outputs): the workdir files it reads, and those it writes in the order
-    it writes them. The phrase filter runs for TD only."""
-    def each(*patterns, splits=TRIAL_SPLITS):
-        return [pattern.format(split) for split in splits for pattern in patterns]
-
-    def scores(systems, splits=TRIAL_SPLITS):
-        return [f"scores_{system}_{split}.txt" for split in splits for system in systems]
-
-    systems = _systems(cfg)
-    fused = [final for _, final in systems.values()]
-    train = ["emb_train.npz", "meta_train.meta"]
-    vectors = each("emb_{}.npz", "trials_{}.txt", "enroll_{}.txt")
-    table = [
-        ("gen", [], each("feats_{}.npz", "meta_{}.meta", splits=("train",))
-         + each("feats_{}.npz", "meta_{}.meta", "trials_{}.txt", "keys_{}.txt", "enroll_{}.txt")
-         + ["inventory.txt"]),
-        ("train", ["feats_train.npz", "meta_train.meta", "inventory.txt"], ["ckpt.npz"]),
-        ("extract", ["ckpt.npz"] + each("feats_{}.npz", splits=SPLITS),
-         each("emb_{}.npz", splits=SPLITS)),
-        ("score", (train if {"plda", "nplda"} & set(cfg.backends) else [])
-         + (["inventory.txt"] if "nplda" in cfg.backends else []) + vectors, scores(cfg.backends)),
-        ("norm", train + vectors + scores([cfg.norm_backend])
-         + (each("meta_{}.meta") if cfg.language_dependent and not cfg.use_lid else []),
-         scores([systems[cfg.norm_backend][0]])),
-        ("filter", ["inventory.txt"] + each("trials_{}.txt", "meta_{}.meta")
-         + scores([normed for normed, _ in systems.values()]), scores(fused)),
-        ("fuse", each("trials_{}.txt") + ["keys_dev.txt"] + scores(fused),
-         ["fusion_weights.txt", "scores_fused_eval.txt"]),
-        ("eval", ["trials_eval.txt", "keys_eval.txt"] + scores(fused + ["fused"], ("eval",)),
-         ["metrics.txt"]),
-    ]
-    return [row for row in table if row[0] != "filter" or cfg.task == "TD"]
-
-
-def _outputs(cfg: PipelineConfig, stage: str) -> List[Path]:
-    """The paths `stage` writes, by cfg's `stage_files`."""
-    return [_workpath(cfg, name) for name in {s: out for s, _, out in stage_files(cfg)}[stage]]
-
-
 # ---------------------------------------------------------------------------
 # gen
 
 
-def cmd_gen(cfg: PipelineConfig) -> List[Path]:
+def cmd_gen(cfg: PipelineConfig) -> None:
     """Generate the corpus, split it by speakers, and write protocol files."""
     seeds = _child_seeds(cfg.seed, 4)
     corpus = synthgen.gen_corpus(cfg.gen_config(seed=seeds[0]))
@@ -152,7 +112,6 @@ def cmd_gen(cfg: PipelineConfig) -> List[Path]:
                               protocol.labels)
             fileio.write_enroll_map(_workpath(cfg, f"enroll_{split}.txt"), protocol.enroll_map)
     fileio.write_inventory(_workpath(cfg, "inventory.txt"), corpus.inventory)
-    return _outputs(cfg, "gen")
 
 
 def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
@@ -204,7 +163,7 @@ def _target_mask(cfg: PipelineConfig, split: str, trial_ids: tuple) -> np.ndarra
 # train / extract
 
 
-def cmd_train(cfg: PipelineConfig) -> List[Path]:
+def cmd_train(cfg: PipelineConfig) -> None:
     """Train the embedding network on the train split."""
     feats, metas = _load_split(cfg, "train")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
@@ -212,17 +171,15 @@ def cmd_train(cfg: PipelineConfig) -> List[Path]:
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
     result = extractor.train(net, feats, metas, inventory, cfg.train_config(seed=seeds[5]))
     fileio.write_checkpoint(_workpath(cfg, "ckpt.npz"), result.extractor, cfg.strategy, cfg.seed)
-    return _outputs(cfg, "train")
 
 
-def cmd_extract(cfg: PipelineConfig) -> List[Path]:
+def cmd_extract(cfg: PipelineConfig) -> None:
     """Map every split's features through the trained network."""
     net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.npz"))
     for split in SPLITS:
         ids, feats = fileio.read_matrix(_workpath(cfg, f"feats_{split}.npz"))
         fileio.write_matrix(_workpath(cfg, f"emb_{split}.npz"), ids,
                             extractor.extract_embeddings(net, feats))
-    return _outputs(cfg, "extract")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +285,7 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
     return bank
 
 
-def cmd_score(cfg: PipelineConfig) -> List[Path]:
+def cmd_score(cfg: PipelineConfig) -> None:
     """Score every configured backend over the dev and eval trial lists."""
     form = bank = None
     if {"plda", "nplda"} & set(cfg.backends):
@@ -348,14 +305,13 @@ def cmd_score(cfg: PipelineConfig) -> List[Path]:
                 scores = _score_by_claimed_phrase(
                     bank, _workpath(cfg, f"trials_{split}.txt"), trials, enroll, test)
             fileio.write_scores(_workpath(cfg, f"scores_{name}_{split}.txt"), trials.ids, scores)
-    return _outputs(cfg, "score")
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
-def cmd_norm(cfg: PipelineConfig) -> List[Path]:
+def cmd_norm(cfg: PipelineConfig) -> None:
     """AS-Norm (optionally language-dependent) over the norm_backend scores."""
     train_x, train_meta = _load_split(cfg, "train", extracted=True)
     cohort = norm.build_cohort(train_x, train_meta)
@@ -383,14 +339,13 @@ def cmd_norm(cfg: PipelineConfig) -> List[Path]:
             raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
         )
         fileio.write_scores(_workpath(cfg, f"scores_{system}_{split}.txt"), trials.ids, normed)
-    return _outputs(cfg, "norm")
 
 
 # ---------------------------------------------------------------------------
 # phrase filter
 
 
-def cmd_filter(cfg: PipelineConfig) -> List[Path]:
+def cmd_filter(cfg: PipelineConfig) -> None:
     """Floor the scores of trials whose recognized phrase mismatches the claim."""
     if cfg.task != "TD":
         raise ConfigError("the phrase filter applies to TD trials only")
@@ -408,7 +363,6 @@ def cmd_filter(cfg: PipelineConfig) -> List[Path]:
             scores = _read_scores(cfg, system, split, trials.ids)
             fileio.write_scores(_workpath(cfg, f"scores_{filtered}_{split}.txt"), trials.ids,
                                 metrics.apply_phrase_filter(scores, mismatch, cfg.filter_floor))
-    return _outputs(cfg, "filter")
 
 
 def _tested_transcripts(cfg: PipelineConfig, split: str):
@@ -431,7 +385,7 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
 # fusion and evaluation
 
 
-def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
+def cmd_fuse(cfg: PipelineConfig) -> None:
     """Tune fusion weights on dev minDCF and apply them to the eval scores."""
     systems = [fused for _, fused in _systems(cfg).values()]
     dev_ids = fileio.read_trials(_workpath(cfg, "trials_dev.txt")).ids
@@ -446,10 +400,9 @@ def cmd_fuse(cfg: PipelineConfig) -> List[Path]:
     fileio.write_lines(_workpath(cfg, "fusion_weights.txt"),
                        [f"{s} {repr(w)}" for s, w in zip(systems, weights.weights)])
     fileio.write_scores(_workpath(cfg, "scores_fused_eval.txt"), eval_ids, fused)
-    return _outputs(cfg, "fuse")
 
 
-def cmd_eval(cfg: PipelineConfig) -> List[Path]:
+def cmd_eval(cfg: PipelineConfig) -> None:
     """EER / minDCF report over every final system plus the fusion."""
     trial_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
     is_target = _target_mask(cfg, "eval", trial_ids)
@@ -463,23 +416,34 @@ def cmd_eval(cfg: PipelineConfig) -> List[Path]:
         )
     fileio.write_lines(_workpath(cfg, "metrics.txt"), lines)
     print("\n".join(lines))
-    return _outputs(cfg, "eval")
 
 
 # ---------------------------------------------------------------------------
 # end to end
 
 
-def cmd_e2e(cfg: PipelineConfig) -> List[Path]:
+def cmd_e2e(cfg: PipelineConfig) -> None:
     """Run the whole pipeline and write a manifest of seeds, stage files and digests."""
-    table = stage_files(cfg)
-    with fileio.keep_columns():
-        for stage, _, _ in table:
-            globals()[f"cmd_{stage}"](cfg)  # looked up per call, so a wrapper set on the module runs
-    written = [name for _, _, outputs in table for name in outputs]
     lines = ["MANIFEST", f"rng={RNG_ALGORITHM}"] + dump_config(cfg)
-    lines += [f"stage {stage} reads {','.join(inputs) or '-'} writes {','.join(outputs) or '-'}"
-              for stage, inputs, outputs in table]
+    written = []
+    with fileio.session():  # one session, so a text file is parsed once per run
+        for stage in STAGES:
+            if stage != "filter" or cfg.task == "TD":  # the phrase filter runs for TD only
+                reads, writes = [[Path(p).name for p in paths] for paths in run_stage(cfg, stage)]
+                lines.append(f"stage {stage} reads {','.join(reads) or '-'} "
+                             f"writes {','.join(writes) or '-'}")
+                written += writes
     lines += [f"sha256 {n} {fileio.sha256_of(_workpath(cfg, n))}" for n in sorted(written)]
     fileio.write_lines(_workpath(cfg, "manifest.txt"), lines)
-    return [_workpath(cfg, name) for name in written + ["manifest.txt"]]
+
+
+def run_stage(cfg: PipelineConfig, stage: str) -> Tuple[List[str], List[str]]:
+    """Run `cmd_<stage>` inside a fileio session, looking it up when called so
+    that a wrapper set on the module runs. Returns the paths of the files the
+    stage read, each once in first-read order, and of those it wrote, in order."""
+    with fileio.session() as files:
+        start = len(files)
+        globals()[f"cmd_{stage}"](cfg)
+        record = files[start:]
+    return (list(dict.fromkeys(path for op, path in record if op == "read")),
+            [path for op, path in record if op == "write"])

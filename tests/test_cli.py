@@ -317,20 +317,38 @@ def _record_files(monkeypatch):
     return reads, writes
 
 
+def _manifest_stages(workdir):
+    """The `stage` lines of a workdir's manifest as (stage, reads, writes)."""
+    lines = (Path(workdir) / "manifest.txt").read_text().splitlines()
+    return [(name, [] if reads == "-" else reads.split(","),
+             [] if writes == "-" else writes.split(","))
+            for _, name, _, reads, _, writes in (line.split(" ") for line in lines
+                                                 if line.startswith("stage "))]
+
+
+def _run_stage(cfg, stage):
+    """pipeline.run_stage with each path as its name in the workdir."""
+    return tuple([str(Path(path).relative_to(cfg.workdir)) for path in paths]
+                 for paths in pipeline.run_stage(cfg, stage))
+
+
 class TestStageInputs:
     @pytest.mark.parametrize("config", STAGE_CONFIGS)
     def test_each_stage_reads_and_writes_its_declared_files(self, tmp_path, monkeypatch,
                                                             config):
+        # the session's record of each stage agrees with a log of every
+        # public fileio reader and writer call it made
         settings, score_metas, norm_metas = STAGE_CONFIGS[config]
         pinned = {"score": score_metas, "norm": norm_metas}
         cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + settings)
         reads, writes = _record_files(monkeypatch)
-        for stage, inputs, outputs in pipeline.stage_files(cfg):
+        for stage in pipeline.STAGES:
+            if stage == "filter" and cfg.task != "TD":
+                continue
             reads.clear()
             writes.clear()
-            written = getattr(pipeline, f"cmd_{stage}")(cfg)
-            assert sorted(set(reads)) == sorted(inputs), stage
-            assert writes == outputs and [p.name for p in written] == outputs, stage
+            recorded = _run_stage(cfg, stage)
+            assert recorded == (list(dict.fromkeys(reads)), writes), stage
             if stage in pinned:
                 assert {n for n in reads if n.endswith(".meta")} == set(pinned[stage]), stage
 
@@ -339,7 +357,11 @@ class TestStageInputs:
         workdir = tmp_path / "w"
         settings = STAGE_CONFIGS[config][0]
         assert main(["e2e"] + _args(workdir, *settings)) == 0
-        table = pipeline.stage_files(load_config(overrides=BASE + settings))
+        table = _manifest_stages(workdir)
+        task = load_config(overrides=BASE + settings).task
+        assert [stage for stage, _, _ in table] == [
+            stage for stage in pipeline.STAGES if stage != "filter" or task == "TD"]
+        assert table[0][1] == [] and all(reads and writes for _, reads, writes in table[1:])
         written = [name for _, _, outputs in table for name in outputs]
         assert len(written) == len(set(written))  # one stage writes each file
         for k, (stage, inputs, _) in enumerate(table):
@@ -352,9 +374,7 @@ class TestStageInputs:
         lines = (workdir / "manifest.txt").read_text().splitlines()
         tail = [line.split(" ") for line in lines if line.startswith(("stage ", "sha256 "))]
         assert [fields[0] for fields in tail] == ["stage"] * len(table) + ["sha256"] * len(written)
-        assert [(name, [] if reads == "-" else reads.split(","),
-                 [] if writes == "-" else writes.split(","))
-                for _, name, _, reads, _, writes in tail[:len(table)]] == table
+        assert [fields[1] for fields in tail[len(table):]] == sorted(written)
 
     def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
         import shutil
@@ -387,6 +407,14 @@ class TestStageInputs:
 
 
 class TestErrorExitCodes:
+    def test_failed_write_is_data_error(self, tmp_path, capsys):
+        # the OSError of a write was not caught: a traceback and exit 1
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        workdir = blocker / "w"
+        assert main(["gen"] + _args(workdir)) == 3
+        assert f"data error: {workdir / 'feats_train.npz'}: " in capsys.readouterr().err
+
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
         workdir = tmp_path / "w"
         assert main(["gen"] + _args(workdir)) == 0
@@ -739,31 +767,39 @@ def _read_text_files(workdir):
 
 
 class TestKeptColumnsInE2e:
-    """`e2e` keeps the columns of every text file it writes; the stages run one
-    by one keep none. Both give the same bytes and reads."""
+    """`e2e` runs its stages in one fileio session; the stages run one by one
+    each run in their own. Both give the same bytes, reads and records."""
 
     @pytest.mark.parametrize("config", STAGE_CONFIGS)
     def test_e2e_writes_what_the_stages_run_alone_write(self, tmp_path, config):
+        # each stage run alone records what the e2e manifest's stage line names
         settings = STAGE_CONFIGS[config][0]
         assert main(["e2e"] + _args(tmp_path / "e2e", *settings)) == 0
-        for stage, _, _ in pipeline.stage_files(load_config(overrides=BASE + settings)):
-            assert main([stage] + _args(tmp_path / "stages", *settings)) == 0, stage
-            assert fileio._kept.get() is None
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path / 'stages'}"] + settings)
+        for stage, reads, writes in _manifest_stages(tmp_path / "e2e"):
+            assert _run_stage(cfg, stage) == (reads, writes), stage
+            assert fileio._session.get() is None
         e2e = _digests(tmp_path / "e2e")
         del e2e["manifest.txt"]
         assert _digests(tmp_path / "stages") == e2e
 
+    def test_e2e_parses_no_text_file(self, tmp_path):
+        # every text file a run reads was written earlier in the same session
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"])
+        with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
+            pipeline.cmd_e2e(cfg)
+        assert fileio._session.get() is None
+
     @pytest.mark.parametrize("config", STAGE_CONFIGS)
     def test_kept_reads_equal_parsed_reads(self, tmp_path, config):
         cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + STAGE_CONFIGS[config][0])
-        with fileio.keep_columns():  # as cmd_e2e runs the stages
-            for stage, _, _ in pipeline.stage_files(cfg):
-                getattr(pipeline, f"cmd_{stage}")(cfg)
+        with fileio.session():  # cmd_e2e's session joins this one
+            pipeline.cmd_e2e(cfg)
             with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
                 kept = _read_text_files(tmp_path)
         assert kept == _read_text_files(tmp_path)
         texts = {p.name for p in tmp_path.iterdir() if p.suffix in (".txt", ".meta")}
-        assert sorted(texts - set(kept)) == ["fusion_weights.txt", "metrics.txt"]
+        assert sorted(texts - set(kept)) == ["fusion_weights.txt", "manifest.txt", "metrics.txt"]
 
 
 class TestNormAgainstLiteral:
@@ -814,10 +850,9 @@ class TestBackendTraining:
             return train(x, *args, **kwargs)
 
         monkeypatch.setattr(backend, "plda_em_train", counting)
-        written = pipeline.cmd_score(cfg)
-        assert [p.name for p in written] == [f"scores_{name}_{split}.txt"
-                                             for split in ("dev", "eval")
-                                             for name in backends.split(",")]
+        assert _run_stage(cfg, "score")[1] == [f"scores_{name}_{split}.txt"
+                                               for split in ("dev", "eval")
+                                               for name in backends.split(",")]
         assert rows_per_call == [n_train] * calls
 
     def test_plda_scores_a_split_in_one_scorer_call(self, e2e_dir, tmp_path, monkeypatch):

@@ -570,11 +570,11 @@ class TestRowRule:
 
 
 def _kept_paths():
-    return [key[0] for key in fileio._kept.get()]
+    return [key[0] for key in fileio._session.get().kept]
 
 
 class TestKeptColumns:
-    """Inside `keep_columns` a text file written or parsed is not parsed again
+    """Inside a `session` a text file written or parsed is not parsed again
     while its bytes stay the same."""
 
     @pytest.mark.parametrize("name", sorted(_FORMATS))
@@ -586,7 +586,7 @@ class TestKeptColumns:
         value = make([tuple(row[k] for row in rows) for k in range(len(fields))])
         path = tmp_path_factory.getbasetemp() / f"kept_{name}.txt"
         path.unlink(missing_ok=True)
-        with fileio.keep_columns():
+        with fileio.session():
             try:
                 write(path, value)
             except ValueError:
@@ -607,7 +607,7 @@ class TestKeptColumns:
             os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
             assert path.stat().st_size == stat.st_size
 
-        with fileio.keep_columns():
+        with fileio.session():
             fileio.write_scores(path, ["t0", "t1"], [0.5, 0.25])
             stat = path.stat()
             edit(b"t0 0.5\nt1 0.75\n")
@@ -619,7 +619,7 @@ class TestKeptColumns:
 
     def test_another_format_is_not_answered_from_the_kept_columns(self, tmp_path):
         path = tmp_path / "k.txt"
-        with fileio.keep_columns():
+        with fileio.session():
             fileio.write_keys(path, ["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
             assert fileio.read_enroll_map(path) == {"t0": ("TC",), "t1": ("IW",)}
             with pytest.raises(DataFormatError, match="k.txt:1: non-numeric score 'TC'"):
@@ -629,7 +629,7 @@ class TestKeptColumns:
     def test_a_mutated_column_does_not_change_the_next_read(self, tmp_path):
         path = tmp_path / "k.txt"
         ids, labels = ["t0", "t1"], [TrialLabel.TC, TrialLabel.IW]
-        with fileio.keep_columns():
+        with fileio.session():
             fileio.write_keys(path, ids, labels)
             ids[0], labels[1] = "x", TrialLabel.TC
             for _ in range(2):
@@ -640,19 +640,78 @@ class TestKeptColumns:
 
     def test_nothing_is_kept_after_the_context(self, tmp_path):
         path = tmp_path / "s.txt"
-        assert fileio._kept.get() is None
-        with fileio.keep_columns():
+        assert fileio._session.get() is None
+        with fileio.session():
             fileio.write_scores(path, ["t0"], [0.5])
             assert _kept_paths() == [str(path)]
-        assert fileio._kept.get() is None
+        assert fileio._session.get() is None
         with pytest.raises(RuntimeError):
-            with fileio.keep_columns():
+            with fileio.session():
                 fileio.read_scores(path)
                 raise RuntimeError
-        assert fileio._kept.get() is None
+        assert fileio._session.get() is None
         fileio.write_scores(path, ["t0"], [0.5])
         fileio.read_scores(path)
-        assert fileio._kept.get() is None
+        assert fileio._session.get() is None
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: fileio.write_lines(path, ["a"]),
+    lambda path: fileio.write_scores(path, ["t0"], [0.5]),
+    lambda path: fileio.write_matrix(path, ["u0"], np.ones((1, 2))),
+], ids=["lines", "rows", "npz"])
+def test_a_failed_write_is_data_error(tmp_path, write):
+    (tmp_path / "file").write_bytes(b"")
+    path = tmp_path / "file" / "x"
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: ")):
+        write(path)
+
+
+class TestSessionRecord:
+    """A `session` records ("read" or "write", str(path)) for every file a
+    reader or writer opens, in call order."""
+
+    def test_text_and_npz_files_are_recorded_in_call_order(self, tmp_path):
+        scores, matrix, lines = tmp_path / "s.txt", tmp_path / "x.npz", tmp_path / "l.txt"
+        with fileio.session() as files:
+            fileio.write_scores(scores, ["t0"], [0.5])
+            fileio.write_matrix(matrix, ["u0"], np.ones((1, 2)))
+            fileio.read_matrix(matrix)
+            with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
+                fileio.read_scores(scores)  # answered from the kept columns
+            fileio.write_lines(lines, ["a"])
+            fileio.read_scores(scores)
+        assert files == [("write", str(scores)), ("write", str(matrix)),
+                         ("read", str(matrix)), ("read", str(scores)),
+                         ("write", str(lines)), ("read", str(scores))]
+        assert all(type(path) is str for _, path in files)
+
+    def test_nothing_is_recorded_outside_a_session(self, tmp_path):
+        path = tmp_path / "s.txt"
+        fileio.write_scores(path, ["t0"], [0.5])  # before any session
+        with fileio.session() as files:
+            fileio.read_scores(path)
+        fileio.read_scores(path)  # after a normal exit
+        with pytest.raises(RuntimeError):
+            with fileio.session() as raised:
+                fileio.read_scores(path)
+                raise RuntimeError
+        fileio.write_scores(path, ["t0"], [0.5])  # after an exit by exception
+        assert files == raised == [("read", str(path))]
+        assert fileio._session.get() is None
+
+    def test_a_nested_session_joins_the_active_one(self, tmp_path):
+        path = tmp_path / "s.txt"
+        with fileio.session() as outer:
+            fileio.write_scores(path, ["t0"], [0.5])
+            with fileio.session() as inner:
+                assert inner is outer
+                with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError):
+                    fileio.read_scores(path)  # the outer session's kept columns
+            assert fileio._session.get() is not None  # the inner exit ends nothing
+            fileio.read_scores(path)
+        assert outer == [("write", str(path)), ("read", str(path)), ("read", str(path))]
+        assert fileio._session.get() is None
 
 
 class TestModelContainers:

@@ -23,7 +23,7 @@ def _cohort(vecs, langs=None):
     """A cohort of the given rows, all L1 unless languages are given."""
     x = np.asarray(vecs, dtype=np.float64)
     langs = [Language.L1] * len(x) if langs is None else langs
-    return Cohort(tuple(f"c{i}" for i in range(len(x))), x, np.array(langs, dtype=object))
+    return Cohort(x, np.array(langs, dtype=object))
 
 
 def _dot_scorer(a, b):
@@ -251,20 +251,18 @@ class TestBuildCohort:
             n_speakers=5, n_phrases=2, n_utts_per_cell=6, dim=6,
             noise_sigma=0.3, seed=12,
         ))
-        # rows in reverse order: each entry averages its own rows wherever they sit
-        cohort = build_cohort(corpus.x[::-1], Metas(*(column[::-1] for column in corpus.metas)))
-        rows = meta_rows(corpus.metas)
-        expected = {(m.speaker_id, m.language) for m in rows}
-        assert len(cohort.ids) == len(expected) == len(set(cohort.ids))
+        # rows in reverse order: each entry averages its own rows wherever they sit,
+        # and entries come in the first-appearance order of (speaker, language)
+        x, metas = corpus.x[::-1], Metas(*(column[::-1] for column in corpus.metas))
+        cohort = build_cohort(x, metas)
+        rows = meta_rows(metas)
+        expected = list(dict.fromkeys((m.speaker_id, m.language) for m in rows))
+        assert len(expected) > 5  # some speaker speaks both languages
         assert cohort.x.shape == (len(expected), 6) and cohort.x.dtype == np.float64
         assert cohort.languages.shape == (len(expected),)
-        for entry_id, row, lang in zip(cohort.ids, cohort.x, cohort.languages):
-            spk, lang_value = entry_id.split(":")
-            assert lang.value == lang_value
-            members = [
-                vec for vec, m in zip(corpus.x, rows)
-                if m.speaker_id == spk and m.language is lang
-            ]
+        for (spk, lang), row, entry_lang in zip(expected, cohort.x, cohort.languages):
+            assert entry_lang is lang
+            members = [vec for vec, m in zip(x, rows) if m.speaker_id == spk and m.language is lang]
             np.testing.assert_allclose(row, np.mean(members, axis=0), atol=1e-12)
 
     def test_no_rows_rejected(self):
