@@ -39,20 +39,25 @@ Each reads as columns in file order: a `Metas` row-aligned to its split's
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
 
+Every file is read by `_read_bytes` and written by `_write_bytes`, whole;
+an `.npz` is built and parsed in memory.
+
 A `session` (one stage, or one e2e run of them all) does two jobs until it
-exits. It records ("read" or "write", str(path)) for every file a reader or
-writer opens, in call order. And every text file written or parsed keeps its
-bytes and columns, so a later read of the same path in the same format whose
-bytes are equal returns copies of those columns instead of parsing again;
-such a read is still recorded. Only byte-equal content is answered from the
-kept columns, and only the row formats above are kept: `.npz` files and
-`write_lines` output never.
+exits. It records (op, str(path), digest) for every file a reader or writer
+opens, in call order: op is "read" or "write", and digest is the sha256 hex
+digest of a write's bytes (None for a read). And every text file written or
+parsed keeps its bytes and columns, so a later read of the same path in the
+same format whose bytes are equal returns copies of those columns instead of
+parsing again; such a read is still recorded. Only byte-equal content is
+answered from the kept columns, and only the row formats above are kept:
+`.npz` files and `write_lines` output never.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import zipfile
 from contextvars import ContextVar
 from operator import attrgetter
@@ -92,8 +97,8 @@ def _repeat(values: list) -> Optional[int]:
 
 
 class _Session(NamedTuple):
-    """The active session's record of (op, str(path)) per file opened, and
-    (str(path), format) -> (bytes, columns as tuples) of each text file
+    """The active session's record of (op, str(path), digest) per file opened,
+    and (str(path), format) -> (bytes, columns as tuples) of each text file
     written or parsed."""
 
     files: list
@@ -121,16 +126,27 @@ def session():
         _session.reset(token)
 
 
-def _note(op: str, path) -> None:
+def _note(op: str, path, data: Optional[bytes] = None) -> None:
     active = _session.get()
     if active is not None:
-        active.files.append((op, str(path)))
+        digest = None if data is None else hashlib.sha256(data).hexdigest()
+        active.files.append((op, str(path), digest))
 
 
 def _read_bytes(path) -> bytes:
     _note("read", path)
     try:
         return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """Write `data` to exactly `path`, creating the parent directory."""
+    _note("write", path, data)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -153,22 +169,13 @@ def _read_lines(path, data: bytes) -> list:
 
 def _write_text(path, lines: Sequence[str]) -> bytes:
     data = "\n".join([*lines, ""]).encode("utf-8")
-    _note("write", path)
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    _write_bytes(path, data)
     return data
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write each line followed by LF, in one go, creating the parent directory."""
     _write_text(path, lines)
-
-
-def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +187,9 @@ _NPZ_ERRORS = (OSError, EOFError, KeyError, NotImplementedError, ValueError, zip
 
 def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
     """Write named arrays as an uncompressed .npz at exactly `path`."""
-    _note("write", path)
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:  # a handle, so numpy adds no .npz suffix
-            np.savez(fh, **arrays)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    _write_bytes(path, buffer.getvalue())
 
 
 def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -195,27 +198,22 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
     A file that is not an .npz archive, a missing, truncated or corrupt member
     and an object array (which would need unpickling) raise DataFormatError.
     """
-    _note("read", path)
+    data = _read_bytes(path)
     try:
-        fh = open(path, "rb")  # np.load leaks the handles it opens on a corrupt zip
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        npz = np.load(io.BytesIO(data), allow_pickle=False)
+    except _NPZ_ERRORS as exc:
+        raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from exc
+    if isinstance(npz, np.ndarray):
+        raise DataFormatError(f"{path}: a bare .npy array, not an .npz archive")
     out = {}
-    with fh:
-        try:
-            npz = np.load(fh, allow_pickle=False)
-        except _NPZ_ERRORS as exc:
-            raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from exc
-        if isinstance(npz, np.ndarray):
-            raise DataFormatError(f"{path}: a bare .npy array, not an .npz archive")
-        with npz:
-            for name in names:
-                if name not in npz.files:
-                    raise DataFormatError(f"{path}: missing member {name!r}")
-                try:
-                    out[name] = npz[name]
-                except _NPZ_ERRORS as exc:
-                    raise DataFormatError(f"{path}: member {name!r} is unreadable: {exc}") from exc
+    with npz:
+        for name in names:
+            if name not in npz.files:
+                raise DataFormatError(f"{path}: missing member {name!r}")
+            try:
+                out[name] = npz[name]
+            except _NPZ_ERRORS as exc:
+                raise DataFormatError(f"{path}: member {name!r} is unreadable: {exc}") from exc
     return out
 
 

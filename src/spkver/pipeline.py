@@ -30,8 +30,9 @@ one call per claimed phrase), and AS-norm takes its cohort statistics in
 one call per side and language group.
 
 `cmd_e2e` runs its stages inside one session, so a text file one stage
-writes is parsed by no later stage that reads it unchanged, and its
-manifest names what each stage read and wrote from that session's record.
+writes is parsed by no later stage that reads it unchanged, and builds its
+manifest from that session's record: what each stage read and wrote, and
+the sha256 of the bytes written, so no file is read back to digest it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def _workpath(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.workdir) / name
 
 
-def _child_seeds(seed: int, n: int) -> list:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
+def _child_seed(seed: int, i: int) -> int:
+    """Child i of `seed`, as SeedSequence(seed).spawn(n)[i] for any n > i: gen
+    draws with 0-3, train with 4 and 5, the NPLDA training pairs with 6."""
+    return int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ def _systems(cfg: PipelineConfig) -> Dict[str, Tuple[str, str]]:
 
 def cmd_gen(cfg: PipelineConfig) -> None:
     """Generate the corpus, split it by speakers, and write protocol files."""
-    seeds = _child_seeds(cfg.seed, 4)
+    seeds = [_child_seed(cfg.seed, i) for i in range(4)]
     corpus = synthgen.gen_corpus(cfg.gen_config(seed=seeds[0]))
 
     speakers = list(corpus.speaker_ids)
@@ -167,9 +170,9 @@ def cmd_train(cfg: PipelineConfig) -> None:
     """Train the embedding network on the train split."""
     feats, metas = _load_split(cfg, "train")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
-    seeds = _child_seeds(cfg.seed, 6)
-    net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, seed=seeds[4])
-    result = extractor.train(net, feats, metas, inventory, cfg.train_config(seed=seeds[5]))
+    net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, _child_seed(cfg.seed, 4))
+    result = extractor.train(net, feats, metas, inventory,
+                             cfg.train_config(seed=_child_seed(cfg.seed, 5)))
     fileio.write_checkpoint(_workpath(cfg, "ckpt.npz"), result.extractor, cfg.strategy, cfg.seed)
 
 
@@ -258,10 +261,9 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
             f"{meta_path}: NPLDA training pairs: infeasible request: only one speaker "
             f"has more than n_enroll={cfg.n_enroll} utterances of phrase {lone[0]!r}")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
-    seeds = _child_seeds(cfg.seed, 7)
     try:
         protocol = synthgen.gen_trials(
-            metas, inventory, Task.TD, cfg.n_dev_trials, seeds[6],
+            metas, inventory, Task.TD, cfg.n_dev_trials, _child_seed(cfg.seed, 6),
             proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
         )
     except ValueError as exc:
@@ -423,17 +425,17 @@ def cmd_eval(cfg: PipelineConfig) -> None:
 
 
 def cmd_e2e(cfg: PipelineConfig) -> None:
-    """Run the whole pipeline and write a manifest of seeds, stage files and digests."""
+    """Run the whole pipeline and write a manifest of its config and its session's record."""
     lines = ["MANIFEST", f"rng={RNG_ALGORITHM}"] + dump_config(cfg)
-    written = []
-    with fileio.session():  # one session, so a text file is parsed once per run
+    with fileio.session() as files:  # one session, so a text file is parsed once per run
+        start = len(files)
         for stage in STAGES:
             if stage != "filter" or cfg.task == "TD":  # the phrase filter runs for TD only
                 reads, writes = [[Path(p).name for p in paths] for paths in run_stage(cfg, stage)]
                 lines.append(f"stage {stage} reads {','.join(reads) or '-'} "
                              f"writes {','.join(writes) or '-'}")
-                written += writes
-    lines += [f"sha256 {n} {fileio.sha256_of(_workpath(cfg, n))}" for n in sorted(written)]
+        digests = {Path(path).name: sha for op, path, sha in files[start:] if op == "write"}
+    lines += [f"sha256 {name} {digests[name]}" for name in sorted(digests)]
     fileio.write_lines(_workpath(cfg, "manifest.txt"), lines)
 
 
@@ -445,5 +447,5 @@ def run_stage(cfg: PipelineConfig, stage: str) -> Tuple[List[str], List[str]]:
         start = len(files)
         globals()[f"cmd_{stage}"](cfg)
         record = files[start:]
-    return (list(dict.fromkeys(path for op, path in record if op == "read")),
-            [path for op, path in record if op == "write"])
+    return (list(dict.fromkeys(path for op, path, _ in record if op == "read")),
+            [path for op, path, _ in record if op == "write"])

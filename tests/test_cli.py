@@ -311,7 +311,7 @@ def _record_files(monkeypatch):
         return call
 
     for name in dir(fileio):
-        if name.startswith(("read_", "write_")) or name == "sha256_of":
+        if name.startswith(("read_", "write_")):
             log = writes if name.startswith("write_") else reads
             monkeypatch.setattr(fileio, name, logged(getattr(fileio, name), log))
     return reads, writes
@@ -375,6 +375,8 @@ class TestStageInputs:
         tail = [line.split(" ") for line in lines if line.startswith(("stage ", "sha256 "))]
         assert [fields[0] for fields in tail] == ["stage"] * len(table) + ["sha256"] * len(written)
         assert [fields[1] for fields in tail[len(table):]] == sorted(written)
+        assert {name: sha for _, name, sha in tail[len(table):]} == {
+            name: sha for name, sha in _digests(workdir).items() if name != "manifest.txt"}
 
     def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
         import shutil

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -667,9 +668,14 @@ def test_a_failed_write_is_data_error(tmp_path, write):
         write(path)
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestSessionRecord:
-    """A `session` records ("read" or "write", str(path)) for every file a
-    reader or writer opens, in call order."""
+    """A `session` records ("read" or "write", str(path), digest) for every
+    file a reader or writer opens, in call order: the sha256 of a write's
+    bytes, None for a read."""
 
     def test_text_and_npz_files_are_recorded_in_call_order(self, tmp_path):
         scores, matrix, lines = tmp_path / "s.txt", tmp_path / "x.npz", tmp_path / "l.txt"
@@ -681,10 +687,11 @@ class TestSessionRecord:
                 fileio.read_scores(scores)  # answered from the kept columns
             fileio.write_lines(lines, ["a"])
             fileio.read_scores(scores)
-        assert files == [("write", str(scores)), ("write", str(matrix)),
-                         ("read", str(matrix)), ("read", str(scores)),
-                         ("write", str(lines)), ("read", str(scores))]
-        assert all(type(path) is str for _, path in files)
+        assert files == [("write", str(scores), _sha256(scores)),
+                         ("write", str(matrix), _sha256(matrix)),
+                         ("read", str(matrix), None), ("read", str(scores), None),
+                         ("write", str(lines), _sha256(lines)), ("read", str(scores), None)]
+        assert all(type(path) is str for _, path, _ in files)
 
     def test_nothing_is_recorded_outside_a_session(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -697,7 +704,8 @@ class TestSessionRecord:
                 fileio.read_scores(path)
                 raise RuntimeError
         fileio.write_scores(path, ["t0"], [0.5])  # after an exit by exception
-        assert files == raised == [("read", str(path))]
+        fileio.write_matrix(tmp_path / "x.npz", ["u0"], np.ones((1, 2)))
+        assert files == raised == [("read", str(path), None)]
         assert fileio._session.get() is None
 
     def test_a_nested_session_joins_the_active_one(self, tmp_path):
@@ -710,7 +718,8 @@ class TestSessionRecord:
                     fileio.read_scores(path)  # the outer session's kept columns
             assert fileio._session.get() is not None  # the inner exit ends nothing
             fileio.read_scores(path)
-        assert outer == [("write", str(path)), ("read", str(path)), ("read", str(path))]
+        assert outer == [("write", str(path), _sha256(path)),
+                         ("read", str(path), None), ("read", str(path), None)]
         assert fileio._session.get() is None
 
 
@@ -723,6 +732,22 @@ class TestModelContainers:
         assert strategy == "PCT" and seed == 17
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
+
+    @pytest.mark.parametrize("payload", ["matrix", "checkpoint"])
+    def test_written_bytes_are_those_savez_writes_to_a_file(self, tmp_path, rng, payload):
+        # .npz bytes are numpy's writer's: an archive built in memory must
+        # equal one np.savez writes through an open file handle
+        net, ids, x = Extractor.init(4, 6, 3, seed=9), ["u0", "u1", "u2"], rng.normal(size=(3, 5))
+        path = tmp_path / "got.npz"
+        if payload == "matrix":
+            fileio.write_matrix(path, ids, x)
+            arrays = dict(ids=np.asarray(ids, dtype=str), x=x)
+        else:
+            fileio.write_checkpoint(path, net, strategy="PCT", seed=17)
+            arrays = dict(w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2,
+                          strategy=np.asarray("PCT"), seed=np.asarray(17, dtype=np.int64))
+        _savez(tmp_path / "want.npz", **arrays)
+        assert path.read_bytes() == (tmp_path / "want.npz").read_bytes()
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "emb.npz"
