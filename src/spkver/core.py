@@ -81,18 +81,12 @@ class PhraseInventory(NamedTuple):
     languages: tuple
 
 
-def build_enroll_model(model_id: str, rows: np.ndarray) -> np.ndarray:
-    """The unit-norm mean of a model's (n, D) enrollment rows: its centroid.
-
-    Raises ValueError unless the rows form a non-empty (n, D) array, and
-    NumericalError when the mean cancels to (near) zero norm.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError(f"model {model_id}: expected (n, D) enrollment rows, got {rows.shape}")
-    mean = rows.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        raise NumericalError(f"zero-norm centroid for model {model_id}")
-    return mean / norm
-
+def unit_rows(v: np.ndarray, zero_norm) -> np.ndarray:
+    """Divide the rows of an (N, D) array by their norms in place, each norm
+    equal to np.linalg.norm of its row, and return it. NumericalError
+    (zero_norm(i)) for the first row i of (near) zero norm, with v unchanged."""
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])  # per-row dots, as norm takes them
+    if (norms < 1e-12).any():
+        raise NumericalError(zero_norm(int(np.argmax(norms < 1e-12))))
+    v /= norms[:, None]
+    return v

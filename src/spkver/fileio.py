@@ -45,12 +45,12 @@ an `.npz` is built and parsed in memory.
 A `session` (one stage, or one e2e run of them all) does two jobs until it
 exits. It records (op, str(path), digest) for every file a reader or writer
 opens, in call order: op is "read" or "write", and digest is the sha256 hex
-digest of a write's bytes (None for a read). And every text file written or
-parsed keeps its bytes and columns, so a later read of the same path in the
-same format whose bytes are equal returns copies of those columns instead of
-parsing again; such a read is still recorded. Only byte-equal content is
-answered from the kept columns, and only the row formats above are kept:
-`.npz` files and `write_lines` output never.
+digest of a write's bytes (None for a read). And it keeps each text file
+written or parsed (its bytes and columns) and each `.npz` written (its bytes
+and a read-only view of each member's data in them): a later read of the
+same path, in the same format for text, whose bytes are equal returns copies
+of the columns or new views of the arrays. Such a read parses nothing but is
+still recorded and checked. `write_lines` output is never kept.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
+import struct
 import zipfile
 from contextvars import ContextVar
 from operator import attrgetter
@@ -98,8 +100,8 @@ def _repeat(values: list) -> Optional[int]:
 
 class _Session(NamedTuple):
     """The active session's record of (op, str(path), digest) per file opened,
-    and (str(path), format) -> (bytes, columns as tuples) of each text file
-    written or parsed."""
+    and what it keeps: (str(path), format) -> (bytes, columns as tuples) per
+    text file, str(path) -> (bytes, member views) per .npz."""
 
     files: list
     kept: dict
@@ -110,11 +112,10 @@ _session: ContextVar[Optional[_Session]] = ContextVar("session", default=None)
 
 @contextlib.contextmanager
 def session():
-    """Record the files opened and keep the columns of the text files written
-    or parsed until the context exits, normally or not (see the module
-    docstring). Yields the record, a list that grows as files are opened; a
-    session opened inside an active one joins it, sharing its record and
-    kept columns."""
+    """Record the files opened and keep the text columns and .npz bytes until
+    the context exits, normally or not (see the module docstring). Yields the
+    record, a list that grows as files are opened; a session opened inside an
+    active one joins it, sharing its record and what it keeps."""
     active = _session.get()
     if active is not None:
         yield active.files
@@ -167,15 +168,12 @@ def _read_lines(path, data: bytes) -> list:
     return lines
 
 
-def _write_text(path, lines: Sequence[str]) -> bytes:
+def write_lines(path, lines: Sequence[str]) -> bytes:
+    """Write each line followed by LF, in one go, creating the parent
+    directory; returns the bytes written."""
     data = "\n".join([*lines, ""]).encode("utf-8")
     _write_bytes(path, data)
     return data
-
-
-def write_lines(path, lines: Sequence[str]) -> None:
-    """Write each line followed by LF, in one go, creating the parent directory."""
-    _write_text(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +183,34 @@ def write_lines(path, lines: Sequence[str]) -> None:
 _NPZ_ERRORS = (OSError, EOFError, KeyError, NotImplementedError, ValueError, zipfile.BadZipFile)
 
 
+def _npz_views(data: bytes) -> dict:
+    """Member name -> a read-only array viewing its data in the uncompressed
+    .npz bytes `data`: each local zip header is followed by the member's .npy
+    header and data."""
+    members, stream, offset = {}, io.BytesIO(data), 0
+    while data[offset:offset + 4] == b"PK\x03\x04":
+        name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)
+        name = data[offset + 30:offset + 30 + name_len].decode().removesuffix(".npy")
+        stream.seek(offset + 30 + name_len + extra_len)
+        version = np.lib.format.read_magic(stream)
+        shape, fortran, dtype = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                                 else np.lib.format.read_array_header_2_0)(stream)
+        count, offset = math.prod(shape), stream.tell()
+        members[name] = np.frombuffer(data, dtype, count, offset).reshape(
+            shape, order="F" if fortran else "C")
+        offset += dtype.itemsize * count
+    return members
+
+
 def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
     """Write named arrays as an uncompressed .npz at exactly `path`."""
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    _write_bytes(path, buffer.getvalue())
+    data = buffer.getvalue()
+    _write_bytes(path, data)
+    active = _session.get()
+    if active is not None:
+        active.kept[str(path)] = (data, _npz_views(data))
 
 
 def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -198,22 +219,25 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
     A file that is not an .npz archive, a missing, truncated or corrupt member
     and an object array (which would need unpickling) raise DataFormatError.
     """
-    data = _read_bytes(path)
-    try:
-        npz = np.load(io.BytesIO(data), allow_pickle=False)
-    except _NPZ_ERRORS as exc:
-        raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from exc
-    if isinstance(npz, np.ndarray):
-        raise DataFormatError(f"{path}: a bare .npy array, not an .npz archive")
+    data, kept = _read_bytes(path), getattr(_session.get(), "kept", {}).get(str(path))
+    if kept is not None and kept[0] == data:  # new views of the kept bytes, no parse
+        members, load = kept[1], lambda name: kept[1][name].view()
+    else:
+        try:
+            npz = np.load(io.BytesIO(data), allow_pickle=False)
+        except _NPZ_ERRORS as exc:
+            raise DataFormatError(f"{path}: not a readable .npz archive: {exc}") from exc
+        if isinstance(npz, np.ndarray):
+            raise DataFormatError(f"{path}: a bare .npy array, not an .npz archive")
+        members, load = npz.files, npz.__getitem__
     out = {}
-    with npz:
-        for name in names:
-            if name not in npz.files:
-                raise DataFormatError(f"{path}: missing member {name!r}")
-            try:
-                out[name] = npz[name]
-            except _NPZ_ERRORS as exc:
-                raise DataFormatError(f"{path}: member {name!r} is unreadable: {exc}") from exc
+    for name in names:
+        if name not in members:
+            raise DataFormatError(f"{path}: missing member {name!r}")
+        try:
+            out[name] = load(name)
+        except _NPZ_ERRORS as exc:
+            raise DataFormatError(f"{path}: member {name!r} is unreadable: {exc}") from exc
     return out
 
 
@@ -304,8 +328,7 @@ def _read_rows(path, fmt: _Format) -> list:
     """The columns of a text file, one list per field in file order, with
     "-" read as None in optional fields and parsed fields parsed. A row that
     breaks the row rule raises DataFormatError naming its line."""
-    data, key, active = _read_bytes(path), (str(path), fmt), _session.get()
-    kept = {} if active is None else active.kept
+    data, key, kept = _read_bytes(path), (str(path), fmt), getattr(_session.get(), "kept", {})
     if key in kept and kept[key][0] == data:
         return [list(column) for column in kept[key][1]]
     lines = _read_lines(path, data)
@@ -364,7 +387,7 @@ def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
     if i is not None:
         raise ValueError(f"duplicate {fmt.fields[0].name} {texts[0][i]}")
     rows = list(map(" ".join, zip(*texts, strict=True)))  # ValueError for unequal columns
-    data = _write_text(path, [fmt.header] * (fmt.header is not None) + rows)
+    data = write_lines(path, [fmt.header] * (fmt.header is not None) + rows)
     active = _session.get()
     if active is not None:  # the values as given, which is how the row rule reads them back
         active.kept[(str(path), fmt)] = (data, tuple(map(tuple, columns)))

@@ -29,8 +29,8 @@ scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
 one call per claimed phrase), and AS-norm takes its cohort statistics in
 one call per side and language group.
 
-`cmd_e2e` runs its stages inside one session, so a text file one stage
-writes is parsed by no later stage that reads it unchanged, and builds its
+`cmd_e2e` runs its stages inside one session, so no file one stage writes
+is parsed again by a later stage that reads it unchanged, and builds its
 manifest from that session's record: what each stage read and wrote, and
 the sha256 of the bytes written, so no file is read back to digest it.
 """
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import backend, extractor, fileio, metrics, norm, nplda, synthgen
 from .config import ConfigError, PipelineConfig, dump_config
-from .core import build_enroll_model
+from .core import unit_rows
 from .synthgen import RNG_ALGORITHM, Task
 
 STAGES = ("gen", "train", "extract", "score", "norm", "filter", "fuse", "eval")
@@ -154,12 +154,23 @@ def _read_scores(cfg: PipelineConfig, system: str, split: str, trial_ids: tuple)
     return values
 
 
+def _read_trials(cfg: PipelineConfig, split: str):
+    """A split's trials; DataFormatError naming the file if it lists none."""
+    trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
+    if not trials.ids:
+        raise fileio.DataFormatError(f"{_workpath(cfg, f'trials_{split}.txt')}: no trials")
+    return trials
+
+
 def _target_mask(cfg: PipelineConfig, split: str, trial_ids: tuple) -> np.ndarray:
-    """Which of the split's trials are targets, from its keys."""
+    """Which of the split's trials are targets, from its keys, which must hold both kinds."""
     path = _workpath(cfg, f"keys_{split}.txt")
     ids, labels = fileio.read_keys(path)
     _check_trial_ids(path, ids, trial_ids, split)
-    return np.fromiter((label.is_target for label in labels), dtype=bool, count=len(labels))
+    mask = np.fromiter((label.is_target for label in labels), dtype=bool, count=len(labels))
+    if mask.all() or not mask.any():
+        raise fileio.DataFormatError(f"{path}: no {'nontarget' if mask.all() else 'target'} trial")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +225,19 @@ def _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials):
     utts = [u for m in models for u in enroll_map[m]]
     utt_rows = _rows(emb_path, ids, utts, lambda i: (
         f"no embedding for utterance {utts[i]!r} enrolling {owners[i]!r}"))
-    ends = np.cumsum([len(enroll_map[m]) for m in models])[:-1]
-    centroids = np.stack([build_enroll_model(model_id, x[rows])
-                          for model_id, rows in zip(models, np.split(utt_rows, ends))])
-    return centroids[model_rows], test_rows
+    counts = np.fromiter(map(len, enroll_map.values()), dtype=np.intp, count=len(models))
+    return _centroids(x, utt_rows, counts, models)[model_rows], test_rows
+
+
+def _centroids(x, rows, counts, models) -> np.ndarray:
+    """The unit-norm mean of each model's rows of x, `rows` listing counts[k]
+    rows for models[k], model after model: one (m, c, D) block mean per
+    distinct count c. NumericalError names the first zero-norm model."""
+    starts, means = np.cumsum(counts) - counts, np.empty((len(counts), x.shape[1]))
+    for c in set(counts.tolist()):
+        group = np.flatnonzero(counts == c)
+        means[group] = x[rows[starts[group, None] + np.arange(c)]].mean(axis=1)
+    return unit_rows(means, lambda k: f"zero-norm centroid for model {models[k]}")
 
 
 def _trial_vectors(cfg: PipelineConfig, split: str):
@@ -226,7 +246,7 @@ def _trial_vectors(cfg: PipelineConfig, split: str):
     emb_path = _workpath(cfg, f"emb_{split}.npz")
     enroll_path = _workpath(cfg, f"enroll_{split}.txt")
     ids, x = fileio.read_matrix(emb_path)
-    trials = fileio.read_trials(_workpath(cfg, f"trials_{split}.txt"))
+    trials = _read_trials(cfg, split)
     enroll_map = fileio.read_enroll_map(enroll_path)
     enroll, test_rows = _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials)
     return trials, enroll, x[test_rows]
@@ -373,7 +393,7 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
     for a trial without a claimed phrase or a test utterance without metadata."""
     trials_path = _workpath(cfg, f"trials_{split}.txt")
     meta_path = _workpath(cfg, f"meta_{split}.meta")
-    trials = fileio.read_trials(trials_path)
+    trials = _read_trials(cfg, split)
     metas = fileio.read_metas(meta_path)
     if None in trials.claimed:
         trial_id = trials.ids[trials.claimed.index(None)]
@@ -390,13 +410,13 @@ def _tested_transcripts(cfg: PipelineConfig, split: str):
 def cmd_fuse(cfg: PipelineConfig) -> None:
     """Tune fusion weights on dev minDCF and apply them to the eval scores."""
     systems = [fused for _, fused in _systems(cfg).values()]
-    dev_ids = fileio.read_trials(_workpath(cfg, "trials_dev.txt")).ids
+    dev_ids = _read_trials(cfg, "dev").ids
     dev_scores = np.stack([_read_scores(cfg, s, "dev", dev_ids) for s in systems])
     params = cfg.dcf_params()
     weights = metrics.tune_weights(
         dev_scores, _target_mask(cfg, "dev", dev_ids), params, cfg.grid_step)
 
-    eval_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
+    eval_ids = _read_trials(cfg, "eval").ids
     fused = metrics.fuse(np.stack([_read_scores(cfg, s, "eval", eval_ids) for s in systems]),
                          weights)
     fileio.write_lines(_workpath(cfg, "fusion_weights.txt"),
@@ -406,7 +426,7 @@ def cmd_fuse(cfg: PipelineConfig) -> None:
 
 def cmd_eval(cfg: PipelineConfig) -> None:
     """EER / minDCF report over every final system plus the fusion."""
-    trial_ids = fileio.read_trials(_workpath(cfg, "trials_eval.txt")).ids
+    trial_ids = _read_trials(cfg, "eval").ids
     is_target = _target_mask(cfg, "eval", trial_ids)
     params = cfg.dcf_params()
     lines = []

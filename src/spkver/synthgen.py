@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Language, Metas, NumericalError, PhraseInventory, TrialLabel, Trials
+from .core import Language, Metas, PhraseInventory, TrialLabel, Trials, unit_rows
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -145,34 +145,27 @@ def gen_corpus(config: GenConfig) -> SynthCorpus:
                         for p in range(config.n_phrases)),
     )
 
-    ids, speakers, phrases, languages, transcripts = [], [], [], [], []
-    x = np.empty((config.n_speakers * config.n_phrases * config.n_utts_per_cell, config.dim))
-    for s in range(config.n_speakers):
-        spk_id = f"spk{s:03d}"
-        for p in range(config.n_phrases):
-            for j in range(config.n_utts_per_cell):
-                utt_id = f"{spk_id}_ph{p:02d}_u{j:02d}"
-                lang = Language.L2 if rng.random() < 0.5 else Language.L1
-                vec = spk_factors[s] + config.phrase_strength * phr_factors[p]
-                if lang is Language.L2:
-                    vec = vec + config.language_shift * d_lang
-                vec = vec + config.noise_sigma * rng.standard_normal(config.dim)
-                norm = float(np.linalg.norm(vec))
-                if norm < 1e-12:
-                    raise NumericalError(f"degenerate zero-norm utterance {utt_id}")
-                transcript = gen_transcript(
-                    texts[p],
-                    config.transcript_error_rate,
-                    seed=int(rng.integers(2**63)),
-                )
-                x[len(ids)] = vec / norm
-                ids.append(utt_id)
-                speakers.append(spk_id)
-                phrases.append(inventory.phrase_ids[p])
-                languages.append(lang)
-                transcripts.append(transcript)
-    metas = Metas(tuple(ids), tuple(speakers), tuple(phrases), tuple(languages),
-                  tuple(transcripts))
+    # the loop makes only the draws, in their order, each noise vector into its
+    # row of x; the sums then run in place (IEEE addition commutes: same bits)
+    cells = [(s, p, j) for s in range(config.n_speakers) for p in range(config.n_phrases)
+             for j in range(config.n_utts_per_cell)]
+    is_l2, x, seeds = np.empty(len(cells), dtype=bool), np.empty((len(cells), config.dim)), []
+    for i in range(len(cells)):
+        is_l2[i] = rng.random() < 0.5
+        rng.standard_normal(out=x[i])
+        seeds.append(int(rng.integers(2**63)))
+    x *= config.noise_sigma
+    mean = (spk_factors[:, None] + config.phrase_strength * phr_factors)[:, :, None]  # (S, P, 1, D)
+    by_cell, l2 = x.reshape(*mean.shape[:2], -1, config.dim), is_l2.reshape(*mean.shape[:2], -1, 1)
+    np.add(by_cell, mean, out=by_cell, where=~l2)
+    np.add(by_cell, mean + config.language_shift * d_lang, out=by_cell, where=l2)
+    ids = tuple(f"spk{s:03d}_ph{p:02d}_u{j:02d}" for s, p, j in cells)
+    x = unit_rows(x, lambda i: f"degenerate zero-norm utterance {ids[i]}")
+    metas = Metas(ids, tuple(f"spk{s:03d}" for s, _, _ in cells),
+                  tuple(inventory.phrase_ids[p] for _, p, _ in cells),
+                  tuple(Language.L2 if in_l2 else Language.L1 for in_l2 in is_l2.tolist()),
+                  tuple(gen_transcript(texts[p], config.transcript_error_rate, seed)
+                        for (_, p, _), seed in zip(cells, seeds)))
     return SynthCorpus(x=x, metas=metas, inventory=inventory)
 
 

@@ -24,11 +24,11 @@ from spkver.extractor import (
     ge2e_loss,
     lr_schedule,
 )
-from spkver.core import Language, Metas, TrialLabel, Trials
+from spkver.core import Language, Metas, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.backend import PldaScorer
 from spkver.nplda import nplda_score, soft_detcost
-from spkver.synthgen import TrialProtocol
+from spkver.synthgen import SynthCorpus, TrialProtocol, _gen_reference_texts, gen_transcript
 
 
 class UttMeta(NamedTuple):
@@ -884,3 +884,78 @@ def _protocol_literal(trials, labels, enroll_map) -> TrialProtocol:
     rows, one column at a time."""
     columns = [tuple(row[k] for row in trials) for k in range(4)]
     return TrialProtocol(Trials(*columns), tuple(labels), enroll_map)
+
+
+# ---------------------------------------------------------------------------
+# corpus generation and enrollment centroids, one utterance or model at a time
+
+
+def gen_corpus_literal(config) -> SynthCorpus:
+    """`synthgen.gen_corpus` as it was before its loop kept only the draws:
+    each utterance's vector, norm, transcript and labels are built in the
+    loop, right after its draws."""
+    rng = np.random.default_rng(config.seed)
+    spk_factors = rng.standard_normal((config.n_speakers, config.dim))
+    phr_factors = rng.standard_normal((config.n_phrases, config.dim))
+    d_lang = rng.standard_normal(config.dim)
+    d_lang = d_lang / np.linalg.norm(d_lang)
+    texts = _gen_reference_texts(rng, config.n_phrases)
+
+    n_l1 = (config.n_phrases + 1) // 2
+    inventory = PhraseInventory(
+        phrase_ids=tuple(f"ph{p:02d}" for p in range(config.n_phrases)),
+        texts=tuple(texts),
+        languages=tuple(Language.L1 if p < n_l1 else Language.L2
+                        for p in range(config.n_phrases)),
+    )
+
+    ids, speakers, phrases, languages, transcripts = [], [], [], [], []
+    x = np.empty((config.n_speakers * config.n_phrases * config.n_utts_per_cell, config.dim))
+    for s in range(config.n_speakers):
+        spk_id = f"spk{s:03d}"
+        for p in range(config.n_phrases):
+            for j in range(config.n_utts_per_cell):
+                utt_id = f"{spk_id}_ph{p:02d}_u{j:02d}"
+                lang = Language.L2 if rng.random() < 0.5 else Language.L1
+                vec = spk_factors[s] + config.phrase_strength * phr_factors[p]
+                if lang is Language.L2:
+                    vec = vec + config.language_shift * d_lang
+                vec = vec + config.noise_sigma * rng.standard_normal(config.dim)
+                norm = float(np.linalg.norm(vec))
+                if norm < 1e-12:
+                    raise NumericalError(f"degenerate zero-norm utterance {utt_id}")
+                transcript = gen_transcript(
+                    texts[p],
+                    config.transcript_error_rate,
+                    seed=int(rng.integers(2**63)),
+                )
+                x[len(ids)] = vec / norm
+                ids.append(utt_id)
+                speakers.append(spk_id)
+                phrases.append(inventory.phrase_ids[p])
+                languages.append(lang)
+                transcripts.append(transcript)
+    metas = Metas(tuple(ids), tuple(speakers), tuple(phrases), tuple(languages),
+                  tuple(transcripts))
+    return SynthCorpus(x=x, metas=metas, inventory=inventory)
+
+
+def build_enroll_model_literal(model_id: str, rows: np.ndarray) -> np.ndarray:
+    """The unit-norm mean of a model's (n, D) enrollment rows: its centroid,
+    as `core.build_enroll_model` computed it for one model at a time."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError(f"model {model_id}: expected (n, D) enrollment rows, got {rows.shape}")
+    mean = rows.mean(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm < 1e-12:
+        raise NumericalError(f"zero-norm centroid for model {model_id}")
+    return mean / norm
+
+
+def centroids_literal(x: np.ndarray, enroll_rows: Mapping[str, Sequence[int]]) -> np.ndarray:
+    """One centroid per model of `enroll_rows` (model id -> its rows of x), in
+    its order, each from `build_enroll_model_literal`, as `pipeline._trial_rows`
+    stacked them before it took one block mean per enrollment count."""
+    return np.stack([build_enroll_model_literal(model_id, x[list(rows)])
+                     for model_id, rows in enroll_rows.items()])

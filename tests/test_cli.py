@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from spkver import backend, fileio, metrics, norm, nplda, pipeline, synthgen
 from spkver.backend import cosine_score
 from spkver.cli import main
 from spkver.config import load_config
-from spkver.core import NumericalError
+from spkver.core import NumericalError, TrialLabel
 
 BASE = [
     "epochs=8",
@@ -488,6 +489,50 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert (f"data error: {path}:{len(lines)}: trial-id mismatch with trials_{split}.txt: "
                 f"the end of the file where it has {last!r}") in err
+
+    @pytest.mark.parametrize("split, stages", [
+        ("dev", ("score", "norm", "filter", "fuse")), ("eval", ("score", "norm", "filter", "eval")),
+    ])
+    def test_empty_trial_list_is_data_error(self, e2e_dir, tmp_path, capsys, split, stages):
+        # score, norm and filter wrote empty score files, and fuse failed naming no file
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        for name in (f"trials_{split}.txt", f"keys_{split}.txt"):
+            (workdir / name).write_bytes(b"")
+        for stage in stages:
+            capsys.readouterr()
+            assert main([stage] + _args(workdir)) == 3
+            assert (f"data error: {workdir / f'trials_{split}.txt'}: no trials"
+                    in capsys.readouterr().err)
+
+    def test_keys_of_one_class_are_data_error(self, e2e_dir, tmp_path, capsys):
+        # the first trials of a TD list are all target-correct
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        for name in ("trials_dev.txt", "keys_dev.txt"):
+            path = workdir / name
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:5]))
+        assert set(fileio.read_keys(workdir / "keys_dev.txt")[1]) == {TrialLabel.TC}
+        for stage in ("score", "norm", "filter"):  # none of them reads the keys
+            assert main([stage] + _args(workdir)) == 0
+        capsys.readouterr()
+        assert main(["fuse"] + _args(workdir)) == 3
+        assert (f"data error: {workdir / 'keys_dev.txt'}: no nontarget trial"
+                in capsys.readouterr().err)
+
+    def test_zero_norm_centroid_exits_4(self, e2e_dir, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(e2e_dir, workdir)
+        model, utts = next(iter(fileio.read_enroll_map(workdir / "enroll_dev.txt").items()))
+        ids, x = fileio.read_matrix(workdir / "emb_dev.npz")
+        rows, x = [ids.index(utt) for utt in utts], x.copy()
+        x[rows] = 0.0
+        x[rows[0]], x[rows[1]] = 0.1, -0.1  # the rows cancel
+        fileio.write_matrix(workdir / "emb_dev.npz", ids, x)
+        capsys.readouterr()
+        assert main(["score"] + _args(workdir)) == 4
+        assert (f"numerical failure: zero-norm centroid for model {model}"
+                in capsys.readouterr().err)
 
     def test_reordered_score_file_is_data_error(self, e2e_dir, tmp_path, capsys):
         import shutil
@@ -1054,13 +1099,23 @@ class TestMetamorphic:
             np.testing.assert_array_equal(got[key][1], values, err_msg=str(key))
 
 
-_MASKED_IMPORT_PROBE = """
-import sys
+# runs one e2e per argv (JSON lists) after `import spkver.cli`, and prints the
+# exit codes and the modules first imported during the runs; argparse's first
+# parse imports gettext's locale, so one parse comes before the snapshot
+_IMPORT_PROBE = """
+import json, sys
 import spkver.cli
-before = "numpy.ma" in sys.modules
-code = spkver.cli.main(sys.argv[1:])
-print(code, before, "numpy.ma" in sys.modules)
+runs = [json.loads(arg) for arg in sys.argv[1:]]
+spkver.cli.build_parser().parse_args(runs[0])
+before = set(sys.modules)
+codes = [spkver.cli.main(argv) for argv in runs]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 """
+
+# numpy.random, which numpy >= 2 imports on first use, and what it pulls in;
+# and the zip filename codec of np.load
+_LAZY_IMPORTS_ALLOWED = ("numpy.random", "secrets", "hmac", "base64", "cython_runtime",
+                         "_cython_", "encodings.cp437")
 
 
 def _subprocess_env(**changes):
@@ -1085,19 +1140,24 @@ def _usable_cpus():
 
 
 class TestImports:
-    def test_e2e_imports_no_masked_arrays(self, tmp_path):
-        # numpy >= 2.3 imports numpy.ma inside np.unique without return_* flags;
-        # where `import numpy` already loads it (numpy 1.x), nothing can change
-        env = _subprocess_env()
+    def test_e2e_imports_only_allowed_modules(self, tmp_path):
+        # a stage's first call into numpy may import a module: np.unique without
+        # return_* flags imports numpy.ma on numpy >= 2.3 (9 ms and 1.2 MiB in the
+        # stage that first calls it); where `import numpy` already loads a module
+        # (numpy.random and numpy.ma on numpy 1.x), it is not imported in the run
         settings = ["epochs=2", "n_speakers=12", "n_dev_trials=40", "n_eval_trials=40",
-                    "n_top=5", "lid_epochs=5", "backends=cosine,plda,nplda",
-                    f"workdir={tmp_path / 'w'}"]
-        argv = ["e2e"] + [arg for item in settings for arg in ("--set", item)]
-        out = subprocess.run([sys.executable, "-c", _MASKED_IMPORT_PROBE] + argv, env=env,
-                             capture_output=True, text=True, check=True).stdout
-        code, before, after = out.splitlines()[-1].split(" ")
-        assert code == "0"
-        assert after == before
+                    "n_top=5", "lid_epochs=5"]
+        runs = []
+        for task, extra in (("TD", ["backends=cosine,plda,nplda"]), ("TI", [])):
+            items = settings + extra + [f"task={task}", f"workdir={tmp_path / task}"]
+            runs.append(["e2e"] + [arg for item in items for arg in ("--set", item)])
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + list(map(json.dumps, runs)),
+                             env=_subprocess_env(), capture_output=True, text=True,
+                             check=True).stdout
+        codes, imported = json.loads(out.splitlines()[-1])
+        assert codes == [0, 0]
+        assert (tmp_path / "TD" / "scores_plda_filt_eval.txt").is_file()  # the filter ran
+        assert [name for name in imported if not name.startswith(_LAZY_IMPORTS_ALLOWED)] == []
 
 
 class TestBlasThreads:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spkver import fileio
@@ -654,6 +654,97 @@ class TestKeptColumns:
         fileio.write_scores(path, ["t0"], [0.5])
         fileio.read_scores(path)
         assert fileio._session.get() is None
+
+
+def _parsed(path, names):
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in names}
+
+
+_NO_LOAD = mock.patch.object(np, "load", side_effect=AssertionError("parsed"))
+
+
+class TestKeptArrays:
+    """Inside a `session` an .npz written is not parsed again while its bytes
+    stay the same: its reads view the kept bytes."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(0, 4), dim=st.integers(1, 5),
+           order=st.sampled_from("CF"))
+    def test_kept_arrays_equal_parsed_ones(self, tmp_path_factory, data, n, dim, order):
+        arrays = {
+            "x": np.asarray(data.draw(hnp.arrays(np.float64, (n, dim), elements=_FLOATS)),
+                            order=order),
+            "ids": np.asarray(data.draw(st.lists(_IDS, min_size=n, max_size=n)), dtype=str),
+            "scalar": np.asarray(data.draw(st.text(max_size=3))),
+            "seed": np.asarray(data.draw(st.integers(-2**63, 2**63 - 1)), dtype=np.int64),
+            "ints": data.draw(hnp.arrays(np.int32, (dim, n, 2))),
+        }
+        path = tmp_path_factory.getbasetemp() / "kept.npz"
+        with fileio.session():
+            fileio.write_arrays(path, arrays)
+            with _NO_LOAD:
+                kept = fileio.read_arrays(path, list(arrays))
+        parsed = _parsed(path, list(arrays))
+        for name, value in kept.items():
+            assert value.dtype == parsed[name].dtype and value.shape == parsed[name].shape
+            assert value.tobytes() == parsed[name].tobytes()
+            assert not value.flags.writeable
+
+    def test_checks_run_on_a_kept_read(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with fileio.session(), _NO_LOAD:
+            fileio.write_arrays(path, {"ids": np.asarray(["u0", "u0"]), "x": np.ones((2, 2))})
+            with pytest.raises(DataFormatError, match="x.npz: member 'ids': duplicate id 'u0'"):
+                fileio.read_matrix(path)
+            fileio.write_checkpoint(path, Extractor.init(4, 6, 3, seed=9), "PCT", 17)
+            net, strategy, seed = fileio.read_checkpoint(path)
+        assert (strategy, seed) == ("PCT", 17) and not net.w1.flags.writeable
+
+    def test_a_missing_member_is_the_same_error(self, tmp_path):
+        path = tmp_path / "emb.npz"
+        fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
+        with pytest.raises(DataFormatError) as parsed:
+            fileio.read_checkpoint(path)
+        with fileio.session(), _NO_LOAD:
+            fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
+            with pytest.raises(DataFormatError) as kept:
+                fileio.read_checkpoint(path)
+        assert str(kept.value) == str(parsed.value) == f"{path}: missing member 'w1'"
+
+    def test_changed_bytes_are_parsed_again(self, tmp_path):
+        path, other = tmp_path / "x.npz", tmp_path / "other.npz"
+        fileio.write_matrix(other, ["u0", "u1"], np.full((2, 3), 2.0))
+        with fileio.session():
+            fileio.write_matrix(path, ["u0", "u1"], np.ones((2, 3)))
+            path.write_bytes(other.read_bytes())  # the same size, other values
+            with mock.patch.object(np, "load", wraps=np.load) as load:
+                ids, x = fileio.read_matrix(path)
+            assert load.call_count == 1
+            assert ids == ["u0", "u1"] and x.tolist() == [[2.0] * 3] * 2
+
+    def test_a_kept_read_is_recorded(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with fileio.session() as files:
+            fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
+            with _NO_LOAD:
+                fileio.read_matrix(path)
+        assert files == [("write", str(path), _sha256(path)), ("read", str(path), None)]
+
+    def test_nothing_is_kept_outside_a_session(self, tmp_path):
+        path = tmp_path / "x.npz"
+        fileio.write_matrix(path, ["u0"], np.ones((1, 2)))  # before any session
+        with fileio.session():
+            with mock.patch.object(np, "load", wraps=np.load) as load:
+                fileio.read_matrix(path)
+                fileio.read_matrix(path)  # a parse is not kept either
+            assert load.call_count == 2
+            fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
+            assert list(fileio._session.get().kept) == [str(path)]
+        assert fileio._session.get() is None
+        with mock.patch.object(np, "load", wraps=np.load) as load:
+            _, x = fileio.read_matrix(path)  # after the session
+        assert load.call_count == 1 and x.flags.writeable
 
 
 @pytest.mark.parametrize("write", [

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gen_td_literal, gen_ti_literal, meta_rows
+from oracles import gen_corpus_literal, gen_td_literal, gen_ti_literal, meta_rows
 from spkver import synthgen
-from spkver.core import Language, Metas, PhraseInventory, TrialLabel
+from spkver.cli import main
+from spkver.core import Language, Metas, NumericalError, PhraseInventory, TrialLabel
 from spkver.metrics import levenshtein
 from spkver.synthgen import GenConfig, Task, gen_corpus, gen_transcript, gen_trials
 
@@ -118,6 +119,73 @@ class TestGenCorpus:
         assert meta_rows(sub.metas) == [meta_rows(corpus.metas)[i] for i in rows]
         np.testing.assert_array_equal(sub.x, corpus.x[rows])
         assert sub.inventory == corpus.inventory
+
+
+class _ZeroSpeaker:
+    """A generator whose first draw, the speaker factors, has row 1 zeroed."""
+
+    def __init__(self, seed, make=np.random.default_rng):
+        self._rng, self._first = make(seed), True
+
+    def standard_normal(self, size=None, out=None):
+        drawn = self._rng.standard_normal(size, out=out)
+        if self._first:
+            drawn[1], self._first = 0.0, False
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _corpus_outcome(config):
+    """A corpus's bytes and labels, or the type and message of what was raised."""
+    try:
+        corpus = gen_corpus(config)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return corpus.x.tobytes(), corpus.metas, corpus.inventory
+
+
+class TestGenCorpusAgainstLiteral:
+    """The loop of draws, then whole arrays, against the per-utterance loop it
+    replaced: the same bytes, labels and transcripts, and the same error."""
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("error_rate", [0.0, 0.2])
+    @pytest.mark.parametrize("seed", [0, 601])
+    def test_same_corpus(self, dim, error_rate, seed):
+        config = _cfg(dim=dim, transcript_error_rate=error_rate, seed=seed,
+                      n_speakers=7, n_phrases=4, n_utts_per_cell=3)
+        want = gen_corpus_literal(config)
+        assert _corpus_outcome(config) == (want.x.tobytes(), want.metas, want.inventory)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 1.0]),
+           st.sampled_from([0.0, 0.3, 1.0]))
+    def test_any_sizes_and_strengths(self, seed, dim, n_phrases, n_utts, alpha, beta, sigma):
+        config = _cfg(seed=seed, dim=dim, n_speakers=3, n_phrases=n_phrases,
+                      n_utts_per_cell=n_utts, phrase_strength=alpha, language_shift=beta,
+                      noise_sigma=sigma)
+        want = gen_corpus_literal(config)
+        assert _corpus_outcome(config) == (want.x.tobytes(), want.metas, want.inventory)
+
+    def test_zero_norm_utterance_is_named(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _ZeroSpeaker)
+        config = _cfg(phrase_strength=0.0, language_shift=0.0, noise_sigma=0.0)
+        got = _corpus_outcome(config)
+        assert got == (NumericalError, "degenerate zero-norm utterance spk001_ph00_u00")
+        with pytest.raises(NumericalError) as literal:
+            gen_corpus_literal(config)
+        assert str(literal.value) == got[1]
+
+    def test_zero_norm_utterance_exits_4(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(np.random, "default_rng", _ZeroSpeaker)
+        settings = ["phrase_strength=0", "language_shift=0", "noise_sigma=0", f"workdir={tmp_path}"]
+        assert main(["gen"] + [arg for item in settings for arg in ("--set", item)]) == 4
+        assert ("numerical failure: degenerate zero-norm utterance spk001_ph00_u00"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenTranscript:
