@@ -106,13 +106,15 @@ def _forward_cache(extractor: Extractor, x: np.ndarray) -> dict:
 
 def extract_embeddings(extractor: Extractor, features: np.ndarray) -> np.ndarray:
     """The unit embeddings of an (N, F) feature batch. Other shapes raise
-    ValueError, and a zero-norm raw embedding NumericalError."""
+    ValueError, and a zero-norm or non-finite raw embedding NumericalError."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != extractor.in_dim:
         raise ValueError(f"features must be (N, {extractor.in_dim}), got shape {feats.shape}")
     cache = _forward_cache(extractor, feats)
     if np.any(cache["norms"] == 0.0):
         raise NumericalError("extractor produced a zero-norm embedding")
+    if not np.isfinite(cache["norms"]).all():
+        raise NumericalError("extractor produced a non-finite embedding")
     return cache["unit"]
 
 
@@ -426,7 +428,9 @@ def train(
     inventory fixes the phrase order of the phrase-aware objectives. Plain
     gradient descent under the exponential learning-rate schedule;
     deterministic given the seed. Head rows are re-normalized to unit norm
-    after every update. Returns fresh objects; the inputs are not mutated.
+    after every update. A non-finite embedding, epoch loss or network weight
+    raises NumericalError naming the epoch. Returns fresh objects; the inputs
+    are not mutated.
     """
     net = extractor.copy()
     feats = np.asarray(features, dtype=np.float64)
@@ -497,6 +501,8 @@ def train(
         losses = []
         for rows, step_terms in steps:
             cache = _forward_cache(net, feats[rows])
+            if not np.isfinite(cache["norms"]).all():
+                raise NumericalError(f"training diverged in epoch {epoch + 1}: non-finite embedding")
             unit = cache["unit"]
             loss, d_unit, d_heads = heads_loss(unit, step_terms, heads)
             if ge2e is not None and mu != 0.0:
@@ -515,6 +521,9 @@ def train(
                 heads[name].renormalize()
             losses.append(loss)
         trace.append(float(np.mean(losses)))
+        weights = (net.w1, net.b1, net.w2, net.b2)
+        if not (np.isfinite(trace[-1]) and all(np.isfinite(w).all() for w in weights)):
+            raise NumericalError(f"training diverged in epoch {epoch + 1}: non-finite loss or weight")
 
     return TrainResult(
         extractor=net,

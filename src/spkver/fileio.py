@@ -33,9 +33,9 @@ The formats:
 - scores: rows `trial_id score`, each score finite and written as the
   shortest decimal that round-trips it (Python repr).
 
-Each reads as columns in file order: a `Metas` row-aligned to its split's
-`x`, a `PhraseInventory`, a dict of utterance-id tuples, a `Trials`, and
-(trial ids, values) row-aligned to the split's trials.
+Each reads as tuple columns in file order: a `Metas` row-aligned to its
+split's `x`, a `PhraseInventory`, a dict of utterance-id tuples, a `Trials`,
+and (trial ids, values) row-aligned to the split's trials.
 Every reader raises DataFormatError naming the file and the line or member
 at fault.
 
@@ -45,12 +45,12 @@ an `.npz` is built and parsed in memory.
 A `session` (one stage, or one e2e run of them all) does two jobs until it
 exits. It records (op, str(path), digest) for every file a reader or writer
 opens, in call order: op is "read" or "write", and digest is the sha256 hex
-digest of a write's bytes (None for a read). And it keeps each text file
-written or parsed (its bytes and columns) and each `.npz` written (its bytes
-and a read-only view of each member's data in them): a later read of the
-same path, in the same format for text, whose bytes are equal returns copies
-of the columns or new views of the arrays. Such a read parses nothing but is
-still recorded and checked. `write_lines` output is never kept.
+digest of a write's bytes (None for a read). And it keeps what each row
+writer and `write_arrays` wrote, in one table keyed (str(path), format): the
+bytes and the columns as tuples, or a read-only view of each `.npz` member's
+data in them. A later read of the same path and format whose bytes are equal
+returns the kept tuples themselves or new views; it parses nothing but is
+still recorded and checked. A parse is never kept.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def _fail(path, lineno: int, msg: str):
     raise DataFormatError(f"{path}:{lineno}: {msg}")
 
 
-def _check_tokens(values: list, what: str, path=None, lines: Sequence[int] = ()) -> None:
+def _check_tokens(values: Sequence, what: str, path=None, lines: Sequence[int] = ()) -> None:
     """Raise ValueError, or with a `path` DataFormatError naming line lines[i],
     for the first values[i] that is not a token."""
-    if "\n".join(values).split() == values:  # one C-level pass
+    if "\n".join(values).split() == list(values):  # one C-level pass
         return
     i, value = next((i, v) for i, v in enumerate(values) if v.split() != [v])
     msg = f"{what} {value!r} must be non-empty and whitespace-free"
@@ -100,8 +100,8 @@ def _repeat(values: list) -> Optional[int]:
 
 class _Session(NamedTuple):
     """The active session's record of (op, str(path), digest) per file opened,
-    and what it keeps: (str(path), format) -> (bytes, columns as tuples) per
-    text file, str(path) -> (bytes, member views) per .npz."""
+    and its one table, filled by writes: (str(path), fmt) -> (bytes, value),
+    fmt a text `_Format` (value: tuple columns) or "npz" (member views)."""
 
     files: list
     kept: dict
@@ -112,8 +112,8 @@ _session: ContextVar[Optional[_Session]] = ContextVar("session", default=None)
 
 @contextlib.contextmanager
 def session():
-    """Record the files opened and keep the text columns and .npz bytes until
-    the context exits, normally or not (see the module docstring). Yields the
+    """Record the files opened and keep what the writers wrote until the
+    context exits, normally or not (see the module docstring). Yields the
     record, a list that grows as files are opened; a session opened inside an
     active one joins it, sharing its record and what it keeps."""
     active = _session.get()
@@ -134,22 +134,29 @@ def _note(op: str, path, data: Optional[bytes] = None) -> None:
         active.files.append((op, str(path), digest))
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path, fmt) -> tuple:
+    """(the bytes of `path`, the value kept under (str(path), fmt) if a write
+    in this session wrote those very bytes, else None)."""
     _note("read", path)
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    written, value = getattr(_session.get(), "kept", {}).get((str(path), fmt), (None, None))
+    return data, value if written == data else None
 
 
-def _write_bytes(path, data: bytes) -> None:
-    """Write `data` to exactly `path`, creating the parent directory."""
+def _write_bytes(path, data: bytes, fmt=None, value=None) -> None:
+    """Write `data` to exactly `path`, creating the parent directory; inside a
+    session keep (data, value) under (str(path), fmt) unless value is None."""
     _note("write", path, data)
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_bytes(data)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    if value is not None and _session.get() is not None:
+        _session.get().kept[(str(path), fmt)] = (data, value)
 
 
 def _read_lines(path, data: bytes) -> list:
@@ -168,12 +175,9 @@ def _read_lines(path, data: bytes) -> list:
     return lines
 
 
-def write_lines(path, lines: Sequence[str]) -> bytes:
-    """Write each line followed by LF, in one go, creating the parent
-    directory; returns the bytes written."""
-    data = "\n".join([*lines, ""]).encode("utf-8")
-    _write_bytes(path, data)
-    return data
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write each line followed by LF, in one go, creating the parent directory."""
+    _write_bytes(path, "\n".join([*lines, ""]).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,7 @@ def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     data = buffer.getvalue()
-    _write_bytes(path, data)
-    active = _session.get()
-    if active is not None:
-        active.kept[str(path)] = (data, _npz_views(data))
+    _write_bytes(path, data, "npz", _npz_views(data))
 
 
 def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -219,9 +220,9 @@ def read_arrays(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
     A file that is not an .npz archive, a missing, truncated or corrupt member
     and an object array (which would need unpickling) raise DataFormatError.
     """
-    data, kept = _read_bytes(path), getattr(_session.get(), "kept", {}).get(str(path))
-    if kept is not None and kept[0] == data:  # new views of the kept bytes, no parse
-        members, load = kept[1], lambda name: kept[1][name].view()
+    data, views = _read_bytes(path, "npz")
+    if views is not None:  # new views of the kept bytes, no parse
+        members, load = views, lambda name: views[name].view()
     else:
         try:
             npz = np.load(io.BytesIO(data), allow_pickle=False)
@@ -324,13 +325,13 @@ class _Format(NamedTuple):
     empty: str = ""
 
 
-def _read_rows(path, fmt: _Format) -> list:
-    """The columns of a text file, one list per field in file order, with
+def _read_rows(path, fmt: _Format) -> tuple:
+    """The columns of a text file, one tuple per field in file order, with
     "-" read as None in optional fields and parsed fields parsed. A row that
     breaks the row rule raises DataFormatError naming its line."""
-    data, key, kept = _read_bytes(path), (str(path), fmt), getattr(_session.get(), "kept", {})
-    if key in kept and kept[key][0] == data:
-        return [list(column) for column in kept[key][1]]
+    data, kept = _read_bytes(path, fmt)
+    if kept is not None:
+        return kept
     lines = _read_lines(path, data)
     if fmt.header is not None and lines[:1] != [fmt.header]:
         _fail(path, 1, f"expected {fmt.header!r} header")
@@ -340,17 +341,17 @@ def _read_rows(path, fmt: _Format) -> list:
     if set(map(len, rows)) - {n}:
         i = next(i for i, row in enumerate(rows) if len(row) != n)
         _fail(path, first + i, f"expected {n} fields: {' '.join(f.name for f in fmt.fields)}")
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in fmt.fields]
+    columns = list(zip(*rows)) or [()] * n
     for k, (column, field) in enumerate(zip(columns, fmt.fields)):
         if not (fmt.free and k == n - 1):
             _check_tokens(column, field.name, path, range(first, first + len(column)))
         elif fmt.empty and "" in column:
             _fail(path, first + column.index(""), fmt.empty.format(columns[0][column.index("")]))
         if field.optional:
-            columns[k] = column = [None if text == "-" else text for text in column]
+            columns[k] = column = tuple(None if text == "-" else text for text in column)
         if field.parse is not None:
             try:
-                columns[k] = list(map(field.parse, column))
+                columns[k] = tuple(map(field.parse, column))
             except (KeyError, ValueError):
                 for i, text in enumerate(column):
                     try:
@@ -360,8 +361,7 @@ def _read_rows(path, fmt: _Format) -> list:
     i = _repeat(columns[0])
     if i is not None:
         _fail(path, first + i, f"duplicate {fmt.fields[0].name} {columns[0][i]}")
-    kept[key] = (data, tuple(map(tuple, columns)))
-    return columns
+    return tuple(columns)
 
 
 def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
@@ -387,10 +387,9 @@ def _write_rows(path, fmt: _Format, columns: Sequence[Sequence]) -> None:
     if i is not None:
         raise ValueError(f"duplicate {fmt.fields[0].name} {texts[0][i]}")
     rows = list(map(" ".join, zip(*texts, strict=True)))  # ValueError for unequal columns
-    data = write_lines(path, [fmt.header] * (fmt.header is not None) + rows)
-    active = _session.get()
-    if active is not None:  # the values as given, which is how the row rule reads them back
-        active.kept[(str(path), fmt)] = (data, tuple(map(tuple, columns)))
+    data = "\n".join([fmt.header] * (fmt.header is not None) + rows + [""]).encode("utf-8")
+    # the values as given, which is how the row rule reads them back
+    _write_bytes(path, data, fmt, tuple(map(tuple, columns)))
 
 
 _LANGUAGE = _Field("language", parse={m.value: m for m in Language}.__getitem__,
@@ -418,7 +417,7 @@ def write_metas(path, metas: Metas) -> None:
 
 def read_metas(path) -> Metas:
     """The utterance labels of a metadata file as columns, in file order."""
-    return Metas(*map(tuple, _read_rows(path, _METAS)))
+    return Metas(*_read_rows(path, _METAS))
 
 
 def write_inventory(path, inventory: PhraseInventory) -> None:
@@ -429,7 +428,7 @@ def write_inventory(path, inventory: PhraseInventory) -> None:
 def read_inventory(path) -> PhraseInventory:
     """The phrases of an inventory file as columns, in file order."""
     phrase_ids, languages, texts = _read_rows(path, _INVENTORY)
-    return PhraseInventory(tuple(phrase_ids), tuple(texts), tuple(languages))
+    return PhraseInventory(phrase_ids, texts, languages)
 
 
 def write_enroll_map(path, enroll_map: Mapping[str, Sequence[str]]) -> None:
@@ -454,7 +453,7 @@ def write_trials(path, trials: Trials) -> None:
 
 def read_trials(path) -> Trials:
     """The trials of a trials file as columns, in file order."""
-    return Trials(*map(tuple, _read_rows(path, _TRIALS)))
+    return Trials(*_read_rows(path, _TRIALS))
 
 
 def write_keys(path, trial_ids: Sequence[str], labels: Sequence[TrialLabel]) -> None:
@@ -465,8 +464,8 @@ def write_keys(path, trial_ids: Sequence[str], labels: Sequence[TrialLabel]) -> 
 
 
 def read_keys(path):
-    """(trial ids, labels): a list of str and a list of TrialLabel."""
-    return tuple(_read_rows(path, _KEYS))
+    """(trial ids, labels): a tuple of str and a tuple of TrialLabel."""
+    return _read_rows(path, _KEYS)
 
 
 def write_scores(path, trial_ids: Sequence[str], values) -> None:
@@ -482,12 +481,13 @@ def write_scores(path, trial_ids: Sequence[str], values) -> None:
 
 
 def read_scores(path):
-    """(trial ids, scores): a list of str and a float64 vector."""
+    """(trial ids, scores): a tuple of str and a float64 vector."""
     ids, values = _read_rows(path, _SCORES)
     values = np.asarray(values, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:  # the message quotes the line's text
-        i, text = int(bad[0]), _read_lines(path, _read_bytes(path))[bad[0]].split(" ")[1]
+        i, data = int(bad[0]), _read_bytes(path, _SCORES)[0]
+        text = _read_lines(path, data)[i].split(" ")[1]
         _fail(path, i + 1, f"non-finite score {text!r} for trial {ids[i]}")
     return ids, values
 
@@ -497,15 +497,14 @@ def read_scores(path):
 
 
 def write_checkpoint(path, extractor, strategy: str, seed: int) -> None:
+    """NumericalError for a non-finite weight, before anything is written."""
     _check_tokens([strategy], "strategy")
-    write_arrays(path, {
-        "w1": extractor.w1,
-        "b1": extractor.b1,
-        "w2": extractor.w2,
-        "b2": extractor.b2,
-        "strategy": np.asarray(strategy),
-        "seed": np.asarray(seed, dtype=np.int64),
-    })
+    weights = {name: getattr(extractor, name) for name in ("w1", "b1", "w2", "b2")}
+    bad = [name for name, w in weights.items() if not np.isfinite(w).all()]
+    if bad:
+        raise NumericalError(f"non-finite extractor weight {bad[0]}")
+    write_arrays(path, {**weights, "strategy": np.asarray(strategy),
+                        "seed": np.asarray(seed, dtype=np.int64)})
 
 
 def read_checkpoint(path):
@@ -517,9 +516,7 @@ def read_checkpoint(path):
         raise DataFormatError(f"{path}: member 'strategy' must be a unicode scalar")
     if seed.dtype != np.int64 or seed.ndim != 0:
         raise DataFormatError(f"{path}: member 'seed' must be an int64 scalar")
-    extractor = Extractor(**{
-        name: _floats(path, name, arrays[name], ndim)
-        for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1))
-    })
+    extractor = Extractor(**{name: _floats(path, name, arrays[name], ndim)
+                             for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1))})
     return extractor, str(strategy), int(seed)
 

@@ -133,10 +133,10 @@ def _load_split(cfg: PipelineConfig, split: str, extracted: bool = False):
 # score and key files
 
 
-def _check_trial_ids(path, ids: list, trial_ids: tuple, split: str) -> None:
+def _check_trial_ids(path, ids: tuple, trial_ids: tuple, split: str) -> None:
     """DataFormatError naming the file and its first differing id unless
     `ids` are the split's trial ids, in trial-list order."""
-    if tuple(ids) == trial_ids:
+    if ids == trial_ids:
         return
     k = next((i for i, (a, b) in enumerate(zip(ids, trial_ids)) if a != b),
              min(len(ids), len(trial_ids)))

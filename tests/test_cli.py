@@ -520,6 +520,27 @@ class TestErrorExitCodes:
         assert (f"data error: {workdir / 'keys_dev.txt'}: no nontarget trial"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("epochs, rate, stage, message", [
+        # train exited 3 with "data error: non-finite embeddings", naming no file
+        (2, "1e308", "train", "training diverged in epoch 1: non-finite loss or weight"),
+        # train exited 0 and wrote inf weights; extract exited 3 on ckpt.npz
+        (1, "1e308", "train", "training diverged in epoch 1: non-finite loss or weight"),
+        # extract exited 3 naming emb_train.npz, which it never wrote
+        (1, "1e300", "extract", "extractor produced a non-finite embedding"),
+    ], ids=["two-epochs", "one-epoch", "finite-weights"])
+    def test_diverged_extractor_is_numerical_failure(self, tmp_path, capsys, epochs, rate,
+                                                     stage, message):
+        args = ["--set", f"workdir={tmp_path}", "--seed", "0", "--set", f"epochs={epochs}",
+                "--set", f"lr_initial={rate}", "--set", f"lr_final={rate}"]
+        assert main(["gen"] + args) == 0
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
+            assert main(["train"] + args) == (4 if stage == "train" else 0)
+            if stage == "extract":
+                assert main(["extract"] + args) == 4
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        unwritten = "ckpt.npz" if stage == "train" else "emb_train.npz"
+        assert not (tmp_path / unwritten).exists()
+
     def test_zero_norm_centroid_exits_4(self, e2e_dir, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(e2e_dir, workdir)
@@ -830,10 +851,12 @@ class TestKeptColumnsInE2e:
         del e2e["manifest.txt"]
         assert _digests(tmp_path / "stages") == e2e
 
-    def test_e2e_parses_no_text_file(self, tmp_path):
-        # every text file a run reads was written earlier in the same session
-        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"])
-        with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")):
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_e2e_parses_no_file(self, tmp_path, config):
+        # every text file and .npz a run reads was written earlier in the same session
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + STAGE_CONFIGS[config][0])
+        with mock.patch.object(fileio, "_read_lines", side_effect=AssertionError("parsed")), \
+                mock.patch.object(np, "load", side_effect=AssertionError("parsed")):
             pipeline.cmd_e2e(cfg)
         assert fileio._session.get() is None
 
@@ -1054,7 +1077,7 @@ class TestMetamorphic:
         assert got.keys() == expected.keys() and got_reports == reports
         for (name, split), (ids, values) in expected.items():
             perm = order[split]
-            assert got[name, split][0] == [ids[i] for i in perm], name
+            assert got[name, split][0] == tuple(ids[i] for i in perm), name
             # equal up to rounding, not bitwise: NPLDA scores one block per
             # claimed phrase, and OpenBLAS's matrix-vector product rounds a
             # row by its position in a block of a size not divisible by 4
@@ -1095,7 +1118,7 @@ class TestMetamorphic:
         got, got_reports = self._rerun(workdir, rename)
         assert got.keys() == expected.keys() and got_reports == reports
         for key, (ids, values) in expected.items():
-            assert got[key][0] == [new[i] for i in ids], key
+            assert got[key][0] == tuple(new[i] for i in ids), key
             np.testing.assert_array_equal(got[key][1], values, err_msg=str(key))
 
 

@@ -278,7 +278,7 @@ class TestProtocolFiles:
         assert (tmp_path / "t.txt").read_text() == "t1 m1 u1 ph00\nt2 m1 u2 -\n"
         assert (tmp_path / "k.txt").read_text() == "t1 TC\nt2 NTG\n"
         assert fileio.read_trials(tmp_path / "t.txt") == trials
-        assert fileio.read_keys(tmp_path / "k.txt") == (["t1", "t2"], labels)
+        assert fileio.read_keys(tmp_path / "k.txt") == (("t1", "t2"), tuple(labels))
         assert fileio.read_enroll_map(tmp_path / "e.txt") == enroll
 
     # a claimed phrase of None (text-independent) is written as "-"
@@ -299,7 +299,7 @@ class TestProtocolFiles:
             return
         fileio.write_trials(path / "t.txt", trials)
         fileio.write_keys(path / "k.txt", trials.ids, labels)
-        assert fileio.read_keys(path / "k.txt") == (list(trials.ids), labels)
+        assert fileio.read_keys(path / "k.txt") == (trials.ids, tuple(labels))
         assert fileio.read_trials(path / "t.txt") == trials
 
     def test_key_count_must_match_trial_ids(self, tmp_path):
@@ -311,15 +311,15 @@ class TestProtocolFiles:
         path = tmp_path / "k.txt"
         path.write_text("t1 TGT\nt2 NTG\nt3 TW\n")
         ids, labels = fileio.read_keys(path)
-        assert ids == ["t1", "t2", "t3"]
-        assert labels == [TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.TW]
+        assert ids == ("t1", "t2", "t3")
+        assert labels == (TrialLabel.TARGET, TrialLabel.NONTARGET, TrialLabel.TW)
 
     def test_scores_round_trip_and_duplicate_detection(self, tmp_path, rng):
         ids, values = [f"t{i}" for i in range(30)], rng.normal(size=30)
         path = tmp_path / "s.txt"
         fileio.write_scores(path, ids, values)
         back_ids, back = fileio.read_scores(path)
-        assert back_ids == ids and back.dtype == np.float64
+        assert back_ids == tuple(ids) and back.dtype == np.float64
         np.testing.assert_array_equal(back, values)
         path.write_text("t1 0.5\nt1 0.7\n")
         with pytest.raises(DataFormatError, match="duplicate"):
@@ -434,7 +434,7 @@ class TestInventory:
 
 def _score_columns(path):
     ids, values = fileio.read_scores(path)
-    return ids, values.tolist()
+    return ids, tuple(values.tolist())
 
 
 # values that break the row rule one way or another: empty, the "-" of an
@@ -452,10 +452,9 @@ _FORMATS = {
                lambda cols: dict(zip(*cols)), fileio.write_enroll_map, fileio.read_enroll_map),
     "trials": ((_AWKWARD, _AWKWARD, _AWKWARD, st.none() | _AWKWARD),
                lambda cols: Trials(*cols), fileio.write_trials, fileio.read_trials),
-    "keys": ((_AWKWARD, st.sampled_from(TrialLabel)), lambda cols: tuple(map(list, cols)),
+    "keys": ((_AWKWARD, st.sampled_from(TrialLabel)), tuple,
              lambda path, value: fileio.write_keys(path, *value), fileio.read_keys),
-    "scores": ((_AWKWARD, st.floats(allow_nan=False, allow_infinity=False)),
-               lambda cols: tuple(map(list, cols)),
+    "scores": ((_AWKWARD, st.floats(allow_nan=False, allow_infinity=False)), tuple,
                lambda path, value: fileio.write_scores(path, *value), _score_columns),
 }
 _HEADERS = {"metas": "META\n", "inventory": "INV\n"}
@@ -575,8 +574,8 @@ def _kept_paths():
 
 
 class TestKeptColumns:
-    """Inside a `session` a text file written or parsed is not parsed again
-    while its bytes stay the same."""
+    """Inside a `session` a text file written is not parsed again while its
+    bytes stay the same."""
 
     @pytest.mark.parametrize("name", sorted(_FORMATS))
     @given(data=st.data())
@@ -613,7 +612,7 @@ class TestKeptColumns:
             stat = path.stat()
             edit(b"t0 0.5\nt1 0.75\n")
             ids, values = fileio.read_scores(path)
-            assert ids == ["t0", "t1"] and values.tolist() == [0.5, 0.75]
+            assert ids == ("t0", "t1") and values.tolist() == [0.5, 0.75]
             edit(b"t0 0.5\nt1 0.7x\n")
             with pytest.raises(DataFormatError, match="s.txt:2: non-numeric score '0.7x'"):
                 fileio.read_scores(path)
@@ -625,7 +624,7 @@ class TestKeptColumns:
             assert fileio.read_enroll_map(path) == {"t0": ("TC",), "t1": ("IW",)}
             with pytest.raises(DataFormatError, match="k.txt:1: non-numeric score 'TC'"):
                 fileio.read_scores(path)
-            assert fileio.read_keys(path) == (["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
+            assert fileio.read_keys(path) == (("t0", "t1"), (TrialLabel.TC, TrialLabel.IW))
 
     def test_a_mutated_column_does_not_change_the_next_read(self, tmp_path):
         path = tmp_path / "k.txt"
@@ -633,11 +632,9 @@ class TestKeptColumns:
         with fileio.session():
             fileio.write_keys(path, ids, labels)
             ids[0], labels[1] = "x", TrialLabel.TC
-            for _ in range(2):
-                back_ids, back_labels = fileio.read_keys(path)
-                assert (back_ids, back_labels) == (["t0", "t1"], [TrialLabel.TC, TrialLabel.IW])
-                back_ids.append("t2")
-                back_labels[0] = TrialLabel.TW
+            kept = fileio.read_keys(path)
+            assert kept == (("t0", "t1"), (TrialLabel.TC, TrialLabel.IW))
+            assert fileio.read_keys(path) is kept  # the kept tuples themselves, not a copy
 
     def test_nothing_is_kept_after_the_context(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -662,6 +659,13 @@ def _parsed(path, names):
 
 
 _NO_LOAD = mock.patch.object(np, "load", side_effect=AssertionError("parsed"))
+# a kind of file -> (name, writer, reader, (owner, name) of what parses it, its format)
+_ONE_FILE = {
+    "npz": ("x.npz", lambda path: fileio.write_matrix(path, ["u0"], np.ones((1, 2))),
+            fileio.read_matrix, (np, "load"), "npz"),
+    "text": ("s.txt", lambda path: fileio.write_scores(path, ["t0"], [0.5]),
+             fileio.read_scores, (fileio, "_read_lines"), fileio._SCORES),
+}
 
 
 class TestKeptArrays:
@@ -731,20 +735,22 @@ class TestKeptArrays:
                 fileio.read_matrix(path)
         assert files == [("write", str(path), _sha256(path)), ("read", str(path), None)]
 
-    def test_nothing_is_kept_outside_a_session(self, tmp_path):
-        path = tmp_path / "x.npz"
-        fileio.write_matrix(path, ["u0"], np.ones((1, 2)))  # before any session
+    @pytest.mark.parametrize("kind", sorted(_ONE_FILE))
+    def test_nothing_is_kept_outside_a_session(self, tmp_path, kind):
+        name, write, read, (owner, parser), fmt = _ONE_FILE[kind]
+        path = tmp_path / name
+        write(path)  # before any session
         with fileio.session():
-            with mock.patch.object(np, "load", wraps=np.load) as load:
-                fileio.read_matrix(path)
-                fileio.read_matrix(path)  # a parse is not kept either
-            assert load.call_count == 2
-            fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
-            assert list(fileio._session.get().kept) == [str(path)]
+            with mock.patch.object(owner, parser, wraps=getattr(owner, parser)) as parse:
+                read(path)
+                read(path)  # a parse is not kept either
+            assert parse.call_count == 2
+            write(path)
+            assert list(fileio._session.get().kept) == [(str(path), fmt)]
         assert fileio._session.get() is None
-        with mock.patch.object(np, "load", wraps=np.load) as load:
-            _, x = fileio.read_matrix(path)  # after the session
-        assert load.call_count == 1 and x.flags.writeable
+        with mock.patch.object(owner, parser, wraps=getattr(owner, parser)) as parse:
+            _, values = read(path)  # after the session
+        assert parse.call_count == 1 and values.flags.writeable
 
 
 @pytest.mark.parametrize("write", [
@@ -823,6 +829,17 @@ class TestModelContainers:
         assert strategy == "PCT" and seed == 17
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_never_written(self, tmp_path, name, bad):
+        # it was written, and extract then failed on the file as a data error
+        net = Extractor.init(4, 6, 3, seed=9)
+        getattr(net, name).flat[-1] = bad
+        path = tmp_path / "ckpt.npz"
+        with pytest.raises(NumericalError, match=f"^non-finite extractor weight {name}$"):
+            fileio.write_checkpoint(path, net, strategy="PCT", seed=17)
+        assert not path.exists()
 
     @pytest.mark.parametrize("payload", ["matrix", "checkpoint"])
     def test_written_bytes_are_those_savez_writes_to_a_file(self, tmp_path, rng, payload):
