@@ -144,10 +144,11 @@ def _marginal_loglik(stats: _PldaStats, sigma_b: np.ndarray,
 def plda_em_train(
     embeddings: np.ndarray,
     speaker_labels: Sequence,
-    iters: int = 20,
+    iters: int,
     ridge: Optional[float] = None,
 ) -> Tuple[PldaModel, list]:
-    """EM for the two-covariance model; returns (model, log-likelihood trace).
+    """`iters` (the plda_iters key) EM iterations for the two-covariance
+    model; returns (model, log-likelihood trace).
 
     The trace holds the observed-data log-likelihood of the initial model
     and of the model after each iteration; EM guarantees it never decreases

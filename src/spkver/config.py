@@ -1,7 +1,11 @@
 """Pipeline configuration: a flat key=value text format with typed fields.
 
-Unknown keys are rejected; values are validated when coerced. The same keys
-are accepted on the command line via repeated `--set key=value` flags.
+Each setting exists once: one `PipelineConfig` key with one default and at
+most one range rule, in `_RANGES`. The stages read the keys they need from
+the config itself. Unknown keys are rejected and values are checked when
+coerced; `validate()` then applies the range rules before any cross-key
+check. The same keys are accepted on the command line via repeated
+`--set key=value` flags.
 """
 
 from __future__ import annotations
@@ -12,14 +16,30 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .extractor import Strategy, TrainConfig
+from .extractor import Strategy
 from .metrics import DcfParams, grid_divisions
-from .nplda import NpldaTrainConfig
-from .synthgen import GenConfig, Task, trial_counts, trial_proportions
+from .synthgen import Task, trial_counts, trial_proportions
 
 
 class ConfigError(ValueError):
     """Bad configuration key, value, or combination."""
+
+
+# (keys, test, rule): the range rule of each setting that has one; a value
+# that fails its test raises "<key> must <rule>, got <value>"
+_RANGES = (
+    (("dim", "n_top", "pct_speakers_per_batch"), lambda v: v >= 2, "be >= 2"),
+    (("n_speakers", "n_phrases", "n_utts_per_cell", "n_dev_trials", "n_eval_trials",
+      "n_enroll"), lambda v: v >= 1, "be >= 1"),
+    (("phrase_strength", "language_shift", "noise_sigma", "epochs", "multitask_weight",
+      "contrastive_weight", "plda_iters", "nplda_epochs", "lid_epochs"),
+     lambda v: v >= 0, "be >= 0"),
+    (("lr_initial", "lr_final", "hidden_dim", "emb_dim", "aam_scale", "nplda_lr",
+      "nplda_alpha", "lid_lr"), lambda v: v > 0, "be positive"),
+    (("train_fraction", "dev_fraction"), lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    (("transcript_error_rate",), lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    (("aam_margin",), lambda v: 0.0 <= v < math.pi / 2, "lie in [0, pi/2)"),
+)
 
 
 @dataclass
@@ -84,6 +104,12 @@ class PipelineConfig:
     grid_step: float = 0.1
 
     def validate(self) -> None:
+        """ConfigError for the first key that breaks its range rule, then for a
+        bad name or a combination of keys that cannot run."""
+        for keys, test, rule in _RANGES:
+            for key in keys:
+                if not test(getattr(self, key)):
+                    raise ConfigError(f"{key} must {rule}, got {getattr(self, key)}")
         if self.task not in ("TD", "TI"):
             raise ConfigError(f"task must be TD or TI, got {self.task!r}")
         for backend in self.backends:
@@ -97,15 +123,8 @@ class PipelineConfig:
             )
         if "nplda" in self.backends and self.task != "TD":
             raise ConfigError("the nplda backend needs phrase labels (task=TD)")
-        if not 0.0 < self.train_fraction < 1.0 or not 0.0 < self.dev_fraction < 1.0:
-            raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.dev_fraction >= 1.0:
             raise ConfigError("train_fraction + dev_fraction must leave room for eval")
-        if self.n_top < 2:
-            raise ConfigError(f"n_top must be >= 2, got {self.n_top}")
-        for name in ("n_dev_trials", "n_eval_trials", "n_enroll"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # TD enrolls on the first n_enroll utterances of every (speaker, phrase)
         # cell and tests on the rest; TI enrolls across all of a speaker's phrases.
         if self.task == "TD" and self.n_enroll >= self.n_utts_per_cell:
@@ -118,20 +137,13 @@ class PipelineConfig:
                 f"task=TI needs n_enroll < n_phrases * n_utts_per_cell, got {self.n_enroll} "
                 f"and {self.n_phrases * self.n_utts_per_cell}"
             )
-        for name in ("plda_iters", "lid_epochs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("hidden_dim", "emb_dim", "lid_lr"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.strategy == Strategy.PCT.value and self.n_utts_per_cell < 2:
             raise ConfigError(
                 f"strategy=PCT needs n_utts_per_cell >= 2, got {self.n_utts_per_cell}"
             )
         try:
-            self.gen_config()
-            self.train_config()
-            self.nplda_config()
+            Strategy(self.strategy)
+            self.dcf_params()
             grid_divisions(self.grid_step)
             props = trial_proportions(Task(self.task), self.proportions or None)
         except ValueError as exc:
@@ -161,47 +173,9 @@ class PipelineConfig:
                               "speakers; each split needs >= 2")
         return sizes
 
-    def gen_config(self, seed: int = 0) -> GenConfig:
-        """The corpus-generation settings; GenConfig checks their values."""
-        return GenConfig(
-            n_speakers=self.n_speakers,
-            n_phrases=self.n_phrases,
-            n_utts_per_cell=self.n_utts_per_cell,
-            dim=self.dim,
-            phrase_strength=self.phrase_strength,
-            language_shift=self.language_shift,
-            noise_sigma=self.noise_sigma,
-            transcript_error_rate=self.transcript_error_rate,
-            seed=seed,
-        )
-
     def dcf_params(self) -> DcfParams:
         """The detection-cost operating point; DcfParams checks its values."""
         return DcfParams(self.p_target, self.c_miss, self.c_fa)
-
-    def nplda_config(self) -> NpldaTrainConfig:
-        """The NPLDA fine-tuning settings; NpldaTrainConfig checks their values."""
-        return NpldaTrainConfig(
-            learning_rate=self.nplda_lr,
-            epochs=self.nplda_epochs,
-            alpha=self.nplda_alpha,
-            dcf=self.dcf_params(),
-        )
-
-    def train_config(self, seed: int = 0) -> TrainConfig:
-        """The extractor-training settings; TrainConfig checks their values."""
-        return TrainConfig(
-            strategy=Strategy(self.strategy),
-            epochs=self.epochs,
-            lr_initial=self.lr_initial,
-            lr_final=self.lr_final,
-            multitask_weight=self.multitask_weight,
-            contrastive_weight=self.contrastive_weight,
-            pct_speakers_per_batch=self.pct_speakers_per_batch,
-            aam_scale=self.aam_scale,
-            aam_margin=self.aam_margin,
-            seed=seed,
-        )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}

@@ -38,11 +38,14 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import Metas, NumericalError, PhraseInventory
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 
 class Strategy(Enum):
@@ -169,29 +172,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 # angular-margin softmax
 
 
-def _check_aam(scale: float, margin: float) -> None:
-    """The margin-softmax settings rule: scale > 0 and 0 <= margin < pi/2."""
-    if not scale > 0:
-        raise ValueError(f"AAM scale must be positive, got {scale}")
-    if not 0.0 <= margin < np.pi / 2:
-        raise ValueError(f"AAM margin must lie in [0, pi/2), got {margin}")
-
-
 @dataclass
 class AamHead:
-    """Cosine classifier head: unit-norm class rows, scale s, margin m."""
+    """Cosine classifier head: unit-norm class rows, scale s and margin m
+    (in training, the config's aam_scale and aam_margin)."""
 
     weights: np.ndarray  # (C, D)
-    scale: float = 32.0
-    margin: float = 0.2
+    scale: float
+    margin: float
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        _check_aam(self.scale, self.margin)
 
     @classmethod
-    def init(cls, n_classes: int, dim: int, seed: int = 0,
-             scale: float = 32.0, margin: float = 0.2) -> "AamHead":
+    def init(cls, n_classes: int, dim: int, seed: int, scale: float, margin: float) -> "AamHead":
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((n_classes, dim))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -374,31 +368,6 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
 # training loop
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    strategy: Strategy = Strategy.AAM_ONLY
-    epochs: int = 50
-    lr_initial: float = 0.1
-    lr_final: float = 1e-5
-    multitask_weight: float = 1.0
-    contrastive_weight: float = 1.0
-    pct_speakers_per_batch: int = 8
-    aam_scale: float = 32.0
-    aam_margin: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lr_initial <= 0 or self.lr_final <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.multitask_weight < 0 or self.contrastive_weight < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.pct_speakers_per_batch < 2:
-            raise ValueError("PCT batches need >= 2 speakers")
-        _check_aam(self.aam_scale, self.aam_margin)
-
-
 @dataclass
 class TrainResult:
     extractor: Extractor
@@ -407,12 +376,12 @@ class TrainResult:
     loss_trace: tuple
 
 
-def lr_schedule(config: TrainConfig, epoch: int) -> float:
-    """Exponential decay from lr_initial to lr_final across the run."""
-    if config.epochs <= 1:
-        return config.lr_initial
-    frac = epoch / (config.epochs - 1)
-    return config.lr_initial * (config.lr_final / config.lr_initial) ** frac
+def lr_schedule(cfg: PipelineConfig, epoch: int) -> float:
+    """Exponential decay from cfg.lr_initial to cfg.lr_final over cfg.epochs."""
+    if cfg.epochs <= 1:
+        return cfg.lr_initial
+    frac = epoch / (cfg.epochs - 1)
+    return cfg.lr_initial * (cfg.lr_final / cfg.lr_initial) ** frac
 
 
 def train(
@@ -420,14 +389,16 @@ def train(
     features: np.ndarray,
     metas: Metas,
     inventory: PhraseInventory,
-    config: TrainConfig,
+    cfg: PipelineConfig,
+    seed: int,
 ) -> TrainResult:
-    """Fine-tune the network with the configured objective.
+    """Fine-tune the network with the objective of cfg.strategy.
 
     `features` is an (N, F) array whose row i is utterance metas.utt_ids[i]; the
     inventory fixes the phrase order of the phrase-aware objectives. Plain
-    gradient descent under the exponential learning-rate schedule;
-    deterministic given the seed. Head rows are re-normalized to unit norm
+    gradient descent for cfg.epochs under `lr_schedule`, with the heads'
+    aam_scale and aam_margin and the objective's weights read from `cfg`;
+    deterministic given `seed`. Head rows are re-normalized to unit norm
     after every update. A non-finite embedding, epoch loss or network weight
     raises NumericalError naming the epoch. Returns fresh objects; the inputs
     are not mutated.
@@ -443,7 +414,7 @@ def train(
     spk_index = {s: i for i, s in enumerate(speaker_ids)}
     spk_labels = np.asarray([spk_index[s] for s in metas.speakers])
 
-    strategy = config.strategy
+    strategy = Strategy(cfg.strategy)
     phrase_ids = inventory.phrase_ids
     phr_index = {p: i for i, p in enumerate(phrase_ids)}
     phr_labels = None
@@ -456,12 +427,12 @@ def train(
                                  "which the phrase inventory lacks")
         phr_labels = np.asarray([phr_index[p] for p in metas.phrases])
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n_spk = len(speaker_ids)
 
     def new_head(n_classes: int) -> AamHead:
         return AamHead.init(n_classes, net.emb_dim, int(rng.integers(2**63)),
-                            config.aam_scale, config.aam_margin)
+                            cfg.aam_scale, cfg.aam_margin)
 
     # heads are seeded in this order: spk, phrase, product, per-phrase
     heads: Dict[str, AamHead] = {}
@@ -471,7 +442,7 @@ def train(
         terms.append(("spk", ALL_ROWS, spk_labels, 1.0))
     if strategy is Strategy.SPK_PLUS_PHRASE:
         heads["phrase"] = new_head(len(phrase_ids))
-        terms.append(("phrase", ALL_ROWS, phr_labels, config.multitask_weight))
+        terms.append(("phrase", ALL_ROWS, phr_labels, cfg.multitask_weight))
     if strategy is Strategy.SPK_TIMES_PHRASE:
         heads["product"] = new_head(n_spk * len(phrase_ids))
         terms.append(("product", ALL_ROWS, spk_labels * len(phrase_ids) + phr_labels, 1.0))
@@ -482,7 +453,7 @@ def train(
             rows = np.flatnonzero(phr_labels == k)
             terms.append((phrase_ids[k], rows, spk_labels[rows], rows.size / len(feats)))
     ge2e = pct_groups = None
-    mu = config.contrastive_weight
+    mu = cfg.contrastive_weight
     if strategy is Strategy.PCT:
         ge2e = Ge2eParams()
         pct_groups = _pct_groups(metas.speakers, phr_labels, len(phrase_ids))
@@ -490,12 +461,12 @@ def train(
             raise ValueError("no phrase yields a valid PCT batch")
 
     trace = []
-    for epoch in range(config.epochs):
-        lr = lr_schedule(config, epoch)
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(cfg, epoch)
         if pct_groups is None:
             steps = [(ALL_ROWS, terms)]
         else:
-            batches = [_sample_pct_batch(rng, groups, config.pct_speakers_per_batch)
+            batches = [_sample_pct_batch(rng, groups, cfg.pct_speakers_per_batch)
                        for groups in pct_groups]
             steps = [(batch, [("spk", ALL_ROWS, spk_labels[batch], 1.0)]) for batch in batches]
         losses = []

@@ -326,10 +326,15 @@ class _Format(NamedTuple):
 
 
 def _read_rows(path, fmt: _Format) -> tuple:
-    """The columns of a text file, one tuple per field in file order, with
-    "-" read as None in optional fields and parsed fields parsed. A row that
-    breaks the row rule raises DataFormatError naming its line."""
-    data, kept = _read_bytes(path, fmt)
+    """The columns of a text file, as `_parse_rows` gives them."""
+    return _parse_rows(path, fmt, *_read_bytes(path, fmt))
+
+
+def _parse_rows(path, fmt: _Format, data: bytes, kept) -> tuple:
+    """The columns of the bytes `data` of a text file, one tuple per field in
+    file order, with "-" read as None in optional fields and parsed fields
+    parsed, or `kept` unless it is None. A row that breaks the row rule
+    raises DataFormatError naming its line of `path`."""
     if kept is not None:
         return kept
     lines = _read_lines(path, data)
@@ -482,11 +487,12 @@ def write_scores(path, trial_ids: Sequence[str], values) -> None:
 
 def read_scores(path):
     """(trial ids, scores): a tuple of str and a float64 vector."""
-    ids, values = _read_rows(path, _SCORES)
+    data, kept = _read_bytes(path, _SCORES)
+    ids, values = _parse_rows(path, _SCORES, data, kept)
     values = np.asarray(values, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:  # the message quotes the line's text
-        i, data = int(bad[0]), _read_bytes(path, _SCORES)[0]
+        i = int(bad[0])
         text = _read_lines(path, data)[i].split(" ")[1]
         _fail(path, i + 1, f"non-finite score {text!r} for trial {ids[i]}")
     return ids, values

@@ -15,29 +15,16 @@ over same-phrase pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
 from .backend import PldaScorer
 from .metrics import DcfParams, min_dcf_details
 
-
-@dataclass(frozen=True)
-class NpldaTrainConfig:
-    learning_rate: float = 5e-5
-    epochs: int = 5
-    alpha: float = 10.0  # sigmoid sharpness of the soft detection cost
-    dcf: DcfParams = field(default_factory=DcfParams)
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 
 def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -101,10 +88,12 @@ def train_nplda(
     labels: Sequence[bool],
     enroll_phrases: Sequence,
     test_phrases: Sequence,
-    config: NpldaTrainConfig = NpldaTrainConfig(),
+    cfg: PipelineConfig,
 ) -> NpldaTrainResult:
     """Full-batch gradient descent on the soft detection cost, from `form`
-    to the trained form in the result's `params`.
+    to the trained form in the result's `params`: cfg.nplda_epochs steps of
+    size cfg.nplda_lr, sigmoid sharpness cfg.nplda_alpha, at the operating
+    point cfg.dcf_params().
 
     Every training pair must be same-phrase; a violating pair aborts before
     any update. theta is learned jointly, starting from the threshold that
@@ -124,16 +113,17 @@ def train_nplda(
     def score_now() -> np.ndarray:
         return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
+    dcf = cfg.dcf_params()
     scores = score_now()
-    _, theta = min_dcf_details(scores, lab, config.dcf)
+    _, theta = min_dcf_details(scores, lab, dcf)
     if not np.isfinite(theta):
         theta = float(np.median(scores))
 
     # each scoring yields the trace entry and the next epoch's gradients
-    loss, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+    loss, d_scores, d_theta = soft_detcost(scores, lab, theta, cfg.nplda_alpha, dcf)
     trace = [loss]
-    lr = config.learning_rate
-    for _ in range(config.epochs):
+    lr = cfg.nplda_lr
+    for _ in range(cfg.nplda_epochs):
         # d score / d params, accumulated over the batch
         de = d_scores[:, None] * e
         dt = d_scores[:, None] * t
@@ -147,7 +137,7 @@ def train_nplda(
         c -= lr * d_c
         k -= lr * d_k
         theta -= lr * d_theta
-        loss, d_scores, d_theta = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
+        loss, d_scores, d_theta = soft_detcost(score_now(), lab, theta, cfg.nplda_alpha, dcf)
         trace.append(loss)
 
     return NpldaTrainResult(

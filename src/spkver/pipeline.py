@@ -83,7 +83,7 @@ def _systems(cfg: PipelineConfig) -> Dict[str, Tuple[str, str]]:
 def cmd_gen(cfg: PipelineConfig) -> None:
     """Generate the corpus, split it by speakers, and write protocol files."""
     seeds = [_child_seed(cfg.seed, i) for i in range(4)]
-    corpus = synthgen.gen_corpus(cfg.gen_config(seed=seeds[0]))
+    corpus = synthgen.gen_corpus(cfg, seeds[0])
 
     speakers = list(corpus.speaker_ids)
     rng = np.random.default_rng(seeds[1])
@@ -182,8 +182,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
     feats, metas = _load_split(cfg, "train")
     inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     net = extractor.Extractor.init(cfg.dim, cfg.hidden_dim, cfg.emb_dim, _child_seed(cfg.seed, 4))
-    result = extractor.train(net, feats, metas, inventory,
-                             cfg.train_config(seed=_child_seed(cfg.seed, 5)))
+    result = extractor.train(net, feats, metas, inventory, cfg, _child_seed(cfg.seed, 5))
     fileio.write_checkpoint(_workpath(cfg, "ckpt.npz"), result.extractor, cfg.strategy, cfg.seed)
 
 
@@ -294,7 +293,6 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
     spoken = np.asarray(metas.phrases, dtype=object)[test_rows]
     is_target = np.asarray([label.is_target for label in protocol.labels], dtype=bool)
 
-    train_cfg = cfg.nplda_config()
     bank = {}
     for phrase in dict.fromkeys(metas.phrases):
         rows = (claimed == phrase) & (spoken == phrase)
@@ -303,7 +301,7 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
             bank[phrase] = form  # too little data: keep the generative form
         else:
             bank[phrase] = nplda.train_nplda(form, enroll[rows], x[test_rows[rows]], labels,
-                                             claimed[rows], spoken[rows], train_cfg).params
+                                             claimed[rows], spoken[rows], cfg).params
     return bank
 
 

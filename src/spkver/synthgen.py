@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .core import Language, Metas, PhraseInventory, TrialLabel, Trials, unit_rows
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -31,29 +34,6 @@ _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 class Task(Enum):
     TD = "TD"
     TI = "TI"
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    n_speakers: int
-    n_phrases: int
-    n_utts_per_cell: int
-    dim: int
-    phrase_strength: float = 0.0
-    language_shift: float = 0.0
-    noise_sigma: float = 0.0
-    transcript_error_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_speakers < 1 or self.n_phrases < 1 or self.n_utts_per_cell < 1:
-            raise ValueError("counts must be positive")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.phrase_strength < 0 or self.language_shift < 0 or self.noise_sigma < 0:
-            raise ValueError("strengths and noise sigma must be >= 0")
-        if not 0.0 <= self.transcript_error_rate <= 1.0:
-            raise ValueError("transcript_error_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,49 +103,51 @@ def gen_transcript(reference_text: str, error_rate: float, seed: int) -> str:
     return "".join(out)
 
 
-def gen_corpus(config: GenConfig) -> SynthCorpus:
-    """Generate a corpus under the latent-factor model. Same seed, same bytes.
+def gen_corpus(cfg: PipelineConfig, seed: int) -> SynthCorpus:
+    """Generate a corpus under the latent-factor model from the corpus keys of
+    `cfg` (dim, the counts, the strengths, noise_sigma and
+    transcript_error_rate) and `seed`. Same seed, same bytes.
 
     Draw order is fixed: speaker factors, phrase factors, language direction,
     reference texts, then per utterance (speaker-major, phrase, repetition):
     language coin, noise vector, transcript seed.
     """
-    rng = np.random.default_rng(config.seed)
-    spk_factors = rng.standard_normal((config.n_speakers, config.dim))
-    phr_factors = rng.standard_normal((config.n_phrases, config.dim))
-    d_lang = rng.standard_normal(config.dim)
+    rng = np.random.default_rng(seed)
+    spk_factors = rng.standard_normal((cfg.n_speakers, cfg.dim))
+    phr_factors = rng.standard_normal((cfg.n_phrases, cfg.dim))
+    d_lang = rng.standard_normal(cfg.dim)
     d_lang = d_lang / np.linalg.norm(d_lang)
-    texts = _gen_reference_texts(rng, config.n_phrases)
+    texts = _gen_reference_texts(rng, cfg.n_phrases)
 
-    n_l1 = (config.n_phrases + 1) // 2
+    n_l1 = (cfg.n_phrases + 1) // 2
     inventory = PhraseInventory(
-        phrase_ids=tuple(f"ph{p:02d}" for p in range(config.n_phrases)),
+        phrase_ids=tuple(f"ph{p:02d}" for p in range(cfg.n_phrases)),
         texts=tuple(texts),
         languages=tuple(Language.L1 if p < n_l1 else Language.L2
-                        for p in range(config.n_phrases)),
+                        for p in range(cfg.n_phrases)),
     )
 
     # the loop makes only the draws, in their order, each noise vector into its
     # row of x; the sums then run in place (IEEE addition commutes: same bits)
-    cells = [(s, p, j) for s in range(config.n_speakers) for p in range(config.n_phrases)
-             for j in range(config.n_utts_per_cell)]
-    is_l2, x, seeds = np.empty(len(cells), dtype=bool), np.empty((len(cells), config.dim)), []
+    cells = [(s, p, j) for s in range(cfg.n_speakers) for p in range(cfg.n_phrases)
+             for j in range(cfg.n_utts_per_cell)]
+    is_l2, x, seeds = np.empty(len(cells), dtype=bool), np.empty((len(cells), cfg.dim)), []
     for i in range(len(cells)):
         is_l2[i] = rng.random() < 0.5
         rng.standard_normal(out=x[i])
         seeds.append(int(rng.integers(2**63)))
-    x *= config.noise_sigma
-    mean = (spk_factors[:, None] + config.phrase_strength * phr_factors)[:, :, None]  # (S, P, 1, D)
-    by_cell, l2 = x.reshape(*mean.shape[:2], -1, config.dim), is_l2.reshape(*mean.shape[:2], -1, 1)
+    x *= cfg.noise_sigma
+    mean = (spk_factors[:, None] + cfg.phrase_strength * phr_factors)[:, :, None]  # (S, P, 1, D)
+    by_cell, l2 = x.reshape(*mean.shape[:2], -1, cfg.dim), is_l2.reshape(*mean.shape[:2], -1, 1)
     np.add(by_cell, mean, out=by_cell, where=~l2)
-    np.add(by_cell, mean + config.language_shift * d_lang, out=by_cell, where=l2)
+    np.add(by_cell, mean + cfg.language_shift * d_lang, out=by_cell, where=l2)
     ids = tuple(f"spk{s:03d}_ph{p:02d}_u{j:02d}" for s, p, j in cells)
     x = unit_rows(x, lambda i: f"degenerate zero-norm utterance {ids[i]}")
     metas = Metas(ids, tuple(f"spk{s:03d}" for s, _, _ in cells),
                   tuple(inventory.phrase_ids[p] for _, p, _ in cells),
                   tuple(Language.L2 if in_l2 else Language.L1 for in_l2 in is_l2.tolist()),
-                  tuple(gen_transcript(texts[p], config.transcript_error_rate, seed)
-                        for (_, p, _), seed in zip(cells, seeds)))
+                  tuple(gen_transcript(texts[p], cfg.transcript_error_rate, utt_seed)
+                        for (_, p, _), utt_seed in zip(cells, seeds)))
     return SynthCorpus(x=x, metas=metas, inventory=inventory)
 
 

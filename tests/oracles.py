@@ -539,7 +539,7 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     return out
 
 
-def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
+def train_nplda_literal(params, enroll_vecs, test_vecs, labels, cfg):
     """NPLDA gradient descent that scores the batch twice per epoch.
 
     The form that `nplda.train_nplda` replaced, without its input checks:
@@ -554,17 +554,18 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
     def score_now():
         return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
 
+    dcf = cfg.dcf_params()
     scores = score_now()
     _, theta = min_dcf_details(np.concatenate([scores[lab], scores[~lab]]),
-                               np.arange(lab.size) < lab.sum(), config.dcf)
+                               np.arange(lab.size) < lab.sum(), dcf)
     if not np.isfinite(theta):
         theta = float(np.median(scores))
-    loss0, _, _ = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+    loss0, _, _ = soft_detcost(scores, lab, theta, cfg.nplda_alpha, dcf)
     trace = [loss0]
-    lr = config.learning_rate
-    for _ in range(config.epochs):
+    lr = cfg.nplda_lr
+    for _ in range(cfg.nplda_epochs):
         scores = score_now()
-        _, d_scores, d_theta = soft_detcost(scores, lab, theta, config.alpha, config.dcf)
+        _, d_scores, d_theta = soft_detcost(scores, lab, theta, cfg.nplda_alpha, dcf)
         de = d_scores[:, None] * e
         dt = d_scores[:, None] * t
         d_lam = 0.5 * (de.T @ t + dt.T @ e)
@@ -575,7 +576,7 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, config):
         c -= lr * (de + dt).sum(axis=0)
         k -= lr * float(d_scores.sum())
         theta -= lr * d_theta
-        loss, _, _ = soft_detcost(score_now(), lab, theta, config.alpha, config.dcf)
+        loss, _, _ = soft_detcost(score_now(), lab, theta, cfg.nplda_alpha, dcf)
         trace.append(loss)
     return PldaScorer(lam, gamma, c, k), theta, tuple(trace)
 
@@ -732,7 +733,7 @@ def backward_to_params_literal(extractor, cache: dict, d_unit: np.ndarray):
     return d_w1, d_b1, d_w2, d_b2
 
 
-def train_pct_literal(extractor, features, metas, inventory, config) -> TrainResult:
+def train_pct_literal(extractor, features, metas, inventory, cfg, seed: int) -> TrainResult:
     """`train` with strategy=PCT as its own epoch loop: one `pct_loss_literal`
     step per phrase that has >= 2 speakers with >= 2 utterances of it."""
     net = extractor.copy()
@@ -744,9 +745,9 @@ def train_pct_literal(extractor, features, metas, inventory, config) -> TrainRes
     phr_index = {p: i for i, p in enumerate(phrase_ids)}
     phr_labels = np.asarray([phr_index[p] for p in metas.phrases])
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     heads = {"spk": AamHead.init(len(speaker_ids), net.emb_dim, int(rng.integers(2**63)),
-                                 config.aam_scale, config.aam_margin)}
+                                 cfg.aam_scale, cfg.aam_margin)}
     ge2e = Ge2eParams()
     pct_groups = _pct_groups_literal(metas.speakers, phr_labels, len(phrase_ids))
 
@@ -758,17 +759,17 @@ def train_pct_literal(extractor, features, metas, inventory, config) -> TrainRes
         net.b2 -= lr * d_b2
 
     trace = []
-    for epoch in range(config.epochs):
-        lr = lr_schedule(config, epoch)
+    for epoch in range(cfg.epochs):
+        lr = lr_schedule(cfg, epoch)
         losses = []
         for p, groups in zip(phrase_ids, pct_groups):
             if len(groups) < 2:
                 continue
-            batch = _sample_pct_batch_literal(rng, groups, config.pct_speakers_per_batch)
+            batch = _sample_pct_batch_literal(rng, groups, cfg.pct_speakers_per_batch)
             cache = forward_cache_literal(net, feats[batch])
             loss, d_e, d_head, d_w, d_b = pct_loss_literal(
                 cache["unit"], spk_labels[batch], [p] * len(batch),
-                heads["spk"], ge2e, config.contrastive_weight,
+                heads["spk"], ge2e, cfg.contrastive_weight,
             )
             apply_net_grads(cache, d_e, lr)
             heads["spk"].weights -= lr * d_head
@@ -890,43 +891,43 @@ def _protocol_literal(trials, labels, enroll_map) -> TrialProtocol:
 # corpus generation and enrollment centroids, one utterance or model at a time
 
 
-def gen_corpus_literal(config) -> SynthCorpus:
+def gen_corpus_literal(cfg, seed: int) -> SynthCorpus:
     """`synthgen.gen_corpus` as it was before its loop kept only the draws:
     each utterance's vector, norm, transcript and labels are built in the
     loop, right after its draws."""
-    rng = np.random.default_rng(config.seed)
-    spk_factors = rng.standard_normal((config.n_speakers, config.dim))
-    phr_factors = rng.standard_normal((config.n_phrases, config.dim))
-    d_lang = rng.standard_normal(config.dim)
+    rng = np.random.default_rng(seed)
+    spk_factors = rng.standard_normal((cfg.n_speakers, cfg.dim))
+    phr_factors = rng.standard_normal((cfg.n_phrases, cfg.dim))
+    d_lang = rng.standard_normal(cfg.dim)
     d_lang = d_lang / np.linalg.norm(d_lang)
-    texts = _gen_reference_texts(rng, config.n_phrases)
+    texts = _gen_reference_texts(rng, cfg.n_phrases)
 
-    n_l1 = (config.n_phrases + 1) // 2
+    n_l1 = (cfg.n_phrases + 1) // 2
     inventory = PhraseInventory(
-        phrase_ids=tuple(f"ph{p:02d}" for p in range(config.n_phrases)),
+        phrase_ids=tuple(f"ph{p:02d}" for p in range(cfg.n_phrases)),
         texts=tuple(texts),
         languages=tuple(Language.L1 if p < n_l1 else Language.L2
-                        for p in range(config.n_phrases)),
+                        for p in range(cfg.n_phrases)),
     )
 
     ids, speakers, phrases, languages, transcripts = [], [], [], [], []
-    x = np.empty((config.n_speakers * config.n_phrases * config.n_utts_per_cell, config.dim))
-    for s in range(config.n_speakers):
+    x = np.empty((cfg.n_speakers * cfg.n_phrases * cfg.n_utts_per_cell, cfg.dim))
+    for s in range(cfg.n_speakers):
         spk_id = f"spk{s:03d}"
-        for p in range(config.n_phrases):
-            for j in range(config.n_utts_per_cell):
+        for p in range(cfg.n_phrases):
+            for j in range(cfg.n_utts_per_cell):
                 utt_id = f"{spk_id}_ph{p:02d}_u{j:02d}"
                 lang = Language.L2 if rng.random() < 0.5 else Language.L1
-                vec = spk_factors[s] + config.phrase_strength * phr_factors[p]
+                vec = spk_factors[s] + cfg.phrase_strength * phr_factors[p]
                 if lang is Language.L2:
-                    vec = vec + config.language_shift * d_lang
-                vec = vec + config.noise_sigma * rng.standard_normal(config.dim)
+                    vec = vec + cfg.language_shift * d_lang
+                vec = vec + cfg.noise_sigma * rng.standard_normal(cfg.dim)
                 norm = float(np.linalg.norm(vec))
                 if norm < 1e-12:
                     raise NumericalError(f"degenerate zero-norm utterance {utt_id}")
                 transcript = gen_transcript(
                     texts[p],
-                    config.transcript_error_rate,
+                    cfg.transcript_error_rate,
                     seed=int(rng.integers(2**63)),
                 )
                 x[len(ids)] = vec / norm

@@ -194,14 +194,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("setting, message", [
         ("epochs=-1", "epochs must be >= 0"),
-        ("lr_initial=0", "learning rates must be positive"),
-        ("lr_final=-0.001", "learning rates must be positive"),
-        ("multitask_weight=-1", "loss weights must be >= 0"),
-        ("contrastive_weight=-0.5", "loss weights must be >= 0"),
-        ("pct_speakers_per_batch=1", "PCT batches need >= 2 speakers"),
-        ("aam_scale=0", "AAM scale must be positive, got 0.0"),
-        ("aam_margin=2", "AAM margin must lie in [0, pi/2), got 2.0"),
-        ("aam_margin=-0.1", "AAM margin must lie in [0, pi/2), got -0.1"),
+        ("lr_initial=0", "lr_initial must be positive, got 0.0"),
+        ("lr_final=-0.001", "lr_final must be positive, got -0.001"),
+        ("multitask_weight=-1", "multitask_weight must be >= 0, got -1.0"),
+        ("contrastive_weight=-0.5", "contrastive_weight must be >= 0, got -0.5"),
+        ("pct_speakers_per_batch=1", "pct_speakers_per_batch must be >= 2, got 1"),
+        ("aam_scale=0", "aam_scale must be positive, got 0.0"),
+        ("aam_margin=2", "aam_margin must lie in [0, pi/2), got 2.0"),
+        ("aam_margin=-0.1", "aam_margin must lie in [0, pi/2), got -0.1"),
         ("lr_initial=nan", "bad value for lr_initial: 'nan'"),
         ("contrastive_weight=inf", "bad value for contrastive_weight: 'inf'"),
     ])
@@ -213,13 +213,19 @@ class TestConfigHandling:
         assert not workdir.exists()
 
     @pytest.mark.parametrize("setting, message", [
-        ("n_phrases=0", "counts must be positive"),
+        ("n_phrases=0", "n_phrases must be >= 1, got 0"),
+        ("n_speakers=0", "n_speakers must be >= 1, got 0"),
         ("dim=1", "dim must be >= 2"),
-        ("noise_sigma=-1", "strengths and noise sigma must be >= 0"),
+        ("noise_sigma=-1", "noise_sigma must be >= 0, got -1.0"),
+        ("phrase_strength=-1", "phrase_strength must be >= 0, got -1.0"),
+        ("language_shift=-1", "language_shift must be >= 0, got -1.0"),
         ("transcript_error_rate=2", "transcript_error_rate must lie in [0, 1]"),
         ("p_target=0", "p_target must lie in (0, 1)"),
         ("c_miss=0", "costs must be positive"),
-        ("nplda_lr=0", "learning rate must be positive"),
+        ("nplda_lr=0", "nplda_lr must be positive, got 0.0"),
+        # these two used to name other keys, epochs and alpha
+        ("nplda_epochs=-1", "nplda_epochs must be >= 0, got -1"),
+        ("nplda_alpha=0", "nplda_alpha must be positive, got 0.0"),
         ("hidden_dim=0", "hidden_dim must be positive, got 0"),
         ("emb_dim=0", "emb_dim must be positive, got 0"),
         ("lid_lr=-1", "lid_lr must be positive, got -1.0"),

@@ -14,6 +14,7 @@ from oracles import (
     spk_plus_phrase_loss,
     train_pct_literal,
 )
+from spkver.config import PipelineConfig
 from spkver.core import Metas, NumericalError
 from spkver.extractor import (
     ALL_ROWS,
@@ -21,7 +22,6 @@ from spkver.extractor import (
     Extractor,
     Ge2eParams,
     Strategy,
-    TrainConfig,
     _backward_to_params,
     _forward_cache,
     aam_loss,
@@ -30,7 +30,7 @@ from spkver.extractor import (
     heads_loss,
     train,
 )
-from spkver.synthgen import GenConfig, gen_corpus
+from spkver.synthgen import gen_corpus
 
 
 def _unit_rows(rng, n, d):
@@ -525,7 +525,12 @@ def _train_corpus(**kw):
     base = dict(n_speakers=4, n_phrases=2, n_utts_per_cell=4, dim=6,
                 phrase_strength=0.8, noise_sigma=0.3, seed=21)
     base.update(kw)
-    return gen_corpus(GenConfig(**base))
+    return gen_corpus(PipelineConfig(**base), base["seed"])
+
+
+def _train_cfg(strategy=Strategy.AAM_ONLY, **kw):
+    """Training settings, with learning rates from 0.1 to 1e-5 unless given."""
+    return PipelineConfig(strategy=strategy.value, **{"lr_initial": 0.1, "lr_final": 1e-5, **kw})
 
 
 def _train_inputs(corpus):
@@ -537,8 +542,7 @@ class TestTrain:
     def test_zero_epochs_leaves_parameters_unchanged(self):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=0)
-        result = train(net, *_train_inputs(corpus),
-                       TrainConfig(strategy=Strategy.AAM_ONLY, epochs=0))
+        result = train(net, *_train_inputs(corpus), _train_cfg(Strategy.AAM_ONLY, epochs=0), 0)
         np.testing.assert_array_equal(result.extractor.w1, net.w1)
         np.testing.assert_array_equal(result.extractor.w2, net.w2)
         assert result.loss_trace == ()
@@ -546,19 +550,18 @@ class TestTrain:
     def test_loss_decreases_on_separable_corpus(self):
         corpus = _train_corpus(n_speakers=2, phrase_strength=0.0, noise_sigma=0.1)
         net = Extractor.init(6, 8, 5, seed=1)
-        cfg = TrainConfig(strategy=Strategy.AAM_ONLY, epochs=200,
-                          lr_initial=0.05, lr_final=1e-3)
-        result = train(net, *_train_inputs(corpus), cfg)
+        cfg = _train_cfg(Strategy.AAM_ONLY, epochs=200, lr_initial=0.05, lr_final=1e-3)
+        result = train(net, *_train_inputs(corpus), cfg, 0)
         assert result.loss_trace[-1] < result.loss_trace[0]
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_training_is_bit_reproducible(self, strategy):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=2)
-        cfg = TrainConfig(strategy=strategy, epochs=5, lr_initial=0.02,
-                          lr_final=0.01, pct_speakers_per_batch=3, seed=33)
-        a = train(net, *_train_inputs(corpus), cfg)
-        b = train(net, *_train_inputs(corpus), cfg)
+        cfg = _train_cfg(strategy, epochs=5, lr_initial=0.02, lr_final=0.01,
+                         pct_speakers_per_batch=3)
+        a = train(net, *_train_inputs(corpus), cfg, 33)
+        b = train(net, *_train_inputs(corpus), cfg, 33)
         np.testing.assert_array_equal(a.extractor.w1, b.extractor.w1)
         np.testing.assert_array_equal(a.extractor.w2, b.extractor.w2)
         assert a.loss_trace == b.loss_trace
@@ -582,11 +585,11 @@ class TestTrain:
         feats = corpus.x[::-1]
         metas = Metas(*(column[::-1] for column in corpus.metas))
         net = Extractor.init(6, 8, 5, seed=6)
-        cfg = TrainConfig(strategy=strategy, epochs=1, multitask_weight=multitask_weight,
-                          aam_scale=16.0, aam_margin=0.3, seed=34)
-        result = train(net, feats, metas, corpus.inventory, cfg)
+        cfg = _train_cfg(strategy, epochs=1, multitask_weight=multitask_weight,
+                         aam_scale=16.0, aam_margin=0.3)
+        result = train(net, feats, metas, corpus.inventory, cfg, 34)
 
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(34)
 
         def head(n_classes):
             return AamHead.init(n_classes, 5, int(rng.integers(2**63)), 16.0, 0.3)
@@ -624,11 +627,10 @@ class TestTrain:
         metas = Metas(*(tuple(v for v, k in zip(column, keep) if k)
                         for column in corpus.metas))
         net = Extractor.init(6, 8, 5, seed=7)
-        cfg = TrainConfig(strategy=Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
-                          contrastive_weight=contrastive_weight, pct_speakers_per_batch=3,
-                          seed=35)
-        got = train(net, feats, metas, corpus.inventory, cfg)
-        want = train_pct_literal(net, feats, metas, corpus.inventory, cfg)
+        cfg = _train_cfg(Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
+                         contrastive_weight=contrastive_weight, pct_speakers_per_batch=3)
+        got = train(net, feats, metas, corpus.inventory, cfg, 35)
+        want = train_pct_literal(net, feats, metas, corpus.inventory, cfg, 35)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(got.extractor, name),
                                           getattr(want.extractor, name))
@@ -642,9 +644,9 @@ class TestTrain:
         # a shared bias cancels in the softmax, so training leaves it alone
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=9)
-        cfg = TrainConfig(strategy=Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
-                          pct_speakers_per_batch=3, seed=36)
-        result = train(net, *_train_inputs(corpus), cfg)
+        cfg = _train_cfg(Strategy.PCT, epochs=6, lr_initial=0.1, lr_final=0.01,
+                         pct_speakers_per_batch=3)
+        result = train(net, *_train_inputs(corpus), cfg, 36)
         assert result.ge2e.w != Ge2eParams().w
         assert result.ge2e.b == Ge2eParams().b
 
@@ -652,24 +654,23 @@ class TestTrain:
         corpus = _train_corpus(n_utts_per_cell=1)
         net = Extractor.init(6, 8, 5, seed=8)
         with pytest.raises(ValueError, match="no phrase yields a valid PCT batch"):
-            train(net, *_train_inputs(corpus), TrainConfig(strategy=Strategy.PCT, epochs=1))
+            train(net, *_train_inputs(corpus), _train_cfg(Strategy.PCT, epochs=1), 0)
 
     def test_inputs_not_mutated(self):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=3)
         w1_before = net.w1.copy()
         train(net, *_train_inputs(corpus),
-              TrainConfig(strategy=Strategy.SPK_PLUS_PHRASE, epochs=3,
-                          lr_initial=0.05, lr_final=0.01))
+              _train_cfg(Strategy.SPK_PLUS_PHRASE, epochs=3, lr_initial=0.05, lr_final=0.01), 0)
         np.testing.assert_array_equal(net.w1, w1_before)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_strategy_runs_and_heads_stay_unit(self, strategy):
         corpus = _train_corpus()
         net = Extractor.init(6, 8, 5, seed=4)
-        cfg = TrainConfig(strategy=strategy, epochs=4, lr_initial=0.05, lr_final=0.01,
-                          pct_speakers_per_batch=3)
-        result = train(net, *_train_inputs(corpus), cfg)
+        cfg = _train_cfg(strategy, epochs=4, lr_initial=0.05, lr_final=0.01,
+                         pct_speakers_per_batch=3)
+        result = train(net, *_train_inputs(corpus), cfg, 0)
         assert len(result.loss_trace) == 4
         for head in result.heads.values():
             np.testing.assert_allclose(np.linalg.norm(head.weights, axis=1), 1.0,
@@ -679,7 +680,7 @@ class TestTrain:
         feats, metas, inventory = _train_inputs(_train_corpus())
         net = Extractor.init(6, 8, 5, seed=5)
         with pytest.raises(ValueError, match="one row per meta"):
-            train(net, feats[:-1], metas, inventory, TrainConfig(epochs=1))
+            train(net, feats[:-1], metas, inventory, _train_cfg(epochs=1), 0)
 
     def test_phrase_strategy_requires_phrase_labels(self):
         corpus = _train_corpus()
@@ -687,4 +688,4 @@ class TestTrain:
         feats, _, inventory = _train_inputs(corpus)
         net = Extractor.init(6, 8, 5, seed=5)
         with pytest.raises(ValueError, match="requires phrase labels"):
-            train(net, feats, stripped, inventory, TrainConfig(strategy=Strategy.PMT, epochs=1))
+            train(net, feats, stripped, inventory, _train_cfg(Strategy.PMT, epochs=1), 0)

@@ -349,6 +349,15 @@ class TestProtocolFiles:
         with pytest.raises(DataFormatError, match=message):
             fileio.read_scores(path)
 
+    def test_non_finite_score_file_is_read_once(self, tmp_path):
+        # the error path read the file a second time to quote the line
+        path = tmp_path / "s.txt"
+        path.write_text("t0 0.5\nt1 nan\n")
+        with fileio.session() as files, pytest.raises(
+                DataFormatError, match="s.txt:2: non-finite score 'nan' for trial t1"):
+            fileio.read_scores(path)
+        assert files == [("read", str(path), None)]
+
     @pytest.mark.parametrize("text, message", [
         ("t0 TC\nt1 TC IW\n", "k.txt:2: expected 2 fields"),
         ("t0 TC\n\nt1 IW\n", "k.txt:2: expected 2 fields"),

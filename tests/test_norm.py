@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import as_norm_literal, cohort_stats_literal, meta_rows
 from spkver.backend import cosine_score
+from spkver.config import PipelineConfig
 from spkver.core import Language, Metas, NumericalError
 from spkver.norm import (
     Cohort,
@@ -16,7 +17,7 @@ from spkver.norm import (
     predict_language,
     train_language_id,
 )
-from spkver.synthgen import GenConfig, gen_corpus
+from spkver.synthgen import gen_corpus
 
 
 def _cohort(vecs, langs=None):
@@ -136,10 +137,10 @@ class TestLanguageDependentAsNorm:
         # speaker-factor norm): cross-language targets score low raw; the
         # language-restricted enroll cohort compensates. Gaps are measured
         # in pooled-std units because the two normalizations rescale scores.
-        corpus = gen_corpus(GenConfig(
+        corpus = gen_corpus(PipelineConfig(
             n_speakers=30, n_phrases=2, n_utts_per_cell=10, dim=16,
-            phrase_strength=0.0, language_shift=3.0, noise_sigma=0.4, seed=5,
-        ))
+            phrase_strength=0.0, language_shift=3.0, noise_sigma=0.4,
+        ), 5)
         speakers = corpus.speaker_ids
         cohort_corpus = corpus.subset_by_speakers(speakers[:15])
         eval_corpus = corpus.subset_by_speakers(speakers[15:])
@@ -186,10 +187,10 @@ class TestLanguageId:
         return corpus.x, list(corpus.metas.languages)
 
     def test_separable_clusters_reach_full_accuracy(self):
-        corpus = gen_corpus(GenConfig(
+        corpus = gen_corpus(PipelineConfig(
             n_speakers=10, n_phrases=2, n_utts_per_cell=10, dim=8,
-            phrase_strength=0.0, language_shift=8.0, noise_sigma=0.05, seed=6,
-        ))
+            phrase_strength=0.0, language_shift=8.0, noise_sigma=0.05,
+        ), 6)
         x, langs = self._labeled(corpus)
         clf = train_language_id(x, langs, epochs=1000, lr=2.0)
         predicted, _ = predict_language(clf, x)
@@ -206,10 +207,10 @@ class TestLanguageId:
         assert predicted == [Language.L1] * len(x)
 
     def test_no_shift_accuracy_near_chance(self):
-        corpus = gen_corpus(GenConfig(
+        corpus = gen_corpus(PipelineConfig(
             n_speakers=25, n_phrases=2, n_utts_per_cell=20, dim=8,
-            phrase_strength=0.0, language_shift=0.0, noise_sigma=0.5, seed=8,
-        ))
+            phrase_strength=0.0, language_shift=0.0, noise_sigma=0.5,
+        ), 8)
         x, langs = self._labeled(corpus)
         assert len(langs) == 1000
         clf = train_language_id(x, langs, epochs=200, lr=0.5)
@@ -247,10 +248,10 @@ class TestLanguageId:
 
 class TestBuildCohort:
     def test_one_entry_per_speaker_language(self):
-        corpus = gen_corpus(GenConfig(
+        corpus = gen_corpus(PipelineConfig(
             n_speakers=5, n_phrases=2, n_utts_per_cell=6, dim=6,
-            noise_sigma=0.3, seed=12,
-        ))
+            phrase_strength=0.0, noise_sigma=0.3,
+        ), 12)
         # rows in reverse order: each entry averages its own rows wherever they sit,
         # and entries come in the first-appearance order of (speaker, language)
         x, metas = corpus.x[::-1], Metas(*(column[::-1] for column in corpus.metas))

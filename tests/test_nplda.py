@@ -4,8 +4,9 @@ import pytest
 from oracles import check_gradients, plda_llr_joint_literal, train_nplda_literal
 from spkver import nplda
 from spkver.backend import PldaModel, PldaScorer, plda_em_train
+from spkver.config import PipelineConfig
 from spkver.metrics import DcfParams
-from spkver.nplda import NpldaTrainConfig, nplda_score, soft_detcost, train_nplda
+from spkver.nplda import nplda_score, soft_detcost, train_nplda
 
 
 def _random_pd(rng, dim, scale=1.0):
@@ -66,7 +67,7 @@ class TestInitFromPlda:
         labels = [True] * 5 + [False] * 5
         result = train_nplda(
             params, e, t, labels, ["p"] * 10, ["p"] * 10,
-            NpldaTrainConfig(epochs=0),
+            PipelineConfig(nplda_epochs=0),
         )
         np.testing.assert_array_equal(
             nplda_score(result.params, e, t), nplda_score(params, e, t)
@@ -182,7 +183,7 @@ class TestTrainNplda:
         params, e, t, labels = self._training_set(7)
         result = train_nplda(
             params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels),
-            NpldaTrainConfig(learning_rate=5e-5, epochs=5),
+            PipelineConfig(nplda_lr=5e-5, nplda_epochs=5),
         )
         assert result.loss_trace[-1] <= result.loss_trace[0]
         assert len(result.loss_trace) == 6
@@ -193,17 +194,17 @@ class TestTrainNplda:
         phrases_t = ["p"] * len(labels)
         phrases_t[3] = "q"
         with pytest.raises(ValueError, match="same-phrase constraint"):
-            train_nplda(params, e, t, labels, phrases_e, phrases_t, NpldaTrainConfig())
+            train_nplda(params, e, t, labels, phrases_e, phrases_t, PipelineConfig())
 
     def test_single_class_batch_rejected(self):
         params, e, t, labels = self._training_set(9)
         with pytest.raises(ValueError):
             train_nplda(params, e, t, [True] * len(labels), ["p"] * len(labels),
-                        ["p"] * len(labels), NpldaTrainConfig())
+                        ["p"] * len(labels), PipelineConfig())
 
     def test_deterministic(self):
         params, e, t, labels = self._training_set(10)
-        cfg = NpldaTrainConfig(epochs=3)
+        cfg = PipelineConfig(nplda_epochs=3)
         a = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
         b = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
         np.testing.assert_array_equal(a.params.lam, b.params.lam)
@@ -212,7 +213,7 @@ class TestTrainNplda:
     @pytest.mark.parametrize("epochs", [0, 1, 6])
     def test_matches_two_scoring_oracle(self, epochs):
         params, e, t, labels = self._training_set(11 + epochs)
-        cfg = NpldaTrainConfig(learning_rate=2e-3, epochs=epochs)
+        cfg = PipelineConfig(nplda_lr=2e-3, nplda_epochs=epochs)
         result = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
         form, theta_lit, trace = train_nplda_literal(params, e, t, labels, cfg)
         np.testing.assert_array_equal(result.params.lam, form.lam)
@@ -233,5 +234,5 @@ class TestTrainNplda:
 
         monkeypatch.setattr(nplda, "nplda_score", counting)
         train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels),
-                    NpldaTrainConfig(epochs=5))
+                    PipelineConfig(nplda_epochs=5))
         assert len(calls) == 6

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import gen_corpus_literal, gen_td_literal, gen_ti_literal, meta_rows
 from spkver import synthgen
 from spkver.cli import main
+from spkver.config import PipelineConfig
 from spkver.core import Language, Metas, NumericalError, PhraseInventory, TrialLabel
 from spkver.metrics import levenshtein
-from spkver.synthgen import GenConfig, Task, gen_corpus, gen_transcript, gen_trials
+from spkver.synthgen import Task, gen_corpus, gen_transcript, gen_trials
 
 
 def _assert_resolvable(protocol, metas):
@@ -21,6 +22,7 @@ def _assert_resolvable(protocol, metas):
 
 
 def _cfg(**kw):
+    """Corpus settings; the config's seed is the one gen_corpus draws from."""
     base = dict(
         n_speakers=6,
         n_phrases=3,
@@ -33,18 +35,23 @@ def _cfg(**kw):
         seed=11,
     )
     base.update(kw)
-    return GenConfig(**base)
+    return PipelineConfig(**base)
+
+
+def _corpus(**kw):
+    cfg = _cfg(**kw)
+    return gen_corpus(cfg, cfg.seed)
 
 
 class TestGenCorpus:
     def test_all_embeddings_unit_norm(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         for vec in corpus.x:
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
     def test_noise_free_degenerate_case(self):
-        corpus = gen_corpus(_cfg(phrase_strength=0.0, language_shift=0.0,
-                                 noise_sigma=0.0, transcript_error_rate=0.0))
+        corpus = _corpus(phrase_strength=0.0, language_shift=0.0,
+                         noise_sigma=0.0, transcript_error_rate=0.0)
         by_spk = {}
         for vec, spk in zip(corpus.x, corpus.metas.speakers):
             by_spk.setdefault(spk, []).append(vec)
@@ -53,13 +60,13 @@ class TestGenCorpus:
                 np.testing.assert_array_equal(v, vecs[0])
 
     def test_seed_reproducibility_bitwise(self):
-        a = gen_corpus(_cfg(seed=7))
-        b = gen_corpus(_cfg(seed=7))
+        a = _corpus(seed=7)
+        b = _corpus(seed=7)
         assert a.metas == b.metas and a.inventory == b.inventory
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_metadata_covers_embeddings(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         n = 6 * 3 * 5
         assert corpus.x.shape == (n, 8)
         assert [len(column) for column in corpus.metas] == [n] * 5
@@ -68,7 +75,7 @@ class TestGenCorpus:
 
     def test_strong_phrase_factor_dominates_speaker(self):
         # brute-force nearest-centroid accuracy for both label families
-        corpus = gen_corpus(_cfg(phrase_strength=6.0, noise_sigma=0.6, seed=3))
+        corpus = _corpus(phrase_strength=6.0, noise_sigma=0.6, seed=3)
         x = corpus.x
 
         def nearest_centroid_accuracy(labels):
@@ -88,8 +95,8 @@ class TestGenCorpus:
         # as sigma -> 0, per-speaker L1/L2 centroids collapse onto each other
         gaps = []
         for sigma in (0.4, 0.02):
-            corpus = gen_corpus(_cfg(language_shift=0.0, phrase_strength=0.0,
-                                     noise_sigma=sigma, n_utts_per_cell=40, seed=5))
+            corpus = _corpus(language_shift=0.0, phrase_strength=0.0,
+                             noise_sigma=sigma, n_utts_per_cell=40, seed=5)
             by = {}
             for vec, meta in zip(corpus.x, meta_rows(corpus.metas)):
                 by.setdefault((meta.speaker_id, meta.language), []).append(vec)
@@ -102,16 +109,8 @@ class TestGenCorpus:
             gaps.append(float(np.mean(dists)))
         assert gaps[1] < gaps[0] / 5
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            _cfg(dim=1)
-        with pytest.raises(ValueError):
-            _cfg(n_speakers=0)
-        with pytest.raises(ValueError):
-            _cfg(transcript_error_rate=1.5)
-
     def test_subset_by_speakers(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         keep = corpus.speaker_ids[:2]
         sub = corpus.subset_by_speakers(keep)
         assert set(sub.metas.speakers) == set(keep)
@@ -140,7 +139,7 @@ class _ZeroSpeaker:
 def _corpus_outcome(config):
     """A corpus's bytes and labels, or the type and message of what was raised."""
     try:
-        corpus = gen_corpus(config)
+        corpus = gen_corpus(config, config.seed)
     except NumericalError as exc:
         return type(exc), str(exc)
     return corpus.x.tobytes(), corpus.metas, corpus.inventory
@@ -156,7 +155,7 @@ class TestGenCorpusAgainstLiteral:
     def test_same_corpus(self, dim, error_rate, seed):
         config = _cfg(dim=dim, transcript_error_rate=error_rate, seed=seed,
                       n_speakers=7, n_phrases=4, n_utts_per_cell=3)
-        want = gen_corpus_literal(config)
+        want = gen_corpus_literal(config, config.seed)
         assert _corpus_outcome(config) == (want.x.tobytes(), want.metas, want.inventory)
 
     @settings(max_examples=40, deadline=None)
@@ -167,7 +166,7 @@ class TestGenCorpusAgainstLiteral:
         config = _cfg(seed=seed, dim=dim, n_speakers=3, n_phrases=n_phrases,
                       n_utts_per_cell=n_utts, phrase_strength=alpha, language_shift=beta,
                       noise_sigma=sigma)
-        want = gen_corpus_literal(config)
+        want = gen_corpus_literal(config, config.seed)
         assert _corpus_outcome(config) == (want.x.tobytes(), want.metas, want.inventory)
 
     def test_zero_norm_utterance_is_named(self, monkeypatch):
@@ -176,7 +175,7 @@ class TestGenCorpusAgainstLiteral:
         got = _corpus_outcome(config)
         assert got == (NumericalError, "degenerate zero-norm utterance spk001_ph00_u00")
         with pytest.raises(NumericalError) as literal:
-            gen_corpus_literal(config)
+            gen_corpus_literal(config, config.seed)
         assert str(literal.value) == got[1]
 
     def test_zero_norm_utterance_exits_4(self, monkeypatch, tmp_path, capsys):
@@ -212,13 +211,13 @@ class TestGenTranscript:
 
 class TestGenTrials:
     def test_td_all_tc(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 40, seed=1,
                               proportions=(1, 0, 0, 0))
         assert all(label is TrialLabel.TC for label in protocol.labels)
 
     def test_td_histogram_matches_proportions(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 101, seed=2,
                               proportions=(0.4, 0.1, 0.4, 0.1))
         counts = {}
@@ -231,7 +230,7 @@ class TestGenTrials:
         assert sum(counts.values()) == 101
 
     def test_td_protocol_consistent_and_labels_truthful(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
         _assert_resolvable(protocol, corpus.metas)
         meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
@@ -254,7 +253,7 @@ class TestGenTrials:
             assert test_id not in protocol.enroll_map[model_id]
 
     def test_ti_exact_count_and_consistency(self):
-        corpus = gen_corpus(_cfg(n_utts_per_cell=8))
+        corpus = _corpus(n_utts_per_cell=8)
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 100, seed=4)
         assert all(len(column) == 100 for column in protocol.trials)
         assert len(protocol.labels) == 100
@@ -262,20 +261,20 @@ class TestGenTrials:
         _assert_resolvable(protocol, corpus.metas)
 
     def test_ti_enrollment_is_l1_only(self):
-        corpus = gen_corpus(_cfg(n_utts_per_cell=8))
+        corpus = _corpus(n_utts_per_cell=8)
         protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 50, seed=5)
         meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         for utt_ids in protocol.enroll_map.values():
             assert all(meta[u].language is Language.L1 for u in utt_ids)
 
     def test_tw_with_single_phrase_is_infeasible(self):
-        corpus = gen_corpus(_cfg(n_phrases=1))
+        corpus = _corpus(n_phrases=1)
         with pytest.raises(ValueError):
             gen_trials(corpus.metas, corpus.inventory, Task.TD, 10, seed=6,
                        proportions=(0.5, 0.5, 0, 0))
 
     def test_determinism(self):
-        corpus = gen_corpus(_cfg())
+        corpus = _corpus()
         a = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         b = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
         assert a.trials == b.trials and a.labels == b.labels
@@ -338,7 +337,7 @@ class TestGenTrialsAgainstLiteral:
         (Task.TD, None), (Task.TD, (0.5, 0.0, 0.5, 0.0)), (Task.TI, None), (Task.TI, (0, 1)),
     ])
     def test_generated_corpus(self, task, proportions):
-        corpus = gen_corpus(_cfg(n_speakers=9, n_utts_per_cell=6))
+        corpus = _corpus(n_speakers=9, n_utts_per_cell=6)
         counts = synthgen.trial_counts(task, 300, proportions)
         if task is Task.TD:
             expected = gen_td_literal(corpus.metas, corpus.inventory, counts, 3,
