@@ -39,6 +39,7 @@ _RANGES = (
     (("train_fraction", "dev_fraction"), lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     (("transcript_error_rate",), lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     (("aam_margin",), lambda v: 0.0 <= v < math.pi / 2, "lie in [0, pi/2)"),
+    (("seed",), lambda v: 0 <= v < 2**63, "lie in [0, 2**63)"),
 )
 
 

@@ -8,6 +8,9 @@ The normalized score is
 with each (mu, sigma) taken over the anchor's top-N cohort scores. The
 language-dependent variant restricts the enroll-side cohort to the test
 utterance's language; the test-side cohort is never language-filtered.
+An anchor's statistics depend only on the anchor (and the filter), so each
+distinct anchor row is scored against the cohort once, however many trials
+share it.
 """
 
 from __future__ import annotations
@@ -109,18 +112,42 @@ def language_dependent_as_norm(
     language.
 
     `test_languages` is one Language (or None: no restriction) for every
-    trial, or one per trial; the enroll-side statistics take one
-    cohort_stats call per language present.
+    trial, or one per trial. The enroll-side statistics take one
+    cohort_stats call per language present, the test-side ones a single
+    call; each call gets every distinct anchor row once, in first-appearance
+    order, and its (mu, sigma) are gathered back onto the trials that share
+    the row.
     """
     enroll_vecs = np.asarray(enroll_vecs, dtype=np.float64)
     langs = np.broadcast_to(np.asarray(test_languages, dtype=object), enroll_vecs.shape[:-1])
     mu, sigma = np.empty(langs.shape), np.empty(langs.shape)
     for lang in dict.fromkeys(langs.flat):
         rows = langs == lang
-        stats = cohort_stats(enroll_vecs[rows], cohort, scorer, n_top, language_filter=lang)
-        mu[rows], sigma[rows] = stats.mu, stats.sigma
-    test_stats = cohort_stats(test_vecs, cohort, scorer, n_top, language_filter=None)
-    return as_norm(raw_scores, NormStats(mu, sigma), test_stats)
+        mu[rows], sigma[rows] = _distinct_row_stats(enroll_vecs[rows], cohort, scorer, n_top, lang)
+    test_mu, test_sigma = _distinct_row_stats(test_vecs, cohort, scorer, n_top, None)
+    return as_norm(raw_scores, NormStats(mu, sigma), NormStats(test_mu, test_sigma))
+
+
+def _distinct_row_stats(anchors, cohort, scorer, n_top, language_filter):
+    """cohort_stats' (mu, sigma) of a batch (..., D) of anchors, from one
+    call that gets each distinct anchor row once.
+
+    Rows are keyed on their bytes, in first-appearance order; only the
+    distinct rows' keys are kept. The statistics are row-wise, so the
+    gathered ones equal the whole batch's; bit for bit when the scorer
+    computes each anchor row alike, as `cosine_score`'s einsum does (a GEMM
+    may round a row differently by its position).
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    x = anchors.reshape(-1, anchors.shape[-1])
+    position: Dict[bytes, int] = {}
+    row_of = np.array([position.setdefault(row.tobytes(), len(position)) for row in x],
+                      dtype=np.intp)
+    # positions were numbered as rows first appeared: each one's first row, in that order
+    _, first = np.unique(row_of, return_index=True)
+    stats = cohort_stats(x[first], cohort, scorer, n_top, language_filter)
+    row_of = row_of.reshape(anchors.shape[:-1])
+    return stats.mu[row_of], stats.sigma[row_of]
 
 
 def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int:

@@ -27,7 +27,8 @@ scores with its form, and NPLDA fine-tunes that form once per train
 phrase. Scoring and normalization work on whole splits: each backend
 scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
 one call per claimed phrase), and AS-norm takes its cohort statistics in
-one call per side and language group.
+one call per side and language group, which scores each distinct enroll
+model or test utterance row once, however many trials share it.
 
 `cmd_e2e` runs its stages inside one session, so no file one stage writes
 is parsed again by a later stage that reads it unchanged, and builds its

@@ -28,6 +28,7 @@ from spkver.core import Language, Metas, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.backend import PldaScorer
 from spkver.nplda import nplda_score, soft_detcost
+from spkver.norm import NormStats, as_norm, cohort_stats
 from spkver.synthgen import SynthCorpus, TrialProtocol, _gen_reference_texts, gen_transcript
 
 
@@ -279,6 +280,22 @@ def as_norm_literal(raw_scores, enroll_vecs, test_vecs, cohort, scorer, n_top,
         mu_t, sigma_t = cohort_stats_literal(t, cohort, scorer, n_top, None)
         out.append((raw - mu_t) / sigma_t + (raw - mu_e) / sigma_e)
     return out
+
+
+def language_dependent_as_norm_per_trial(raw_scores, enroll_vecs, test_vecs, cohort, scorer,
+                                        n_top, test_languages):
+    """`norm.language_dependent_as_norm` with every trial's anchor rows in
+    its cohort_stats calls, repeats included: one call per test language on
+    the enroll side, one on the test side, each over all rows of its trials."""
+    enroll_vecs = np.asarray(enroll_vecs, dtype=np.float64)
+    langs = np.broadcast_to(np.asarray(test_languages, dtype=object), enroll_vecs.shape[:-1])
+    mu, sigma = np.empty(langs.shape), np.empty(langs.shape)
+    for lang in dict.fromkeys(langs.flat):
+        rows = langs == lang
+        stats = cohort_stats(enroll_vecs[rows], cohort, scorer, n_top, language_filter=lang)
+        mu[rows], sigma[rows] = stats.mu, stats.sigma
+    test_stats = cohort_stats(test_vecs, cohort, scorer, n_top, language_filter=None)
+    return as_norm(raw_scores, NormStats(mu, sigma), test_stats)
 
 
 def _plda_logdet_chol(mat):

@@ -238,6 +238,9 @@ class TestConfigHandling:
         ("p_target=nan", "bad value for p_target: 'nan'"),
         # each PLDA score file used to be written twice, and fusion to weigh it twice
         ("backends=cosine,plda,plda", "backend 'plda' is listed more than once"),
+        # these used to exit 3 from gen, and 1 with a traceback after gen wrote its files
+        ("seed=-1", "seed must lie in [0, 2**63), got -1"),
+        ("seed=9223372036854775808", "seed must lie in [0, 2**63), got 9223372036854775808"),
     ])
     def test_bad_model_setting_fails_before_any_stage(self, tmp_path, capsys, setting,
                                                       message):
@@ -245,6 +248,13 @@ class TestConfigHandling:
         workdir = tmp_path / "w"
         assert main(["e2e"] + _args(workdir, setting)) == 2
         assert message in capsys.readouterr().err
+        assert not workdir.exists()
+
+    def test_negative_seed_option_fails_before_any_stage(self, tmp_path, capsys):
+        # SeedSequence used to reject it in gen, as a data error (exit 3)
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir) + ["--seed", "-1"]) == 2
+        assert "seed must lie in [0, 2**63), got -1" in capsys.readouterr().err
         assert not workdir.exists()
 
     @pytest.mark.parametrize("settings, message", [
@@ -384,6 +394,41 @@ class TestStageInputs:
         assert [fields[1] for fields in tail[len(table):]] == sorted(written)
         assert {name: sha for _, name, sha in tail[len(table):]} == {
             name: sha for name, sha in _digests(workdir).items() if name != "manifest.txt"}
+
+    @pytest.mark.parametrize("config", STAGE_CONFIGS)
+    def test_norm_scores_each_anchor_row_once(self, tmp_path, monkeypatch, config):
+        # trials share enroll models and test utterances; each shared row
+        # used to be scored against the cohort once per trial
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + STAGE_CONFIGS[config][0])
+        for stage in pipeline.STAGES[:pipeline.STAGES.index("norm")]:
+            pipeline.run_stage(cfg, stage)
+        splits = []  # per split: its (enroll, test, languages) and its cohort_stats calls
+        cohort_stats, as_norm = norm.cohort_stats, norm.language_dependent_as_norm
+
+        def logged_stats(anchors, cohort, scorer, n_top, language_filter=None):
+            splits[-1][1].append((np.array(anchors), language_filter))
+            return cohort_stats(anchors, cohort, scorer, n_top, language_filter)
+
+        def logged_norm(raw, enroll, test, cohort, scorer, n_top, test_languages):
+            splits.append(((np.asarray(enroll), np.asarray(test), test_languages), []))
+            return as_norm(raw, enroll, test, cohort, scorer, n_top, test_languages)
+
+        monkeypatch.setattr(norm, "cohort_stats", logged_stats)
+        monkeypatch.setattr(norm, "language_dependent_as_norm", logged_norm)
+        pipeline.run_stage(cfg, "norm")
+        assert len(splits) == len(pipeline.TRIAL_SPLITS)
+        for (enroll, test, languages), calls in splits:
+            langs = np.broadcast_to(np.asarray(languages, dtype=object), len(enroll))
+            groups = list(dict.fromkeys(langs))
+            # one call per enroll-side language group, then one for the test side
+            assert [lang for _, lang in calls] == groups + [None]
+            wanted = [enroll[langs == lang] for lang in groups] + [test]
+            for (anchors, _), rows in zip(calls, wanted):
+                keys = [row.tobytes() for row in anchors]
+                assert len(set(keys)) == len(keys)  # no row repeated
+                assert set(keys) == {row.tobytes() for row in rows}  # every trial's row
+            # the split's trials share rows, so fewer rows were scored than they hold
+            assert sum(len(anchors) for anchors, _ in calls) < 2 * len(enroll)
 
     def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
         import shutil

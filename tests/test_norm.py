@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import as_norm_literal, cohort_stats_literal, meta_rows
+from oracles import (
+    as_norm_literal,
+    cohort_stats_literal,
+    language_dependent_as_norm_per_trial,
+    meta_rows,
+)
 from spkver.backend import cosine_score
 from spkver.config import PipelineConfig
 from spkver.core import Language, Metas, NumericalError
@@ -329,6 +334,51 @@ class TestBatchedNormMatchesLiteral:
                                              n_top, langs)
         expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+class TestDistinctAnchorRows:
+    """Each distinct anchor row is scored once; the gathered statistics give
+    the AS-norm of scoring every trial's rows, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["one", "all", "mixed"]),
+           st.integers(1, 12), st.sampled_from(["none", "one", "per_trial"]),
+           st.integers(2, 8), st.integers(2, 8), st.integers(2, 8), st.booleans())
+    @example(seed=0, repeats="all", n_trials=1, languages="per_trial", n_l1=3, n_l2=2, dim=4,
+             full_depth=True)
+    @example(seed=1, repeats="mixed", n_trials=12, languages="per_trial", n_l1=2, n_l2=5,
+             dim=3, full_depth=True)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_trial_bit_for_bit(self, seed, repeats, n_trials, languages, n_l1,
+                                           n_l2, dim, full_depth):
+        rng = np.random.default_rng(seed)
+        cohort = _random_cohort(rng, n_l1, n_l2, dim)
+
+        def anchors():
+            if repeats == "all":
+                return rng.normal(size=(n_trials, dim))
+            if repeats == "one":
+                return np.repeat(rng.normal(size=(1, dim)), n_trials, axis=0)
+            n_distinct = int(rng.integers(1, n_trials + 1))
+            picks = np.concatenate([np.arange(n_distinct),
+                                    rng.integers(0, n_distinct, n_trials - n_distinct)])
+            return rng.normal(size=(n_distinct, dim))[rng.permutation(picks)]
+
+        enroll, test = anchors(), anchors()
+        raw = rng.normal(size=n_trials)
+        both = (Language.L1, Language.L2)
+        langs = {
+            "none": None,
+            "one": both[int(rng.integers(2))],
+            "per_trial": [both[i] for i in rng.integers(0, 2, n_trials)],
+        }[languages]
+        # n_top up to the smallest cohort a call may be filtered to
+        limit = effective_n_top(10**6, cohort, language_dependent=langs is not None)
+        n_top = limit if full_depth else int(rng.integers(2, limit + 1))
+        got = language_dependent_as_norm(raw, enroll, test, cohort, cosine_score, n_top, langs)
+        expected = language_dependent_as_norm_per_trial(raw, enroll, test, cohort, cosine_score,
+                                                        n_top, langs)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (n_trials,)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestBatchFailures:
