@@ -45,9 +45,15 @@ class PldaModel:
         if self.sigma_b.shape != self.sigma_w.shape or self.mu.shape[0] != self.sigma_b.shape[0]:
             raise ValueError("inconsistent model shapes")
         for name in ("sigma_b", "sigma_w"):
-            arr = getattr(self, name)
-            if not np.allclose(arr, arr.T, atol=1e-10):
-                raise ValueError(f"{name} must be symmetric")
+            _check_symmetric(name, getattr(self, name))
+
+
+def _check_symmetric(name: str, mat: np.ndarray) -> None:
+    """ValueError unless the finite matrix `mat` is within 1e-10 of its
+    transpose. An exactly symmetric one, as EM and NPLDA build them, is
+    accepted by one exact compare, without `np.allclose`."""
+    if not (mat == mat.T).all() and not np.allclose(mat, mat.T, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
 
 
 def cosine_score(e: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -237,8 +243,7 @@ class PldaScorer:
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
                 and np.all(np.isfinite(c)) and np.isfinite(k)):
             raise ValueError("non-finite quadratic-form parameters")
-        if not np.allclose(gamma, gamma.T, atol=1e-10):
-            raise ValueError("gamma must be symmetric")
+        _check_symmetric("gamma", gamma)
         object.__setattr__(self, "lam", 0.5 * (lam + lam.T))
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "c", c)

@@ -156,10 +156,13 @@ def _cosine_matrix(a: np.ndarray, b: np.ndarray):
 def _cosine_backward(d_cos, cos, a, b, na, nb):
     # d cos(a_i, b_j) / d a_i = b_j/(|a_i||b_j|) - cos_ij a_i/|a_i|^2, and
     # symmetrically for b_j; both accumulated over the full (i, j) grid.
-    d_a = ((d_cos / nb[None, :]) @ b) / na[:, None] \
-        - ((d_cos * cos).sum(axis=1) / na**2)[:, None] * a
-    d_b = ((d_cos / na[:, None]).T @ a) / nb[:, None] \
-        - ((d_cos * cos).sum(axis=0) / nb**2)[:, None] * b
+    # the one (rows, classes) product goes before the quotients below are
+    # made, so no two such temporaries are live at once
+    d_cos_cos = d_cos * cos
+    sum_a, sum_b = d_cos_cos.sum(axis=1), d_cos_cos.sum(axis=0)
+    del d_cos_cos
+    d_a = ((d_cos / nb[None, :]) @ b) / na[:, None] - (sum_a / na**2)[:, None] * a
+    d_b = ((d_cos / na[:, None]).T @ a) / nb[:, None] - (sum_b / nb**2)[:, None] * b
     return d_a, d_b
 
 

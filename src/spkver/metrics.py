@@ -258,10 +258,14 @@ def _simplex_grid(n_systems: int, n: int) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / n
 
 
-# Grid rows swept at once hold at most about this many fused scores, so the
-# sweep's temporaries stay near 10 MiB whatever the grid size and trial count
-# (at 3,000 dev trials and 231 grid points, one block would need about 55 MiB).
-_SWEEP_SCORES = 1 << 17
+# Grid rows swept at once hold at most about this many fused scores (at
+# least one row). A block makes about a dozen (rows, N) temporaries of 8
+# bytes per score, so at 8,192 scores they take about 0.9 MiB, near a core's
+# L2 cache, whatever the grid size: 54 rows of 150 dev trials, or 2 rows of
+# 3,000 (the 231-point grid of 3 systems at grid_step 0.05 in 5 or 116
+# blocks). Larger blocks are no faster and raise the peak: 1.7 MiB at
+# 1 << 14, and 2.8 MiB for 150 trials' whole grid in one block.
+_SWEEP_SCORES = 1 << 13
 
 
 def tune_weights(

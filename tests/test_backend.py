@@ -235,6 +235,23 @@ class TestQuadraticForm:
         gamma[0, 1] = 1e-11  # within the 1e-10 tolerance
         np.testing.assert_array_equal(PldaScorer(np.eye(2), gamma, np.zeros(2), 0.0).gamma, gamma)
 
+    @pytest.mark.parametrize("name", ["gamma", "sigma_b", "sigma_w"])
+    def test_symmetry_tolerance_past_the_exact_compare(self, name):
+        def build(mat):
+            if name == "gamma":
+                return PldaScorer(np.eye(3), mat, np.zeros(3), 0.0).gamma
+            covs = {"sigma_b": np.eye(3), "sigma_w": np.eye(3), name: mat}
+            return getattr(PldaModel(mu=np.zeros(3), **covs), name)
+
+        # not exactly symmetric, so the allclose check decides; the entry's
+        # mirror is 0, so only its 1e-10 absolute tolerance applies
+        mat = np.diag([1.0, 2.0, 3.0])
+        mat[2, 1] = 1e-12
+        np.testing.assert_array_equal(build(mat), mat)
+        mat[2, 1] = 1e-6
+        with pytest.raises(ValueError, match=f"{name} must be symmetric"):
+            build(mat)
+
     @pytest.mark.parametrize("field", ["lam", "gamma", "c", "k"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_are_rejected(self, field, bad):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -412,12 +414,33 @@ class TestTuneWeightsAgainstLiteral:
         assert got.weights == tune_weights_literal(sets, keys, params, grid_step).weights
 
     def test_rows_swept_in_blocks(self, monkeypatch):
-        # 66 grid points of 40 trials in blocks of 3 rows, the last one short
-        monkeypatch.setattr(metrics, "_SWEEP_SCORES", 120)
-        for seed in range(5):
-            sets, keys = _fusion_case(seed, 3, 40)
-            got = tune_weights(*_matrix(sets, keys), grid_step=0.1)
-            assert got.weights == tune_weights_literal(sets, keys, grid_step=0.1).weights
+        # 66 grid points of 40 trials: one row per block (a budget below the
+        # trial count), blocks of 3 rows with the last one short, and the
+        # whole grid in one block
+        for budget in (10, 120, 66 * 40):
+            monkeypatch.setattr(metrics, "_SWEEP_SCORES", budget)
+            for seed in range(5):
+                sets, keys = _fusion_case(seed, 3, 40)
+                got = tune_weights(*_matrix(sets, keys), grid_step=0.1)
+                assert got.weights == tune_weights_literal(sets, keys, grid_step=0.1).weights
+
+    @pytest.mark.parametrize("n_trials", [150, 3000])
+    def test_sweep_memory_is_bounded(self, n_trials):
+        # 3 systems at grid_step 0.05 (231 grid points), at the dev trial
+        # counts of the td-pct-fusion benchmark and of scale L; one bound
+        # for both, since a block's size does not grow with either count
+        rng = np.random.default_rng(n_trials)
+        is_target = rng.random(n_trials) < 0.3
+        scores = rng.normal(size=(3, n_trials)) + is_target
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            tune_weights(scores, is_target, grid_step=0.05)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"tune_weights peaked {peak / 2**20:.2f} MiB above its entry"
 
     def test_grid_order_matches_product_filter(self):
         import itertools
