@@ -7,7 +7,7 @@ log-likelihood ratio of same-speaker vs different-speaker hypotheses,
 expanded once per model into a quadratic form in the pair
 (`PldaScorer.from_model`). `PldaScorer` is that form, (L, G, c, k), for
 PLDA and NPLDA alike: NPLDA fine-tunes the one generative form per phrase,
-and `PldaScorer.score` evaluates either.
+and `PldaScorer.score` evaluates either on trials that are pairs of table rows.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
 the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
@@ -52,7 +52,7 @@ def _check_symmetric(name: str, mat: np.ndarray) -> None:
     """ValueError unless the finite matrix `mat` is within 1e-10 of its
     transpose. An exactly symmetric one, as EM and NPLDA build them, is
     accepted by one exact compare, without `np.allclose`."""
-    if not (mat == mat.T).all() and not np.allclose(mat, mat.T, atol=1e-10):
+    if not (mat == mat.T).all() and not np.allclose(mat, mat.T, rtol=0, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -276,16 +276,20 @@ class PldaScorer:
         k = 0.5 * (_logdet(t_cov) - _logdet(schur)) - float(model.mu @ c)
         return cls(lam, gamma, c, k)
 
-    def score(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k. A
-        broadcasting pair scorer: `e` and `t` of shapes (..., D) broadcast to
-        scores of shape (...)."""
+    def score(self, e: np.ndarray, t: np.ndarray, e_rows, t_rows) -> np.ndarray:
+        """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k of each trial
+        (e[e_rows[n]], t[t_rows[n]]) of the tables e (M, D) and t (U, D). Each
+        table is projected once, to x L and x^T G x + c^T x per row, and each
+        trial combines its two rows by a row-local product sum, so its score
+        does not depend on the other trials in the call."""
         e = np.asarray(e, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         dim = self.c.shape[0]
-        if e.shape[-1] != dim or t.shape[-1] != dim:
-            raise ValueError(f"dimension mismatch: {e.shape} and {t.shape} vs {dim}")
-        cross = np.sum((e @ self.lam) * t, axis=-1)
-        self_e = np.sum((e @ self.gamma) * e, axis=-1)
-        self_t = np.sum((t @ self.gamma) * t, axis=-1)
-        return cross + self_e + self_t + (e + t) @ self.c + self.k
+        if e.ndim != 2 or t.ndim != 2 or e.shape[1] != dim or t.shape[1] != dim:
+            raise ValueError(f"dimension mismatch: tables {e.shape} and {t.shape} vs (M, {dim})")
+
+        def terms(x):  # x^T G x + c^T x of each row of a table
+            return np.einsum("nd,nd->n", x @ self.gamma, x) + x @ self.c
+
+        cross = np.einsum("nd,nd->n", (e @ self.lam)[e_rows], t[t_rows])
+        return cross + terms(e)[e_rows] + terms(t)[t_rows] + self.k

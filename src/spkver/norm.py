@@ -8,9 +8,10 @@ The normalized score is
 with each (mu, sigma) taken over the anchor's top-N cohort scores. The
 language-dependent variant restricts the enroll-side cohort to the test
 utterance's language; the test-side cohort is never language-filtered.
-An anchor's statistics depend only on the anchor (and the filter), so each
-distinct anchor row is scored against the cohort once, however many trials
-share it.
+The anchors are rows of the enroll-model and test-utterance tables, and
+an anchor's statistics depend only on the anchor (and the filter), so each
+table row that a trial uses is scored against the cohort once, however
+many trials share it.
 """
 
 from __future__ import annotations
@@ -100,54 +101,37 @@ def as_norm(raw_score, enroll_stats: NormStats, test_stats: NormStats):
 
 def language_dependent_as_norm(
     raw_scores,
-    enroll_vecs: np.ndarray,
-    test_vecs: np.ndarray,
+    enroll: np.ndarray,
+    test: np.ndarray,
+    enroll_rows: np.ndarray,
+    test_rows: np.ndarray,
     cohort: Cohort,
     scorer: Scorer,
     n_top: int,
     test_languages,
 ) -> np.ndarray:
-    """AS-Norm of row-aligned trials ((N,) raw scores, (N, D) enroll and
-    test vectors), each with its enroll-side cohort restricted to its test
-    language.
+    """AS-Norm of the (N,) raw scores of trials (enroll[enroll_rows[n]],
+    test[test_rows[n]]), rows ((N,) int arrays) of the (M, D) enroll and
+    (U, D) test tables, each with its enroll-side cohort in its test language.
 
     `test_languages` is one Language (or None: no restriction) for every
     trial, or one per trial. The enroll-side statistics take one
     cohort_stats call per language present, the test-side ones a single
-    call; each call gets every distinct anchor row once, in first-appearance
-    order, and its (mu, sigma) are gathered back onto the trials that share
-    the row.
+    call; each gets every table row its trials use once, in row order,
+    and its (mu, sigma) are gathered back onto the trials that use the row.
     """
-    enroll_vecs = np.asarray(enroll_vecs, dtype=np.float64)
-    langs = np.broadcast_to(np.asarray(test_languages, dtype=object), enroll_vecs.shape[:-1])
+    def stats(table, rows, language_filter):
+        used, row_of = np.unique(rows, return_inverse=True)
+        anchor = cohort_stats(table[used], cohort, scorer, n_top, language_filter)
+        return anchor.mu[row_of], anchor.sigma[row_of]
+
+    langs = np.broadcast_to(np.asarray(test_languages, dtype=object), np.shape(enroll_rows))
     mu, sigma = np.empty(langs.shape), np.empty(langs.shape)
     for lang in dict.fromkeys(langs.flat):
-        rows = langs == lang
-        mu[rows], sigma[rows] = _distinct_row_stats(enroll_vecs[rows], cohort, scorer, n_top, lang)
-    test_mu, test_sigma = _distinct_row_stats(test_vecs, cohort, scorer, n_top, None)
+        trials = langs == lang
+        mu[trials], sigma[trials] = stats(enroll, enroll_rows[trials], lang)
+    test_mu, test_sigma = stats(test, test_rows, None)
     return as_norm(raw_scores, NormStats(mu, sigma), NormStats(test_mu, test_sigma))
-
-
-def _distinct_row_stats(anchors, cohort, scorer, n_top, language_filter):
-    """cohort_stats' (mu, sigma) of a batch (..., D) of anchors, from one
-    call that gets each distinct anchor row once.
-
-    Rows are keyed on their bytes, in first-appearance order; only the
-    distinct rows' keys are kept. The statistics are row-wise, so the
-    gathered ones equal the whole batch's; bit for bit when the scorer
-    computes each anchor row alike, as `cosine_score`'s einsum does (a GEMM
-    may round a row differently by its position).
-    """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    x = anchors.reshape(-1, anchors.shape[-1])
-    position: Dict[bytes, int] = {}
-    row_of = np.array([position.setdefault(row.tobytes(), len(position)) for row in x],
-                      dtype=np.intp)
-    # positions were numbered as rows first appeared: each one's first row, in that order
-    _, first = np.unique(row_of, return_index=True)
-    stats = cohort_stats(x[first], cohort, scorer, n_top, language_filter)
-    row_of = row_of.reshape(anchors.shape[:-1])
-    return stats.mu[row_of], stats.sigma[row_of]
 
 
 def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int:

@@ -27,10 +27,10 @@ if TYPE_CHECKING:
     from .config import PipelineConfig
 
 
-def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """`form.score(e, t)`: the NPLDA scores under their own name, which the
-    benchmark's tracer times separately from the PLDA backend's."""
-    return form.score(e, t)
+def nplda_score(form: PldaScorer, e: np.ndarray, t: np.ndarray, e_rows, t_rows) -> np.ndarray:
+    """`form.score(e, t, e_rows, t_rows)`: the NPLDA scores under their own
+    name, which the benchmark's tracer times separately from the PLDA backend's."""
+    return form.score(e, t, e_rows, t_rows)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -83,8 +83,10 @@ class NpldaTrainResult:
 
 def train_nplda(
     form: PldaScorer,
-    enroll_vecs: np.ndarray,
-    test_vecs: np.ndarray,
+    enroll: np.ndarray,
+    test: np.ndarray,
+    enroll_rows: np.ndarray,
+    test_rows: np.ndarray,
     labels: Sequence[bool],
     enroll_phrases: Sequence,
     test_phrases: Sequence,
@@ -93,25 +95,28 @@ def train_nplda(
     """Full-batch gradient descent on the soft detection cost, from `form`
     to the trained form in the result's `params`: cfg.nplda_epochs steps of
     size cfg.nplda_lr, sigmoid sharpness cfg.nplda_alpha, at the operating
-    point cfg.dcf_params().
+    point cfg.dcf_params(). Training pair n is (enroll[enroll_rows[n]],
+    test[test_rows[n]]), rows of the enroll and test tables.
 
     Every training pair must be same-phrase; a violating pair aborts before
     any update. theta is learned jointly, starting from the threshold that
     minimizes the generative minDCF on the initial scores.
     """
-    e = np.atleast_2d(np.asarray(enroll_vecs, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(test_vecs, dtype=np.float64))
     lab = np.asarray(labels, dtype=bool)
     for i, (pe, pt) in enumerate(zip(enroll_phrases, test_phrases)):
         if pe != pt:
             raise ValueError(f"same-phrase constraint violated by training pair {i}")
     if lab.all() or not lab.any():
         raise ValueError("training pairs must include both classes")
+    # only the table rows the pairs use: each epoch projects both tables
+    e_used, e_rows = np.unique(enroll_rows, return_inverse=True)
+    t_used, t_rows = np.unique(test_rows, return_inverse=True)
+    e, t = enroll[e_used], test[t_used]
 
     lam, gamma, c, k = form.lam.copy(), form.gamma.copy(), form.c.copy(), form.k
 
     def score_now() -> np.ndarray:
-        return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
+        return nplda_score(PldaScorer(lam, gamma, c, k), e, t, e_rows, t_rows)
 
     dcf = cfg.dcf_params()
     scores = score_now()
@@ -124,18 +129,20 @@ def train_nplda(
     trace = [loss]
     lr = cfg.nplda_lr
     for _ in range(cfg.nplda_epochs):
-        # d score / d params, accumulated over the batch
-        de = d_scores[:, None] * e
-        dt = d_scores[:, None] * t
-        d_lam = 0.5 * (de.T @ t + dt.T @ e)
-        d_gamma = de.T @ e + dt.T @ t
+        # d score / d params, summed over the pairs per table row: a row
+        # weighted by its pairs' d_scores, and the cross term by their test rows
+        w_e = np.bincount(e_rows, d_scores, minlength=len(e))
+        w_t = np.bincount(t_rows, d_scores, minlength=len(t))
+        paired = np.zeros_like(e)
+        np.add.at(paired, e_rows, d_scores[:, None] * t[t_rows])
+        d_lam = e.T @ paired
+        d_lam = 0.5 * (d_lam + d_lam.T)
+        d_gamma = (w_e[:, None] * e).T @ e + (w_t[:, None] * t).T @ t
         d_gamma = 0.5 * (d_gamma + d_gamma.T)
-        d_c = (de + dt).sum(axis=0)
-        d_k = float(d_scores.sum())
         lam -= lr * d_lam
         gamma -= lr * d_gamma
-        c -= lr * d_c
-        k -= lr * d_k
+        c -= lr * (w_e @ e + w_t @ t)
+        k -= lr * float(d_scores.sum())
         theta -= lr * d_theta
         loss, d_scores, d_theta = soft_detcost(score_now(), lab, theta, cfg.nplda_alpha, dcf)
         trace.append(loss)

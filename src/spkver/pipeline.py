@@ -19,16 +19,17 @@ claimed-phrase ids), keys as (trial ids, labels) and scores as (trial ids,
 values). A stage checks once per score or key file that it lists exactly
 the split's trial ids in trial-list order, and resolves every other id once
 per file with `_rows`: the row of each wanted id among the file's unique
-ids. Both raise DataFormatError naming the file and the first id at fault;
-a trial's centroid, test vector, language, transcript and spoken phrase
-are then columns indexed by those rows, row-aligned to the trial list.
-Scoring trains one PLDA, by EM on every train row: the plda backend
-scores with its form, and NPLDA fine-tunes that form once per train
-phrase. Scoring and normalization work on whole splits: each backend
-scores a split's row-aligned (enroll, test) arrays in one call (NPLDA in
-one call per claimed phrase), and AS-norm takes its cohort statistics in
-one call per side and language group, which scores each distinct enroll
-model or test utterance row once, however many trials share it.
+ids. Both raise DataFormatError naming the file and the first id at fault.
+A trial is then a pair of table rows: its model's row of the (M, D) table
+of unit enroll centroids and its test utterance's row of the split's
+(U, D) embeddings; its language, transcript and spoken phrase are columns
+indexed by the test rows. Scoring trains one PLDA, by EM on every train
+row: the plda backend scores with its form, and NPLDA fine-tunes that form
+once per train phrase. Scoring and normalization work on whole splits:
+PLDA and each NPLDA form project the two tables once per call and combine
+each trial's two rows alone (NPLDA in one call per claimed phrase), and
+AS-norm takes its cohort statistics in one call per side and language
+group, for each table row the trials use, however many trials share it.
 
 `cmd_e2e` runs its stages inside one session, so no file one stage writes
 is parsed again by a later stage that reads it unchanged, and builds its
@@ -212,10 +213,10 @@ def _rows(path, ids, wanted, missing) -> np.ndarray:
 
 
 def _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials):
-    """The trials' row-aligned (N, D) enroll centroids, and the row of each
-    trial's test utterance among `ids` (one per row of x). A model or
-    utterance that `enroll_map` or `ids` lacks raises DataFormatError
-    naming enroll_path or emb_path and the id."""
+    """The (M, D) table of unit centroids of the models of `enroll_map`, in
+    its order, and per trial its model's row there and its test utterance's
+    row among `ids` (one per row of x). A model or utterance that
+    `enroll_map` or `ids` lacks raises DataFormatError naming the file."""
     models = list(enroll_map)
     model_rows = _rows(enroll_path, models, trials.model_ids, lambda i: (
         f"no enrollment for model {trials.model_ids[i]!r} of trial {trials.ids[i]}"))
@@ -226,7 +227,7 @@ def _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials):
     utt_rows = _rows(emb_path, ids, utts, lambda i: (
         f"no embedding for utterance {utts[i]!r} enrolling {owners[i]!r}"))
     counts = np.fromiter(map(len, enroll_map.values()), dtype=np.intp, count=len(models))
-    return _centroids(x, utt_rows, counts, models)[model_rows], test_rows
+    return _centroids(x, utt_rows, counts, models), model_rows, test_rows
 
 
 def _centroids(x, rows, counts, models) -> np.ndarray:
@@ -240,19 +241,19 @@ def _centroids(x, rows, counts, models) -> np.ndarray:
     return unit_rows(means, lambda k: f"zero-norm centroid for model {models[k]}")
 
 
-def _trial_vectors(cfg: PipelineConfig, split: str):
-    """A split's trials with their row-aligned (N, D) enroll and test
-    vectors; DataFormatError as in `_trial_rows`."""
+def _trial_tables(cfg: PipelineConfig, split: str):
+    """A split's trials, its enroll-centroid and embedding tables and the
+    trials' rows of each, as `_trial_rows` gives them."""
     emb_path = _workpath(cfg, f"emb_{split}.npz")
     enroll_path = _workpath(cfg, f"enroll_{split}.txt")
     ids, x = fileio.read_matrix(emb_path)
     trials = _read_trials(cfg, split)
     enroll_map = fileio.read_enroll_map(enroll_path)
-    enroll, test_rows = _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials)
-    return trials, enroll, x[test_rows]
+    enroll, model_rows, test_rows = _trial_rows(emb_path, ids, x, enroll_path, enroll_map, trials)
+    return trials, enroll, x, model_rows, test_rows
 
 
-def _score_by_claimed_phrase(bank, trials_path, trials, e, t) -> np.ndarray:
+def _score_by_claimed_phrase(bank, trials_path, trials, e, t, e_rows, t_rows) -> np.ndarray:
     """NPLDA scores, one nplda_score call per claimed phrase; DataFormatError
     naming the trials file for a trial that claims a phrase without a model."""
     forms = list(bank.values())
@@ -261,7 +262,7 @@ def _score_by_claimed_phrase(bank, trials_path, trials, e, t) -> np.ndarray:
     scores = np.empty(len(which))
     for k in np.flatnonzero(np.bincount(which)):
         rows = which == k
-        scores[rows] = nplda.nplda_score(forms[k], e[rows], t[rows])
+        scores[rows] = nplda.nplda_score(forms[k], e, t, e_rows[rows], t_rows[rows])
     return scores
 
 
@@ -288,7 +289,7 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
         )
     except ValueError as exc:
         raise fileio.DataFormatError(f"{meta_path}: NPLDA training pairs: {exc}") from exc
-    enroll, test_rows = _trial_rows(
+    enroll, model_rows, test_rows = _trial_rows(
         meta_path, metas.utt_ids, x, meta_path, protocol.enroll_map, protocol.trials)
     claimed = np.asarray(protocol.trials.claimed, dtype=object)
     spoken = np.asarray(metas.phrases, dtype=object)[test_rows]
@@ -301,8 +302,8 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
         if labels.size < 4 or labels.all() or not labels.any():
             bank[phrase] = form  # too little data: keep the generative form
         else:
-            bank[phrase] = nplda.train_nplda(form, enroll[rows], x[test_rows[rows]], labels,
-                                             claimed[rows], spoken[rows], cfg).params
+            bank[phrase] = nplda.train_nplda(form, enroll, x, model_rows[rows], test_rows[rows],
+                                             labels, claimed[rows], spoken[rows], cfg).params
     return bank
 
 
@@ -316,15 +317,15 @@ def cmd_score(cfg: PipelineConfig) -> None:
         if "nplda" in cfg.backends:
             bank = _train_nplda_bank(cfg, x, metas, form)
     for split in TRIAL_SPLITS:
-        trials, enroll, test = _trial_vectors(cfg, split)
+        trials, enroll, test, model_rows, test_rows = _trial_tables(cfg, split)
         for name in cfg.backends:
             if name == "cosine":
-                scores = backend.cosine_score(enroll, test)
+                scores = backend.cosine_score(enroll[model_rows], test[test_rows])
             elif name == "plda":
-                scores = form.score(enroll, test)
+                scores = form.score(enroll, test, model_rows, test_rows)
             else:
-                scores = _score_by_claimed_phrase(
-                    bank, _workpath(cfg, f"trials_{split}.txt"), trials, enroll, test)
+                scores = _score_by_claimed_phrase(bank, _workpath(cfg, f"trials_{split}.txt"),
+                                                  trials, enroll, test, model_rows, test_rows)
             fileio.write_scores(_workpath(cfg, f"scores_{name}_{split}.txt"), trials.ids, scores)
 
 
@@ -345,11 +346,13 @@ def cmd_norm(cfg: PipelineConfig) -> None:
         classifier = norm.train_language_id(
             train_x, train_meta.languages, epochs=cfg.lid_epochs, lr=cfg.lid_lr)
     for split in TRIAL_SPLITS:
-        trials, enroll, test = _trial_vectors(cfg, split)
+        trials, enroll, test, model_rows, test_rows = _trial_tables(cfg, split)
         raw = _read_scores(cfg, cfg.norm_backend, split, trials.ids)
         test_langs = None
-        if classifier is not None:
-            test_langs, _ = norm.predict_language(classifier, test)
+        if classifier is not None:  # each tested utterance classified once
+            tested, row_of = np.unique(test_rows, return_inverse=True)
+            test_langs, _ = norm.predict_language(classifier, test[tested])
+            test_langs = np.asarray(test_langs, dtype=object)[row_of]
         elif cfg.language_dependent:
             meta_path = _workpath(cfg, f"meta_{split}.meta")
             metas = fileio.read_metas(meta_path)
@@ -357,7 +360,7 @@ def cmd_norm(cfg: PipelineConfig) -> None:
                 meta_path, metas.utt_ids, trials.test_ids,
                 lambda i: f"no language for test utterance {trials.test_ids[i]!r}")]
         normed = norm.language_dependent_as_norm(
-            raw, enroll, test, cohort, cohort_scorer, n_top, test_langs,
+            raw, enroll, test, model_rows, test_rows, cohort, cohort_scorer, n_top, test_langs,
         )
         fileio.write_scores(_workpath(cfg, f"scores_{system}_{split}.txt"), trials.ids, normed)
 

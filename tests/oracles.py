@@ -27,7 +27,7 @@ from spkver.extractor import (
 from spkver.core import Language, Metas, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import DcfParams, FusionWeights, eer, grid_divisions, min_dcf_details
 from spkver.backend import PldaScorer
-from spkver.nplda import nplda_score, soft_detcost
+from spkver.nplda import soft_detcost
 from spkver.norm import NormStats, as_norm, cohort_stats
 from spkver.synthgen import SynthCorpus, TrialProtocol, _gen_reference_texts, gen_transcript
 
@@ -556,12 +556,27 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     return out
 
 
+def plda_score_broadcast(form, e, t):
+    """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k under the
+    form (L, G, c, k) of a `PldaScorer`, as its `score` computed it before
+    it took tables and rows: a broadcasting pair scorer, `e` and `t` of
+    shapes (..., D) broadcast to scores of shape (...)."""
+    e = np.asarray(e, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    cross = np.sum((e @ form.lam) * t, axis=-1)
+    self_e = np.sum((e @ form.gamma) * e, axis=-1)
+    self_t = np.sum((t @ form.gamma) * t, axis=-1)
+    return cross + self_e + self_t + (e + t) @ form.c + form.k
+
+
 def train_nplda_literal(params, enroll_vecs, test_vecs, labels, cfg):
     """NPLDA gradient descent that scores the batch twice per epoch.
 
-    The form that `nplda.train_nplda` replaced, without its input checks:
-    each epoch rescores the batch for its gradients, then again after the
-    update for the trace. Returns (trained form, theta, loss trace).
+    The form that `nplda.train_nplda` replaced, without its input checks,
+    on row-aligned (N, D) enroll and test vectors: each epoch rescores the
+    batch for its gradients, then again after the update for the trace, and
+    sums the gradients over the pairs. Returns (trained form, theta, loss
+    trace).
     """
     e = np.atleast_2d(np.asarray(enroll_vecs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(test_vecs, dtype=np.float64))
@@ -569,7 +584,7 @@ def train_nplda_literal(params, enroll_vecs, test_vecs, labels, cfg):
     lam, gamma, c, k = params.lam.copy(), params.gamma.copy(), params.c.copy(), params.k
 
     def score_now():
-        return nplda_score(PldaScorer(lam, gamma, c, k), e, t)
+        return plda_score_broadcast(PldaScorer(lam, gamma, c, k), e, t)
 
     dcf = cfg.dcf_params()
     scores = score_now()

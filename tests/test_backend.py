@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from oracles import auc_by_sorting, plda_em_literal, plda_marginal_loglik_literal
+from oracles import (
+    auc_by_sorting,
+    plda_em_literal,
+    plda_marginal_loglik_literal,
+    plda_score_broadcast,
+)
 from spkver.backend import (
     PldaModel,
     PldaScorer,
@@ -13,6 +18,7 @@ from spkver.backend import (
     plda_em_train,
 )
 from spkver.core import NumericalError
+from spkver.nplda import nplda_score
 
 
 class TestCosine:
@@ -252,6 +258,19 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match=f"{name} must be symmetric"):
             build(mat)
 
+    @pytest.mark.parametrize("name", ["gamma", "sigma_b", "sigma_w"])
+    def test_symmetry_tolerance_is_absolute_only(self, name):
+        # an entry near 1 raised by 1e-6 is 1e-6 off its mirror, far past
+        # 1e-10, though within np.allclose's default relative tolerance
+        mat = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])  # PD
+        mat[0, 1] += 1e-6
+        with pytest.raises(ValueError, match=f"{name} must be symmetric"):
+            if name == "gamma":
+                PldaScorer(np.eye(3), mat, np.zeros(3), 0.0)
+            else:
+                PldaModel(mu=np.zeros(3), **{"sigma_b": np.eye(3), "sigma_w": np.eye(3),
+                                             name: mat})
+
     @pytest.mark.parametrize("field", ["lam", "gamma", "c", "k"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_are_rejected(self, field, bad):
@@ -288,6 +307,14 @@ def _gaussian_logpdf(cov):
     return lambda d: const - 0.5 * (d @ inv @ d)
 
 
+def _aligned(scorer, e, t):
+    """`scorer`'s scores of the pairs (e[n], t[n]) of row-aligned (N, D)
+    arrays, or of the one pair of (D,) vectors e and t."""
+    e, t = np.atleast_2d(e), np.atleast_2d(t)
+    rows = np.arange(len(e))
+    return scorer.score(e, t, rows, rows)
+
+
 class TestPldaScoring:
     def _model(self, seed=0, dim=2):
         rng = np.random.default_rng(seed)
@@ -302,15 +329,17 @@ class TestPldaScoring:
         rng = np.random.default_rng(2)
         for _ in range(10):
             e, t = rng.normal(size=2), rng.normal(size=2)
-            assert PldaScorer.from_model(model).score(e, t) == pytest.approx(
-                PldaScorer.from_model(model).score(t, e), abs=1e-10
+            assert _aligned(PldaScorer.from_model(model), e, t) == pytest.approx(
+                _aligned(PldaScorer.from_model(model), t, e), abs=1e-10
             )
 
     def test_no_speaker_information_scores_zero(self):
         model = PldaModel(mu=np.zeros(2), sigma_b=np.zeros((2, 2)), sigma_w=np.eye(2))
         rng = np.random.default_rng(3)
         for _ in range(5):
-            assert PldaScorer.from_model(model).score(rng.normal(size=2), rng.normal(size=2)) == pytest.approx(0.0, abs=1e-12)
+            scorer = PldaScorer.from_model(model)
+            assert _aligned(scorer, rng.normal(size=2), rng.normal(size=2)) == pytest.approx(
+                0.0, abs=1e-12)
 
     def test_degenerate_model_fails_loudly(self):
         # no within-speaker noise: same-speaker pairs are singular, the LLR unbounded
@@ -322,7 +351,7 @@ class TestPldaScoring:
         model = self._model(4)
         far = model.mu + 10.0
         scorer = PldaScorer.from_model(model)
-        assert scorer.score(model.mu, model.mu) >= scorer.score(model.mu, far)
+        assert _aligned(scorer, model.mu, model.mu) >= _aligned(scorer, model.mu, far)
 
     def test_matches_numeric_integration(self):
         # quadrature oracle: integrate the latent speaker variable in 2-D
@@ -342,7 +371,8 @@ class TestPldaScoring:
             num, err = integrate.dblquad(integrand, -9, 9, -9, 9,
                                          epsabs=1e-12, epsrel=1e-9)
             expected = np.log(num) - marg.logpdf(e) - marg.logpdf(t)
-            assert PldaScorer.from_model(model).score(e, t) == pytest.approx(expected, abs=1e-6)
+            assert _aligned(PldaScorer.from_model(model), e, t) == pytest.approx(expected,
+                                                                                 abs=1e-6)
             assert err < 1e-10
 
     def test_batch_scorer_matches_single(self):
@@ -351,22 +381,23 @@ class TestPldaScoring:
         rng = np.random.default_rng(11)
         e = rng.normal(size=(7, 3))
         t = rng.normal(size=(7, 3))
-        batch = scorer.score(e, t)
+        batch = _aligned(scorer, e, t)
         for i in range(7):
-            assert batch[i] == pytest.approx(scorer.score(e[i], t[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(_aligned(scorer, e[i], t[i])[0], abs=1e-12)
 
-    def test_broadcast_scorer_matches_per_pair_calls(self):
+    def test_table_scorer_matches_per_pair_calls(self):
         model = self._model(15, dim=3)
         scorer = PldaScorer.from_model(model)
         rng = np.random.default_rng(16)
         e, t = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
-        outer = scorer.score(e[:, None, :], t)
-        assert outer.shape == (4, 6)
-        expected = [[scorer.score(a, b) for b in t] for a in e]
+        e_rows, t_rows = np.divmod(np.arange(24), 6)  # every (model, utterance) pair
+        outer = scorer.score(e, t, e_rows, t_rows).reshape(4, 6)
+        expected = [[_aligned(scorer, a, b)[0] for b in t] for a in e]
         np.testing.assert_allclose(outer, expected, rtol=1e-12, atol=1e-12)
-        assert isinstance(scorer.score(e[0], t[0]), float)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            scorer.score(e, np.ones((4, 2)))
+            scorer.score(e, np.ones((4, 2)), [0], [0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            scorer.score(e[0], t, [0], [0])  # a table is (M, D), not one vector
 
     def test_plda_beats_cosine_on_anisotropic_data(self):
         # raw (unnormalized-factor) data with strongly anisotropic within-cov
@@ -380,15 +411,59 @@ class TestPldaScoring:
         same_llr, same_cos, diff_llr, diff_cos = [], [], [], []
         for i in range(0, len(x), 2):
             j = i + 1
-            pair = (scorer.score(x[i], x[j]), cosine_score(x[i], x[j]))
+            pair = (_aligned(scorer, x[i], x[j])[0], cosine_score(x[i], x[j]))
             if labels[i] == labels[j]:
                 same_llr.append(pair[0])
                 same_cos.append(pair[1])
         for i in range(0, len(x) - 7, 7):
             j = i + 5
             if labels[i] != labels[j]:
-                diff_llr.append(scorer.score(x[i], x[j]))
+                diff_llr.append(_aligned(scorer, x[i], x[j])[0])
                 diff_cos.append(cosine_score(x[i], x[j]))
         auc_llr = auc_by_sorting(same_llr, diff_llr)
         auc_cos = auc_by_sorting(same_cos, diff_cos)
         assert auc_llr > auc_cos
+
+
+class TestTrialsAreTableRows:
+    """A trial is a pair of rows of the enroll and test tables: its score
+    depends on those two rows under the tables, not on the other trials
+    scored in the same call."""
+
+    @staticmethod
+    def _tables(seed, n_models, n_utts, n_trials, dim):
+        rng = np.random.default_rng(seed)
+        e, t = rng.normal(size=(n_models, dim)), rng.normal(size=(n_utts, dim))
+        rows = rng.integers(0, n_models, n_trials), rng.integers(0, n_utts, n_trials)
+        model = PldaModel(mu=rng.normal(size=dim), sigma_b=_random_pd(rng, dim),
+                          sigma_w=_random_pd(rng, dim, scale=0.7))
+        return rng, e, t, rows, PldaScorer.from_model(model)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["cosine", "plda", "nplda"]),
+           st.integers(1, 30), st.integers(1, 60), st.integers(1, 200), st.integers(2, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_score_is_bitwise_the_same_in_any_subset_or_order(self, seed, backend, n_models,
+                                                              n_utts, n_trials, dim):
+        rng, e, t, (e_rows, t_rows), form = self._tables(seed, n_models, n_utts, n_trials, dim)
+        # an NPLDA form: a PLDA form moved off its generative values
+        tuned = PldaScorer(form.lam + 0.1 * rng.normal(size=(dim, dim)), form.gamma,
+                           form.c + rng.normal(size=dim), form.k - 0.5)
+        score = {
+            "cosine": lambda a, b: cosine_score(e[a], t[b]),
+            "plda": lambda a, b: form.score(e, t, a, b),
+            "nplda": lambda a, b: nplda_score(tuned, e, t, a, b),
+        }[backend]
+        whole = score(e_rows, t_rows)
+        pick = rng.permutation(n_trials)[:int(rng.integers(1, n_trials + 1))]
+        assert score(e_rows[pick], t_rows[pick]).tobytes() == whole[pick].tobytes()
+        for i in pick[:3]:  # one trial alone
+            assert score(e_rows[i:i + 1], t_rows[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 60),
+           st.integers(1, 200), st.integers(2, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_broadcasting_oracle(self, seed, n_models, n_utts, n_trials, dim):
+        _, e, t, (e_rows, t_rows), form = self._tables(seed, n_models, n_utts, n_trials, dim)
+        expected = plda_score_broadcast(form, e[e_rows], t[t_rows])
+        np.testing.assert_allclose(form.score(e, t, e_rows, t_rows), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())

@@ -54,6 +54,17 @@ def test_workload_settings_pass_load_config(tmp_path, workload):
     assert cfg.workdir == str(tmp_path / "w") and cfg.seed == 1
 
 
+@pytest.mark.parametrize("workload", sorted(_load("run").WORKLOADS))
+def test_traced_run_calls_what_the_workload_declares(tmp_path, workload):
+    # a traced run at the workload's own settings: a traced function it
+    # should call but does not (or one it should skip but calls) fails here
+    run = _load("run")
+    spec = run.WORKLOADS[workload]
+    rep = run.run_once(BENCH.parent, tmp_path / "rep", spec, seed=1, trace=True, timeout=170.0)
+    assert rep["problems"] == []
+    assert run.check_repeats([rep], spec) == []
+
+
 def test_child_stages_are_the_td_table():
     # child.py wraps pipeline.cmd_<stage> for each name in STAGES; a TD e2e runs them all
     assert _load("child").STAGES == pipeline.STAGES

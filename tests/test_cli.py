@@ -402,33 +402,35 @@ class TestStageInputs:
         cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"] + STAGE_CONFIGS[config][0])
         for stage in pipeline.STAGES[:pipeline.STAGES.index("norm")]:
             pipeline.run_stage(cfg, stage)
-        splits = []  # per split: its (enroll, test, languages) and its cohort_stats calls
+        splits = []  # per split: its tables, rows and languages, and its cohort_stats calls
         cohort_stats, as_norm = norm.cohort_stats, norm.language_dependent_as_norm
 
         def logged_stats(anchors, cohort, scorer, n_top, language_filter=None):
             splits[-1][1].append((np.array(anchors), language_filter))
             return cohort_stats(anchors, cohort, scorer, n_top, language_filter)
 
-        def logged_norm(raw, enroll, test, cohort, scorer, n_top, test_languages):
-            splits.append(((np.asarray(enroll), np.asarray(test), test_languages), []))
-            return as_norm(raw, enroll, test, cohort, scorer, n_top, test_languages)
+        def logged_norm(raw, enroll, test, enroll_rows, test_rows, cohort, scorer, n_top,
+                        test_languages):
+            splits.append(((enroll, test, enroll_rows, test_rows, test_languages), []))
+            return as_norm(raw, enroll, test, enroll_rows, test_rows, cohort, scorer, n_top,
+                           test_languages)
 
         monkeypatch.setattr(norm, "cohort_stats", logged_stats)
         monkeypatch.setattr(norm, "language_dependent_as_norm", logged_norm)
         pipeline.run_stage(cfg, "norm")
         assert len(splits) == len(pipeline.TRIAL_SPLITS)
-        for (enroll, test, languages), calls in splits:
-            langs = np.broadcast_to(np.asarray(languages, dtype=object), len(enroll))
+        for (enroll, test, enroll_rows, test_rows, languages), calls in splits:
+            langs = np.broadcast_to(np.asarray(languages, dtype=object), len(enroll_rows))
             groups = list(dict.fromkeys(langs))
             # one call per enroll-side language group, then one for the test side
             assert [lang for _, lang in calls] == groups + [None]
-            wanted = [enroll[langs == lang] for lang in groups] + [test]
+            # each call scores the table rows its trials use, each once, in row order
+            wanted = [enroll[sorted(set(enroll_rows[langs == lang]))] for lang in groups]
+            wanted.append(test[sorted(set(test_rows))])
             for (anchors, _), rows in zip(calls, wanted):
-                keys = [row.tobytes() for row in anchors]
-                assert len(set(keys)) == len(keys)  # no row repeated
-                assert set(keys) == {row.tobytes() for row in rows}  # every trial's row
+                assert anchors.tobytes() == rows.tobytes()
             # the split's trials share rows, so fewer rows were scored than they hold
-            assert sum(len(anchors) for anchors, _ in calls) < 2 * len(enroll)
+            assert sum(len(anchors) for anchors, _ in calls) < 2 * len(enroll_rows)
 
     def test_filter_classifies_only_tested_utterances(self, e2e_dir, tmp_path, monkeypatch):
         import shutil
@@ -933,7 +935,8 @@ class TestNormAgainstLiteral:
         # training is deterministic, so this is the classifier norm used
         classifier = norm.train_language_id(train_x, train_meta.languages,
                                             epochs=cfg.lid_epochs, lr=cfg.lid_lr)
-        trials, enroll, test = pipeline._trial_vectors(cfg, split)
+        trials, models, x, model_rows, test_rows = pipeline._trial_tables(cfg, split)
+        enroll, test = models[model_rows], x[test_rows]
         raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v[None])[0][0] for v in test]
         expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
@@ -984,9 +987,9 @@ class TestBackendTraining:
         calls = {"PldaScorer.score": 0, "nplda_score": 0}
         plda_score, nplda_score = backend.PldaScorer.score, nplda.nplda_score
 
-        def counting_plda(self, e, t):
+        def counting_plda(self, *args):
             calls["PldaScorer.score"] += 1
-            return plda_score(self, e, t)
+            return plda_score(self, *args)
 
         def counting_nplda(*args, **kwargs):
             calls["nplda_score"] += 1
@@ -1000,9 +1003,9 @@ class TestBackendTraining:
     def test_untrained_bank_is_the_plda_form(self, e2e_dir, tmp_path, monkeypatch):
         # with no NPLDA epochs every phrase's form is the PLDA backend's form
         # (a phrase without training pairs keeps that very object), so NPLDA
-        # and PLDA score each split alike, up to rounding: NPLDA scores each
-        # claimed phrase's rows as one block, which BLAS may round differently
-        # in the last bits of the form's terms
+        # and PLDA score each split alike, bit for bit: a trial's score
+        # depends on its two table rows only, not on the other trials that
+        # claim its phrase
         workdir = self._copy(e2e_dir, tmp_path)
         cfg = load_config(overrides=BASE + [f"workdir={workdir}", "nplda_epochs=0",
                                             "backends=cosine,plda,nplda"])
@@ -1031,8 +1034,7 @@ class TestBackendTraining:
             plda_ids, plda_scores = fileio.read_scores(workdir / f"scores_plda_{split}.txt")
             nplda_ids, nplda_scores = fileio.read_scores(workdir / f"scores_nplda_{split}.txt")
             assert plda_ids == nplda_ids
-            np.testing.assert_allclose(nplda_scores, plda_scores, rtol=0,
-                                       atol=1e-12 * np.abs(plda_scores).max())
+            np.testing.assert_array_equal(nplda_scores, plda_scores)
 
     def test_nplda_bank_trains_on_the_per_trial_selection(self, e2e_dir, monkeypatch):
         cfg = load_config(overrides=BASE + [f"workdir={e2e_dir}", "backends=cosine,nplda"])
@@ -1046,10 +1048,13 @@ class TestBackendTraining:
             protocols.append(gen_trials(*args, **kwargs))
             return protocols[-1]
 
-        def recording_train(init, enroll, test, labels, claimed, spoken, config):
+        def recording_train(init, enroll, test, enroll_rows, test_rows, labels, claimed, spoken,
+                            config):
             inits[claimed[0]] = init
-            seen[claimed[0]] = (enroll, test, list(labels), list(claimed), list(spoken))
-            return train_nplda(init, enroll, test, labels, claimed, spoken, config)
+            seen[claimed[0]] = (enroll[enroll_rows], test[test_rows], list(labels),
+                                list(claimed), list(spoken))
+            return train_nplda(init, enroll, test, enroll_rows, test_rows, labels, claimed,
+                               spoken, config)
 
         monkeypatch.setattr(synthgen, "gen_trials", recording_gen)
         monkeypatch.setattr(nplda, "train_nplda", recording_train)
@@ -1129,12 +1134,7 @@ class TestMetamorphic:
         for (name, split), (ids, values) in expected.items():
             perm = order[split]
             assert got[name, split][0] == tuple(ids[i] for i in perm), name
-            # equal up to rounding, not bitwise: NPLDA scores one block per
-            # claimed phrase, and OpenBLAS's matrix-vector product rounds a
-            # row by its position in a block of a size not divisible by 4
-            # (seen: 3e-14 of the largest |score|)
-            np.testing.assert_allclose(got[name, split][1], values[perm], rtol=0,
-                                       atol=1e-12 * np.abs(values).max(), err_msg=name)
+            np.testing.assert_array_equal(got[name, split][1], values[perm], err_msg=name)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -85,9 +85,9 @@ class TestCentroidsAgainstLiteral:
         tests = [ids[i] for i in rng.integers(0, len(x), size=40)]
         trials = Trials(tuple(f"t{i}" for i in range(40)), tuple(models), tuple(tests),
                         (None,) * 40)
-        enroll, test_rows = _trial_rows("emb", ids, x, "enroll", enroll_map, trials)
-        want = centroids_literal(x, _ENROLL_ROWS)
-        assert enroll.tobytes() == want[[int(m[1:]) for m in models]].tobytes()
+        enroll, model_rows, test_rows = _trial_rows("emb", ids, x, "enroll", enroll_map, trials)
+        assert enroll.tobytes() == centroids_literal(x, _ENROLL_ROWS).tobytes()
+        assert model_rows.tolist() == [int(m[1:]) for m in models]
         assert test_rows.tolist() == [ids.index(t) for t in tests]
 
     @settings(max_examples=60, deadline=None)

@@ -117,7 +117,8 @@ class TestLanguageDependentAsNorm:
         cohort = _cohort(rng.normal(size=(10, 4)))
         e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         raw = _dot_scorer(e, t)
-        ld = language_dependent_as_norm(raw, e, t, cohort, _dot_scorer, 4, Language.L1)
+        one = np.zeros(1, dtype=np.intp)  # the one trial: row 0 of each table
+        ld = language_dependent_as_norm(raw, e, t, one, one, cohort, _dot_scorer, 4, Language.L1)
         plain = as_norm(
             raw,
             cohort_stats(e, cohort, _dot_scorer, 4),
@@ -129,7 +130,8 @@ class TestLanguageDependentAsNorm:
         cohort, rng = self._mixed_cohort()
         e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         raw = _dot_scorer(e, t)
-        ld = language_dependent_as_norm(raw, e, t, cohort, _dot_scorer, 5, Language.L2)
+        one = np.zeros(1, dtype=np.intp)  # the one trial: row 0 of each table
+        ld = language_dependent_as_norm(raw, e, t, one, one, cohort, _dot_scorer, 5, Language.L2)
         expected = as_norm(
             raw,
             cohort_stats(e, cohort, _dot_scorer, 5, language_filter=Language.L2),
@@ -168,13 +170,14 @@ class TestLanguageDependentAsNorm:
                     test.append(vec)
                     langs.append(lang)
         enroll, test = np.array(enroll), np.array(test)
+        rows = np.arange(len(enroll))  # one enroll and one test row per trial
         raw = cosine_score(enroll, test)
         cross = np.array([lang is Language.L2 for lang in langs])
         scores = {
             "plain": as_norm(raw, cohort_stats(enroll, cohort, cosine_score, n_top),
                              cohort_stats(test, cohort, cosine_score, n_top)),
-            "lang": language_dependent_as_norm(raw, enroll, test, cohort, cosine_score,
-                                               n_top, langs),
+            "lang": language_dependent_as_norm(raw, enroll, test, rows, rows, cohort,
+                                               cosine_score, n_top, langs),
         }
         gaps = {mode: abs(float(np.mean(s[~cross]) - np.mean(s[cross]))) / float(np.std(s))
                 for mode, s in scores.items()}
@@ -330,15 +333,17 @@ class TestBatchedNormMatchesLiteral:
             else:
                 langs = [Language.L1] * n_trials
                 langs[int(rng.integers(n_trials))] = Language.L2
-            got = language_dependent_as_norm(raw, enroll, test, cohort, cosine_score,
-                                             n_top, langs)
+            rows = np.arange(n_trials)
+            got = language_dependent_as_norm(raw, enroll, test, rows, rows, cohort,
+                                             cosine_score, n_top, langs)
         expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestDistinctAnchorRows:
-    """Each distinct anchor row is scored once; the gathered statistics give
-    the AS-norm of scoring every trial's rows, bit for bit."""
+    """Each table row the trials use is scored against the cohort once; the
+    gathered statistics give the AS-norm of scoring every trial's rows, bit
+    for bit."""
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["one", "all", "mixed"]),
            st.integers(1, 12), st.sampled_from(["none", "one", "per_trial"]),
@@ -353,17 +358,19 @@ class TestDistinctAnchorRows:
         rng = np.random.default_rng(seed)
         cohort = _random_cohort(rng, n_l1, n_l2, dim)
 
-        def anchors():
+        def table_rows():
+            """A table with a spare row no trial uses, and each trial's row of it."""
             if repeats == "all":
-                return rng.normal(size=(n_trials, dim))
-            if repeats == "one":
-                return np.repeat(rng.normal(size=(1, dim)), n_trials, axis=0)
-            n_distinct = int(rng.integers(1, n_trials + 1))
-            picks = np.concatenate([np.arange(n_distinct),
-                                    rng.integers(0, n_distinct, n_trials - n_distinct)])
-            return rng.normal(size=(n_distinct, dim))[rng.permutation(picks)]
+                rows = rng.permutation(n_trials)
+            elif repeats == "one":
+                rows = np.zeros(n_trials, dtype=np.intp)
+            else:
+                n_distinct = int(rng.integers(1, n_trials + 1))
+                rows = rng.permutation(np.concatenate([
+                    np.arange(n_distinct), rng.integers(0, n_distinct, n_trials - n_distinct)]))
+            return rng.normal(size=(rows.max() + 2, dim)), rows
 
-        enroll, test = anchors(), anchors()
+        (enroll, enroll_rows), (test, test_rows) = table_rows(), table_rows()
         raw = rng.normal(size=n_trials)
         both = (Language.L1, Language.L2)
         langs = {
@@ -374,9 +381,10 @@ class TestDistinctAnchorRows:
         # n_top up to the smallest cohort a call may be filtered to
         limit = effective_n_top(10**6, cohort, language_dependent=langs is not None)
         n_top = limit if full_depth else int(rng.integers(2, limit + 1))
-        got = language_dependent_as_norm(raw, enroll, test, cohort, cosine_score, n_top, langs)
-        expected = language_dependent_as_norm_per_trial(raw, enroll, test, cohort, cosine_score,
-                                                        n_top, langs)
+        got = language_dependent_as_norm(raw, enroll, test, enroll_rows, test_rows, cohort,
+                                         cosine_score, n_top, langs)
+        expected = language_dependent_as_norm_per_trial(
+            raw, enroll[enroll_rows], test[test_rows], cohort, cosine_score, n_top, langs)
         assert got.dtype == expected.dtype and got.shape == expected.shape == (n_trials,)
         assert got.tobytes() == expected.tobytes()
 
@@ -406,7 +414,8 @@ class TestBatchFailures:
         e, t = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         langs = [Language.L1, Language.L2, Language.L1]
         with pytest.raises(ValueError, match="usable entries"):
-            language_dependent_as_norm(np.zeros(3), e, t, cohort, cosine_score, 2, langs)
+            language_dependent_as_norm(np.zeros(3), e, t, np.arange(3), np.arange(3), cohort,
+                                       cosine_score, 2, langs)
         with pytest.raises(ValueError, match="usable entries in a language"):
             effective_n_top(2, cohort, language_dependent=True)
 

@@ -14,6 +14,18 @@ def _random_pd(rng, dim, scale=1.0):
     return scale * (a @ a.T / dim + 0.2 * np.eye(dim))
 
 
+def _aligned(n):
+    """The row arrays of n row-aligned pairs: pair i is row i of each table."""
+    return np.arange(n), np.arange(n)
+
+
+def _score(form, e, t):
+    """nplda_score of the pairs (e[n], t[n]) of row-aligned (N, D) arrays,
+    or of the one pair of (D,) vectors e and t."""
+    e, t = np.atleast_2d(e), np.atleast_2d(t)
+    return nplda_score(form, e, t, *_aligned(len(e)))
+
+
 def _model(seed=0, dim=2):
     rng = np.random.default_rng(seed)
     return PldaModel(
@@ -33,8 +45,7 @@ class TestInitFromPlda:
             e = model.mu + rng.normal(size=dim)
             t = model.mu + rng.normal(size=dim)
             expected = float(plda_llr_joint_literal(model, e, t)[0])
-            assert abs(nplda_score(form, e, t) - expected) < 1e-8
-            assert abs(form.score(e, t) - expected) < 1e-8
+            assert abs(_score(form, e, t)[0] - expected) < 1e-8
 
     def test_reproduces_generative_llr_of_a_trained_model(self):
         # D=48 as in the pipeline's embeddings: 50 speakers x 12 rows
@@ -47,8 +58,7 @@ class TestInitFromPlda:
         expected = plda_llr_joint_literal(model, e, t)
         tol = 1e-12 * np.max(np.abs(expected))
         form = PldaScorer.from_model(model)
-        np.testing.assert_allclose(form.score(e, t), expected, rtol=0, atol=tol)
-        np.testing.assert_allclose(nplda_score(form, e, t), expected, rtol=0, atol=tol)
+        np.testing.assert_allclose(_score(form, e, t), expected, rtol=0, atol=tol)
 
     def test_zero_between_covariance(self):
         model = PldaModel(mu=np.ones(3), sigma_b=np.zeros((3, 3)), sigma_w=np.eye(3))
@@ -56,7 +66,8 @@ class TestInitFromPlda:
         np.testing.assert_allclose(params.lam, 0.0, atol=1e-12)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert nplda_score(params, rng.normal(size=3), rng.normal(size=3)) == pytest.approx(0.0, abs=1e-10)
+            assert _score(params, rng.normal(size=3), rng.normal(size=3)) == pytest.approx(
+                0.0, abs=1e-10)
 
     def test_zero_epochs_leaves_scores_unchanged(self):
         model = _model(3)
@@ -66,12 +77,10 @@ class TestInitFromPlda:
         t = rng.normal(size=(10, 2))
         labels = [True] * 5 + [False] * 5
         result = train_nplda(
-            params, e, t, labels, ["p"] * 10, ["p"] * 10,
+            params, e, t, *_aligned(10), labels, ["p"] * 10, ["p"] * 10,
             PipelineConfig(nplda_epochs=0),
         )
-        np.testing.assert_array_equal(
-            nplda_score(result.params, e, t), nplda_score(params, e, t)
-        )
+        np.testing.assert_array_equal(_score(result.params, e, t), _score(params, e, t))
 
 
 class TestNpldaScore:
@@ -80,8 +89,8 @@ class TestNpldaScore:
     def test_constant_params(self):
         form = PldaScorer(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 3.0)
         rng = np.random.default_rng(1)
-        e, t = rng.normal(size=2), rng.normal(size=2)
-        assert nplda_score(form, e, t) == form.score(e, t) == 3.0
+        e, t = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+        assert nplda_score(form, e, t, [0], [0]) == form.score(e, t, [0], [0]) == 3.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(2)
@@ -89,33 +98,27 @@ class TestNpldaScore:
         gamma = _random_pd(rng, 3)
         form = PldaScorer(lam, gamma, rng.normal(size=3), -0.5)
         for _ in range(10):
-            e, t = rng.normal(size=3), rng.normal(size=3)
-            assert nplda_score(form, e, t) == form.score(e, t)
-            assert nplda_score(form, e, t) == pytest.approx(
-                nplda_score(form, t, e), abs=1e-12
-            )
+            e, t = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+            assert nplda_score(form, e, t, [0], [0]) == form.score(e, t, [0], [0])
+            assert _score(form, e, t) == pytest.approx(_score(form, t, e), abs=1e-12)
 
     def test_batch_equals_per_row_calls(self):
         rng = np.random.default_rng(3)
         form = PldaScorer(rng.normal(size=(3, 3)), _random_pd(rng, 3), rng.normal(size=3), 0.7)
         e, t = rng.normal(size=(8, 3)), rng.normal(size=(5, 3))
-        rows = nplda_score(form, e[:5], t)
-        np.testing.assert_array_equal(rows, form.score(e[:5], t))
+        e_rows, t_rows = rng.integers(0, 8, 12), rng.integers(0, 5, 12)
+        rows = nplda_score(form, e, t, e_rows, t_rows)
+        np.testing.assert_array_equal(rows, form.score(e, t, e_rows, t_rows))
         np.testing.assert_allclose(
-            rows, [nplda_score(form, e[i], t[i]) for i in range(5)], rtol=1e-12, atol=1e-12
+            rows, [_score(form, e[a], t[b])[0] for a, b in zip(e_rows, t_rows)],
+            rtol=1e-12, atol=1e-12,
         )
-        outer = nplda_score(form, e[:, None, :], t)
-        assert outer.shape == (8, 5)
-        np.testing.assert_allclose(
-            outer, [[nplda_score(form, a, b) for b in t] for a in e], rtol=1e-12, atol=1e-12
-        )
-        assert isinstance(nplda_score(form, e[0], t[0]), float)
 
     def test_dimension_mismatch(self):
         form = PldaScorer(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
         for score in (nplda_score, PldaScorer.score):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                score(form, np.zeros(3), np.zeros(3))
+                score(form, np.zeros((1, 3)), np.zeros((1, 3)), [0], [0])
 
 
 class TestSoftDetcost:
@@ -182,7 +185,7 @@ class TestTrainNplda:
     def test_training_cost_never_ends_higher(self):
         params, e, t, labels = self._training_set(7)
         result = train_nplda(
-            params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels),
+            params, e, t, *_aligned(len(e)), labels, ["p"] * len(labels), ["p"] * len(labels),
             PipelineConfig(nplda_lr=5e-5, nplda_epochs=5),
         )
         assert result.loss_trace[-1] <= result.loss_trace[0]
@@ -194,34 +197,50 @@ class TestTrainNplda:
         phrases_t = ["p"] * len(labels)
         phrases_t[3] = "q"
         with pytest.raises(ValueError, match="same-phrase constraint"):
-            train_nplda(params, e, t, labels, phrases_e, phrases_t, PipelineConfig())
+            train_nplda(params, e, t, *_aligned(len(e)), labels, phrases_e, phrases_t,
+                        PipelineConfig())
 
     def test_single_class_batch_rejected(self):
         params, e, t, labels = self._training_set(9)
         with pytest.raises(ValueError):
-            train_nplda(params, e, t, [True] * len(labels), ["p"] * len(labels),
-                        ["p"] * len(labels), PipelineConfig())
+            train_nplda(params, e, t, *_aligned(len(e)), [True] * len(labels),
+                        ["p"] * len(labels), ["p"] * len(labels), PipelineConfig())
 
     def test_deterministic(self):
         params, e, t, labels = self._training_set(10)
         cfg = PipelineConfig(nplda_epochs=3)
-        a = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
-        b = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
+        phrases = ["p"] * len(labels)
+        a = train_nplda(params, e, t, *_aligned(len(e)), labels, phrases, phrases, cfg)
+        b = train_nplda(params, e, t, *_aligned(len(e)), labels, phrases, phrases, cfg)
         np.testing.assert_array_equal(a.params.lam, b.params.lam)
         assert a.theta == b.theta and a.loss_trace == b.loss_trace
 
+    def _check_against_oracle(self, epochs, e_rows=None, t_rows=None):
+        params, e, t, labels = self._training_set(11 + epochs)
+        if e_rows is None:
+            e_rows, t_rows = _aligned(len(e))
+        cfg = PipelineConfig(nplda_lr=2e-3, nplda_epochs=epochs)
+        result = train_nplda(params, e, t, e_rows, t_rows, labels, ["p"] * len(labels),
+                             ["p"] * len(labels), cfg)
+        form, theta_lit, trace = train_nplda_literal(params, e[e_rows], t[t_rows], labels, cfg)
+        # the library sums the gradients per table row, the oracle per pair
+        for name in ("lam", "gamma", "c"):
+            expected = getattr(form, name)
+            np.testing.assert_allclose(getattr(result.params, name), expected, rtol=0,
+                                       atol=1e-12 * np.abs(expected).max(), err_msg=name)
+        assert result.params.k == pytest.approx(form.k, rel=1e-12)
+        assert result.theta == pytest.approx(theta_lit, rel=1e-12)
+        np.testing.assert_allclose(result.loss_trace, trace, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("epochs", [0, 1, 6])
     def test_matches_two_scoring_oracle(self, epochs):
-        params, e, t, labels = self._training_set(11 + epochs)
-        cfg = PipelineConfig(nplda_lr=2e-3, nplda_epochs=epochs)
-        result = train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels), cfg)
-        form, theta_lit, trace = train_nplda_literal(params, e, t, labels, cfg)
-        np.testing.assert_array_equal(result.params.lam, form.lam)
-        np.testing.assert_array_equal(result.params.gamma, form.gamma)
-        np.testing.assert_array_equal(result.params.c, form.c)
-        assert result.params.k == form.k
-        assert result.theta == theta_lit
-        assert result.loss_trace == trace
+        self._check_against_oracle(epochs)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 6])
+    def test_pairs_sharing_table_rows_match_the_oracle(self, epochs):
+        # pairs share rows of the tables, and some rows are in no pair
+        rng = np.random.default_rng(epochs)
+        self._check_against_oracle(epochs, rng.integers(0, 20, 60), rng.integers(0, 40, 60))
 
     def test_scores_the_batch_once_per_epoch(self, monkeypatch):
         params, e, t, labels = self._training_set(12)
@@ -233,6 +252,6 @@ class TestTrainNplda:
             return score(*args)
 
         monkeypatch.setattr(nplda, "nplda_score", counting)
-        train_nplda(params, e, t, labels, ["p"] * len(labels), ["p"] * len(labels),
-                    PipelineConfig(nplda_epochs=5))
+        train_nplda(params, e, t, *_aligned(len(e)), labels, ["p"] * len(labels),
+                    ["p"] * len(labels), PipelineConfig(nplda_epochs=5))
         assert len(calls) == 6
