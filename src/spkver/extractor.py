@@ -122,7 +122,7 @@ def extract_embeddings(extractor: Extractor, features: np.ndarray) -> np.ndarray
 
 
 def _backward_to_params(extractor: Extractor, cache: dict, d_unit: np.ndarray):
-    """Backprop a gradient on the unit embeddings into network parameters."""
+    """Backprop d_unit into the network's parameters; d_h overwrites cache["h"]."""
     h, norms, unit = cache["h"], cache["norms"], cache["unit"]
     if np.any(norms == 0.0):
         raise NumericalError("cannot backprop through a zero-norm embedding")
@@ -133,8 +133,9 @@ def _backward_to_params(extractor: Extractor, cache: dict, d_unit: np.ndarray):
     d_raw /= norms[:, None]
     d_w2 = d_raw.T @ h
     d_b2 = d_raw.sum(axis=0)
-    d_h = d_raw @ extractor.w2
-    d_h *= h > 0.0  # the ReLU's mask: h > 0 exactly where its input is
+    mask = h > 0.0  # the ReLU's mask: h > 0 exactly where its input is
+    d_h = np.matmul(d_raw, extractor.w2, out=h)
+    d_h *= mask
     d_w1 = d_h.T @ cache["x"]
     d_b1 = d_h.sum(axis=0)
     return d_w1, d_b1, d_w2, d_b2
@@ -149,26 +150,31 @@ def _cosine_matrix(a: np.ndarray, b: np.ndarray):
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise NumericalError("zero-norm vector in cosine computation")
-    cos = (a @ b.T) / np.outer(na, nb)
+    cos = a @ b.T
+    cos /= np.outer(na, nb)
     return cos, na, nb
 
 
 def _cosine_backward(d_cos, cos, a, b, na, nb):
     # d cos(a_i, b_j) / d a_i = b_j/(|a_i||b_j|) - cos_ij a_i/|a_i|^2, and
     # symmetrically for b_j; both accumulated over the full (i, j) grid.
-    # the one (rows, classes) product goes before the quotients below are
-    # made, so no two such temporaries are live at once
-    d_cos_cos = d_cos * cos
-    sum_a, sum_b = d_cos_cos.sum(axis=1), d_cos_cos.sum(axis=0)
-    del d_cos_cos
-    d_a = ((d_cos / nb[None, :]) @ b) / na[:, None] - (sum_a / na**2)[:, None] * a
-    d_b = ((d_cos / na[:, None]).T @ a) / nb[:, None] - (sum_b / nb**2)[:, None] * b
+    # the caller's cos is dead after d_cos * cos: it holds that product, then both quotients
+    np.multiply(d_cos, cos, out=cos)
+    sum_a, sum_b = cos.sum(axis=1), cos.sum(axis=0)
+    d_a = np.divide(d_cos, nb[None, :], out=cos) @ b
+    d_a /= na[:, None]
+    d_a -= (sum_a / na**2)[:, None] * a
+    d_b = np.divide(d_cos, na[:, None], out=cos).T @ a
+    d_b /= nb[:, None]
+    d_b -= (sum_b / nb**2)[:, None] * b
     return d_a, d_b
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """The row-wise log-softmax, in place: returns `logits` itself."""
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +243,10 @@ def aam_loss(embeddings: np.ndarray, labels: Sequence[int], head: AamHead):
     logp = _log_softmax(logits)
     loss = float(-logp[rows, y].mean())
 
-    d_logits = np.exp(logp)
+    d_logits = np.exp(logp, out=logp)
     d_logits[rows, y] -= 1.0
     d_logits /= n
-    d_cos = head.scale * d_logits
+    d_cos = np.multiply(d_logits, head.scale, out=d_logits)
     d_cos[rows, y] *= dphi
     d_e, d_w = _cosine_backward(d_cos, cos, e, head.weights, ne, nw)
     return loss, d_e, d_w

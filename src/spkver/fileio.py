@@ -48,9 +48,9 @@ opens, in call order: op is "read" or "write", and digest is the sha256 hex
 digest of a write's bytes (None for a read). And it keeps what each row
 writer and `write_arrays` wrote, in one table keyed (str(path), format): the
 bytes and the columns as tuples, or a read-only view of each `.npz` member's
-data in them. A later read of the same path and format whose bytes are equal
-returns the kept tuples themselves or new views; it parses nothing but is
-still recorded and checked. A parse is never kept.
+data in them, until `forget` drops them. A later read of the same path and
+format whose bytes are equal returns the kept tuples themselves or new views;
+it parses nothing but is still recorded and checked. A parse is never kept.
 """
 
 from __future__ import annotations
@@ -125,6 +125,13 @@ def session():
         yield _session.get().files
     finally:
         _session.reset(token)
+
+
+def forget(*paths) -> None:
+    """Drop all the active session keeps for `paths`; a later read parses them."""
+    kept, names = getattr(_session.get(), "kept", {}), {str(p) for p in paths}
+    for key in [key for key in kept if key[0] in names]:
+        del kept[key]
 
 
 def _note(op: str, path, data: Optional[bytes] = None) -> None:

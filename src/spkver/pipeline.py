@@ -189,12 +189,14 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 
 def cmd_extract(cfg: PipelineConfig) -> None:
-    """Map every split's features through the trained network."""
+    """Map every split's features through the trained network, then forget
+    them and the checkpoint, which no later stage reads."""
     net, _, _ = fileio.read_checkpoint(_workpath(cfg, "ckpt.npz"))
     for split in SPLITS:
         ids, feats = fileio.read_matrix(_workpath(cfg, f"feats_{split}.npz"))
         fileio.write_matrix(_workpath(cfg, f"emb_{split}.npz"), ids,
                             extractor.extract_embeddings(net, feats))
+    fileio.forget(_workpath(cfg, "ckpt.npz"), *(_workpath(cfg, f"feats_{s}.npz") for s in SPLITS))
 
 
 # ---------------------------------------------------------------------------

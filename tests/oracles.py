@@ -404,9 +404,50 @@ def plda_em_literal(embeddings, speaker_labels, iters=20, ridge=None):
     return (mu, sigma_b, sigma_w), trace
 
 
-def _log_softmax(logits):
+def log_softmax_literal(logits):
+    """The row-wise log-softmax, with a fresh array for every intermediate."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cosine_backward_literal(d_cos, cos, a, b, na, nb):
+    """The gradients of sum(d_cos * cos(a_i, b_j)) on a and b, with a fresh
+    array for every intermediate; cos is left as given."""
+    d_cos_cos = d_cos * cos
+    sum_a, sum_b = d_cos_cos.sum(axis=1), d_cos_cos.sum(axis=0)
+    d_a = ((d_cos / nb[None, :]) @ b) / na[:, None] - (sum_a / na**2)[:, None] * a
+    d_b = ((d_cos / na[:, None]).T @ a) / nb[:, None] - (sum_b / nb**2)[:, None] * b
+    return d_a, d_b
+
+
+def aam_loss_literal(embeddings, labels, head):
+    """`extractor.aam_loss` with a fresh array for every intermediate:
+    (loss, d_embeddings, d_weights) of the margin softmax over cosine logits,
+    with the linear fallback where theta + m would exceed pi."""
+    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    y = np.asarray(labels, dtype=int)
+    n = e.shape[0]
+    rows = np.arange(n)
+    ne = np.linalg.norm(e, axis=1)
+    nw = np.linalg.norm(head.weights, axis=1)
+    cos = (e @ head.weights.T) / np.outer(ne, nw)
+    cos_m, sin_m = np.cos(head.margin), np.sin(head.margin)
+    tc = np.clip(cos[rows, y], -1.0, 1.0)
+    sin_theta = np.sqrt(np.maximum(1.0 - tc**2, 0.0))
+    easy = tc > -cos_m
+    phi = np.where(easy, tc * cos_m - sin_theta * sin_m, tc - head.margin * sin_m)
+    dphi = np.where(easy, cos_m + sin_m * tc / np.maximum(sin_theta, 1e-12), 1.0)
+    logits = head.scale * cos
+    logits[rows, y] = head.scale * phi
+    logp = log_softmax_literal(logits)
+    loss = float(-logp[rows, y].mean())
+    d_logits = np.exp(logp)
+    d_logits[rows, y] -= 1.0
+    d_logits /= n
+    d_cos = head.scale * d_logits
+    d_cos[rows, y] *= dphi
+    d_e, d_w = cosine_backward_literal(d_cos, cos, e, head.weights, ne, nw)
+    return loss, d_e, d_w
 
 
 def _cos_pair(a: np.ndarray, b: np.ndarray):
@@ -450,7 +491,7 @@ def ge2e_loss_literal(embeddings, params):
                 cos[s, u, k], _, _ = _cos_pair(e[s, u], cent)
     sims = params.w * cos + params.b
     flat = sims.reshape(s_n * u_n, s_n)
-    logp = _log_softmax(flat)
+    logp = log_softmax_literal(flat)
     own = np.repeat(np.arange(s_n), u_n)
     loss = float(-logp[np.arange(s_n * u_n), own].mean())
 

@@ -925,6 +925,15 @@ class TestKeptColumnsInE2e:
         assert sorted(texts - set(kept)) == ["fusion_weights.txt", "manifest.txt", "metrics.txt"]
 
 
+    def test_extract_forgets_the_features_and_the_checkpoint(self, tmp_path):
+        # no stage after extract reads them, so e2e keeps only the embeddings' arrays
+        cfg = load_config(overrides=BASE + [f"workdir={tmp_path}"])
+        with fileio.session():  # cmd_e2e's session joins this one
+            pipeline.cmd_e2e(cfg)
+            kept = {Path(path).name for path, fmt in fileio._session.get().kept if fmt == "npz"}
+        assert kept == {"emb_train.npz", "emb_dev.npz", "emb_eval.npz"}
+
+
 class TestNormAgainstLiteral:
     @pytest.mark.parametrize("split", ["dev", "eval"])
     def test_norm_scores_match_trial_at_a_time_oracle(self, e2e_dir, split):

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (
+    aam_loss_literal,
     backward_to_params_literal,
     check_gradients,
     forward_cache_literal,
     ge2e_loss_literal,
+    log_softmax_literal,
     meta_rows,
     pct_loss_literal,
     pmt_loss,
@@ -15,7 +20,7 @@ from oracles import (
     train_pct_literal,
 )
 from spkver.config import PipelineConfig
-from spkver.core import Metas, NumericalError
+from spkver.core import Metas, NumericalError, PhraseInventory
 from spkver.extractor import (
     ALL_ROWS,
     AamHead,
@@ -24,6 +29,7 @@ from spkver.extractor import (
     Strategy,
     _backward_to_params,
     _forward_cache,
+    _log_softmax,
     aam_loss,
     extract_embeddings,
     ge2e_loss,
@@ -92,7 +98,7 @@ class TestForwardBackwardAgainstLiteral:
         x = rng.normal(size=(n, f + 1))
         x[:, 0] = np.where(np.arange(n) % 2 == 1, 1e3, 0.0)
         d_unit = rng.normal(size=(n, d))
-        d_unit_given = d_unit.copy()
+        x_given, d_unit_given = x.copy(), d_unit.copy()
         got, want = _forward_cache(net, x), forward_cache_literal(net, x)
         assert not (want["z1"][1::2] > 0.0).any()
         for name in ("h", "norms", "unit"):
@@ -100,7 +106,45 @@ class TestForwardBackwardAgainstLiteral:
         for got_grad, want_grad in zip(_backward_to_params(net, got, d_unit),
                                        backward_to_params_literal(net, want, d_unit)):
             assert got_grad.tobytes() == want_grad.tobytes()
+        # backward writes d_h over cache["h"], and only there
+        assert got["x"].tobytes() == x_given.tobytes()
         assert d_unit.tobytes() == d_unit_given.tobytes()
+
+
+class TestAamAgainstLiteral:
+    """The in-place margin softmax and log-softmax compute bit for bit what
+    the literal ones do, with a fresh array for every intermediate."""
+
+    @settings(deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(1, 7), st.floats(1.0, 64.0),
+           st.floats(0.05, 0.6), st.integers(0, 2**32 - 1))
+    def test_aam_loss_bitwise_equal(self, n, dim, n_classes, scale, margin, seed):
+        rng = np.random.default_rng(seed)
+        head = _head(rng, n_classes, dim, scale=scale, margin=margin)
+        labels = rng.integers(0, n_classes, size=n)
+        e = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        # every other row points almost straight away from its class, so its
+        # theta + m exceeds pi and it takes the linear fallback
+        away = np.arange(n) % 2 == 1
+        e[away] = -3.0 * head.weights[labels[away]] + 1e-4 * e[away]
+        true_cos = np.sum(e * head.weights[labels], axis=1) / np.linalg.norm(e, axis=1)
+        assert (true_cos[away] < -np.cos(margin)).all()
+        e_given, w_given = e.copy(), head.weights.copy()
+        loss, d_e, d_w = aam_loss(e, labels, head)
+        want_loss, want_d_e, want_d_w = aam_loss_literal(e, labels, head)
+        assert loss == want_loss
+        assert d_e.tobytes() == want_d_e.tobytes()
+        assert d_w.tobytes() == want_d_w.tobytes()
+        assert e.tobytes() == e_given.tobytes() and head.weights.tobytes() == w_given.tobytes()
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                      elements=st.floats(-1e4, 1e4)))
+    def test_log_softmax_in_place_bitwise_equal(self, logits):
+        # GE2E hands it its similarities, and AAM its logits
+        want = log_softmax_literal(logits)
+        work = logits.copy()
+        assert _log_softmax(work) is work
+        assert work.tobytes() == want.tobytes()
 
 
 class TestAamLoss:
@@ -689,3 +733,44 @@ class TestTrain:
         net = Extractor.init(6, 8, 5, seed=5)
         with pytest.raises(ValueError, match="requires phrase labels"):
             train(net, feats, stripped, inventory, _train_cfg(Strategy.PMT, epochs=1), 0)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that a second call of fn allocates at its peak above its entry;
+    the first call makes whatever is allocated once."""
+    fn()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingStepMemory:
+    """The training step writes its (rows, classes) and (rows, hidden)
+    arrays into buffers it already owns, at the ti-plda-norm benchmark's
+    train shape: 600 rows of 64 features, 64 -> 128 -> 48, 50 speakers."""
+
+    N, N_SPK = 600, 50
+
+    def test_aam_loss_peaks_below_five_logit_arrays(self):
+        rng = np.random.default_rng(0)
+        e = rng.normal(size=(self.N, 48))
+        labels = rng.integers(0, self.N_SPK, size=self.N)
+        head = AamHead.init(self.N_SPK, 48, 1, scale=32.0, margin=0.2)
+        arrays = _traced_peak(lambda: aam_loss(e, labels, head)) / (self.N * self.N_SPK * 8)
+        assert arrays < 5, f"aam_loss peaked at {arrays:.2f} (N, C) arrays above its entry"
+
+    def test_train_peaks_below_its_bound(self):
+        rng = np.random.default_rng(1)
+        feats = rng.normal(size=(self.N, 64))
+        speakers = tuple(f"s{i % self.N_SPK:02d}" for i in range(self.N))
+        metas = Metas(tuple(f"u{i:03d}" for i in range(self.N)), speakers,
+                      (None,) * self.N, ("L1",) * self.N, (None,) * self.N)
+        net = Extractor.init(64, 128, 48, seed=2)
+        cfg = PipelineConfig(strategy=Strategy.AAM_ONLY.value, epochs=2)
+        peak = _traced_peak(lambda: train(net, feats, metas, PhraseInventory((), (), ()), cfg, 3))
+        assert peak < 2.6 * 2**20, f"train peaked {peak / 2**20:.2f} MiB above its entry"

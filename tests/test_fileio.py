@@ -761,6 +761,26 @@ class TestKeptArrays:
             _, values = read(path)  # after the session
         assert parse.call_count == 1 and values.flags.writeable
 
+    def test_a_read_after_forget_is_parsed(self, tmp_path):
+        path, scores = tmp_path / "x.npz", tmp_path / "s.txt"
+        with fileio.session():
+            fileio.write_matrix(path, ["u0", "u1"], np.arange(6.0).reshape(2, 3))
+            fileio.write_scores(scores, ["t0"], [0.5])
+            fileio.write_keys(scores, ["t0"], [TrialLabel.TC])  # a second format
+            fileio.forget(path, scores)
+            assert _kept_paths() == []
+            with mock.patch.object(np, "load", wraps=np.load) as load:
+                ids, x = fileio.read_matrix(path)
+            assert load.call_count == 1 and x.flags.writeable
+            assert ids == ["u0", "u1"] and x.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    def test_forget_outside_a_session_does_nothing(self, tmp_path):
+        path = tmp_path / "x.npz"
+        fileio.write_matrix(path, ["u0"], np.ones((1, 2)))
+        fileio.forget(path, tmp_path / "missing.npz")
+        assert fileio._session.get() is None
+        assert fileio.read_matrix(path)[0] == ["u0"]
+
 
 @pytest.mark.parametrize("write", [
     lambda path: fileio.write_lines(path, ["a"]),
