@@ -7,7 +7,8 @@ log-likelihood ratio of same-speaker vs different-speaker hypotheses,
 expanded once per model into a quadratic form in the pair
 (`PldaScorer.from_model`). `PldaScorer` is that form, (L, G, c, k), for
 PLDA and NPLDA alike: NPLDA fine-tunes the one generative form per phrase,
-and `PldaScorer.score` evaluates either on trials that are pairs of table rows.
+and `PldaScorer.score` evaluates either. It takes what `cosine_score` takes,
+(e, t, e_rows, t_rows): every back-end scores trials that are table rows.
 
 EM works on sufficient statistics (Sizov, Lee & Kinnunen, S+SSPR 2014):
 the within-speaker scatter S_w = sum_i (x_i - xbar_s)(x_i - xbar_s)^T and,
@@ -56,21 +57,20 @@ def _check_symmetric(name: str, mat: np.ndarray) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-def cosine_score(e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Inner product over the product of norms, in [-1, 1].
-
-    A broadcasting pair scorer: `e` and `t` of shapes (..., D) broadcast to
-    scores of shape (...).
-    """
+def cosine_score(e: np.ndarray, t: np.ndarray, e_rows, t_rows) -> np.ndarray:
+    """Inner product over the product of norms, in [-1, 1], of each trial
+    (e[e_rows], t[t_rows]) of the tables e (M, D) and t (U, D); the integer
+    row arrays broadcast together to the shape of the scores. Each table's
+    norms are taken once; only the rows the trials use must be nonzero."""
     e = np.asarray(e, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if e.shape[-1] != t.shape[-1]:
-        raise ValueError(f"dimension mismatch: {e.shape} vs {t.shape}")
-    ne = np.sqrt(np.einsum("...d,...d->...", e, e))
-    nt = np.sqrt(np.einsum("...d,...d->...", t, t))
+    if e.ndim != 2 or t.ndim != 2 or e.shape[1] != t.shape[1]:
+        raise ValueError(f"dimension mismatch: tables {e.shape} and {t.shape}")
+    ne = np.sqrt(np.einsum("nd,nd->n", e, e))[e_rows]
+    nt = np.sqrt(np.einsum("nd,nd->n", t, t))[t_rows]
     if not (np.all(ne > 0.0) and np.all(nt > 0.0)):
         raise NumericalError("cosine of a zero vector is undefined")
-    return np.einsum("...d,...d->...", e, t) / (ne * nt)
+    return np.einsum("...d,...d->...", e[e_rows], t[t_rows]) / (ne * nt)
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -278,7 +278,7 @@ class PldaScorer:
 
     def score(self, e: np.ndarray, t: np.ndarray, e_rows, t_rows) -> np.ndarray:
         """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k of each trial
-        (e[e_rows[n]], t[t_rows[n]]) of the tables e (M, D) and t (U, D). Each
+        (e[e_rows], t[t_rows]), tables and rows as in `cosine_score`. Each
         table is projected once, to x L and x^T G x + c^T x per row, and each
         trial combines its two rows by a row-local product sum, so its score
         does not depend on the other trials in the call."""
@@ -291,5 +291,5 @@ class PldaScorer:
         def terms(x):  # x^T G x + c^T x of each row of a table
             return np.einsum("nd,nd->n", x @ self.gamma, x) + x @ self.c
 
-        cross = np.einsum("nd,nd->n", (e @ self.lam)[e_rows], t[t_rows])
+        cross = np.einsum("...d,...d->...", (e @ self.lam)[e_rows], t[t_rows])
         return cross + terms(e)[e_rows] + terms(t)[t_rows] + self.k

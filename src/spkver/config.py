@@ -205,12 +205,10 @@ def _coerce(name: str, raw: str):
                 return False
             raise ValueError(raw)
         if base.startswith("Tuple"):
-            if raw == "":
-                return ()
-            parts = [p for p in raw.split(",") if p != ""]
-            if name in ("proportions",):
-                return tuple(_finite(float(p)) for p in parts)
-            return tuple(parts)
+            parts = tuple(raw.split(",")) if raw else ()
+            if "" in parts:
+                raise ValueError(raw)
+            return tuple(_finite(float(p)) for p in parts) if name == "proportions" else parts
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc

@@ -11,7 +11,8 @@ utterance's language; the test-side cohort is never language-filtered.
 The anchors are rows of the enroll-model and test-utterance tables, and
 an anchor's statistics depend only on the anchor (and the filter), so each
 table row that a trial uses is scored against the cohort once, however
-many trials share it.
+many trials share it. The cohort is scored as back-ends score trials
+(`Scorer`): each (anchor, entry) pair of the two tables' rows is a trial.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .core import Language, Metas, NumericalError
 
-# A broadcasting pair scorer: (..., D) with (..., D) -> (...) scores.
-Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# A back-end's table scorer, as `backend.cosine_score`: (e, t, e_rows, t_rows) -> scores.
+Scorer = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class Cohort(NamedTuple):
@@ -71,9 +72,9 @@ def cohort_stats(
 ) -> NormStats:
     """Mean / population standard deviation of each anchor's top-N cohort scores.
 
-    `anchors` is a batch (..., D), and the statistics are arrays of shape
-    (...). The (anchors x cohort) scores come from one broadcasting scorer
-    call, against the entries in `language_filter` (None: all of them).
+    `anchors` is an (A, D) table, and the statistics are (A,) arrays. One
+    scorer call pairs every anchor row with every row of the (C, D) table of
+    the entries in `language_filter` (None: all of them).
     """
     if n_top < 2:
         raise ValueError("n_top must be >= 2")
@@ -81,10 +82,11 @@ def cohort_stats(
     if len(x) < n_top:
         raise ValueError(f"cohort has {len(x)} usable entries after filtering, need {n_top}")
     anchors = np.asarray(anchors, dtype=np.float64)
-    scores = np.asarray(scorer(anchors[..., None, :], x), dtype=np.float64)
-    top = np.sort(scores, axis=-1)[..., -n_top:]
-    mu = top.mean(axis=-1)
-    sigma = top.std(axis=-1)  # population divisor
+    grid = np.ix_(np.arange(len(anchors)), np.arange(len(x)))
+    scores = np.asarray(scorer(anchors, x, *grid), dtype=np.float64)
+    top = np.sort(scores, axis=1)[:, -n_top:]
+    mu = top.mean(axis=1)
+    sigma = top.std(axis=1)  # population divisor
     if not np.all(sigma > 0.0):
         raise NumericalError(f"zero variance among top cohort scores (mu={mu[~(sigma > 0.0)]})")
     return NormStats(mu=mu, sigma=sigma)

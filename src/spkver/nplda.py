@@ -103,9 +103,9 @@ def train_nplda(
     minimizes the generative minDCF on the initial scores.
     """
     lab = np.asarray(labels, dtype=bool)
-    for i, (pe, pt) in enumerate(zip(enroll_phrases, test_phrases)):
-        if pe != pt:
-            raise ValueError(f"same-phrase constraint violated by training pair {i}")
+    same = np.asarray(enroll_phrases, dtype=object) == np.asarray(test_phrases, dtype=object)
+    if not same.all():
+        raise ValueError(f"same-phrase constraint violated by training pair {np.argmin(same)}")
     if lab.all() or not lab.any():
         raise ValueError("training pairs must include both classes")
     # only the table rows the pairs use: each epoch projects both tables

@@ -23,13 +23,14 @@ ids. Both raise DataFormatError naming the file and the first id at fault.
 A trial is then a pair of table rows: its model's row of the (M, D) table
 of unit enroll centroids and its test utterance's row of the split's
 (U, D) embeddings; its language, transcript and spoken phrase are columns
-indexed by the test rows. Scoring trains one PLDA, by EM on every train
-row: the plda backend scores with its form, and NPLDA fine-tunes that form
+indexed by the test rows. Every back-end scores through one contract,
+(enroll table, test table, model rows, test rows): cosine, the PLDA form
+that EM trains on every train row, and the NPLDA forms that fine-tune it
 once per train phrase. Scoring and normalization work on whole splits:
-PLDA and each NPLDA form project the two tables once per call and combine
-each trial's two rows alone (NPLDA in one call per claimed phrase), and
-AS-norm takes its cohort statistics in one call per side and language
-group, for each table row the trials use, however many trials share it.
+each scorer takes the two tables once per call and combines each trial's
+two rows alone (NPLDA in one call per claimed phrase), and AS-norm takes
+its cohort statistics in one call per side and language group, for each
+table row the trials use, however many trials share it.
 
 `cmd_e2e` runs its stages inside one session, so no file one stage writes
 is parsed again by a later stage that reads it unchanged, and builds its
@@ -321,13 +322,12 @@ def cmd_score(cfg: PipelineConfig) -> None:
     for split in TRIAL_SPLITS:
         trials, enroll, test, model_rows, test_rows = _trial_tables(cfg, split)
         for name in cfg.backends:
-            if name == "cosine":
-                scores = backend.cosine_score(enroll[model_rows], test[test_rows])
-            elif name == "plda":
-                scores = form.score(enroll, test, model_rows, test_rows)
-            else:
+            if name == "nplda":
                 scores = _score_by_claimed_phrase(bank, _workpath(cfg, f"trials_{split}.txt"),
                                                   trials, enroll, test, model_rows, test_rows)
+            else:
+                scorer = form.score if name == "plda" else backend.cosine_score
+                scores = scorer(enroll, test, model_rows, test_rows)
             fileio.write_scores(_workpath(cfg, f"scores_{name}_{split}.txt"), trials.ids, scores)
 
 

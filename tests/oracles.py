@@ -597,6 +597,21 @@ def nplda_training_pairs_literal(protocol, ids, x, metas, phrases):
     return out
 
 
+def cosine_score_broadcast(e, t):
+    """Inner product over the product of norms, as `backend.cosine_score`
+    computed it before it took tables and rows: a broadcasting pair scorer,
+    `e` and `t` of shapes (..., D) broadcast to scores of shape (...)."""
+    e = np.asarray(e, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if e.shape[-1] != t.shape[-1]:
+        raise ValueError(f"dimension mismatch: {e.shape} vs {t.shape}")
+    ne = np.sqrt(np.einsum("...d,...d->...", e, e))
+    nt = np.sqrt(np.einsum("...d,...d->...", t, t))
+    if not (np.all(ne > 0.0) and np.all(nt > 0.0)):
+        raise NumericalError("cosine of a zero vector is undefined")
+    return np.einsum("...d,...d->...", e, t) / (ne * nt)
+
+
 def plda_score_broadcast(form, e, t):
     """s(e, t) = e^T L t + e^T G e + t^T G t + c^T (e + t) + k under the
     form (L, G, c, k) of a `PldaScorer`, as its `score` computed it before

@@ -5,6 +5,7 @@ from scipy import integrate, stats
 
 from oracles import (
     auc_by_sorting,
+    cosine_score_broadcast,
     plda_em_literal,
     plda_marginal_loglik_literal,
     plda_score_broadcast,
@@ -21,51 +22,63 @@ from spkver.core import NumericalError
 from spkver.nplda import nplda_score
 
 
+def _cosine(e, t):
+    """`cosine_score` of the one pair of (D,) vectors e and t, each a
+    one-row table."""
+    return cosine_score(np.atleast_2d(e), np.atleast_2d(t), 0, 0)
+
+
 class TestCosine:
     def test_same_vector(self):
         u = np.array([0.3, -0.4, 0.5])
-        assert cosine_score(u, u) == pytest.approx(1.0)
+        assert _cosine(u, u) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert _cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_closed_form(self):
-        value = cosine_score(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        value = _cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert value == pytest.approx(1 / np.sqrt(2))
 
     def test_zero_vector(self):
         with pytest.raises(NumericalError):
-            cosine_score(np.zeros(3), np.ones(3))
+            _cosine(np.zeros(3), np.ones(3))
 
     def test_batch_equals_per_row_calls(self):
         rng = np.random.default_rng(13)
         e, t = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
-        rows = [cosine_score(e[i], t[i]) for i in range(9)]
-        np.testing.assert_array_equal(cosine_score(e, t), rows)
-        outer = [[cosine_score(a, b) for b in t] for a in e]
-        np.testing.assert_array_equal(cosine_score(e[:, None, :], t), outer)
-        assert isinstance(cosine_score(e[0], t[0]), float)
+        rows = [cosine_score(e, t, i, i) for i in range(9)]
+        np.testing.assert_array_equal(cosine_score(e, t, np.arange(9), np.arange(9)), rows)
+        outer = [[cosine_score(e, t, i, j) for j in range(9)] for i in range(9)]
+        np.testing.assert_array_equal(cosine_score(e, t, *np.ix_(range(9), range(9))), outer)
+        assert isinstance(cosine_score(e, t, 0, 0), float)
 
     def test_one_zero_vector_in_batch(self):
         rng = np.random.default_rng(14)
         e, t = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
         t[4] = 0.0
         with pytest.raises(NumericalError):
-            cosine_score(e, t)
+            cosine_score(e, t, np.arange(6), np.arange(6))
         with pytest.raises(NumericalError):
-            cosine_score(t[:, None, :], e)
+            cosine_score(t, e, *np.ix_(range(6), range(6)))
+        # only the rows that trials use must be nonzero
+        used = np.array([0, 1, 2, 3, 5])
+        np.testing.assert_array_equal(cosine_score(e, t, used, used),
+                                      cosine_score_broadcast(e[used], t[used]))
 
     def test_dimension_mismatch_in_batch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_score(np.ones((4, 3)), np.ones((4, 2)))
+            cosine_score(np.ones((4, 3)), np.ones((4, 2)), [0], [0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cosine_score(np.ones(3), np.ones((4, 3)), [0], [0])  # a table is (M, D)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 50), st.floats(0.01, 50))
     @settings(max_examples=40)
     def test_symmetry_and_scale_invariance(self, seed, a, b):
         rng = np.random.default_rng(seed)
         e, t = rng.normal(size=4), rng.normal(size=4)
-        assert cosine_score(e, t) == pytest.approx(cosine_score(t, e), abs=1e-12)
-        assert cosine_score(a * e, b * t) == pytest.approx(cosine_score(e, t), abs=1e-9)
+        assert _cosine(e, t) == pytest.approx(_cosine(t, e), abs=1e-12)
+        assert _cosine(a * e, b * t) == pytest.approx(_cosine(e, t), abs=1e-9)
 
 
 def _random_pd(rng, dim, scale=1.0):
@@ -411,7 +424,7 @@ class TestPldaScoring:
         same_llr, same_cos, diff_llr, diff_cos = [], [], [], []
         for i in range(0, len(x), 2):
             j = i + 1
-            pair = (_aligned(scorer, x[i], x[j])[0], cosine_score(x[i], x[j]))
+            pair = (_aligned(scorer, x[i], x[j])[0], cosine_score(x, x, i, j))
             if labels[i] == labels[j]:
                 same_llr.append(pair[0])
                 same_cos.append(pair[1])
@@ -419,7 +432,7 @@ class TestPldaScoring:
             j = i + 5
             if labels[i] != labels[j]:
                 diff_llr.append(_aligned(scorer, x[i], x[j])[0])
-                diff_cos.append(cosine_score(x[i], x[j]))
+                diff_cos.append(cosine_score(x, x, i, j))
         auc_llr = auc_by_sorting(same_llr, diff_llr)
         auc_cos = auc_by_sorting(same_cos, diff_cos)
         assert auc_llr > auc_cos
@@ -449,7 +462,7 @@ class TestTrialsAreTableRows:
         tuned = PldaScorer(form.lam + 0.1 * rng.normal(size=(dim, dim)), form.gamma,
                            form.c + rng.normal(size=dim), form.k - 0.5)
         score = {
-            "cosine": lambda a, b: cosine_score(e[a], t[b]),
+            "cosine": lambda a, b: cosine_score(e, t, a, b),
             "plda": lambda a, b: form.score(e, t, a, b),
             "nplda": lambda a, b: nplda_score(tuned, e, t, a, b),
         }[backend]
@@ -458,6 +471,34 @@ class TestTrialsAreTableRows:
         assert score(e_rows[pick], t_rows[pick]).tobytes() == whole[pick].tobytes()
         for i in pick[:3]:  # one trial alone
             assert score(e_rows[i:i + 1], t_rows[i:i + 1]).tobytes() == whole[i:i + 1].tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["cosine", "plda", "nplda"]),
+           st.integers(1, 12), st.integers(1, 20), st.integers(2, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_a_grid_of_rows_is_bitwise_the_per_pair_scores(self, seed, backend, n_models,
+                                                           n_utts, dim):
+        # AS-norm scores an (anchors x cohort) grid with np.ix_ rows
+        rng, e, t, _, form = self._tables(seed, n_models, n_utts, 1, dim)
+        tuned = PldaScorer(form.lam + 0.1 * rng.normal(size=(dim, dim)), form.gamma,
+                           form.c + rng.normal(size=dim), form.k - 0.5)
+        score = {"cosine": cosine_score, "plda": form.score,
+                 "nplda": lambda *args: nplda_score(tuned, *args)}[backend]
+        grid = score(e, t, *np.ix_(np.arange(n_models), np.arange(n_utts)))
+        assert grid.shape == (n_models, n_utts)
+        per_pair = [[score(e, t, np.array([a]), np.array([b]))[0] for b in range(n_utts)]
+                    for a in range(n_models)]
+        assert grid.tobytes() == np.array(per_pair).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 60),
+           st.integers(1, 200), st.integers(2, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_cosine_is_bitwise_the_broadcasting_oracle(self, seed, n_models, n_utts, n_trials,
+                                                      dim):
+        _, e, t, (e_rows, t_rows), _ = self._tables(seed, n_models, n_utts, n_trials, dim)
+        expected = cosine_score_broadcast(e[e_rows], t[t_rows])
+        assert cosine_score(e, t, e_rows, t_rows).tobytes() == expected.tobytes()
+        grid = cosine_score(e, t, *np.ix_(np.arange(n_models), np.arange(n_utts)))
+        assert grid.tobytes() == cosine_score_broadcast(e[:, None, :], t).tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 60),
            st.integers(1, 200), st.integers(2, 64))

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import as_norm_literal, nplda_training_pairs_literal
+from oracles import as_norm_literal, cosine_score_broadcast, nplda_training_pairs_literal
 import spkver
 from spkver import backend, fileio, metrics, norm, nplda, pipeline, synthgen
-from spkver.backend import cosine_score
 from spkver.cli import main
 from spkver.config import load_config
 from spkver.core import NumericalError, TrialLabel
@@ -167,6 +166,10 @@ class TestConfigHandling:
         cfg = load_config(overrides=["n_phrases=1", "proportions=1,0,1,0"])
         assert cfg.n_phrases == 1 and cfg.proportions == (1.0, 0.0, 1.0, 0.0)
 
+    def test_an_empty_list_value_is_the_empty_tuple(self):
+        # only an empty item is an error; an empty value keeps the task default
+        assert load_config(overrides=["task=TI", "proportions="]).proportions == ()
+
     def test_ti_enrollment_that_cannot_work_fails_before_any_stage(self, tmp_path, capsys):
         # no speaker has n_enroll utterances plus one to test; this used to
         # exit 3 from gen after writing four files
@@ -238,6 +241,8 @@ class TestConfigHandling:
         ("p_target=nan", "bad value for p_target: 'nan'"),
         # each PLDA score file used to be written twice, and fusion to weigh it twice
         ("backends=cosine,plda,plda", "backend 'plda' is listed more than once"),
+        # an empty list item used to be dropped: this ran cosine alone
+        ("backends=cosine,", "bad value for backends: 'cosine,'"),
         # these used to exit 3 from gen, and 1 with a traceback after gen wrote its files
         ("seed=-1", "seed must lie in [0, 2**63), got -1"),
         ("seed=9223372036854775808", "seed must lie in [0, 2**63), got 9223372036854775808"),
@@ -282,6 +287,8 @@ class TestConfigHandling:
          "n_dev_trials=1 at proportions 0.25,0.25,0.25,0.25 gives no nontarget trial"),
         (["n_eval_trials=1"],
          "n_eval_trials=1 at proportions 0.25,0.25,0.25,0.25 gives no nontarget trial"),
+        # an empty list item used to be dropped: this ran at (0.5, 0.5)
+        (["task=TI", "proportions=0.5,,0.5"], "bad value for proportions: '0.5,,0.5'"),
     ])
     def test_bad_trial_setting_fails_before_any_stage(self, tmp_path, capsys, settings,
                                                       message):
@@ -948,7 +955,7 @@ class TestNormAgainstLiteral:
         enroll, test = models[model_rows], x[test_rows]
         raw_ids, raw = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_{split}.txt")
         langs = [norm.predict_language(classifier, v[None])[0][0] for v in test]
-        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
+        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score_broadcast, n_top, langs)
         got_ids, got = fileio.read_scores(Path(e2e_dir) / f"scores_cosine_norm_{split}.txt")
         assert tuple(raw_ids) == tuple(got_ids) == trials.ids
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
@@ -990,11 +997,17 @@ class TestBackendTraining:
 
     def test_plda_scores_a_split_in_one_scorer_call(self, e2e_dir, tmp_path, monkeypatch):
         # bench/child.py traces PLDA scoring by these two names, and a
-        # PLDA-only workload must make no nplda_score call
+        # PLDA-only workload must make no nplda_score call; cosine takes the
+        # same (tables, rows) as PLDA, so no stage gathers trial-aligned rows
         workdir = self._copy(e2e_dir, tmp_path)
         cfg = load_config(overrides=BASE + [f"workdir={workdir}", "backends=cosine,plda"])
         calls = {"PldaScorer.score": 0, "nplda_score": 0}
         plda_score, nplda_score = backend.PldaScorer.score, nplda.nplda_score
+        cosine_score, cosine_args = backend.cosine_score, []
+
+        def recording_cosine(*args):
+            cosine_args.append(args)
+            return cosine_score(*args)
 
         def counting_plda(self, *args):
             calls["PldaScorer.score"] += 1
@@ -1006,8 +1019,15 @@ class TestBackendTraining:
 
         monkeypatch.setattr(backend.PldaScorer, "score", counting_plda)
         monkeypatch.setattr(nplda, "nplda_score", counting_nplda)
+        monkeypatch.setattr(backend, "cosine_score", recording_cosine)
         pipeline.cmd_score(cfg)
         assert calls == {"PldaScorer.score": 2, "nplda_score": 0}  # dev and eval
+        assert len(cosine_args) == len(pipeline.TRIAL_SPLITS)
+        for split, args in zip(pipeline.TRIAL_SPLITS, cosine_args):
+            _, enroll, test, model_rows, test_rows = pipeline._trial_tables(cfg, split)
+            assert len(args) == 4  # the (M, D) centroids, the (U, D) embeddings, the rows
+            for got, want in zip(args, (enroll, test, model_rows, test_rows)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_untrained_bank_is_the_plda_form(self, e2e_dir, tmp_path, monkeypatch):
         # with no NPLDA epochs every phrase's form is the PLDA backend's form

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     as_norm_literal,
     cohort_stats_literal,
+    cosine_score_broadcast,
     language_dependent_as_norm_per_trial,
     meta_rows,
+    plda_score_broadcast,
 )
-from spkver.backend import cosine_score
+from spkver.backend import PldaModel, PldaScorer, cosine_score
 from spkver.config import PipelineConfig
 from spkver.core import Language, Metas, NumericalError
 from spkver.norm import (
@@ -32,8 +36,8 @@ def _cohort(vecs, langs=None):
     return Cohort(x, np.array(langs, dtype=object))
 
 
-def _dot_scorer(a, b):
-    return np.einsum("...d,...d->...", a, b)
+def _dot_scorer(e, t, e_rows, t_rows):
+    return np.einsum("...d,...d->...", e[e_rows], t[t_rows])
 
 
 class TestCohortStats:
@@ -116,8 +120,8 @@ class TestLanguageDependentAsNorm:
         rng = np.random.default_rng(2)
         cohort = _cohort(rng.normal(size=(10, 4)))
         e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-        raw = _dot_scorer(e, t)
         one = np.zeros(1, dtype=np.intp)  # the one trial: row 0 of each table
+        raw = _dot_scorer(e, t, one, one)
         ld = language_dependent_as_norm(raw, e, t, one, one, cohort, _dot_scorer, 4, Language.L1)
         plain = as_norm(
             raw,
@@ -129,8 +133,8 @@ class TestLanguageDependentAsNorm:
     def test_enroll_side_uses_language_subcohort(self):
         cohort, rng = self._mixed_cohort()
         e, t = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-        raw = _dot_scorer(e, t)
         one = np.zeros(1, dtype=np.intp)  # the one trial: row 0 of each table
+        raw = _dot_scorer(e, t, one, one)
         ld = language_dependent_as_norm(raw, e, t, one, one, cohort, _dot_scorer, 5, Language.L2)
         expected = as_norm(
             raw,
@@ -171,7 +175,7 @@ class TestLanguageDependentAsNorm:
                     langs.append(lang)
         enroll, test = np.array(enroll), np.array(test)
         rows = np.arange(len(enroll))  # one enroll and one test row per trial
-        raw = cosine_score(enroll, test)
+        raw = cosine_score(enroll, test, rows, rows)
         cross = np.array([lang is Language.L2 for lang in langs])
         scores = {
             "plain": as_norm(raw, cohort_stats(enroll, cohort, cosine_score, n_top),
@@ -301,7 +305,8 @@ class TestBatchedNormMatchesLiteral:
         n_top = int(rng.integers(2, limit + 1))
         anchors = rng.normal(size=(n_anchors, 4))
         stats = cohort_stats(anchors, cohort, cosine_score, n_top, language_filter=lang)
-        expected = [cohort_stats_literal(a, cohort, cosine_score, n_top, lang) for a in anchors]
+        expected = [cohort_stats_literal(a, cohort, cosine_score_broadcast, n_top, lang)
+                    for a in anchors]
         np.testing.assert_allclose(stats.mu, [m for m, _ in expected], rtol=1e-12, atol=0)
         np.testing.assert_allclose(stats.sigma, [s for _, s in expected], rtol=1e-12, atol=0)
 
@@ -336,8 +341,71 @@ class TestBatchedNormMatchesLiteral:
             rows = np.arange(n_trials)
             got = language_dependent_as_norm(raw, enroll, test, rows, rows, cohort,
                                              cosine_score, n_top, langs)
-        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score, n_top, langs)
+        expected = as_norm_literal(raw, enroll, test, cohort, cosine_score_broadcast, n_top,
+                                   langs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def _random_plda_form(rng, dim):
+    def pd(scale):
+        a = rng.normal(size=(dim, dim))
+        return scale * (a @ a.T / dim + 0.2 * np.eye(dim))
+
+    return PldaScorer.from_model(PldaModel(mu=rng.normal(size=dim), sigma_b=pd(1.0),
+                                           sigma_w=pd(0.7)))
+
+
+class TestAnyTableScorer:
+    """AS-norm takes any back-end's table scorer, PLDA's as well as cosine's."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 8),
+           st.integers(2, 8), st.sampled_from([None, Language.L1, Language.L2]))
+    @settings(max_examples=40, deadline=None)
+    def test_plda_cohort_stats_match_literal(self, seed, n_anchors, n_l1, n_l2, lang):
+        rng = np.random.default_rng(seed)
+        cohort = _random_cohort(rng, n_l1, n_l2, dim=4)
+        form = _random_plda_form(rng, 4)
+        limit = len(cohort.x) if lang is None else int(np.sum(cohort.languages == lang))
+        n_top = int(rng.integers(2, limit + 1))
+        anchors = rng.normal(size=(n_anchors, 4))
+        stats = cohort_stats(anchors, cohort, form.score, n_top, language_filter=lang)
+        per_pair = functools.partial(plda_score_broadcast, form)
+        expected = np.array([cohort_stats_literal(a, cohort, per_pair, n_top, lang)
+                             for a in anchors])
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(stats.mu, expected[:, 0], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(stats.sigma, expected[:, 1], rtol=1e-12, atol=1e-12 * scale)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10), st.floats(-10, 10),
+           st.integers(1, 12), st.sampled_from(["none", "one", "per_trial"]),
+           st.integers(2, 8), st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_to_a_positive_affine_scorer(self, seed, a, b, n_trials, languages,
+                                                   n_l1, n_l2):
+        # Matejka et al. (Interspeech 2017): s-norm of a*s + b is s-norm of s
+        rng = np.random.default_rng(seed)
+        cohort = _random_cohort(rng, n_l1, n_l2, dim=4)
+        enroll, test = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+        enroll_rows, test_rows = rng.integers(0, 5, n_trials), rng.integers(0, 7, n_trials)
+        raw = rng.normal(size=n_trials)
+        both = (Language.L1, Language.L2)
+        langs = {
+            "none": None,
+            "one": both[int(rng.integers(2))],
+            "per_trial": [both[i] for i in rng.integers(0, 2, n_trials)],
+        }[languages]
+        limit = effective_n_top(10**6, cohort, language_dependent=langs is not None)
+        n_top = int(rng.integers(2, limit + 1))
+
+        def affine(*args):
+            return a * cosine_score(*args) + b
+
+        got = language_dependent_as_norm(a * raw + b, enroll, test, enroll_rows, test_rows,
+                                         cohort, affine, n_top, langs)
+        expected = language_dependent_as_norm(raw, enroll, test, enroll_rows, test_rows,
+                                              cohort, cosine_score, n_top, langs)
+        np.testing.assert_allclose(got, expected, rtol=1e-9,
+                                   atol=1e-9 * np.abs(expected).max())
 
 
 class TestDistinctAnchorRows:

@@ -196,7 +196,7 @@ class TestTrainNplda:
         phrases_e = ["p"] * len(labels)
         phrases_t = ["p"] * len(labels)
         phrases_t[3] = "q"
-        with pytest.raises(ValueError, match="same-phrase constraint"):
+        with pytest.raises(ValueError, match="same-phrase constraint violated by training pair 3$"):
             train_nplda(params, e, t, *_aligned(len(e)), labels, phrases_e, phrases_t,
                         PipelineConfig())
 
