@@ -22,7 +22,7 @@ iteration factors Sigma_w and one J_n = Sigma_w + n Sigma_b per count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -151,14 +151,14 @@ def plda_em_train(
     embeddings: np.ndarray,
     speaker_labels: Sequence,
     iters: int,
-    ridge: Optional[float] = None,
 ) -> Tuple[PldaModel, list]:
     """`iters` (the plda_iters key) EM iterations for the two-covariance
     model; returns (model, log-likelihood trace).
 
     The trace holds the observed-data log-likelihood of the initial model
     and of the model after each iteration; EM guarantees it never decreases
-    (up to the small ridge added for conditioning; default 1e-6*trace/D).
+    (up to the ridge that conditions each update: 1e-6 * trace / D on its
+    diagonal).
 
     The rows are read once, into the within-speaker scatter S_w and, per
     distinct utterance count n, the number of speakers m_n and the scatter
@@ -197,8 +197,6 @@ def plda_em_train(
     eye = np.eye(d)
 
     def _ridge_for(cov: np.ndarray) -> float:
-        if ridge is not None:
-            return float(ridge)
         return 1e-6 * float(np.trace(cov)) / d
 
     sigma_b = 0.5 * total_cov

@@ -2,10 +2,11 @@
 
 Each setting exists once: one `PipelineConfig` key with one default and at
 most one range rule, in `_RANGES`. The stages read the keys they need from
-the config itself. Unknown keys are rejected and values are checked when
-coerced; `validate()` then applies the range rules before any cross-key
-check. The same keys are accepted on the command line via repeated
-`--set key=value` flags.
+the config itself, and the kernels take every setting from their caller:
+none of them has a default of its own. Unknown keys are rejected and values
+are checked when coerced; `validate()` then applies the range rules before
+any cross-key check. The same keys are accepted on the command line via
+repeated `--set key=value` flags.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class PipelineConfig:
             Strategy(self.strategy)
             self.dcf_params()
             grid_divisions(self.grid_step)
-            props = trial_proportions(Task(self.task), self.proportions or None)
+            props = trial_proportions(Task(self.task), self.proportions)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.task == "TD" and self.n_phrases < 2:
@@ -157,7 +158,7 @@ class PipelineConfig:
                 )
         self.split_sizes()
         for name in ("n_dev_trials", "n_eval_trials"):  # EER and minDCF need both kinds
-            counts = trial_counts(Task(self.task), getattr(self, name), self.proportions or None)
+            counts = trial_counts(Task(self.task), getattr(self, name), self.proportions)
             kinds = {label.is_target for label, count in counts.items() if count > 0}
             if kinds != {True, False}:
                 raise ConfigError(

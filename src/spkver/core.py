@@ -73,12 +73,12 @@ class Trials(NamedTuple):
 
 class PhraseInventory(NamedTuple):
     """Closed, ordered inventory of pass-phrases as three equal-length
-    columns: phrase phrase_ids[i] has reference text texts[i] in
-    languages[i]. len(inventory.phrase_ids) counts the phrases."""
+    columns in file order: phrase phrase_ids[i] is in languages[i] and has
+    reference text texts[i]. len(inventory.phrase_ids) counts the phrases."""
 
     phrase_ids: tuple
-    texts: tuple
     languages: tuple
+    texts: tuple
 
 
 def unit_rows(v: np.ndarray, zero_norm) -> np.ndarray:

@@ -434,13 +434,12 @@ def read_metas(path) -> Metas:
 
 def write_inventory(path, inventory: PhraseInventory) -> None:
     """Write an inventory file, one row per phrase."""
-    _write_rows(path, _INVENTORY, (inventory.phrase_ids, inventory.languages, inventory.texts))
+    _write_rows(path, _INVENTORY, inventory)
 
 
 def read_inventory(path) -> PhraseInventory:
     """The phrases of an inventory file as columns, in file order."""
-    phrase_ids, languages, texts = _read_rows(path, _INVENTORY)
-    return PhraseInventory(phrase_ids, texts, languages)
+    return PhraseInventory(*_read_rows(path, _INVENTORY))
 
 
 def write_enroll_map(path, enroll_map: Mapping[str, Sequence[str]]) -> None:

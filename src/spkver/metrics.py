@@ -23,9 +23,9 @@ from .core import PhraseInventory
 class DcfParams:
     """Operating point of the normalized detection cost function."""
 
-    p_target: float = 0.01
-    c_miss: float = 10.0
-    c_fa: float = 1.0
+    p_target: float
+    c_miss: float
+    c_fa: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_target < 1.0:
@@ -142,7 +142,7 @@ def eer(scores: np.ndarray, is_target: np.ndarray) -> float:
     return float(_eer_rows(miss, fa)[0])
 
 
-def min_dcf_details(scores: np.ndarray, is_target: np.ndarray, params: DcfParams = DcfParams()):
+def min_dcf_details(scores: np.ndarray, is_target: np.ndarray, params: DcfParams):
     """Normalized minimum detection cost and the threshold attaining it.
 
     Threshold candidates are the observed scores plus the +/-inf endpoints;
@@ -153,7 +153,7 @@ def min_dcf_details(scores: np.ndarray, is_target: np.ndarray, params: DcfParams
     return float(cost[0]), float(thr[0])
 
 
-def min_dcf(scores: np.ndarray, is_target: np.ndarray, params: DcfParams = DcfParams()) -> float:
+def min_dcf(scores: np.ndarray, is_target: np.ndarray, params: DcfParams) -> float:
     return min_dcf_details(scores, is_target, params)[0]
 
 
@@ -212,7 +212,7 @@ def classify_phrases(transcripts: Sequence[str], inventory: PhraseInventory) -> 
     return [inventory.phrase_ids[k] for k in np.argmin(dist, axis=1).tolist()]
 
 
-def apply_phrase_filter(scores: np.ndarray, mismatch: np.ndarray, floor: float = -1000.0):
+def apply_phrase_filter(scores: np.ndarray, mismatch: np.ndarray, floor: float):
     """`floor` where a trial's classified test phrase mismatches its claimed
     phrase (`mismatch`, one flag per trial), the score itself elsewhere."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -271,8 +271,8 @@ _SWEEP_SCORES = 1 << 13
 def tune_weights(
     dev_scores: np.ndarray,
     is_target: np.ndarray,
-    params: DcfParams = DcfParams(),
-    grid_step: float = 0.1,
+    params: DcfParams,
+    grid_step: float,
 ) -> FusionWeights:
     """Exhaustive simplex-grid search for the dev-minDCF-minimizing weights.
 

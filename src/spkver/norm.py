@@ -173,8 +173,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def train_language_id(
     embeddings: np.ndarray,
     language_labels: Sequence[Language],
-    epochs: int = 200,
-    lr: float = 0.5,
+    epochs: int,
+    lr: float,
 ) -> LangClassifier:
     """Gradient-descent logistic regression from embeddings to languages.
 

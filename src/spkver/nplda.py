@@ -42,7 +42,7 @@ def soft_detcost(
     labels: np.ndarray,
     theta: float,
     alpha: float,
-    cost_params: DcfParams = DcfParams(),
+    cost_params: DcfParams,
 ) -> Tuple[float, np.ndarray, float]:
     """Differentiable normalized detection cost.
 

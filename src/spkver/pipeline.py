@@ -104,8 +104,8 @@ def cmd_gen(cfg: PipelineConfig) -> None:
     for split, n_trials, trial_seed in (("dev", cfg.n_dev_trials, seeds[2]),
                                         ("eval", cfg.n_eval_trials, seeds[3])):
         protocols[split] = synthgen.gen_trials(
-            subs[split].metas, corpus.inventory, Task(cfg.task), n_trials, trial_seed,
-            proportions=list(cfg.proportions) or None, n_enroll=cfg.n_enroll,
+            subs[split].metas, Task(cfg.task), n_trials, trial_seed,
+            proportions=cfg.proportions, n_enroll=cfg.n_enroll,
         )
 
     for split, sub in subs.items():
@@ -284,10 +284,9 @@ def _train_nplda_bank(cfg: PipelineConfig, x, metas,
         raise fileio.DataFormatError(
             f"{meta_path}: NPLDA training pairs: infeasible request: only one speaker "
             f"has more than n_enroll={cfg.n_enroll} utterances of phrase {lone[0]!r}")
-    inventory = fileio.read_inventory(_workpath(cfg, "inventory.txt"))
     try:
         protocol = synthgen.gen_trials(
-            metas, inventory, Task.TD, cfg.n_dev_trials, _child_seed(cfg.seed, 6),
+            metas, Task.TD, cfg.n_dev_trials, _child_seed(cfg.seed, 6),
             proportions=(0.5, 0.0, 0.5, 0.0), n_enroll=cfg.n_enroll,
         )
     except ValueError as exc:

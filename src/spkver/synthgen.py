@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -122,9 +122,9 @@ def gen_corpus(cfg: PipelineConfig, seed: int) -> SynthCorpus:
     n_l1 = (cfg.n_phrases + 1) // 2
     inventory = PhraseInventory(
         phrase_ids=tuple(f"ph{p:02d}" for p in range(cfg.n_phrases)),
-        texts=tuple(texts),
         languages=tuple(Language.L1 if p < n_l1 else Language.L2
                         for p in range(cfg.n_phrases)),
+        texts=tuple(texts),
     )
 
     # the loop makes only the draws, in their order, each noise vector into its
@@ -167,10 +167,10 @@ _LABELS = {
 }
 
 
-def trial_proportions(task: Task, proportions: Optional[Sequence[float]] = None) -> list:
-    """The checked per-label proportions of a task; None gives uniform ones."""
+def trial_proportions(task: Task, proportions: Sequence[float]) -> list:
+    """The checked per-label proportions of a task; empty ones give uniform ones."""
     labels = _LABELS[task]
-    if proportions is None:
+    if not proportions:
         return [1.0 / len(labels)] * len(labels)
     props = [float(p) for p in proportions]
     if len(props) != len(labels):
@@ -181,8 +181,7 @@ def trial_proportions(task: Task, proportions: Optional[Sequence[float]] = None)
     return props
 
 
-def trial_counts(task: Task, n_trials: int,
-                 proportions: Optional[Sequence[float]] = None) -> dict:
+def trial_counts(task: Task, n_trials: int, proportions: Sequence[float]) -> dict:
     """Trials per label of a task: the largest-remainder allocation of
     n_trials over the checked proportions (`trial_proportions`)."""
     props = trial_proportions(task, proportions)
@@ -201,20 +200,22 @@ def _choice(rng: np.random.Generator, items: Sequence):
 
 def gen_trials(
     metas: Metas,
-    inventory: PhraseInventory,
     task: Task,
     n_trials: int,
     seed: int,
-    proportions: Optional[Sequence[float]] = None,
-    n_enroll: int = 3,
+    proportions: Sequence[float],
+    n_enroll: int,
 ) -> TrialProtocol:
-    """Sample a keyed trial list over the utterances of `metas`.
+    """Sample a keyed trial list over the utterances of `metas`, with
+    n_trials allocated over the labels by `trial_counts`.
 
-    TD mode enrolls per (speaker, phrase) cell and emits TC/TW/IC/IW labels
-    with the requested proportions (default uniform). TI mode enrolls each
-    speaker on L1 utterances only, tests against held-out utterances of
-    either language, and emits TARGET/NONTARGET (default half-and-half).
-    Enrollment utterances are never reused as test utterances.
+    TD mode enrolls each (speaker, phrase) cell on its first n_enroll
+    utterances and emits TC/TW/IC/IW labels in the given proportions (empty:
+    uniform); TW and IW trials need at least 2 distinct phrases in `metas`.
+    TI mode enrolls each speaker on its first n_enroll L1 utterances, tests
+    against held-out utterances of either language, and emits
+    TARGET/NONTARGET (empty proportions: half-and-half). Enrollment
+    utterances are never reused as test utterances.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -225,11 +226,11 @@ def gen_trials(
         raise ValueError("TD trials require phrase labels on every utterance")
     counts = trial_counts(task, n_trials, proportions)
     if task is Task.TD:
-        return _gen_td(metas, inventory, counts, n_enroll, rng)
+        return _gen_td(metas, counts, n_enroll, rng)
     return _gen_ti(metas, counts, n_enroll, rng)
 
 
-def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
+def _gen_td(metas, counts, n_enroll, rng) -> TrialProtocol:
     # Enrollment cells: first n_enroll utterances of each (speaker, phrase)
     # cell enroll; the rest are that cell's test pool.
     cells: dict = {}
@@ -247,7 +248,7 @@ def _gen_td(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
         models.append((model_id, spk, phr))
     if not models:
         raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
-    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory.phrase_ids) < 2:
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(set(metas.phrases)) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
     model_ids, test_ids, claimed, labels = [], [], [], []

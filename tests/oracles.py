@@ -152,7 +152,7 @@ def eer_dict(scores, keys) -> float:
     return eer(*_targets_first(scores, keys))
 
 
-def min_dcf_dict(scores, keys, params=DcfParams()):
+def min_dcf_dict(scores, keys, params: DcfParams):
     """(minDCF, threshold) of a score dict, its targets ahead of its nontargets."""
     return min_dcf_details(*_targets_first(scores, keys), params)
 
@@ -181,7 +181,7 @@ def fuse_dict(score_sets, weights: FusionWeights) -> dict:
     return out
 
 
-def apply_phrase_filter_dict(scores, trials, classified_phrase, floor=-1000.0) -> dict:
+def apply_phrase_filter_dict(scores, trials, classified_phrase, floor: float) -> dict:
     """Floor the score of every trial whose classified test phrase mismatches
     the claimed phrase, one trial at a time."""
     by_id = {t: (u, c) for t, u, c in zip(trials.ids, trials.test_ids, trials.claimed)}
@@ -536,7 +536,7 @@ def _simplex_grid(n_systems: int, grid_step: float):
             yield tuple(p / n for p in parts)
 
 
-def tune_weights_literal(dev_sets, dev_keys, params=DcfParams(), grid_step=0.1):
+def tune_weights_literal(dev_sets, dev_keys, params: DcfParams, grid_step: float):
     """Exhaustive simplex-grid search for the dev-minDCF-minimizing weights.
 
     The one-weight-vector-at-a-time form that the one-sweep
@@ -879,7 +879,7 @@ def _choice_literal(rng, items):
     return items[int(rng.integers(len(items)))]
 
 
-def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
+def gen_td_literal(metas, counts, n_enroll, rng) -> TrialProtocol:
     """`synthgen._gen_td` as it was before it built each model's pools once:
     every trial rescans every cell for its label's test pool."""
     # Enrollment cells: first n_enroll utterances of each (speaker, phrase)
@@ -899,7 +899,7 @@ def gen_td_literal(metas, inventory, counts, n_enroll, rng) -> TrialProtocol:
         models.append((model_id, spk, phr))
     if not models:
         raise ValueError("no (speaker, phrase) cell has enough utterances to enroll")
-    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(inventory.phrase_ids) < 2:
+    if counts[TrialLabel.TW] + counts[TrialLabel.IW] > 0 and len(set(metas.phrases)) < 2:
         raise ValueError("TW/IW trials need at least 2 phrases")
 
     trials, labels = [], []
@@ -993,9 +993,9 @@ def gen_corpus_literal(cfg, seed: int) -> SynthCorpus:
     n_l1 = (cfg.n_phrases + 1) // 2
     inventory = PhraseInventory(
         phrase_ids=tuple(f"ph{p:02d}" for p in range(cfg.n_phrases)),
-        texts=tuple(texts),
         languages=tuple(Language.L1 if p < n_l1 else Language.L2
                         for p in range(cfg.n_phrases)),
+        texts=tuple(texts),
     )
 
     ids, speakers, phrases, languages, transcripts = [], [], [], [], []

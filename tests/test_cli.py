@@ -376,6 +376,13 @@ class TestStageInputs:
             if stage in pinned:
                 assert {n for n in reads if n.endswith(".meta")} == set(pinned[stage]), stage
 
+    def test_nplda_score_reads_no_inventory(self, tmp_path):
+        # the NPLDA training pairs count the train labels' phrases, not the inventory's
+        workdir = tmp_path / "w"
+        assert main(["e2e"] + _args(workdir, "backends=cosine,plda,nplda")) == 0
+        score_reads = {stage: reads for stage, reads, _ in _manifest_stages(workdir)}["score"]
+        assert "meta_train.meta" in score_reads and "inventory.txt" not in score_reads
+
     @pytest.mark.parametrize("config", STAGE_CONFIGS)
     def test_stages_chain_and_the_manifest_records_them(self, tmp_path, capsys, config):
         workdir = tmp_path / "w"

@@ -402,19 +402,19 @@ class TestProtocolFiles:
 
 class TestInventory:
     def test_round_trip(self, tmp_path):
-        inv = PhraseInventory(("ph00", "ph01"), ("salamaleikum", "good morning"),
-                              (Language.L1, Language.L2))
+        inv = PhraseInventory(("ph00", "ph01"), (Language.L1, Language.L2),
+                              ("salamaleikum", "good morning"))
         path = tmp_path / "inv.txt"
         fileio.write_inventory(path, inv)
         assert fileio.read_inventory(path) == inv
 
-    @given(st.lists(st.tuples(_IDS, _TEXTS, st.sampled_from(Language)),
+    @given(st.lists(st.tuples(_IDS, st.sampled_from(Language), _TEXTS),
                     unique_by=lambda row: row[0], max_size=8))
     def test_columns_round_trip(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "inv.txt"
         inv = PhraseInventory(*(tuple(row[k] for row in rows) for k in range(3)))
         fileio.write_inventory(path, inv)
-        lines = ["INV"] + [f"{phrase} {lang.value} {text}" for phrase, text, lang in rows]
+        lines = ["INV"] + [f"{phrase} {lang.value} {text}" for phrase, lang, text in rows]
         assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
         assert fileio.read_inventory(path) == inv
 
@@ -435,7 +435,7 @@ class TestInventory:
             fileio.read_inventory(path)
 
     def test_empty_reference_text_is_not_written(self, tmp_path):
-        inv = PhraseInventory(("ph00",), ("",), (Language.L1,))
+        inv = PhraseInventory(("ph00",), (Language.L1,), ("",))
         with pytest.raises(ValueError, match="phrase ph00: empty reference text"):
             fileio.write_inventory(tmp_path / "inv.txt", inv)
         assert not (tmp_path / "inv.txt").exists()
@@ -454,7 +454,7 @@ _FORMATS = {
     "metas": ((_AWKWARD, _AWKWARD, st.none() | _AWKWARD, st.sampled_from(Language),
                st.none() | _AWKWARD),
               lambda cols: Metas(*cols), fileio.write_metas, fileio.read_metas),
-    "inventory": ((_AWKWARD, _AWKWARD, st.sampled_from(Language)),
+    "inventory": ((_AWKWARD, st.sampled_from(Language), _AWKWARD),
                   lambda cols: PhraseInventory(*cols), fileio.write_inventory,
                   fileio.read_inventory),
     "enroll": ((_AWKWARD, st.lists(_AWKWARD, max_size=3).map(tuple)),
@@ -527,8 +527,8 @@ class TestRowRule:
         (lambda p: fileio.write_metas(p, Metas(("u1",), ("s1",), ("p",), (Language.L1,),
                                                ("a\nb",))),
          r"transcript 'a\\nb' holds a line break"),
-        (lambda p: fileio.write_inventory(p, PhraseInventory(("ph00",), ("a\rb",),
-                                                             (Language.L1,))),
+        (lambda p: fileio.write_inventory(p, PhraseInventory(("ph00",), (Language.L1,),
+                                                             ("a\rb",))),
          r"text 'a\\rb' holds a line break"),
     ])
     def test_writer_refuses_what_its_reader_rejects(self, tmp_path, write, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     tune_weights_literal,
 )
 from spkver import metrics
+from spkver.config import PipelineConfig
 from spkver.core import Language, PhraseInventory, TrialLabel, Trials
 from spkver.metrics import (
     DcfParams,
@@ -31,6 +33,11 @@ from spkver.metrics import (
     min_dcf_details,
     tune_weights,
 )
+
+# the configured settings: the operating point, the fusion grid step and the
+# phrase filter's floor
+CFG = PipelineConfig()
+DCF = CFG.dcf_params()
 
 
 def _score_set(tgt, non):
@@ -73,7 +80,7 @@ class TestEer:
         with pytest.raises(ValueError, match="target flags"):
             eer(scores, is_target[:-1])
         with pytest.raises(ValueError, match="expected 1-D scores"):
-            min_dcf(scores[None], is_target)
+            min_dcf(scores[None], is_target, DCF)
         scores[2] = np.nan
         with pytest.raises(ValueError, match=r"non-finite score at \[2\]"):
             eer(scores, is_target)
@@ -99,16 +106,20 @@ class TestEer:
 class TestMinDcf:
     def test_perfect_separation(self):
         scores, keys = _score_set([1.0, 0.9], [0.1, 0.2])
-        assert min_dcf(scores, keys) == 0.0
+        assert min_dcf(scores, keys, DCF) == 0.0
 
     def test_all_equal_hits_reject_all_endpoint(self):
-        # accept-all costs 9.9 under the defaults, reject-all exactly 1.0
+        # accept-all costs 9.9 at the configured operating point, reject-all exactly 1.0
         scores, keys = _score_set([0.5, 0.5], [0.5, 0.5])
-        assert min_dcf(scores, keys) == pytest.approx(1.0, abs=1e-12)
+        assert min_dcf(scores, keys, DCF) == pytest.approx(1.0, abs=1e-12)
+
+    def test_operating_point_has_no_default_of_its_own(self):
+        with pytest.raises(TypeError):
+            DcfParams()
 
     def test_threshold_is_reported(self):
         scores, keys = _score_set([0.9, 0.8], [0.1, 0.2])
-        cost, threshold = min_dcf_details(scores, keys)
+        cost, threshold = min_dcf_details(scores, keys, DCF)
         assert cost == 0.0
         assert 0.2 < threshold <= 0.8
 
@@ -130,7 +141,7 @@ class TestMinDcf:
             tgt = rng.normal(1, 1, size=rng.integers(1, 30))
             non = rng.normal(0, 1, size=rng.integers(1, 30))
             scores, keys = _score_set(tgt, non)
-            value = min_dcf(scores, keys)
+            value = min_dcf(scores, keys, DCF)
             assert 0.0 <= value <= 1.0
 
 
@@ -144,7 +155,7 @@ class TestMonotoneInvariance:
         scores, keys = _score_set(tgt, non)
         warped, _ = _score_set(np.tanh(tgt) * 3 + 1, np.tanh(non) * 3 + 1)
         assert eer(scores, keys) == pytest.approx(eer(warped, keys), abs=1e-12)
-        assert min_dcf(scores, keys) == pytest.approx(min_dcf(warped, keys), abs=1e-12)
+        assert min_dcf(scores, keys, DCF) == pytest.approx(min_dcf(warped, keys, DCF), abs=1e-12)
 
     # small integers give ties within and across the classes
     _SCORES = st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float),
@@ -160,7 +171,7 @@ class TestMonotoneInvariance:
         scores, keys = _score_set(tgt, non)
         ranks = np.unique(scores, return_inverse=True)[1].astype(np.float64)
         assert eer(ranks, keys) == eer(scores, keys)
-        assert min_dcf(ranks, keys) == min_dcf(scores, keys)
+        assert min_dcf(ranks, keys, DCF) == min_dcf(scores, keys, DCF)
 
 
 class TestAgainstDictForms:
@@ -177,7 +188,7 @@ class TestAgainstDictForms:
         scores = np.round(rng.normal(is_target * 1.0, 1.0) * 4) / 4  # ties
         ids = [f"t{i}" for i in rng.permutation(n)]
         score_dict, keys = _as_dicts(ids, scores, is_target)
-        params = DcfParams(p_target=p_target)
+        params = dataclasses.replace(DCF, p_target=p_target)
         assert eer(scores, is_target) == eer_dict(score_dict, keys)
         assert min_dcf_details(scores, is_target, params) == min_dcf_dict(score_dict, keys, params)
 
@@ -259,9 +270,8 @@ class TestBatchedEditDistance:
 
 
 def _inventory():
-    return PhraseInventory(("ph00", "ph01", "ph02"),
-                           ("salamaleikum", "sobhbekheyr", "goodmorningall"),
-                           (Language.L1, Language.L1, Language.L2))
+    return PhraseInventory(("ph00", "ph01", "ph02"), (Language.L1, Language.L1, Language.L2),
+                           ("salamaleikum", "sobhbekheyr", "goodmorningall"))
 
 
 class TestClassifyPhrase:
@@ -269,8 +279,8 @@ class TestClassifyPhrase:
         assert classify_phrases(["sobhbekheyr"], _inventory()) == ["ph01"]
 
     def test_tie_breaks_by_inventory_order(self):
-        inv = PhraseInventory(("p1", "p2", "p3"), ("aaaa", "bbbb", "cccc"),
-                              (Language.L1, Language.L1, Language.L2))
+        inv = PhraseInventory(("p1", "p2", "p3"), (Language.L1, Language.L1, Language.L2),
+                              ("aaaa", "bbbb", "cccc"))
         # "dddd" is equidistant from every entry, "bbcc" from p2 and p3
         assert classify_phrases(["dddd", "bbcc", ""], inv) == ["p1", "p2", "p1"]
         assert classify_phrase_literal("bbcc", inv) == "p2"
@@ -286,8 +296,8 @@ class TestClassifyPhrase:
     @given(st.lists(_TEXT, max_size=8),
            st.lists(_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
     def test_matches_one_at_a_time_oracle(self, texts, refs):
-        inv = PhraseInventory(tuple(f"p{k}" for k in range(len(refs))), tuple(refs),
-                              (Language.L1,) * len(refs))
+        inv = PhraseInventory(tuple(f"p{k}" for k in range(len(refs))),
+                              (Language.L1,) * len(refs), tuple(refs))
         assert classify_phrases(texts, inv) == [classify_phrase_literal(t, inv) for t in texts]
 
     def test_noisy_transcripts_still_classify(self):
@@ -310,11 +320,11 @@ class TestPhraseFilter:
 
     def test_all_match_is_identity(self):
         scores = np.asarray([1.0, 0.5, -0.2])
-        assert apply_phrase_filter(scores, np.zeros(3, dtype=bool)).tolist() == scores.tolist()
+        assert apply_phrase_filter(scores, np.zeros(3, dtype=bool), CFG.filter_floor).tolist() == scores.tolist()
 
     def test_misaligned_mask_raises(self):
         with pytest.raises(ValueError, match="mismatch flags"):
-            apply_phrase_filter([1.0, 0.5, -0.2], [False, True])
+            apply_phrase_filter([1.0, 0.5, -0.2], [False, True], CFG.filter_floor)
 
     def test_never_raises_scores(self):
         scores = np.asarray([1.0, 0.5, -0.2])
@@ -349,7 +359,7 @@ class TestFusion:
 class TestTuneWeights:
     def test_single_system(self):
         scores, is_target = _score_set([2.0, 1.5], [0.1])
-        assert tune_weights(scores[None], is_target).weights == (1.0,)
+        assert tune_weights(scores[None], is_target, DCF, CFG.grid_step).weights == (1.0,)
 
     def test_perfect_system_wins(self):
         rng = np.random.default_rng(7)
@@ -361,15 +371,15 @@ class TestTuneWeights:
         costs = {}
         for i in range(11):
             w = FusionWeights((i / 10, 1 - i / 10))
-            costs[w.weights] = min_dcf(fuse(scores, w), is_target)
+            costs[w.weights] = min_dcf(fuse(scores, w), is_target, DCF)
         assert costs[(1.0, 0.0)] == 0.0
         assert all(c > 0.0 for w, c in costs.items() if w != (1.0, 0.0))
-        weights = tune_weights(scores, is_target, grid_step=0.1)
+        weights = tune_weights(scores, is_target, DCF, grid_step=0.1)
         assert weights.weights[0] == 1.0
 
     def test_duplicate_systems_tie_break_lexicographic(self):
         scores, is_target = _score_set([1.0, 0.8, 0.6], [0.7, 0.2])
-        weights = tune_weights(np.stack([scores, scores]), is_target, grid_step=0.5)
+        weights = tune_weights(np.stack([scores, scores]), is_target, DCF, grid_step=0.5)
         assert weights.weights == (0.0, 1.0)
 
     def test_never_worse_than_best_single(self):
@@ -377,8 +387,8 @@ class TestTuneWeights:
         for _ in range(10):
             is_target = np.arange(40) < 15
             scores = rng.normal(is_target * 1.0, 1.0, size=(3, 40))
-            fused_cost = min_dcf(fuse(scores, tune_weights(scores, is_target)), is_target)
-            singles = [min_dcf(s, is_target) for s in scores]
+            fused_cost = min_dcf(fuse(scores, tune_weights(scores, is_target, DCF, CFG.grid_step)), is_target, DCF)
+            singles = [min_dcf(s, is_target, DCF) for s in scores]
             assert fused_cost <= min(singles) + 1e-12
 
 
@@ -409,7 +419,7 @@ class TestTuneWeightsAgainstLiteral:
         if n_systems == 4 and grid_step < 0.2:
             grid_step = 0.2  # keeps the loop oracle's 4-system grid at 56 points
         sets, keys = _fusion_case(seed, n_systems, n_trials)
-        params = DcfParams(p_target=p_target)
+        params = dataclasses.replace(DCF, p_target=p_target)
         got = tune_weights(*_matrix(sets, keys), params, grid_step)
         assert got.weights == tune_weights_literal(sets, keys, params, grid_step).weights
 
@@ -421,8 +431,8 @@ class TestTuneWeightsAgainstLiteral:
             monkeypatch.setattr(metrics, "_SWEEP_SCORES", budget)
             for seed in range(5):
                 sets, keys = _fusion_case(seed, 3, 40)
-                got = tune_weights(*_matrix(sets, keys), grid_step=0.1)
-                assert got.weights == tune_weights_literal(sets, keys, grid_step=0.1).weights
+                got = tune_weights(*_matrix(sets, keys), DCF, grid_step=0.1)
+                assert got.weights == tune_weights_literal(sets, keys, DCF, grid_step=0.1).weights
 
     @pytest.mark.parametrize("n_trials", [150, 3000])
     def test_sweep_memory_is_bounded(self, n_trials):
@@ -436,7 +446,7 @@ class TestTuneWeightsAgainstLiteral:
         try:
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
-            tune_weights(scores, is_target, grid_step=0.05)
+            tune_weights(scores, is_target, DCF, grid_step=0.05)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -454,14 +464,14 @@ class TestTuneWeightsAgainstLiteral:
     def test_bad_inputs_raise(self):
         scores, is_target = _matrix(*_fusion_case(0, 2, 10))
         with pytest.raises(ValueError, match="target flags"):
-            tune_weights(scores, is_target[:-1])
+            tune_weights(scores, is_target[:-1], DCF, CFG.grid_step)
         with pytest.raises(ValueError, match="expected 2-D scores"):
-            tune_weights(scores[0], is_target)
+            tune_weights(scores[0], is_target, DCF, CFG.grid_step)
         bad = scores.copy()
         bad[1, 4] = np.inf
         with pytest.raises(ValueError, match=r"non-finite score at \[1, 4\]"):
-            tune_weights(bad, is_target)
+            tune_weights(bad, is_target, DCF, CFG.grid_step)
         with pytest.raises(ValueError, match="at least one target and one nontarget"):
-            tune_weights(scores, np.ones_like(is_target))
+            tune_weights(scores, np.ones_like(is_target), DCF, CFG.grid_step)
         with pytest.raises(ValueError, match="at least one system"):
-            tune_weights(np.empty((0, 10)), is_target)
+            tune_weights(np.empty((0, 10)), is_target, DCF, CFG.grid_step)

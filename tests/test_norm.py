@@ -28,6 +28,8 @@ from spkver.norm import (
 )
 from spkver.synthgen import gen_corpus
 
+CFG = PipelineConfig()  # the configured language-ID schedule
+
 
 def _cohort(vecs, langs=None):
     """A cohort of the given rows, all L1 unless languages are given."""
@@ -212,7 +214,7 @@ class TestLanguageId:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 4))
         langs = [Language.L1] * 5 + [Language.L2] * 5
-        clf = train_language_id(x, langs, epochs=0)
+        clf = train_language_id(x, langs, epochs=0, lr=CFG.lid_lr)
         predicted, posterior = predict_language(clf, x)
         np.testing.assert_allclose(posterior, 0.5)
         # tie-break toward the lower-indexed language
@@ -233,7 +235,8 @@ class TestLanguageId:
     def test_single_language_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
-            train_language_id(rng.normal(size=(4, 3)), [Language.L1] * 4)
+            train_language_id(rng.normal(size=(4, 3)), [Language.L1] * 4,
+                              epochs=CFG.lid_epochs, lr=CFG.lid_lr)
 
     def test_posterior_saturates_along_weight_direction(self):
         rng = np.random.default_rng(10)
@@ -250,7 +253,7 @@ class TestLanguageId:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 3))
         langs = [Language.L1] * 3 + [Language.L2] * 3
-        clf = train_language_id(x, langs, epochs=1)
+        clf = train_language_id(x, langs, epochs=1, lr=CFG.lid_lr)
         with pytest.raises(ValueError, match="dimension 3"):
             predict_language(clf, np.zeros((1, 4)))
         # one embedding is not a batch
@@ -330,7 +333,8 @@ class TestBatchedNormMatchesLiteral:
                           cohort_stats(test, cohort, cosine_score, n_top))
         else:
             if mode == "ld_lid":
-                clf = train_language_id(cohort.x, list(cohort.languages), epochs=20)
+                clf = train_language_id(cohort.x, list(cohort.languages), epochs=20,
+                                        lr=CFG.lid_lr)
                 langs, _ = predict_language(clf, test)
                 assert langs == [predict_language(clf, v[None])[0][0] for v in test]
             elif mode == "ld_metadata":

@@ -8,6 +8,8 @@ from spkver.config import PipelineConfig
 from spkver.metrics import DcfParams
 from spkver.nplda import nplda_score, soft_detcost, train_nplda
 
+DCF = PipelineConfig().dcf_params()  # the configured operating point
+
 
 def _random_pd(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim))
@@ -125,7 +127,7 @@ class TestSoftDetcost:
     def test_separated_scores_with_sharp_sigmoid(self):
         scores = np.array([5.0, 6.0, -5.0, -6.0])
         labels = np.array([True, True, False, False])
-        loss, _, _ = soft_detcost(scores, labels, theta=0.0, alpha=50.0)
+        loss, _, _ = soft_detcost(scores, labels, theta=0.0, alpha=50.0, cost_params=DCF)
         assert loss < 1e-8
 
     def test_symmetric_case(self):
@@ -140,7 +142,7 @@ class TestSoftDetcost:
 
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
-            soft_detcost(np.ones(3), np.array([True, True, True]), 0.0, 10.0)
+            soft_detcost(np.ones(3), np.array([True, True, True]), 0.0, 10.0, DCF)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -148,11 +150,11 @@ class TestSoftDetcost:
             scores = rng.normal(size=9)
             labels = np.array([True] * 4 + [False] * 5)
             theta = float(rng.normal())
-            loss, d_scores, d_theta = soft_detcost(scores, labels, theta, alpha=4.0)
+            loss, d_scores, d_theta = soft_detcost(scores, labels, theta, alpha=4.0, cost_params=DCF)
 
             def fn(arrays):
                 value, _, _ = soft_detcost(arrays["scores"], labels,
-                                           float(arrays["theta"]), alpha=4.0)
+                                           float(arrays["theta"]), alpha=4.0, cost_params=DCF)
                 return value
 
             check_gradients(

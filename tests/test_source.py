@@ -182,3 +182,69 @@ def test_checker_flags_a_reordered_init():
     assert "os" not in flagged
     assert imports_before_blas_setting("import numpy\nimport os\n") == [
         (1, "numpy"), (0, "OPENBLAS_NUM_THREADS")]
+
+
+def _is_no_setting(default: ast.expr) -> bool:
+    """None, a bool or the empty tuple: a default that picks no value of a setting."""
+    if isinstance(default, ast.Constant):
+        return default.value is None or isinstance(default.value, bool)
+    return isinstance(default, ast.Tuple) and not default.elts
+
+
+def setting_defaults(source: str) -> list:
+    """(qualified function name, parameter) of every parameter default, in
+    a def or lambda at any depth, that is not None, a bool or (). Settings
+    take their defaults from `PipelineConfig` alone, so a kernel's own
+    numeric or object default is a second home for one."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                found.extend((name, arg.arg) for arg, d in pairs if not _is_no_setting(d))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# the defaults that are no setting of the pipeline: a standalone extractor's
+# seed and the rank `_checked` expects unless told otherwise
+ALLOWED_DEFAULTS = {("extractor.py", "Extractor.init", "seed"),
+                    ("metrics.py", "_checked", "ndim")}
+
+
+def test_checker_flags_setting_defaults():
+    source = (
+        "def f(a, b=None, c=True, d=(), *, e=False, f=None, g):\n"
+        "    def inner(x=0.5):\n"
+        "        return x\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, p=Params(), q=(1,), r=-1):\n"
+        "        return lambda y=2: y\n"
+        "def h(u, v='x', /, w=[]):\n"
+        "    pass\n"
+        "async def k(*, z=3):\n"
+        "    pass\n"
+    )
+    assert setting_defaults(source) == [
+        ("f.inner", "x"), ("K.m", "p"), ("K.m", "q"), ("K.m", "r"), ("K.m.<lambda>", "y"),
+        ("h", "v"), ("h", "w"), ("k", "z")]
+
+
+def test_every_setting_default_is_the_configs():
+    found = {(module, name, param) for module in MODULES
+             for name, param in setting_defaults((SRC / module).read_text(encoding="utf-8"))}
+    assert found - ALLOWED_DEFAULTS == set()

@@ -6,7 +6,7 @@ from oracles import gen_corpus_literal, gen_td_literal, gen_ti_literal, meta_row
 from spkver import synthgen
 from spkver.cli import main
 from spkver.config import PipelineConfig
-from spkver.core import Language, Metas, NumericalError, PhraseInventory, TrialLabel
+from spkver.core import Language, Metas, NumericalError, TrialLabel
 from spkver.metrics import levenshtein
 from spkver.synthgen import Task, gen_corpus, gen_transcript, gen_trials
 
@@ -36,6 +36,9 @@ def _cfg(**kw):
     )
     base.update(kw)
     return PipelineConfig(**base)
+
+
+N_ENROLL = PipelineConfig().n_enroll  # the configured enrollment count
 
 
 def _corpus(**kw):
@@ -212,14 +215,14 @@ class TestGenTranscript:
 class TestGenTrials:
     def test_td_all_tc(self):
         corpus = _corpus()
-        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 40, seed=1,
-                              proportions=(1, 0, 0, 0))
+        protocol = gen_trials(corpus.metas, Task.TD, 40, seed=1,
+                              proportions=(1, 0, 0, 0), n_enroll=N_ENROLL)
         assert all(label is TrialLabel.TC for label in protocol.labels)
 
     def test_td_histogram_matches_proportions(self):
         corpus = _corpus()
-        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 101, seed=2,
-                              proportions=(0.4, 0.1, 0.4, 0.1))
+        protocol = gen_trials(corpus.metas, Task.TD, 101, seed=2,
+                              proportions=(0.4, 0.1, 0.4, 0.1), n_enroll=N_ENROLL)
         counts = {}
         for label in protocol.labels:
             counts[label] = counts.get(label, 0) + 1
@@ -231,7 +234,8 @@ class TestGenTrials:
 
     def test_td_protocol_consistent_and_labels_truthful(self):
         corpus = _corpus()
-        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TD, 120, seed=3)
+        protocol = gen_trials(corpus.metas, Task.TD, 120, seed=3, proportions=(),
+                              n_enroll=N_ENROLL)
         _assert_resolvable(protocol, corpus.metas)
         meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         trials = protocol.trials
@@ -254,7 +258,8 @@ class TestGenTrials:
 
     def test_ti_exact_count_and_consistency(self):
         corpus = _corpus(n_utts_per_cell=8)
-        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 100, seed=4)
+        protocol = gen_trials(corpus.metas, Task.TI, 100, seed=4, proportions=(),
+                              n_enroll=N_ENROLL)
         assert all(len(column) == 100 for column in protocol.trials)
         assert len(protocol.labels) == 100
         assert protocol.trials.claimed == (None,) * 100
@@ -262,22 +267,31 @@ class TestGenTrials:
 
     def test_ti_enrollment_is_l1_only(self):
         corpus = _corpus(n_utts_per_cell=8)
-        protocol = gen_trials(corpus.metas, corpus.inventory, Task.TI, 50, seed=5)
+        protocol = gen_trials(corpus.metas, Task.TI, 50, seed=5, proportions=(),
+                              n_enroll=N_ENROLL)
         meta = {m.utt_id: m for m in meta_rows(corpus.metas)}
         for utt_ids in protocol.enroll_map.values():
             assert all(meta[u].language is Language.L1 for u in utt_ids)
 
     def test_tw_with_single_phrase_is_infeasible(self):
         corpus = _corpus(n_phrases=1)
-        with pytest.raises(ValueError):
-            gen_trials(corpus.metas, corpus.inventory, Task.TD, 10, seed=6,
-                       proportions=(0.5, 0.5, 0, 0))
+        with pytest.raises(ValueError, match="^TW/IW trials need at least 2 phrases$"):
+            gen_trials(corpus.metas, Task.TD, 10, seed=6, proportions=(0.5, 0.5, 0, 0),
+                       n_enroll=N_ENROLL)
 
     def test_determinism(self):
         corpus = _corpus()
-        a = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
-        b = gen_trials(corpus.metas, corpus.inventory, Task.TD, 60, seed=9)
+        a = gen_trials(corpus.metas, Task.TD, 60, seed=9, proportions=(), n_enroll=N_ENROLL)
+        b = gen_trials(corpus.metas, Task.TD, 60, seed=9, proportions=(), n_enroll=N_ENROLL)
         assert a.trials == b.trials and a.labels == b.labels
+
+    @pytest.mark.parametrize("task, uniform", [
+        (Task.TD, (0.25, 0.25, 0.25, 0.25)), (Task.TI, (0.5, 0.5))])
+    def test_empty_proportions_are_uniform(self, task, uniform):
+        corpus = _corpus(n_utts_per_cell=8)
+        got = gen_trials(corpus.metas, task, 97, seed=12, proportions=(), n_enroll=N_ENROLL)
+        assert got == gen_trials(corpus.metas, task, 97, seed=12, proportions=uniform,
+                                 n_enroll=N_ENROLL)
 
 
 def _outcome(fn, *args):
@@ -291,7 +305,7 @@ def _outcome(fn, *args):
 @st.composite
 def _uneven_corpus(draw):
     """Metadata with a drawn number of utterances (possibly none) per
-    (speaker, phrase) cell and drawn languages, and its inventory."""
+    (speaker, phrase) cell and drawn languages."""
     n_spk, n_phr = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     rows = []
     for s in range(n_spk):
@@ -299,9 +313,7 @@ def _uneven_corpus(draw):
             for u in range(draw(st.integers(0, 5))):
                 lang = draw(st.sampled_from([Language.L1, Language.L2]))
                 rows.append((f"s{s}_p{p}_u{u}", f"s{s}", f"p{p}", lang, "abc"))
-    inventory = PhraseInventory(tuple(f"p{p}" for p in range(n_phr)), ("abc",) * n_phr,
-                                (Language.L1,) * n_phr)
-    return Metas(*(tuple(row[k] for row in rows) for k in range(5))), inventory
+    return Metas(*(tuple(row[k] for row in rows) for k in range(5)))
 
 
 class TestGenTrialsAgainstLiteral:
@@ -311,21 +323,18 @@ class TestGenTrialsAgainstLiteral:
     @settings(max_examples=150, deadline=None)
     @given(_uneven_corpus(), st.lists(st.integers(0, 3), min_size=4, max_size=4),
            st.integers(1, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_td_protocol_equals_per_trial_form(self, corpus, props, n_trials, n_enroll, seed):
-        metas, inventory = corpus
+    def test_td_protocol_equals_per_trial_form(self, metas, props, n_trials, n_enroll, seed):
         if sum(props) == 0:
             props[0] = 1
         counts = synthgen.trial_counts(Task.TD, n_trials, props)
-        got = _outcome(synthgen._gen_td, metas, inventory, counts, n_enroll,
-                       np.random.default_rng(seed))
-        assert got == _outcome(gen_td_literal, metas, inventory, counts, n_enroll,
+        got = _outcome(synthgen._gen_td, metas, counts, n_enroll, np.random.default_rng(seed))
+        assert got == _outcome(gen_td_literal, metas, counts, n_enroll,
                                np.random.default_rng(seed))
 
     @settings(max_examples=150, deadline=None)
     @given(_uneven_corpus(), st.lists(st.integers(0, 3), min_size=2, max_size=2),
            st.integers(1, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_ti_protocol_equals_per_trial_form(self, corpus, props, n_trials, n_enroll, seed):
-        metas, _ = corpus
+    def test_ti_protocol_equals_per_trial_form(self, metas, props, n_trials, n_enroll, seed):
         if sum(props) == 0:
             props[1] = 1
         counts = synthgen.trial_counts(Task.TI, n_trials, props)
@@ -334,16 +343,15 @@ class TestGenTrialsAgainstLiteral:
                                np.random.default_rng(seed))
 
     @pytest.mark.parametrize("task, proportions", [
-        (Task.TD, None), (Task.TD, (0.5, 0.0, 0.5, 0.0)), (Task.TI, None), (Task.TI, (0, 1)),
+        (Task.TD, ()), (Task.TD, (0.5, 0.0, 0.5, 0.0)), (Task.TI, ()), (Task.TI, (0, 1)),
     ])
     def test_generated_corpus(self, task, proportions):
         corpus = _corpus(n_speakers=9, n_utts_per_cell=6)
         counts = synthgen.trial_counts(task, 300, proportions)
         if task is Task.TD:
-            expected = gen_td_literal(corpus.metas, corpus.inventory, counts, 3,
-                                      np.random.default_rng(21))
+            expected = gen_td_literal(corpus.metas, counts, 3, np.random.default_rng(21))
         else:
             expected = gen_ti_literal(corpus.metas, counts, 3, np.random.default_rng(21))
-        got = gen_trials(corpus.metas, corpus.inventory, task, 300, seed=21,
+        got = gen_trials(corpus.metas, task, 300, seed=21,
                          proportions=proportions, n_enroll=3)
         assert got == expected
