@@ -21,28 +21,27 @@ iteration factors Sigma_w and one J_n = Sigma_w + n Sigma_b per count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import NumericalError
+from .core import Frozen, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True, eq=False)
-class PldaModel:
-    mu: np.ndarray  # (D,)
-    sigma_b: np.ndarray  # (D, D), symmetric PSD
-    sigma_w: np.ndarray  # (D, D), symmetric PD
+class PldaModel(Frozen):
+    """mu (D,), sigma_b (D, D) symmetric PSD and sigma_w (D, D) symmetric PD,
+    stored as float64."""
 
-    def __post_init__(self) -> None:
-        for name in ("mu", "sigma_b", "sigma_w"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+    __slots__ = ("mu", "sigma_b", "sigma_w")
+
+    def __init__(self, mu: np.ndarray, sigma_b: np.ndarray, sigma_w: np.ndarray) -> None:
+        for name, value in (("mu", mu), ("sigma_b", sigma_b), ("sigma_w", sigma_w)):
+            arr = np.asarray(value, dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, arr)
+            super().__init__(**{name: arr})
         if self.sigma_b.shape != self.sigma_w.shape or self.mu.shape[0] != self.sigma_b.shape[0]:
             raise ValueError("inconsistent model shapes")
         for name in ("sigma_b", "sigma_w"):
@@ -222,30 +221,24 @@ def plda_em_train(
     return PldaModel(mu=mu, sigma_b=sigma_b, sigma_w=sigma_w), trace
 
 
-@dataclass(frozen=True, eq=False)
-class PldaScorer:
+class PldaScorer(Frozen):
     """A pair score as the quadratic form (L, G, c, k) of `score`: the
     generative PLDA log-likelihood ratio (`from_model`) and every NPLDA form
-    trained from it. The form stores L symmetrized, so its score is
-    symmetric in the pair; G must be symmetric already.
+    trained from it. lam (D, D) is the cross term, gamma (D, D) the self
+    term, c (D,) and k a float. The form stores L symmetrized, so its score
+    is symmetric in the pair; G must be symmetric already.
     """
 
-    lam: np.ndarray  # (D, D) cross term, stored symmetrized
-    gamma: np.ndarray  # (D, D) self term, symmetric
-    c: np.ndarray  # (D,)
-    k: float
+    __slots__ = ("lam", "gamma", "c", "k")
 
-    def __post_init__(self) -> None:
-        lam, gamma, c = (np.asarray(a, dtype=np.float64) for a in (self.lam, self.gamma, self.c))
-        k = float(self.k)
+    def __init__(self, lam: np.ndarray, gamma: np.ndarray, c: np.ndarray, k: float) -> None:
+        lam, gamma, c = (np.asarray(a, dtype=np.float64) for a in (lam, gamma, c))
+        k = float(k)
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
                 and np.all(np.isfinite(c)) and np.isfinite(k)):
             raise ValueError("non-finite quadratic-form parameters")
         _check_symmetric("gamma", gamma)
-        object.__setattr__(self, "lam", 0.5 * (lam + lam.T))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k", k)
+        super().__init__(lam=0.5 * (lam + lam.T), gamma=gamma, c=c, k=k)
 
     @classmethod
     def from_model(cls, model: PldaModel) -> PldaScorer:

@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-    spkver <subcommand> [--config FILE] [--set key=value ...] [--seed N]
+    spkver <command> [--config FILE] [--set key=value ...] [--seed N]
 
-Subcommands: one per stage of `pipeline.STAGES` (gen, train, extract, score,
-norm, filter, fuse, eval), and e2e, which runs them all in that order (filter
-for TD only). Each prints one `wrote` line per file it wrote, in order.
+One parser takes the command and the options. Commands: one per stage of
+`pipeline.STAGES` (gen, train, extract, score, norm, filter, fuse, eval), and
+e2e, which runs them all in that order (filter for TD only); `--help` lists
+each with the first line of its docstring. Each prints one `wrote` line per
+file it wrote, in order.
 Exit codes: 0 success, 2 usage/config error, 3 data/format error,
 4 numerical failure.
 """
@@ -21,24 +23,26 @@ from .fileio import DataFormatError
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = pipeline.STAGES + ("e2e",)
+    docs = [(getattr(pipeline, f"cmd_{name}").__doc__ or "").strip() for name in commands]
     parser = argparse.ArgumentParser(
         prog="spkver",
         description="Desk-scale speaker-verification pipeline on synthetic corpora",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<8} " + doc.split("\n")[0] for name, doc in zip(commands, docs)),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in pipeline.STAGES + ("e2e",):
-        doc = getattr(pipeline, f"cmd_{name}").__doc__ or ""
-        cmd = sub.add_parser(name, help=doc.strip().split("\n")[0])
-        cmd.add_argument("--config", default=None, help="key=value config file")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("command", choices=commands, help="the stage to run, or e2e for all")
+    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable)",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

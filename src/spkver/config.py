@@ -3,19 +3,19 @@
 Each setting exists once: one `PipelineConfig` key with one default and at
 most one range rule, in `_RANGES`. The stages read the keys they need from
 the config itself, and the kernels take every setting from their caller:
-none of them has a default of its own. Unknown keys are rejected and values
-are checked when coerced; `validate()` then applies the range rules before
-any cross-key check. The same keys are accepted on the command line via
-repeated `--set key=value` flags.
+none of them has a default of its own. A key's type is the type of its
+default. `load_config` collects the coerced values of the config file,
+then of the `--set key=value` flags, then the seed (a later value wins),
+and builds the config once from them; the config is immutable. Unknown
+keys are rejected and values are checked when coerced; `validate()` then
+applies the range rules before any cross-key check.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .extractor import Strategy
 from .metrics import DcfParams, grid_divisions
@@ -44,8 +44,7 @@ _RANGES = (
 )
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     workdir: str = "run"
     seed: int = 0
 
@@ -112,6 +111,8 @@ class PipelineConfig:
             for key in keys:
                 if not test(getattr(self, key)):
                     raise ConfigError(f"{key} must {rule}, got {getattr(self, key)}")
+        if not self.workdir:
+            raise ConfigError("workdir must not be empty")
         if self.task not in ("TD", "TI"):
             raise ConfigError(f"task must be TD or TI, got {self.task!r}")
         for backend in self.backends:
@@ -180,9 +181,6 @@ class PipelineConfig:
         return DcfParams(self.p_target, self.c_miss, self.c_fa)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-
-
 def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(value)
@@ -190,22 +188,22 @@ def _finite(value: float) -> float:
 
 
 def _coerce(name: str, raw: str):
-    field = _FIELDS.get(name)
-    if field is None:
+    """The value of key `name` given as text, of the type of its default."""
+    if name not in PipelineConfig._field_defaults:
         raise ConfigError(f"unknown config key {name!r}")
-    base = field.type
+    default = PipelineConfig._field_defaults[name]
     try:
-        if base == "int":
-            return int(raw)
-        if base == "float":
-            return _finite(float(raw))
-        if base == "bool":
+        if isinstance(default, bool):  # before int: a bool is an int
             if raw.lower() in ("1", "true", "yes"):
                 return True
             if raw.lower() in ("0", "false", "no"):
                 return False
             raise ValueError(raw)
-        if base.startswith("Tuple"):
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return _finite(float(raw))
+        if isinstance(default, tuple):
             parts = tuple(raw.split(",")) if raw else ()
             if "" in parts:
                 raise ValueError(raw)
@@ -221,7 +219,7 @@ def load_config(path: Optional[str] = None, overrides=(), seed: Optional[int] = 
     File syntax: one `key = value` (or `key=value`) per line, '#' comments,
     blank lines ignored. A passed seed overrides everything.
     """
-    cfg = PipelineConfig()
+    values = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -234,14 +232,15 @@ def load_config(path: Optional[str] = None, overrides=(), seed: Optional[int] = 
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = stripped.partition("=")
-            setattr(cfg, key.strip(), _coerce(key.strip(), value.strip()))
+            values[key.strip()] = _coerce(key.strip(), value.strip())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        setattr(cfg, key.strip(), _coerce(key.strip(), value.strip()))
+        values[key.strip()] = _coerce(key.strip(), value.strip())
     if seed is not None:
-        cfg.seed = int(seed)
+        values["seed"] = int(seed)
+    cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg
 
@@ -253,7 +252,7 @@ def dump_config(cfg: PipelineConfig) -> list:
     they write produce identical manifests.
     """
     lines = []
-    for name in sorted(_FIELDS.keys() - {"workdir"}):
+    for name in sorted(PipelineConfig._field_defaults.keys() - {"workdir"}):
         value = getattr(cfg, name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)

@@ -5,7 +5,8 @@ functions. Labels are columns of equal-length tuples, not per-row objects:
 a split is a pair (x, metas), where row i of x is utterance
 metas.utt_ids[i] and row i of every other `Metas` column labels it. A
 trial list is one `Trials`, its key is one TrialLabel per trial in trial
-order, and a `PhraseInventory` holds one column per field.
+order, and a `PhraseInventory` holds one column per field. `Frozen` is
+the base of the immutable records that check their values.
 """
 
 from __future__ import annotations
@@ -18,6 +19,24 @@ import numpy as np
 
 class NumericalError(ArithmeticError):
     """A computation degenerated: zero norm, zero variance, singular model."""
+
+
+class Frozen:
+    """Base of a checked record: its `__init__` checks each field and stores
+    it once, through `Frozen.__init__`; assigning or deleting a field later
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Language(Enum):

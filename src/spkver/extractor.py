@@ -36,9 +36,8 @@ normalize inside the cosine; gradients include those normalization terms.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,14 +63,14 @@ PHRASE_STRATEGIES = (
 )
 
 
-@dataclass
 class Extractor:
-    """Two-layer feed-forward embedding network."""
+    """Two-layer feed-forward embedding network: w1 (H, F), b1 (H,), w2 (D, H)
+    and b2 (D,)."""
 
-    w1: np.ndarray  # (H, F)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (D, H)
-    b2: np.ndarray  # (D,)
+    __slots__ = ("w1", "b1", "w2", "b2")
+
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> None:
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     @classmethod
     def init(cls, in_dim: int, hidden_dim: int, emb_dim: int, seed: int = 0) -> "Extractor":
@@ -181,17 +180,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 # angular-margin softmax
 
 
-@dataclass
 class AamHead:
-    """Cosine classifier head: unit-norm class rows, scale s and margin m
-    (in training, the config's aam_scale and aam_margin)."""
+    """Cosine classifier head: unit-norm class rows (C, D), scale s and
+    margin m (in training, the config's aam_scale and aam_margin)."""
 
-    weights: np.ndarray  # (C, D)
-    scale: float
-    margin: float
+    __slots__ = ("weights", "scale", "margin")
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+    def __init__(self, weights: np.ndarray, scale: float, margin: float) -> None:
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.scale, self.margin = scale, margin
 
     @classmethod
     def init(cls, n_classes: int, dim: int, seed: int, scale: float, margin: float) -> "AamHead":
@@ -288,15 +285,16 @@ def heads_loss(unit: np.ndarray, terms: Sequence, heads: Mapping[str, AamHead]):
 # generalized end-to-end contrastive loss
 
 
-@dataclass
 class Ge2eParams:
     """Similarity scale w (trained, kept positive) and bias b, not trained:
-    a bias shared by every similarity cancels in the softmax."""
+    a bias shared by every similarity cancels in the softmax. Unless given,
+    they start at Wan et al.'s w = 10 and b = -5."""
 
-    w: float = 10.0
-    b: float = -5.0
+    __slots__ = ("w", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, w: Optional[float] = None, b: Optional[float] = None) -> None:
+        self.w = 10.0 if w is None else w
+        self.b = -5.0 if b is None else b
         if self.w <= 0:
             raise ValueError("similarity scale w must be positive")
 
@@ -377,8 +375,7 @@ def ge2e_loss(embeddings: np.ndarray, params: Ge2eParams):
 # training loop
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     extractor: Extractor
     heads: Dict[str, AamHead]
     ge2e: Optional[Ge2eParams]

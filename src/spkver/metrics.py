@@ -11,27 +11,24 @@ are one pooled nontarget class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PhraseInventory
+from .core import Frozen, PhraseInventory
 
 
-@dataclass(frozen=True)
-class DcfParams:
+class DcfParams(Frozen):
     """Operating point of the normalized detection cost function."""
 
-    p_target: float
-    c_miss: float
-    c_fa: float
+    __slots__ = ("p_target", "c_miss", "c_fa")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_target < 1.0:
+    def __init__(self, p_target: float, c_miss: float, c_fa: float) -> None:
+        if not 0.0 < p_target < 1.0:
             raise ValueError("p_target must lie in (0, 1)")
-        if self.c_miss <= 0 or self.c_fa <= 0:
+        if c_miss <= 0 or c_fa <= 0:
             raise ValueError("costs must be positive")
+        super().__init__(p_target=p_target, c_miss=c_miss, c_fa=c_fa)
 
     def cost_weights(self) -> tuple:
         """(w_miss, w_fa, min(w_miss, w_fa)): the weights of P_miss and P_fa
@@ -41,21 +38,20 @@ class DcfParams:
         return w_miss, w_fa, min(w_miss, w_fa)
 
 
-@dataclass(frozen=True)
-class FusionWeights:
+class FusionWeights(Frozen):
     """Per-system non-negative weights summing to one."""
 
-    weights: tuple
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
+    def __init__(self, weights: Sequence[float]) -> None:
+        w = tuple(float(x) for x in weights)
         if not w:
             raise ValueError("at least one weight required")
         if any(x < 0.0 for x in w):
             raise ValueError("weights must be non-negative")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "weights", w)
+        super().__init__(weights=w)
 
     def __len__(self) -> int:
         return len(self.weights)

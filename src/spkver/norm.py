@@ -17,7 +17,6 @@ many trials share it. The cohort is scored as back-ends score trials
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,8 +35,7 @@ class Cohort(NamedTuple):
     languages: np.ndarray
 
 
-@dataclass(frozen=True)
-class NormStats:
+class NormStats(NamedTuple):
     """Top-N cohort statistics, one entry per anchor."""
 
     mu: object
@@ -156,8 +154,7 @@ def effective_n_top(n_top: int, cohort: Cohort, language_dependent: bool) -> int
 _LANGUAGES = (Language.L1, Language.L2)  # the classes, in index order
 
 
-@dataclass
-class LangClassifier:
+class LangClassifier(NamedTuple):
     """Multinomial logistic model over embedding space."""
 
     weights: np.ndarray  # (n_languages, D)

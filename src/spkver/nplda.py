@@ -15,8 +15,7 @@ over same-phrase pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -74,8 +73,7 @@ def soft_detcost(
     return loss, d_scores, d_theta
 
 
-@dataclass(frozen=True)
-class NpldaTrainResult:
+class NpldaTrainResult(NamedTuple):
     params: PldaScorer
     theta: float
     loss_trace: tuple  # soft cost before training and after each epoch

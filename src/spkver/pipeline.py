@@ -1,4 +1,4 @@
-"""End-to-end pipeline stages behind the CLI subcommands.
+"""End-to-end pipeline stages behind the CLI commands.
 
 Every stage reads its inputs from the working directory and writes its
 outputs there, so any stage rerun from on-disk state reproduces its prior

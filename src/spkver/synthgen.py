@@ -15,9 +15,8 @@ corpus bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class Task(Enum):
     TI = "TI"
 
 
-@dataclass(frozen=True, eq=False)
-class SynthCorpus:
+class SynthCorpus(NamedTuple):
     """(N, dim) utterance vectors and their labels: row i of x is utterance
     metas.utt_ids[i]."""
 
@@ -53,8 +51,7 @@ class SynthCorpus:
         """Restrict to the given speakers, keeping the inventory."""
         keep = set(speaker_ids)
         rows = [i for i, spk in enumerate(self.metas.speakers) if spk in keep]
-        return replace(
-            self,
+        return self._replace(
             x=self.x[rows],
             metas=Metas(*(tuple(column[i] for i in rows) for column in self.metas)),
         )
@@ -151,8 +148,7 @@ def gen_corpus(cfg: PipelineConfig, seed: int) -> SynthCorpus:
     return SynthCorpus(x=x, metas=metas, inventory=inventory)
 
 
-@dataclass(frozen=True)
-class TrialProtocol:
+class TrialProtocol(NamedTuple):
     """Trials, one label per trial, and the enrollment map that makes them
     resolvable."""
 

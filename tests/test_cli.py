@@ -16,7 +16,7 @@ from oracles import as_norm_literal, cosine_score_broadcast, nplda_training_pair
 import spkver
 from spkver import backend, fileio, metrics, norm, nplda, pipeline, synthgen
 from spkver.cli import main
-from spkver.config import load_config
+from spkver.config import dump_config, load_config
 from spkver.core import NumericalError, TrialLabel
 
 BASE = [
@@ -92,6 +92,25 @@ class TestSubcommands:
         assert sa != sb
 
 
+class TestHelp:
+    def test_help_lists_every_command_with_its_summary(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out.split("\ncommands:\n", 1)[1].splitlines()
+        assert len(listed) == 9
+        for line, name in zip(listed, pipeline.STAGES + ("e2e",)):
+            summary = getattr(pipeline, f"cmd_{name}").__doc__.strip().split("\n")[0]
+            assert line == f"  {name:<8} {summary}"
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1"], ["gen", "train"]])
+    def test_unknown_or_missing_command_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: spkver" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         code = main(["gen", "--set", f"workdir={tmp_path}", "--set", "bogus=1"])
@@ -108,6 +127,24 @@ class TestConfigHandling:
         assert main(["gen", "--config", str(cfg), "--set", "n_phrases=3"]) == 0
         inv = (tmp_path / "w" / "inventory.txt").read_text()
         assert inv.count("\n") == 4  # INV header + 3 phrases
+
+    def test_file_then_set_then_seed(self, tmp_path):
+        # a later value wins: --set over the file, the seed option over both
+        path = tmp_path / "run.cfg"
+        path.write_text("n_speakers = 24\nuse_lid = no\nseed = 5\nbackends = cosine,plda,nplda\n")
+        cfg = load_config(str(path), ["n_speakers=20", "proportions=0.4,0.1,0.4,0.1"], 7)
+        assert dump_config(cfg) == [
+            "aam_margin=0.2", "aam_scale=32.0", "backends=cosine,plda,nplda", "c_fa=1.0",
+            "c_miss=10.0", "contrastive_weight=1.0", "dev_fraction=0.2", "dim=16", "emb_dim=12",
+            "epochs=40", "filter_floor=-1000.0", "grid_step=0.1", "hidden_dim=24",
+            "language_dependent=True", "language_shift=0.0", "lid_epochs=200", "lid_lr=0.5",
+            "lr_final=0.0001", "lr_initial=0.05", "multitask_weight=1.0", "n_dev_trials=300",
+            "n_enroll=3", "n_eval_trials=600", "n_phrases=4", "n_speakers=20", "n_top=200",
+            "n_utts_per_cell=8", "noise_sigma=0.4", "norm_backend=cosine", "nplda_alpha=10.0",
+            "nplda_epochs=5", "nplda_lr=5e-05", "p_target=0.01", "pct_speakers_per_batch=8",
+            "phrase_strength=1.0", "plda_iters=15", "proportions=0.4,0.1,0.4,0.1", "seed=7",
+            "strategy=AAM_ONLY", "task=TD", "train_fraction=0.5", "transcript_error_rate=0.0",
+            "use_lid=False"]
 
     def test_missing_config_file(self):
         assert main(["gen", "--config", "/nonexistent/x.cfg"]) == 2
@@ -127,8 +164,12 @@ class TestConfigHandling:
         ("n_top=1", "n_top must be >= 2"),
         ("strategy=BOGUS", "'BOGUS' is not a valid Strategy"),
         ("workers=2", "unknown config key"),
+        # an empty workdir used to be the current directory: gen wrote its files there
+        ("workdir=", "workdir must not be empty"),
+        ("workdir= ", "workdir must not be empty"),
     ])
-    def test_bad_setting_fails_before_gen(self, tmp_path, capsys, setting, message):
+    def test_bad_setting_fails_before_gen(self, tmp_path, monkeypatch, capsys, setting, message):
+        monkeypatch.chdir(tmp_path)
         workdir = tmp_path / "w"
         assert main(["gen", "--set", f"workdir={workdir}", "--set", setting]) == 2
         assert message in capsys.readouterr().err
@@ -1268,6 +1309,14 @@ class TestImports:
         assert codes == [0, 0]
         assert (tmp_path / "TD" / "scores_plda_filt_eval.txt").is_file()  # the filter ran
         assert [name for name in imported if not name.startswith(_LAZY_IMPORTS_ALLOWED)] == []
+
+    def test_start_up_imports_no_dataclasses(self):
+        # the dataclass decorator generates and compiles methods at import
+        probe = ("import sys, spkver.cli; spkver.cli.build_parser().parse_args(['e2e']); "
+                 "print('dataclasses' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestBlasThreads:

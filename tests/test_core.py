@@ -4,8 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import centroids_literal
 from spkver import fileio
-from spkver.core import NumericalError, TrialLabel, Trials
+from spkver.backend import PldaModel, PldaScorer
+from spkver.core import Metas, NumericalError, PhraseInventory, TrialLabel, Trials
+from spkver.metrics import DcfParams, FusionWeights
+from spkver.norm import NormStats
+from spkver.nplda import NpldaTrainResult
 from spkver.pipeline import _centroids, _trial_rows
+from spkver.synthgen import SynthCorpus, TrialProtocol
 
 
 def centroid(rows, model_id="m"):
@@ -119,3 +124,31 @@ class TestTypes:
         assert TrialLabel.TC.is_target and TrialLabel.TARGET.is_target
         for label in (TrialLabel.TW, TrialLabel.IC, TrialLabel.IW, TrialLabel.NONTARGET):
             assert not label.is_target
+
+
+# a small instance of every immutable record of the package, and one of its fields
+_FORM = PldaScorer(np.eye(2), np.eye(2), np.zeros(2), 0.0)
+_IMMUTABLE = {
+    "PldaModel": (lambda: PldaModel(np.zeros(2), np.eye(2), np.eye(2)), "mu"),
+    "PldaScorer": (lambda: _FORM, "k"),
+    "DcfParams": (lambda: DcfParams(0.01, 10.0, 1.0), "p_target"),
+    "FusionWeights": (lambda: FusionWeights((0.5, 0.5)), "weights"),
+    "NormStats": (lambda: NormStats(0.0, 1.0), "sigma"),
+    "NpldaTrainResult": (lambda: NpldaTrainResult(_FORM, 0.0, ()), "params"),
+    "SynthCorpus": (lambda: SynthCorpus(np.zeros((0, 2)), Metas((), (), (), (), ()),
+                                        PhraseInventory((), (), ())), "x"),
+    "TrialProtocol": (lambda: TrialProtocol(Trials((), (), (), ()), (), {}), "labels"),
+}
+
+
+@pytest.mark.parametrize("name", _IMMUTABLE)
+def test_record_rejects_assignment(name):
+    build, field = _IMMUTABLE[name]
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert getattr(record, field) is not None

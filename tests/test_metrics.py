@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -188,7 +187,7 @@ class TestAgainstDictForms:
         scores = np.round(rng.normal(is_target * 1.0, 1.0) * 4) / 4  # ties
         ids = [f"t{i}" for i in rng.permutation(n)]
         score_dict, keys = _as_dicts(ids, scores, is_target)
-        params = dataclasses.replace(DCF, p_target=p_target)
+        params = DcfParams(p_target, DCF.c_miss, DCF.c_fa)
         assert eer(scores, is_target) == eer_dict(score_dict, keys)
         assert min_dcf_details(scores, is_target, params) == min_dcf_dict(score_dict, keys, params)
 
@@ -419,7 +418,7 @@ class TestTuneWeightsAgainstLiteral:
         if n_systems == 4 and grid_step < 0.2:
             grid_step = 0.2  # keeps the loop oracle's 4-system grid at 56 points
         sets, keys = _fusion_case(seed, n_systems, n_trials)
-        params = dataclasses.replace(DCF, p_target=p_target)
+        params = DcfParams(p_target, DCF.c_miss, DCF.c_fa)
         got = tune_weights(*_matrix(sets, keys), params, grid_step)
         assert got.weights == tune_weights_literal(sets, keys, params, grid_step).weights
 

@@ -184,6 +184,35 @@ def test_checker_flags_a_reordered_init():
         (1, "numpy"), (0, "OPENBLAS_NUM_THREADS")]
 
 
+def dataclasses_imports(source: str) -> list:
+    """Line of every import, at any depth, of the dataclasses module or of
+    a name from it: the dataclass decorator generates and compiles methods
+    when the module that uses it is imported."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "dataclasses"]
+
+
+def test_checker_flags_dataclasses_imports():
+    source = (
+        "import os, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from .dataclasses import local\n"
+        "import dataclasses_json\n"
+        "def f():\n"
+        "    import dataclasses\n"
+        "    return dataclasses\n"
+    )
+    assert dataclasses_imports(source) == [1, 2, 6]
+
+
+def test_no_module_imports_dataclasses():
+    assert {module: dataclasses_imports((SRC / module).read_text(encoding="utf-8"))
+            for module in MODULES} == {module: [] for module in MODULES}
+
+
 def _is_no_setting(default: ast.expr) -> bool:
     """None, a bool or the empty tuple: a default that picks no value of a setting."""
     if isinstance(default, ast.Constant):
